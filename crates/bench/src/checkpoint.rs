@@ -377,12 +377,11 @@ mod tests {
 
     #[test]
     fn adaptive_phase_stats_round_trip() {
-        use crate::suite::ProfileMode;
-        use vp_core::{ConvergentConfig, PhaseBudget};
+        use vp_core::{PhaseBudget, ProfileMode};
         let path = tmp("adaptive_round_trip.jsonl");
         let budget = PhaseBudget { max_rearms: 4, window: 256 };
         let profile = SuiteRunner::new()
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget))
+            .mode(ProfileMode::Adaptive(budget))
             .run_workloads(&suite()[..2], DataSet::Test);
         let checkpoint = Checkpoint::create(&path).unwrap();
         let plan = FaultPlan::empty();

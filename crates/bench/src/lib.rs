@@ -17,7 +17,7 @@ pub mod suite;
 pub mod telemetry;
 
 use vp_core::{track::TrackerConfig, InstructionProfiler};
-use vp_instrument::{Instrumenter, Selection};
+use vp_instrument::{InstrumentedRun, Instrumenter, Selection};
 use vp_workloads::{DataSet, Workload};
 
 pub use checkpoint::{Checkpoint, ResumeSummary};
@@ -29,10 +29,10 @@ pub use experiments::ExpReport;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
 pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};
 pub use suite::{
-    ProfileMode, RetryPolicy, SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure,
-    WorkloadProfile,
+    RetryPolicy, SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure, WorkloadProfile,
 };
 pub use telemetry::{append_jsonl, default_path, fault_records, suite_records, write_jsonl};
+pub use vp_core::ProfileMode;
 
 /// Instruction budget for experiment runs (far above any workload's need).
 pub const BUDGET: u64 = 100_000_000;
@@ -80,6 +80,22 @@ pub fn all_instr_profile(workload: &Workload, ds: DataSet) -> InstructionProfile
 ///
 /// Panics if the workload run faults.
 pub fn value_stream(workload: &Workload, ds: DataSet, selection: Selection) -> Vec<(u32, u64)> {
+    record_stream(&Instrumenter::new().select(selection), workload, ds, BUDGET).0
+}
+
+/// Runs `workload` once under `instrumenter` for at most `budget`
+/// instructions, collecting the selected `(pc, value)` stream alongside
+/// the run's event counts.
+///
+/// # Panics
+///
+/// Panics if the workload run faults.
+pub(crate) fn record_stream(
+    instrumenter: &Instrumenter,
+    workload: &Workload,
+    ds: DataSet,
+    budget: u64,
+) -> (Vec<(u32, u64)>, InstrumentedRun) {
     struct Collector(Vec<(u32, u64)>);
     impl vp_instrument::Analysis for Collector {
         fn after_instr(&mut self, _m: &vp_sim::Machine, ev: &vp_sim::InstrEvent) {
@@ -89,11 +105,10 @@ pub fn value_stream(workload: &Workload, ds: DataSet, selection: Selection) -> V
         }
     }
     let mut collector = Collector(Vec::new());
-    Instrumenter::new()
-        .select(selection)
-        .run(workload.program(), workload.machine_config(ds), BUDGET, &mut collector)
+    let run = instrumenter
+        .run(workload.program(), workload.machine_config(ds), budget, &mut collector)
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", workload.name(), ds.name()));
-    collector.0
+    (collector.0, run)
 }
 
 #[cfg(test)]

@@ -44,10 +44,7 @@ use std::time::{Duration, Instant};
 use vp_core::fault::{
     FaultAction, FaultPlan, SERVE_ACCEPT_POINT, SESSION_CHECKPOINT_POINT, SESSION_FRAME_POINT,
 };
-use vp_core::{
-    durable, AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, EntityMetrics,
-    InstructionProfiler, MemBudget, PhaseBudget, StreamProfiler, TrackerConfig,
-};
+use vp_core::{durable, MemBudget, ProfileMode, Profiler, StreamProfiler};
 use vp_instrument::frame::{self, FrameError, FrameReader};
 use vp_instrument::net::{
     self, classify_chunk, ChunkDisposition, MsgError, NetListener, SessionMsg,
@@ -55,16 +52,9 @@ use vp_instrument::net::{
 use vp_instrument::{cancel, trace_codec};
 use vp_obs::{CounterId, Counts, Json};
 
-/// Which profiler each session runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SessionMode {
-    /// Full-fidelity tracking (the `vprof replay` default).
-    Full,
-    /// Convergence-gated tracking with reweighted metrics.
-    Convergent,
-    /// Phase-aware adaptive profiling under the given budget.
-    Adaptive(PhaseBudget),
-}
+/// Which profiler each session runs: any engine mode, built with the
+/// mode's own tracker configuration ([`ProfileMode::tracker`]).
+pub type SessionMode = ProfileMode;
 
 /// Daemon configuration. `new` fills the defaults the CLI documents.
 #[derive(Debug, Clone)]
@@ -277,7 +267,9 @@ impl Daemon {
 struct Session {
     tenant: String,
     workload: String,
-    profiler: SessionProfiler,
+    profiler: Profiler,
+    /// Decode buffer reused by every chunk the session ingests.
+    scratch: Vec<(u32, u64)>,
     log: BufWriter<std::fs::File>,
     meta_path: PathBuf,
     /// Chunks appended to the log (possibly still buffered).
@@ -286,45 +278,6 @@ struct Session {
     acked: u64,
     /// Trace events observed, resumed chunks included.
     events: u64,
-}
-
-enum SessionProfiler {
-    Full(Box<InstructionProfiler>),
-    Convergent(Box<ConvergentProfiler>),
-    Adaptive(Box<AdaptiveProfiler>),
-}
-
-impl SessionProfiler {
-    fn new(mode: SessionMode, budget: Option<MemBudget>) -> SessionProfiler {
-        match mode {
-            SessionMode::Full => SessionProfiler::Full(Box::new(match budget {
-                Some(b) => InstructionProfiler::with_budget(TrackerConfig::with_full(), b),
-                None => InstructionProfiler::new(TrackerConfig::with_full()),
-            })),
-            SessionMode::Convergent => SessionProfiler::Convergent(Box::new(
-                ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default()),
-            )),
-            SessionMode::Adaptive(pb) => SessionProfiler::Adaptive(Box::new(
-                AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), pb),
-            )),
-        }
-    }
-
-    fn observe_batch(&mut self, events: &[(u32, u64)]) {
-        match self {
-            SessionProfiler::Full(p) => p.observe_batch(events),
-            SessionProfiler::Convergent(p) => StreamProfiler::observe_batch(&mut **p, events),
-            SessionProfiler::Adaptive(p) => StreamProfiler::observe_batch(&mut **p, events),
-        }
-    }
-
-    fn metrics(&self) -> Vec<EntityMetrics> {
-        match self {
-            SessionProfiler::Full(p) => p.metrics(),
-            SessionProfiler::Convergent(p) => p.metrics(),
-            SessionProfiler::Adaptive(p) => p.metrics(),
-        }
-    }
 }
 
 /// Why a session stopped, before it is turned into frames + records.
@@ -353,7 +306,7 @@ impl Session {
         let (log_path, meta_path) = session_paths(cfg, tenant, workload);
         std::fs::create_dir_all(log_path.parent().unwrap())?;
         let budget = cfg.mem_budget.map(|b| b.split(cfg.max_sessions));
-        let mut profiler = SessionProfiler::new(cfg.mode, budget);
+        let mut profiler = cfg.mode.build(cfg.mode.tracker(), budget);
         let mut logged = 0u64;
         let mut events = 0u64;
         if !cfg.resume {
@@ -418,6 +371,7 @@ impl Session {
             tenant: tenant.to_string(),
             workload: workload.to_string(),
             profiler,
+            scratch,
             log: BufWriter::new(file),
             meta_path,
             logged,
@@ -428,10 +382,10 @@ impl Session {
 
     /// Ingests one accepted chunk: verify, observe, append to the log.
     fn ingest(&mut self, seq: u64, count: u32, crc: u32, payload: &[u8]) -> Result<(), SessionEnd> {
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        trace_codec::decode_chunk(seq as usize, count, crc, payload, &mut scratch)
+        self.scratch.clear();
+        trace_codec::decode_chunk(seq as usize, count, crc, payload, &mut self.scratch)
             .map_err(|e| SessionEnd::Killed(format!("chunk {seq}: {e}")))?;
-        self.profiler.observe_batch(&scratch);
+        self.profiler.observe_batch(&self.scratch);
         net::write_msg(
             &mut self.log,
             &SessionMsg::Chunk { seq, count, crc, payload: payload.to_vec() },
@@ -872,6 +826,7 @@ fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
 mod tests {
     use super::*;
     use std::path::Path;
+    use vp_core::{InstructionProfiler, TrackerConfig};
     use vp_instrument::TraceEncoder;
 
     fn tmp_dir(tag: &str) -> PathBuf {

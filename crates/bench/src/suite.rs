@@ -12,45 +12,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vp_core::{
-    aggregate, merge_entity_metrics, profile_sharded, render_metric_table, report::row,
-    track::TrackerConfig, AdaptiveProfiler, Aggregate, ConvergentConfig, ConvergentProfiler,
-    EntityMetrics, FaultPlan, GovernorStats, InstructionProfiler, MemBudget, PhaseBudget,
-    PhaseStats, ReportRow, SampleStrategy, SampledProfiler,
+    aggregate, merge_entity_metrics, render_metric_table, report::row, track::TrackerConfig,
+    Aggregate, EntityMetrics, FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode,
+    ReportRow,
 };
 use vp_instrument::{
-    parallel_map_observed, trace_codec, try_parallel_map_deadline, Analysis, FailureKind,
-    InstrumentedRun, Instrumenter, Selection,
+    trace_codec, try_parallel_map, FailureKind, Instrumenter, MapOptions, Selection, TraceFile,
 };
 use vp_obs::recorder::Stopwatch;
 use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
-use vp_sim::{InstrEvent, Machine};
+use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
 use crate::checkpoint::Checkpoint;
-use crate::executor::{self, ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
+use crate::executor::{ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
 use crate::BUDGET;
-
-/// What one workload's profiling pass returns: metrics, profiled
-/// fraction, the instrumented run, and the optional governor / phase
-/// counters (each present only in the mode that produces them).
-type SingleRun =
-    (Vec<EntityMetrics>, f64, InstrumentedRun, Option<GovernorStats>, Option<PhaseStats>);
-
-/// Which profiler the runner attaches to each workload.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProfileMode {
-    /// Full profiling: every selected execution observed
-    /// ([`InstructionProfiler`]).
-    Full,
-    /// The paper's convergent profiler (bursts with adaptive back-off).
-    Convergent(ConvergentConfig),
-    /// The convergent profiler with phase detection armed: converged
-    /// instructions re-arm when their value distribution shifts, under
-    /// the bounded [`PhaseBudget`] ([`AdaptiveProfiler`]).
-    Adaptive(ConvergentConfig, PhaseBudget),
-    /// The CPI-style sampling baseline.
-    Sampled(SampleStrategy),
-}
 
 /// One workload's profiling result.
 #[derive(Debug, Clone)]
@@ -470,12 +446,12 @@ impl SuiteRunner {
     ///
     /// Panics if a workload run faults.
     pub fn run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteProfile {
-        let workloads = parallel_map_observed(
-            self.jobs,
-            workloads,
-            |w| self.profile_one(w, ds),
-            &*self.recorder,
-        );
+        let options = MapOptions { recorder: &*self.recorder, deadline: None };
+        let workloads =
+            try_parallel_map(self.jobs, workloads, |w| self.profile_one(w, ds), options)
+                .into_iter()
+                .map(|slot| slot.unwrap_or_else(|failure| panic!("{failure}")))
+                .collect();
         SuiteProfile { workloads }
     }
 
@@ -489,53 +465,25 @@ impl SuiteRunner {
 
     /// [`try_run`](SuiteRunner::try_run) over an explicit workload list.
     pub fn try_run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteOutcome {
-        let checkpoint = self.checkpoint.as_deref();
-        let run_one = |w: &Workload| -> WorkloadProfile {
-            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                // Flush the restored run's deterministic events exactly as
-                // profile_one would have, so resumed telemetry totals match
-                // an uninterrupted run's.
-                if self.recorder.enabled() {
-                    self.recorder.add_counts(&restored.events);
-                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
-                }
-                return restored;
-            }
+        let run_one = |w: &Workload| {
             if let Err(e) = self.faults.fire(&format!("workload/{}", w.name())) {
                 panic!("{e}");
             }
-            let profile = self.profile_one(w, ds);
-            if let Some(c) = checkpoint {
-                c.record(&self.faults, &profile)
-                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
-            }
-            profile
+            Ok(self.profile_one(w, ds))
         };
-        let outcome = self.run_rounds(workloads, |subset| {
-            try_parallel_map_deadline(
-                self.jobs,
-                subset,
-                |w| run_one(w),
-                &*self.recorder,
-                self.deadline,
-            )
-            .into_iter()
-            .map(|slot| {
-                slot.map_err(|f| WorkerFailure { kind: f.kind, message: f.message, exit: None })
-            })
-            .collect()
-        });
+        let outcome = self
+            .run_rounds(workloads, |subset| self.round(self.jobs, self.deadline, subset, &run_one));
         self.flush_faults(&outcome.faults);
         outcome
     }
 
     /// [`try_run_workloads`](SuiteRunner::try_run_workloads), but each
     /// workload is profiled by a [`WorkerExecutor`] instead of an
-    /// in-process thread. The dispatcher mirrors the in-process parallel
-    /// map's observation discipline exactly, and a result that crossed
-    /// the executor is replayed into the recorder the same way a restored
-    /// checkpoint is — so a clean executor run's output *and* masked
-    /// telemetry are byte-identical to `--jobs N`.
+    /// in-process thread. Dispatch goes through the same parallel map as
+    /// `--jobs N` (one thread per executor slot), and a result that
+    /// crossed the executor is replayed into the recorder the same way a
+    /// restored checkpoint is — so a clean executor run's output *and*
+    /// masked telemetry are byte-identical to `--jobs N`.
     ///
     /// Executor lifecycle counters (`worker_spawns` / `worker_deaths` /
     /// `worker_restarts`) are merged into the outcome's fault counters
@@ -546,29 +494,14 @@ impl SuiteRunner {
         workloads: &[Workload],
         exec: &dyn WorkerExecutor,
     ) -> SuiteOutcome {
-        let checkpoint = self.checkpoint.as_deref();
-        let item_fn = |w: &Workload| -> Result<WorkloadProfile, WorkerFailure> {
-            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                if self.recorder.enabled() {
-                    self.recorder.add_counts(&restored.events);
-                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
-                }
-                return Ok(restored);
-            }
+        let run_one = |w: &Workload| {
             let profile = exec.run(w.name())?;
-            if let Some(c) = checkpoint {
-                c.record(&self.faults, &profile)
-                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
-            }
-            if self.recorder.enabled() {
-                self.recorder.add_counts(&profile.events);
-                self.recorder.observe(HistId::WorkloadWallNs, profile.wall_ns);
-            }
+            self.replay_events(&profile);
             Ok(profile)
         };
         let mut outcome = self.run_rounds(workloads, |subset| {
             exec.prepare(subset.len());
-            executor::dispatch_round(exec.slots(), subset, item_fn, &*self.recorder)
+            self.round(exec.slots(), None, subset, &run_one)
         });
         let life = exec.counters();
         if life.deaths > 0 {
@@ -666,175 +599,99 @@ impl SuiteRunner {
         }
     }
 
+    // One retry round through the parallel map: each pending workload is
+    // restored from the checkpoint when it holds one (its events still
+    // reach the recorder, so resumed telemetry matches an uninterrupted
+    // run's), else profiled by `run_one` and durably checkpointed. A
+    // panic or timeout of `run_one` becomes a typed failure.
+    fn round(
+        &self,
+        jobs: usize,
+        deadline: Option<Duration>,
+        subset: &[&Workload],
+        run_one: &(dyn Fn(&Workload) -> Result<WorkloadProfile, WorkerFailure> + Sync),
+    ) -> Vec<Result<WorkloadProfile, WorkerFailure>> {
+        let checkpoint = self.checkpoint.as_deref();
+        let item = |w: &&Workload| {
+            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
+                self.replay_events(&restored);
+                return Ok(restored);
+            }
+            let profile = run_one(w)?;
+            if let Some(c) = checkpoint {
+                c.record(&self.faults, &profile)
+                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
+            }
+            Ok(profile)
+        };
+        let options = MapOptions { recorder: &*self.recorder, deadline };
+        try_parallel_map(jobs, subset, item, options)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|f| {
+                    Err(WorkerFailure { kind: f.kind, message: f.message, exit: None })
+                })
+            })
+            .collect()
+    }
+
+    // Flushes a profile computed elsewhere (restored from a checkpoint,
+    // or returned by a worker process) into the recorder exactly as
+    // `profile_one` flushes its own.
+    fn replay_events(&self, profile: &WorkloadProfile) {
+        if self.recorder.enabled() {
+            self.recorder.add_counts(&profile.events);
+            self.recorder.observe(HistId::WorkloadWallNs, profile.wall_ns);
+        }
+    }
+
     fn flush_faults(&self, faults: &Counts) {
         if self.recorder.enabled() && faults.total() > 0 {
             self.recorder.add_counts(faults);
         }
     }
 
-    // Runs the workload with the mode's profiler attached live — the
-    // serial reference path.
-    fn profile_one_serial(
-        &self,
-        w: &Workload,
-        ds: DataSet,
-        instrumenter: &Instrumenter,
-        events: &mut Counts,
-    ) -> SingleRun {
-        let fail = |e| panic!("{} [{}]: {e}", w.name(), ds.name());
-        let cfg = w.machine_config(ds);
-        match self.mode {
-            ProfileMode::Full => {
-                let mut p = match self.mem_budget {
-                    Some(budget) => InstructionProfiler::with_budget(self.tracker, budget),
-                    None => InstructionProfiler::new(self.tracker),
-                };
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                let governor = p.governor_stats().copied();
-                (p.metrics(), 1.0, run, governor, None)
-            }
-            ProfileMode::Convergent(config) => {
-                let mut p = ConvergentProfiler::new(self.tracker, config);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-            ProfileMode::Adaptive(config, budget) => {
-                let mut p = AdaptiveProfiler::new(self.tracker, config, budget);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, Some(p.phase_stats()))
-            }
-            ProfileMode::Sampled(strategy) => {
-                let mut p = SampledProfiler::new(self.tracker, strategy);
-                let run =
-                    instrumenter.run(w.program(), cfg, self.budget, &mut p).unwrap_or_else(fail);
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-        }
-    }
-
-    // Trace-once, analyze-sharded: record the selected `(pc, value)`
-    // stream in one instrumented run, then profile it across
-    // entity-sharded workers. The run's delivered-event counts come from
-    // the recording run and match a live profiled run exactly, as do the
-    // merged profiler's metrics (see `vp_core::shard` for the argument,
-    // `tests/differential_shard.rs` for the proof).
-    fn profile_one_sharded(
-        &self,
-        w: &Workload,
-        ds: DataSet,
-        instrumenter: &Instrumenter,
-        events: &mut Counts,
-    ) -> SingleRun {
-        struct Collector(Vec<(u32, u64)>);
-        impl Analysis for Collector {
-            fn after_instr(&mut self, _m: &Machine, event: &InstrEvent) {
-                if let Some((_, value)) = event.dest {
-                    self.0.push((event.index, value));
-                }
-            }
-        }
-        let mut collector = Collector(Vec::new());
-        let run = instrumenter
-            .run(w.program(), w.machine_config(ds), self.budget, &mut collector)
-            .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
-        // Round-trip the recorded stream through the binary trace codec so
-        // the bytes the profilers consume went through the same chunked,
-        // CRC-checked path as `vprof record` / `vprof replay`.
-        let encoded = trace_codec::encode(&collector.0, trace_codec::DEFAULT_CHUNK_EVENTS);
-        drop(collector);
-        let file = vp_instrument::TraceFile::from_bytes(encoded);
-        let mut reader = file
-            .reader()
-            .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
-        let mut trace: Vec<(u32, u64)> = Vec::new();
-        reader
-            .read_to_end_into(&mut trace)
-            .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
-        events.add(CounterId::TraceShards, self.shards as u64);
-        events.add(CounterId::TraceEvents, trace.len() as u64);
-        events.add(CounterId::TraceChunks, reader.chunks_read() as u64);
-        let tracker = self.tracker;
-        match self.mode {
-            ProfileMode::Full => {
-                // Each shard runs under an even split of the budget, so the
-                // summed shard peaks stay bounded by the whole budget; the
-                // merged profiler's stats are the summed shard stats.
-                let p = match self.mem_budget {
-                    Some(budget) => {
-                        // One profiler exists per *partition* (the stream is
-                        // over-decomposed for work stealing), so split by the
-                        // partition count to keep summed caps within budget.
-                        let split = budget.split(vp_core::partition_count(self.shards));
-                        profile_sharded(&trace, self.shards, move || {
-                            InstructionProfiler::with_budget(tracker, split)
-                        })
-                    }
-                    None => {
-                        profile_sharded(&trace, self.shards, || InstructionProfiler::new(tracker))
-                    }
-                };
-                p.tnv_events().add_to(events);
-                let governor = p.governor_stats().copied();
-                (p.metrics(), 1.0, run, governor, None)
-            }
-            ProfileMode::Convergent(config) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    ConvergentProfiler::new(tracker, config)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-            ProfileMode::Adaptive(config, budget) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    AdaptiveProfiler::new(tracker, config, budget)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, Some(p.phase_stats()))
-            }
-            ProfileMode::Sampled(strategy) => {
-                let p = profile_sharded(&trace, self.shards, || {
-                    SampledProfiler::new(tracker, strategy)
-                });
-                p.tnv_events().add_to(events);
-                p.events().add_to(events);
-                (p.metrics(), p.overall_profile_fraction(), run, None, None)
-            }
-        }
-    }
-
+    // Profiles one workload with the mode's engine profiler. Serially the
+    // profiler runs attached live; with `shards > 1` the run records the
+    // selected `(pc, value)` stream once, round-trips it through the
+    // binary trace codec (the same chunked, CRC-checked path as `vprof
+    // record` / `vprof replay`), and profiles it across entity-sharded
+    // workers. Delivered-event counts come from the run either way and
+    // the merged profiler's metrics match a live run exactly (see
+    // `vp_core::shard` for the argument, `tests/differential_shard.rs`
+    // for the proof).
     fn profile_one(&self, w: &Workload, ds: DataSet) -> WorkloadProfile {
         let instrumenter = Instrumenter::new().select(self.selection.clone());
-        let cfg = w.machine_config(ds);
         let mut events = Counts::new();
         let clock = Stopwatch::start();
-        let (metrics, profile_fraction, run, governor, phase) = if self.shards > 1 {
-            self.profile_one_sharded(w, ds, &instrumenter, &mut events)
+        let (profiler, run) = if self.shards > 1 {
+            let (stream, run) = crate::record_stream(&instrumenter, w, ds, self.budget);
+            let file = TraceFile::from_bytes(trace_codec::encode(
+                &stream,
+                trace_codec::DEFAULT_CHUNK_EVENTS,
+            ));
+            drop(stream);
+            let mut reader = file
+                .reader()
+                .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
+            let profiler = self
+                .mode
+                .profile_trace(self.tracker, self.mem_budget, &mut reader, self.shards)
+                .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
+            events.add(CounterId::TraceShards, self.shards as u64);
+            events.add(CounterId::TraceEvents, reader.events_read());
+            events.add(CounterId::TraceChunks, reader.chunks_read() as u64);
+            (profiler, run)
         } else {
-            self.profile_one_serial(w, ds, &instrumenter, &mut events)
+            let mut profiler = self.mode.build(self.tracker, self.mem_budget);
+            let run = profiler
+                .run_live(&instrumenter, w.program(), w.machine_config(ds), self.budget)
+                .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
+            (profiler, run)
         };
+        let metrics = profiler.metrics();
         let wall_ns = clock.elapsed_ns();
-        if let Some(gov) = &governor {
-            events.add(CounterId::EntitiesDegraded, gov.entities_degraded);
-            events.add(CounterId::EntitiesDropped, gov.entities_dropped);
-        }
-        if let Some(ph) = &phase {
-            events.add(CounterId::PhaseWindows, ph.windows);
-            events.add(CounterId::PhaseShifts, ph.shifts_detected);
-            events.add(CounterId::PhaseRearms, ph.rearms);
-            events.add(CounterId::PhaseRearmsDenied, ph.rearms_denied);
-        }
+        profiler.add_events_to(&mut events);
         events.add(CounterId::InstrEvents, run.counts.instr_events);
         events.add(CounterId::LoadEvents, run.counts.load_events);
         events.add(CounterId::StoreEvents, run.counts.store_events);
@@ -844,7 +701,7 @@ impl SuiteRunner {
 
         let baseline_wall_ns = self.measure_baseline.then(|| {
             let clock = Stopwatch::start();
-            let mut machine = Machine::new(w.program().clone(), cfg)
+            let mut machine = Machine::new(w.program().clone(), w.machine_config(ds))
                 .unwrap_or_else(|e| panic!("{} [{}] baseline: {e}", w.name(), ds.name()));
             machine
                 .run(self.budget)
@@ -861,13 +718,13 @@ impl SuiteRunner {
             name: w.name(),
             aggregate: aggregate(&metrics),
             metrics,
-            profile_fraction,
+            profile_fraction: profiler.profile_fraction(),
             instructions: run.outcome.instructions,
             events,
             wall_ns,
             baseline_wall_ns,
-            governor,
-            phase,
+            governor: profiler.governor_stats(),
+            phase: profiler.phase_stats(),
         }
     }
 }
@@ -875,6 +732,7 @@ impl SuiteRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vp_core::{PhaseBudget, SampleStrategy};
 
     #[test]
     fn serial_profiles_whole_suite() {
@@ -902,9 +760,8 @@ mod tests {
 
     #[test]
     fn convergent_mode_profiles_a_fraction() {
-        let runner = SuiteRunner::new()
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
+        let runner =
+            SuiteRunner::new().tracker(TrackerConfig::default()).mode(ProfileMode::Convergent);
         let profile = runner.run_workloads(&suite()[..2], DataSet::Test);
         for w in &profile.workloads {
             assert!(w.profile_fraction <= 1.0);
@@ -917,8 +774,8 @@ mod tests {
         let workloads = &suite()[..2];
         for mode in [
             ProfileMode::Full,
-            ProfileMode::Convergent(ConvergentConfig::default()),
-            ProfileMode::Adaptive(ConvergentConfig::default(), PhaseBudget::default()),
+            ProfileMode::Convergent,
+            ProfileMode::Adaptive(PhaseBudget::default()),
             ProfileMode::Sampled(SampleStrategy::Periodic { period: 10 }),
         ] {
             let serial = SuiteRunner::new().mode(mode).run_workloads(workloads, DataSet::Test);
@@ -949,7 +806,7 @@ mod tests {
     fn adaptive_mode_reports_phase_stats_and_others_do_not() {
         let budget = PhaseBudget { max_rearms: 4, window: 256 };
         let profile = SuiteRunner::new()
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget))
+            .mode(ProfileMode::Adaptive(budget))
             .run_workloads(&suite()[..2], DataSet::Test);
         for w in &profile.workloads {
             let ps = w.phase.expect("adaptive run reports phase stats");
@@ -962,7 +819,7 @@ mod tests {
         let full = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
         assert!(full.workloads.iter().all(|w| w.phase.is_none()));
         let conv = SuiteRunner::new()
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()))
+            .mode(ProfileMode::Convergent)
             .run_workloads(&suite()[..1], DataSet::Test);
         assert!(conv.workloads.iter().all(|w| w.phase.is_none()));
     }

@@ -1,9 +1,13 @@
 //! `vprof` subcommand implementations.
 
+use std::sync::Arc;
+
 use vp_asm::Program;
+use vp_bench::SuiteRunner;
 use vp_core::{
     compare, render_metric_table, report::row, track::TrackerConfig, ConvergentConfig,
-    ConvergentProfiler, InstructionProfiler, MemoryProfiler, ParamProfiler,
+    ConvergentProfiler, FaultPlan, InstructionProfiler, MemBudget, MemoryProfiler, ParamProfiler,
+    PhaseBudget, ProfileMode,
 };
 use vp_instrument::{Instrumenter, Selection};
 use vp_predict::{
@@ -28,7 +32,7 @@ const USAGE: &str = "usage:
   vprof record <target> [-o <file.vpc>] [--train] [--all] [--deadline-ms N]
                       [--chunk-events N]
   vprof replay <file.vpc> [--shards N] [--save FILE] [--deadline-ms N] [--mem-budget-mb N]
-                      [--adaptive [--phase-window N] [--max-rearms N]]
+                      [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
   vprof serve --socket SOCK [--state-dir DIR] [--resume] [--max-sessions N]
                       [--max-tenants N] [--tenant-sessions N] [--window N]
                       [--checkpoint-every N] [--idle-ms N] [--deadline-ms N]
@@ -118,12 +122,11 @@ fn deadline_arg(args: &[String]) -> Result<Option<std::time::Duration>, String> 
         .map(|ms| ms.map(std::time::Duration::from_millis))
 }
 
-/// Parses `--mem-budget-mb N` into a per-workload memory budget.
 /// Parses the adaptive-profiling flags: `--adaptive` plus the optional
 /// `--phase-window N` / `--max-rearms N` budget overrides. The budget
 /// flags without `--adaptive` are an error (they would silently do
 /// nothing otherwise).
-fn phase_budget_arg(args: &[String]) -> Result<Option<vp_core::PhaseBudget>, String> {
+fn phase_budget_arg(args: &[String]) -> Result<Option<PhaseBudget>, String> {
     let window = option_value(args, "--phase-window");
     let max_rearms = option_value(args, "--max-rearms");
     if !flag(args, "--adaptive") {
@@ -132,7 +135,7 @@ fn phase_budget_arg(args: &[String]) -> Result<Option<vp_core::PhaseBudget>, Str
         }
         return Ok(None);
     }
-    let mut budget = vp_core::PhaseBudget::default();
+    let mut budget = PhaseBudget::default();
     if let Some(v) = window {
         budget.window = v.parse().map_err(|_| format!("bad --phase-window value `{v}`"))?;
         if budget.window == 0 {
@@ -145,11 +148,127 @@ fn phase_budget_arg(args: &[String]) -> Result<Option<vp_core::PhaseBudget>, Str
     Ok(Some(budget))
 }
 
-fn mem_budget_arg(args: &[String]) -> Result<Option<vp_core::MemBudget>, String> {
+/// Parses `--mem-budget-mb N` into a per-workload memory budget.
+fn mem_budget_arg(args: &[String]) -> Result<Option<MemBudget>, String> {
     option_value(args, "--mem-budget-mb")
         .map(|v| v.parse::<usize>().map_err(|_| format!("bad --mem-budget-mb value `{v}`")))
         .transpose()
-        .map(|mb| mb.map(vp_core::MemBudget::mib))
+        .map(|mb| mb.map(MemBudget::mib))
+}
+
+/// Parses the profiling mode: `--convergent`, `--adaptive [--phase-window
+/// N] [--max-rearms N]`, or full profiling by default. Only the full
+/// profiler is governed, so `--mem-budget-mb` with another mode is an
+/// error rather than a budget nothing enforces.
+fn mode_arg(args: &[String]) -> Result<ProfileMode, String> {
+    let mem_budget = mem_budget_arg(args)?;
+    let mode = match phase_budget_arg(args)? {
+        Some(_) if flag(args, "--convergent") => {
+            return Err("--adaptive and --convergent are mutually exclusive".to_string())
+        }
+        Some(budget) => ProfileMode::Adaptive(budget),
+        None if flag(args, "--convergent") => ProfileMode::Convergent,
+        None => ProfileMode::Full,
+    };
+    if mem_budget.is_some() && mode != ProfileMode::Full {
+        return Err(format!(
+            "--mem-budget-mb is not supported with --{} (the convergent trackers are already constant-space)",
+            mode_name(mode)
+        ));
+    }
+    Ok(mode)
+}
+
+/// The mode's name, as its flag and in telemetry.
+fn mode_name(mode: ProfileMode) -> &'static str {
+    match mode {
+        ProfileMode::Full => "full",
+        ProfileMode::Convergent => "convergent",
+        ProfileMode::Adaptive(_) => "adaptive",
+        ProfileMode::Sampled(_) => "sampled",
+    }
+}
+
+/// The suite-runner configuration `profile-suite`, `optimize` and the
+/// hidden `worker` share, parsed once by [`suite_args`].
+struct SuiteArgs {
+    /// Jobs, shards, retries, faults, deadline, memory budget, mode and
+    /// checkpoint applied; each command adds its selection, recorder and
+    /// baseline.
+    runner: SuiteRunner,
+    jobs: usize,
+    workers: Option<usize>,
+    mode: ProfileMode,
+    mem_budget: Option<MemBudget>,
+    plan: Arc<FaultPlan>,
+}
+
+/// Parses `--jobs N` | `--workers N`, `--shards N`, `--retries N`,
+/// `--deadline-ms N`, `--mem-budget-mb N`, the mode flags, and
+/// `--checkpoint FILE [--resume]` into a configured [`SuiteRunner`].
+/// `$VP_FAULTS` arms the fault plan.
+fn suite_args(args: &[String]) -> Result<SuiteArgs, String> {
+    use vp_bench::{Checkpoint, RetryPolicy};
+
+    let jobs: usize = option_value(args, "--jobs")
+        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
+    let workers: Option<usize> = option_value(args, "--workers")
+        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
+        .transpose()?;
+    if workers.is_some() && option_value(args, "--jobs").is_some() {
+        return Err(
+            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
+        );
+    }
+    let shards: usize = option_value(args, "--shards")
+        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
+    if shards == 0 {
+        return Err("bad --shards value `0` (need at least one shard)".to_string());
+    }
+    let mut policy = RetryPolicy::default();
+    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
+        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
+    })?;
+    let plan = Arc::new(FaultPlan::from_env()?);
+    let deadline = deadline_arg(args)?;
+    let mem_budget = mem_budget_arg(args)?;
+    let mode = mode_arg(args)?;
+    let mut runner = SuiteRunner::new()
+        .jobs(jobs)
+        .shards(shards)
+        .retry(policy)
+        .faults(Arc::clone(&plan))
+        .deadline(deadline)
+        .mem_budget(mem_budget)
+        .tracker(mode.tracker())
+        .mode(mode);
+    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
+        (Some(path), resume) => {
+            let path = std::path::Path::new(path);
+            let checkpoint = if resume {
+                let (checkpoint, summary) = Checkpoint::resume(path)
+                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
+                // Progress notices go to stderr: stdout must stay
+                // byte-identical to an uninterrupted run's.
+                if let Some(reason) = &summary.dropped_tail {
+                    eprintln!("checkpoint: dropped torn final record ({reason})");
+                }
+                eprintln!(
+                    "resuming from {}: {} workload(s) restored",
+                    path.display(),
+                    summary.restored
+                );
+                checkpoint
+            } else {
+                Checkpoint::create(path)
+                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
+            };
+            runner = runner.checkpoint(Arc::new(checkpoint));
+        }
+        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
+        (None, false) => {}
+    }
+    Ok(SuiteArgs { runner, jobs, workers, mode, mem_budget, plan })
 }
 
 /// Resolves a target to (program, input): a workload name or a `.s` path.
@@ -361,90 +480,20 @@ fn profile(args: &[String]) -> Result<(), String> {
 /// TNV-only → dropped (see `vp_core::govern`), and the governor counters
 /// land in the output and telemetry.
 fn profile_suite(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
-    use vp_bench::{Checkpoint, ProfileMode, RetryPolicy, SuiteRunner};
     use vp_obs::MemRecorder;
 
     let ds = dataset(args);
-    let jobs: usize = option_value(args, "--jobs")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
-    let workers: Option<usize> = option_value(args, "--workers")
-        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
-        .transpose()?;
-    if workers.is_some() && option_value(args, "--jobs").is_some() {
-        return Err(
-            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
-        );
-    }
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
+    let SuiteArgs { runner, jobs, workers, mode, mem_budget, .. } = suite_args(args)?;
     let selection =
         if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
     let what = if flag(args, "--all") { "all register-defining instructions" } else { "loads" };
     let telemetry_path = option_value(args, "--telemetry")
         .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let mut policy = RetryPolicy::default();
-    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
-        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
-    })?;
-    let plan = vp_core::FaultPlan::from_env()?;
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-    if phase_budget.is_some() && flag(args, "--convergent") {
-        return Err("--adaptive and --convergent are mutually exclusive".to_string());
-    }
-
     let recorder = Arc::new(MemRecorder::new());
-    let mut runner = SuiteRunner::new()
-        .jobs(jobs)
-        .shards(shards)
+    let runner = runner
         .selection(selection)
         .recorder(recorder.clone())
-        .retry(policy)
-        .faults(Arc::new(plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget)
         .measure_baseline(flag(args, "--baseline"));
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
-    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
-        (Some(path), resume) => {
-            let path = std::path::Path::new(path);
-            let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path)
-                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
-                // Progress notices go to stderr: stdout must stay
-                // byte-identical to an uninterrupted run's.
-                if let Some(reason) = &summary.dropped_tail {
-                    eprintln!("checkpoint: dropped torn final record ({reason})");
-                }
-                eprintln!(
-                    "resuming from {}: {} workload(s) restored",
-                    path.display(),
-                    summary.restored
-                );
-                checkpoint
-            } else {
-                Checkpoint::create(path)
-                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
-            };
-            runner = runner.checkpoint(Arc::new(checkpoint));
-        }
-        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
-        (None, false) => {}
-    }
     let outcome = match workers {
         // Worker processes are crash domains: each profiles assigned
         // workloads behind the stdin/stdout frame protocol, and a dead
@@ -458,13 +507,13 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
         "{}",
         profile.render(&format!("suite value profile: {what} [{} data set]", ds.name()))
     );
-    if flag(args, "--convergent") || flag(args, "--adaptive") {
+    if mode != ProfileMode::Full {
         println!("profiled fraction per workload:");
         for w in &profile.workloads {
             println!("  {:<10} {:6.2}%", w.name, w.profile_fraction * 100.0);
         }
     }
-    if let Some(budget) = phase_budget {
+    if let ProfileMode::Adaptive(budget) = mode {
         println!(
             "adaptive phase detection (window {}, max {} re-arms/instruction):",
             budget.window, budget.max_rearms
@@ -519,17 +568,7 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
         print!("{}", outcome.render_failures());
     }
 
-    let mode = format!(
-        "{}-{}",
-        if flag(args, "--adaptive") {
-            "adaptive"
-        } else if flag(args, "--convergent") {
-            "convergent"
-        } else {
-            "full"
-        },
-        if flag(args, "--all") { "all" } else { "loads" }
-    );
+    let mode = format!("{}-{}", mode_name(mode), if flag(args, "--all") { "all" } else { "loads" });
     // `--workers N` reports N in the `jobs` field: the records describe
     // the same parallelism either way and stay byte-comparable.
     let mut records = vp_bench::suite_records(
@@ -578,37 +617,14 @@ fn worker_spec(args: &[String], workers: usize) -> Result<vp_bench::WorkerSpec, 
 /// injection re-arms from this process's own `$VP_FAULTS` view, with
 /// `$VP_FAULTS_SCOPE` picking the victim worker.
 fn worker_cmd(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
-    use vp_bench::{ProfileMode, RetryPolicy, SuiteRunner};
-
     let ds = dataset(args);
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
+    let SuiteArgs { runner, plan, .. } = suite_args(args)?;
     let selection =
         if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let plan = Arc::new(vp_core::FaultPlan::from_env()?);
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-
-    let mut runner = SuiteRunner::new()
-        .shards(shards)
+    let runner = runner
         .selection(selection)
-        .retry(RetryPolicy::none())
-        .faults(Arc::clone(&plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget)
+        .retry(vp_bench::RetryPolicy::none())
         .measure_baseline(flag(args, "--baseline"));
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
     vp_bench::serve_worker(&runner, ds, &plan).map_err(|e| format!("worker: {e}"))
 }
 
@@ -654,7 +670,7 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 /// `kill -9` + restart with `--resume` loses nothing a client cannot
 /// retransmit.
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    use vp_bench::serve::{serve, ServeConfig, SessionMode};
+    use vp_bench::serve::{serve, ServeConfig};
     let socket = option_value(args, "--socket")
         .ok_or_else(|| format!("serve needs --socket PATH\n{USAGE}"))?;
     let state_dir =
@@ -685,21 +701,8 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
         .map(std::time::Duration::from_millis);
     cfg.deadline = deadline_arg(args)?;
     cfg.mem_budget = mem_budget_arg(args)?;
+    cfg.mode = mode_arg(args)?;
     cfg.resume = flag(args, "--resume");
-    if let Some(budget) = phase_budget_arg(args)? {
-        if flag(args, "--convergent") {
-            return Err("--adaptive and --convergent are mutually exclusive".to_string());
-        }
-        cfg.mode = SessionMode::Adaptive(budget);
-    } else if flag(args, "--convergent") {
-        cfg.mode = SessionMode::Convergent;
-    }
-    if cfg.mem_budget.is_some() && cfg.mode != SessionMode::Full {
-        return Err(
-            "--mem-budget-mb needs the full profiler (the convergent trackers are already constant-space)"
-                .to_string(),
-        );
-    }
     // Telemetry is opt-in: a flag or the environment, never by default.
     cfg.telemetry = option_value(args, "--telemetry").map(std::path::PathBuf::from).or_else(|| {
         std::env::var_os(vp_bench::telemetry::TELEMETRY_ENV).map(|_| vp_bench::default_path())
@@ -967,15 +970,18 @@ fn record_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays a binary trace written by `vprof record` through the full
-/// value profiler. `--shards N` splits the replay by entity across N
-/// worker threads; the output is byte-identical to a serial replay (see
-/// `vp_core::shard`). An empty trace replays to the same zero-row
-/// profile an empty workload produces; a corrupt or truncated trace is
-/// rejected, never mis-decoded. `--deadline-ms N` bounds the replay's
-/// wall clock (checked at every chunk boundary); `--mem-budget-mb N`
-/// caps profiler memory via the degradation ladder (`vp_core::govern`),
-/// split evenly across shards on a sharded replay.
+/// Replays a binary trace written by `vprof record` through the value
+/// profiler of the chosen mode (full by default; `--convergent` or
+/// `--adaptive` reweight metrics to true totals, so the table is directly
+/// comparable to a full replay's). `--shards N` splits the replay by
+/// entity across N worker threads; the output is byte-identical to a
+/// serial replay (see `vp_core::shard`). An empty trace replays to the
+/// same zero-row profile an empty workload produces; a corrupt or
+/// truncated trace is rejected, never mis-decoded. `--deadline-ms N`
+/// bounds the replay's wall clock (checked at every chunk boundary);
+/// `--mem-budget-mb N` caps the full profiler's memory via the
+/// degradation ladder (`vp_core::govern`), split evenly across the
+/// partitions of a sharded replay.
 fn replay_cmd(args: &[String]) -> Result<(), String> {
     let target = target_arg(args)?;
     let shards: usize = option_value(args, "--shards")
@@ -985,52 +991,18 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
     }
     let deadline = deadline_arg(args)?;
     let mem_budget = mem_budget_arg(args)?;
+    let mode = mode_arg(args)?;
     // Zero-copy input: the trace is mapped (or read, on the fallback
     // paths) once, and every chunk decodes straight out of it.
     let file = vp_instrument::TraceFile::open(std::path::Path::new(target))
         .map_err(|e| format!("cannot read `{target}`: {e}"))?;
-    if let Some(budget) = phase_budget_arg(args)? {
-        if mem_budget.is_some() {
-            return Err(
-                "--mem-budget-mb is not supported with --adaptive (the convergent trackers are already constant-space)"
-                    .to_string(),
-            );
-        }
-        return replay_adaptive(args, target, &file, shards, deadline, budget);
-    }
-    let make = move |budget: Option<vp_core::MemBudget>| match budget {
-        Some(b) => InstructionProfiler::with_budget(TrackerConfig::with_full(), b),
-        None => InstructionProfiler::new(TrackerConfig::with_full()),
-    };
     // The whole decode-and-profile pass runs under the optional deadline;
     // every chunk boundary is a cancellation checkpoint.
-    let replay = || -> Result<(InstructionProfiler, u64, u64), String> {
+    let replay = || -> Result<(vp_core::Profiler, u64, u64), String> {
         let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
-        // Serial replay decodes each chunk into one reused scratch buffer
-        // and streams it straight into the batched observe path; a
-        // sharded replay appends the scratch to the full stream so it
-        // can be partitioned by entity.
-        let mut profiler = make(mem_budget);
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        let mut trace: Vec<(u32, u64)> = Vec::new();
-        loop {
-            vp_instrument::cancel::checkpoint();
-            if !reader.next_chunk_into(&mut scratch).map_err(|e| format!("{target}: {e}"))? {
-                break;
-            }
-            if shards > 1 {
-                trace.extend_from_slice(&scratch);
-            } else {
-                profiler.observe_batch(&scratch);
-            }
-        }
-        if shards > 1 {
-            // One profiler exists per work-stealing partition, so the
-            // budget splits by the partition count, keeping the summed
-            // caps within the whole budget.
-            let split = mem_budget.map(|b| b.split(vp_core::partition_count(shards)));
-            profiler = vp_core::profile_sharded(&trace, shards, move || make(split));
-        }
+        let profiler = mode
+            .profile_trace(mode.tracker(), mem_budget, &mut reader, shards)
+            .map_err(|e| format!("{target}: {e}"))?;
         Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
     };
     let (profiler, events_read, chunks_read) = match deadline {
@@ -1043,11 +1015,15 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     }
     let rows = [row(target, &profiler.metrics())];
+    let title = match mode {
+        ProfileMode::Full => "value profile".to_string(),
+        _ => format!("{} value profile", mode_name(mode)),
+    };
     println!(
         "{}",
         render_metric_table(
             &format!(
-                "value profile replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
+                "{title} replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
             ),
             &rows
         )
@@ -1058,77 +1034,20 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
             g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
         );
     }
-    Ok(())
-}
-
-/// `vprof replay --adaptive`: replays the trace through the adaptive
-/// convergent profiler instead of the full one. Same chunked streaming
-/// and deadline/shard machinery; metrics are reweighted to true totals,
-/// so the table is directly comparable to a full replay's, and the
-/// phase-detector counters are printed after it.
-fn replay_adaptive(
-    args: &[String],
-    target: &str,
-    file: &vp_instrument::TraceFile,
-    shards: usize,
-    deadline: Option<std::time::Duration>,
-    budget: vp_core::PhaseBudget,
-) -> Result<(), String> {
-    use vp_core::AdaptiveProfiler;
-    let make = move || {
-        AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), budget)
-    };
-    let replay = || -> Result<(AdaptiveProfiler, u64, u64), String> {
-        let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
-        let mut profiler = make();
-        let mut scratch: Vec<(u32, u64)> = Vec::new();
-        let mut trace: Vec<(u32, u64)> = Vec::new();
-        loop {
-            vp_instrument::cancel::checkpoint();
-            if !reader.next_chunk_into(&mut scratch).map_err(|e| format!("{target}: {e}"))? {
-                break;
-            }
-            if shards > 1 {
-                trace.extend_from_slice(&scratch);
-            } else {
-                profiler.observe_batch(&scratch);
-            }
-        }
-        if shards > 1 {
-            profiler = vp_core::profile_sharded(&trace, shards, make);
-        }
-        Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
-    };
-    let (profiler, events_read, chunks_read) = match deadline {
-        Some(d) => vp_instrument::cancel::run_with_deadline(d, replay)
-            .map_err(|_| format!("replay {target}: deadline exceeded"))??,
-        None => replay()?,
-    };
-    if let Some(out) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    if mode != ProfileMode::Full {
+        println!("profiled fraction: {:6.2}%", profiler.profile_fraction() * 100.0);
     }
-    let rows = [row(target, &profiler.metrics())];
-    println!(
-        "{}",
-        render_metric_table(
-            &format!(
-                "adaptive value profile replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
-            ),
-            &rows
-        )
-    );
-    println!("profiled fraction: {:6.2}%", profiler.overall_profile_fraction() * 100.0);
-    let ph = profiler.phase_stats();
-    println!(
-        "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
-        ph.windows,
-        ph.shifts_detected,
-        ph.rearms,
-        ph.rearms_denied,
-        budget.window,
-        budget.max_rearms
-    );
+    if let (ProfileMode::Adaptive(budget), Some(ph)) = (mode, profiler.phase_stats()) {
+        println!(
+            "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
+            ph.windows,
+            ph.shifts_detected,
+            ph.rearms,
+            ph.rearms_denied,
+            budget.window,
+            budget.max_rearms
+        );
+    }
     Ok(())
 }
 
@@ -1236,42 +1155,11 @@ fn predict(args: &[String]) -> Result<(), String> {
 /// parallelism-invariant telemetry records (`vprof stats` renders them as
 /// an `optimize` section).
 fn optimize_cmd(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
-    use vp_bench::{Checkpoint, OptimizeConfig, ProfileMode, RetryPolicy, SuiteRunner};
+    use vp_bench::OptimizeConfig;
     use vp_obs::MemRecorder;
 
     if flag(args, "--demo") {
         return optimize_demo(args);
-    }
-
-    let jobs: usize = option_value(args, "--jobs")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
-    let workers: Option<usize> = option_value(args, "--workers")
-        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
-        .transpose()?;
-    if workers.is_some() && option_value(args, "--jobs").is_some() {
-        return Err(
-            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
-        );
-    }
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
-    let telemetry_path = option_value(args, "--telemetry")
-        .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let report_path = option_value(args, "--report").unwrap_or("optimize-report.txt");
-    let mut policy = RetryPolicy::default();
-    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
-        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
-    })?;
-    let plan = vp_core::FaultPlan::from_env()?;
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let phase_budget = phase_budget_arg(args)?;
-    if phase_budget.is_some() && flag(args, "--convergent") {
-        return Err("--adaptive and --convergent are mutually exclusive".to_string());
     }
 
     let mut cfg = OptimizeConfig::default();
@@ -1292,61 +1180,18 @@ fn optimize_cmd(args: &[String]) -> Result<(), String> {
             return Err("bad --max-ways value `0` (need at least one guarded value)".to_string());
         }
     }
+    // Parsed after the optimizer options: it creates the checkpoint file.
+    let SuiteArgs { runner, workers, mode, .. } = suite_args(args)?;
+    let telemetry_path = option_value(args, "--telemetry")
+        .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
+    let report_path = option_value(args, "--report").unwrap_or("optimize-report.txt");
 
     // The profiling pass: loads only, on the train input. Selection
     // *thresholds* read these metrics; the guard values themselves come
     // from an exact per-workload pass inside `optimize_from_outcome`.
     let recorder = Arc::new(MemRecorder::new());
-    let mut runner = SuiteRunner::new()
-        .jobs(jobs)
-        .shards(shards)
-        .selection(Selection::LoadsOnly)
-        .recorder(recorder.clone())
-        .retry(policy)
-        .faults(Arc::new(plan))
-        .deadline(deadline)
-        .mem_budget(mem_budget);
-    let mode = if flag(args, "--adaptive") {
-        "adaptive"
-    } else if flag(args, "--convergent") {
-        "convergent"
-    } else {
-        "full"
-    };
-    if flag(args, "--convergent") {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Convergent(ConvergentConfig::default()));
-    }
-    if let Some(budget) = phase_budget {
-        runner = runner
-            .tracker(TrackerConfig::default())
-            .mode(ProfileMode::Adaptive(ConvergentConfig::default(), budget));
-    }
-    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
-        (Some(path), resume) => {
-            let path = std::path::Path::new(path);
-            let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path)
-                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
-                if let Some(reason) = &summary.dropped_tail {
-                    eprintln!("checkpoint: dropped torn final record ({reason})");
-                }
-                eprintln!(
-                    "resuming from {}: {} workload(s) restored",
-                    path.display(),
-                    summary.restored
-                );
-                checkpoint
-            } else {
-                Checkpoint::create(path)
-                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
-            };
-            runner = runner.checkpoint(Arc::new(checkpoint));
-        }
-        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
-        (None, false) => {}
-    }
+    let runner = runner.selection(Selection::LoadsOnly).recorder(recorder.clone());
+    let mode = mode_name(mode);
     let workloads = vp_workloads::suite();
     let outcome = match workers {
         // Workers profile the train input; the parent owns everything
@@ -1777,6 +1622,53 @@ mod tests {
         assert!(dispatch(&args(&["replay", out_s, "--max-rearms", "4"]))
             .unwrap_err()
             .contains("require --adaptive"));
+    }
+
+    #[test]
+    fn mem_budget_is_rejected_outside_full_mode() {
+        // Only the full profiler is governed: a budget with a sampling
+        // mode used to be silently ignored by profile-suite and optimize.
+        for cmd in [&["profile-suite"][..], &["optimize"], &["serve", "--socket", "unused.sock"]] {
+            for (mode, name) in [("--convergent", "convergent"), ("--adaptive", "adaptive")] {
+                let mut argv = args(cmd);
+                argv.extend(args(&[mode, "--mem-budget-mb", "8"]));
+                let err = dispatch(&argv).unwrap_err();
+                assert!(err.contains(&format!("not supported with --{name}")), "{argv:?}: {err}");
+            }
+        }
+        // The format check still comes first.
+        assert!(dispatch(&args(&["optimize", "--convergent", "--mem-budget-mb", "lots"]))
+            .unwrap_err()
+            .contains("bad --mem-budget-mb"));
+    }
+
+    #[test]
+    fn convergent_replay_matches_across_shards() {
+        let dir = std::env::temp_dir().join("vprof-cli-test-convergent-replay");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("li.vpc");
+        let out_s = out.to_str().unwrap();
+        assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
+        let [full, serial, sharded] = ["full", "serial", "sharded"].map(|n| dir.join(n));
+        assert!(dispatch(&args(&["replay", out_s, "--save", full.to_str().unwrap()])).is_ok());
+        let serial_s = serial.to_str().unwrap();
+        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--save", serial_s])).is_ok());
+        let sharded_s = sharded.to_str().unwrap();
+        assert!(dispatch(&args(&[
+            "replay",
+            out_s,
+            "--convergent",
+            "--shards",
+            "3",
+            "--save",
+            sharded_s
+        ]))
+        .is_ok());
+        assert_eq!(std::fs::read(&serial).unwrap(), std::fs::read(&sharded).unwrap());
+        assert_ne!(std::fs::read(&serial).unwrap(), std::fs::read(&full).unwrap());
+        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--mem-budget-mb", "64"]))
+            .unwrap_err()
+            .contains("not supported with --convergent"));
     }
 
     #[test]

@@ -20,6 +20,8 @@
 //! * [`convergent::ConvergentProfiler`] — the paper's low-overhead
 //!   sampling profiler that backs off once an instruction's invariance has
 //!   converged, plus the CPI-style [`sampled::SampledProfiler`] baselines;
+//! * [`engine`] — [`ProfileMode`] builds every mode's [`Profiler`] in one
+//!   place, for the live, replay, sharded and serve paths alike;
 //! * [`metrics`] — execution-weighted aggregates, invariance histograms
 //!   and correlation, i.e. the numbers in the paper's tables and figures;
 //! * [`report`] — table rendering and profile comparison (train vs test,
@@ -61,6 +63,7 @@
 pub mod arena;
 pub mod convergent;
 pub mod durable;
+pub mod engine;
 pub mod fault;
 pub mod govern;
 pub mod instr_profile;
@@ -82,6 +85,7 @@ pub use durable::{
     append_jsonl, crc32, load_profile, parse_profile_checked, write_atomic, write_profile,
     CheckedProfile, Integrity, IntegrityMode, LoadProfileError,
 };
+pub use engine::{ProfileMode, Profiler};
 pub use fault::{FaultAction, FaultPlan};
 pub use govern::{Governor, GovernorStats, MemBudget};
 pub use instr_profile::InstructionProfiler;

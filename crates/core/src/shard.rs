@@ -25,11 +25,14 @@
 //!   dominates the stream and entity routing cannot balance the work.
 //!
 //! `vprof profile-suite --shards N` and `vprof replay --shards N` use the
-//! by-entity split, so their output is byte-identical to a serial run.
+//! by-entity split through `profile_reader` (via
+//! [`ProfileMode::profile_trace`](crate::ProfileMode::profile_trace)), so
+//! their output is byte-identical to a serial run.
 //!
 //! [`SampleStrategy::Random`]: crate::sampled::SampleStrategy::Random
 
-use vp_instrument::parallel_map;
+use vp_instrument::trace_codec::{ChunkReader, CodecError};
+use vp_instrument::{cancel, parallel_map};
 
 use crate::convergent::ConvergentProfiler;
 use crate::instr_profile::InstructionProfiler;
@@ -187,6 +190,40 @@ where
         merged.merge_shard(later);
     }
     merged
+}
+
+/// Profiles a VPC1 trace chunk by chunk — the one decode loop behind
+/// `vprof replay` and the suite runner's sharded pass. With `shards <= 1`
+/// each decoded chunk streams straight into one profiler's batched
+/// observe path; otherwise the chunks accumulate into the whole stream,
+/// which [`profile_sharded`] then splits by entity. Every chunk boundary
+/// is a cancellation checkpoint, so a deadline bounds the decode too.
+pub(crate) fn profile_reader<P, F>(
+    reader: &mut ChunkReader<'_>,
+    shards: usize,
+    make: F,
+) -> Result<P, CodecError>
+where
+    P: StreamProfiler,
+    F: Fn() -> P + Sync,
+{
+    let mut serial = (shards <= 1).then(&make);
+    let mut stream: Vec<(u32, u64)> = Vec::new();
+    let mut scratch: Vec<(u32, u64)> = Vec::new();
+    loop {
+        cancel::checkpoint();
+        if !reader.next_chunk_into(&mut scratch)? {
+            break;
+        }
+        match &mut serial {
+            Some(profiler) => profiler.observe_batch(&scratch),
+            None => stream.extend_from_slice(&scratch),
+        }
+    }
+    Ok(match serial {
+        Some(profiler) => profiler,
+        None => profile_sharded(&stream, shards, make),
+    })
 }
 
 #[cfg(test)]

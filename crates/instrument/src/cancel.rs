@@ -5,7 +5,7 @@
 //! replay and the parallel drivers call [`checkpoint`] at chunk
 //! boundaries, and a checkpoint on a cancelled token unwinds with the
 //! dedicated [`Cancelled`] payload — which the catching layer
-//! ([`try_parallel_map_deadline`](crate::parallel::try_parallel_map_deadline),
+//! ([`try_parallel_map`](crate::parallel::try_parallel_map),
 //! [`run_with_deadline`]) classifies as a *timeout*, distinct from a
 //! genuine panic.
 //!

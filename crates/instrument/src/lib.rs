@@ -68,8 +68,7 @@ pub use cancel::{CancelToken, Cancelled};
 pub use frame::{Frame, FrameError, FrameReader};
 pub use net::{MsgError, NetListener, SessionMsg};
 pub use parallel::{
-    effective_jobs, parallel_map, parallel_map_observed, try_parallel_map,
-    try_parallel_map_deadline, try_parallel_map_observed, FailureKind, ItemFailure,
+    effective_jobs, parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions,
 };
 pub use plan::Selection;
 pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter};

@@ -1,21 +1,25 @@
-//! A minimal work-stealing-free parallel map over a slice, built on
-//! `std::thread::scope` — no external dependencies.
+//! One parallel map over a slice, built on `std::thread::scope` — no
+//! external dependencies.
 //!
-//! The suite-profiling driver fans out one workload per worker: each item
-//! is claimed from a shared atomic index and its result written into a
-//! dedicated output slot, so results come back in input order regardless
-//! of which worker ran which item or in what order they finished.
+//! Items are claimed from a shared atomic index and each result is
+//! written into a dedicated output slot, so results come back in input
+//! order regardless of which worker ran which item or in what order
+//! they finished. One private claim loop serves every caller:
+//! [`parallel_map`] for plain fan-out (profile shards, experiment rows)
+//! and [`try_parallel_map`] for isolated items with optional telemetry
+//! and a per-item deadline ([`MapOptions`]) — the suite runner's
+//! `--jobs` threads and its `--workers` process dispatch alike.
 //!
-//! All the maps cooperate with [`cancel`](crate::cancel): the token
+//! The map cooperates with [`cancel`](crate::cancel): the token
 //! installed on the calling thread (if any) is re-installed in every
 //! worker, workers stop claiming items once it is cancelled, and the map
 //! re-raises the cancellation on the calling thread before returning —
-//! so a cancelled map never fabricates partial results.
-//! [`try_parallel_map_deadline`] additionally arms a watchdog thread that
-//! cancels any single item running longer than a per-item wall-clock
-//! deadline; such items come back as [`FailureKind::Timeout`] failures,
-//! distinct from caught panics.
+//! so a cancelled map never fabricates partial results. An armed
+//! deadline adds a watchdog thread that cancels any single item running
+//! longer than the per-item wall-clock limit; such items come back as
+//! [`FailureKind::Timeout`] failures, distinct from caught panics.
 
+use std::any::Any;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
@@ -42,116 +46,117 @@ pub fn effective_jobs(jobs: usize) -> usize {
     }
 }
 
-/// Applies `f` to every item of `items` on up to `jobs` worker threads
-/// (`0` = available parallelism) and returns the results in input order.
-///
-/// Items are claimed dynamically, so uneven per-item cost balances across
-/// workers. With `jobs <= 1` (or a single item) everything runs on the
-/// calling thread — no threads are spawned and the result is identical by
-/// construction, which is what makes `--jobs N` output comparable to
-/// serial runs.
-///
-/// A panic in `f` propagates to the caller once all workers have stopped.
-pub fn parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<O>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    parallel_map_observed(jobs, items, f, &NullRecorder)
-}
+/// A caught unwind payload.
+type Payload = Box<dyn Any + Send>;
 
-/// [`parallel_map`] with self-profiling: per-item wall times, per-worker
-/// busy and queue-wait times, and an item counter go to `rec`. With a
-/// disabled recorder (the default [`NullRecorder`]) no clock is ever read
-/// and each site costs one branch, so the uninstrumented path keeps its
-/// performance.
-pub fn parallel_map_observed<T, O, F>(jobs: usize, items: &[T], f: F, rec: &dyn Recorder) -> Vec<O>
+/// The one claim loop. Applies `f` to every item on up to `jobs` workers
+/// (`0` = available parallelism) and returns each item's result or
+/// caught unwind, in input order.
+///
+/// With one worker and no deadline everything runs on the calling
+/// thread, whose cancel token is already installed; otherwise scoped
+/// workers re-install the caller's token. An armed deadline runs each
+/// item under a child token of its own, registered for the watchdog —
+/// which needs worker threads to observe, so it forces the threaded path
+/// even for `jobs == 1`.
+///
+/// With `rec` enabled, each item's wall time and a `WorkerItems` count
+/// (failed items included: the work was done) and each worker's busy
+/// and queue-wait times go to `rec`; disabled, no clock is ever read.
+fn map_core<T, O, F>(
+    jobs: usize,
+    items: &[T],
+    f: F,
+    rec: &dyn Recorder,
+    deadline: Option<Duration>,
+) -> Vec<Result<O, Payload>>
 where
     T: Sync,
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
-    let jobs = effective_jobs(jobs).min(items.len());
-    if jobs <= 1 {
-        // Caller-thread path: the caller's cancel token is already
-        // installed, and an unwind from a checkpoint inside `f`
-        // propagates with its payload intact.
-        if !rec.enabled() {
-            return items.iter().map(f).collect();
-        }
-        let wall = Stopwatch::start();
+    if items.is_empty() {
+        return Vec::new();
+    }
+    let parent = cancel::current();
+    let workers = effective_jobs(jobs).min(items.len());
+    let next = AtomicUsize::new(0);
+    let running = AtomicUsize::new(workers);
+    let slots: Vec<Mutex<Option<Result<O, Payload>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
+    let inflight: Vec<Mutex<Option<(Instant, CancelToken)>>> =
+        (0..workers).map(|_| Mutex::new(None)).collect();
+    let work = |worker: usize| {
+        let enabled = rec.enabled();
+        let wall = enabled.then(Stopwatch::start);
         let mut busy = 0u64;
-        let out = items
-            .iter()
-            .map(|item| {
-                let item_clock = Stopwatch::start();
-                let result = f(item);
-                let item_ns = item_clock.elapsed_ns();
+        loop {
+            if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            let item_clock = enabled.then(Stopwatch::start);
+            let out = match deadline {
+                None => panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))),
+                Some(_) => {
+                    let token = parent.as_ref().map_or_else(CancelToken::new, CancelToken::child);
+                    *inflight[worker].lock().unwrap() = Some((Instant::now(), token.clone()));
+                    let out = panic::catch_unwind(AssertUnwindSafe(|| {
+                        cancel::with_token(&token, || f(&items[i]))
+                    }));
+                    *inflight[worker].lock().unwrap() = None;
+                    out
+                }
+            };
+            if let Some(clock) = item_clock {
+                let item_ns = clock.elapsed_ns();
                 busy += item_ns;
                 rec.observe(HistId::ItemNs, item_ns);
                 rec.add(CounterId::WorkerItems, 1);
-                result
-            })
-            .collect();
-        rec.observe(HistId::WorkerBusyNs, busy);
-        rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-        return out;
-    }
-
-    let parent = cancel::current();
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let work = || {
-                    let enabled = rec.enabled();
-                    let wall = enabled.then(Stopwatch::start);
-                    let mut busy = 0u64;
-                    loop {
-                        if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        let item_clock = enabled.then(Stopwatch::start);
-                        // Catch so a cancellation unwind inside `f` ends
-                        // this worker cleanly instead of being swallowed
-                        // by the scope's generic join panic; genuine
-                        // panics keep propagating.
-                        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                        if let Some(clock) = item_clock {
-                            let item_ns = clock.elapsed_ns();
-                            busy += item_ns;
-                            rec.observe(HistId::ItemNs, item_ns);
-                            rec.add(CounterId::WorkerItems, 1);
-                        }
-                        match out {
-                            Ok(out) => *slots[i].lock().unwrap() = Some(out),
-                            Err(payload) if cancel::is_cancel_payload(payload.as_ref()) => break,
-                            Err(payload) => panic::resume_unwind(payload),
-                        }
-                    }
-                    if let Some(wall) = wall {
-                        // Everything a worker spends outside `f` is time
-                        // waiting on (or contending for) the shared queue.
-                        rec.observe(HistId::WorkerBusyNs, busy);
-                        rec.observe(
-                            HistId::WorkerQueueWaitNs,
-                            wall.elapsed_ns().saturating_sub(busy),
-                        );
-                    }
-                };
-                match &parent {
-                    Some(token) => cancel::with_token(token, work),
-                    None => work(),
-                }
-            });
+            }
+            *slots[i].lock().unwrap() = Some(out);
         }
-    });
+        if let Some(wall) = wall {
+            // Everything a worker spends outside `f` is time waiting on
+            // (or contending for) the shared queue.
+            rec.observe(HistId::WorkerBusyNs, busy);
+            rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
+        }
+        running.fetch_sub(1, Ordering::Release);
+    };
+    if workers == 1 && deadline.is_none() {
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            for worker in 0..workers {
+                let (work, parent) = (&work, &parent);
+                scope.spawn(move || match (parent, deadline) {
+                    (Some(token), None) => cancel::with_token(token, || work(worker)),
+                    _ => work(worker),
+                });
+            }
+            if let Some(deadline) = deadline {
+                // The watchdog: cancel any in-flight item past its
+                // deadline, exit once every worker has stopped.
+                let (running, inflight) = (&running, &inflight);
+                scope.spawn(move || {
+                    while running.load(Ordering::Acquire) > 0 {
+                        for slot in inflight {
+                            if let Some((started, token)) = &*slot.lock().unwrap() {
+                                if started.elapsed() >= deadline {
+                                    token.cancel();
+                                }
+                            }
+                        }
+                        std::thread::sleep(WATCHDOG_POLL);
+                    }
+                });
+            }
+        });
+    }
     // Re-raise a cancellation on the calling thread *before* touching the
     // slots: a cancelled map may have unfilled slots, and must never
     // return partial results.
@@ -162,18 +167,65 @@ where
         .collect()
 }
 
-/// How one item of a `try_parallel_map*` run failed.
+/// Applies `f` to every item of `items` on up to `jobs` worker threads
+/// (`0` = available parallelism) and returns the results in input order.
+///
+/// Items are claimed dynamically, so uneven per-item cost balances across
+/// workers. With `jobs <= 1` (or a single item) everything runs on the
+/// calling thread — no threads are spawned and the result is identical by
+/// construction, which is what makes `--jobs N` output comparable to
+/// serial runs.
+///
+/// A panic in `f` propagates to the caller, with its payload, once every
+/// item has been tried.
+pub fn parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<O>
+where
+    T: Sync,
+    O: Send,
+    F: Fn(&T) -> O + Sync,
+{
+    map_core(jobs, items, f, &NullRecorder, None)
+        .into_iter()
+        .map(|slot| slot.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+        .collect()
+}
+
+/// Options of [`try_parallel_map`].
+#[derive(Clone, Copy)]
+pub struct MapOptions<'a> {
+    /// Self-profiling sink: per-item wall times, per-worker busy and
+    /// queue-wait times, and an item counter. A disabled recorder (the
+    /// default [`NullRecorder`]) never reads a clock and costs one
+    /// branch per site.
+    pub recorder: &'a dyn Recorder,
+    /// Per-item wall-clock deadline. An item still running when it fires
+    /// is cancelled cooperatively and comes back as a
+    /// [`FailureKind::Timeout`]; every other item still runs to
+    /// completion, so one hung item can never stall the map. It bounds
+    /// items that *cooperate* (reach checkpoints — the instrumentation
+    /// runner and trace replay do); it cannot interrupt a closure that
+    /// never checks, and never corrupts one mid-operation.
+    pub deadline: Option<Duration>,
+}
+
+impl Default for MapOptions<'_> {
+    fn default() -> Self {
+        MapOptions { recorder: &NullRecorder, deadline: None }
+    }
+}
+
+/// How one item of a [`try_parallel_map`] run failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
     /// The closure panicked; the payload is in
     /// [`message`](ItemFailure::message).
     Panic,
     /// The closure was cancelled cooperatively after exceeding its
-    /// wall-clock deadline (see [`try_parallel_map_deadline`]).
+    /// wall-clock deadline (see [`MapOptions::deadline`]).
     Timeout,
     /// The worker *process* running the item died — killed, aborted, or
     /// gone with a torn result frame. Never produced by the in-process
-    /// maps in this module; the distributed suite executor uses it to
+    /// map in this module; the distributed suite executor uses it to
     /// keep process death distinct from an in-workload panic or a
     /// cooperative timeout, since it says nothing about the workload
     /// itself and is always worth a retry.
@@ -206,7 +258,7 @@ impl fmt::Display for ItemFailure {
 
 impl std::error::Error for ItemFailure {}
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Payload) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -218,7 +270,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Turns a caught unwind payload into the right kind of [`ItemFailure`]:
 /// a cooperative-cancellation payload is a timeout, anything else a panic.
-fn classify(index: usize, payload: Box<dyn std::any::Any + Send>) -> ItemFailure {
+fn classify(index: usize, payload: Payload) -> ItemFailure {
     if cancel::is_cancel_payload(payload.as_ref()) {
         ItemFailure { index, kind: FailureKind::Timeout, message: cancel::Cancelled.to_string() }
     } else {
@@ -262,62 +314,21 @@ pub(crate) fn quiet_panics() -> QuietPanics {
     QuietPanics::engage()
 }
 
-/// [`parallel_map`] with per-item panic isolation: a panic in `f` is
-/// caught and returned as `Err(`[`ItemFailure`]`)` in that item's slot
-/// instead of taking down the whole map. Every other item still runs and
-/// returns its result; slots stay in input order.
+/// [`parallel_map`] with per-item isolation: a panic in `f` is caught
+/// and returned as `Err(`[`ItemFailure`]`)` in that item's slot instead
+/// of taking down the whole map, and an item cut loose by the
+/// [`MapOptions::deadline`] comes back as a timeout. Every other item
+/// still runs and returns its result; slots stay in input order.
 ///
 /// The closure is wrapped in [`AssertUnwindSafe`]: each item is processed
 /// independently and a panicked item's partial state is discarded with its
 /// slot, but a closure that mutates caller-visible shared state is itself
 /// responsible for keeping that state coherent across a panic.
-pub fn try_parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<O, ItemFailure>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    try_parallel_map_observed(jobs, items, f, &NullRecorder)
-}
-
-/// [`try_parallel_map`] with the self-profiling of
-/// [`parallel_map_observed`]. Panicked items still contribute their item
-/// time and `WorkerItems` count — the work was done, it just failed.
-pub fn try_parallel_map_observed<T, O, F>(
+pub fn try_parallel_map<T, O, F>(
     jobs: usize,
     items: &[T],
     f: F,
-    rec: &dyn Recorder,
-) -> Vec<Result<O, ItemFailure>>
-where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    try_parallel_map_deadline(jobs, items, f, rec, None)
-}
-
-/// [`try_parallel_map_observed`] with an optional per-item wall-clock
-/// deadline. With `deadline: None` the behavior is identical; with a
-/// deadline armed, a watchdog thread samples every in-flight item and
-/// cancels (cooperatively — see [`cancel`]) any running longer than the
-/// deadline. A cancelled item's slot holds a [`FailureKind::Timeout`]
-/// failure; every other item still runs to completion, so one hung item
-/// can never stall the map.
-///
-/// The watchdog needs worker threads to observe, so an armed deadline
-/// forces the threaded path even for `jobs == 1`; per-item isolation
-/// keeps the results identical to the serial path regardless.
-///
-/// The deadline bounds items that *cooperate* (reach checkpoints — the
-/// instrumentation runner and trace replay do); it cannot interrupt a
-/// closure that never checks, and never corrupts one mid-operation.
-pub fn try_parallel_map_deadline<T, O, F>(
-    jobs: usize,
-    items: &[T],
-    f: F,
-    rec: &dyn Recorder,
-    deadline: Option<Duration>,
+    options: MapOptions<'_>,
 ) -> Vec<Result<O, ItemFailure>>
 where
     T: Sync,
@@ -325,168 +336,10 @@ where
     F: Fn(&T) -> O + Sync,
 {
     let _quiet = QuietPanics::engage();
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let parent = cancel::current();
-
-    let Some(deadline) = deadline else {
-        let run_one = |index: usize| -> Result<O, ItemFailure> {
-            panic::catch_unwind(AssertUnwindSafe(|| f(&items[index])))
-                .map_err(|payload| classify(index, payload))
-        };
-
-        let jobs = effective_jobs(jobs).min(items.len());
-        if jobs <= 1 {
-            if !rec.enabled() {
-                return (0..items.len()).map(run_one).collect();
-            }
-            let wall = Stopwatch::start();
-            let mut busy = 0u64;
-            let out = (0..items.len())
-                .map(|index| {
-                    let item_clock = Stopwatch::start();
-                    let result = run_one(index);
-                    let item_ns = item_clock.elapsed_ns();
-                    busy += item_ns;
-                    rec.observe(HistId::ItemNs, item_ns);
-                    rec.add(CounterId::WorkerItems, 1);
-                    result
-                })
-                .collect();
-            rec.observe(HistId::WorkerBusyNs, busy);
-            rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-            return out;
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<O, ItemFailure>>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| {
-                    let work = || {
-                        let enabled = rec.enabled();
-                        let wall = enabled.then(Stopwatch::start);
-                        let mut busy = 0u64;
-                        loop {
-                            if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            if enabled {
-                                let item_clock = Stopwatch::start();
-                                let out = run_one(i);
-                                let item_ns = item_clock.elapsed_ns();
-                                busy += item_ns;
-                                rec.observe(HistId::ItemNs, item_ns);
-                                rec.add(CounterId::WorkerItems, 1);
-                                *slots[i].lock().unwrap() = Some(out);
-                            } else {
-                                let out = run_one(i);
-                                *slots[i].lock().unwrap() = Some(out);
-                            }
-                        }
-                        if let Some(wall) = wall {
-                            rec.observe(HistId::WorkerBusyNs, busy);
-                            rec.observe(
-                                HistId::WorkerQueueWaitNs,
-                                wall.elapsed_ns().saturating_sub(busy),
-                            );
-                        }
-                    };
-                    match &parent {
-                        Some(token) => cancel::with_token(token, work),
-                        None => work(),
-                    }
-                });
-            }
-        });
-        cancel::checkpoint();
-        return slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
-            .collect();
-    };
-
-    // Deadline armed: threaded path always, one in-flight registry slot
-    // per worker for the watchdog to sample. Workers do not stop claiming
-    // on parent cancellation here — each item runs under a child token
-    // (cancelled transitively), so every slot is filled and `completed`
-    // reliably reaches `items.len()`, which is the watchdog's exit
-    // condition.
-    let jobs = effective_jobs(jobs).min(items.len());
-    let next = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(0);
-    let inflight: Vec<Mutex<Option<(Instant, CancelToken)>>> =
-        (0..jobs).map(|_| Mutex::new(None)).collect();
-    let slots: Vec<Mutex<Option<Result<O, ItemFailure>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let parent = &parent;
-            let next = &next;
-            let completed = &completed;
-            let inflight = &inflight;
-            let slots = &slots;
-            let f = &f;
-            scope.spawn(move || {
-                let enabled = rec.enabled();
-                let wall = enabled.then(Stopwatch::start);
-                let mut busy = 0u64;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let token = match parent {
-                        Some(p) => p.child(),
-                        None => CancelToken::new(),
-                    };
-                    *inflight[worker].lock().unwrap() = Some((Instant::now(), token.clone()));
-                    let item_clock = enabled.then(Stopwatch::start);
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                        cancel::with_token(&token, || f(&items[i]))
-                    }));
-                    *inflight[worker].lock().unwrap() = None;
-                    if let Some(clock) = item_clock {
-                        let item_ns = clock.elapsed_ns();
-                        busy += item_ns;
-                        rec.observe(HistId::ItemNs, item_ns);
-                        rec.add(CounterId::WorkerItems, 1);
-                    }
-                    *slots[i].lock().unwrap() =
-                        Some(result.map_err(|payload| classify(i, payload)));
-                    completed.fetch_add(1, Ordering::Release);
-                }
-                if let Some(wall) = wall {
-                    rec.observe(HistId::WorkerBusyNs, busy);
-                    rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-                }
-            });
-        }
-        // The watchdog: cancel any in-flight item past its deadline, exit
-        // once every item has completed (cancelled items complete too).
-        scope.spawn(|| {
-            while completed.load(Ordering::Acquire) < items.len() {
-                for slot in &inflight {
-                    if let Some((started, token)) = &*slot.lock().unwrap() {
-                        if started.elapsed() >= deadline {
-                            token.cancel();
-                        }
-                    }
-                }
-                std::thread::sleep(WATCHDOG_POLL);
-            }
-        });
-    });
-    cancel::checkpoint();
-    slots
+    map_core(jobs, items, f, options.recorder, options.deadline)
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
+        .enumerate()
+        .map(|(index, slot)| slot.map_err(|payload| classify(index, payload)))
         .collect()
 }
 
@@ -530,7 +383,8 @@ mod tests {
         for jobs in [1, 4] {
             let rec = MemRecorder::new();
             let items: Vec<u64> = (0..30).collect();
-            let out = parallel_map_observed(jobs, &items, |&x| x + 1, &rec);
+            let options = MapOptions { recorder: &rec, deadline: None };
+            let out = try_parallel_map(jobs, &items, |&x| x + 1, options);
             assert_eq!(out.len(), 30);
             let counts = rec.snapshot();
             assert_eq!(counts.get(CounterId::WorkerItems), 30, "jobs={jobs}");
@@ -545,12 +399,17 @@ mod tests {
     fn try_map_isolates_panics_per_item() {
         let items: Vec<u64> = (0..40).collect();
         for jobs in [1, 4] {
-            let out = try_parallel_map(jobs, &items, |&x| {
-                if x % 13 == 5 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            });
+            let out = try_parallel_map(
+                jobs,
+                &items,
+                |&x| {
+                    if x % 13 == 5 {
+                        panic!("boom at {x}");
+                    }
+                    x * 2
+                },
+                MapOptions::default(),
+            );
             assert_eq!(out.len(), 40, "jobs={jobs}");
             for (i, slot) in out.iter().enumerate() {
                 if i % 13 == 5 {
@@ -570,8 +429,10 @@ mod tests {
     fn try_map_without_panics_matches_parallel_map() {
         let items: Vec<u64> = (0..23).collect();
         let plain = parallel_map(4, &items, |&x| x + 7);
-        let tried: Vec<u64> =
-            try_parallel_map(4, &items, |&x| x + 7).into_iter().map(Result::unwrap).collect();
+        let tried: Vec<u64> = try_parallel_map(4, &items, |&x| x + 7, MapOptions::default())
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(plain, tried);
     }
 
@@ -581,11 +442,11 @@ mod tests {
         for jobs in [1, 4] {
             let rec = MemRecorder::new();
             let items: Vec<u64> = (0..10).collect();
-            let out = try_parallel_map_observed(
+            let out = try_parallel_map(
                 jobs,
                 &items,
                 |&x| if x == 3 { panic!("nope") } else { x },
-                &rec,
+                MapOptions { recorder: &rec, deadline: None },
             );
             assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1, "jobs={jobs}");
             assert_eq!(rec.snapshot().get(CounterId::WorkerItems), 10, "jobs={jobs}");
@@ -614,7 +475,7 @@ mod tests {
     fn deadline_map_times_out_only_the_hung_item() {
         let items: Vec<u64> = (0..8).collect();
         for jobs in [1, 4] {
-            let out = try_parallel_map_deadline(
+            let out = try_parallel_map(
                 jobs,
                 &items,
                 |&x| {
@@ -626,8 +487,7 @@ mod tests {
                     }
                     x * 10
                 },
-                &NullRecorder,
-                Some(Duration::from_millis(30)),
+                MapOptions { deadline: Some(Duration::from_millis(30)), ..MapOptions::default() },
             );
             assert_eq!(out.len(), 8, "jobs={jobs}");
             for (i, slot) in out.iter().enumerate() {
@@ -646,21 +506,16 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         let items: Vec<u64> = (0..12).collect();
-        let plain = try_parallel_map(4, &items, |&x| x + 1);
-        let dead = try_parallel_map_deadline(
-            4,
-            &items,
-            |&x| x + 1,
-            &NullRecorder,
-            Some(Duration::from_secs(60)),
-        );
+        let plain = try_parallel_map(4, &items, |&x| x + 1, MapOptions::default());
+        let generous = MapOptions { deadline: Some(Duration::from_secs(60)), ..Default::default() };
+        let dead = try_parallel_map(4, &items, |&x| x + 1, generous);
         assert_eq!(plain, dead);
     }
 
     #[test]
     fn deadline_map_still_classifies_real_panics() {
         let items: Vec<u64> = (0..4).collect();
-        let out = try_parallel_map_deadline(
+        let out = try_parallel_map(
             2,
             &items,
             |&x| {
@@ -669,8 +524,7 @@ mod tests {
                 }
                 x
             },
-            &NullRecorder,
-            Some(Duration::from_secs(60)),
+            MapOptions { deadline: Some(Duration::from_secs(60)), ..MapOptions::default() },
         );
         let failure = out[1].as_ref().unwrap_err();
         assert_eq!(failure.kind, FailureKind::Panic);
@@ -693,5 +547,17 @@ mod tests {
             })
         }));
         assert!(cancel::is_cancel_payload(caught.unwrap_err().as_ref()));
+    }
+
+    #[test]
+    fn parallel_map_propagates_the_panic_payload() {
+        let items: Vec<u64> = (0..16).collect();
+        for jobs in [1, 4] {
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                parallel_map(jobs, &items, |&x| if x == 9 { panic!("boom at {x}") } else { x })
+            }));
+            let payload = caught.unwrap_err();
+            assert_eq!(panic_message(payload), "boom at 9", "jobs={jobs}");
+        }
     }
 }

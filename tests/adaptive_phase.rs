@@ -195,10 +195,7 @@ fn stationary_streams_are_bit_identical_to_convergent() {
 #[test]
 fn suite_output_is_independent_of_jobs_and_shards() {
     let workloads = &suite()[..3];
-    let mode = ProfileMode::Adaptive(
-        ConvergentConfig::default(),
-        PhaseBudget { max_rearms: 8, window: 512 },
-    );
+    let mode = ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 });
     let base = SuiteRunner::new().mode(mode).run_workloads(workloads, DataSet::Test);
     for (jobs, shards) in [(4, 1), (1, 7), (4, 7)] {
         let run = SuiteRunner::new()

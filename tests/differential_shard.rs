@@ -20,17 +20,30 @@
 //! every layer it short-circuits: the TNV table (all three replacement
 //! policies, including streams that straddle clear boundaries), the value
 //! tracker, and the instruction profiler.
+//!
+//! Finally, the engine oracle: for every `ProfileMode`, one workload's
+//! value stream profiles identically through all four execution paths —
+//! live instrumentation, serial `observe_batch`, `profile_sharded(…, 7)`,
+//! and a streamed session of an in-process serve daemon.
+
+use std::os::unix::net::UnixStream;
+use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use value_profiling::core::{
-    profile_sharded, split_by_time,
+    durable, profile_sharded, split_by_time,
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
     AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
-    SampleStrategy, SampledProfiler, ValueTracker,
+    ProfileMode, SampleStrategy, SampledProfiler, StreamProfiler, ValueTracker,
 };
-use value_profiling::instrument::Selection;
+use value_profiling::instrument::frame::{self, FrameReader};
+use value_profiling::instrument::net::{self, SessionMsg};
+use value_profiling::instrument::{trace_codec, Instrumenter, Selection};
+use value_profiling::obs::Counts;
 use value_profiling::workloads::{suite, DataSet};
-use vp_bench::value_stream;
+use vp_bench::serve::{serve, ServeConfig};
+use vp_bench::{value_stream, BUDGET};
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
 
@@ -301,5 +314,91 @@ fn profiler_observe_batch_equals_observe_loop_exactly() {
             assert_eq!(batched.metrics(), scalar.metrics(), "{name} batch={batch}");
             assert_eq!(batched.tnv_events(), scalar.tnv_events(), "{name} batch={batch}");
         }
+    }
+}
+
+/// Streams `events` as one session into an in-process serve daemon
+/// running `mode` and returns the profile TSV its `END_OK` carries.
+fn serve_session(mode: ProfileMode, events: &[(u32, u64)]) -> String {
+    let dir = std::env::temp_dir().join(format!("vp-engine-oracle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let socket: PathBuf = dir.join("serve.sock");
+    let mut cfg = ServeConfig::new(socket.clone(), dir.join("state"));
+    cfg.mode = mode;
+    let daemon = std::thread::spawn(move || serve(cfg));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !socket.exists() {
+        assert!(Instant::now() < deadline, "daemon never bound {}", socket.display());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let mut stream = UnixStream::connect(&socket).unwrap();
+    let mut reader = FrameReader::new(stream.try_clone().unwrap());
+    frame::write_magic(&mut stream).unwrap();
+    let hello = SessionMsg::Hello { tenant: "oracle".to_string(), workload: "li".to_string() };
+    net::write_msg(&mut stream, &hello).unwrap();
+    reader.expect_magic().unwrap();
+    assert!(matches!(net::read_msg(&mut reader), Ok(SessionMsg::HelloOk { acked: 0 })));
+    let bytes = trace_codec::encode(events, 500);
+    for (seq, chunk) in trace_codec::raw_chunks(&bytes).unwrap().into_iter().enumerate() {
+        let msg = SessionMsg::Chunk {
+            seq: seq as u64,
+            count: chunk.count,
+            crc: chunk.crc,
+            payload: chunk.payload.to_vec(),
+        };
+        net::write_msg(&mut stream, &msg).unwrap();
+    }
+    net::write_msg(&mut stream, &SessionMsg::End).unwrap();
+    let profile = loop {
+        match net::read_msg(&mut reader).unwrap() {
+            SessionMsg::EndOk { profile, .. } => break profile,
+            SessionMsg::Ack { .. } | SessionMsg::Throttle { .. } => {}
+            other => panic!("{mode:?}: unexpected reply {other:?}"),
+        }
+    };
+    let mut down = UnixStream::connect(&socket).unwrap();
+    frame::write_magic(&mut down).unwrap();
+    net::write_msg(&mut down, &SessionMsg::Shutdown).unwrap();
+    daemon.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    profile
+}
+
+#[test]
+fn every_mode_profiles_identically_through_every_engine_path() {
+    let w = &suite()[1];
+    let instrumenter = Instrumenter::new().select(Selection::LoadsOnly);
+    let events = value_stream(w, DataSet::Test, Selection::LoadsOnly);
+    for mode in [
+        ProfileMode::Full,
+        ProfileMode::Convergent,
+        ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
+        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
+    ] {
+        let build = || mode.build(mode.tracker(), None);
+        let mut live = build();
+        let run = live
+            .run_live(&instrumenter, w.program(), w.machine_config(DataSet::Test), BUDGET)
+            .unwrap();
+        assert_eq!(run.counts.instr_events, events.len() as u64, "{mode:?}");
+        let mut serial = build();
+        serial.observe_batch(&events);
+        let sharded = profile_sharded(&events, 7, build);
+        for (path, p) in [("serial", &serial), ("sharded", &sharded)] {
+            let at = format!("{mode:?} live vs {path}");
+            assert_eq!(p.metrics(), live.metrics(), "{at}");
+            assert_eq!(p.profile_fraction(), live.profile_fraction(), "{at}");
+            assert_eq!(p.phase_stats(), live.phase_stats(), "{at}");
+            let (mut mine, mut theirs) = (Counts::new(), Counts::new());
+            p.add_events_to(&mut mine);
+            live.add_events_to(&mut theirs);
+            assert_eq!(mine, theirs, "{at}");
+        }
+        assert_eq!(
+            serve_session(mode, &events),
+            durable::render_profile_durable(&live.metrics()),
+            "{mode:?} live vs serve session"
+        );
     }
 }

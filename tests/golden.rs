@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use value_profiling::core::{ConvergentConfig, PhaseBudget};
+use value_profiling::core::PhaseBudget;
 use value_profiling::obs::telemetry::{mask_volatile, parse_jsonl, to_jsonl};
 use value_profiling::obs::Json;
 use value_profiling::workloads::{suite, DataSet};
@@ -87,10 +87,7 @@ fn adaptive_phase_shift_run_matches_golden() {
     // per-workload `phase` objects) and the `vprof stats` rendering (with
     // its adaptive section) are both pinned.
     let ws = suite();
-    let mode = ProfileMode::Adaptive(
-        ConvergentConfig::default(),
-        PhaseBudget { max_rearms: 8, window: 256 },
-    );
+    let mode = ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 256 });
     let profile = SuiteRunner::new().mode(mode).run_workloads(&ws[..3], DataSet::Test);
     let shifts: u64 = profile
         .workloads

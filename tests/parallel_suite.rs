@@ -3,7 +3,7 @@
 //! per-workload profiles and reports as a serial run, on both data sets
 //! and in every profiling mode.
 
-use value_profiling::core::{ConvergentConfig, SampleStrategy};
+use value_profiling::core::SampleStrategy;
 use value_profiling::workloads::DataSet;
 use vp_bench::{ProfileMode, SuiteRunner};
 
@@ -33,10 +33,9 @@ fn full_mode_jobs4_matches_serial() {
 
 #[test]
 fn convergent_and_sampled_modes_are_parallel_deterministic() {
-    for mode in [
-        ProfileMode::Convergent(ConvergentConfig::default()),
-        ProfileMode::Sampled(SampleStrategy::Random { period: 10 }),
-    ] {
+    for mode in
+        [ProfileMode::Convergent, ProfileMode::Sampled(SampleStrategy::Random { period: 10 })]
+    {
         let runner = |jobs| {
             SuiteRunner::new()
                 .tracker(value_profiling::core::track::TrackerConfig::default())
