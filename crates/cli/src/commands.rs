@@ -1,6 +1,8 @@
 //! `vprof` subcommand implementations.
 
+use std::str::FromStr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use vp_asm::Program;
 use vp_bench::SuiteRunner;
@@ -44,7 +46,6 @@ const USAGE: &str = "usage:
   vprof stats <telemetry.jsonl>
   vprof verify <profile.tsv> [--lenient]
   vprof histogram <target> [--train] [--all]
-  vprof trace <target> -o <file.vpt> [--train] [--all]
   vprof compare <workload>
   vprof predict <workload> [--train]
   vprof optimize [--jobs N|--workers N] [--shards N]
@@ -53,121 +54,271 @@ const USAGE: &str = "usage:
                       [--report FILE] [--telemetry FILE] [--retries N]
                       [--checkpoint FILE [--resume]] [--deadline-ms N] [--mem-budget-mb N]
   vprof optimize --demo [change-period]
-  vprof specialize [change-period]   (alias for `optimize --demo`)
 
 <target> is a built-in workload name or a path to a .s or .vpo file.";
 
-/// Dispatches a parsed command line. Returns a user-facing error string on
-/// failure.
-pub fn dispatch(args: &[String]) -> Result<(), String> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        Some("list") => list(),
-        Some("run") => run(&args[1..]),
-        Some("assemble") => assemble_cmd(&args[1..]),
-        Some("disasm") => disasm(&args[1..]),
-        Some("profile") => profile(&args[1..]),
-        Some("profile-suite") => profile_suite(&args[1..]),
+/// What one subcommand accepts, declared once: its switches and its
+/// valued options (each a space-separated list; an option takes the next
+/// token as its value), and at most how many positional arguments. Flags
+/// and positionals may come in any order.
+struct Spec {
+    switches: &'static str,
+    options: &'static str,
+    positionals: usize,
+}
+
+/// A command line split against its [`Spec`].
+#[derive(Debug, Default, PartialEq)]
+struct Args<'a> {
+    switches: Vec<&'a str>,
+    options: Vec<(&'a str, &'a str)>,
+    positionals: Vec<&'a str>,
+}
+
+type Handler = fn(&Args<'_>) -> Result<(), String>;
+
+/// The hidden `worker` subcommand's flags: exactly the profiling
+/// configuration `profile-suite --workers N` forwards to its children.
+const WORKER: Spec = Spec {
+    switches: "--train --all --convergent --adaptive --baseline",
+    options: "--shards --phase-window --max-rearms --deadline-ms --mem-budget-mb",
+    positionals: 0,
+};
+
+/// Every subcommand's declaration and implementation. `rest` is the
+/// command line after the subcommand's name; it only picks the form of
+/// `optimize`.
+fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
+    Some(match name {
+        "list" => (Spec { switches: "", options: "", positionals: 0 }, list),
+        "run" => (Spec { switches: "--train", options: "", positionals: 1 }, run),
+        "assemble" => (Spec { switches: "", options: "-o", positionals: 1 }, assemble_cmd),
+        "disasm" => (Spec { switches: "", options: "", positionals: 1 }, disasm),
+        "profile" => (
+            Spec {
+                switches: "--train --all --loads --memory --params --convergent",
+                options: "--top --save",
+                positionals: 1,
+            },
+            profile,
+        ),
+        "profile-suite" => (
+            Spec {
+                switches: "--train --all --convergent --adaptive --baseline --resume",
+                options: "--jobs --workers --shards --phase-window --max-rearms --telemetry \
+                          --retries --checkpoint --deadline-ms --mem-budget-mb",
+                positionals: 0,
+            },
+            profile_suite,
+        ),
         // Hidden: the child end of `profile-suite --workers N`. Serves
         // workload assignments over stdin/stdout frames; never invoked
         // by hand.
-        Some("worker") => worker_cmd(&args[1..]),
-        Some("stats") => stats_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
-        Some("verify") => verify_cmd(&args[1..]),
-        Some("histogram") => histogram(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
-        Some("record") => record_cmd(&args[1..]),
-        Some("replay") => replay_cmd(&args[1..]),
-        Some("compare") => compare_cmd(&args[1..]),
-        Some("predict") => predict(&args[1..]),
-        Some("optimize") => optimize_cmd(&args[1..]),
-        // `specialize` predates the end-to-end pipeline; it survives as a
-        // thin alias for the hardcoded demo-kernel walkthrough.
-        Some("specialize") => {
-            let mut demo = vec!["--demo".to_string()];
-            demo.extend_from_slice(&args[1..]);
-            optimize_cmd(&demo)
+        "worker" => (WORKER, worker_cmd),
+        "record" => (
+            Spec {
+                switches: "--train --all",
+                options: "-o --deadline-ms --chunk-events",
+                positionals: 1,
+            },
+            record_cmd,
+        ),
+        "replay" => (
+            Spec {
+                switches: "--convergent --adaptive",
+                options: "--shards --save --deadline-ms --mem-budget-mb --phase-window \
+                          --max-rearms",
+                positionals: 1,
+            },
+            replay_cmd,
+        ),
+        "serve" => (
+            Spec {
+                switches: "--resume --convergent --adaptive",
+                options: "--socket --state-dir --max-sessions --max-tenants --tenant-sessions \
+                          --window --checkpoint-every --idle-ms --deadline-ms --mem-budget-mb \
+                          --telemetry --phase-window --max-rearms",
+                positionals: 0,
+            },
+            serve_cmd,
+        ),
+        "client" => (
+            Spec {
+                switches: "--query --burst --shutdown",
+                options: "--connect --tenant --workload --save --window",
+                positionals: 1,
+            },
+            client_cmd,
+        ),
+        "stats" => (Spec { switches: "", options: "", positionals: 1 }, stats_cmd),
+        "verify" => (Spec { switches: "--lenient", options: "", positionals: 1 }, verify_cmd),
+        "histogram" => (Spec { switches: "--train --all", options: "", positionals: 1 }, histogram),
+        "compare" => (Spec { switches: "", options: "", positionals: 1 }, compare_cmd),
+        "predict" => (Spec { switches: "--train", options: "", positionals: 1 }, predict),
+        // `optimize --demo` is a form of its own, with its own arguments.
+        "optimize" if rest.iter().any(|a| a == "--demo") => {
+            (Spec { switches: "--demo", options: "", positionals: 1 }, optimize_demo)
         }
-        Some("--help") | Some("-h") | None => {
+        "optimize" => (
+            Spec {
+                switches: "--convergent --adaptive --resume",
+                options: "--jobs --workers --shards --phase-window --max-rearms \
+                          --min-invariance --min-executions --max-ways --report --telemetry \
+                          --retries --checkpoint --deadline-ms --mem-budget-mb",
+                positionals: 0,
+            },
+            optimize_cmd,
+        ),
+        _ => return None,
+    })
+}
+
+/// Whether a space-separated flag list names `flag`.
+fn lists(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
+}
+
+/// Dispatches a command line. Returns a user-facing error string on
+/// failure.
+pub fn dispatch(argv: &[String]) -> Result<(), String> {
+    let (name, rest) = match argv.split_first() {
+        Some((name, rest)) if name != "--help" && name != "-h" => (name, rest),
+        _ => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
-        Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
+    };
+    let (spec, run) =
+        command(name, rest).ok_or_else(|| format!("unknown command `{name}`\n{USAGE}"))?;
+    let args = spec.parse(rest).map_err(|e| format!("{name}: {e} (see `vprof --help`)"))?;
+    run(&args)
+}
+
+impl Spec {
+    /// Splits `argv` into switches, option values and positionals.
+    /// Rejects an undeclared or repeated flag, an option with no value,
+    /// and a surplus positional; each error names the offending token.
+    fn parse<'a>(&self, argv: &'a [String]) -> Result<Args<'a>, String> {
+        let mut args = Args::default();
+        let mut tokens = argv.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            if !token.starts_with('-') {
+                if args.positionals.len() == self.positionals {
+                    return Err(format!("unexpected argument `{token}`"));
+                }
+                args.positionals.push(token);
+            } else if args.has(token) || args.value(token).is_some() {
+                return Err(format!("`{token}` given twice"));
+            } else if lists(self.switches, token) {
+                args.switches.push(token);
+            } else if lists(self.options, token) {
+                match tokens.next() {
+                    Some(value) if !value.starts_with("--") => args.options.push((token, value)),
+                    _ => return Err(format!("`{token}` needs a value")),
+                }
+            } else {
+                return Err(format!("unknown flag `{token}`"));
+            }
+        }
+        Ok(args)
     }
 }
 
-fn dataset(args: &[String]) -> DataSet {
-    if args.iter().any(|a| a == "--train") {
+impl<'a> Args<'a> {
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn value(&self, option: &str) -> Option<&'a str> {
+        self.options.iter().find(|(name, _)| *name == option).map(|&(_, value)| value)
+    }
+
+    /// The first positional: the file or workload the command acts on.
+    fn target(&self) -> Result<&'a str, String> {
+        self.positionals.first().copied().ok_or_else(|| format!("missing target\n{USAGE}"))
+    }
+
+    /// Option `name`'s value parsed as a `T`; `None` when it is absent. A
+    /// value that does not parse, or fails `valid`, is a "bad value"
+    /// error ending in `why`.
+    fn get_if<T: FromStr>(
+        &self,
+        name: &str,
+        valid: impl Fn(&T) -> bool,
+        why: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else { return Ok(None) };
+        match v.parse() {
+            Ok(parsed) if valid(&parsed) => Ok(Some(parsed)),
+            _ => Err(format!("bad {name} value `{v}`{why}")),
+        }
+    }
+
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get_if(name, |_| true, "")
+    }
+
+    /// Like [`Args::get`], also rejecting a value below `min`.
+    fn at_least<T: FromStr + PartialOrd + std::fmt::Display>(
+        &self,
+        name: &str,
+        min: T,
+    ) -> Result<Option<T>, String> {
+        self.get_if(name, |n| *n >= min, &format!(" (need at least {min})"))
+    }
+}
+
+fn dataset(args: &Args) -> DataSet {
+    if args.has("--train") {
         DataSet::Train
     } else {
         DataSet::Test
     }
 }
 
-fn flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
-}
-
-fn option_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
-
-/// Parses `--deadline-ms N` into a wall-clock deadline.
-fn deadline_arg(args: &[String]) -> Result<Option<std::time::Duration>, String> {
-    option_value(args, "--deadline-ms")
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --deadline-ms value `{v}`")))
-        .transpose()
-        .map(|ms| ms.map(std::time::Duration::from_millis))
+/// `--all` profiles every register-defining instruction, the default only
+/// loads: the selection and its name in table titles.
+fn selection(args: &Args) -> (Selection, &'static str) {
+    if args.has("--all") {
+        (Selection::RegisterDefining, "all register-defining instructions")
+    } else {
+        (Selection::LoadsOnly, "loads")
+    }
 }
 
 /// Parses the adaptive-profiling flags: `--adaptive` plus the optional
 /// `--phase-window N` / `--max-rearms N` budget overrides. The budget
 /// flags without `--adaptive` are an error (they would silently do
 /// nothing otherwise).
-fn phase_budget_arg(args: &[String]) -> Result<Option<PhaseBudget>, String> {
-    let window = option_value(args, "--phase-window");
-    let max_rearms = option_value(args, "--max-rearms");
-    if !flag(args, "--adaptive") {
+fn phase_budget_arg(args: &Args) -> Result<Option<PhaseBudget>, String> {
+    let window = args.at_least("--phase-window", 1)?;
+    let max_rearms = args.get("--max-rearms")?;
+    if !args.has("--adaptive") {
         if window.is_some() || max_rearms.is_some() {
             return Err("--phase-window/--max-rearms require --adaptive".to_string());
         }
         return Ok(None);
     }
-    let mut budget = PhaseBudget::default();
-    if let Some(v) = window {
-        budget.window = v.parse().map_err(|_| format!("bad --phase-window value `{v}`"))?;
-        if budget.window == 0 {
-            return Err("bad --phase-window value `0` (window must be positive)".to_string());
-        }
-    }
-    if let Some(v) = max_rearms {
-        budget.max_rearms = v.parse().map_err(|_| format!("bad --max-rearms value `{v}`"))?;
-    }
-    Ok(Some(budget))
+    let default = PhaseBudget::default();
+    Ok(Some(PhaseBudget {
+        window: window.unwrap_or(default.window),
+        max_rearms: max_rearms.unwrap_or(default.max_rearms),
+    }))
 }
 
-/// Parses `--mem-budget-mb N` into a per-workload memory budget.
-fn mem_budget_arg(args: &[String]) -> Result<Option<MemBudget>, String> {
-    option_value(args, "--mem-budget-mb")
-        .map(|v| v.parse::<usize>().map_err(|_| format!("bad --mem-budget-mb value `{v}`")))
-        .transpose()
-        .map(|mb| mb.map(MemBudget::mib))
-}
-
-/// Parses the profiling mode: `--convergent`, `--adaptive [--phase-window
-/// N] [--max-rearms N]`, or full profiling by default. Only the full
-/// profiler is governed, so `--mem-budget-mb` with another mode is an
-/// error rather than a budget nothing enforces.
-fn mode_arg(args: &[String]) -> Result<ProfileMode, String> {
-    let mem_budget = mem_budget_arg(args)?;
+/// Parses the profiling mode — `--convergent`, `--adaptive [--phase-window
+/// N] [--max-rearms N]`, or full profiling by default — and the
+/// per-workload `--mem-budget-mb N`. Only the full profiler is governed,
+/// so a budget with another mode is an error rather than a budget
+/// nothing enforces.
+fn mode_arg(args: &Args) -> Result<(ProfileMode, Option<MemBudget>), String> {
+    let mem_budget = args.get("--mem-budget-mb")?.map(MemBudget::mib);
     let mode = match phase_budget_arg(args)? {
-        Some(_) if flag(args, "--convergent") => {
+        Some(_) if args.has("--convergent") => {
             return Err("--adaptive and --convergent are mutually exclusive".to_string())
         }
         Some(budget) => ProfileMode::Adaptive(budget),
-        None if flag(args, "--convergent") => ProfileMode::Convergent,
+        None if args.has("--convergent") => ProfileMode::Convergent,
         None => ProfileMode::Full,
     };
     if mem_budget.is_some() && mode != ProfileMode::Full {
@@ -176,7 +327,7 @@ fn mode_arg(args: &[String]) -> Result<ProfileMode, String> {
             mode_name(mode)
         ));
     }
-    Ok(mode)
+    Ok((mode, mem_budget))
 }
 
 /// The mode's name, as its flag and in telemetry.
@@ -207,32 +358,23 @@ struct SuiteArgs {
 /// `--deadline-ms N`, `--mem-budget-mb N`, the mode flags, and
 /// `--checkpoint FILE [--resume]` into a configured [`SuiteRunner`].
 /// `$VP_FAULTS` arms the fault plan.
-fn suite_args(args: &[String]) -> Result<SuiteArgs, String> {
+fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
     use vp_bench::{Checkpoint, RetryPolicy};
 
-    let jobs: usize = option_value(args, "--jobs")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --jobs value `{v}`")))?;
-    let workers: Option<usize> = option_value(args, "--workers")
-        .map(|v| v.parse().map_err(|_| format!("bad --workers value `{v}`")))
-        .transpose()?;
-    if workers.is_some() && option_value(args, "--jobs").is_some() {
+    let jobs: Option<usize> = args.get("--jobs")?;
+    let workers: Option<usize> = args.get("--workers")?;
+    if workers.is_some() && jobs.is_some() {
         return Err(
             "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
         );
     }
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
+    let jobs = jobs.unwrap_or(1);
+    let shards = args.at_least("--shards", 1)?.unwrap_or(1);
     let mut policy = RetryPolicy::default();
-    policy.max_retries = option_value(args, "--retries").map_or(Ok(policy.max_retries), |v| {
-        v.parse().map_err(|_| format!("bad --retries value `{v}`"))
-    })?;
+    policy.max_retries = args.get("--retries")?.unwrap_or(policy.max_retries);
     let plan = Arc::new(FaultPlan::from_env()?);
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let mode = mode_arg(args)?;
+    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let (mode, mem_budget) = mode_arg(args)?;
     let mut runner = SuiteRunner::new()
         .jobs(jobs)
         .shards(shards)
@@ -242,7 +384,7 @@ fn suite_args(args: &[String]) -> Result<SuiteArgs, String> {
         .mem_budget(mem_budget)
         .tracker(mode.tracker())
         .mode(mode);
-    match (option_value(args, "--checkpoint"), flag(args, "--resume")) {
+    match (args.value("--checkpoint"), args.has("--resume")) {
         (Some(path), resume) => {
             let path = std::path::Path::new(path);
             let checkpoint = if resume {
@@ -290,14 +432,7 @@ fn resolve(target: &str, ds: DataSet) -> Result<(Program, InputSet), String> {
     Err(format!("`{target}` is neither a workload (try `vprof list`) nor a .s/.vpo file"))
 }
 
-fn target_arg(args: &[String]) -> Result<&str, String> {
-    args.iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing target\n{USAGE}"))
-}
-
-fn list() -> Result<(), String> {
+fn list(_: &Args) -> Result<(), String> {
     println!("{:<10} {:>8} description", "name", "instrs");
     for w in suite() {
         println!("{:<10} {:>8} {}", w.name(), w.program().len(), w.description());
@@ -305,9 +440,8 @@ fn list() -> Result<(), String> {
     Ok(())
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let (program, input) = resolve(target_arg(args)?, ds)?;
+fn run(args: &Args) -> Result<(), String> {
+    let (program, input) = resolve(args.target()?, dataset(args))?;
     let mut machine =
         Machine::new(program, MachineConfig::new().input(input)).map_err(|e| e.to_string())?;
     let out = machine.run(BUDGET).map_err(|e| e.to_string())?;
@@ -322,12 +456,13 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn assemble_cmd(args: &[String]) -> Result<(), String> {
-    let target = target_arg(args)?;
+fn assemble_cmd(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
     if !target.ends_with(".s") {
         return Err(format!("assemble expects a .s file, got `{target}`"));
     }
-    let out_path = option_value(args, "-o")
+    let out_path = args
+        .value("-o")
         .map(str::to_owned)
         .unwrap_or_else(|| format!("{}.vpo", target.trim_end_matches(".s")));
     let src =
@@ -344,24 +479,19 @@ fn assemble_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn disasm(args: &[String]) -> Result<(), String> {
-    let (program, _) = resolve(target_arg(args)?, DataSet::Test)?;
+fn disasm(args: &Args) -> Result<(), String> {
+    let (program, _) = resolve(args.target()?, DataSet::Test)?;
     print!("{program}");
     Ok(())
 }
 
-fn profile(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    if target.ends_with(".vpt") {
-        return profile_trace(target, args);
-    }
-    let (program, input) = resolve(target, ds)?;
+fn profile(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
+    let (program, input) = resolve(target, dataset(args))?;
     let cfg = MachineConfig::new().input(input);
-    let top: usize = option_value(args, "--top")
-        .map_or(Ok(10), |v| v.parse().map_err(|_| format!("bad --top value `{v}`")))?;
+    let top = args.get("--top")?.unwrap_or(10);
 
-    if flag(args, "--memory") {
+    if args.has("--memory") {
         let mut profiler = MemoryProfiler::new(TrackerConfig::with_full());
         Instrumenter::new()
             .select(Selection::MemoryOps)
@@ -388,7 +518,7 @@ fn profile(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    if flag(args, "--params") {
+    if args.has("--params") {
         let mut profiler = ParamProfiler::new(TrackerConfig::with_full(), 4);
         Instrumenter::new()
             .select(Selection::None)
@@ -408,11 +538,9 @@ fn profile(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let what = if flag(args, "--all") { "all register-defining instructions" } else { "loads" };
+    let (selection, what) = selection(args);
 
-    if flag(args, "--convergent") {
+    if args.has("--convergent") {
         let mut profiler =
             ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
         Instrumenter::new()
@@ -430,7 +558,7 @@ fn profile(args: &[String]) -> Result<(), String> {
         .select(selection)
         .run(&program, cfg, BUDGET, &mut profiler)
         .map_err(|e| e.to_string())?;
-    if let Some(path) = option_value(args, "--save") {
+    if let Some(path) = args.value("--save") {
         vp_core::durable::write_profile(std::path::Path::new(path), &profiler.metrics())
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("saved {} entities to {path}", profiler.metrics().len());
@@ -479,27 +607,25 @@ fn profile(args: &[String]) -> Result<(), String> {
 /// profiler memory: over budget, entities degrade full-profile →
 /// TNV-only → dropped (see `vp_core::govern`), and the governor counters
 /// land in the output and telemetry.
-fn profile_suite(args: &[String]) -> Result<(), String> {
+fn profile_suite(args: &Args) -> Result<(), String> {
     use vp_obs::MemRecorder;
 
     let ds = dataset(args);
+    let (selection, what) = selection(args);
     let SuiteArgs { runner, jobs, workers, mode, mem_budget, .. } = suite_args(args)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let what = if flag(args, "--all") { "all register-defining instructions" } else { "loads" };
-    let telemetry_path = option_value(args, "--telemetry")
-        .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
+    let telemetry_path =
+        args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let recorder = Arc::new(MemRecorder::new());
     let runner = runner
         .selection(selection)
         .recorder(recorder.clone())
-        .measure_baseline(flag(args, "--baseline"));
+        .measure_baseline(args.has("--baseline"));
     let outcome = match workers {
         // Worker processes are crash domains: each profiles assigned
         // workloads behind the stdin/stdout frame protocol, and a dead
         // worker costs one retryable attempt, never the suite. Output
         // and masked telemetry stay byte-identical to `--jobs N`.
-        Some(n) => runner.try_run_distributed(&vp_workloads::suite(), worker_spec(args, n)?),
+        Some(n) => runner.try_run_distributed(&vp_workloads::suite(), worker_spec(args, n, &[])?),
         None => runner.try_run(ds),
     };
     let profile = &outcome.profile;
@@ -526,7 +652,7 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
             );
         }
     }
-    if flag(args, "--baseline") {
+    if args.has("--baseline") {
         println!("slowdown vs uninstrumented replay:");
         for w in &profile.workloads {
             match w.slowdown() {
@@ -568,7 +694,7 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
         print!("{}", outcome.render_failures());
     }
 
-    let mode = format!("{}-{}", mode_name(mode), if flag(args, "--all") { "all" } else { "loads" });
+    let mode = format!("{}-{}", mode_name(mode), if args.has("--all") { "all" } else { "loads" });
     // `--workers N` reports N in the `jobs` field: the records describe
     // the same parallelism either way and stay byte-comparable.
     let mut records = vp_bench::suite_records(
@@ -587,25 +713,25 @@ fn profile_suite(args: &[String]) -> Result<(), String> {
 }
 
 /// Builds the subprocess spec for `profile-suite --workers N`: the
-/// current binary re-invoked as `vprof worker` with the profiling flags
-/// forwarded. Orchestration flags (`--jobs`/`--workers`/`--retries`/
-/// `--checkpoint`/`--telemetry`) stay with the parent — workers only
-/// profile what they are told to.
-fn worker_spec(args: &[String], workers: usize) -> Result<vp_bench::WorkerSpec, String> {
+/// current binary re-invoked as `vprof worker` with every flag the
+/// [`WORKER`] spec declares forwarded, plus `extra`. Orchestration flags
+/// (`--jobs`/`--workers`/`--retries`/`--checkpoint`/`--telemetry`) stay
+/// with the parent — workers only profile what they are told to.
+fn worker_spec(
+    args: &Args,
+    workers: usize,
+    extra: &[&str],
+) -> Result<vp_bench::WorkerSpec, String> {
     let bin =
         std::env::current_exe().map_err(|e| format!("cannot locate the vprof binary: {e}"))?;
-    let mut forwarded = vec!["worker".to_string()];
-    for f in ["--train", "--all", "--convergent", "--adaptive", "--baseline"] {
-        if flag(args, f) {
-            forwarded.push(f.to_string());
-        }
-    }
-    for opt in ["--shards", "--phase-window", "--max-rearms", "--deadline-ms", "--mem-budget-mb"] {
-        if let Some(v) = option_value(args, opt) {
-            forwarded.push(opt.to_string());
-            forwarded.push(v.to_string());
-        }
-    }
+    let switches = args.switches.iter().filter(|s| lists(WORKER.switches, s));
+    let options = args.options.iter().filter(|(name, _)| lists(WORKER.options, name));
+    let forwarded = std::iter::once("worker")
+        .chain(switches.copied())
+        .chain(options.flat_map(|&(name, value)| [name, value]))
+        .chain(extra.iter().copied())
+        .map(str::to_string)
+        .collect();
     Ok(vp_bench::WorkerSpec { bin, args: forwarded, workers })
 }
 
@@ -616,15 +742,13 @@ fn worker_spec(args: &[String], workers: usize) -> Result<vp_bench::WorkerSpec, 
 /// Retries, checkpointing, and telemetry stay with the parent; fault
 /// injection re-arms from this process's own `$VP_FAULTS` view, with
 /// `$VP_FAULTS_SCOPE` picking the victim worker.
-fn worker_cmd(args: &[String]) -> Result<(), String> {
+fn worker_cmd(args: &Args) -> Result<(), String> {
     let ds = dataset(args);
     let SuiteArgs { runner, plan, .. } = suite_args(args)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
     let runner = runner
-        .selection(selection)
+        .selection(selection(args).0)
         .retry(vp_bench::RetryPolicy::none())
-        .measure_baseline(flag(args, "--baseline"));
+        .measure_baseline(args.has("--baseline"));
     vp_bench::serve_worker(&runner, ds, &plan).map_err(|e| format!("worker: {e}"))
 }
 
@@ -634,8 +758,8 @@ fn worker_cmd(args: &[String]) -> Result<(), String> {
 /// (e.g. a serve daemon that never admitted a session) is not an error:
 /// it prints a clean "no records" line and exits 0. Corruption anywhere
 /// else is an error.
-fn stats_cmd(args: &[String]) -> Result<(), String> {
-    let target = target_arg(args)?;
+fn stats_cmd(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
     let text = match std::fs::read_to_string(target) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
@@ -669,42 +793,25 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 /// drains it. Every session checkpoints through the durable layer, so a
 /// `kill -9` + restart with `--resume` loses nothing a client cannot
 /// retransmit.
-fn serve_cmd(args: &[String]) -> Result<(), String> {
+fn serve_cmd(args: &Args) -> Result<(), String> {
     use vp_bench::serve::{serve, ServeConfig};
-    let socket = option_value(args, "--socket")
-        .ok_or_else(|| format!("serve needs --socket PATH\n{USAGE}"))?;
+    let socket =
+        args.value("--socket").ok_or_else(|| format!("serve needs --socket PATH\n{USAGE}"))?;
     let state_dir =
-        option_value(args, "--state-dir").map_or_else(|| format!("{socket}.state"), str::to_string);
+        args.value("--state-dir").map_or_else(|| format!("{socket}.state"), str::to_string);
     let mut cfg =
         ServeConfig::new(std::path::PathBuf::from(socket), std::path::PathBuf::from(state_dir));
-    let count = |name: &str, min: usize, into: &mut usize| -> Result<(), String> {
-        if let Some(v) = option_value(args, name) {
-            *into = v.parse().map_err(|_| format!("bad {name} value `{v}`"))?;
-            if *into < min {
-                return Err(format!("bad {name} value `{v}` (need at least {min})"));
-            }
-        }
-        Ok(())
-    };
-    count("--max-sessions", 1, &mut cfg.max_sessions)?;
-    count("--max-tenants", 1, &mut cfg.max_tenants)?;
-    count("--tenant-sessions", 1, &mut cfg.tenant_sessions)?;
-    let mut window = cfg.window as usize;
-    let mut every = cfg.checkpoint_every as usize;
-    count("--window", 1, &mut window)?;
-    count("--checkpoint-every", 1, &mut every)?;
-    cfg.window = window as u64;
-    cfg.checkpoint_every = every as u64;
-    cfg.idle = option_value(args, "--idle-ms")
-        .map(|v| v.parse::<u64>().map_err(|_| format!("bad --idle-ms value `{v}`")))
-        .transpose()?
-        .map(std::time::Duration::from_millis);
-    cfg.deadline = deadline_arg(args)?;
-    cfg.mem_budget = mem_budget_arg(args)?;
-    cfg.mode = mode_arg(args)?;
-    cfg.resume = flag(args, "--resume");
+    cfg.max_sessions = args.at_least("--max-sessions", 1)?.unwrap_or(cfg.max_sessions);
+    cfg.max_tenants = args.at_least("--max-tenants", 1)?.unwrap_or(cfg.max_tenants);
+    cfg.tenant_sessions = args.at_least("--tenant-sessions", 1)?.unwrap_or(cfg.tenant_sessions);
+    cfg.window = args.at_least("--window", 1)?.unwrap_or(cfg.window);
+    cfg.checkpoint_every = args.at_least("--checkpoint-every", 1)?.unwrap_or(cfg.checkpoint_every);
+    cfg.idle = args.get("--idle-ms")?.map(Duration::from_millis);
+    cfg.deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    (cfg.mode, cfg.mem_budget) = mode_arg(args)?;
+    cfg.resume = args.has("--resume");
     // Telemetry is opt-in: a flag or the environment, never by default.
-    cfg.telemetry = option_value(args, "--telemetry").map(std::path::PathBuf::from).or_else(|| {
+    cfg.telemetry = args.value("--telemetry").map(std::path::PathBuf::from).or_else(|| {
         std::env::var_os(vp_bench::telemetry::TELEMETRY_ENV).map(|_| vp_bench::default_path())
     });
     let telemetry = cfg.telemetry.clone();
@@ -727,15 +834,14 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// profile. Reconnecting after a server crash resumes from the durable
 /// cursor in `HELLO_OK` — already-acknowledged chunks are skipped, the
 /// rest retransmitted.
-fn client_cmd(args: &[String]) -> Result<(), String> {
-    use std::io::Write as _;
+fn client_cmd(args: &Args) -> Result<(), String> {
     use std::os::unix::net::UnixStream;
     use vp_instrument::net::{self, MsgError, SessionMsg};
-    let sock = option_value(args, "--connect")
-        .ok_or_else(|| format!("client needs --connect SOCK\n{USAGE}"))?;
+    let sock =
+        args.value("--connect").ok_or_else(|| format!("client needs --connect SOCK\n{USAGE}"))?;
     let connect =
         || UnixStream::connect(sock).map_err(|e| format!("cannot connect to `{sock}`: {e}"));
-    if flag(args, "--shutdown") {
+    if args.has("--shutdown") {
         let mut stream = connect()?;
         vp_instrument::frame::write_magic(&mut stream)
             .and_then(|()| net::write_msg(&mut stream, &SessionMsg::Shutdown))
@@ -743,25 +849,17 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
         println!("shutdown requested");
         return Ok(());
     }
-    let target = target_arg(args)?;
-    let tenant = option_value(args, "--tenant").unwrap_or("default").to_string();
-    let workload = option_value(args, "--workload")
+    let target = args.target()?;
+    let tenant = args.value("--tenant").unwrap_or("default").to_string();
+    let workload = args
+        .value("--workload")
         .map(str::to_string)
         .or_else(|| {
             std::path::Path::new(target).file_stem().map(|s| s.to_string_lossy().replace('.', "_"))
         })
         .ok_or_else(|| format!("cannot derive a workload name from `{target}`; use --workload"))?;
-    let window: u64 = option_value(args, "--window")
-        .map_or(Ok(16), |v| v.parse().map_err(|_| format!("bad --window value `{v}`")))?;
-    if window == 0 {
-        return Err("bad --window value `0` (need at least one inflight chunk)".to_string());
-    }
-    let corrupt: Option<u64> = option_value(args, "--corrupt-chunk")
-        .map(|v| v.parse().map_err(|_| format!("bad --corrupt-chunk value `{v}`")))
-        .transpose()?;
-    let abort_after: Option<u64> = option_value(args, "--abort-after")
-        .map(|v| v.parse().map_err(|_| format!("bad --abort-after value `{v}`")))
-        .transpose()?;
+    let window: u64 = args.at_least("--window", 1)?.unwrap_or(16);
+    let burst = args.has("--burst");
     let bytes = std::fs::read(target).map_err(|e| format!("cannot read `{target}`: {e}"))?;
     let chunks =
         vp_instrument::trace_codec::raw_chunks(&bytes).map_err(|e| format!("{target}: {e}"))?;
@@ -795,7 +893,7 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
     for seq in start..total {
         // The inflight window: block on ACKs before overrunning it.
         // `--burst` ignores it, to exercise the server's THROTTLE path.
-        while !flag(args, "--burst") && seq - acked >= window {
+        while !burst && seq - acked >= window {
             match recv(&mut reader)? {
                 SessionMsg::Ack { acked: a } => acked = a,
                 SessionMsg::Throttle { acked: a } => {
@@ -807,18 +905,10 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
             }
         }
         let chunk = &chunks[seq as usize];
-        let crc = if corrupt == Some(seq) { chunk.crc ^ 1 } else { chunk.crc };
-        send(
-            &mut stream,
-            &SessionMsg::Chunk { seq, count: chunk.count, crc, payload: chunk.payload.to_vec() },
-        )?;
-        if abort_after == Some(seq + 1) {
-            let _ = stream.flush();
-            println!("client {tenant}/{workload}: aborted after {} chunk(s)", seq + 1);
-            return Ok(());
-        }
+        let (count, crc, payload) = (chunk.count, chunk.crc, chunk.payload.to_vec());
+        send(&mut stream, &SessionMsg::Chunk { seq, count, crc, payload })?;
     }
-    if flag(args, "--query") {
+    if args.has("--query") {
         send(&mut stream, &SessionMsg::Query)?;
         loop {
             match recv(&mut reader)? {
@@ -847,7 +937,7 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unexpected reply to END: {other:?}")),
         }
     };
-    if let Some(out) = option_value(args, "--save") {
+    if let Some(out) = args.value("--save") {
         vp_core::durable::write_atomic(std::path::Path::new(out), profile.as_bytes())
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     }
@@ -863,54 +953,13 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
 /// Integrity-checks a profile file written by `profile --save`: verifies
 /// the trailing CRC32 footer against the content. `--lenient` instead
 /// salvages every row that parses and reports what was recovered.
-fn verify_cmd(args: &[String]) -> Result<(), String> {
+fn verify_cmd(args: &Args) -> Result<(), String> {
     use vp_core::IntegrityMode;
-    let target = target_arg(args)?;
-    let mode = if flag(args, "--lenient") { IntegrityMode::Lenient } else { IntegrityMode::Strict };
+    let target = args.target()?;
+    let mode = if args.has("--lenient") { IntegrityMode::Lenient } else { IntegrityMode::Strict };
     let checked = vp_core::load_profile(std::path::Path::new(target), mode)
         .map_err(|e| format!("{target}: {e}"))?;
     println!("{target}: {}", checked.integrity);
-    Ok(())
-}
-
-fn profile_trace(path: &str, args: &[String]) -> Result<(), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let trace = vp_instrument::Trace::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
-    trace.replay(&mut profiler).map_err(|e| e.to_string())?;
-    if let Some(out) = option_value(args, "--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    }
-    let rows = [row(path, &profiler.metrics())];
-    println!(
-        "{}",
-        render_metric_table(
-            &format!("value profile replayed from {path} ({} events)", trace.len()),
-            &rows
-        )
-    );
-    Ok(())
-}
-
-fn trace_cmd(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let out =
-        option_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpt"));
-    let trace = vp_instrument::Trace::record(
-        &program,
-        MachineConfig::new().input(input),
-        BUDGET,
-        selection,
-    )
-    .map_err(|e| e.to_string())?;
-    vp_core::durable::write_atomic(std::path::Path::new(&out), &trace.to_bytes())
-        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!("wrote {out}: {} events", trace.len());
     Ok(())
 }
 
@@ -920,24 +969,17 @@ fn trace_cmd(args: &[String]) -> Result<(), String> {
 /// any number of times — serially or sharded — without re-running it.
 /// `--deadline-ms N` bounds the recording run's wall clock: a run past
 /// its deadline is cancelled cooperatively and no trace file is written.
-fn record_cmd(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
-    let deadline = deadline_arg(args)?;
-    let out =
-        option_value(args, "-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
+fn record_cmd(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
+    let (program, input) = resolve(target, dataset(args))?;
+    let selection = selection(args).0;
+    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let out = args.value("-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
     // Small traces fit one default-sized chunk; `--chunk-events` forces
     // more chunk boundaries so checkpoint/ACK paths can be exercised.
-    let chunk_events: usize = option_value(args, "--chunk-events").map_or(
-        Ok(vp_instrument::trace_codec::DEFAULT_CHUNK_EVENTS),
-        |v| match v.parse() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad --chunk-events value `{v}` (need a positive count)")),
-        },
-    )?;
+    let chunk_events = args
+        .at_least("--chunk-events", 1)?
+        .unwrap_or(vp_instrument::trace_codec::DEFAULT_CHUNK_EVENTS);
     struct Recorder(vp_instrument::TraceEncoder);
     impl vp_instrument::Analysis for Recorder {
         fn after_instr(&mut self, _m: &Machine, ev: &vp_sim::InstrEvent) {
@@ -982,16 +1024,11 @@ fn record_cmd(args: &[String]) -> Result<(), String> {
 /// `--mem-budget-mb N` caps the full profiler's memory via the
 /// degradation ladder (`vp_core::govern`), split evenly across the
 /// partitions of a sharded replay.
-fn replay_cmd(args: &[String]) -> Result<(), String> {
-    let target = target_arg(args)?;
-    let shards: usize = option_value(args, "--shards")
-        .map_or(Ok(1), |v| v.parse().map_err(|_| format!("bad --shards value `{v}`")))?;
-    if shards == 0 {
-        return Err("bad --shards value `0` (need at least one shard)".to_string());
-    }
-    let deadline = deadline_arg(args)?;
-    let mem_budget = mem_budget_arg(args)?;
-    let mode = mode_arg(args)?;
+fn replay_cmd(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
+    let shards = args.at_least("--shards", 1)?.unwrap_or(1);
+    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let (mode, mem_budget) = mode_arg(args)?;
     // Zero-copy input: the trace is mapped (or read, on the fallback
     // paths) once, and every chunk decodes straight out of it.
     let file = vp_instrument::TraceFile::open(std::path::Path::new(target))
@@ -1010,7 +1047,7 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("replay {target}: deadline exceeded"))??,
         None => replay()?,
     };
-    if let Some(out) = option_value(args, "--save") {
+    if let Some(out) = args.value("--save") {
         vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
             .map_err(|e| format!("cannot write `{out}`: {e}"))?;
     }
@@ -1051,15 +1088,12 @@ fn replay_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn histogram(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    let (program, input) = resolve(target, ds)?;
-    let selection =
-        if flag(args, "--all") { Selection::RegisterDefining } else { Selection::LoadsOnly };
+fn histogram(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
+    let (program, input) = resolve(target, dataset(args))?;
     let mut profiler = InstructionProfiler::new(TrackerConfig::default());
     Instrumenter::new()
-        .select(selection)
+        .select(selection(args).0)
         .run(&program, MachineConfig::new().input(input), BUDGET, &mut profiler)
         .map_err(|e| e.to_string())?;
     let buckets = vp_core::invariance_histogram(&profiler.metrics(), |m| m.inv_top1);
@@ -1076,8 +1110,8 @@ fn histogram(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn compare_cmd(args: &[String]) -> Result<(), String> {
-    let target = target_arg(args)?;
+fn compare_cmd(args: &Args) -> Result<(), String> {
+    let target = args.target()?;
     let w = Workload::by_name(target)
         .ok_or_else(|| format!("`{target}` is not a built-in workload"))?;
     let mut profiles = Vec::new();
@@ -1100,10 +1134,8 @@ fn compare_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn predict(args: &[String]) -> Result<(), String> {
-    let ds = dataset(args);
-    let target = target_arg(args)?;
-    let (program, input) = resolve(target, ds)?;
+fn predict(args: &Args) -> Result<(), String> {
+    let (program, input) = resolve(args.target()?, dataset(args))?;
 
     // Collect the load value stream once.
     let mut stream: Vec<(u32, u64)> = Vec::new();
@@ -1154,37 +1186,23 @@ fn predict(args: &[String]) -> Result<(), String> {
 /// table, a durable CRC-footered artifact (`--report FILE`), and
 /// parallelism-invariant telemetry records (`vprof stats` renders them as
 /// an `optimize` section).
-fn optimize_cmd(args: &[String]) -> Result<(), String> {
+fn optimize_cmd(args: &Args) -> Result<(), String> {
     use vp_bench::OptimizeConfig;
     use vp_obs::MemRecorder;
 
-    if flag(args, "--demo") {
-        return optimize_demo(args);
-    }
-
     let mut cfg = OptimizeConfig::default();
-    if let Some(v) = option_value(args, "--min-invariance") {
-        cfg.options.candidates.min_invariance =
-            v.parse().map_err(|_| format!("bad --min-invariance value `{v}`"))?;
-        if !(0.0..=1.0).contains(&cfg.options.candidates.min_invariance) {
-            return Err(format!("bad --min-invariance value `{v}` (want a fraction in 0..=1)"));
-        }
-    }
-    if let Some(v) = option_value(args, "--min-executions") {
-        cfg.options.candidates.min_executions =
-            v.parse().map_err(|_| format!("bad --min-executions value `{v}`"))?;
-    }
-    if let Some(v) = option_value(args, "--max-ways") {
-        cfg.options.max_ways = v.parse().map_err(|_| format!("bad --max-ways value `{v}`"))?;
-        if cfg.options.max_ways == 0 {
-            return Err("bad --max-ways value `0` (need at least one guarded value)".to_string());
-        }
-    }
+    let candidates = &mut cfg.options.candidates;
+    let fraction = |p: &f64| (0.0..=1.0).contains(p);
+    candidates.min_invariance = args
+        .get_if("--min-invariance", fraction, " (want a fraction in 0..=1)")?
+        .unwrap_or(candidates.min_invariance);
+    candidates.min_executions = args.get("--min-executions")?.unwrap_or(candidates.min_executions);
+    cfg.options.max_ways = args.at_least("--max-ways", 1)?.unwrap_or(cfg.options.max_ways);
     // Parsed after the optimizer options: it creates the checkpoint file.
     let SuiteArgs { runner, workers, mode, .. } = suite_args(args)?;
-    let telemetry_path = option_value(args, "--telemetry")
-        .map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let report_path = option_value(args, "--report").unwrap_or("optimize-report.txt");
+    let telemetry_path =
+        args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
+    let report_path = args.value("--report").unwrap_or("optimize-report.txt");
 
     // The profiling pass: loads only, on the train input. Selection
     // *thresholds* read these metrics; the guard values themselves come
@@ -1197,11 +1215,7 @@ fn optimize_cmd(args: &[String]) -> Result<(), String> {
         // Workers profile the train input; the parent owns everything
         // downstream of the profile, so the report and telemetry stay
         // byte-identical to an in-process run.
-        Some(n) => {
-            let mut fwd = args.to_vec();
-            fwd.push("--train".to_string());
-            runner.try_run_distributed(&workloads, worker_spec(&fwd, n)?)
-        }
+        Some(n) => runner.try_run_distributed(&workloads, worker_spec(args, n, &["--train"])?),
         None => runner.try_run(cfg.train),
     };
 
@@ -1234,14 +1248,14 @@ fn optimize_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `vprof optimize --demo [change-period]` (and its `vprof specialize`
-/// alias): the single-kernel specialization walkthrough on the hardcoded
-/// demo program, profiling and evaluating the same input.
-fn optimize_demo(args: &[String]) -> Result<(), String> {
+/// `vprof optimize --demo [change-period]`: the single-kernel
+/// specialization walkthrough on the hardcoded demo program, profiling
+/// and evaluating the same input.
+fn optimize_demo(args: &Args) -> Result<(), String> {
     use vp_specialize::{demo, evaluate, find_candidates, specialize_all, CandidateOptions};
     let period: u64 = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
+        .positionals
+        .first()
         .map_or(Ok(0), |v| v.parse().map_err(|_| format!("bad change period `{v}`")))?;
     let program = demo::program();
     let input = demo::input(20_000, period);
@@ -1329,27 +1343,12 @@ mod tests {
         ]))
         .is_ok());
         assert!(dispatch(&args(&["profile-suite", "--shards", "2", "--telemetry", tel])).is_ok());
-        assert!(dispatch(&args(&["profile-suite", "--jobs", "many"]))
-            .unwrap_err()
-            .contains("bad --jobs"));
-        assert!(dispatch(&args(&["profile-suite", "--shards", "many"]))
-            .unwrap_err()
-            .contains("bad --shards"));
-        assert!(dispatch(&args(&["profile-suite", "--shards", "0"]))
-            .unwrap_err()
-            .contains("need at least one shard"));
     }
 
     #[test]
-    fn specialize_is_an_optimize_demo_alias() {
-        // The old demo invocation keeps working, spelled either way.
-        assert!(dispatch(&args(&["specialize"])).is_ok());
-        assert!(dispatch(&args(&["specialize", "64"])).is_ok());
+    fn optimize_demo_runs() {
         assert!(dispatch(&args(&["optimize", "--demo"])).is_ok());
         assert!(dispatch(&args(&["optimize", "--demo", "64"])).is_ok());
-        assert!(dispatch(&args(&["specialize", "sometimes"]))
-            .unwrap_err()
-            .contains("bad change period"));
         assert!(dispatch(&args(&["optimize", "--demo", "sometimes"]))
             .unwrap_err()
             .contains("bad change period"));
@@ -1357,21 +1356,9 @@ mod tests {
 
     #[test]
     fn optimize_rejects_bad_flags() {
-        assert!(dispatch(&args(&["optimize", "--jobs", "many"]))
-            .unwrap_err()
-            .contains("bad --jobs"));
-        assert!(dispatch(&args(&["optimize", "--shards", "0"]))
-            .unwrap_err()
-            .contains("need at least one shard"));
         assert!(dispatch(&args(&["optimize", "--jobs", "2", "--workers", "2"]))
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(dispatch(&args(&["optimize", "--min-invariance", "1.5"]))
-            .unwrap_err()
-            .contains("bad --min-invariance"));
-        assert!(dispatch(&args(&["optimize", "--max-ways", "0"]))
-            .unwrap_err()
-            .contains("bad --max-ways"));
         assert!(dispatch(&args(&["optimize", "--convergent", "--adaptive"]))
             .unwrap_err()
             .contains("mutually exclusive"));
@@ -1449,13 +1436,10 @@ mod tests {
         assert!(dispatch(&args(&["profile-suite", "--resume"]))
             .unwrap_err()
             .contains("--resume requires"));
-        assert!(dispatch(&args(&["profile-suite", "--retries", "many"]))
-            .unwrap_err()
-            .contains("bad --retries"));
     }
 
     #[test]
-    fn governed_suite_and_flag_errors() {
+    fn governed_suite_writes_governor_telemetry() {
         let dir = std::env::temp_dir().join("vprof-cli-test-governor");
         std::fs::create_dir_all(&dir).unwrap();
         let tel = dir.join("g.jsonl");
@@ -1475,12 +1459,6 @@ mod tests {
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(text.contains("\"governor\""), "{text}");
         assert!(dispatch(&args(&["stats", tel_s])).is_ok());
-        assert!(dispatch(&args(&["profile-suite", "--deadline-ms", "soon"]))
-            .unwrap_err()
-            .contains("bad --deadline-ms"));
-        assert!(dispatch(&args(&["profile-suite", "--mem-budget-mb", "lots"]))
-            .unwrap_err()
-            .contains("bad --mem-budget-mb"));
     }
 
     #[test]
@@ -1490,9 +1468,6 @@ mod tests {
         assert!(dispatch(&args(&["profile-suite", "--workers", "2", "--jobs", "2"]))
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(dispatch(&args(&["profile-suite", "--workers", "some"]))
-            .unwrap_err()
-            .contains("bad --workers"));
     }
 
     #[test]
@@ -1566,12 +1541,6 @@ mod tests {
         assert!(dispatch(&args(&["profile-suite", "--phase-window", "64"]))
             .unwrap_err()
             .contains("require --adaptive"));
-        assert!(dispatch(&args(&["profile-suite", "--adaptive", "--phase-window", "0"]))
-            .unwrap_err()
-            .contains("window must be positive"));
-        assert!(dispatch(&args(&["profile-suite", "--adaptive", "--max-rearms", "lots"]))
-            .unwrap_err()
-            .contains("bad --max-rearms"));
     }
 
     #[test]
@@ -1636,10 +1605,6 @@ mod tests {
                 assert!(err.contains(&format!("not supported with --{name}")), "{argv:?}: {err}");
             }
         }
-        // The format check still comes first.
-        assert!(dispatch(&args(&["optimize", "--convergent", "--mem-budget-mb", "lots"]))
-            .unwrap_err()
-            .contains("bad --mem-budget-mb"));
     }
 
     #[test]
@@ -1672,10 +1637,9 @@ mod tests {
     }
 
     #[test]
-    fn compare_predict_specialize() {
+    fn compare_and_predict() {
         assert!(dispatch(&args(&["compare", "vortex"])).is_ok());
         assert!(dispatch(&args(&["predict", "vortex"])).is_ok());
-        assert!(dispatch(&args(&["specialize", "100"])).is_ok());
     }
 
     #[test]
@@ -1683,11 +1647,8 @@ mod tests {
         assert!(dispatch(&args(&["run"])).unwrap_err().contains("missing target"));
         assert!(dispatch(&args(&["run", "nonesuch"])).unwrap_err().contains("neither"));
         assert!(dispatch(&args(&["run", "/nonexistent/x.s"])).unwrap_err().contains("cannot read"));
-        assert!(dispatch(&args(&["profile", "vortex", "--top", "NaN"]))
-            .unwrap_err()
-            .contains("bad --top"));
         assert!(dispatch(&args(&["compare", "nonesuch"])).is_err());
-        assert!(dispatch(&args(&["specialize", "bogus"]))
+        assert!(dispatch(&args(&["optimize", "--demo", "bogus"]))
             .unwrap_err()
             .contains("bad change period"));
         assert!(dispatch(&args(&["assemble", "notasm.txt"])).unwrap_err().contains("expects a .s"));
@@ -1707,17 +1668,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_record_and_replay() {
-        let dir = std::env::temp_dir().join("vprof-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("li.vpt");
-        assert!(dispatch(&args(&["trace", "li", "-o", out.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["profile", out.to_str().unwrap()])).is_ok());
-        std::fs::write(&out, b"junk").unwrap();
-        assert!(dispatch(&args(&["profile", out.to_str().unwrap()])).is_err());
-    }
-
-    #[test]
     fn record_and_replay_round_trip() {
         let dir = std::env::temp_dir().join("vprof-cli-test-record");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1725,26 +1675,21 @@ mod tests {
         let out_s = out.to_str().unwrap();
         assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
         assert!(dispatch(&args(&["replay", out_s])).is_ok());
-        // A sharded replay writes the same profile as a serial one.
+        // A sharded replay, its flags given before the trace, writes the
+        // same profile as a serial one.
         let serial = dir.join("serial.tsv");
         let sharded = dir.join("sharded.tsv");
         assert!(dispatch(&args(&["replay", out_s, "--save", serial.to_str().unwrap()])).is_ok());
         assert!(dispatch(&args(&[
             "replay",
-            out_s,
             "--shards",
             "4",
             "--save",
-            sharded.to_str().unwrap()
+            sharded.to_str().unwrap(),
+            out_s
         ]))
         .is_ok());
         assert_eq!(std::fs::read(&serial).unwrap(), std::fs::read(&sharded).unwrap());
-        assert!(dispatch(&args(&["replay", out_s, "--shards", "many"]))
-            .unwrap_err()
-            .contains("bad --shards"));
-        assert!(dispatch(&args(&["replay", out_s, "--shards", "0"]))
-            .unwrap_err()
-            .contains("need at least one shard"));
         // Corruption anywhere in the file is rejected, never mis-decoded.
         let mut bytes = std::fs::read(&out).unwrap();
         let mid = bytes.len() / 2;
@@ -1788,5 +1733,130 @@ mod tests {
         // Corrupt object is rejected cleanly.
         std::fs::write(&obj, b"garbage").unwrap();
         assert!(dispatch(&args(&["run", obj.to_str().unwrap()])).is_err());
+    }
+
+    /// Splits a full command line the way [`dispatch`] does.
+    fn split(argv: &[String]) -> Result<Args<'_>, String> {
+        let (spec, _) = command(&argv[0], &argv[1..]).expect("a known command");
+        spec.parse(&argv[1..])
+    }
+
+    /// Every subcommand on the USAGE text with the flags it documents.
+    fn documented_flags() -> Vec<(String, Vec<String>)> {
+        let mut out: Vec<(String, Vec<String>)> = Vec::new();
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  vprof ") {
+                let name = rest.split_whitespace().next().unwrap().to_string();
+                if out.last().is_none_or(|(last, _)| *last != name) {
+                    out.push((name, Vec::new()));
+                }
+            } else if !line.starts_with("      ") {
+                continue;
+            }
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let flags = words.filter(|w| w.starts_with('-')).map(str::to_string);
+            out.last_mut().unwrap().1.extend(flags);
+        }
+        out
+    }
+
+    #[test]
+    fn every_subcommand_accepts_exactly_its_usage() {
+        let documented = documented_flags();
+        assert!(documented.len() > 15, "{documented:?}");
+        for (name, flags) in &documented {
+            let err = dispatch(&args(&[name, "--bogus"])).unwrap_err();
+            assert!(err.contains("unknown flag `--bogus`"), "{name}: {err}");
+            for flag in flags.iter().map(Some).chain([None]) {
+                let rest = args(flag.map(String::as_str).as_slice());
+                let (spec, _) = command(name, &rest).unwrap();
+                // No undocumented flag, in any form of the command…
+                let declared = format!("{} {}", spec.switches, spec.options);
+                for declared in declared.split_whitespace() {
+                    assert!(flags.iter().any(|f| f == declared), "{name} {declared}");
+                }
+                // …and every documented one parses.
+                if let Some(flag) = flag {
+                    let mut argv = rest.clone();
+                    if lists(spec.options, flag) {
+                        argv.push("1".to_string());
+                    }
+                    assert!(spec.parse(&argv).is_ok(), "{name} {argv:?}");
+                }
+            }
+        }
+        // The hidden worker takes only what `profile-suite` forwards.
+        let err = dispatch(&args(&["worker", "--bogus"])).unwrap_err();
+        assert!(err.contains("`--bogus`"), "{err}");
+        let (suite, _) = command("profile-suite", &[]).unwrap();
+        for declared in WORKER.switches.split_whitespace() {
+            assert!(lists(suite.switches, declared), "{declared}");
+        }
+        for declared in WORKER.options.split_whitespace() {
+            assert!(lists(suite.options, declared), "{declared}");
+        }
+    }
+
+    #[test]
+    fn flags_may_come_before_the_target() {
+        let pairs: [(&[&str], &[&str]); 4] = [
+            (&["replay", "--shards", "2", "li.vpc"], &["replay", "li.vpc", "--shards", "2"]),
+            (&["record", "-o", "li.vpc", "li"], &["record", "li", "-o", "li.vpc"]),
+            (&["profile", "--top", "3", "li"], &["profile", "li", "--top", "3"]),
+            (&["client", "--connect", "S", "li.vpc"], &["client", "li.vpc", "--connect", "S"]),
+        ];
+        for (first, last) in pairs {
+            let (first, last) = (args(first), args(last));
+            let parsed = split(&first).unwrap();
+            assert_eq!(parsed.target(), Ok(last[1].as_str()), "{first:?}");
+            assert_eq!(parsed, split(&last).unwrap(), "{first:?}");
+        }
+    }
+
+    #[test]
+    fn malformed_command_lines_name_the_offending_token() {
+        let rejected: &[(&[&str], &str)] = &[
+            (&["replay", "li.vpc", "--shard", "4"], "unknown flag `--shard`"),
+            (&["profile", "li", "--adaptive"], "unknown flag `--adaptive`"),
+            (&["profile", "li", "--mem-budget-mb", "1"], "unknown flag `--mem-budget-mb`"),
+            (&["record", "li", "--convergent"], "unknown flag `--convergent`"),
+            (&["stats", "t.jsonl", "--check"], "unknown flag `--check`"),
+            (&["replay", "li.vpc", "extra.vpc"], "unexpected argument `extra.vpc`"),
+            (&["optimize", "50"], "unexpected argument `50`"),
+            (&["optimize", "--demo", "50", "--jobs", "2"], "unknown flag `--jobs`"),
+            (&["replay", "li.vpc", "--shards"], "`--shards` needs a value"),
+            (&["replay", "li.vpc", "--save", "--shards", "2"], "`--save` needs a value"),
+            (&["profile", "li", "--all", "--all"], "`--all` given twice"),
+            (&["trace", "li"], "unknown command `trace`"),
+            (&["profile", "vortex", "--top", "NaN"], "bad --top value `NaN`"),
+            (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
+            (&["profile-suite", "--workers", "some"], "bad --workers value `some`"),
+            (&["profile-suite", "--shards", "many"], "bad --shards value `many`"),
+            (&["profile-suite", "--shards", "0"], "bad --shards value `0` (need at least 1)"),
+            (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
+            (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
+            (&["profile-suite", "--mem-budget-mb", "lots"], "bad --mem-budget-mb value `lots`"),
+            (
+                &["profile-suite", "--adaptive", "--phase-window", "0"],
+                "bad --phase-window value `0`",
+            ),
+            (&["profile-suite", "--adaptive", "--max-rearms", "lots"], "bad --max-rearms value"),
+            (&["optimize", "--jobs", "many"], "bad --jobs value `many`"),
+            (&["optimize", "--shards", "0"], "bad --shards value `0`"),
+            (&["optimize", "--min-invariance", "1.5"], "bad --min-invariance value `1.5`"),
+            (&["optimize", "--max-ways", "0"], "bad --max-ways value `0`"),
+            // The format check comes before the mode check.
+            (&["optimize", "--convergent", "--mem-budget-mb", "lots"], "bad --mem-budget-mb"),
+            (&["replay", "li.vpc", "--shards", "many"], "bad --shards value `many`"),
+            (&["replay", "li.vpc", "--shards", "0"], "bad --shards value `0`"),
+            (&["record", "li", "--chunk-events", "0"], "bad --chunk-events value `0`"),
+            (&["client", "li.vpc", "--connect", "S", "--window", "0"], "bad --window value `0`"),
+            (&["serve", "--socket", "S", "--max-sessions", "0"], "bad --max-sessions value `0`"),
+            (&["serve", "--socket", "S", "--window", "none"], "bad --window value `none`"),
+        ];
+        for (argv, expected) in rejected {
+            let err = dispatch(&args(argv)).unwrap_err();
+            assert!(err.contains(expected), "{argv:?}: {err}");
+        }
     }
 }

@@ -1,17 +1,9 @@
 //! `vprof` — the Value Profiling command-line tool.
 //!
-//! ```text
-//! vprof list                          list built-in workloads
-//! vprof run <target> [options]        run a program uninstrumented
-//! vprof disasm <target>               print the assembled listing
-//! vprof profile <target> [options]    value-profile a program
-//! vprof compare <workload>            train-vs-test profile stability
-//! vprof predict <workload>            value-predictor comparison
-//! vprof specialize [period]           profile->specialize->measure demo
-//! ```
-//!
-//! `<target>` is a built-in workload name (see `vprof list`) or a path to a
-//! `.s` assembly file.
+//! Run `vprof --help` for every subcommand and the flags each accepts.
+//! Flags may come before or after a subcommand's positional arguments;
+//! an undeclared flag, a flag missing its value, or a surplus argument
+//! is an error naming the offending token.
 
 mod commands;
 

@@ -16,10 +16,12 @@
 //!   ([`Selection`]) and runs a program with the analysis attached,
 //!   counting every analysis invocation so profiling *overhead* can be
 //!   reported exactly (experiment E12),
-//! * [`Trace`] — record the event stream once, replay it into any number
-//!   of analyses offline (the era's trace-driven methodology),
-//! * [`trace_codec`] — the compact varint-chunked `(pc, value)` trace
-//!   format behind `vprof record`/`replay` and intra-workload sharding,
+//! * [`trace_codec`] — VPC1, the one trace format: the compact,
+//!   CRC-checked, varint-chunked `(pc, value)` stream behind `vprof
+//!   record`/`replay`, intra-workload sharding and `vprof serve`. It
+//!   records exactly what the value profilers read, so a workload runs
+//!   once and replays into any number of profiles offline (the paper
+//!   era's trace-driven methodology),
 //! * [`cancel`] — cooperative cancellation tokens and deadlines; the
 //!   runner, replay, and the parallel maps check them at chunk
 //!   boundaries so a hung workload can be cut loose without killing
@@ -60,7 +62,6 @@ pub mod net;
 pub mod parallel;
 pub mod plan;
 pub mod runner;
-pub mod trace;
 pub mod trace_codec;
 pub mod view;
 
@@ -72,6 +73,5 @@ pub use parallel::{
 };
 pub use plan::Selection;
 pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter};
-pub use trace::{Trace, TraceError, TraceEvent};
 pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceFile, TraceStats};
 pub use view::{InstrRef, ProcView, ProgramView};

@@ -206,8 +206,10 @@ impl CounterId {
         }
     }
 
-    fn index(self) -> usize {
-        Self::ALL.iter().position(|&c| c == self).expect("counter listed in ALL")
+    /// The counter's slot in [`CounterId::ALL`] (and in every per-counter
+    /// array): the declaration order is the canonical order.
+    pub(crate) fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -403,6 +405,13 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), n);
         assert_eq!(CounterId::COUNT, n);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, id) in CounterId::ALL.into_iter().enumerate() {
+            assert_eq!(id as usize, i, "{}", id.name());
+        }
     }
 
     #[test]

@@ -22,9 +22,10 @@
 //! tracker, and the instruction profiler.
 //!
 //! Finally, the engine oracle: for every `ProfileMode`, one workload's
-//! value stream profiles identically through all four execution paths —
-//! live instrumentation, serial `observe_batch`, `profile_sharded(…, 7)`,
-//! and a streamed session of an in-process serve daemon.
+//! value stream profiles identically through live instrumentation, serial
+//! `observe_batch`, `profile_sharded(…, 7)`, and a streamed session of an
+//! in-process serve daemon; and every suite workload profiles identically
+//! live and from a replay of its VPC1 trace (`vprof replay`'s path).
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -35,11 +36,11 @@ use value_profiling::core::{
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
     AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
-    ProfileMode, SampleStrategy, SampledProfiler, StreamProfiler, ValueTracker,
+    ProfileMode, Profiler, SampleStrategy, SampledProfiler, StreamProfiler, ValueTracker,
 };
 use value_profiling::instrument::frame::{self, FrameReader};
 use value_profiling::instrument::net::{self, SessionMsg};
-use value_profiling::instrument::{trace_codec, Instrumenter, Selection};
+use value_profiling::instrument::{trace_codec, ChunkReader, Instrumenter, Selection};
 use value_profiling::obs::Counts;
 use value_profiling::workloads::{suite, DataSet};
 use vp_bench::serve::{serve, ServeConfig};
@@ -317,9 +318,9 @@ fn profiler_observe_batch_equals_observe_loop_exactly() {
     }
 }
 
-/// Streams `events` as one session into an in-process serve daemon
-/// running `mode` and returns the profile TSV its `END_OK` carries.
-fn serve_session(mode: ProfileMode, events: &[(u32, u64)]) -> String {
+/// Streams a VPC1 trace's chunks as one session into an in-process serve
+/// daemon running `mode` and returns the profile TSV its `END_OK` carries.
+fn serve_session(mode: ProfileMode, trace: &[u8]) -> String {
     let dir = std::env::temp_dir().join(format!("vp-engine-oracle-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -327,20 +328,23 @@ fn serve_session(mode: ProfileMode, events: &[(u32, u64)]) -> String {
     let mut cfg = ServeConfig::new(socket.clone(), dir.join("state"));
     cfg.mode = mode;
     let daemon = std::thread::spawn(move || serve(cfg));
+    // The socket file appears at `bind`, a moment before `listen`: retry
+    // a refused connect until the daemon accepts.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while !socket.exists() {
-        assert!(Instant::now() < deadline, "daemon never bound {}", socket.display());
+    let mut stream = loop {
+        match UnixStream::connect(&socket) {
+            Ok(stream) => break stream,
+            Err(e) => assert!(Instant::now() < deadline, "{}: {e}", socket.display()),
+        }
         std::thread::sleep(Duration::from_millis(1));
-    }
-    let mut stream = UnixStream::connect(&socket).unwrap();
+    };
     let mut reader = FrameReader::new(stream.try_clone().unwrap());
     frame::write_magic(&mut stream).unwrap();
     let hello = SessionMsg::Hello { tenant: "oracle".to_string(), workload: "li".to_string() };
     net::write_msg(&mut stream, &hello).unwrap();
     reader.expect_magic().unwrap();
     assert!(matches!(net::read_msg(&mut reader), Ok(SessionMsg::HelloOk { acked: 0 })));
-    let bytes = trace_codec::encode(events, 500);
-    for (seq, chunk) in trace_codec::raw_chunks(&bytes).unwrap().into_iter().enumerate() {
+    for (seq, chunk) in trace_codec::raw_chunks(trace).unwrap().into_iter().enumerate() {
         let msg = SessionMsg::Chunk {
             seq: seq as u64,
             count: chunk.count,
@@ -365,17 +369,36 @@ fn serve_session(mode: ProfileMode, events: &[(u32, u64)]) -> String {
     profile
 }
 
+/// One of each `ProfileMode` family, with parameters small enough that
+/// every workload exercises re-arming and sampling.
+fn modes() -> [ProfileMode; 4] {
+    [
+        ProfileMode::Full,
+        ProfileMode::Convergent,
+        ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
+        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
+    ]
+}
+
+/// Asserts that `p` and `live` agree on metrics, profile fraction, phase
+/// statistics and telemetry event counts.
+fn assert_same_profile(p: &Profiler, live: &Profiler, at: &str) {
+    assert_eq!(p.metrics(), live.metrics(), "{at}");
+    assert_eq!(p.profile_fraction(), live.profile_fraction(), "{at}");
+    assert_eq!(p.phase_stats(), live.phase_stats(), "{at}");
+    let (mut mine, mut theirs) = (Counts::new(), Counts::new());
+    p.add_events_to(&mut mine);
+    live.add_events_to(&mut theirs);
+    assert_eq!(mine, theirs, "{at}");
+}
+
 #[test]
 fn every_mode_profiles_identically_through_every_engine_path() {
     let w = &suite()[1];
     let instrumenter = Instrumenter::new().select(Selection::LoadsOnly);
     let events = value_stream(w, DataSet::Test, Selection::LoadsOnly);
-    for mode in [
-        ProfileMode::Full,
-        ProfileMode::Convergent,
-        ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
-        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
-    ] {
+    let trace = trace_codec::encode(&events, 500);
+    for mode in modes() {
         let build = || mode.build(mode.tracker(), None);
         let mut live = build();
         let run = live
@@ -386,19 +409,32 @@ fn every_mode_profiles_identically_through_every_engine_path() {
         serial.observe_batch(&events);
         let sharded = profile_sharded(&events, 7, build);
         for (path, p) in [("serial", &serial), ("sharded", &sharded)] {
-            let at = format!("{mode:?} live vs {path}");
-            assert_eq!(p.metrics(), live.metrics(), "{at}");
-            assert_eq!(p.profile_fraction(), live.profile_fraction(), "{at}");
-            assert_eq!(p.phase_stats(), live.phase_stats(), "{at}");
-            let (mut mine, mut theirs) = (Counts::new(), Counts::new());
-            p.add_events_to(&mut mine);
-            live.add_events_to(&mut theirs);
-            assert_eq!(mine, theirs, "{at}");
+            assert_same_profile(p, &live, &format!("{mode:?} live vs {path}"));
         }
         assert_eq!(
-            serve_session(mode, &events),
+            serve_session(mode, &trace),
             durable::render_profile_durable(&live.metrics()),
             "{mode:?} live vs serve session"
         );
+    }
+}
+
+#[test]
+fn replayed_instruction_profiles_match_live() {
+    let instrumenter = Instrumenter::new().select(Selection::LoadsOnly);
+    for w in &suite() {
+        let events = value_stream(w, DataSet::Test, Selection::LoadsOnly);
+        // What `vprof record` writes, in small chunks so every replay
+        // crosses many chunk boundaries.
+        let trace = trace_codec::encode(&events, 500);
+        for mode in modes() {
+            let mut live = mode.build(mode.tracker(), None);
+            live.run_live(&instrumenter, w.program(), w.machine_config(DataSet::Test), BUDGET)
+                .unwrap();
+            let mut reader = ChunkReader::new(&trace).unwrap();
+            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader, 1).unwrap();
+            let at = format!("{} {mode:?} live vs replay", w.name());
+            assert_same_profile(&replayed, &live, &at);
+        }
     }
 }
