@@ -70,7 +70,7 @@ pub struct Program {
 impl Program {
     /// Builds a program from raw parts. Intended for the assembler and for
     /// program transformers (e.g. the specializer); most users obtain
-    /// programs from [`vp_asm::assemble`](crate::assemble).
+    /// programs from [`vp_asm::assemble`](fn@crate::assemble).
     pub fn from_parts(
         code: Vec<Instruction>,
         data: Vec<u8>,

@@ -8,7 +8,7 @@
 //! run drift from an uninterrupted one. Checkpoint records therefore
 //! store every `f64` as its IEEE-754 bit pattern (a JSON integer via
 //! [`f64::to_bits`]), so a restored profile is indistinguishable from the
-//! freshly computed one. The execution-weighted [`Aggregate`] is
+//! freshly computed one. The execution-weighted [`Aggregate`](vp_core::Aggregate) is
 //! recomputed from the restored metrics rather than stored.
 //!
 //! Appends go through [`vp_core::durable::append_jsonl_with`], and loads

@@ -1,5 +1,6 @@
-//! Per-workload arena accounting and the slab-style value-count table
-//! behind [`crate::track::FullProfile`].
+//! Per-workload arena accounting, the slab-style value-count table
+//! behind [`crate::track::FullProfile`], and the keyed per-entity map
+//! every profiler finds its trackers in.
 //!
 //! PR 5's governor could only *estimate* resident bytes, because
 //! `FullProfile` sat on `std::collections::HashMap`, whose bucket layout
@@ -20,6 +21,15 @@
 //! Both are deterministic: capacities are a pure function of the
 //! observation sequence, so governed runs — and their reported peaks —
 //! reproduce bit-for-bit.
+//!
+//! [`EntityMap`] is the third piece: the `pc`/address/slot → state map of
+//! every profiler, on the keyed [`EntityHash`] instead of SipHash. Its
+//! seeds are random per map, so its iteration order is not reproducible;
+//! every output path sorts by entity id instead.
+
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Exact byte meter for one workload's profile state.
 ///
@@ -198,6 +208,86 @@ impl ValueMap {
     }
 }
 
+/// The per-entity state map of every profiler: instruction, memory
+/// location or parameter slot → tracker state.
+pub type EntityMap<K, V> = HashMap<K, V, EntityHash>;
+
+/// Keyed multiply-fold hashing for [`EntityMap`].
+///
+/// A profiler pays one entity lookup per observed event — and per
+/// *skipped* event, since the sampling state lives in the map — so the
+/// hash must cost a multiply, not SipHash's rounds. Entity keys arrive
+/// from untrusted VPC1 traces (`vprof serve`), so it must also be keyed:
+/// each hash is the folded 128-bit product of `key ^ k0` and an odd
+/// `k1`, with both seeds drawn once per map from
+/// [`RandomState`]. The high half of the product depends on every key
+/// bit, so no fixed key pattern (say, `pc << 16`) lands in one bucket
+/// for every seed.
+#[derive(Debug, Clone, Copy)]
+pub struct EntityHash {
+    k0: u64,
+    k1: u64,
+}
+
+impl Default for EntityHash {
+    /// Fresh random seeds.
+    fn default() -> EntityHash {
+        let seed = RandomState::new();
+        EntityHash { k0: seed.hash_one(0u64), k1: seed.hash_one(1u64) | 1 }
+    }
+}
+
+impl BuildHasher for EntityHash {
+    type Hasher = EntityHasher;
+
+    fn build_hasher(&self) -> EntityHasher {
+        EntityHasher { state: self.k0, k1: self.k1 }
+    }
+}
+
+/// The [`Hasher`] of [`EntityHash`]: each word written folds into the
+/// state as `fold(state ^ word, k1)`.
+#[derive(Debug, Clone)]
+pub struct EntityHasher {
+    state: u64,
+    k1: u64,
+}
+
+/// Folded multiply: the XOR of the two halves of the 128-bit product.
+fn fold_mul(x: u64, k: u64) -> u64 {
+    let product = u128::from(x) * u128::from(k);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+impl Hasher for EntityHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.state = fold_mul(self.state ^ word, self.k1);
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    /// Fields without a direct method above, such as the `u8` inside a
+    /// parameter-slot key, arrive as bytes: each little-endian 8-byte
+    /// word, the last zero-padded, folds in like a `u64`.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
 impl PartialEq for ValueMap {
     /// Content equality: same keys with same counts, regardless of slab
     /// capacity or slot placement.
@@ -277,6 +367,51 @@ mod tests {
         assert_eq!(fwd, rev);
         rev.bump(7, 1);
         assert_ne!(fwd, rev);
+    }
+
+    #[test]
+    fn independently_built_hashers_disagree() {
+        // Seeds are per map: some key of a small range must hash
+        // differently under two fresh builders (a fixed, unkeyed hash
+        // would agree on all of them).
+        let (a, b) = (EntityHash::default(), EntityHash::default());
+        assert!((0..64u32).any(|pc| a.hash_one(pc) != b.hash_one(pc)));
+        // One builder is a pure function of the key.
+        assert_eq!(a.hash_one(7u32), a.hash_one(7u32));
+    }
+
+    #[test]
+    fn composite_key_write_path_is_stable_and_word_sensitive() {
+        let build = EntityHash::default();
+        let bytes = |b: &[u8]| {
+            let mut h = build.build_hasher();
+            h.write(b);
+            h.finish()
+        };
+        let key = [3u8, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5];
+        assert_eq!(bytes(&key), bytes(&key), "same bytes, same hash");
+        // A short write is the zero-padded word.
+        assert_eq!(bytes(&[0xAB, 0xCD]), build.hash_one(0xCDABu64));
+        // Every word reaches the state: changing the tail changes the hash.
+        let mut tail = key;
+        tail[10] ^= 1;
+        assert_ne!(bytes(&key), bytes(&tail));
+        // The derived-`Hash` composite key of the parameter profiler
+        // hashes the same on every call.
+        let slot = (5usize, crate::params::ParamSlot::Arg(2));
+        assert_eq!(build.hash_one(slot), build.hash_one(slot));
+        assert_ne!(build.hash_one(slot), build.hash_one((5usize, crate::params::ParamSlot::Ret)));
+    }
+
+    #[test]
+    fn entity_map_spreads_keys_that_share_low_bits() {
+        // `pc << 16` keys share their low 16 bits. An unkeyed multiply
+        // would bucket them together; the fold must spread them over the
+        // table's bucket range.
+        let build = EntityHash::default();
+        let buckets: std::collections::HashSet<u64> =
+            (0..4096u32).map(|i| build.hash_one(i << 16) & 4095).collect();
+        assert!(buckets.len() > 2048, "only {} of 4096 buckets used", buckets.len());
     }
 
     #[test]

@@ -12,12 +12,13 @@
 //! experiment E7, and its trackers yield the same metrics as the full
 //! profiler so accuracy can be compared side by side.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
 use vp_sim::{InstrEvent, Machine};
 
+use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::phase::{Detector, PhaseBudget, PhaseStats, SKETCH_STRIDE};
 use crate::track::{TrackerConfig, ValueTracker};
@@ -146,7 +147,7 @@ pub struct ConvergentProfiler {
     /// detector's window bookkeeping never divides (0 when unarmed).
     samples_per_window: u64,
     phase_stats: PhaseStats,
-    states: HashMap<u32, ConvState>,
+    states: EntityMap<u32, ConvState>,
     events: ConvEvents,
 }
 
@@ -165,7 +166,7 @@ impl ConvergentProfiler {
             budget: None,
             samples_per_window: 0,
             phase_stats: PhaseStats::default(),
-            states: HashMap::new(),
+            states: EntityMap::default(),
             events: ConvEvents::default(),
         }
     }
@@ -436,10 +437,10 @@ impl ConvergentProfiler {
         );
         for (index, theirs) in other.states {
             match self.states.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     e.insert(theirs);
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
+                Entry::Occupied(mut e) => {
                     let mine = e.get_mut();
                     mine.tracker.merge(&theirs.tracker);
                     mine.profiled += theirs.profiled;

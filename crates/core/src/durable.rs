@@ -19,7 +19,7 @@
 //!   truncated away, so the log converges back to "every line is a
 //!   complete record" instead of poisoning all future reads.
 //!
-//! Each operation consults a [`FaultPlan`](crate::fault::FaultPlan) at
+//! Each operation consults a [`crate::fault::FaultPlan`] at
 //! named fault points (`durable/tmp-written`, `durable/append`), which is
 //! how the fault-injection tests prove the guarantees above without
 //! actually crashing the test process. The plain entry points use the

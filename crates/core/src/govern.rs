@@ -33,10 +33,11 @@
 //!
 //! [`FullProfile`]: crate::track::FullProfile
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
-use crate::arena::Arena;
+use crate::arena::{Arena, EntityHash};
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// A byte budget for one profiler's resident tracker state.
@@ -111,7 +112,7 @@ pub struct Governor {
     budget: MemBudget,
     arena: Arena,
     stats: GovernorStats,
-    dropped: HashSet<u64>,
+    dropped: HashSet<u64, EntityHash>,
 }
 
 impl Governor {
@@ -121,7 +122,7 @@ impl Governor {
             budget,
             arena: Arena::new(),
             stats: GovernorStats::default(),
-            dropped: HashSet::new(),
+            dropped: HashSet::default(),
         }
     }
 
@@ -158,21 +159,32 @@ impl Governor {
     /// dropped entities are counted and skipped; otherwise the tracker
     /// observes, the byte delta is charged, and the ladder runs until the
     /// budget holds again.
-    pub fn observe<K>(
+    ///
+    /// A resident entity costs one map lookup. Ingest never leaves an
+    /// evicted id resident, so the blacklist is consulted only for ids
+    /// the map does not hold.
+    pub fn observe<K, S>(
         &mut self,
-        trackers: &mut HashMap<K, ValueTracker>,
+        trackers: &mut HashMap<K, ValueTracker, S>,
         config: TrackerConfig,
         id: K,
         value: u64,
     ) where
         K: Copy + Eq + Ord + Hash + Into<u64>,
+        S: BuildHasher,
     {
-        if self.dropped.contains(&id.into()) {
-            self.stats.observations_dropped += 1;
-            return;
-        }
-        let before = trackers.get(&id).map_or(0, ValueTracker::footprint_bytes);
-        let tracker = trackers.entry(id).or_insert_with(|| ValueTracker::new(config));
+        let (tracker, before) = match trackers.entry(id) {
+            Entry::Occupied(e) => {
+                let tracker = e.into_mut();
+                let before = tracker.footprint_bytes();
+                (tracker, before)
+            }
+            Entry::Vacant(_) if self.dropped.contains(&id.into()) => {
+                self.stats.observations_dropped += 1;
+                return;
+            }
+            Entry::Vacant(e) => (e.insert(ValueTracker::new(config)), 0),
+        };
         tracker.observe(value);
         let after = tracker.footprint_bytes();
         // Footprints are monotone under observe (tested in `track`), so
@@ -191,9 +203,10 @@ impl Governor {
     /// largest full-profile holder first (rung 1), evict the largest
     /// remaining entity once no full profiles are left (rung 2). Ties go
     /// to the smallest id, so victim selection is deterministic.
-    fn enforce<K>(&mut self, trackers: &mut HashMap<K, ValueTracker>)
+    fn enforce<K, S>(&mut self, trackers: &mut HashMap<K, ValueTracker, S>)
     where
         K: Copy + Eq + Ord + Hash + Into<u64>,
+        S: BuildHasher,
     {
         while self.arena.live_bytes() > self.budget.limit_bytes && !trackers.is_empty() {
             let degradable = trackers
@@ -224,7 +237,9 @@ impl Governor {
     /// resident accounting is reset to `resident_bytes` (the merged map's
     /// total footprint — merging shard results may legitimately exceed a
     /// per-shard budget; enforcement is an ingest-time property and
-    /// resumes if the merged profiler observes again).
+    /// resumes if the merged profiler observes again). An id one shard
+    /// evicted but another kept stays resident and keeps observing;
+    /// entity-disjoint shards never produce one.
     pub fn absorb(&mut self, other: &Governor, resident_bytes: usize) {
         self.stats.merge(&other.stats);
         self.dropped.extend(other.dropped.iter().copied());

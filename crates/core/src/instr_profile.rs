@@ -7,12 +7,12 @@
 //! [`Selection::RegisterDefining`](vp_instrument::Selection) for the
 //! all-instructions profile (E3).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_sim::{InstrEvent, Machine};
 
-use crate::arena::Arena;
+use crate::arena::{Arena, EntityMap};
 use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
@@ -52,15 +52,22 @@ use crate::track::{TrackerConfig, ValueTracker};
 #[derive(Debug, Clone)]
 pub struct InstructionProfiler {
     config: TrackerConfig,
-    trackers: HashMap<u32, ValueTracker>,
+    trackers: EntityMap<u32, ValueTracker>,
     governor: Option<Governor>,
+    /// Reused run buffer of [`observe_batch`](Self::observe_batch).
+    scratch: Vec<u64>,
 }
 
 impl InstructionProfiler {
     /// Creates a profiler; each instruction gets a tracker configured by
     /// `config` the first time it executes.
     pub fn new(config: TrackerConfig) -> InstructionProfiler {
-        InstructionProfiler { config, trackers: HashMap::new(), governor: None }
+        InstructionProfiler {
+            config,
+            trackers: EntityMap::default(),
+            governor: None,
+            scratch: Vec::new(),
+        }
     }
 
     /// Creates a profiler whose resident tracker state is governed by
@@ -72,8 +79,9 @@ impl InstructionProfiler {
     pub fn with_budget(config: TrackerConfig, budget: MemBudget) -> InstructionProfiler {
         InstructionProfiler {
             config,
-            trackers: HashMap::new(),
+            trackers: EntityMap::default(),
             governor: Some(Governor::new(budget)),
+            scratch: Vec::new(),
         }
     }
 
@@ -144,7 +152,7 @@ impl InstructionProfiler {
             return;
         }
         let config = self.config;
-        let mut values: Vec<u64> = Vec::new();
+        let values = &mut self.scratch;
         let mut i = 0;
         while i < events.len() {
             let index = events[i].0;
@@ -158,7 +166,7 @@ impl InstructionProfiler {
             } else {
                 values.clear();
                 values.extend(events[i..j].iter().map(|&(_, value)| value));
-                tracker.observe_batch(&values);
+                tracker.observe_batch(values);
             }
             i = j;
         }
@@ -189,10 +197,10 @@ impl InstructionProfiler {
         let InstructionProfiler { trackers: other_trackers, governor: other_governor, .. } = other;
         for (index, theirs) in other_trackers {
             match self.trackers.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     e.insert(theirs);
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
+                Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
             }
         }
         if let (Some(governor), Some(theirs)) = (&mut self.governor, &other_governor) {

@@ -6,11 +6,12 @@
 //! as semi-invariant instructions (e.g. speculative load bypassing,
 //! Moudgill & Moreno \[29\]).
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_sim::{Machine, MemAccess};
 
+use crate::arena::EntityMap;
 use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
@@ -62,7 +63,7 @@ pub struct MemoryProfiler {
     granularity: u64,
     max_locations: usize,
     include_loads: bool,
-    trackers: HashMap<u64, ValueTracker>,
+    trackers: EntityMap<u64, ValueTracker>,
     dropped: u64,
     governor: Option<Governor>,
 }
@@ -79,7 +80,7 @@ impl MemoryProfiler {
             granularity: 8,
             max_locations: Self::DEFAULT_MAX_LOCATIONS,
             include_loads: false,
-            trackers: HashMap::new(),
+            trackers: EntityMap::default(),
             dropped: 0,
             governor: None,
         }
@@ -186,7 +187,11 @@ impl MemoryProfiler {
         );
         self.dropped += other.dropped;
         let other_governor = other.governor;
-        for (address, theirs) in other.trackers {
+        // Address order, not map order: which locations still fit under
+        // the cap must not depend on the other map's hash seed.
+        let mut incoming: Vec<(u64, ValueTracker)> = other.trackers.into_iter().collect();
+        incoming.sort_unstable_by_key(|&(address, _)| address);
+        for (address, theirs) in incoming {
             if let Some(mine) = self.trackers.get_mut(&address) {
                 mine.merge(&theirs);
             } else if self.trackers.len() < self.max_locations {
@@ -226,9 +231,9 @@ impl MemoryProfiler {
             // The location-count cap fires before the byte budget for new
             // locations; it keeps its own counter, distinct from the
             // governor's budget-driven drops.
-            if !self.trackers.contains_key(&key)
+            if self.trackers.len() >= self.max_locations
+                && !self.trackers.contains_key(&key)
                 && !governor.is_dropped(key)
-                && self.trackers.len() >= self.max_locations
             {
                 self.dropped += 1;
                 return;
@@ -236,14 +241,13 @@ impl MemoryProfiler {
             governor.observe(&mut self.trackers, self.config, key, access.value);
             return;
         }
-        if let Some(t) = self.trackers.get_mut(&key) {
-            t.observe(access.value);
-        } else if self.trackers.len() < self.max_locations {
-            let mut t = ValueTracker::new(self.config);
-            t.observe(access.value);
-            self.trackers.insert(key, t);
-        } else {
-            self.dropped += 1;
+        let full = self.trackers.len() >= self.max_locations;
+        match self.trackers.entry(key) {
+            Entry::Occupied(e) => e.into_mut().observe(access.value),
+            Entry::Vacant(e) if !full => {
+                e.insert(ValueTracker::new(self.config)).observe(access.value)
+            }
+            Entry::Vacant(_) => self.dropped += 1,
         }
     }
 }
@@ -344,6 +348,39 @@ mod tests {
         );
         assert_eq!(p.locations(), 2);
         assert_eq!(p.dropped(), 2);
+    }
+
+    #[test]
+    fn capped_merge_keeps_the_lowest_addresses() {
+        // The survivors of a merge that overflows the cap are picked in
+        // address order, whatever the incoming map's seed.
+        const STORES: &str = r#"
+            .data
+            buf: .space 256
+            .text
+            main:
+                la r8, buf
+                li r9, 32
+            loop:
+                std r9, 0(r8)
+                addi r8, r8, 8
+                addi r9, r9, -1
+                bnz r9, loop
+                sys exit
+            "#;
+        let merged = || {
+            let mut mine = MemoryProfiler::new(TrackerConfig::default()).with_max_locations(4);
+            let mut theirs = MemoryProfiler::new(TrackerConfig::default());
+            run(STORES, &mut theirs);
+            mine.merge(theirs);
+            mine
+        };
+        let mut uncapped = MemoryProfiler::new(TrackerConfig::default());
+        run(STORES, &mut uncapped);
+        let (a, b) = (merged(), merged());
+        assert_eq!(a.dropped(), 28);
+        assert_eq!(a.metrics(), uncapped.metrics()[..4]);
+        assert_eq!(b.metrics(), a.metrics());
     }
 
     #[test]

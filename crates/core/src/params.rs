@@ -5,11 +5,12 @@
 //! always the same value can be cloned and specialized on that value
 //! behind a cheap guard.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_sim::Machine;
 
+use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -81,8 +82,8 @@ pub struct ParamMetrics {
 pub struct ParamProfiler {
     config: TrackerConfig,
     default_arity: u8,
-    arity: HashMap<usize, u8>,
-    trackers: HashMap<(usize, ParamSlot), ValueTracker>,
+    arity: EntityMap<usize, u8>,
+    trackers: EntityMap<(usize, ParamSlot), ValueTracker>,
 }
 
 impl ParamProfiler {
@@ -92,8 +93,8 @@ impl ParamProfiler {
         ParamProfiler {
             config,
             default_arity: default_arity.min(4),
-            arity: HashMap::new(),
-            trackers: HashMap::new(),
+            arity: EntityMap::default(),
+            trackers: EntityMap::default(),
         }
     }
 
@@ -146,10 +147,10 @@ impl ParamProfiler {
         }
         for (key, theirs) in other.trackers {
             match self.trackers.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     e.insert(theirs);
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
+                Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
             }
         }
     }

@@ -10,12 +10,13 @@
 //! ([`SampleStrategy::Random`]) — spending the *same* profiling budget on
 //! every instruction regardless of whether its profile has converged.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_obs::{SampleEvents, TnvEvents};
 use vp_sim::{InstrEvent, Machine};
 
+use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -61,7 +62,7 @@ struct SampleState {
 pub struct SampledProfiler {
     tracker_config: TrackerConfig,
     strategy: SampleStrategy,
-    states: HashMap<u32, SampleState>,
+    states: EntityMap<u32, SampleState>,
     rng: u64,
     events: SampleEvents,
 }
@@ -80,7 +81,7 @@ impl SampledProfiler {
         SampledProfiler {
             tracker_config,
             strategy,
-            states: HashMap::new(),
+            states: EntityMap::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
             events: SampleEvents::default(),
         }
@@ -217,10 +218,10 @@ impl SampledProfiler {
         );
         for (index, theirs) in other.states {
             match self.states.entry(index) {
-                std::collections::hash_map::Entry::Vacant(e) => {
+                Entry::Vacant(e) => {
                     e.insert(theirs);
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
+                Entry::Occupied(mut e) => {
                     let mine = e.get_mut();
                     mine.tracker.merge(&theirs.tracker);
                     mine.profiled += theirs.profiled;

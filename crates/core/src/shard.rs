@@ -136,8 +136,8 @@ pub fn split_by_time(events: &[(u32, u64)], shards: usize) -> Vec<&[(u32, u64)]>
 const STEAL_FACTOR: usize = 8;
 
 /// Number of entity partitions [`profile_sharded`] creates for a request
-/// of `shards` workers: 1 for a serial request, `shards ×`
-/// [`STEAL_FACTOR`] otherwise.
+/// of `shards` workers: 1 for a serial request, `shards` times the
+/// work-stealing over-decomposition factor (8) otherwise.
 ///
 /// Budgeted callers must split their `MemBudget` by *this* count (not by
 /// `shards`): one partition profiler exists per partition, so splitting

@@ -7,11 +7,10 @@
 //! stream into fixed-length windows and keeps per-window metrics, the data
 //! behind phase plots and behind choosing the TNV clear interval.
 
-use std::collections::HashMap;
-
 use vp_instrument::Analysis;
 use vp_sim::{InstrEvent, Machine};
 
+use crate::arena::EntityMap;
 use crate::phase::{self, WindowSig};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -45,7 +44,7 @@ struct TemporalState {
 pub struct TemporalProfiler {
     config: TrackerConfig,
     window: u64,
-    states: HashMap<u32, TemporalState>,
+    states: EntityMap<u32, TemporalState>,
 }
 
 impl TemporalProfiler {
@@ -56,7 +55,7 @@ impl TemporalProfiler {
     /// Panics if `window` is 0.
     pub fn new(config: TrackerConfig, window: u64) -> TemporalProfiler {
         assert!(window > 0, "window length must be positive");
-        TemporalProfiler { config, window, states: HashMap::new() }
+        TemporalProfiler { config, window, states: EntityMap::default() }
     }
 
     /// The configured window length.

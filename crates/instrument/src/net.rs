@@ -1,7 +1,7 @@
 //! Session wire protocol and Unix-socket plumbing for `vprof serve`.
 //!
 //! The ingestion daemon speaks a small session protocol over a Unix-domain
-//! socket, framed with the [`frame`](crate::frame) codec (`VPW1` magic +
+//! socket, framed with the [`crate::frame`] codec (`VPW1` magic +
 //! length/kind/CRC frames). This module owns the *wire* layer: the typed
 //! message set ([`SessionMsg`]), its encode/decode, the listener, and the
 //! SIGTERM drain signal. Session *semantics* — admission, checkpointing,

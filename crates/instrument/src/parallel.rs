@@ -10,7 +10,7 @@
 //! and a per-item deadline ([`MapOptions`]) — the suite runner's
 //! `--jobs` threads and its `--workers` process dispatch alike.
 //!
-//! The map cooperates with [`cancel`](crate::cancel): the token
+//! The map cooperates with [`crate::cancel`]: the token
 //! installed on the calling thread (if any) is re-installed in every
 //! worker, workers stop claiming items once it is cancelled, and the map
 //! re-raises the cancellation on the calling thread before returning —

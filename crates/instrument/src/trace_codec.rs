@@ -2,11 +2,9 @@
 //! stream once, replay it many times/ways (ATOM's trace-once,
 //! analyze-many methodology, applied to the value profiler's hot path).
 //!
-//! Where [`crate::trace`] captures *every* instrumentation callback in
-//! fixed-width records for full offline replay, this codec stores only
-//! the destination-value stream the profilers consume — which is all
-//! that batched ingestion and intra-workload sharding need — at a
-//! fraction of the size thanks to LEB128 varints.
+//! The codec stores only the destination-value stream the profilers
+//! consume — which is all that batched ingestion and intra-workload
+//! sharding need — in LEB128 varints.
 //!
 //! ## Wire format
 //!
@@ -55,9 +53,9 @@ use vp_obs::{crc32, Crc32};
 /// File magic, versioned (`VPC` + format version `1`).
 pub const MAGIC: &[u8; 4] = b"VPC1";
 
-/// Default events per chunk — large enough to amortize per-chunk header
-/// cost and hash-map dispatch during batched replay, small enough that a
-/// buffered reader stays cache-friendly.
+/// Default events per chunk — large enough to amortize the per-chunk
+/// header, CRC check and profiler dispatch during batched replay, small
+/// enough that a buffered reader stays cache-friendly.
 pub const DEFAULT_CHUNK_EVENTS: usize = 8192;
 
 /// Why a trace failed to decode.

@@ -1,0 +1,126 @@
+//! The per-entity map is keyed and randomly seeded, so nothing may
+//! depend on its layout or iteration order.
+//!
+//! * **Hostile keys.** Instruction ids `i << 16` share their low 16 bits,
+//!   the pattern that collapses an unkeyed multiplicative hash into one
+//!   bucket. Every `ProfileMode` must profile 65 536 of them exactly —
+//!   serial and sharded alike, with exact per-entity execution totals.
+//!   This is a correctness test, not a timing test.
+//! * **Seed independence.** Every profiler seeds its own map, so the same
+//!   stream profiled twice, or as two merged entity shards, runs on three
+//!   different hash layouts. Rendered profiles, TNV event counters and
+//!   governor statistics must not move.
+
+use std::collections::BTreeMap;
+
+use value_profiling::core::{
+    partition_by_entity, profile_sharded, render_profile, track::TrackerConfig,
+    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, SampleStrategy,
+    StreamProfiler,
+};
+use value_profiling::instrument::Selection;
+use value_profiling::obs::Counts;
+use value_profiling::workloads::{suite, DataSet};
+use vp_bench::value_stream;
+
+/// Every mode family; periodic rather than random sampling, because a
+/// random sampler's draws depend on the global interleaving and so is not
+/// shard-exact.
+fn modes() -> [ProfileMode; 4] {
+    [
+        ProfileMode::Full,
+        ProfileMode::Convergent,
+        ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
+        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
+    ]
+}
+
+/// Telemetry event counters of a profiler (TNV work, sampler decisions,
+/// governor and phase counters).
+fn events_of(p: &Profiler) -> Counts {
+    let mut counts = Counts::new();
+    p.add_events_to(&mut counts);
+    counts
+}
+
+#[test]
+fn low_bit_colliding_pcs_profile_exactly_in_every_mode() {
+    // Four rounds over 65 536 pcs of the form `i << 16`, then a few hot
+    // pcs long enough for the sampling modes to back off and skip.
+    let mut events: Vec<(u32, u64)> = Vec::new();
+    for round in 0..4u64 {
+        events.extend((0..1u32 << 16).map(|i| (i << 16, u64::from(i % 7) + round)));
+    }
+    for i in 0..16u32 {
+        events.extend((0..3000u64).map(|n| (i << 16, n % 3)));
+    }
+    let mut totals: BTreeMap<u64, u64> = BTreeMap::new();
+    for &(pc, _) in &events {
+        *totals.entry(u64::from(pc)).or_insert(0) += 1;
+    }
+    for mode in modes() {
+        let build = || mode.build(mode.tracker(), None);
+        let mut serial = build();
+        serial.observe_batch(&events);
+        let metrics = serial.metrics();
+        let executions: BTreeMap<u64, u64> = metrics.iter().map(|m| (m.id, m.executions)).collect();
+        assert_eq!(executions, totals, "{mode:?}: per-entity execution totals");
+        let sharded = profile_sharded(&events, 7, build);
+        assert_eq!(sharded.metrics(), metrics, "{mode:?}: sharded profile");
+        assert_eq!(events_of(&sharded), events_of(&serial), "{mode:?}: sharded events");
+    }
+}
+
+/// A real workload's load stream followed by a synthetic stream that
+/// shifts phase halfway through and spreads over sparse pcs.
+fn mixed_stream() -> Vec<(u32, u64)> {
+    let mut events = value_stream(&suite()[0], DataSet::Test, Selection::LoadsOnly);
+    events.extend((0..60_000u64).map(|i| {
+        let pc = ((i * 7919) % 97) as u32 * 4099 + 1_000_000;
+        let value = if i < 30_000 { i % 5 } else { (i * i) % 13 };
+        (pc, value)
+    }));
+    events
+}
+
+#[test]
+fn profiles_do_not_depend_on_the_map_seed() {
+    let events = mixed_stream();
+    for mode in modes() {
+        let build = || mode.build(mode.tracker(), None);
+        let mut first = build();
+        first.observe_batch(&events);
+        let mut second = build();
+        second.observe_batch(&events);
+        let mut parts = partition_by_entity(&events, 2).into_iter();
+        let mut merged = build();
+        merged.observe_batch(&parts.next().expect("two parts"));
+        let mut later = build();
+        later.observe_batch(&parts.next().expect("two parts"));
+        merged.merge_shard(later);
+
+        let reference = render_profile(&first.metrics());
+        for (path, p) in [("second run", &second), ("two merged shards", &merged)] {
+            assert_eq!(render_profile(&p.metrics()), reference, "{mode:?}: {path}");
+            assert_eq!(events_of(p), events_of(&first), "{mode:?}: {path}");
+        }
+    }
+}
+
+#[test]
+fn governed_runs_do_not_depend_on_the_map_seed() {
+    // Small enough that the governor degrades and drops entities.
+    let budget = MemBudget::bytes(24 * 1024);
+    let events = mixed_stream();
+    let run = || {
+        let mut p = InstructionProfiler::with_budget(TrackerConfig::with_full(), budget);
+        p.observe_batch(&events);
+        p
+    };
+    let (a, b) = (run(), run());
+    let stats = *a.governor_stats().expect("governed");
+    assert!(stats.entities_degraded > 0 && stats.entities_dropped > 0, "{stats:?}");
+    assert_eq!(b.governor_stats(), Some(&stats));
+    assert_eq!(render_profile(&b.metrics()), render_profile(&a.metrics()));
+    assert_eq!(b.tnv_events(), a.tnv_events());
+}
