@@ -1,12 +1,12 @@
 //! # vp-bench — experiment harness
 //!
-//! One `exp_*` binary per table/figure of the paper (see DESIGN.md §5 for
-//! the experiment index E1–E14 and EXPERIMENTS.md for captured results),
-//! plus Criterion micro-benchmarks. This library holds the shared
-//! plumbing so each experiment binary stays a thin report generator.
+//! One function per table/figure of the paper, registered in
+//! [`experiments::ALL`] (see DESIGN.md §5 for the experiment index E1–E17
+//! and EXPERIMENTS.md for captured results), plus the suite runner, the
+//! serve daemon and Criterion micro-benchmarks.
 //!
-//! Run an experiment with e.g. `cargo run --release -p vp-bench --bin
-//! exp_loads`, or everything with `--bin exp_all`.
+//! Run an experiment with e.g. `vprof experiment E2`, or every one in
+//! E-order with `vprof experiment all`.
 
 pub mod checkpoint;
 pub mod executor;
@@ -31,23 +31,18 @@ pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};
 pub use suite::{
     RetryPolicy, SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure, WorkloadProfile,
 };
-pub use telemetry::{append_jsonl, default_path, fault_records, suite_records, write_jsonl};
+pub use telemetry::{default_path, fault_records, suite_records, write_jsonl};
 pub use vp_core::ProfileMode;
 
 /// Instruction budget for experiment runs (far above any workload's need).
 pub const BUDGET: u64 = 100_000_000;
 
-/// Prints a section heading in the experiment output convention.
-pub fn heading(id: &str, title: &str) {
-    println!("==== {id}: {title} ====");
-}
-
 /// Runs the instruction profiler over one workload/data set.
 ///
 /// # Panics
 ///
-/// Panics if the workload run faults — experiment binaries treat that as a
-/// fatal harness bug.
+/// Panics if the workload run faults — experiments treat that as a fatal
+/// harness bug.
 pub fn profile_instructions(
     workload: &Workload,
     ds: DataSet,

@@ -434,7 +434,7 @@ impl SuiteRunner {
     /// # Panics
     ///
     /// Panics if a workload run faults (a harness bug, as in the
-    /// experiment binaries).
+    /// experiments).
     pub fn run(&self, ds: DataSet) -> SuiteProfile {
         self.run_workloads(&suite(), ds)
     }

@@ -1,4 +1,4 @@
-//! Telemetry emission for suite runs and experiment binaries.
+//! Telemetry emission for suite runs and experiments.
 //!
 //! Builds the schema-versioned records defined in [`vp_obs::telemetry`]
 //! from a [`SuiteProfile`] (one `run` record, one `workload` record per
@@ -151,14 +151,6 @@ pub fn write_jsonl(path: &Path, records: &[Json]) -> std::io::Result<()> {
     vp_core::durable::write_atomic(path, to_jsonl(records).as_bytes())
 }
 
-/// Appends records to `path`, creating it if missing — used by `exp_all`
-/// style sequences where several binaries log into one file. Goes through
-/// [`vp_core::durable::append_jsonl`], which first truncates away a final
-/// line torn by an earlier crash and fsyncs the append.
-pub fn append_jsonl(path: &Path, records: &[Json]) -> std::io::Result<()> {
-    vp_core::durable::append_jsonl(path, &to_jsonl(records)).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,16 +182,16 @@ mod tests {
     }
 
     #[test]
-    fn write_and_append() {
+    fn write_replaces_the_file() {
         let dir = std::env::temp_dir().join("vp_telemetry_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..1], DataSet::Test);
         let records = suite_records("t", DataSet::Test, 1, "full", &profile, None);
         write_jsonl(&path, &records).unwrap();
-        append_jsonl(&path, &records).unwrap();
+        write_jsonl(&path, &records).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(parse_jsonl(&text).unwrap().len(), records.len() * 2);
+        assert_eq!(parse_jsonl(&text).unwrap(), records);
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vp_asm::Program;
+use vp_bench::experiments::{self, Experiment};
 use vp_bench::SuiteRunner;
 use vp_core::{
     compare, render_metric_table, report::row, track::TrackerConfig, ConvergentConfig,
@@ -12,6 +13,7 @@ use vp_core::{
     PhaseBudget, ProfileMode,
 };
 use vp_instrument::{Instrumenter, Selection};
+use vp_obs::Json;
 use vp_predict::{
     evaluate as eval_predictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor,
     TwoLevelPredictor,
@@ -48,6 +50,7 @@ const USAGE: &str = "usage:
   vprof histogram <target> [--train] [--all]
   vprof compare <workload>
   vprof predict <workload> [--train]
+  vprof experiment <E#|all> [--jobs N] [--telemetry FILE]
   vprof optimize [--jobs N|--workers N] [--shards N]
                       [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
                       [--min-invariance P] [--min-executions N] [--max-ways N]
@@ -155,6 +158,9 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "histogram" => (Spec { switches: "--train --all", options: "", positionals: 1 }, histogram),
         "compare" => (Spec { switches: "", options: "", positionals: 1 }, compare_cmd),
         "predict" => (Spec { switches: "--train", options: "", positionals: 1 }, predict),
+        "experiment" => {
+            (Spec { switches: "", options: "--jobs --telemetry", positionals: 1 }, experiment_cmd)
+        }
         // `optimize --demo` is a form of its own, with its own arguments.
         "optimize" if rest.iter().any(|a| a == "--demo") => {
             (Spec { switches: "--demo", options: "", positionals: 1 }, optimize_demo)
@@ -1177,6 +1183,48 @@ fn predict(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `vprof experiment <E#|all>`: renders the selected paper experiments
+/// (registered in `vp_bench::experiments::ALL`) over the whole suite,
+/// each report's text followed by a blank line. Their telemetry records
+/// are written once, atomically, to `--telemetry` (default
+/// `$VP_TELEMETRY`, else `telemetry.jsonl`) — and only when there are
+/// any, so a text-only experiment leaves an existing file untouched.
+fn experiment_cmd(args: &Args) -> Result<(), String> {
+    let path =
+        args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
+    let records = run_experiments(args, |text| println!("{text}"))?;
+    if !records.is_empty() {
+        vp_bench::write_jsonl(&path, &records)
+            .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+    }
+    Ok(())
+}
+
+/// Runs the experiments `experiment`'s target selects, in E-order, on
+/// `--jobs` threads. Hands each report's text to `out` as soon as it is
+/// rendered and returns every report's records.
+fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, String> {
+    let target = args.target()?;
+    let selected: Vec<&Experiment> = if target == "all" {
+        experiments::ALL.iter().collect()
+    } else {
+        let exp = experiments::by_id(target).ok_or_else(|| {
+            let ids: Vec<&str> = experiments::ALL.iter().map(|e| e.id).collect();
+            format!("unknown experiment `{target}` (expected {} or all)", ids.join(", "))
+        })?;
+        vec![exp]
+    };
+    let jobs = args.get("--jobs")?.unwrap_or(1);
+    let workloads = suite();
+    let mut records = Vec::new();
+    for exp in selected {
+        let report = (exp.run)(&workloads, jobs);
+        out(&report.text);
+        records.extend(report.records);
+    }
+    Ok(records)
+}
+
 /// `vprof optimize`: the end-to-end PGO loop. Profiles the suite on the
 /// *train* input (through `SuiteRunner`, so `--jobs/--workers/--shards`,
 /// the governor, checkpointing and fault injection all apply), plans
@@ -1640,6 +1688,40 @@ mod tests {
     fn compare_and_predict() {
         assert!(dispatch(&args(&["compare", "vortex"])).is_ok());
         assert!(dispatch(&args(&["predict", "vortex"])).is_ok());
+    }
+
+    #[test]
+    fn experiment_rejects_an_unknown_id() {
+        let err = dispatch(&args(&["experiment", "E99"])).unwrap_err();
+        assert!(err.contains("`E99`"), "{err}");
+        assert!(err.contains("E1, E2, E3") && err.contains("E17 or all"), "{err}");
+    }
+
+    #[test]
+    fn experiment_output_is_independent_of_jobs() {
+        let stdout = |jobs: &str| {
+            let argv = args(&["experiment", "E8", "--jobs", jobs]);
+            let mut text = String::new();
+            run_experiments(&split(&argv).unwrap(), |t| text.push_str(&format!("{t}\n"))).unwrap();
+            text
+        };
+        assert_eq!(stdout("4"), stdout("1"));
+    }
+
+    #[test]
+    fn experiment_writes_only_its_own_records() {
+        let dir = std::env::temp_dir().join("vprof-cli-test-experiment");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tel = dir.join("experiment.jsonl");
+        let tel_s = tel.to_str().unwrap();
+        assert!(dispatch(&args(&["experiment", "E1", "--telemetry", tel_s])).is_ok());
+        let written = vp_obs::telemetry::parse_jsonl(&std::fs::read_to_string(&tel).unwrap());
+        assert_eq!(written.unwrap(), experiments::benchmarks(&suite(), 1).records);
+        // E2 has no records, so it must not clobber the existing file.
+        std::fs::write(&tel, "kept\n").unwrap();
+        assert!(dispatch(&args(&["experiment", "E2", "--telemetry", tel_s])).is_ok());
+        assert_eq!(std::fs::read_to_string(&tel).unwrap(), "kept\n");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

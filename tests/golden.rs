@@ -1,11 +1,12 @@
 //! Golden-file regression tests for the experiment reports and their
 //! telemetry records.
 //!
-//! Each test renders an experiment over a fixed slice of the workload
-//! suite and compares the report text plus the *masked* telemetry (wall
-//! times and other volatile fields replaced by `"<volatile>"`, see
-//! [`vp_obs::telemetry::VOLATILE_KEYS`]) against a checked-in golden file
-//! under `tests/golden/`.
+//! Every registered experiment (E1–E17) is rendered over a fixed slice of
+//! the workload suite, and its report text plus its *masked* telemetry
+//! (wall times and other volatile fields replaced by `"<volatile>"`, see
+//! [`vp_obs::telemetry::VOLATILE_KEYS`]) are compared against checked-in
+//! golden files under `tests/golden/`; so are an adaptive suite run and
+//! the optimize pipeline.
 //!
 //! To regenerate after an intentional change:
 //!
@@ -19,10 +20,9 @@ use std::path::PathBuf;
 use value_profiling::core::PhaseBudget;
 use value_profiling::obs::telemetry::{mask_volatile, parse_jsonl, to_jsonl};
 use value_profiling::obs::Json;
-use value_profiling::workloads::{suite, DataSet};
-use vp_bench::{
-    experiments, optimize_from_outcome, telemetry, OptimizeConfig, ProfileMode, SuiteRunner,
-};
+use value_profiling::workloads::{suite, DataSet, Workload};
+use vp_bench::experiments::{self, Experiment};
+use vp_bench::{optimize_from_outcome, telemetry, OptimizeConfig, ProfileMode, SuiteRunner};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden")
@@ -55,28 +55,73 @@ fn masked_jsonl(records: &[Json]) -> String {
     to_jsonl(&masked)
 }
 
+/// The workloads each experiment's golden is rendered on: the first
+/// three of the suite, plus what two experiments need to show anything.
+fn golden_slice(ws: &[Workload], exp: &Experiment) -> Vec<Workload> {
+    let names: &[&str] = match exp.id {
+        // Only perl and vortex have procedures; li must add no rows.
+        "E10" => &["li", "perl", "vortex"],
+        // m88ksim has the suite's one specialization candidate.
+        "E13" => &["compress", "gcc", "li", "m88ksim"],
+        _ => &["compress", "gcc", "li"],
+    };
+    ws.iter().filter(|w| names.contains(&w.name())).cloned().collect()
+}
+
+/// Pins one registered experiment's report text as `exp_<name>.txt` —
+/// except E12, whose `slow` cells are wall-clock — and its masked records
+/// as `exp_<name>.jsonl`. An experiment without records must have no
+/// `.jsonl` golden, so one that stops emitting them fails here rather than
+/// silently dropping its pin.
+fn check_experiment(ws: &[Workload], exp: &Experiment) {
+    let report = (exp.run)(&golden_slice(ws, exp), 1);
+    if exp.id != "E12" {
+        check(&format!("exp_{}.txt", exp.name), &report.text);
+    }
+    let jsonl = format!("exp_{}.jsonl", exp.name);
+    if report.records.is_empty() {
+        assert!(!golden_dir().join(&jsonl).exists(), "{}: {jsonl} but no records", exp.id);
+    } else {
+        check(&jsonl, &masked_jsonl(&report.records));
+    }
+}
+
+/// The experiments pinned by a test of their own below.
+const NAMED: [&str; 3] = ["benchmarks", "convergent", "tnv_policy"];
+
+fn check_named(name: &str) {
+    let exp = experiments::ALL.iter().find(|exp| exp.name == name).unwrap();
+    check_experiment(&suite(), exp);
+}
+
 #[test]
 fn exp_benchmarks_matches_golden() {
-    let ws = suite();
-    let report = experiments::benchmarks(&ws[..3], 1);
-    check("exp_benchmarks.txt", &report.text);
-    check("exp_benchmarks.jsonl", &masked_jsonl(&report.records));
+    check_named("benchmarks");
 }
 
 #[test]
 fn exp_convergent_matches_golden() {
-    let ws = suite();
-    let report = experiments::convergent(&ws[..3]);
-    check("exp_convergent.txt", &report.text);
-    check("exp_convergent.jsonl", &masked_jsonl(&report.records));
+    check_named("convergent");
 }
 
 #[test]
 fn exp_tnv_policy_matches_golden() {
+    check_named("tnv_policy");
+}
+
+#[test]
+fn every_experiment_matches_golden() {
+    // Every registered experiment not pinned by a named test above.
     let ws = suite();
-    let report = experiments::tnv_policy(&ws[..3]);
-    check("exp_tnv_policy.txt", &report.text);
-    check("exp_tnv_policy.jsonl", &masked_jsonl(&report.records));
+    for exp in experiments::ALL.iter().filter(|exp| !NAMED.contains(&exp.name)) {
+        check_experiment(&ws, exp);
+    }
+}
+
+/// The experiment `.jsonl` goldens that exist.
+fn experiment_jsonl_goldens() -> Vec<String> {
+    let names = experiments::ALL.iter().map(|exp| format!("exp_{}.jsonl", exp.name));
+    names.filter(|name| golden_dir().join(name).exists()).collect()
 }
 
 #[test]
@@ -143,7 +188,9 @@ fn non_adaptive_goldens_carry_no_phase_section() {
     // Absent-when-off: the pre-existing goldens must contain no phase
     // fields, so runs without `--adaptive` stay byte-identical to before
     // the detector existed.
-    for name in ["exp_benchmarks.jsonl", "exp_convergent.jsonl", "exp_tnv_policy.jsonl"] {
+    let names = experiment_jsonl_goldens();
+    assert!(!names.is_empty());
+    for name in &names {
         let text = fs::read_to_string(golden_dir().join(name)).unwrap();
         assert!(!text.contains("\"phase\""), "{name} grew a phase field");
     }
@@ -153,13 +200,9 @@ fn non_adaptive_goldens_carry_no_phase_section() {
 fn golden_telemetry_parses_and_is_masked() {
     // The checked-in .jsonl goldens must stay valid, schema-tagged JSONL
     // with every volatile field masked (masking is idempotent).
-    for name in [
-        "exp_benchmarks.jsonl",
-        "exp_convergent.jsonl",
-        "exp_tnv_policy.jsonl",
-        "adaptive_suite.jsonl",
-        "optimize_suite.jsonl",
-    ] {
+    let mut names = experiment_jsonl_goldens();
+    names.extend(["adaptive_suite.jsonl", "optimize_suite.jsonl"].map(String::from));
+    for name in &names {
         let path = golden_dir().join(name);
         let text = fs::read_to_string(&path).unwrap_or_else(|e| {
             panic!(
