@@ -781,9 +781,14 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, String> {
     Ok(report)
 }
 
-/// Wires a real socket into the generic handler: a cloned read side, a
-/// peek-based wait that polls the drain flag and the idle budget
-/// between frames without ever consuming mid-frame bytes.
+/// Longest a session blocks waiting for its next frame before it
+/// re-checks the drain flag and the idle budget.
+const WAIT_SLICE: Duration = Duration::from_millis(10);
+
+/// Wires a real socket into the generic handler: a cloned read side, and
+/// a readiness wait that returns as soon as a frame arrives and re-checks
+/// the drain flag and the idle budget every [`WAIT_SLICE`] between
+/// frames, without ever consuming mid-frame bytes.
 fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
     let read_side = match stream.try_clone() {
         Ok(s) => s,
@@ -800,7 +805,7 @@ fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
         if daemon.drain.load(Ordering::SeqCst) {
             return Wait::Drain;
         }
-        match net::data_ready(&probe) {
+        match net::wait_readable(&probe, WAIT_SLICE) {
             // Bytes or EOF: either way the frame reader should run and
             // classify what it finds.
             Ok(true) => {
@@ -814,7 +819,6 @@ fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
                     }
                 }
                 cancel::checkpoint();
-                std::thread::sleep(Duration::from_millis(10));
             }
             Err(_) => return Wait::Ready,
         }

@@ -98,9 +98,7 @@ pub use phase::{AdaptiveProfiler, PhaseBudget, PhaseStats, WindowSig};
 pub use profile_io::{parse_profile, render_profile, ParseProfileError};
 pub use report::{compare, group_by_class, render_metric_table, ProfileComparison, ReportRow};
 pub use sampled::{SampleStrategy, SampledProfiler};
-pub use shard::{
-    partition_by_entity, partition_count, profile_sharded, split_by_time, StreamProfiler,
-};
+pub use shard::{partition_by_entity, partition_count, profile_sharded, StreamProfiler};
 pub use temporal::{TemporalProfiler, WindowMetrics};
 pub use tnv::{Policy, TnvEntry, TnvTable};
 pub use track::{FullProfile, TrackerConfig, ValueTracker};

@@ -38,14 +38,16 @@ impl EntityMetrics {
     /// Extracts metrics from a tracker. `n` is the TNV width used for the
     /// `*_topn`/`*_alln` metrics (the paper uses the table capacity).
     pub fn from_tracker(id: u64, tracker: &ValueTracker, n: usize) -> EntityMetrics {
+        // One top-n selection serves both exact metrics.
+        let (inv_all1, inv_alln) = tracker.full().map(|f| f.inv_all_1_n(n)).unzip();
         EntityMetrics {
             id,
             executions: tracker.executions(),
             lvp: tracker.lvp(),
             inv_top1: tracker.inv_top(1),
             inv_topn: tracker.inv_top(n),
-            inv_all1: tracker.inv_all(1),
-            inv_alln: tracker.inv_all(n),
+            inv_all1,
+            inv_alln,
             pct_zero: tracker.pct_zero(),
             distinct: tracker.distinct(),
             top_value: tracker.tnv().top_value(),

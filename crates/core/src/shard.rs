@@ -4,28 +4,19 @@
 //!
 //! PR 1 parallelized *across* workloads; this module parallelizes
 //! *within* one, which is what helps when a single large workload
-//! dominates the suite. Two split strategies exist, with different
-//! exactness guarantees:
-//!
-//! * **By entity** ([`partition_by_entity`]) — events are routed by
-//!   `pc % shards`, so each instruction's full value subsequence lands
-//!   on exactly one shard, in order. Per-entity profiler state (TNV
-//!   tables, LVP chains, the convergent state machine, periodic-sample
-//!   countdowns) never observes a difference from a serial pass, and the
-//!   merge is a disjoint union — the sharded result is **bit-identical**
-//!   to serial for the full, convergent, and periodic-sampled profilers.
-//!   The one exception is [`SampleStrategy::Random`], whose single
-//!   profiler-wide generator depends on the global event interleaving.
-//! * **By time** ([`split_by_time`]) — contiguous chunks of the stream.
-//!   Scalar counters (executions, zeros, LVP including the shard-boundary
-//!   hit) and exact histograms still merge exactly, but each shard's TNV
-//!   table evicts independently, so merged `Inv-Top` is a slightly deeper
-//!   under-estimate than a serial table's (quantified by the ε-bound in
-//!   the differential oracle). It is the right split when one entity
-//!   dominates the stream and entity routing cannot balance the work.
+//! dominates the suite. Events are routed by entity
+//! ([`partition_by_entity`], `pc % shards`), so each instruction's full
+//! value subsequence lands on exactly one shard, in order. Per-entity
+//! profiler state (TNV tables, LVP chains, the convergent state machine,
+//! periodic-sample countdowns) never observes a difference from a serial
+//! pass, and the merge is a disjoint union — the sharded result is
+//! **bit-identical** to serial for the full, convergent, and
+//! periodic-sampled profilers. The one exception is
+//! [`SampleStrategy::Random`], whose single profiler-wide generator
+//! depends on the global event interleaving.
 //!
 //! `vprof profile-suite --shards N` and `vprof replay --shards N` use the
-//! by-entity split through `profile_reader` (via
+//! split through `profile_reader` (via
 //! [`ProfileMode::profile_trace`](crate::ProfileMode::profile_trace)), so
 //! their output is byte-identical to a serial run.
 //!
@@ -115,20 +106,6 @@ pub fn partition_by_entity(events: &[(u32, u64)], shards: usize) -> Vec<Vec<(u32
         parts[event.0 as usize % shards].push(event);
     }
     parts
-}
-
-/// Splits the stream into up to `shards` contiguous chunks of near-equal
-/// length (fewer when there are fewer events than shards).
-///
-/// **Invariant:** `shards >= 1`, handled as in [`partition_by_entity`].
-pub fn split_by_time(events: &[(u32, u64)], shards: usize) -> Vec<&[(u32, u64)]> {
-    debug_assert!(shards > 0, "split_by_time requires at least one shard");
-    let shards = shards.max(1);
-    if events.is_empty() {
-        return vec![events];
-    }
-    let chunk = events.len().div_ceil(shards);
-    events.chunks(chunk).collect()
 }
 
 /// Work-stealing over-decomposition factor: each requested shard worker
@@ -243,16 +220,6 @@ mod tests {
         for (shard, part) in parts.iter().enumerate() {
             assert!(part.iter().all(|&(pc, _)| pc as usize % 4 == shard));
         }
-    }
-
-    #[test]
-    fn split_by_time_is_contiguous_and_complete() {
-        let events = stream();
-        let parts = split_by_time(&events, 7);
-        let glued: Vec<(u32, u64)> = parts.concat();
-        assert_eq!(glued, events);
-        assert!(parts.len() <= 7);
-        assert!(split_by_time(&[], 3).concat().is_empty());
     }
 
     #[test]

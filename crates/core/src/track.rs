@@ -2,6 +2,9 @@
 //! the paper's metrics (LVP, % zero, execution count, last value), and the
 //! exact [`FullProfile`] used as ground truth.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::arena::ValueMap;
 use crate::tnv::{Policy, TnvTable};
 
@@ -52,20 +55,54 @@ impl FullProfile {
     }
 
     /// The `n` most frequent `(value, count)` pairs, most frequent first.
-    /// Ties are broken by value for determinism.
+    ///
+    /// The order is part of the definition: count descending, then value
+    /// ascending. Values are distinct, so the order is total and the
+    /// result is exactly the first `n` entries of the fully sorted
+    /// histogram; `top(0)` is empty.
+    ///
+    /// A bounded selection: one pass over the slab keeps the `n` best
+    /// entries in a heap whose root is the worst of them, so most entries
+    /// are rejected by one compare against that root. That is
+    /// O(distinct · log n) time — linear for a fixed width such as the
+    /// TNV capacity — and O(min(n, distinct)) memory, for every `n`.
     pub fn top(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.counts.iter().collect();
-        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        all.truncate(n);
-        all
+        // Keyed so that a greater key ranks lower: the heap's root is the
+        // worst kept entry, and `into_sorted_vec` lists the best first.
+        let mut best = BinaryHeap::with_capacity(n.min(self.counts.len()));
+        for (value, count) in self.counts.iter() {
+            let key = (Reverse(count), value);
+            if best.len() < n {
+                best.push(key);
+            } else if let Some(mut worst) = best.peek_mut() {
+                if key < *worst {
+                    *worst = key;
+                }
+            }
+        }
+        best.into_sorted_vec().into_iter().map(|(Reverse(count), value)| (value, count)).collect()
     }
 
     /// Exact invariance over the top `n` values (`Inv-All(n)`).
     pub fn inv_all(&self, n: usize) -> f64 {
+        self.share(self.top(n).iter().map(|&(_, c)| c).sum())
+    }
+
+    /// `(Inv-All(1), Inv-All(n))` from one top-`n` selection, each equal
+    /// bit for bit to the matching [`inv_all`](FullProfile::inv_all):
+    /// the top-1 count is the first entry of the top-`n` list.
+    pub(crate) fn inv_all_1_n(&self, n: usize) -> (f64, f64) {
+        let top = self.top(n.max(1));
+        let first = top.first().map_or(0, |&(_, c)| c);
+        let covered = top.iter().take(n).map(|&(_, c)| c).sum();
+        (self.share(first), self.share(covered))
+    }
+
+    /// `covered` as a fraction of all observations (0 when empty).
+    fn share(&self, covered: u64) -> f64 {
         if self.observations == 0 {
             return 0.0;
         }
-        let covered: u64 = self.top(n).iter().map(|&(_, c)| c).sum();
         covered as f64 / self.observations as f64
     }
 
@@ -356,6 +393,18 @@ mod tests {
             f.observe(v);
         }
         assert_eq!(f.top(1), vec![(1, 2)]); // smaller value wins ties
+    }
+
+    #[test]
+    fn top_zero_is_empty() {
+        let mut f = FullProfile::new();
+        assert!(f.top(0).is_empty());
+        for v in [3, 3, 1] {
+            f.observe(v);
+        }
+        assert!(f.top(0).is_empty());
+        assert_eq!(f.inv_all(0), 0.0);
+        assert_eq!(f.inv_all_1_n(0), (f.inv_all(1), 0.0));
     }
 
     #[test]

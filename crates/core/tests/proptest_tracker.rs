@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use proptest::prelude::*;
+use vp_core::metrics::EntityMetrics;
 use vp_core::tnv::{Policy, TnvTable};
 use vp_core::track::{TrackerConfig, ValueTracker};
 
@@ -12,6 +13,19 @@ use vp_core::track::{TrackerConfig, ValueTracker};
 /// actually occur) mixed with occasional arbitrary values.
 fn arb_stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(prop_oneof![4 => 0u64..8, 1 => any::<u64>()], 1..400)
+}
+
+/// Tie-heavy streams: a few dozen values share a few hundred draws, so
+/// many counts collide, and the arbitrary values all tie at low counts.
+/// May be empty.
+fn arb_tied_stream() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(prop_oneof![4 => 0u64..40, 1 => any::<u64>()], 0..400)
+}
+
+/// Readout widths around every boundary of `top(n)` for a histogram with
+/// `distinct` values.
+fn widths(distinct: usize, extra: usize) -> Vec<usize> {
+    vec![0, 1, 2, 8, extra, distinct.saturating_sub(1), distinct, distinct + 1, usize::MAX]
 }
 
 fn arb_policy() -> impl Strategy<Value = Policy> {
@@ -133,5 +147,37 @@ proptest! {
         counts.sort_unstable_by(|a, b| b.cmp(a));
         let top: u64 = counts.iter().take(8).sum();
         prop_assert!((tnv.inv_top(8) - top as f64 / stream.len() as f64).abs() < 1e-12);
+    }
+
+    /// `FullProfile::top(n)` is exactly the first `n` entries of the fully
+    /// sorted histogram — count descending, then value ascending — and
+    /// `from_tracker`'s one-selection Inv-All pair is bit-identical to
+    /// `inv_all(1)`/`inv_all(n)`.
+    #[test]
+    fn full_top_matches_sorted_reference(
+        stream in prop_oneof![arb_tied_stream(), arb_stream()],
+        extra in 0usize..64,
+    ) {
+        let mut tracker = ValueTracker::new(TrackerConfig::with_full());
+        let mut hist: HashMap<u64, u64> = HashMap::new();
+        for &v in &stream {
+            tracker.observe(v);
+            *hist.entry(v).or_insert(0) += 1;
+        }
+        let mut sorted: Vec<(u64, u64)> = hist.into_iter().collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let full = tracker.full().expect("kept");
+        for n in widths(sorted.len(), extra) {
+            let expected = &sorted[..n.min(sorted.len())];
+            let top = full.top(n);
+            prop_assert_eq!(top.as_slice(), expected, "n={}", n);
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            let covered: u64 = expected.iter().map(|&(_, c)| c).sum();
+            let share = if stream.is_empty() { 0.0 } else { covered as f64 / stream.len() as f64 };
+            prop_assert_eq!(bits(tracker.inv_all(n)), bits(Some(share)), "n={}", n);
+            let m = EntityMetrics::from_tracker(0, &tracker, n);
+            prop_assert_eq!(bits(m.inv_all1), bits(tracker.inv_all(1)), "n={}", n);
+            prop_assert_eq!(bits(m.inv_alln), bits(tracker.inv_all(n)), "n={}", n);
+        }
     }
 }

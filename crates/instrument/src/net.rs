@@ -421,57 +421,75 @@ impl Drop for NetListener {
     }
 }
 
-/// Non-destructively asks whether a read on `stream` would return
-/// immediately: `Ok(true)` when bytes (or EOF) are waiting, `Ok(false)`
-/// when a read would block. The daemon polls this between frames so it
-/// can notice the drain flag and the idle budget without ever consuming
-/// mid-frame bytes.
+/// Blocks until a read on `stream` would return immediately — bytes (or
+/// EOF) are waiting — or `timeout` passes: `Ok(true)` when readable,
+/// `Ok(false)` on timeout or when a signal cut the wait short. Nothing
+/// is consumed, so the daemon waits here between frames and still
+/// notices the drain flag and the idle budget once per `timeout`,
+/// without ever reading mid-frame bytes. (A read timeout on a cloned
+/// probe would not do: clones share one socket, so its `SO_RCVTIMEO`
+/// would override the read side's idle bound.)
 ///
-/// On Linux x86_64/aarch64 this is a raw `recvfrom` with
-/// `MSG_PEEK | MSG_DONTWAIT` (`std`'s `UnixStream::peek` is still
-/// unstable). Elsewhere it reports `Ok(true)`, degrading the daemon to
-/// blocking reads — drain then only lands between client frames.
-pub fn data_ready(stream: &UnixStream) -> io::Result<bool> {
+/// On Linux x86_64/aarch64 this is a raw `ppoll` for `POLLIN` (`std`
+/// has no poll). Elsewhere it reports `Ok(true)` at once, degrading the
+/// daemon to blocking reads — drain then only lands between client
+/// frames.
+pub fn wait_readable(stream: &UnixStream, timeout: Duration) -> io::Result<bool> {
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         use std::os::fd::AsRawFd;
-        const EAGAIN: isize = -11;
         const EINTR: isize = -4;
-        let mut probe = [0u8; 1];
-        loop {
-            let ret = unsafe { peek::sys_recv_peek(stream.as_raw_fd(), probe.as_mut_ptr()) };
-            return match ret {
-                EINTR => continue,
-                EAGAIN => Ok(false),
-                n if n >= 0 => Ok(true),
-                e => Err(io::Error::from_raw_os_error(-e as i32)),
-            };
+        let mut fd = poll::PollFd { fd: stream.as_raw_fd(), events: poll::POLLIN, revents: 0 };
+        let mut ts = poll::Timespec {
+            sec: timeout.as_secs() as i64,
+            nsec: i64::from(timeout.subsec_nanos()),
+        };
+        match unsafe { poll::sys_ppoll(&mut fd, &mut ts) } {
+            EINTR | 0 => Ok(false),
+            n if n > 0 => Ok(true),
+            e => Err(io::Error::from_raw_os_error(-e as i32)),
         }
     }
     #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
     {
-        let _ = stream;
+        let _ = (stream, timeout);
         Ok(true)
     }
 }
 
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod peek {
-    /// MSG_PEEK (leave the byte in the queue) | MSG_DONTWAIT (never block).
-    const FLAGS: usize = 0x2 | 0x40;
+mod poll {
+    /// Data to read (EOF, hang-up and errors are reported regardless).
+    pub const POLLIN: i16 = 0x1;
+    /// Kernel sigset size; the mask itself is null (keep the thread's).
+    const SIGSET_SIZE: usize = 8;
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    pub struct PollFd {
+        pub fd: i32,
+        pub events: i16,
+        pub revents: i16,
+    }
+
+    /// `struct timespec` on 64-bit targets.
+    #[repr(C)]
+    pub struct Timespec {
+        pub sec: i64,
+        pub nsec: i64,
+    }
 
     #[cfg(target_arch = "x86_64")]
-    pub unsafe fn sys_recv_peek(fd: i32, buf: *mut u8) -> isize {
+    pub unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
         let ret: isize;
         std::arch::asm!(
             "syscall",
-            inlateout("rax") 45isize => ret, // SYS_recvfrom
-            in("rdi") fd as isize,
-            in("rsi") buf,
-            in("rdx") 1usize,
-            in("r10") FLAGS,
-            in("r8") 0usize, // src_addr: unwanted
-            in("r9") 0usize, // addrlen
+            inlateout("rax") 271isize => ret, // SYS_ppoll
+            in("rdi") fd,
+            in("rsi") 1usize, // nfds
+            in("rdx") timeout,
+            in("r10") 0usize, // sigmask
+            in("r8") SIGSET_SIZE,
             lateout("rcx") _,
             lateout("r11") _,
             options(nostack)
@@ -480,17 +498,16 @@ mod peek {
     }
 
     #[cfg(target_arch = "aarch64")]
-    pub unsafe fn sys_recv_peek(fd: i32, buf: *mut u8) -> isize {
+    pub unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
         let ret: isize;
         std::arch::asm!(
             "svc #0",
             inlateout("x0") fd as isize => ret,
-            in("x1") buf,
-            in("x2") 1usize,
-            in("x3") FLAGS,
-            in("x4") 0usize, // src_addr: unwanted
-            in("x5") 0usize, // addrlen
-            in("x8") 207usize, // SYS_recvfrom
+            in("x1") 1usize, // nfds
+            in("x2") timeout,
+            in("x3") 0usize, // sigmask
+            in("x4") SIGSET_SIZE,
+            in("x8") 73usize, // SYS_ppoll
             options(nostack)
         );
         ret
@@ -682,6 +699,41 @@ mod tests {
             SessionMsg::EndOk { acked: 9, profile: "pc\tinv\n".to_string() },
             SessionMsg::Err { reason: "chunk 4: crc mismatch".to_string() },
         ]
+    }
+
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    #[test]
+    fn wait_readable_wakes_on_data_and_times_out_when_idle() {
+        let (probe, mut peer) = UnixStream::pair().unwrap();
+        let slice = Duration::from_millis(10);
+        let t = Instant::now();
+        assert!(!wait_readable(&probe, slice).unwrap(), "idle socket is not readable");
+        assert!(t.elapsed() >= slice, "returned before the timeout: {:?}", t.elapsed());
+
+        // A queued byte wakes the wait at once (not after the timeout),
+        // and stays queued for the reader.
+        peer.write_all(&[7]).unwrap();
+        let t = Instant::now();
+        assert!(wait_readable(&probe, Duration::from_secs(5)).unwrap());
+        assert!(t.elapsed() < Duration::from_secs(1), "waited {:?}", t.elapsed());
+        let mut byte = [0u8; 1];
+        (&probe).read_exact(&mut byte).unwrap();
+        assert_eq!(byte, [7]);
+
+        // A byte that arrives mid-wait wakes it too.
+        let writer = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            peer.write_all(&[8]).unwrap();
+            peer
+        });
+        let t = Instant::now();
+        assert!(wait_readable(&probe, Duration::from_secs(5)).unwrap());
+        assert!(t.elapsed() < Duration::from_secs(1), "waited {:?}", t.elapsed());
+        (&probe).read_exact(&mut byte).unwrap();
+
+        // EOF counts as readable: the frame reader must run and see it.
+        drop(writer.join().unwrap());
+        assert!(wait_readable(&probe, Duration::from_secs(5)).unwrap());
     }
 
     #[test]

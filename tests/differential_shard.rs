@@ -1,20 +1,14 @@
 //! Differential oracle: sharded profiling against serial, and the batched
 //! observe path against the scalar loop.
 //!
-//! Two families of equivalences are checked over real workload traces and
-//! adversarial synthetic streams:
-//!
-//! * **Entity sharding** (`pc % shards`) is *bit-identical* to a serial
-//!   pass for every profiler whose state is per-instruction — the full
-//!   profiler, the convergent profiler, and periodic sampling. Metrics,
-//!   per-instruction stats, and telemetry event counters must all be
-//!   exactly equal for shards ∈ {1, 2, 7}. Random sampling is the one
-//!   exclusion: its single profiler-wide generator consumes draws in
-//!   global stream order, so any split reorders the sequence.
-//! * **Time sharding** (contiguous chunks) keeps every scalar and
-//!   full-histogram metric exact — including the last-value chain across
-//!   shard boundaries — while the TNV-derived estimates only carry an
-//!   ε-bound, because each shard's table evicts independently.
+//! Over real workload traces and adversarial synthetic streams, entity
+//! sharding (`pc % shards`) is *bit-identical* to a serial pass for every
+//! profiler whose state is per-instruction — the full profiler, the
+//! convergent profiler, and periodic sampling. Metrics, per-instruction
+//! stats, and telemetry event counters must all be exactly equal for
+//! shards ∈ {1, 2, 7}. Random sampling is the one exclusion: its single
+//! profiler-wide generator consumes draws in global stream order, so any
+//! split reorders the sequence.
 //!
 //! Separately, `observe_batch` must equal an `observe` loop *exactly* on
 //! every layer it short-circuits: the TNV table (all three replacement
@@ -32,7 +26,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use value_profiling::core::{
-    durable, profile_sharded, split_by_time,
+    durable, profile_sharded,
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
     AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
@@ -181,47 +175,6 @@ fn entity_sharded_periodic_sampling_is_bit_identical_to_serial() {
             assert_eq!(sharded.metrics(), serial.metrics(), "{name} shards={shards}");
             assert_eq!(sharded.events(), serial.events(), "{name} shards={shards}");
             assert_eq!(sharded.tnv_events(), serial.tnv_events(), "{name} shards={shards}");
-        }
-    }
-}
-
-/// TNV tables on different shards evict independently, so time-sharded
-/// `inv_top*` may under-estimate more deeply than a serial table's. The
-/// bound matches the merge oracle in `vp-core`'s proptest suite.
-const TNV_EPSILON: f64 = 0.35;
-
-#[test]
-fn time_sharded_scalar_metrics_exact_and_tnv_bounded() {
-    for (name, events) in streams() {
-        let mut serial = InstructionProfiler::new(TrackerConfig::with_full());
-        serial.observe_batch(&events);
-        for shards in SHARD_COUNTS {
-            let mut parts = split_by_time(&events, shards).into_iter();
-            let mut merged = InstructionProfiler::new(TrackerConfig::with_full());
-            merged.observe_batch(parts.next().expect("at least one part"));
-            for part in parts {
-                let mut shard = InstructionProfiler::new(TrackerConfig::with_full());
-                shard.observe_batch(part);
-                merged.merge(shard);
-            }
-            let (sm, xm) = (serial.metrics(), merged.metrics());
-            assert_eq!(sm.len(), xm.len(), "{name} shards={shards}");
-            for (s, x) in sm.iter().zip(&xm) {
-                let at = format!("{name} shards={shards} pc={}", s.id);
-                // Scalar counters and full-histogram metrics are exact —
-                // including LVP hits across shard boundaries, which the
-                // merge re-links via the boundary values.
-                assert_eq!(s.id, x.id, "{at}");
-                assert_eq!(s.executions, x.executions, "{at}");
-                assert_eq!(s.lvp, x.lvp, "{at}");
-                assert_eq!(s.pct_zero, x.pct_zero, "{at}");
-                assert_eq!(s.inv_all1, x.inv_all1, "{at}");
-                assert_eq!(s.inv_alln, x.inv_alln, "{at}");
-                assert_eq!(s.distinct, x.distinct, "{at}");
-                // TNV-derived estimates carry the documented ε-bound.
-                assert!((s.inv_top1 - x.inv_top1).abs() <= TNV_EPSILON, "{at}");
-                assert!((s.inv_topn - x.inv_topn).abs() <= TNV_EPSILON, "{at}");
-            }
         }
     }
 }
