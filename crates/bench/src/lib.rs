@@ -93,10 +93,10 @@ pub(crate) fn record_stream(
 ) -> (Vec<(u32, u64)>, InstrumentedRun) {
     struct Collector(Vec<(u32, u64)>);
     impl vp_instrument::Analysis for Collector {
-        fn after_instr(&mut self, _m: &vp_sim::Machine, ev: &vp_sim::InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push((ev.index, v));
-            }
+        const VALUE_STREAM: bool = true;
+
+        fn observe_values(&mut self, events: &[(u32, u64)]) {
+            self.0.extend_from_slice(events);
         }
     }
     let mut collector = Collector(Vec::new());

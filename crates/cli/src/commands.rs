@@ -8,9 +8,8 @@ use vp_asm::Program;
 use vp_bench::experiments::{self, Experiment};
 use vp_bench::SuiteRunner;
 use vp_core::{
-    compare, render_metric_table, report::row, track::TrackerConfig, ConvergentConfig,
-    ConvergentProfiler, FaultPlan, InstructionProfiler, MemBudget, MemoryProfiler, ParamProfiler,
-    PhaseBudget, ProfileMode,
+    compare, render_metric_table, report::row, track::TrackerConfig, FaultPlan,
+    InstructionProfiler, MemBudget, MemoryProfiler, ParamProfiler, PhaseBudget, ProfileMode,
 };
 use vp_instrument::{Instrumenter, Selection};
 use vp_obs::Json;
@@ -496,6 +495,13 @@ fn profile(args: &Args) -> Result<(), String> {
     let (program, input) = resolve(target, dataset(args))?;
     let cfg = MachineConfig::new().input(input);
     let top = args.get("--top")?.unwrap_or(10);
+    // Only the value profiles have a TSV form; refuse a save that would
+    // otherwise be silently skipped.
+    if args.value("--save").is_some() {
+        if let Some(flag) = ["--memory", "--params"].into_iter().find(|f| args.has(f)) {
+            return Err(format!("--save is not supported with {flag}"));
+        }
+    }
 
     if args.has("--memory") {
         let mut profiler = MemoryProfiler::new(TrackerConfig::with_full());
@@ -545,33 +551,27 @@ fn profile(args: &Args) -> Result<(), String> {
     }
 
     let (selection, what) = selection(args);
+    let mode = if args.has("--convergent") { ProfileMode::Convergent } else { ProfileMode::Full };
+    let mut profiler = mode.build(mode.tracker(), None);
+    profiler
+        .run_live(&Instrumenter::new().select(selection), &program, cfg, BUDGET)
+        .map_err(|e| e.to_string())?;
+    let metrics = profiler.metrics();
+    if let Some(path) = args.value("--save") {
+        vp_core::durable::write_profile(std::path::Path::new(path), &metrics)
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        println!("saved {} entities to {path}", metrics.len());
+    }
+    let rows = [row(target, &metrics)];
 
-    if args.has("--convergent") {
-        let mut profiler =
-            ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
-        Instrumenter::new()
-            .select(selection)
-            .run(&program, cfg, BUDGET, &mut profiler)
-            .map_err(|e| e.to_string())?;
-        let rows = [row(target, &profiler.metrics())];
+    if mode == ProfileMode::Convergent {
         println!("{}", render_metric_table(&format!("convergent profile: {what}"), &rows));
-        println!("profiled {:.2}% of executions", profiler.overall_profile_fraction() * 100.0);
+        println!("profiled {:.2}% of executions", profiler.profile_fraction() * 100.0);
         return Ok(());
     }
 
-    let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
-    Instrumenter::new()
-        .select(selection)
-        .run(&program, cfg, BUDGET, &mut profiler)
-        .map_err(|e| e.to_string())?;
-    if let Some(path) = args.value("--save") {
-        vp_core::durable::write_profile(std::path::Path::new(path), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("saved {} entities to {path}", profiler.metrics().len());
-    }
-    let rows = [row(target, &profiler.metrics())];
     println!("{}", render_metric_table(&format!("value profile: {what}"), &rows));
-    let mut ms = profiler.metrics();
+    let mut ms = metrics;
     ms.sort_by_key(|m| std::cmp::Reverse(m.executions));
     println!("hottest instructions:");
     for m in ms.into_iter().take(top) {
@@ -988,10 +988,10 @@ fn record_cmd(args: &Args) -> Result<(), String> {
         .unwrap_or(vp_instrument::trace_codec::DEFAULT_CHUNK_EVENTS);
     struct Recorder(vp_instrument::TraceEncoder);
     impl vp_instrument::Analysis for Recorder {
-        fn after_instr(&mut self, _m: &Machine, ev: &vp_sim::InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push(ev.index, v);
-            }
+        const VALUE_STREAM: bool = true;
+
+        fn observe_values(&mut self, events: &[(u32, u64)]) {
+            self.0.push_all(events);
         }
     }
     let mut rec = Recorder(vp_instrument::TraceEncoder::with_chunk_events(chunk_events));
@@ -1147,10 +1147,10 @@ fn predict(args: &Args) -> Result<(), String> {
     let mut stream: Vec<(u32, u64)> = Vec::new();
     struct Collector<'a>(&'a mut Vec<(u32, u64)>);
     impl vp_instrument::Analysis for Collector<'_> {
-        fn after_instr(&mut self, _m: &Machine, ev: &vp_sim::InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push((ev.index, v));
-            }
+        const VALUE_STREAM: bool = true;
+
+        fn observe_values(&mut self, events: &[(u32, u64)]) {
+            self.0.extend_from_slice(events);
         }
     }
     Instrumenter::new()
@@ -1682,6 +1682,40 @@ mod tests {
         assert!(dispatch(&args(&["replay", out_s, "--convergent", "--mem-budget-mb", "64"]))
             .unwrap_err()
             .contains("not supported with --convergent"));
+    }
+
+    #[test]
+    fn profile_save_matches_replay_in_full_and_convergent_mode() {
+        let dir = std::env::temp_dir().join("vprof-cli-test-profile-save");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("li.vpc");
+        let trace_s = trace.to_str().unwrap();
+        assert!(dispatch(&args(&["record", "li", "--all", "-o", trace_s])).is_ok());
+        for mode in [None, Some("--convergent")] {
+            let [live, replayed] = ["live", "replayed"].map(|n| dir.join(n));
+            let _ = std::fs::remove_file(&live);
+            let mut profile = vec!["profile", "li", "--all", "--save", live.to_str().unwrap()];
+            let mut replay = vec!["replay", trace_s, "--save", replayed.to_str().unwrap()];
+            profile.extend(mode);
+            replay.extend(mode);
+            assert!(dispatch(&args(&profile)).is_ok(), "{mode:?}");
+            assert!(dispatch(&args(&replay)).is_ok(), "{mode:?}");
+            let saved = std::fs::read(&live).unwrap();
+            assert_eq!(saved, std::fs::read(&replayed).unwrap(), "{mode:?}");
+            assert!(dispatch(&args(&["verify", live.to_str().unwrap()])).is_ok());
+        }
+    }
+
+    #[test]
+    fn profile_save_rejects_the_modes_without_a_value_profile() {
+        let out = std::env::temp_dir().join("vprof-cli-test-profile-save-rejected.tsv");
+        let _ = std::fs::remove_file(&out);
+        for flag in ["--memory", "--params"] {
+            let err = dispatch(&args(&["profile", "li", flag, "--save", out.to_str().unwrap()]))
+                .unwrap_err();
+            assert!(err.contains(flag) && err.contains("--save"), "{err}");
+        }
+        assert!(!out.exists());
     }
 
     #[test]

@@ -220,9 +220,10 @@ pub type EntityMap<K, V> = HashMap<K, V, EntityHash>;
 /// from untrusted VPC1 traces (`vprof serve`), so it must also be keyed:
 /// each hash is the folded 128-bit product of `key ^ k0` and an odd
 /// `k1`, with both seeds drawn once per map from
-/// [`RandomState`]. The high half of the product depends on every key
-/// bit, so no fixed key pattern (say, `pc << 16`) lands in one bucket
-/// for every seed.
+/// [`RandomState`], and [`finish`](Hasher::finish) folds the result by
+/// `k1` once more. The high half of a product depends on every key bit,
+/// and the second fold mixes it into the low bits the table indexes by,
+/// so no fixed key pattern (say, `pc << 16`) crowds into few buckets.
 #[derive(Debug, Clone, Copy)]
 pub struct EntityHash {
     k0: u64,
@@ -246,7 +247,7 @@ impl BuildHasher for EntityHash {
 }
 
 /// The [`Hasher`] of [`EntityHash`]: each word written folds into the
-/// state as `fold(state ^ word, k1)`.
+/// state as `fold(state ^ word, k1)`, and the hash is `fold(state, k1)`.
 #[derive(Debug, Clone)]
 pub struct EntityHasher {
     state: u64,
@@ -283,8 +284,12 @@ impl Hasher for EntityHasher {
         }
     }
 
+    /// One more fold of the state: after a single fold, a key's low
+    /// bits reach the bucket index only through the high half of one
+    /// product, and for some seeds `pc << 16` keys then crowd into a few
+    /// dozen of 4096 buckets.
     fn finish(&self) -> u64 {
-        self.state
+        fold_mul(self.state, self.k1)
     }
 }
 
@@ -407,11 +412,13 @@ mod tests {
     fn entity_map_spreads_keys_that_share_low_bits() {
         // `pc << 16` keys share their low 16 bits. An unkeyed multiply
         // would bucket them together; the fold must spread them over the
-        // table's bucket range.
-        let build = EntityHash::default();
-        let buckets: std::collections::HashSet<u64> =
-            (0..4096u32).map(|i| build.hash_one(i << 16) & 4095).collect();
-        assert!(buckets.len() > 2048, "only {} of 4096 buckets used", buckets.len());
+        // table's bucket range for every seed, so try many fresh ones.
+        for _ in 0..64 {
+            let build = EntityHash::default();
+            let buckets: std::collections::HashSet<u64> =
+                (0..4096u32).map(|i| build.hash_one(i << 16) & 4095).collect();
+            assert!(buckets.len() > 2048, "only {} of 4096 buckets used", buckets.len());
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
-use vp_sim::{InstrEvent, Machine};
 
 use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
@@ -464,9 +463,10 @@ impl ConvergentProfiler {
 }
 
 impl Analysis for ConvergentProfiler {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        let Some((_, value)) = event.dest else { return };
-        self.observe(event.index, value);
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
+        self.observe_batch(events);
     }
 }
 
@@ -475,21 +475,9 @@ mod tests {
     use super::*;
 
     fn feed(profiler: &mut ConvergentProfiler, index: u32, values: impl Iterator<Item = u64>) {
-        // Drive the state machine directly through synthetic events.
-        use vp_isa::{AluOp, Instruction, Reg};
-        let program = vp_asm::assemble(".text\nmain: sys exit\n").unwrap();
-        let machine = vp_sim::Machine::new(program, vp_sim::MachineConfig::new()).unwrap();
-        for value in values {
-            let event = InstrEvent {
-                index,
-                instr: Instruction::Alu { op: AluOp::Add, rd: Reg::R1, rs: Reg::R0, rt: Reg::R0 },
-                dest: Some((Reg::R1, value)),
-                mem: None,
-                taken: None,
-                next_index: index + 1,
-            };
-            profiler.after_instr(&machine, &event);
-        }
+        // Drive the state machine through the runner's value-stream entry.
+        let events: Vec<(u32, u64)> = values.map(|value| (index, value)).collect();
+        profiler.observe_values(&events);
     }
 
     fn small_config() -> ConvergentConfig {

@@ -10,7 +10,6 @@
 use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
-use vp_sim::{InstrEvent, Machine};
 
 use crate::arena::{Arena, EntityMap};
 use crate::govern::{Governor, GovernorStats, MemBudget};
@@ -239,10 +238,10 @@ impl InstructionProfiler {
 }
 
 impl Analysis for InstructionProfiler {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        if let Some((_, value)) = event.dest {
-            self.observe(event.index, value);
-        }
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
+        self.observe_batch(events);
     }
 }
 

@@ -28,7 +28,6 @@
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
-use vp_sim::{InstrEvent, Machine};
 
 use crate::convergent::{ConvergentConfig, ConvergentProfiler, ConvergentStats};
 use crate::metrics::{Aggregate, EntityMetrics};
@@ -395,9 +394,10 @@ impl AdaptiveProfiler {
 }
 
 impl Analysis for AdaptiveProfiler {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        let Some((_, value)) = event.dest else { return };
-        self.observe(event.index, value);
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
+        self.observe_batch(events);
     }
 }
 

@@ -14,7 +14,6 @@ use std::collections::hash_map::Entry;
 
 use vp_instrument::Analysis;
 use vp_obs::{SampleEvents, TnvEvents};
-use vp_sim::{InstrEvent, Machine};
 
 use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
@@ -241,31 +240,20 @@ impl SampledProfiler {
 }
 
 impl Analysis for SampledProfiler {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        let Some((_, value)) = event.dest else { return };
-        self.observe(event.index, value);
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
+        self.observe_batch(events);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_isa::{AluOp, Instruction, Reg};
 
     fn feed(profiler: &mut SampledProfiler, index: u32, values: impl Iterator<Item = u64>) {
-        let program = vp_asm::assemble(".text\nmain: sys exit\n").unwrap();
-        let machine = vp_sim::Machine::new(program, vp_sim::MachineConfig::new()).unwrap();
-        for value in values {
-            let event = InstrEvent {
-                index,
-                instr: Instruction::Alu { op: AluOp::Add, rd: Reg::R1, rs: Reg::R0, rt: Reg::R0 },
-                dest: Some((Reg::R1, value)),
-                mem: None,
-                taken: None,
-                next_index: index + 1,
-            };
-            profiler.after_instr(&machine, &event);
-        }
+        let events: Vec<(u32, u64)> = values.map(|value| (index, value)).collect();
+        profiler.observe_values(&events);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! behind phase plots and behind choosing the TNV clear interval.
 
 use vp_instrument::Analysis;
-use vp_sim::{InstrEvent, Machine};
 
 use crate::arena::EntityMap;
 use crate::phase::{self, WindowSig};
@@ -152,18 +151,21 @@ impl TemporalProfiler {
 }
 
 impl Analysis for TemporalProfiler {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        let Some((_, value)) = event.dest else { return };
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
         let config = self.config;
         let window = self.window;
-        let state = self.states.entry(event.index).or_insert_with(|| TemporalState {
-            current: ValueTracker::new(config),
-            windows: Vec::new(),
-        });
-        state.current.observe(value);
-        if state.current.executions() >= window {
-            state.windows.push(Self::snapshot(&state.current));
-            state.current = ValueTracker::new(config);
+        for &(index, value) in events {
+            let state = self.states.entry(index).or_insert_with(|| TemporalState {
+                current: ValueTracker::new(config),
+                windows: Vec::new(),
+            });
+            state.current.observe(value);
+            if state.current.executions() >= window {
+                state.windows.push(Self::snapshot(&state.current));
+                state.current = ValueTracker::new(config);
+            }
         }
     }
 }
@@ -171,22 +173,10 @@ impl Analysis for TemporalProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_isa::{AluOp, Instruction, Reg};
 
     fn feed(profiler: &mut TemporalProfiler, index: u32, values: impl Iterator<Item = u64>) {
-        let program = vp_asm::assemble(".text\nmain: sys exit\n").unwrap();
-        let machine = vp_sim::Machine::new(program, vp_sim::MachineConfig::new()).unwrap();
-        for value in values {
-            let event = InstrEvent {
-                index,
-                instr: Instruction::Alu { op: AluOp::Add, rd: Reg::R1, rs: Reg::R0, rt: Reg::R0 },
-                dest: Some((Reg::R1, value)),
-                mem: None,
-                taken: None,
-                next_index: index + 1,
-            };
-            profiler.after_instr(&machine, &event);
-        }
+        let events: Vec<(u32, u64)> = values.map(|value| (index, value)).collect();
+        profiler.observe_values(&events);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * [`ProgramView`] — the static query interface (procedures → basic
 //!   blocks → instructions),
 //! * [`Analysis`] — the trait analysis tools implement; its callbacks
-//!   receive the executing [`vp_sim::Machine`] plus the event data,
+//!   receive the executing [`vp_sim::Machine`] plus the event data, or,
+//!   for an analysis that reads only destination values, program-order
+//!   blocks of `(index, value)` pairs ([`Analysis::VALUE_STREAM`]),
 //! * [`Instrumenter`] — selects instrumentation points
 //!   ([`Selection`]) and runs a program with the analysis attached,
 //!   counting every analysis invocation so profiling *overhead* can be
@@ -72,6 +74,6 @@ pub use parallel::{
     effective_jobs, parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions,
 };
 pub use plan::Selection;
-pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter};
+pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter, VALUE_BLOCK};
 pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceFile, TraceStats};
 pub use view::{InstrRef, ProcView, ProgramView};

@@ -6,24 +6,64 @@ use vp_sim::{ExecStats, InstrEvent, Machine, MachineConfig, MemAccess, RunOutcom
 
 use crate::plan::Selection;
 
+/// Events per value-stream block: 1024 `(index, value)` pairs, 16 KiB.
+/// Large enough that the per-block call vanishes, small enough that the
+/// block stays in L1 while the analysis consumes it.
+pub const VALUE_BLOCK: usize = 1024;
+
 /// An analysis tool: the instrumentation-time code of an ATOM tool.
 ///
 /// All callbacks have empty default bodies, so an analysis implements only
 /// the events it cares about. Callbacks receive the [`Machine`] *after* the
 /// instruction executed (ATOM's "instrument after" point, which is where
 /// the paper reads destination register values).
+///
+/// # Value-stream analyses
+///
+/// An analysis that reads nothing but each selected instruction's
+/// destination value sets [`VALUE_STREAM`](Analysis::VALUE_STREAM). The
+/// runner then buffers the `(instruction index, value)` pair of every
+/// selected instruction that writes a register, in program order, and
+/// hands the buffer to [`observe_values`](Analysis::observe_values) in
+/// blocks of [`VALUE_BLOCK`] events, so emulation and analysis no longer
+/// alternate on every instruction. The stream is never reordered,
+/// partitioned or deduplicated: the concatenated blocks are exactly the
+/// sequence a per-instruction `after_instr` would have seen. The last,
+/// partial block is delivered before [`Instrumenter::run`] returns, on
+/// success and on every error, so a run that faults leaves the analysis
+/// holding exactly the values of the instructions before the fault. Such
+/// an analysis receives no `after_instr`, `on_load` or `on_store` calls;
+/// [`EventCounts`] are unchanged. Procedure callbacks still fire as the
+/// calls happen, so they are not ordered against the buffered values.
 pub trait Analysis {
-    /// Called after every *selected* instruction executes.
+    /// Whether the analysis consumes the value stream in blocks through
+    /// [`observe_values`](Analysis::observe_values) instead of the
+    /// per-instruction callbacks. The runner branches on this constant,
+    /// so the choice costs nothing at run time.
+    const VALUE_STREAM: bool = false;
+
+    /// Receives the next block of the value stream, in program order:
+    /// one `(instruction index, destination value)` pair per selected
+    /// instruction that wrote a register. Called only when
+    /// [`VALUE_STREAM`](Analysis::VALUE_STREAM) is set.
+    fn observe_values(&mut self, events: &[(u32, Value)]) {
+        let _ = events;
+    }
+
+    /// Called after every *selected* instruction executes (not for a
+    /// value-stream analysis).
     fn after_instr(&mut self, machine: &Machine, event: &InstrEvent) {
         let _ = (machine, event);
     }
 
-    /// Called after every selected load with its effective address/value.
+    /// Called after every selected load with its effective address/value
+    /// (not for a value-stream analysis).
     fn on_load(&mut self, machine: &Machine, index: u32, access: &MemAccess) {
         let _ = (machine, index, access);
     }
 
-    /// Called after every selected store with its effective address/value.
+    /// Called after every selected store with its effective address/value
+    /// (not for a value-stream analysis).
     fn on_store(&mut self, machine: &Machine, index: u32, access: &MemAccess) {
         let _ = (machine, index, access);
     }
@@ -46,11 +86,13 @@ pub trait Analysis {
 /// ATOM tools; the event counts are the machine-independent cause).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
-    /// `after_instr` invocations.
+    /// Selected instruction executions: `after_instr` invocations, or
+    /// for a value-stream analysis the instructions it was offered.
     pub instr_events: u64,
-    /// `on_load` invocations.
+    /// Selected loads (`on_load` invocations, or for a value-stream
+    /// analysis the loads among its offered instructions).
     pub load_events: u64,
-    /// `on_store` invocations.
+    /// Selected stores, counted like `load_events`.
     pub store_events: u64,
     /// `on_proc_entry` invocations.
     pub entry_events: u64,
@@ -147,6 +189,10 @@ impl Instrumenter {
         // cut loose within milliseconds, cheap enough to vanish in the
         // uninstrumented path (one counter increment and branch).
         let mut tick = 0u64;
+        // A value-stream analysis's pending block; never allocated for the
+        // others, where `A::VALUE_STREAM` folds every use of it away.
+        let mut block: Vec<(u32, Value)> =
+            Vec::with_capacity(if A::VALUE_STREAM { VALUE_BLOCK } else { 0 });
 
         let outcome = machine.run_with(budget, |m, event| {
             tick += 1;
@@ -155,21 +201,41 @@ impl Instrumenter {
             }
             if selected.get(event.index as usize).copied().unwrap_or(false) {
                 counts.instr_events += 1;
-                analysis.after_instr(m, event);
+                if A::VALUE_STREAM {
+                    if let Some((_, value)) = event.dest {
+                        block.push((event.index, value));
+                        if block.len() == VALUE_BLOCK {
+                            analysis.observe_values(&block);
+                            block.clear();
+                        }
+                    }
+                } else {
+                    analysis.after_instr(m, event);
+                }
                 if let Some(access) = &event.mem {
                     if access.store {
                         counts.store_events += 1;
-                        analysis.on_store(m, event.index, access);
+                        if !A::VALUE_STREAM {
+                            analysis.on_store(m, event.index, access);
+                        }
                     } else {
                         counts.load_events += 1;
-                        analysis.on_load(m, event.index, access);
+                        if !A::VALUE_STREAM {
+                            analysis.on_load(m, event.index, access);
+                        }
                     }
                 }
             }
             if procs {
                 track_procedures(m, event, &mut call_stack, &mut counts, analysis);
             }
-        })?;
+        });
+        // The partial block goes out on every return path, faults and
+        // budget exhaustion included, before the error propagates.
+        if !block.is_empty() {
+            analysis.observe_values(&block);
+        }
+        let outcome = outcome?;
 
         let stats = machine.stats().clone();
         Ok(InstrumentedRun { outcome, counts, stats })

@@ -10,7 +10,6 @@ use value_profiling::predict::{
     evaluate, FilteredPredictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor,
     TwoLevelPredictor,
 };
-use value_profiling::sim::{InstrEvent, Machine};
 use value_profiling::workloads::{suite, DataSet};
 
 /// Collects the (pc, value) stream of all profiled loads.
@@ -18,10 +17,10 @@ use value_profiling::workloads::{suite, DataSet};
 struct StreamCollector(Vec<(u32, u64)>);
 
 impl Analysis for StreamCollector {
-    fn after_instr(&mut self, _machine: &Machine, event: &InstrEvent) {
-        if let Some((_, value)) = event.dest {
-            self.0.push((event.index, value));
-        }
+    const VALUE_STREAM: bool = true;
+
+    fn observe_values(&mut self, events: &[(u32, u64)]) {
+        self.0.extend_from_slice(events);
     }
 }
 

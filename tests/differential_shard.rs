@@ -19,7 +19,10 @@
 //! value stream profiles identically through live instrumentation, serial
 //! `observe_batch`, `profile_sharded(…, 7)`, and a streamed session of an
 //! in-process serve daemon; and every suite workload profiles identically
-//! live and from a replay of its VPC1 trace (`vprof replay`'s path).
+//! live and from a replay of its VPC1 trace (`vprof replay`'s path). Live
+//! profiling hands the profilers program-order blocks of values; in every
+//! mode, governed full and random sampling included, that profiles
+//! exactly like one `observe` per executed instruction.
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -29,13 +32,15 @@ use value_profiling::core::{
     durable, profile_sharded,
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
-    AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
-    ProfileMode, Profiler, SampleStrategy, SampledProfiler, StreamProfiler, ValueTracker,
+    AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, MemBudget,
+    PhaseBudget, ProfileMode, Profiler, SampleStrategy, SampledProfiler, StreamProfiler,
+    ValueTracker,
 };
 use value_profiling::instrument::frame::{self, FrameReader};
 use value_profiling::instrument::net::{self, SessionMsg};
-use value_profiling::instrument::{trace_codec, ChunkReader, Instrumenter, Selection};
+use value_profiling::instrument::{trace_codec, Analysis, ChunkReader, Instrumenter, Selection};
 use value_profiling::obs::Counts;
+use value_profiling::sim::{InstrEvent, Machine};
 use value_profiling::workloads::{suite, DataSet};
 use vp_bench::serve::{serve, ServeConfig};
 use vp_bench::{value_stream, BUDGET};
@@ -370,6 +375,46 @@ fn every_mode_profiles_identically_through_every_engine_path() {
             "{mode:?} live vs serve session"
         );
     }
+}
+
+/// The per-event reference for live profiling: every `after_instr`
+/// forwarded to `observe`, one instruction at a time.
+struct PerEvent(Profiler);
+
+impl Analysis for PerEvent {
+    fn after_instr(&mut self, _m: &Machine, ev: &InstrEvent) {
+        if let Some((_, value)) = ev.dest {
+            self.0.observe(ev.index, value);
+        }
+    }
+}
+
+#[test]
+fn live_value_blocks_profile_identically_to_per_event_delivery() {
+    // Every mode plus the two whose state depends on the global event
+    // order: governed full profiling under a budget tight enough to
+    // degrade entities, and random sampling.
+    let mut cases: Vec<(ProfileMode, Option<MemBudget>)> =
+        modes().into_iter().map(|mode| (mode, None)).collect();
+    cases.push((ProfileMode::Full, Some(MemBudget::bytes(48 * 1024))));
+    cases.push((ProfileMode::Sampled(SampleStrategy::Random { period: 7 }), None));
+    let instrumenter = Instrumenter::new().select(Selection::RegisterDefining);
+    let mut degraded = 0;
+    for w in &suite() {
+        let cfg = || w.machine_config(DataSet::Test);
+        for &(mode, budget) in &cases {
+            let mut live = mode.build(mode.tracker(), budget);
+            let run = live.run_live(&instrumenter, w.program(), cfg(), BUDGET).unwrap();
+            let mut reference = PerEvent(mode.build(mode.tracker(), budget));
+            let ref_run = instrumenter.run(w.program(), cfg(), BUDGET, &mut reference).unwrap();
+            assert_eq!(run.counts, ref_run.counts, "{} {mode:?}", w.name());
+            let at = format!("{} {mode:?} budget={budget:?} blocks vs per-event", w.name());
+            assert_same_profile(&reference.0, &live, &at);
+            assert_eq!(reference.0.governor_stats(), live.governor_stats(), "{at}");
+            degraded += live.governor_stats().map_or(0, |g| g.entities_degraded);
+        }
+    }
+    assert!(degraded > 0, "the tight budget must degrade entities");
 }
 
 #[test]

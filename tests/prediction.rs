@@ -6,16 +6,15 @@ use value_profiling::predict::{
     evaluate, FilteredPredictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor,
     TwoLevelPredictor,
 };
-use value_profiling::sim::{InstrEvent, Machine};
 use value_profiling::workloads::{suite, DataSet, Workload};
 
 fn stream_of(w: &Workload) -> Vec<(u32, u64)> {
     struct Collector(Vec<(u32, u64)>);
     impl Analysis for Collector {
-        fn after_instr(&mut self, _m: &Machine, ev: &InstrEvent) {
-            if let Some((_, v)) = ev.dest {
-                self.0.push((ev.index, v));
-            }
+        const VALUE_STREAM: bool = true;
+
+        fn observe_values(&mut self, events: &[(u32, u64)]) {
+            self.0.extend_from_slice(events);
         }
     }
     let mut c = Collector(Vec::new());
