@@ -398,6 +398,32 @@ mod tests {
     }
 
     #[test]
+    fn record_with_retired_trace_counters_still_resumes() {
+        // Entity-sharded suite runs once added `trace_shards`,
+        // `trace_events` and `trace_chunks` to each record's events.
+        // Such a checkpoint must still resume, keeping every counter
+        // that still exists.
+        let path = tmp("retired_counters.jsonl");
+        let profile = SuiteRunner::new().run_workloads(&suite()[..1], DataSet::Test);
+        let w = &profile.workloads[0];
+        let mut rec = checkpoint_record(w);
+        let Json::Obj(fields) = &mut rec else { panic!("a record is an object") };
+        let Some((_, Json::Obj(events))) = fields.iter_mut().find(|(k, _)| k == "events") else {
+            panic!("a record carries an events object")
+        };
+        for (name, n) in [("trace_shards", 2), ("trace_events", 41_210), ("trace_chunks", 11)] {
+            events.push((name.to_string(), Json::U64(n)));
+        }
+        std::fs::write(&path, to_jsonl(&[rec])).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        assert_eq!(summary, ResumeSummary { restored: 1, dropped_tail: None });
+        let r = resumed.restored(w.name).unwrap();
+        assert!(w.events.total() > 0);
+        assert_eq!(r.events, w.events);
+        assert_eq!(r.metrics, w.metrics);
+    }
+
+    #[test]
     fn torn_final_record_is_dropped_on_resume() {
         let path = tmp("torn.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);

@@ -138,7 +138,7 @@ pub struct WorkerSpec {
     /// The `vprof` binary.
     pub bin: PathBuf,
     /// Arguments selecting the hidden `worker` subcommand plus every
-    /// profiling flag the run needs (data set, mode, shards, deadline…).
+    /// profiling flag the run needs (data set, mode, deadline…).
     pub args: Vec<String>,
     /// Pool size — the process-level analogue of `--jobs`.
     pub workers: usize,
@@ -565,8 +565,8 @@ fn write_result_frame<W: Write>(
 
 /// The worker side of the protocol: serve assignments from stdin until
 /// an exit frame (or the parent's death) ends the session. `runner` must
-/// be configured exactly like the parent's (mode, shards, budget,
-/// deadline, baseline) with [`crate::suite::RetryPolicy::none`] — the
+/// be configured exactly like the parent's (mode, budget, deadline,
+/// baseline) with [`crate::suite::RetryPolicy::none`] — the
 /// parent owns retries — and `plan` is the worker's own scope-filtered
 /// fault plan.
 pub fn serve_worker(runner: &SuiteRunner, ds: DataSet, plan: &FaultPlan) -> io::Result<()> {

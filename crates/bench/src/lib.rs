@@ -17,7 +17,7 @@ pub mod suite;
 pub mod telemetry;
 
 use vp_core::{track::TrackerConfig, InstructionProfiler};
-use vp_instrument::{InstrumentedRun, Instrumenter, Selection};
+use vp_instrument::{Instrumenter, Selection};
 use vp_workloads::{DataSet, Workload};
 
 pub use checkpoint::{Checkpoint, ResumeSummary};
@@ -75,22 +75,6 @@ pub fn all_instr_profile(workload: &Workload, ds: DataSet) -> InstructionProfile
 ///
 /// Panics if the workload run faults.
 pub fn value_stream(workload: &Workload, ds: DataSet, selection: Selection) -> Vec<(u32, u64)> {
-    record_stream(&Instrumenter::new().select(selection), workload, ds, BUDGET).0
-}
-
-/// Runs `workload` once under `instrumenter` for at most `budget`
-/// instructions, collecting the selected `(pc, value)` stream alongside
-/// the run's event counts.
-///
-/// # Panics
-///
-/// Panics if the workload run faults.
-pub(crate) fn record_stream(
-    instrumenter: &Instrumenter,
-    workload: &Workload,
-    ds: DataSet,
-    budget: u64,
-) -> (Vec<(u32, u64)>, InstrumentedRun) {
     struct Collector(Vec<(u32, u64)>);
     impl vp_instrument::Analysis for Collector {
         const VALUE_STREAM: bool = true;
@@ -100,10 +84,11 @@ pub(crate) fn record_stream(
         }
     }
     let mut collector = Collector(Vec::new());
-    let run = instrumenter
-        .run(workload.program(), workload.machine_config(ds), budget, &mut collector)
+    Instrumenter::new()
+        .select(selection)
+        .run(workload.program(), workload.machine_config(ds), BUDGET, &mut collector)
         .unwrap_or_else(|e| panic!("{} [{}]: {e}", workload.name(), ds.name()));
-    (collector.0, run)
+    collector.0
 }
 
 #[cfg(test)]

@@ -16,9 +16,7 @@ use vp_core::{
     Aggregate, EntityMetrics, FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode,
     ReportRow,
 };
-use vp_instrument::{
-    trace_codec, try_parallel_map, FailureKind, Instrumenter, MapOptions, Selection, TraceFile,
-};
+use vp_instrument::{try_parallel_map, FailureKind, Instrumenter, MapOptions, Selection};
 use vp_obs::recorder::Stopwatch;
 use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
 use vp_sim::Machine;
@@ -254,7 +252,6 @@ impl SuiteOutcome {
 #[derive(Clone)]
 pub struct SuiteRunner {
     jobs: usize,
-    shards: usize,
     selection: Selection,
     tracker: TrackerConfig,
     budget: u64,
@@ -272,7 +269,6 @@ impl fmt::Debug for SuiteRunner {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SuiteRunner")
             .field("jobs", &self.jobs)
-            .field("shards", &self.shards)
             .field("selection", &self.selection)
             .field("tracker", &self.tracker)
             .field("budget", &self.budget)
@@ -299,7 +295,6 @@ impl SuiteRunner {
     pub fn new() -> SuiteRunner {
         SuiteRunner {
             jobs: 1,
-            shards: 1,
             selection: Selection::LoadsOnly,
             tracker: TrackerConfig::with_full(),
             budget: BUDGET,
@@ -317,20 +312,6 @@ impl SuiteRunner {
     /// Sets the worker count (0 = available parallelism, 1 = serial).
     pub fn jobs(mut self, jobs: usize) -> SuiteRunner {
         self.jobs = jobs;
-        self
-    }
-
-    /// Sets the intra-workload shard count (0 or 1 = serial). With
-    /// `shards > 1` each workload is executed once to record its value
-    /// trace, which is then profiled across `shards` entity-sharded
-    /// workers and merged ([`vp_core::profile_sharded`]). Bit-identical
-    /// to a serial run for every [`ProfileMode`] except random sampling
-    /// (whose single generator depends on the global interleaving) —
-    /// that equivalence is what `tests/differential_shard.rs` proves.
-    /// Unlike [`jobs`](SuiteRunner::jobs), this helps even when one
-    /// large workload dominates the suite.
-    pub fn shards(mut self, shards: usize) -> SuiteRunner {
-        self.shards = shards;
         self
     }
 
@@ -409,11 +390,10 @@ impl SuiteRunner {
     /// Arms a per-workload memory budget for [`ProfileMode::Full`]: each
     /// workload's profiler accounts every tracked byte and, when over
     /// budget, walks the degradation ladder (full-profile → TNV-only →
-    /// dropped; see [`vp_core::govern`]). Sharded runs split the budget
-    /// evenly across shards ([`MemBudget::split`]), so the summed peaks
-    /// stay bounded. Convergent and sampled modes already run in constant
-    /// space per entity and are not governed. `None` (the default) leaves
-    /// every profile byte-identical to an ungoverned run.
+    /// dropped; see [`vp_core::govern`]). Convergent and sampled modes
+    /// already run in constant space per entity and are not governed.
+    /// `None` (the default) leaves every profile byte-identical to an
+    /// ungoverned run.
     pub fn mem_budget(mut self, budget: Option<MemBudget>) -> SuiteRunner {
         self.mem_budget = budget;
         self
@@ -651,44 +631,15 @@ impl SuiteRunner {
         }
     }
 
-    // Profiles one workload with the mode's engine profiler. Serially the
-    // profiler runs attached live; with `shards > 1` the run records the
-    // selected `(pc, value)` stream once, round-trips it through the
-    // binary trace codec (the same chunked, CRC-checked path as `vprof
-    // record` / `vprof replay`), and profiles it across entity-sharded
-    // workers. Delivered-event counts come from the run either way and
-    // the merged profiler's metrics match a live run exactly (see
-    // `vp_core::shard` for the argument, `tests/differential_shard.rs`
-    // for the proof).
+    // Profiles one workload with the mode's engine profiler attached live.
     fn profile_one(&self, w: &Workload, ds: DataSet) -> WorkloadProfile {
         let instrumenter = Instrumenter::new().select(self.selection.clone());
         let mut events = Counts::new();
         let clock = Stopwatch::start();
-        let (profiler, run) = if self.shards > 1 {
-            let (stream, run) = crate::record_stream(&instrumenter, w, ds, self.budget);
-            let file = TraceFile::from_bytes(trace_codec::encode(
-                &stream,
-                trace_codec::DEFAULT_CHUNK_EVENTS,
-            ));
-            drop(stream);
-            let mut reader = file
-                .reader()
-                .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
-            let profiler = self
-                .mode
-                .profile_trace(self.tracker, self.mem_budget, &mut reader, self.shards)
-                .unwrap_or_else(|e| panic!("{} [{}]: trace codec: {e}", w.name(), ds.name()));
-            events.add(CounterId::TraceShards, self.shards as u64);
-            events.add(CounterId::TraceEvents, reader.events_read());
-            events.add(CounterId::TraceChunks, reader.chunks_read() as u64);
-            (profiler, run)
-        } else {
-            let mut profiler = self.mode.build(self.tracker, self.mem_budget);
-            let run = profiler
-                .run_live(&instrumenter, w.program(), w.machine_config(ds), self.budget)
-                .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
-            (profiler, run)
-        };
+        let mut profiler = self.mode.build(self.tracker, self.mem_budget);
+        let run = profiler
+            .run_live(&instrumenter, w.program(), w.machine_config(ds), self.budget)
+            .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
         let metrics = profiler.metrics();
         let wall_ns = clock.elapsed_ns();
         profiler.add_events_to(&mut events);
@@ -732,7 +683,7 @@ impl SuiteRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_core::{PhaseBudget, SampleStrategy};
+    use vp_core::PhaseBudget;
 
     #[test]
     fn serial_profiles_whole_suite() {
@@ -766,39 +717,6 @@ mod tests {
         for w in &profile.workloads {
             assert!(w.profile_fraction <= 1.0);
             assert!(w.aggregate.executions > 0);
-        }
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_for_exact_modes() {
-        let workloads = &suite()[..2];
-        for mode in [
-            ProfileMode::Full,
-            ProfileMode::Convergent,
-            ProfileMode::Adaptive(PhaseBudget::default()),
-            ProfileMode::Sampled(SampleStrategy::Periodic { period: 10 }),
-        ] {
-            let serial = SuiteRunner::new().mode(mode).run_workloads(workloads, DataSet::Test);
-            let sharded =
-                SuiteRunner::new().mode(mode).shards(7).run_workloads(workloads, DataSet::Test);
-            for (s, h) in serial.workloads.iter().zip(&sharded.workloads) {
-                assert_eq!(s.metrics, h.metrics, "{} {mode:?}", s.name);
-                assert_eq!(s.profile_fraction, h.profile_fraction, "{}", s.name);
-                assert_eq!(s.instructions, h.instructions, "{}", s.name);
-                assert_eq!(s.phase, h.phase, "{} {mode:?}", s.name);
-                // Event counters agree too, once the sharded-only trace
-                // counters are accounted for: over loads, every delivered
-                // event is one trace event.
-                let mut expect = s.events;
-                expect.add(CounterId::TraceShards, 7);
-                let trace_events = s.events.get(CounterId::InstrEvents);
-                expect.add(CounterId::TraceEvents, trace_events);
-                expect.add(
-                    CounterId::TraceChunks,
-                    trace_events.div_ceil(trace_codec::DEFAULT_CHUNK_EVENTS as u64),
-                );
-                assert_eq!(h.events, expect, "{} {mode:?}", s.name);
-            }
         }
     }
 
@@ -948,18 +866,15 @@ mod tests {
     }
 
     #[test]
-    fn governed_sharded_run_matches_governed_serial() {
+    fn governed_parallel_run_matches_governed_serial() {
         let workloads = &suite()[..2];
         let budget = Some(MemBudget::bytes(48 * 1024));
         let serial = SuiteRunner::new().mem_budget(budget).run_workloads(workloads, DataSet::Test);
-        let sharded = SuiteRunner::new()
-            .mem_budget(budget)
-            .shards(1)
-            .jobs(4)
-            .run_workloads(workloads, DataSet::Test);
-        for (s, h) in serial.workloads.iter().zip(&sharded.workloads) {
-            assert_eq!(s.metrics, h.metrics, "{}", s.name);
-            assert_eq!(s.governor, h.governor, "{}", s.name);
+        let parallel =
+            SuiteRunner::new().mem_budget(budget).jobs(4).run_workloads(workloads, DataSet::Test);
+        for (s, p) in serial.workloads.iter().zip(&parallel.workloads) {
+            assert_eq!(s.metrics, p.metrics, "{}", s.name);
+            assert_eq!(s.governor, p.governor, "{}", s.name);
         }
     }
 

@@ -28,13 +28,13 @@ const USAGE: &str = "usage:
   vprof assemble <file.s> -o <file.vpo>
   vprof disasm <target>
   vprof profile <target> [--train] [--all|--loads|--memory|--params] [--convergent] [--top N] [--save FILE]
-  vprof profile-suite [--train] [--all] [--convergent] [--jobs N|--workers N] [--shards N]
-                      [--baseline] [--adaptive [--phase-window N] [--max-rearms N]]
+  vprof profile-suite [--train] [--all] [--convergent] [--jobs N|--workers N] [--baseline]
+                      [--adaptive [--phase-window N] [--max-rearms N]]
                       [--telemetry FILE] [--retries N] [--checkpoint FILE [--resume]]
                       [--deadline-ms N] [--mem-budget-mb N]
   vprof record <target> [-o <file.vpc>] [--train] [--all] [--deadline-ms N]
                       [--chunk-events N]
-  vprof replay <file.vpc> [--shards N] [--save FILE] [--deadline-ms N] [--mem-budget-mb N]
+  vprof replay <file.vpc> [--save FILE] [--deadline-ms N] [--mem-budget-mb N]
                       [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
   vprof serve --socket SOCK [--state-dir DIR] [--resume] [--max-sessions N]
                       [--max-tenants N] [--tenant-sessions N] [--window N]
@@ -50,7 +50,7 @@ const USAGE: &str = "usage:
   vprof compare <workload>
   vprof predict <workload> [--train]
   vprof experiment <E#|all> [--jobs N] [--telemetry FILE]
-  vprof optimize [--jobs N|--workers N] [--shards N]
+  vprof optimize [--jobs N|--workers N]
                       [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
                       [--min-invariance P] [--min-executions N] [--max-ways N]
                       [--report FILE] [--telemetry FILE] [--retries N]
@@ -83,7 +83,7 @@ type Handler = fn(&Args<'_>) -> Result<(), String>;
 /// configuration `profile-suite --workers N` forwards to its children.
 const WORKER: Spec = Spec {
     switches: "--train --all --convergent --adaptive --baseline",
-    options: "--shards --phase-window --max-rearms --deadline-ms --mem-budget-mb",
+    options: "--phase-window --max-rearms --deadline-ms --mem-budget-mb",
     positionals: 0,
 };
 
@@ -107,7 +107,7 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "profile-suite" => (
             Spec {
                 switches: "--train --all --convergent --adaptive --baseline --resume",
-                options: "--jobs --workers --shards --phase-window --max-rearms --telemetry \
+                options: "--jobs --workers --phase-window --max-rearms --telemetry \
                           --retries --checkpoint --deadline-ms --mem-budget-mb",
                 positionals: 0,
             },
@@ -128,8 +128,7 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "replay" => (
             Spec {
                 switches: "--convergent --adaptive",
-                options: "--shards --save --deadline-ms --mem-budget-mb --phase-window \
-                          --max-rearms",
+                options: "--save --deadline-ms --mem-budget-mb --phase-window --max-rearms",
                 positionals: 1,
             },
             replay_cmd,
@@ -167,7 +166,7 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "optimize" => (
             Spec {
                 switches: "--convergent --adaptive --resume",
-                options: "--jobs --workers --shards --phase-window --max-rearms \
+                options: "--jobs --workers --phase-window --max-rearms \
                           --min-invariance --min-executions --max-ways --report --telemetry \
                           --retries --checkpoint --deadline-ms --mem-budget-mb",
                 positionals: 0,
@@ -348,7 +347,7 @@ fn mode_name(mode: ProfileMode) -> &'static str {
 /// The suite-runner configuration `profile-suite`, `optimize` and the
 /// hidden `worker` share, parsed once by [`suite_args`].
 struct SuiteArgs {
-    /// Jobs, shards, retries, faults, deadline, memory budget, mode and
+    /// Jobs, retries, faults, deadline, memory budget, mode and
     /// checkpoint applied; each command adds its selection, recorder and
     /// baseline.
     runner: SuiteRunner,
@@ -359,9 +358,9 @@ struct SuiteArgs {
     plan: Arc<FaultPlan>,
 }
 
-/// Parses `--jobs N` | `--workers N`, `--shards N`, `--retries N`,
-/// `--deadline-ms N`, `--mem-budget-mb N`, the mode flags, and
-/// `--checkpoint FILE [--resume]` into a configured [`SuiteRunner`].
+/// Parses `--jobs N` | `--workers N`, `--retries N`, `--deadline-ms N`,
+/// `--mem-budget-mb N`, the mode flags, and `--checkpoint FILE
+/// [--resume]` into a configured [`SuiteRunner`].
 /// `$VP_FAULTS` arms the fault plan.
 fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
     use vp_bench::{Checkpoint, RetryPolicy};
@@ -374,7 +373,6 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
         );
     }
     let jobs = jobs.unwrap_or(1);
-    let shards = args.at_least("--shards", 1)?.unwrap_or(1);
     let mut policy = RetryPolicy::default();
     policy.max_retries = args.get("--retries")?.unwrap_or(policy.max_retries);
     let plan = Arc::new(FaultPlan::from_env()?);
@@ -382,7 +380,6 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
     let (mode, mem_budget) = mode_arg(args)?;
     let mut runner = SuiteRunner::new()
         .jobs(jobs)
-        .shards(shards)
         .retry(policy)
         .faults(Arc::clone(&plan))
         .deadline(deadline)
@@ -590,9 +587,6 @@ fn profile(args: &Args) -> Result<(), String> {
 
 /// Profiles the whole workload suite, optionally across worker threads.
 /// One workload per worker, so `--jobs N` output matches a serial run.
-/// `--shards N` additionally parallelizes *within* each workload: the
-/// value stream is recorded once, split by entity, and profiled across
-/// N threads — also output-identical to serial (see `vp_core::shard`).
 /// Run telemetry lands in `--telemetry FILE` (default: `$VP_TELEMETRY`,
 /// else `telemetry.jsonl`); inspect it with `vprof stats <file>`.
 ///
@@ -743,7 +737,7 @@ fn worker_spec(
 
 /// Hidden subcommand: the child end of `profile-suite --workers N`.
 /// Builds the same profiling configuration the parent would (selection,
-/// mode, shards, deadline, memory budget, baseline) and serves workload
+/// mode, deadline, memory budget, baseline) and serves workload
 /// assignments over the stdin/stdout frame protocol until told to exit.
 /// Retries, checkpointing, and telemetry stay with the parent; fault
 /// injection re-arms from this process's own `$VP_FAULTS` view, with
@@ -972,7 +966,7 @@ fn verify_cmd(args: &Args) -> Result<(), String> {
 /// Records a workload's selected `(pc, value)` stream into the chunked,
 /// CRC-checked binary trace format (`vp_instrument::trace_codec`). The
 /// workload executes once; `vprof replay` can then re-profile the trace
-/// any number of times — serially or sharded — without re-running it.
+/// any number of times, in any mode, without re-running it.
 /// `--deadline-ms N` bounds the recording run's wall clock: a run past
 /// its deadline is cancelled cooperatively and no trace file is written.
 fn record_cmd(args: &Args) -> Result<(), String> {
@@ -1021,18 +1015,14 @@ fn record_cmd(args: &Args) -> Result<(), String> {
 /// Replays a binary trace written by `vprof record` through the value
 /// profiler of the chosen mode (full by default; `--convergent` or
 /// `--adaptive` reweight metrics to true totals, so the table is directly
-/// comparable to a full replay's). `--shards N` splits the replay by
-/// entity across N worker threads; the output is byte-identical to a
-/// serial replay (see `vp_core::shard`). An empty trace replays to the
-/// same zero-row profile an empty workload produces; a corrupt or
-/// truncated trace is rejected, never mis-decoded. `--deadline-ms N`
-/// bounds the replay's wall clock (checked at every chunk boundary);
+/// comparable to a full replay's). An empty trace replays to the same
+/// zero-row profile an empty workload produces; a corrupt or truncated
+/// trace is rejected, never mis-decoded. `--deadline-ms N` bounds the
+/// replay's wall clock (checked at every chunk boundary);
 /// `--mem-budget-mb N` caps the full profiler's memory via the
-/// degradation ladder (`vp_core::govern`), split evenly across the
-/// partitions of a sharded replay.
+/// degradation ladder (`vp_core::govern`).
 fn replay_cmd(args: &Args) -> Result<(), String> {
     let target = args.target()?;
-    let shards = args.at_least("--shards", 1)?.unwrap_or(1);
     let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
     // Zero-copy input: the trace is mapped (or read, on the fallback
@@ -1044,7 +1034,7 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
     let replay = || -> Result<(vp_core::Profiler, u64, u64), String> {
         let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
         let profiler = mode
-            .profile_trace(mode.tracker(), mem_budget, &mut reader, shards)
+            .profile_trace(mode.tracker(), mem_budget, &mut reader)
             .map_err(|e| format!("{target}: {e}"))?;
         Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
     };
@@ -1065,9 +1055,7 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
     println!(
         "{}",
         render_metric_table(
-            &format!(
-                "{title} replayed from {target} ({events_read} events, {chunks_read} chunks, {shards} shard(s))",
-            ),
+            &format!("{title} replayed from {target} ({events_read} events, {chunks_read} chunks)"),
             &rows
         )
     );
@@ -1226,7 +1214,7 @@ fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, 
 }
 
 /// `vprof optimize`: the end-to-end PGO loop. Profiles the suite on the
-/// *train* input (through `SuiteRunner`, so `--jobs/--workers/--shards`,
+/// *train* input (through `SuiteRunner`, so `--jobs/--workers`,
 /// the governor, checkpointing and fault injection all apply), plans
 /// semi-invariant candidates from the per-load metrics, specializes each
 /// program behind runtime guards, and re-runs original vs specialized on
@@ -1390,7 +1378,6 @@ mod tests {
             tel
         ]))
         .is_ok());
-        assert!(dispatch(&args(&["profile-suite", "--shards", "2", "--telemetry", tel])).is_ok());
     }
 
     #[test]
@@ -1526,10 +1513,9 @@ mod tests {
         let out_s = out.to_str().unwrap();
         assert!(dispatch(&args(&["record", "li", "-o", out_s, "--deadline-ms", "60000"])).is_ok());
         // A generous budget replays to the same profile as an ungoverned
-        // replay, serially and sharded.
+        // replay.
         let plain = dir.join("plain.tsv");
         let governed = dir.join("governed.tsv");
-        let sharded = dir.join("sharded.tsv");
         assert!(dispatch(&args(&["replay", out_s, "--save", plain.to_str().unwrap()])).is_ok());
         assert!(dispatch(&args(&[
             "replay",
@@ -1542,19 +1528,7 @@ mod tests {
             governed.to_str().unwrap()
         ]))
         .is_ok());
-        assert!(dispatch(&args(&[
-            "replay",
-            out_s,
-            "--mem-budget-mb",
-            "64",
-            "--shards",
-            "4",
-            "--save",
-            sharded.to_str().unwrap()
-        ]))
-        .is_ok());
         assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&governed).unwrap());
-        assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&sharded).unwrap());
     }
 
     #[test]
@@ -1592,36 +1566,13 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_replay_matches_across_shards() {
+    fn adaptive_replay_applies_the_window_override() {
         let dir = std::env::temp_dir().join("vprof-cli-test-adaptive-replay");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
         assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
-        let serial = dir.join("serial.tsv");
-        let sharded = dir.join("sharded.tsv");
-        assert!(dispatch(&args(&[
-            "replay",
-            out_s,
-            "--adaptive",
-            "--save",
-            serial.to_str().unwrap()
-        ]))
-        .is_ok());
-        assert!(dispatch(&args(&[
-            "replay",
-            out_s,
-            "--adaptive",
-            "--phase-window",
-            "256",
-            "--shards",
-            "4",
-            "--save",
-            sharded.to_str().unwrap()
-        ]))
-        .is_ok());
-        // Serial and sharded adaptive replays write identical profiles
-        // (the window override cannot break entity-shard determinism).
+        let [replayed, expected] = ["replayed.tsv", "expected.tsv"].map(|n| dir.join(n));
         assert!(dispatch(&args(&[
             "replay",
             out_s,
@@ -1629,10 +1580,16 @@ mod tests {
             "--phase-window",
             "256",
             "--save",
-            serial.to_str().unwrap()
+            replayed.to_str().unwrap()
         ]))
         .is_ok());
-        assert_eq!(std::fs::read(&serial).unwrap(), std::fs::read(&sharded).unwrap());
+        // The replay profiled with the overridden window, not the default.
+        let mode = ProfileMode::Adaptive(PhaseBudget { window: 256, ..PhaseBudget::default() });
+        let file = vp_instrument::TraceFile::open(&out).unwrap();
+        let profiler =
+            mode.profile_trace(mode.tracker(), None, &mut file.reader().unwrap()).unwrap();
+        vp_core::durable::write_profile(&expected, &profiler.metrics()).unwrap();
+        assert_eq!(std::fs::read(&replayed).unwrap(), std::fs::read(&expected).unwrap());
         assert!(dispatch(&args(&["replay", out_s, "--adaptive", "--mem-budget-mb", "64"]))
             .unwrap_err()
             .contains("not supported with --adaptive"));
@@ -1656,29 +1613,17 @@ mod tests {
     }
 
     #[test]
-    fn convergent_replay_matches_across_shards() {
+    fn convergent_replay_differs_from_a_full_replay() {
         let dir = std::env::temp_dir().join("vprof-cli-test-convergent-replay");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
         assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
-        let [full, serial, sharded] = ["full", "serial", "sharded"].map(|n| dir.join(n));
+        let [full, convergent] = ["full", "convergent"].map(|n| dir.join(n));
         assert!(dispatch(&args(&["replay", out_s, "--save", full.to_str().unwrap()])).is_ok());
-        let serial_s = serial.to_str().unwrap();
-        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--save", serial_s])).is_ok());
-        let sharded_s = sharded.to_str().unwrap();
-        assert!(dispatch(&args(&[
-            "replay",
-            out_s,
-            "--convergent",
-            "--shards",
-            "3",
-            "--save",
-            sharded_s
-        ]))
-        .is_ok());
-        assert_eq!(std::fs::read(&serial).unwrap(), std::fs::read(&sharded).unwrap());
-        assert_ne!(std::fs::read(&serial).unwrap(), std::fs::read(&full).unwrap());
+        let convergent_s = convergent.to_str().unwrap();
+        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--save", convergent_s])).is_ok());
+        assert_ne!(std::fs::read(&convergent).unwrap(), std::fs::read(&full).unwrap());
         assert!(dispatch(&args(&["replay", out_s, "--convergent", "--mem-budget-mb", "64"]))
             .unwrap_err()
             .contains("not supported with --convergent"));
@@ -1791,21 +1736,12 @@ mod tests {
         let out_s = out.to_str().unwrap();
         assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
         assert!(dispatch(&args(&["replay", out_s])).is_ok());
-        // A sharded replay, its flags given before the trace, writes the
-        // same profile as a serial one.
-        let serial = dir.join("serial.tsv");
-        let sharded = dir.join("sharded.tsv");
-        assert!(dispatch(&args(&["replay", out_s, "--save", serial.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&[
-            "replay",
-            "--shards",
-            "4",
-            "--save",
-            sharded.to_str().unwrap(),
-            out_s
-        ]))
-        .is_ok());
-        assert_eq!(std::fs::read(&serial).unwrap(), std::fs::read(&sharded).unwrap());
+        // A replay with its flags given before the trace writes the same
+        // profile as one with them after it.
+        let [last, first] = ["flags-last.tsv", "flags-first.tsv"].map(|n| dir.join(n));
+        assert!(dispatch(&args(&["replay", out_s, "--save", last.to_str().unwrap()])).is_ok());
+        assert!(dispatch(&args(&["replay", "--save", first.to_str().unwrap(), out_s])).is_ok());
+        assert_eq!(std::fs::read(&last).unwrap(), std::fs::read(&first).unwrap());
         // Corruption anywhere in the file is rejected, never mis-decoded.
         let mut bytes = std::fs::read(&out).unwrap();
         let mid = bytes.len() / 2;
@@ -1823,11 +1759,12 @@ mod tests {
         let out = dir.join("empty.vpc");
         let out_s = out.to_str().unwrap();
         // A trace with a header and trailer but zero events replays to a
-        // zero-row profile without panicking, serially and sharded.
+        // zero-row profile without panicking, in every mode.
         std::fs::write(&out, vp_instrument::TraceEncoder::new().finish()).unwrap();
         let saved = dir.join("empty.tsv");
         assert!(dispatch(&args(&["replay", out_s, "--save", saved.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["replay", out_s, "--shards", "3"])).is_ok());
+        assert!(dispatch(&args(&["replay", out_s, "--convergent"])).is_ok());
+        assert!(dispatch(&args(&["replay", out_s, "--adaptive"])).is_ok());
         let text = std::fs::read_to_string(&saved).unwrap();
         assert!(vp_core::parse_profile(&text).unwrap().is_empty());
         // The bare magic with no trailer is truncated, not empty.
@@ -1916,7 +1853,7 @@ mod tests {
     #[test]
     fn flags_may_come_before_the_target() {
         let pairs: [(&[&str], &[&str]); 4] = [
-            (&["replay", "--shards", "2", "li.vpc"], &["replay", "li.vpc", "--shards", "2"]),
+            (&["replay", "--save", "p.tsv", "li.vpc"], &["replay", "li.vpc", "--save", "p.tsv"]),
             (&["record", "-o", "li.vpc", "li"], &["record", "li", "-o", "li.vpc"]),
             (&["profile", "--top", "3", "li"], &["profile", "li", "--top", "3"]),
             (&["client", "--connect", "S", "li.vpc"], &["client", "li.vpc", "--connect", "S"]),
@@ -1940,15 +1877,17 @@ mod tests {
             (&["replay", "li.vpc", "extra.vpc"], "unexpected argument `extra.vpc`"),
             (&["optimize", "50"], "unexpected argument `50`"),
             (&["optimize", "--demo", "50", "--jobs", "2"], "unknown flag `--jobs`"),
-            (&["replay", "li.vpc", "--shards"], "`--shards` needs a value"),
-            (&["replay", "li.vpc", "--save", "--shards", "2"], "`--save` needs a value"),
+            (&["replay", "li.vpc", "--deadline-ms"], "`--deadline-ms` needs a value"),
+            (&["replay", "li.vpc", "--save", "--deadline-ms", "2"], "`--save` needs a value"),
+            // No subcommand splits one workload across threads.
+            (&["profile-suite", "--shards", "2"], "unknown flag `--shards`"),
+            (&["optimize", "--shards", "2"], "unknown flag `--shards`"),
+            (&["replay", "li.vpc", "--shards", "2"], "unknown flag `--shards`"),
             (&["profile", "li", "--all", "--all"], "`--all` given twice"),
             (&["trace", "li"], "unknown command `trace`"),
             (&["profile", "vortex", "--top", "NaN"], "bad --top value `NaN`"),
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
             (&["profile-suite", "--workers", "some"], "bad --workers value `some`"),
-            (&["profile-suite", "--shards", "many"], "bad --shards value `many`"),
-            (&["profile-suite", "--shards", "0"], "bad --shards value `0` (need at least 1)"),
             (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
             (&["profile-suite", "--mem-budget-mb", "lots"], "bad --mem-budget-mb value `lots`"),
@@ -1958,13 +1897,10 @@ mod tests {
             ),
             (&["profile-suite", "--adaptive", "--max-rearms", "lots"], "bad --max-rearms value"),
             (&["optimize", "--jobs", "many"], "bad --jobs value `many`"),
-            (&["optimize", "--shards", "0"], "bad --shards value `0`"),
             (&["optimize", "--min-invariance", "1.5"], "bad --min-invariance value `1.5`"),
             (&["optimize", "--max-ways", "0"], "bad --max-ways value `0`"),
             // The format check comes before the mode check.
             (&["optimize", "--convergent", "--mem-budget-mb", "lots"], "bad --mem-budget-mb"),
-            (&["replay", "li.vpc", "--shards", "many"], "bad --shards value `many`"),
-            (&["replay", "li.vpc", "--shards", "0"], "bad --shards value `0`"),
             (&["record", "li", "--chunk-events", "0"], "bad --chunk-events value `0`"),
             (&["client", "li.vpc", "--connect", "S", "--window", "0"], "bad --window value `0`"),
             (&["serve", "--socket", "S", "--max-sessions", "0"], "bad --max-sessions value `0`"),

@@ -4,7 +4,7 @@
 //! The paper's profilers — full TNV tracking and convergent sampling —
 //! and this reproduction's adaptive and sampled variants all consume the
 //! same `(pc, value)` stream. Every execution path (the suite runner's
-//! live and sharded passes, `vprof replay`, the serve daemon's sessions)
+//! live pass, `vprof replay`, the serve daemon's sessions)
 //! builds its profiler here and reads its results through the same
 //! accessors, so none of them dispatches on the mode itself.
 //!
@@ -15,7 +15,7 @@
 
 use vp_asm::Program;
 use vp_instrument::trace_codec::{ChunkReader, CodecError};
-use vp_instrument::{InstrumentedRun, Instrumenter};
+use vp_instrument::{cancel, InstrumentedRun, Instrumenter};
 use vp_obs::{CounterId, Counts};
 use vp_sim::{MachineConfig, SimError};
 
@@ -25,7 +25,7 @@ use crate::instr_profile::InstructionProfiler;
 use crate::metrics::EntityMetrics;
 use crate::phase::{AdaptiveProfiler, PhaseBudget, PhaseStats};
 use crate::sampled::{SampleStrategy, SampledProfiler};
-use crate::shard::{partition_count, profile_reader, StreamProfiler};
+use crate::shard::StreamProfiler;
 use crate::track::TrackerConfig;
 
 /// Which profiler a run attaches. Convergent and adaptive profiling use
@@ -78,24 +78,25 @@ impl ProfileMode {
         }
     }
 
-    /// Profiles a VPC1 trace through the one chunk-decode loop (checking
-    /// for cancellation at every chunk): chunk by chunk into one
-    /// profiler, or across `shards` entity-sharded workers. A
-    /// sharded pass builds one profiler per work-stealing partition, so
-    /// each gets an even split of `mem_budget` by [`partition_count`] and
-    /// the summed caps stay within the whole budget.
+    /// Profiles a VPC1 trace: the one decode loop behind `vprof replay`.
+    /// Each decoded chunk streams straight into one profiler's batched
+    /// observe path, and every chunk boundary is a cancellation
+    /// checkpoint, so a deadline bounds the decode too.
     pub fn profile_trace(
         self,
         tracker: TrackerConfig,
         mem_budget: Option<MemBudget>,
         reader: &mut ChunkReader<'_>,
-        shards: usize,
     ) -> Result<Profiler, CodecError> {
-        let budget = match mem_budget {
-            Some(b) if shards > 1 => Some(b.split(partition_count(shards))),
-            other => other,
-        };
-        profile_reader(reader, shards, || self.build(tracker, budget))
+        let mut profiler = self.build(tracker, mem_budget);
+        let mut chunk = Vec::new();
+        loop {
+            cancel::checkpoint();
+            if !reader.next_chunk_into(&mut chunk)? {
+                return Ok(profiler);
+            }
+            profiler.observe_batch(&chunk);
+        }
     }
 }
 
@@ -259,18 +260,15 @@ mod tests {
         for mode in MODES {
             let mut serial = mode.build(mode.tracker(), None);
             serial.observe_batch(&events);
-            for shards in [1, 3] {
-                let mut reader = file.reader().unwrap();
-                let replayed =
-                    mode.profile_trace(mode.tracker(), None, &mut reader, shards).unwrap();
-                assert_eq!(replayed.metrics(), serial.metrics(), "{mode:?} shards={shards}");
-                assert_eq!(replayed.phase_stats(), serial.phase_stats(), "{mode:?}");
-                let (mut a, mut b) = (Counts::new(), Counts::new());
-                replayed.add_events_to(&mut a);
-                serial.add_events_to(&mut b);
-                assert_eq!(a, b, "{mode:?} shards={shards}");
-                assert_eq!(reader.events_read(), events.len() as u64);
-            }
+            let mut reader = file.reader().unwrap();
+            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader).unwrap();
+            assert_eq!(replayed.metrics(), serial.metrics(), "{mode:?}");
+            assert_eq!(replayed.phase_stats(), serial.phase_stats(), "{mode:?}");
+            let (mut a, mut b) = (Counts::new(), Counts::new());
+            replayed.add_events_to(&mut a);
+            serial.add_events_to(&mut b);
+            assert_eq!(a, b, "{mode:?}");
+            assert_eq!(reader.events_read(), events.len() as u64);
         }
     }
 

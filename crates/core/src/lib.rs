@@ -21,7 +21,7 @@
 //!   sampling profiler that backs off once an instruction's invariance has
 //!   converged, plus the CPI-style [`sampled::SampledProfiler`] baselines;
 //! * [`engine`] — [`ProfileMode`] builds every mode's [`Profiler`] in one
-//!   place, for the live, replay, sharded and serve paths alike;
+//!   place, for the live, replay and serve paths alike;
 //! * [`metrics`] — execution-weighted aggregates, invariance histograms
 //!   and correlation, i.e. the numbers in the paper's tables and figures;
 //! * [`report`] — table rendering and profile comparison (train vs test,

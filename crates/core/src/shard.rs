@@ -1,10 +1,12 @@
-//! Intra-workload sharded profiling: split one workload's recorded
-//! `(pc, value)` stream across workers, profile the shards in parallel,
-//! and `merge()` the results.
+//! Entity-sharded profiling: split one recorded `(pc, value)` stream
+//! across workers, profile the shards in parallel, and `merge()` the
+//! results.
 //!
-//! PR 1 parallelized *across* workloads; this module parallelizes
-//! *within* one, which is what helps when a single large workload
-//! dominates the suite. Events are routed by entity
+//! This is a library path, not an execution path: no `vprof` subcommand
+//! shards a workload (the suite runner parallelizes *across* workloads
+//! with `--jobs`/`--workers`). It exists for the benchmark's shard layer
+//! and for the differential tests that pin the profilers' merge
+//! semantics. Events are routed by entity
 //! ([`partition_by_entity`], `pc % shards`), so each instruction's full
 //! value subsequence lands on exactly one shard, in order. Per-entity
 //! profiler state (TNV tables, LVP chains, the convergent state machine,
@@ -15,15 +17,9 @@
 //! [`SampleStrategy::Random`], whose single profiler-wide generator
 //! depends on the global event interleaving.
 //!
-//! `vprof profile-suite --shards N` and `vprof replay --shards N` use the
-//! split through `profile_reader` (via
-//! [`ProfileMode::profile_trace`](crate::ProfileMode::profile_trace)), so
-//! their output is byte-identical to a serial run.
-//!
 //! [`SampleStrategy::Random`]: crate::sampled::SampleStrategy::Random
 
-use vp_instrument::trace_codec::{ChunkReader, CodecError};
-use vp_instrument::{cancel, parallel_map};
+use vp_instrument::parallel_map;
 
 use crate::convergent::ConvergentProfiler;
 use crate::instr_profile::InstructionProfiler;
@@ -31,7 +27,7 @@ use crate::phase::AdaptiveProfiler;
 use crate::sampled::SampledProfiler;
 
 /// A profiler that can consume a raw `(pc, value)` event stream and fold
-/// in shard results — what the sharded trace-replay path requires.
+/// in shard results — what [`profile_sharded`] requires.
 pub trait StreamProfiler: Send {
     /// Feeds one event.
     fn observe(&mut self, pc: u32, value: u64);
@@ -94,10 +90,9 @@ impl StreamProfiler for SampledProfiler {
 /// Routes each event to shard `pc % shards`, preserving per-entity order.
 /// Every entity's full subsequence lands on exactly one shard.
 ///
-/// **Invariant:** `shards >= 1`. Callers are expected to reject zero
-/// before routing (the CLI turns `--shards 0` into an argument error);
-/// this function debug-asserts the invariant and, in release builds,
-/// clamps to 1 rather than dividing by zero.
+/// **Invariant:** `shards >= 1`. Callers are expected to pass at least
+/// one shard; this function debug-asserts the invariant and, in release
+/// builds, clamps to 1 rather than dividing by zero.
 pub fn partition_by_entity(events: &[(u32, u64)], shards: usize) -> Vec<Vec<(u32, u64)>> {
     debug_assert!(shards > 0, "partition_by_entity requires at least one shard");
     let shards = shards.max(1);
@@ -167,40 +162,6 @@ where
         merged.merge_shard(later);
     }
     merged
-}
-
-/// Profiles a VPC1 trace chunk by chunk — the one decode loop behind
-/// `vprof replay` and the suite runner's sharded pass. With `shards <= 1`
-/// each decoded chunk streams straight into one profiler's batched
-/// observe path; otherwise the chunks accumulate into the whole stream,
-/// which [`profile_sharded`] then splits by entity. Every chunk boundary
-/// is a cancellation checkpoint, so a deadline bounds the decode too.
-pub(crate) fn profile_reader<P, F>(
-    reader: &mut ChunkReader<'_>,
-    shards: usize,
-    make: F,
-) -> Result<P, CodecError>
-where
-    P: StreamProfiler,
-    F: Fn() -> P + Sync,
-{
-    let mut serial = (shards <= 1).then(&make);
-    let mut stream: Vec<(u32, u64)> = Vec::new();
-    let mut scratch: Vec<(u32, u64)> = Vec::new();
-    loop {
-        cancel::checkpoint();
-        if !reader.next_chunk_into(&mut scratch)? {
-            break;
-        }
-        match &mut serial {
-            Some(profiler) => profiler.observe_batch(&scratch),
-            None => stream.extend_from_slice(&scratch),
-        }
-    }
-    Ok(match serial {
-        Some(profiler) => profiler,
-        None => profile_sharded(&stream, shards, make),
-    })
 }
 
 #[cfg(test)]

@@ -58,12 +58,6 @@ pub enum CounterId {
     WorkloadRetry,
     /// Workloads given up on after the retry budget was exhausted.
     WorkloadQuarantined,
-    /// Shard profilers run by the intra-workload sharded path.
-    TraceShards,
-    /// Value-trace events replayed through the batched/sharded path.
-    TraceEvents,
-    /// Binary trace chunks encoded or decoded.
-    TraceChunks,
     /// Workload attempts cancelled for exceeding the wall-clock deadline.
     WorkloadTimeout,
     /// Entities degraded full-profile → TNV-only by the memory governor.
@@ -111,7 +105,7 @@ impl CounterId {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Every counter, in canonical (rendering) order.
-    pub const ALL: [CounterId; 43] = [
+    pub const ALL: [CounterId; 40] = [
         CounterId::InstrEvents,
         CounterId::LoadEvents,
         CounterId::StoreEvents,
@@ -133,9 +127,6 @@ impl CounterId {
         CounterId::WorkloadPanic,
         CounterId::WorkloadRetry,
         CounterId::WorkloadQuarantined,
-        CounterId::TraceShards,
-        CounterId::TraceEvents,
-        CounterId::TraceChunks,
         CounterId::WorkloadTimeout,
         CounterId::EntitiesDegraded,
         CounterId::EntitiesDropped,
@@ -181,9 +172,6 @@ impl CounterId {
             CounterId::WorkloadPanic => "workload_panics",
             CounterId::WorkloadRetry => "workload_retries",
             CounterId::WorkloadQuarantined => "workload_quarantined",
-            CounterId::TraceShards => "trace_shards",
-            CounterId::TraceEvents => "trace_events",
-            CounterId::TraceChunks => "trace_chunks",
             CounterId::WorkloadTimeout => "workload_timeouts",
             CounterId::EntitiesDegraded => "entities_degraded",
             CounterId::EntitiesDropped => "entities_dropped",

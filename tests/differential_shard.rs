@@ -430,7 +430,7 @@ fn replayed_instruction_profiles_match_live() {
             live.run_live(&instrumenter, w.program(), w.machine_config(DataSet::Test), BUDGET)
                 .unwrap();
             let mut reader = ChunkReader::new(&trace).unwrap();
-            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader, 1).unwrap();
+            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader).unwrap();
             let at = format!("{} {mode:?} live vs replay", w.name());
             assert_same_profile(&replayed, &live, &at);
         }

@@ -175,23 +175,3 @@ fn bytes_peak_is_exactly_the_arena_high_water_mark() {
         );
     }
 }
-
-#[test]
-fn governed_sharded_run_matches_governed_serial_totals() {
-    let workloads = &suite()[..2];
-    let budget = MemBudget::mib(64);
-    let serial =
-        SuiteRunner::new().mem_budget(Some(budget)).run_workloads(workloads, DataSet::Test);
-    let sharded = SuiteRunner::new()
-        .mem_budget(Some(budget))
-        .shards(4)
-        .run_workloads(workloads, DataSet::Test);
-    for (s, h) in serial.workloads.iter().zip(&sharded.workloads) {
-        assert_eq!(s.metrics, h.metrics, "{}", s.name);
-        let (sg, hg) = (s.governor.unwrap(), h.governor.unwrap());
-        // Under a generous budget neither intervenes; the sharded peaks
-        // sum to at most the whole budget's worth of shard splits.
-        assert!(!sg.intervened() && !hg.intervened(), "{}", s.name);
-        assert!(hg.bytes_peak <= budget.limit_bytes() as u64, "{}", s.name);
-    }
-}

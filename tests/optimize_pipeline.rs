@@ -172,21 +172,19 @@ fn report_and_records_are_parallelism_invariant_in_process() {
     let cfg = OptimizeConfig::default();
     let serial = SuiteRunner::new().try_run_workloads(&ws, DataSet::Train);
     let reference = optimize_from_outcome(&serial, &ws, "full", &cfg).unwrap();
-    for runner in [SuiteRunner::new().jobs(4), SuiteRunner::new().shards(3)] {
-        let outcome = runner.try_run_workloads(&ws, DataSet::Train);
-        let report = optimize_from_outcome(&outcome, &ws, "full", &cfg).unwrap();
-        assert_eq!(reference.render_durable(), report.render_durable());
-        assert_eq!(
-            to_jsonl(&reference.optimize_records("optimize")),
-            to_jsonl(&report.optimize_records("optimize"))
-        );
-    }
+    let parallel = SuiteRunner::new().jobs(4).try_run_workloads(&ws, DataSet::Train);
+    let report = optimize_from_outcome(&parallel, &ws, "full", &cfg).unwrap();
+    assert_eq!(reference.render_durable(), report.render_durable());
+    assert_eq!(
+        to_jsonl(&reference.optimize_records("optimize")),
+        to_jsonl(&report.optimize_records("optimize"))
+    );
 }
 
 // ---------------------------------------------------------------------
 // End-to-end CLI determinism: `vprof optimize` must write byte-identical
 // stdout, report artifact and telemetry however the profiling pass is
-// parallelized — threads, shards or worker processes.
+// parallelized — threads or worker processes.
 // ---------------------------------------------------------------------
 
 /// Builds the `vprof` binary once and returns its path (same idiom as
@@ -230,12 +228,8 @@ fn run_optimize(dir: &Path, extra: &[&str]) -> String {
 #[test]
 fn cli_output_is_byte_identical_across_parallelism() {
     let base = std::env::temp_dir().join(format!("vprof-optimize-det-{}", std::process::id()));
-    let variants: &[(&str, &[&str])] = &[
-        ("serial", &[]),
-        ("jobs4", &["--jobs", "4"]),
-        ("shards2", &["--shards", "2"]),
-        ("workers2", &["--workers", "2"]),
-    ];
+    let variants: &[(&str, &[&str])] =
+        &[("serial", &[]), ("jobs4", &["--jobs", "4"]), ("workers2", &["--workers", "2"])];
     let mut reference: Option<(String, String, String)> = None;
     for (name, extra) in variants {
         let dir = base.join(name);
