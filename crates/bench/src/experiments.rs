@@ -7,10 +7,9 @@
 //! (`tests/golden.rs` pins all of them) and every number a report carries
 //! machine-readably lands in `telemetry.jsonl` too.
 //!
-//! Determinism contract: with wall-clock fields excluded (they are listed
-//! in [`vp_obs::telemetry::VOLATILE_KEYS`]), every record and every table
-//! line is byte-identical across runs and across `--jobs` settings. E12's
-//! `slow` cells are the only wall-clock text.
+//! Determinism contract: every record and every table line is
+//! byte-identical across runs and across `--jobs` settings. No experiment
+//! takes a wall-clock timing; those belong to the `perfbench` harness.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -23,7 +22,6 @@ use vp_core::{
 };
 use vp_instrument::{parallel_map, Analysis, Instrumenter, Selection};
 use vp_isa::OpClass;
-use vp_obs::recorder::Stopwatch;
 use vp_obs::telemetry::record;
 use vp_obs::{CounterId, Counts, Json};
 use vp_predict::{
@@ -64,9 +62,6 @@ pub struct Experiment {
     pub run: fn(&[Workload], usize) -> ExpReport,
 }
 
-/// Timed runs per E12 wall-clock cell (after one untimed warm-up).
-const OVERHEAD_REPS: usize = 5;
-
 /// Every experiment, in E-order.
 pub const ALL: &[Experiment] = &[
     Experiment { id: "E1", name: "benchmarks", run: benchmarks },
@@ -80,7 +75,7 @@ pub const ALL: &[Experiment] = &[
     Experiment { id: "E9", name: "memory", run: |ws, _| memory(ws) },
     Experiment { id: "E10", name: "params", run: |ws, _| params(ws) },
     Experiment { id: "E11", name: "bb_quantile", run: |ws, _| bb_quantile(ws) },
-    Experiment { id: "E12", name: "overhead", run: |ws, _| overhead(ws, OVERHEAD_REPS) },
+    Experiment { id: "E12", name: "overhead", run: |ws, _| overhead(ws) },
     Experiment { id: "E13", name: "specialize", run: |ws, _| specialize_study(ws) },
     Experiment { id: "E14", name: "predict", run: |ws, _| predict(ws) },
     Experiment { id: "E15", name: "path", run: |ws, _| path(ws) },
@@ -835,112 +830,59 @@ pub fn bb_quantile(workloads: &[Workload]) -> ExpReport {
     ExpReport { text, records: Vec::new() }
 }
 
-fn run_plain(w: &Workload) -> u64 {
-    let mut machine =
-        Machine::new(w.program().clone(), w.machine_config(DataSet::Test)).expect("machine");
-    machine.run(BUDGET).expect("run").instructions
-}
-
-fn run_with<A: Analysis>(w: &Workload, selection: Selection, analysis: &mut A) -> u64 {
-    Instrumenter::new()
+/// Runs `w` on its test input with `analysis` attached; returns the
+/// executed instructions and the analysis events fired.
+fn run_with<A: Analysis>(w: &Workload, selection: Selection, analysis: &mut A) -> (u64, u64) {
+    let run = Instrumenter::new()
         .select(selection)
         .run(w.program(), w.machine_config(DataSet::Test), BUDGET, analysis)
-        .expect("instrumented run")
-        .counts
-        .total()
+        .expect("instrumented run");
+    (run.outcome.instructions, run.counts.total())
 }
 
-/// Runs `f` once to warm caches and the allocator, then `reps` more times
-/// and reports the *median* wall time in nanoseconds together with `f`'s
-/// last return value. A single cold timing (the old behaviour) routinely
-/// over-reported the first configuration measured by 2x.
-fn median_timed<T, F: FnMut() -> T>(reps: usize, mut f: F) -> (T, u64) {
-    let mut value = f(); // warm-up, untimed
-    let mut times: Vec<u64> = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let clock = Stopwatch::start();
-        value = f();
-        times.push(clock.elapsed_ns());
-    }
-    times.sort_unstable();
-    (value, times[times.len() / 2])
-}
-
-/// E12 — profiling overhead: analysis events per instruction (exact,
-/// machine-independent) and wall-clock slowdown (this machine, median of
-/// `reps` runs after a warm-up) for full load profiling, full
-/// all-instruction profiling and the convergent profiler; plus the memory
-/// footprint comparison.
-pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
+/// E12 — profiling overhead: analysis events per instruction (exact and
+/// machine-independent: the cause of the paper's slowdowns) for full load
+/// profiling, full all-instruction profiling and the convergent profiler,
+/// plus the memory footprint comparison. Wall-clock slowdown is
+/// perfbench's to measure (its `e12.slowdown_*` rows), so every line here
+/// is deterministic.
+pub fn overhead(workloads: &[Workload]) -> ExpReport {
     let mut text = String::new();
-    heading_line(
-        &mut text,
-        "E12",
-        "profiling overhead: events per instruction and wall-clock slowdown",
-    );
-    let _ = writeln!(text, "(wall times are medians of {} runs after a warm-up)", reps.max(1));
+    heading_line(&mut text, "E12", "profiling overhead: events per instruction and footprint");
     let _ = writeln!(
         text,
-        "{:<10} {:>10} | {:>9} {:>9} | {:>9} {:>9} | {:>9} {:>9} | {:>10}",
-        "program",
-        "instrs",
-        "ld ev/i",
-        "ld slow",
-        "all ev/i",
-        "all slow",
-        "conv ev/i",
-        "conv slow",
-        "conv prof%"
+        "{:<10} {:>10} {:>9} {:>9} {:>9} {:>10}",
+        "program", "instrs", "ld ev/i", "all ev/i", "conv ev/i", "conv prof%"
     );
-    let mut records = vec![record(
-        "experiment",
-        "E12",
-        vec![
-            ("workloads", Json::U64(workloads.len() as u64)),
-            ("reps", Json::U64(reps.max(1) as u64)),
-        ],
-    )];
+    let mut records =
+        vec![record("experiment", "E12", vec![("workloads", Json::U64(workloads.len() as u64))])];
+    let mut tnv_bytes = Vec::with_capacity(workloads.len());
     for w in workloads {
-        let (instrs, base_ns) = median_timed(reps, || run_plain(w));
-
-        let (load_events, load_ns) = median_timed(reps, || {
-            let mut p = InstructionProfiler::new(TrackerConfig::default());
-            run_with(w, Selection::LoadsOnly, &mut p)
-        });
-        let (all_events, all_ns) = median_timed(reps, || {
-            let mut p = InstructionProfiler::new(TrackerConfig::default());
-            run_with(w, Selection::RegisterDefining, &mut p)
-        });
-        let mut conv_fraction = 0.0;
-        let (conv_events, conv_ns) = median_timed(reps, || {
-            let mut conv =
-                ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
-            let events = run_with(w, Selection::RegisterDefining, &mut conv);
-            conv_fraction = conv.overall_profile_fraction();
-            events
-        });
+        let mut load = InstructionProfiler::new(TrackerConfig::default());
+        let (instrs, load_events) = run_with(w, Selection::LoadsOnly, &mut load);
+        let mut all = InstructionProfiler::new(TrackerConfig::default());
+        let (_, all_events) = run_with(w, Selection::RegisterDefining, &mut all);
+        tnv_bytes.push(all.footprint_bytes());
+        let mut conv =
+            ConvergentProfiler::new(TrackerConfig::default(), ConvergentConfig::default());
+        let (_, conv_events) = run_with(w, Selection::RegisterDefining, &mut conv);
+        let conv_fraction = conv.overall_profile_fraction();
 
         let per = |e: u64| e as f64 / instrs as f64;
-        let slow = |ns: u64| ns as f64 / base_ns.max(1) as f64;
         let _ = writeln!(
             text,
-            "{:<10} {:>10} | {:>9.3} {:>8.2}x | {:>9.3} {:>8.2}x | {:>9.3} {:>8.2}x | {:>9.1}%",
+            "{:<10} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>9.1}%",
             w.name(),
             instrs,
             per(load_events),
-            slow(load_ns),
             per(all_events),
-            slow(all_ns),
             per(conv_events),
-            slow(conv_ns),
             conv_fraction * 100.0,
         );
-        let mode = |events: u64, ns: u64| {
+        let mode = |events: u64| {
             Json::obj(vec![
                 ("events", Json::U64(events)),
                 ("events_per_instr", Json::F64(per(events))),
-                ("median_wall_ns", Json::U64(ns)),
-                ("slowdown", Json::F64(slow(ns))),
             ])
         };
         records.push(record(
@@ -949,10 +891,9 @@ pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
             vec![
                 ("exp", Json::Str("E12".to_string())),
                 ("instructions", Json::U64(instrs)),
-                ("baseline_wall_ns", Json::U64(base_ns)),
-                ("load", mode(load_events, load_ns)),
-                ("all", mode(all_events, all_ns)),
-                ("conv", mode(conv_events, conv_ns)),
+                ("load", mode(load_events)),
+                ("all", mode(all_events)),
+                ("conv", mode(conv_events)),
                 ("conv_profile_fraction", Json::F64(conv_fraction)),
             ],
         ));
@@ -966,12 +907,7 @@ pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
         "{:<10} {:>12} {:>14} {:>8}",
         "program", "TNV bytes", "full-hist bytes", "ratio"
     );
-    for w in workloads {
-        let tnv_only = {
-            let mut p = InstructionProfiler::new(TrackerConfig::default());
-            run_with(w, Selection::RegisterDefining, &mut p);
-            p.footprint_bytes()
-        };
+    for (w, tnv_only) in workloads.iter().zip(tnv_bytes) {
         let with_full = {
             let mut p = InstructionProfiler::new(TrackerConfig::with_full());
             run_with(w, Selection::RegisterDefining, &mut p);
@@ -997,14 +933,14 @@ pub fn overhead(workloads: &[Workload], reps: usize) -> ExpReport {
     }
 
     let _ =
-        writeln!(text, "\nev/i = analysis events per executed instruction (exact overhead cause);");
-    let _ = writeln!(
-        text,
-        "slow = wall-clock relative to the uninstrumented emulator on this machine."
-    );
+        writeln!(text, "\nev/i = analysis events per executed instruction (exact overhead cause).");
     let _ =
         writeln!(text, "The convergent profiler still *sees* each event but skips the TNV work;");
     let _ = writeln!(text, "`conv prof%` is the fraction of executions fully profiled.");
+    let _ = writeln!(
+        text,
+        "Wall-clock slowdown: perfbench `--workload live-suite --trace 1`, rows e12.slowdown_*."
+    );
     ExpReport { text, records }
 }
 
@@ -1454,7 +1390,6 @@ pub fn multiway() -> ExpReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_obs::telemetry::mask_volatile;
     use vp_workloads::suite;
 
     #[test]
@@ -1485,16 +1420,8 @@ mod tests {
     }
 
     #[test]
-    fn overhead_masks_to_deterministic_records() {
+    fn overhead_is_deterministic() {
         let ws = suite();
-        let a = overhead(&ws[..2], 1);
-        let b = overhead(&ws[..2], 1);
-        let masked =
-            |r: &ExpReport| r.records.iter().map(|j| mask_volatile(j).render()).collect::<Vec<_>>();
-        assert_eq!(masked(&a), masked(&b), "masked records must be byte-stable");
-        assert!(a.text.contains("medians of 1 runs"));
-        // Event counts are exact and survive masking.
-        let load = a.records[1].get("load").unwrap();
-        assert!(load.get("events").unwrap().as_u64().unwrap() > 0);
+        assert_eq!(overhead(&ws[..2]), overhead(&ws[..2]));
     }
 }

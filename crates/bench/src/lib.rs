@@ -3,7 +3,8 @@
 //! One function per table/figure of the paper, registered in
 //! [`experiments::ALL`] (see DESIGN.md §5 for the experiment index E1–E17
 //! and EXPERIMENTS.md for captured results), plus the suite runner, the
-//! serve daemon and Criterion micro-benchmarks.
+//! optimize driver and the serve daemon. Wall-clock costs are measured by
+//! the `perfbench` harness, not here.
 //!
 //! Run an experiment with e.g. `vprof experiment E2`, or every one in
 //! E-order with `vprof experiment all`.

@@ -7,8 +7,8 @@
 //! per-load metrics on the *train* input. This module turns those metrics
 //! into a [`ProgramOptimize`] per workload via the program-level pipeline
 //! in `vp-specialize`, then renders the cross-input report: a
-//! deterministic text table, ordered-JSON telemetry records, a durable
-//! CRC-footered artifact, and a `BENCH_optimize.json` trajectory entry.
+//! deterministic text table, ordered-JSON telemetry records and a durable
+//! CRC-footered artifact.
 //!
 //! Everything emitted here is parallelism-invariant: suite metrics are
 //! identical across `--jobs`/`--workers` by construction, and the
@@ -330,33 +330,6 @@ impl OptimizeReport {
             ));
         }
         records
-    }
-
-    /// The `BENCH_optimize.json` trajectory entry: per-workload
-    /// dynamic-instruction reduction percentages plus suite totals, as one
-    /// ordered-JSON line.
-    pub fn bench_json(&self) -> String {
-        let per_workload: Vec<(String, Json)> = self
-            .workloads
-            .iter()
-            .map(|w| (w.name.to_string(), Json::F64(w.result.eval.reduction_pct())))
-            .collect();
-        let total_base: u64 = self.workloads.iter().map(|w| w.result.eval.base_instructions).sum();
-        let total_spec: u64 =
-            self.workloads.iter().map(|w| w.result.eval.specialized_instructions).sum();
-        let total_pct = if total_base > 0 {
-            (total_base as f64 - total_spec as f64) / total_base as f64 * 100.0
-        } else {
-            0.0
-        };
-        Json::obj(vec![
-            ("mode", Json::Str(self.mode.clone())),
-            ("workloads", Json::Obj(per_workload)),
-            ("sites_specialized", Json::U64(self.events().get(CounterId::SitesSpecialized))),
-            ("total_reduction_pct", Json::F64(total_pct)),
-            ("all_equivalent", Json::Bool(self.all_equivalent())),
-        ])
-        .render()
     }
 }
 

@@ -1276,11 +1276,6 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
     println!("telemetry: {} ({} records)", telemetry_path.display(), records.len());
-    if let Some(path) = std::env::var_os("BENCH_OPTIMIZE_JSON") {
-        let line = format!("{}\n", report.bench_json());
-        std::fs::write(&path, line)
-            .map_err(|e| format!("cannot write `{}`: {e}", path.to_string_lossy()))?;
-    }
     Ok(())
 }
 

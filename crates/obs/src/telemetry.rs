@@ -13,20 +13,11 @@ use crate::json::Json;
 /// removed, or changes meaning; adding fields is backward compatible.
 pub const SCHEMA_VERSION: u64 = 1;
 
-/// Field names whose values vary run-to-run (timings and rates derived
-/// from them). [`mask_volatile`] replaces these everywhere in a record.
-pub const VOLATILE_KEYS: [&str; 10] = [
-    "wall_ns",
-    "baseline_wall_ns",
-    "median_wall_ns",
-    "warmup_wall_ns",
-    "busy_ns",
-    "wait_ns",
-    "phase_ns",
-    "events_per_sec",
-    "slowdown",
-    "nanos_per_event",
-];
+/// Field names whose values vary run-to-run: the wall-clock fields that
+/// suite and phase records write. [`mask_volatile`] replaces these
+/// everywhere in a record.
+pub const VOLATILE_KEYS: [&str; 6] =
+    ["wall_ns", "baseline_wall_ns", "busy_ns", "wait_ns", "phase_ns", "slowdown"];
 
 /// Builds a telemetry record: `schema`, `kind` and `name` first, then the
 /// caller's payload fields in the order given.

@@ -68,16 +68,13 @@ fn golden_slice(ws: &[Workload], exp: &Experiment) -> Vec<Workload> {
     ws.iter().filter(|w| names.contains(&w.name())).cloned().collect()
 }
 
-/// Pins one registered experiment's report text as `exp_<name>.txt` —
-/// except E12, whose `slow` cells are wall-clock — and its masked records
-/// as `exp_<name>.jsonl`. An experiment without records must have no
-/// `.jsonl` golden, so one that stops emitting them fails here rather than
-/// silently dropping its pin.
+/// Pins one registered experiment's report text as `exp_<name>.txt` and
+/// its masked records as `exp_<name>.jsonl`. An experiment without
+/// records must have no `.jsonl` golden, so one that stops emitting them
+/// fails here rather than silently dropping its pin.
 fn check_experiment(ws: &[Workload], exp: &Experiment) {
     let report = (exp.run)(&golden_slice(ws, exp), 1);
-    if exp.id != "E12" {
-        check(&format!("exp_{}.txt", exp.name), &report.text);
-    }
+    check(&format!("exp_{}.txt", exp.name), &report.text);
     let jsonl = format!("exp_{}.jsonl", exp.name);
     if report.records.is_empty() {
         assert!(!golden_dir().join(&jsonl).exists(), "{}: {jsonl} but no records", exp.id);
@@ -150,8 +147,8 @@ fn adaptive_phase_shift_run_matches_golden() {
     );
     check("adaptive_suite.jsonl", &masked_jsonl(&records));
     // Render stats from the *masked* records, exactly what `vprof stats`
-    // would show on the checked-in telemetry — wall times and rates
-    // degrade to placeholders, everything else is deterministic.
+    // would show on the checked-in telemetry — wall times degrade to
+    // placeholders, everything else is deterministic.
     let masked: Vec<Json> = records.iter().map(mask_volatile).collect();
     let stats = value_profiling::obs::stats::summarize_records(&masked).unwrap();
     assert!(stats.contains("adaptive"), "stats must render the phase section:\n{stats}");
