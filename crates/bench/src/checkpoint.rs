@@ -103,12 +103,7 @@ fn metric_from_json(j: &Json) -> Result<EntityMetrics, String> {
 /// Serializes one finished workload as a checkpoint record. The governor
 /// field is emitted only on governed runs, so ungoverned checkpoint files
 /// stay byte-identical to the pre-governor format.
-///
-/// Crate-visible because this is also the worker protocol's result-frame
-/// payload: a `vprof worker` ships each finished profile as exactly this
-/// record, so the parent restores it with the same bit-exact float
-/// handling checkpoint resume uses.
-pub(crate) fn checkpoint_record(profile: &WorkloadProfile) -> Json {
+fn checkpoint_record(profile: &WorkloadProfile) -> Json {
     let mut fields = vec![
         ("profile_fraction", bits(profile.profile_fraction)),
         ("instructions", Json::U64(profile.instructions)),
@@ -178,27 +173,6 @@ fn phase_from_json(j: &Json) -> Result<PhaseStats, String> {
     }
     let u = |i: usize| v[i].as_u64().ok_or_else(|| format!("bad integer in phase field {i}"));
     Ok(PhaseStats { windows: u(0)?, shifts_detected: u(1)?, rearms: u(2)?, rearms_denied: u(3)? })
-}
-
-/// Rebuilds a full [`WorkloadProfile`] from one serialized record —
-/// the deserializing half of the worker result frame. The name must
-/// match a known workload (profiles carry `&'static str` names).
-pub(crate) fn profile_from_record(rec: &Json) -> Result<WorkloadProfile, String> {
-    let (name, r) = parse_checkpoint(rec)?;
-    let w = vp_workloads::Workload::by_name(&name)
-        .ok_or_else(|| format!("unknown workload `{name}` in result record"))?;
-    Ok(WorkloadProfile {
-        name: w.name(),
-        aggregate: aggregate(&r.metrics),
-        metrics: r.metrics,
-        profile_fraction: r.profile_fraction,
-        instructions: r.instructions,
-        events: r.events,
-        wall_ns: r.wall_ns,
-        baseline_wall_ns: r.baseline_wall_ns,
-        governor: r.governor,
-        phase: r.phase,
-    })
 }
 
 fn parse_checkpoint(rec: &Json) -> Result<(String, Restored), String> {

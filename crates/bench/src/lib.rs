@@ -10,7 +10,6 @@
 //! E-order with `vprof experiment all`.
 
 pub mod checkpoint;
-pub mod executor;
 pub mod experiments;
 pub mod optimize;
 pub mod serve;
@@ -22,10 +21,6 @@ use vp_instrument::{Instrumenter, Selection};
 use vp_workloads::{DataSet, Workload};
 
 pub use checkpoint::{Checkpoint, ResumeSummary};
-pub use executor::{
-    serve_worker, ProcessPool, WorkerCounters, WorkerExecutor, WorkerExit, WorkerFailure,
-    WorkerSpec,
-};
 pub use experiments::ExpReport;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
 pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};

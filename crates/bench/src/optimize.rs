@@ -2,8 +2,8 @@
 //! suite workloads, evaluated on the test input.
 //!
 //! The suite profiling pass (any [`ProfileMode`](crate::ProfileMode),
-//! through [`SuiteRunner`](crate::SuiteRunner) so `--jobs`/`--workers`,
-//! the governor and the fault machinery all apply) supplies
+//! through [`SuiteRunner`](crate::SuiteRunner) so `--jobs`, the
+//! governor and the fault machinery all apply) supplies
 //! per-load metrics on the *train* input. This module turns those metrics
 //! into a [`ProgramOptimize`] per workload via the program-level pipeline
 //! in `vp-specialize`, then renders the cross-input report: a
@@ -11,9 +11,9 @@
 //! CRC-footered artifact.
 //!
 //! Everything emitted here is parallelism-invariant: suite metrics are
-//! identical across `--jobs`/`--workers` by construction, and the
-//! planning/specialization/evaluation steps all run deterministically in
-//! the parent process — so the report and telemetry are byte-identical
+//! identical across `--jobs` settings by construction, and the
+//! planning/specialization/evaluation steps all run deterministically on
+//! the calling thread — so the report and telemetry are byte-identical
 //! across those settings (golden- and CI-verified).
 
 use std::path::Path;
@@ -256,7 +256,7 @@ impl OptimizeReport {
     /// Builds the telemetry records of the run: one `run` record with the
     /// suite-wide totals, then one `optimize` record per workload with
     /// the cross-input evaluation, guard accounting, and per-site /
-    /// per-rejection detail. Deliberately carries no `jobs`/`workers`
+    /// per-rejection detail. Deliberately carries no `jobs`
     /// field and no wall times: the records are identical
     /// however the profiling pass was parallelized.
     pub fn optimize_records(&self, tool: &str) -> Vec<Json> {

@@ -6,6 +6,14 @@
 //! and `--jobs N` output is identical to a serial run by construction.
 //! Only the order in which workloads *finish* varies; results are
 //! reassembled in canonical suite order.
+//!
+//! Every run goes through one fault-tolerant loop,
+//! [`SuiteRunner::try_run_workloads`]: rounds of [`try_parallel_map`]
+//! that retry failed workloads, quarantine the ones that exhaust the
+//! [`RetryPolicy`], and checkpoint each completion. Workloads run in
+//! process: a panic unwinds and is caught, a hang is cut loose by the
+//! cooperative deadline, and a runaway workload stops at the instruction
+//! budget with an error.
 
 use std::fmt;
 use std::sync::Arc;
@@ -16,14 +24,15 @@ use vp_core::{
     Aggregate, EntityMetrics, FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode,
     ReportRow,
 };
-use vp_instrument::{try_parallel_map, FailureKind, Instrumenter, MapOptions, Selection};
+use vp_instrument::{
+    try_parallel_map, FailureKind, Instrumenter, ItemFailure, MapOptions, Selection,
+};
 use vp_obs::recorder::Stopwatch;
 use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
 use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
 use crate::checkpoint::Checkpoint;
-use crate::executor::{ProcessPool, WorkerExecutor, WorkerExit, WorkerFailure, WorkerSpec};
 use crate::BUDGET;
 
 /// One workload's profiling result.
@@ -162,16 +171,12 @@ pub struct WorkloadFailure {
     pub name: &'static str,
     /// Attempts made (first run plus retries).
     pub attempts: u64,
-    /// How the final attempt failed: a caught panic, cooperative
-    /// cancellation after the wall-clock deadline, or — on distributed
-    /// runs — the death of the worker process holding the assignment.
+    /// How the final attempt failed: a caught panic, or cooperative
+    /// cancellation after the wall-clock deadline.
     pub kind: FailureKind,
     /// The final attempt's panic message (a fixed `deadline exceeded` for
     /// timeouts, kept deterministic).
     pub error: String,
-    /// How the worker process ended, present exactly when
-    /// [`kind`](WorkloadFailure::kind) is [`FailureKind::WorkerDeath`].
-    pub worker: Option<WorkerExit>,
 }
 
 impl WorkloadFailure {
@@ -181,17 +186,6 @@ impl WorkloadFailure {
         match self.kind {
             FailureKind::Panic => "panic",
             FailureKind::Timeout => "timeout",
-            FailureKind::WorkerDeath => "worker-death",
-        }
-    }
-
-    /// The failure-table `kind` cell: the kind label, plus the dead
-    /// worker's index and exit status when there is one —
-    /// `worker-death(w0:signal 9)`.
-    pub fn kind_cell(&self) -> String {
-        match &self.worker {
-            Some(x) => format!("{}(w{}:{})", self.kind_str(), x.worker, x.status),
-            None => self.kind_str().to_string(),
         }
     }
 }
@@ -232,7 +226,7 @@ impl SuiteOutcome {
                 "{:<16} {:>8}  {:<12}  {}\n",
                 f.name,
                 f.attempts,
-                f.kind_cell(),
+                f.kind_str(),
                 f.error
             ));
         }
@@ -420,19 +414,18 @@ impl SuiteRunner {
     }
 
     /// Profiles an explicit workload list on `ds`, one workload per
-    /// worker.
+    /// worker: [`try_run_workloads`](SuiteRunner::try_run_workloads) for
+    /// callers that treat any failure as fatal.
     ///
     /// # Panics
     ///
-    /// Panics if a workload run faults.
+    /// Panics with the first quarantined workload's error.
     pub fn run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteProfile {
-        let options = MapOptions { recorder: &*self.recorder, deadline: None };
-        let workloads =
-            try_parallel_map(self.jobs, workloads, |w| self.profile_one(w, ds), options)
-                .into_iter()
-                .map(|slot| slot.unwrap_or_else(|failure| panic!("{failure}")))
-                .collect();
-        SuiteProfile { workloads }
+        let outcome = self.try_run_workloads(workloads, ds);
+        if let Some(f) = outcome.failures.first() {
+            panic!("{}: {}", f.name, f.error);
+        }
+        outcome.profile
     }
 
     /// Fault-tolerant [`run`](SuiteRunner::run): a workload that panics is
@@ -444,100 +437,56 @@ impl SuiteRunner {
     }
 
     /// [`try_run`](SuiteRunner::try_run) over an explicit workload list.
+    ///
+    /// Each round maps the pending workloads through [`try_parallel_map`].
+    /// A workload the checkpoint holds is restored (its events still
+    /// reach the recorder, so resumed telemetry matches an uninterrupted
+    /// run's); any other fires the fault point `workload/<name>`, is
+    /// profiled, and is durably checkpointed. A panic or timeout becomes
+    /// an [`ItemFailure`] and the workload is retried in the next round.
     pub fn try_run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteOutcome {
-        let run_one = |w: &Workload| {
+        let checkpoint = self.checkpoint.as_deref();
+        let run_one = |w: &&Workload| {
+            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
+                if self.recorder.enabled() {
+                    self.recorder.add_counts(&restored.events);
+                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
+                }
+                return restored;
+            }
             if let Err(e) = self.faults.fire(&format!("workload/{}", w.name())) {
                 panic!("{e}");
             }
-            Ok(self.profile_one(w, ds))
+            let profile = self.profile_one(w, ds);
+            if let Some(c) = checkpoint {
+                c.record(&self.faults, &profile)
+                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
+            }
+            profile
         };
-        let outcome = self
-            .run_rounds(workloads, |subset| self.round(self.jobs, self.deadline, subset, &run_one));
-        self.flush_faults(&outcome.faults);
-        outcome
-    }
+        let options = MapOptions { recorder: &*self.recorder, deadline: self.deadline };
 
-    /// [`try_run_workloads`](SuiteRunner::try_run_workloads), but each
-    /// workload is profiled by a [`WorkerExecutor`] instead of an
-    /// in-process thread. Dispatch goes through the same parallel map as
-    /// `--jobs N` (one thread per executor slot), and a result that
-    /// crossed the executor is replayed into the recorder the same way a
-    /// restored checkpoint is — so a clean executor run's output *and*
-    /// masked telemetry are byte-identical to `--jobs N`.
-    ///
-    /// Executor lifecycle counters (`worker_spawns` / `worker_deaths` /
-    /// `worker_restarts`) are merged into the outcome's fault counters
-    /// only when a worker actually died, keeping clean runs free of
-    /// worker-count-dependent records.
-    pub fn try_run_executor(
-        &self,
-        workloads: &[Workload],
-        exec: &dyn WorkerExecutor,
-    ) -> SuiteOutcome {
-        let run_one = |w: &Workload| {
-            let profile = exec.run(w.name())?;
-            self.replay_events(&profile);
-            Ok(profile)
-        };
-        let mut outcome = self.run_rounds(workloads, |subset| {
-            exec.prepare(subset.len());
-            self.round(exec.slots(), None, subset, &run_one)
-        });
-        let life = exec.counters();
-        if life.deaths > 0 {
-            outcome.faults.add(CounterId::WorkerSpawns, life.spawns);
-            outcome.faults.add(CounterId::WorkerDeaths, life.deaths);
-            outcome.faults.add(CounterId::WorkerRestarts, life.restarts);
-        }
-        self.flush_faults(&outcome.faults);
-        outcome
-    }
-
-    /// Distributed [`try_run_workloads`](SuiteRunner::try_run_workloads):
-    /// profiles each workload in a `vprof worker` subprocess from a pool
-    /// of `spec.workers` crash domains. A SIGKILLed, aborted, or hung
-    /// worker costs one [`FailureKind::WorkerDeath`] attempt and a
-    /// replacement process — never the suite.
-    pub fn try_run_distributed(&self, workloads: &[Workload], spec: WorkerSpec) -> SuiteOutcome {
-        let pool = ProcessPool::new(spec, Arc::clone(&self.faults), self.deadline);
-        let outcome = self.try_run_executor(workloads, &pool);
-        pool.shutdown();
-        outcome
-    }
-
-    // The retry → quarantine loop shared by the in-process and
-    // distributed paths: a round function profiles one pending subset
-    // and reports per-item success or typed failure. Does NOT flush
-    // fault counters to the recorder — callers do, after merging any
-    // executor lifecycle counters.
-    fn run_rounds(
-        &self,
-        workloads: &[Workload],
-        mut round_fn: impl FnMut(&[&Workload]) -> Vec<Result<WorkloadProfile, WorkerFailure>>,
-    ) -> SuiteOutcome {
         let mut results: Vec<Option<WorkloadProfile>> =
             (0..workloads.len()).map(|_| None).collect();
         let mut attempts = vec![0u64; workloads.len()];
-        let mut last_error: Vec<Option<WorkerFailure>> = vec![None; workloads.len()];
+        let mut last_error: Vec<Option<ItemFailure>> = vec![None; workloads.len()];
         let mut faults = Counts::new();
         let mut pending: Vec<usize> = (0..workloads.len()).collect();
         let mut round = 0u64;
         loop {
             let subset: Vec<&Workload> = pending.iter().map(|&i| &workloads[i]).collect();
-            let outs = round_fn(&subset);
+            let outs = try_parallel_map(self.jobs, &subset, run_one, options);
             let mut still = Vec::new();
-            for (slot, &i) in outs.into_iter().zip(&pending) {
+            for (slot, i) in outs.into_iter().zip(pending) {
                 attempts[i] += 1;
                 match slot {
                     Ok(profile) => results[i] = Some(profile),
                     Err(failure) => {
-                        match failure.kind {
-                            FailureKind::Panic => faults.add(CounterId::WorkloadPanic, 1),
-                            FailureKind::Timeout => faults.add(CounterId::WorkloadTimeout, 1),
-                            // Deaths are counted by the executor pool
-                            // (worker_deaths), not per attempt.
-                            FailureKind::WorkerDeath => {}
-                        }
+                        let counter = match failure.kind {
+                            FailureKind::Panic => CounterId::WorkloadPanic,
+                            FailureKind::Timeout => CounterId::WorkloadTimeout,
+                        };
+                        faults.add(counter, 1);
                         last_error[i] = Some(failure);
                         still.push(i);
                     }
@@ -551,24 +500,22 @@ impl SuiteRunner {
             faults.add(CounterId::WorkloadRetry, pending.len() as u64);
             let backoff = self.retry.backoff_ms(round);
             if backoff > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
+                std::thread::sleep(Duration::from_millis(backoff));
             }
         }
         faults.add(CounterId::WorkloadQuarantined, pending.len() as u64);
+        if self.recorder.enabled() && faults.total() > 0 {
+            self.recorder.add_counts(&faults);
+        }
         let failures = pending
             .iter()
             .map(|&i| {
-                let f = last_error[i].take().unwrap_or(WorkerFailure {
-                    kind: FailureKind::Panic,
-                    message: String::new(),
-                    exit: None,
-                });
+                let f = last_error[i].take().expect("a pending workload failed its last attempt");
                 WorkloadFailure {
                     name: workloads[i].name(),
                     attempts: attempts[i],
                     kind: f.kind,
                     error: f.message,
-                    worker: f.exit,
                 }
             })
             .collect();
@@ -576,58 +523,6 @@ impl SuiteRunner {
             profile: SuiteProfile { workloads: results.into_iter().flatten().collect() },
             failures,
             faults,
-        }
-    }
-
-    // One retry round through the parallel map: each pending workload is
-    // restored from the checkpoint when it holds one (its events still
-    // reach the recorder, so resumed telemetry matches an uninterrupted
-    // run's), else profiled by `run_one` and durably checkpointed. A
-    // panic or timeout of `run_one` becomes a typed failure.
-    fn round(
-        &self,
-        jobs: usize,
-        deadline: Option<Duration>,
-        subset: &[&Workload],
-        run_one: &(dyn Fn(&Workload) -> Result<WorkloadProfile, WorkerFailure> + Sync),
-    ) -> Vec<Result<WorkloadProfile, WorkerFailure>> {
-        let checkpoint = self.checkpoint.as_deref();
-        let item = |w: &&Workload| {
-            if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                self.replay_events(&restored);
-                return Ok(restored);
-            }
-            let profile = run_one(w)?;
-            if let Some(c) = checkpoint {
-                c.record(&self.faults, &profile)
-                    .unwrap_or_else(|e| panic!("checkpoint {}: {e}", c.path().display()));
-            }
-            Ok(profile)
-        };
-        let options = MapOptions { recorder: &*self.recorder, deadline };
-        try_parallel_map(jobs, subset, item, options)
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|f| {
-                    Err(WorkerFailure { kind: f.kind, message: f.message, exit: None })
-                })
-            })
-            .collect()
-    }
-
-    // Flushes a profile computed elsewhere (restored from a checkpoint,
-    // or returned by a worker process) into the recorder exactly as
-    // `profile_one` flushes its own.
-    fn replay_events(&self, profile: &WorkloadProfile) {
-        if self.recorder.enabled() {
-            self.recorder.add_counts(&profile.events);
-            self.recorder.observe(HistId::WorkloadWallNs, profile.wall_ns);
-        }
-    }
-
-    fn flush_faults(&self, faults: &Counts) {
-        if self.recorder.enabled() && faults.total() > 0 {
-            self.recorder.add_counts(faults);
         }
     }
 

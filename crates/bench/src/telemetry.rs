@@ -126,19 +126,13 @@ pub fn fault_records(tool: &str, outcome: &SuiteOutcome) -> Vec<Json> {
         records.push(record("faults", tool, vec![("events", outcome.faults.to_json())]));
     }
     for f in &outcome.failures {
-        let mut fields = vec![
+        let fields = vec![
             ("attempts", Json::U64(f.attempts)),
             // `kind` is taken by the record type; the failure's own
             // classification gets its own key.
             ("failure_kind", Json::Str(f.kind_str().to_string())),
+            ("error", Json::Str(f.error.clone())),
         ];
-        if let Some(x) = &f.worker {
-            // Which crash domain took the assignment down, and how it
-            // ended — lets `vprof stats` render worker-death(w0:signal 9).
-            fields.push(("worker", Json::U64(x.worker)));
-            fields.push(("exit", Json::Str(x.status.clone())));
-        }
-        fields.push(("error", Json::Str(f.error.clone())));
         records.push(record("failure", f.name, fields));
     }
     records

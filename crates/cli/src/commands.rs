@@ -28,7 +28,7 @@ const USAGE: &str = "usage:
   vprof assemble <file.s> -o <file.vpo>
   vprof disasm <target>
   vprof profile <target> [--train] [--all|--loads|--memory|--params] [--convergent] [--top N] [--save FILE]
-  vprof profile-suite [--train] [--all] [--convergent] [--jobs N|--workers N] [--baseline]
+  vprof profile-suite [--train] [--all] [--convergent] [--jobs N] [--baseline]
                       [--adaptive [--phase-window N] [--max-rearms N]]
                       [--telemetry FILE] [--retries N] [--checkpoint FILE [--resume]]
                       [--deadline-ms N] [--mem-budget-mb N]
@@ -50,7 +50,7 @@ const USAGE: &str = "usage:
   vprof compare <workload>
   vprof predict <workload> [--train]
   vprof experiment <E#|all> [--jobs N] [--telemetry FILE]
-  vprof optimize [--jobs N|--workers N]
+  vprof optimize [--jobs N]
                       [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
                       [--min-invariance P] [--min-executions N] [--max-ways N]
                       [--report FILE] [--telemetry FILE] [--retries N]
@@ -79,14 +79,6 @@ struct Args<'a> {
 
 type Handler = fn(&Args<'_>) -> Result<(), String>;
 
-/// The hidden `worker` subcommand's flags: exactly the profiling
-/// configuration `profile-suite --workers N` forwards to its children.
-const WORKER: Spec = Spec {
-    switches: "--train --all --convergent --adaptive --baseline",
-    options: "--phase-window --max-rearms --deadline-ms --mem-budget-mb",
-    positionals: 0,
-};
-
 /// Every subcommand's declaration and implementation. `rest` is the
 /// command line after the subcommand's name; it only picks the form of
 /// `optimize`.
@@ -107,16 +99,12 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "profile-suite" => (
             Spec {
                 switches: "--train --all --convergent --adaptive --baseline --resume",
-                options: "--jobs --workers --phase-window --max-rearms --telemetry \
+                options: "--jobs --phase-window --max-rearms --telemetry \
                           --retries --checkpoint --deadline-ms --mem-budget-mb",
                 positionals: 0,
             },
             profile_suite,
         ),
-        // Hidden: the child end of `profile-suite --workers N`. Serves
-        // workload assignments over stdin/stdout frames; never invoked
-        // by hand.
-        "worker" => (WORKER, worker_cmd),
         "record" => (
             Spec {
                 switches: "--train --all",
@@ -166,7 +154,7 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "optimize" => (
             Spec {
                 switches: "--convergent --adaptive --resume",
-                options: "--jobs --workers --phase-window --max-rearms \
+                options: "--jobs --phase-window --max-rearms \
                           --min-invariance --min-executions --max-ways --report --telemetry \
                           --retries --checkpoint --deadline-ms --mem-budget-mb",
                 positionals: 0,
@@ -344,44 +332,34 @@ fn mode_name(mode: ProfileMode) -> &'static str {
     }
 }
 
-/// The suite-runner configuration `profile-suite`, `optimize` and the
-/// hidden `worker` share, parsed once by [`suite_args`].
+/// The suite-runner configuration `profile-suite` and `optimize` share,
+/// parsed once by [`suite_args`].
 struct SuiteArgs {
     /// Jobs, retries, faults, deadline, memory budget, mode and
     /// checkpoint applied; each command adds its selection, recorder and
     /// baseline.
     runner: SuiteRunner,
     jobs: usize,
-    workers: Option<usize>,
     mode: ProfileMode,
     mem_budget: Option<MemBudget>,
-    plan: Arc<FaultPlan>,
 }
 
-/// Parses `--jobs N` | `--workers N`, `--retries N`, `--deadline-ms N`,
+/// Parses `--jobs N`, `--retries N`, `--deadline-ms N`,
 /// `--mem-budget-mb N`, the mode flags, and `--checkpoint FILE
 /// [--resume]` into a configured [`SuiteRunner`].
 /// `$VP_FAULTS` arms the fault plan.
 fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
     use vp_bench::{Checkpoint, RetryPolicy};
 
-    let jobs: Option<usize> = args.get("--jobs")?;
-    let workers: Option<usize> = args.get("--workers")?;
-    if workers.is_some() && jobs.is_some() {
-        return Err(
-            "--jobs and --workers are mutually exclusive (threads vs worker processes)".to_string()
-        );
-    }
-    let jobs = jobs.unwrap_or(1);
+    let jobs = args.get("--jobs")?.unwrap_or(1);
     let mut policy = RetryPolicy::default();
     policy.max_retries = args.get("--retries")?.unwrap_or(policy.max_retries);
-    let plan = Arc::new(FaultPlan::from_env()?);
     let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
     let mut runner = SuiteRunner::new()
         .jobs(jobs)
         .retry(policy)
-        .faults(Arc::clone(&plan))
+        .faults(Arc::new(FaultPlan::from_env()?))
         .deadline(deadline)
         .mem_budget(mem_budget)
         .tracker(mode.tracker())
@@ -412,7 +390,7 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
         (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
         (None, false) => {}
     }
-    Ok(SuiteArgs { runner, jobs, workers, mode, mem_budget, plan })
+    Ok(SuiteArgs { runner, jobs, mode, mem_budget })
 }
 
 /// Resolves a target to (program, input): a workload name or a `.s` path.
@@ -612,7 +590,7 @@ fn profile_suite(args: &Args) -> Result<(), String> {
 
     let ds = dataset(args);
     let (selection, what) = selection(args);
-    let SuiteArgs { runner, jobs, workers, mode, mem_budget, .. } = suite_args(args)?;
+    let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let recorder = Arc::new(MemRecorder::new());
@@ -620,14 +598,7 @@ fn profile_suite(args: &Args) -> Result<(), String> {
         .selection(selection)
         .recorder(recorder.clone())
         .measure_baseline(args.has("--baseline"));
-    let outcome = match workers {
-        // Worker processes are crash domains: each profiles assigned
-        // workloads behind the stdin/stdout frame protocol, and a dead
-        // worker costs one retryable attempt, never the suite. Output
-        // and masked telemetry stay byte-identical to `--jobs N`.
-        Some(n) => runner.try_run_distributed(&vp_workloads::suite(), worker_spec(args, n, &[])?),
-        None => runner.try_run(ds),
-    };
+    let outcome = runner.try_run(ds);
     let profile = &outcome.profile;
     println!(
         "{}",
@@ -695,61 +666,13 @@ fn profile_suite(args: &Args) -> Result<(), String> {
     }
 
     let mode = format!("{}-{}", mode_name(mode), if args.has("--all") { "all" } else { "loads" });
-    // `--workers N` reports N in the `jobs` field: the records describe
-    // the same parallelism either way and stay byte-comparable.
-    let mut records = vp_bench::suite_records(
-        "profile-suite",
-        ds,
-        workers.unwrap_or(jobs),
-        &mode,
-        profile,
-        Some(&recorder),
-    );
+    let mut records =
+        vp_bench::suite_records("profile-suite", ds, jobs, &mode, profile, Some(&recorder));
     records.extend(vp_bench::fault_records("profile-suite", &outcome));
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
     println!("telemetry: {} ({} records)", telemetry_path.display(), records.len());
     Ok(())
-}
-
-/// Builds the subprocess spec for `profile-suite --workers N`: the
-/// current binary re-invoked as `vprof worker` with every flag the
-/// [`WORKER`] spec declares forwarded, plus `extra`. Orchestration flags
-/// (`--jobs`/`--workers`/`--retries`/`--checkpoint`/`--telemetry`) stay
-/// with the parent — workers only profile what they are told to.
-fn worker_spec(
-    args: &Args,
-    workers: usize,
-    extra: &[&str],
-) -> Result<vp_bench::WorkerSpec, String> {
-    let bin =
-        std::env::current_exe().map_err(|e| format!("cannot locate the vprof binary: {e}"))?;
-    let switches = args.switches.iter().filter(|s| lists(WORKER.switches, s));
-    let options = args.options.iter().filter(|(name, _)| lists(WORKER.options, name));
-    let forwarded = std::iter::once("worker")
-        .chain(switches.copied())
-        .chain(options.flat_map(|&(name, value)| [name, value]))
-        .chain(extra.iter().copied())
-        .map(str::to_string)
-        .collect();
-    Ok(vp_bench::WorkerSpec { bin, args: forwarded, workers })
-}
-
-/// Hidden subcommand: the child end of `profile-suite --workers N`.
-/// Builds the same profiling configuration the parent would (selection,
-/// mode, deadline, memory budget, baseline) and serves workload
-/// assignments over the stdin/stdout frame protocol until told to exit.
-/// Retries, checkpointing, and telemetry stay with the parent; fault
-/// injection re-arms from this process's own `$VP_FAULTS` view, with
-/// `$VP_FAULTS_SCOPE` picking the victim worker.
-fn worker_cmd(args: &Args) -> Result<(), String> {
-    let ds = dataset(args);
-    let SuiteArgs { runner, plan, .. } = suite_args(args)?;
-    let runner = runner
-        .selection(selection(args).0)
-        .retry(vp_bench::RetryPolicy::none())
-        .measure_baseline(args.has("--baseline"));
-    vp_bench::serve_worker(&runner, ds, &plan).map_err(|e| format!("worker: {e}"))
 }
 
 /// Renders a human-readable summary of a `telemetry.jsonl` file. A final
@@ -1214,8 +1137,8 @@ fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, 
 }
 
 /// `vprof optimize`: the end-to-end PGO loop. Profiles the suite on the
-/// *train* input (through `SuiteRunner`, so `--jobs/--workers`,
-/// the governor, checkpointing and fault injection all apply), plans
+/// *train* input (through `SuiteRunner`, so `--jobs`, the governor,
+/// checkpointing and fault injection all apply), plans
 /// semi-invariant candidates from the per-load metrics, specializes each
 /// program behind runtime guards, and re-runs original vs specialized on
 /// the *test* input. Emits the cross-input report as a deterministic
@@ -1235,7 +1158,7 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
     candidates.min_executions = args.get("--min-executions")?.unwrap_or(candidates.min_executions);
     cfg.options.max_ways = args.at_least("--max-ways", 1)?.unwrap_or(cfg.options.max_ways);
     // Parsed after the optimizer options: it creates the checkpoint file.
-    let SuiteArgs { runner, workers, mode, .. } = suite_args(args)?;
+    let SuiteArgs { runner, mode, .. } = suite_args(args)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let report_path = args.value("--report").unwrap_or("optimize-report.txt");
@@ -1247,13 +1170,7 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
     let runner = runner.selection(Selection::LoadsOnly).recorder(recorder.clone());
     let mode = mode_name(mode);
     let workloads = vp_workloads::suite();
-    let outcome = match workers {
-        // Workers profile the train input; the parent owns everything
-        // downstream of the profile, so the report and telemetry stay
-        // byte-identical to an in-process run.
-        Some(n) => runner.try_run_distributed(&workloads, worker_spec(args, n, &["--train"])?),
-        None => runner.try_run(cfg.train),
-    };
+    let outcome = runner.try_run_workloads(&workloads, cfg.train);
 
     let report = vp_bench::optimize_from_outcome(&outcome, &workloads, mode, &cfg)?;
     print!("{}", report.render());
@@ -1386,9 +1303,6 @@ mod tests {
 
     #[test]
     fn optimize_rejects_bad_flags() {
-        assert!(dispatch(&args(&["optimize", "--jobs", "2", "--workers", "2"]))
-            .unwrap_err()
-            .contains("mutually exclusive"));
         assert!(dispatch(&args(&["optimize", "--convergent", "--adaptive"]))
             .unwrap_err()
             .contains("mutually exclusive"));
@@ -1489,15 +1403,6 @@ mod tests {
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(text.contains("\"governor\""), "{text}");
         assert!(dispatch(&args(&["stats", tel_s])).is_ok());
-    }
-
-    #[test]
-    fn workers_flag_validation() {
-        // Threads and worker processes are different parallelism axes;
-        // picking both is a configuration error, not a silent override.
-        assert!(dispatch(&args(&["profile-suite", "--workers", "2", "--jobs", "2"]))
-            .unwrap_err()
-            .contains("mutually exclusive"));
     }
 
     #[test]
@@ -1833,16 +1738,6 @@ mod tests {
                 }
             }
         }
-        // The hidden worker takes only what `profile-suite` forwards.
-        let err = dispatch(&args(&["worker", "--bogus"])).unwrap_err();
-        assert!(err.contains("`--bogus`"), "{err}");
-        let (suite, _) = command("profile-suite", &[]).unwrap();
-        for declared in WORKER.switches.split_whitespace() {
-            assert!(lists(suite.switches, declared), "{declared}");
-        }
-        for declared in WORKER.options.split_whitespace() {
-            assert!(lists(suite.options, declared), "{declared}");
-        }
     }
 
     #[test]
@@ -1878,11 +1773,14 @@ mod tests {
             (&["profile-suite", "--shards", "2"], "unknown flag `--shards`"),
             (&["optimize", "--shards", "2"], "unknown flag `--shards`"),
             (&["replay", "li.vpc", "--shards", "2"], "unknown flag `--shards`"),
+            // Every suite run is in-process: no worker-process pool.
+            (&["profile-suite", "--workers", "2"], "unknown flag `--workers`"),
+            (&["optimize", "--workers", "2"], "unknown flag `--workers`"),
+            (&["worker"], "unknown command `worker`"),
             (&["profile", "li", "--all", "--all"], "`--all` given twice"),
             (&["trace", "li"], "unknown command `trace`"),
             (&["profile", "vortex", "--top", "NaN"], "bad --top value `NaN`"),
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
-            (&["profile-suite", "--workers", "some"], "bad --workers value `some`"),
             (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
             (&["profile-suite", "--mem-budget-mb", "lots"], "bad --mem-budget-mb value `lots`"),

@@ -30,27 +30,6 @@
 //!
 //! Everything is counter-driven: no clocks, no randomness, so injected
 //! failures are reproducible byte-for-byte.
-//!
-//! # Plans are per-process
-//!
-//! A plan's hit counters live in the process that parsed it: they are
-//! *not* shared across process boundaries. The distributed suite runner
-//! passes `VP_FAULTS` down to every `vprof worker` child through the
-//! environment, so each worker parses its own plan and counts its own
-//! hits from zero. A spec like `kill:worker/frame@2` therefore means
-//! "the second result frame *of whichever worker hits the point twice
-//! first*" — with several workers racing, which one dies is
-//! scheduling-dependent even though *that* some worker dies is not.
-//!
-//! To pin a fault to one specific process, set `VP_FAULTS_SCOPE` next to
-//! `VP_FAULTS`. Each process has an identity — `parent` by default, or
-//! whatever `VP_FAULT_SELF` says (the executor sets `worker:<idx>` on
-//! each child it spawns, with indices monotonically increasing across
-//! restarts). [`FaultPlan::from_env`] yields an *empty* plan in every
-//! process whose identity differs from the scope, so
-//! `VP_FAULTS_SCOPE=worker:0 VP_FAULTS=kill:worker/frame@2` kills
-//! exactly the first spawned worker, exactly once — its replacement is
-//! `worker:2` (or higher) and never matches.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,30 +37,6 @@ use std::sync::OnceLock;
 
 /// Environment variable holding the process-wide fault spec.
 pub const FAULTS_ENV: &str = "VP_FAULTS";
-
-/// Environment variable restricting `VP_FAULTS` to one process identity
-/// (e.g. `worker:0`). Unset = the plan applies to every process that
-/// inherits it.
-pub const SCOPE_ENV: &str = "VP_FAULTS_SCOPE";
-
-/// Environment variable carrying the current process's fault identity.
-/// Unset = `parent`. The worker executor sets it to `worker:<idx>` on
-/// every child it spawns.
-pub const SELF_ENV: &str = "VP_FAULT_SELF";
-
-/// Fault point hit by the executor just before spawning a worker
-/// process (`err` makes the spawn fail).
-pub const WORKER_SPAWN_POINT: &str = "worker/spawn";
-
-/// Fault point hit by a worker just before writing each result frame.
-/// `kill` here writes *half* the frame, flushes, and aborts — the
-/// deterministic model of a worker SIGKILLed mid-write, leaving a torn
-/// frame for the parent to reject.
-pub const WORKER_FRAME_POINT: &str = "worker/frame";
-
-/// Fault point hit by a worker during orderly shutdown, after its last
-/// assignment completed.
-pub const WORKER_EXIT_POINT: &str = "worker/exit";
 
 /// Fault point hit by the `vprof serve` daemon once per accepted
 /// connection, before the session handshake (`err` rejects the
@@ -222,22 +177,11 @@ impl FaultPlan {
     }
 
     /// Builds the plan from `$VP_FAULTS` (empty plan when unset).
-    ///
-    /// When `$VP_FAULTS_SCOPE` is set and names a different process than
-    /// this one's `$VP_FAULT_SELF` identity (`parent` when unset), the
-    /// spec is still *validated* but the returned plan is empty — the
-    /// fault belongs to some other process in the tree.
     pub fn from_env() -> Result<FaultPlan, String> {
-        let plan = match std::env::var(FAULTS_ENV) {
-            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}: {e}"))?,
-            Err(_) => return Ok(FaultPlan::empty()),
-        };
-        let scope = std::env::var(SCOPE_ENV).ok();
-        let own = std::env::var(SELF_ENV).ok();
-        if !scope_matches(scope.as_deref(), own.as_deref()) {
-            return Ok(FaultPlan::empty());
+        match std::env::var(FAULTS_ENV) {
+            Ok(spec) => FaultPlan::parse(&spec).map_err(|e| format!("{FAULTS_ENV}: {e}")),
+            Err(_) => Ok(FaultPlan::empty()),
         }
-        Ok(plan)
     }
 
     /// Whether the plan has no entries at all.
@@ -295,16 +239,6 @@ impl FaultPlan {
                 }
             }
         }
-    }
-}
-
-/// Whether a fault scope (`$VP_FAULTS_SCOPE`) selects a process whose
-/// identity (`$VP_FAULT_SELF`) is `own`. No scope selects everyone; no
-/// identity means `parent`.
-pub fn scope_matches(scope: Option<&str>, own: Option<&str>) -> bool {
-    match scope {
-        None => true,
-        Some(scope) => scope == own.unwrap_or("parent"),
     }
 }
 
@@ -387,19 +321,6 @@ mod tests {
             cancel::with_token(&token, || plan.fire("stuck/point"))
         }));
         assert!(cancel::is_cancel_payload(caught.unwrap_err().as_ref()));
-    }
-
-    #[test]
-    fn scope_selects_exactly_one_identity() {
-        // No scope: everyone fires.
-        assert!(scope_matches(None, None));
-        assert!(scope_matches(None, Some("worker:3")));
-        // Scoped: only the named identity fires; unset self is `parent`.
-        assert!(scope_matches(Some("parent"), None));
-        assert!(scope_matches(Some("worker:0"), Some("worker:0")));
-        assert!(!scope_matches(Some("worker:0"), Some("worker:1")));
-        assert!(!scope_matches(Some("worker:0"), None));
-        assert!(!scope_matches(Some("parent"), Some("worker:0")));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! This is a library path, not an execution path: no `vprof` subcommand
 //! shards a workload (the suite runner parallelizes *across* workloads
-//! with `--jobs`/`--workers`). It exists for the benchmark's shard layer
+//! with `--jobs`). It exists for the benchmark's shard layer
 //! and for the differential tests that pin the profilers' merge
 //! semantics. Events are routed by entity
 //! ([`partition_by_entity`], `pc % shards`), so each instruction's full

@@ -1,7 +1,7 @@
-//! Length-prefixed, CRC-verified message frames for the worker protocol.
+//! Length-prefixed, CRC-verified message frames: the transport of the
+//! `vprof serve` session protocol ([`crate::net`]).
 //!
-//! The distributed suite runner talks to `vprof worker` subprocesses over
-//! pipes. Frames echo the VPC1 chunk shape ([`trace_codec`]) so a torn or
+//! Frames echo the VPC1 chunk shape ([`trace_codec`]) so a torn or
 //! corrupted message is *detected*, never silently consumed:
 //!
 //! ```text
@@ -11,19 +11,18 @@
 //!            crc — CRC32 of kind‖payload (vp_obs::crc32)
 //! ```
 //!
-//! The error taxonomy matters more than the bytes: a worker killed
+//! The magic is part of the wire format: serve's durable session state
+//! and the benchmark's clients speak it, so it stays `VPW1`.
+//!
+//! The error taxonomy matters more than the bytes: a peer killed
 //! mid-write leaves a *prefix* of a frame behind, so EOF anywhere
-//! *inside* a frame is [`FrameError::Torn`] — the retryable worker-death
-//! signature. EOF exactly *at* a frame boundary (zero bytes of the next
-//! header arrived) is [`FrameError::PeerClosed`]: the stream ended where
-//! a frame could have cleanly ended, which is how an orderly disconnect
-//! looks — the daemon (`vprof serve`) uses the distinction to tell a
-//! client that hung up from one that crashed mid-send. Bytes that are
-//! all present but wrong (bad magic, CRC mismatch, absurd length) are
-//! [`FrameError::Corrupt`]. Consumers that treat any EOF as peer death
-//! (the worker pool, where a response was always expected) must match
-//! both `Torn` and `PeerClosed` — the seam `tests/distributed_suite.rs`
-//! pins down.
+//! *inside* a frame is [`FrameError::Torn`]. EOF exactly *at* a frame
+//! boundary (zero bytes of the next header arrived) is
+//! [`FrameError::PeerClosed`]: the stream ended where a frame could have
+//! cleanly ended, which is how an orderly disconnect looks — the daemon
+//! uses the distinction to tell a client that hung up from one that
+//! crashed mid-send. Bytes that are all present but wrong (bad magic,
+//! CRC mismatch, absurd length) are [`FrameError::Corrupt`].
 //!
 //! [`trace_codec`]: crate::trace_codec
 

@@ -70,9 +70,7 @@ pub mod view;
 pub use cancel::{CancelToken, Cancelled};
 pub use frame::{Frame, FrameError, FrameReader};
 pub use net::{MsgError, NetListener, SessionMsg};
-pub use parallel::{
-    effective_jobs, parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions,
-};
+pub use parallel::{parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions};
 pub use plan::Selection;
 pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter, VALUE_BLOCK};
 pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceFile, TraceStats};

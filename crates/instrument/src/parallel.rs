@@ -8,7 +8,7 @@
 //! [`parallel_map`] for plain fan-out (profile shards, experiment rows)
 //! and [`try_parallel_map`] for isolated items with optional telemetry
 //! and a per-item deadline ([`MapOptions`]) — the suite runner's
-//! `--jobs` threads and its `--workers` process dispatch alike.
+//! `--jobs` threads, its retry rounds and the optimize driver alike.
 //!
 //! The map cooperates with [`crate::cancel`]: the token
 //! installed on the calling thread (if any) is re-installed in every
@@ -38,7 +38,7 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(2);
 
 /// Resolves a `--jobs` argument: `0` means "use the machine's available
 /// parallelism" (falling back to 1 when that cannot be determined).
-pub fn effective_jobs(jobs: usize) -> usize {
+fn effective_jobs(jobs: usize) -> usize {
     if jobs > 0 {
         jobs
     } else {
@@ -223,13 +223,6 @@ pub enum FailureKind {
     /// The closure was cancelled cooperatively after exceeding its
     /// wall-clock deadline (see [`MapOptions::deadline`]).
     Timeout,
-    /// The worker *process* running the item died — killed, aborted, or
-    /// gone with a torn result frame. Never produced by the in-process
-    /// map in this module; the distributed suite executor uses it to
-    /// keep process death distinct from an in-workload panic or a
-    /// cooperative timeout, since it says nothing about the workload
-    /// itself and is always worth a retry.
-    WorkerDeath,
 }
 
 /// A failure captured from one item of a [`try_parallel_map`] run.
@@ -249,9 +242,6 @@ impl fmt::Display for ItemFailure {
         match self.kind {
             FailureKind::Panic => write!(f, "item {} panicked: {}", self.index, self.message),
             FailureKind::Timeout => write!(f, "item {} timed out: {}", self.index, self.message),
-            FailureKind::WorkerDeath => {
-                write!(f, "item {} lost its worker: {}", self.index, self.message)
-            }
         }
     }
 }

@@ -74,13 +74,6 @@ pub enum CounterId {
     PhaseRearms,
     /// Re-arms denied because the entity's budget was exhausted.
     PhaseRearmsDenied,
-    /// Worker processes spawned by the distributed suite executor.
-    WorkerSpawns,
-    /// Worker processes that died mid-assignment (killed, aborted, or
-    /// gone with a torn result frame).
-    WorkerDeaths,
-    /// Worker processes spawned to replace a dead one.
-    WorkerRestarts,
     /// Specialization guards that matched their profiled value.
     GuardHits,
     /// Specialization guards that fell through to the slow path.
@@ -105,7 +98,7 @@ impl CounterId {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Every counter, in canonical (rendering) order.
-    pub const ALL: [CounterId; 40] = [
+    pub const ALL: [CounterId; 37] = [
         CounterId::InstrEvents,
         CounterId::LoadEvents,
         CounterId::StoreEvents,
@@ -135,9 +128,6 @@ impl CounterId {
         CounterId::PhaseShifts,
         CounterId::PhaseRearms,
         CounterId::PhaseRearmsDenied,
-        CounterId::WorkerSpawns,
-        CounterId::WorkerDeaths,
-        CounterId::WorkerRestarts,
         CounterId::GuardHits,
         CounterId::GuardMisses,
         CounterId::SitesSpecialized,
@@ -180,9 +170,6 @@ impl CounterId {
             CounterId::PhaseShifts => "phase_shifts",
             CounterId::PhaseRearms => "phase_rearms",
             CounterId::PhaseRearmsDenied => "phase_rearms_denied",
-            CounterId::WorkerSpawns => "worker_spawns",
-            CounterId::WorkerDeaths => "worker_deaths",
-            CounterId::WorkerRestarts => "worker_restarts",
             CounterId::GuardHits => "guard_hits",
             CounterId::GuardMisses => "guard_misses",
             CounterId::SitesSpecialized => "sites_specialized",

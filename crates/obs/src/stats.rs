@@ -113,13 +113,6 @@ fn failure_table(failures: &[&Json]) -> String {
         // Records from producers predating the deadline watchdog carry no
         // failure_kind — everything they quarantined was a panic.
         let kind = rec.get("failure_kind").and_then(Json::as_str).unwrap_or("panic");
-        // Worker deaths carry the crash domain's index and exit status.
-        let kind = match (rec.get("worker").and_then(Json::as_u64), rec.get("exit")) {
-            (Some(worker), Some(exit)) => {
-                format!("{kind}(w{worker}:{})", exit.as_str().unwrap_or("?"))
-            }
-            _ => kind.to_string(),
-        };
         let error = rec.get("error").and_then(Json::as_str).unwrap_or("?");
         out.push_str(&format!("{name:<16} {attempts:>8}  {kind:<12}  {error}\n"));
     }
@@ -509,29 +502,6 @@ mod tests {
         // The table row itself carries the timeout classification — a
         // bare substring would also match "workload_timeouts" above.
         assert!(text.contains("  timeout       deadline exceeded"), "{text}");
-    }
-
-    #[test]
-    fn failure_table_renders_worker_death_with_exit_status() {
-        let records = vec![
-            record("run", "profile-suite", vec![("jobs", Json::U64(2))]),
-            record(
-                "failure",
-                "gcc",
-                vec![
-                    ("attempts", Json::U64(1)),
-                    ("failure_kind", Json::Str("worker-death".to_string())),
-                    ("worker", Json::U64(0)),
-                    ("exit", Json::Str("signal 9".to_string())),
-                    ("error", Json::Str("worker 0 died (signal 9): torn frame".to_string())),
-                ],
-            ),
-        ];
-        let text = summarize_records(&records).unwrap();
-        assert!(
-            text.contains("worker-death(w0:signal 9)  worker 0 died (signal 9): torn frame"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use value_profiling::core::{FaultPlan, Integrity, IntegrityMode, LoadProfileError};
+use value_profiling::instrument::FailureKind;
 use value_profiling::obs::telemetry::mask_volatile;
 use value_profiling::obs::{CounterId, Json, MemRecorder};
 use value_profiling::workloads::{suite, DataSet, Workload};
@@ -100,6 +101,58 @@ fn retry_counters_are_exact_across_multiple_transient_faults() {
     assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 3);
     assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 0);
     assert_eq!(outcome.render_failures(), "");
+}
+
+/// A runaway workload is contained in process: the emulator stops it at
+/// the instruction budget with an error, the runner quarantines it, and
+/// the rest of the suite completes — the same outcome at any `--jobs`.
+#[test]
+fn runaway_workloads_stop_at_the_budget_and_are_quarantined() {
+    const BUDGET: u64 = 60_000;
+    let clean = SuiteRunner::new().run(DataSet::Test);
+    let runaway: Vec<&str> =
+        clean.workloads.iter().filter(|w| w.instructions > BUDGET).map(|w| w.name).collect();
+    assert!(!runaway.is_empty() && runaway.len() < clean.workloads.len(), "{runaway:?}");
+
+    let run = |jobs| {
+        SuiteRunner::new()
+            .jobs(jobs)
+            .budget(BUDGET)
+            .retry(RetryPolicy::none())
+            .try_run(DataSet::Test)
+    };
+    let outcome = run(1);
+    let quarantined: Vec<&str> = outcome.failures.iter().map(|f| f.name).collect();
+    assert_eq!(quarantined, runaway);
+    for f in &outcome.failures {
+        assert_eq!(f.kind, FailureKind::Panic, "{}", f.name);
+        assert_eq!(f.attempts, 1, "{}", f.name);
+        assert!(f.error.ends_with("instruction budget of 60000 exhausted"), "{}", f.error);
+    }
+    assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), runaway.len() as u64);
+    assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), runaway.len() as u64);
+    assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 0);
+
+    // Every workload under the budget completed exactly as in a clean run.
+    let completed: Vec<&str> = outcome.profile.workloads.iter().map(|w| w.name).collect();
+    let expected: Vec<&str> =
+        clean.workloads.iter().map(|w| w.name).filter(|n| !runaway.contains(n)).collect();
+    assert_eq!(completed, expected);
+    for w in &outcome.profile.workloads {
+        let reference = clean.workloads.iter().find(|c| c.name == w.name).unwrap();
+        assert_eq!(w.metrics, reference.metrics, "{}", w.name);
+        assert_eq!(w.instructions, reference.instructions, "{}", w.name);
+    }
+
+    let parallel = run(4);
+    assert_eq!(parallel.failures, outcome.failures);
+    assert_eq!(parallel.faults, outcome.faults);
+    assert_eq!(parallel.render_failures(), outcome.render_failures());
+    let names = |o: &SuiteOutcome| o.profile.workloads.iter().map(|w| w.name).collect::<Vec<_>>();
+    assert_eq!(names(&parallel), completed);
+    for (p, s) in parallel.profile.workloads.iter().zip(&outcome.profile.workloads) {
+        assert_eq!(p.metrics, s.metrics, "{}", p.name);
+    }
 }
 
 #[test]

@@ -7,10 +7,12 @@
 //! equivalent, and the adversarial families (whose profiles lie) must be
 //! caught by the guards, not by luck.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
+
+use std::path::Path;
 use std::sync::OnceLock;
 
+use common::vprof_command;
 use value_profiling::core::{track::TrackerConfig, InstructionProfiler};
 use value_profiling::instrument::{Instrumenter, Selection};
 use value_profiling::sim::{InputSet, MachineConfig};
@@ -184,38 +186,14 @@ fn report_and_records_are_parallelism_invariant_in_process() {
 // ---------------------------------------------------------------------
 // End-to-end CLI determinism: `vprof optimize` must write byte-identical
 // stdout, report artifact and telemetry however the profiling pass is
-// parallelized — threads or worker processes.
+// parallelized across threads.
 // ---------------------------------------------------------------------
 
-/// Builds the `vprof` binary once and returns its path (same idiom as
-/// `tests/distributed_suite.rs`; the worker path spawns subprocesses, so
-/// the real binary is required).
-fn vprof() -> &'static Path {
-    static BIN: OnceLock<PathBuf> = OnceLock::new();
-    BIN.get_or_init(|| {
-        let me = std::env::current_exe().expect("test binary path");
-        let profile_dir = me.parent().and_then(Path::parent).expect("target profile dir");
-        let mut build = Command::new(option_env!("CARGO").unwrap_or("cargo"));
-        build.args(["build", "-p", "vp-cli", "--quiet"]);
-        if profile_dir.file_name().is_some_and(|n| n == "release") {
-            build.arg("--release");
-        }
-        let status = build.status().expect("cargo build -p vp-cli");
-        assert!(status.success(), "building vprof failed");
-        let bin = profile_dir.join("vprof");
-        assert!(bin.exists(), "no vprof at {}", bin.display());
-        bin
-    })
-}
-
 fn run_optimize(dir: &Path, extra: &[&str]) -> String {
-    let mut cmd = Command::new(vprof());
+    let mut cmd = vprof_command();
     cmd.args(["optimize", "--report", "report.txt", "--telemetry", "opt.jsonl"])
         .args(extra)
         .current_dir(dir);
-    for var in ["VP_FAULTS", "VP_FAULTS_SCOPE", "VP_FAULT_SELF", "VP_TELEMETRY"] {
-        cmd.env_remove(var);
-    }
     let out = cmd.output().expect("spawn vprof optimize");
     assert!(
         out.status.success(),
@@ -228,8 +206,7 @@ fn run_optimize(dir: &Path, extra: &[&str]) -> String {
 #[test]
 fn cli_output_is_byte_identical_across_parallelism() {
     let base = std::env::temp_dir().join(format!("vprof-optimize-det-{}", std::process::id()));
-    let variants: &[(&str, &[&str])] =
-        &[("serial", &[]), ("jobs4", &["--jobs", "4"]), ("workers2", &["--workers", "2"])];
+    let variants: &[(&str, &[&str])] = &[("serial", &[]), ("jobs4", &["--jobs", "4"])];
     let mut reference: Option<(String, String, String)> = None;
     for (name, extra) in variants {
         let dir = base.join(name);

@@ -9,30 +9,13 @@
 //! under test are process-level: `std::process::abort` in the daemon,
 //! reconnecting clients, exit codes, and the daemon's stdout ledger.
 
+mod common;
+
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::OnceLock;
+use std::process::{Child, Stdio};
 use std::time::{Duration, Instant};
 
-/// Builds the `vprof` binary once and returns its path. Tests run from
-/// `target/<profile>/deps/<test-bin>`, so the CLI lands two levels up.
-fn vprof() -> &'static Path {
-    static BIN: OnceLock<PathBuf> = OnceLock::new();
-    BIN.get_or_init(|| {
-        let me = std::env::current_exe().expect("test binary path");
-        let profile_dir = me.parent().and_then(Path::parent).expect("target profile dir");
-        let mut build = Command::new(option_env!("CARGO").unwrap_or("cargo"));
-        build.args(["build", "-p", "vp-cli", "--quiet"]);
-        if profile_dir.file_name().is_some_and(|n| n == "release") {
-            build.arg("--release");
-        }
-        let status = build.status().expect("cargo build -p vp-cli");
-        assert!(status.success(), "building vprof failed");
-        let bin = profile_dir.join("vprof");
-        assert!(bin.exists(), "no vprof at {}", bin.display());
-        bin
-    })
-}
+use common::vprof_command;
 
 struct Run {
     stdout: String,
@@ -43,11 +26,8 @@ struct Run {
 /// Runs `vprof` to completion in `dir` with a scrubbed fault-injection
 /// environment plus `envs`.
 fn run_in(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Run {
-    let mut cmd = Command::new(vprof());
+    let mut cmd = vprof_command();
     cmd.args(args).current_dir(dir);
-    for var in ["VP_FAULTS", "VP_FAULTS_SCOPE", "VP_FAULT_SELF", "VP_TELEMETRY"] {
-        cmd.env_remove(var);
-    }
     for (key, value) in envs {
         cmd.env(key, value);
     }
@@ -68,11 +48,8 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 /// Spawns a serve daemon in `dir` and waits for its socket to appear.
 fn spawn_serve(dir: &Path, args: &[&str], envs: &[(&str, &str)]) -> Child {
-    let mut cmd = Command::new(vprof());
+    let mut cmd = vprof_command();
     cmd.arg("serve").args(args).current_dir(dir).stdout(Stdio::piped()).stderr(Stdio::piped());
-    for var in ["VP_FAULTS", "VP_FAULTS_SCOPE", "VP_FAULT_SELF", "VP_TELEMETRY"] {
-        cmd.env_remove(var);
-    }
     for (key, value) in envs {
         cmd.env(key, value);
     }
