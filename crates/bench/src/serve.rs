@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use vp_core::fault::{
     FaultAction, FaultPlan, SERVE_ACCEPT_POINT, SESSION_CHECKPOINT_POINT, SESSION_FRAME_POINT,
 };
-use vp_core::{durable, MemBudget, ProfileMode, Profiler, StreamProfiler};
+use vp_core::{durable, MemBudget, ProfileMode, Profiler};
 use vp_instrument::frame::{self, FrameError, FrameReader};
 use vp_instrument::net::{
     self, classify_chunk, ChunkDisposition, MsgError, NetListener, SessionMsg,

@@ -79,13 +79,6 @@ impl Arena {
     pub fn high_water_bytes(&self) -> usize {
         self.high
     }
-
-    /// Overwrites the live total (merging shards replaces this meter's
-    /// view with the combined profiler's exact footprint). The next
-    /// `mark` folds the new level into the high-water mark.
-    pub fn reset_live(&mut self, bytes: usize) {
-        self.live = bytes;
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -437,8 +430,5 @@ mod tests {
         arena.mark();
         assert_eq!(arena.live_bytes(), 0);
         assert_eq!(arena.high_water_bytes(), 200, "peak is sticky");
-        arena.reset_live(5000);
-        arena.mark();
-        assert_eq!(arena.high_water_bytes(), 5000);
     }
 }

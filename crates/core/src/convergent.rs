@@ -12,8 +12,6 @@
 //! experiment E7, and its trackers yield the same metrics as the full
 //! profiler so accuracy can be compared side by side.
 
-use std::collections::hash_map::Entry;
-
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
 
@@ -311,11 +309,9 @@ impl ConvergentProfiler {
 
     /// Feeds one `(instruction, value)` event directly — the trace-replay
     /// entry point; the [`Analysis`] callback delegates here. The state
-    /// machine is entirely per-instruction, so replaying each
-    /// instruction's value subsequence in order — regardless of how
-    /// subsequences of *different* instructions interleave — reproduces a
-    /// live run exactly (the entity-sharding equivalence the differential
-    /// oracle verifies).
+    /// machine is entirely per-instruction, so each instruction's result
+    /// depends only on its own value subsequence, not on how subsequences
+    /// of *different* instructions interleave.
     pub fn observe(&mut self, index: u32, value: u64) {
         let config = self.config;
         let state = self.states.entry(index).or_insert_with(|| {
@@ -403,62 +399,6 @@ impl ConvergentProfiler {
         for &(index, value) in events {
             self.observe(index, value);
         }
-    }
-
-    /// Merges the state of another convergent profiler (e.g. one that ran
-    /// over a different shard of the workload) into this one, treating
-    /// `other` as the *later* shard.
-    ///
-    /// Per instruction, trackers merge via [`ValueTracker::merge`] and the
-    /// profiled/total counters sum, so [`stats`](ConvergentProfiler::stats)
-    /// and [`overall_profile_fraction`](ConvergentProfiler::overall_profile_fraction)
-    /// reflect the union of both runs. Of the sampling state machine this
-    /// profiler keeps its own phase and convergence history (it is the
-    /// survivor that may keep profiling), except the skip interval, which
-    /// takes the maximum — if either run already backed off that far, the
-    /// merged profile has had at least that much evidence of convergence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profilers' tracker or sampler configurations differ.
-    pub fn merge(&mut self, other: ConvergentProfiler) {
-        assert_eq!(
-            self.tracker_config, other.tracker_config,
-            "cannot merge convergent profilers with different tracker configs"
-        );
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge convergent profilers with different sampler configs"
-        );
-        assert_eq!(
-            self.budget, other.budget,
-            "cannot merge convergent profilers with different phase budgets"
-        );
-        for (index, theirs) in other.states {
-            match self.states.entry(index) {
-                Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.tracker.merge(&theirs.tracker);
-                    mine.profiled += theirs.profiled;
-                    mine.total += theirs.total;
-                    mine.skip = mine.skip.max(theirs.skip);
-                    // Entity-disjoint shards never hit this arm; when an
-                    // instruction does appear on both sides, the spent
-                    // re-arm budget sums and this side's in-progress
-                    // window survives (it may keep observing).
-                    if let (Some(mine), Some(theirs)) =
-                        (mine.detect.as_mut(), theirs.detect.as_ref())
-                    {
-                        mine.absorb(theirs);
-                    }
-                }
-            }
-        }
-        self.events.merge(&other.events);
-        self.phase_stats.merge(&other.phase_stats);
     }
 }
 
@@ -628,27 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counts_and_unions_instructions() {
-        let mut a = ConvergentProfiler::new(TrackerConfig::default(), small_config());
-        feed(&mut a, 0, std::iter::repeat_n(7, 10_000));
-        feed(&mut a, 1, (0..100u64).cycle().take(1_000));
-        let mut b = ConvergentProfiler::new(TrackerConfig::default(), small_config());
-        feed(&mut b, 0, std::iter::repeat_n(7, 4_000));
-        feed(&mut b, 2, std::iter::repeat_n(9, 500));
-        let (a_profiled, b_profiled) = (a.stats()[0].profiled, b.stats()[0].profiled);
-        a.merge(b);
-        let stats = a.stats();
-        assert_eq!(stats.len(), 3);
-        assert_eq!(stats[0].total, 14_000);
-        assert_eq!(stats[0].profiled, a_profiled + b_profiled);
-        assert_eq!(stats[2].total, 500, "other-only instruction moves over");
-        let m = &a.metrics()[0];
-        assert_eq!(m.executions, 14_000);
-        assert!((m.inv_top1 - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn events_track_state_machine_and_merge() {
+    fn events_track_state_machine() {
         let mut p = ConvergentProfiler::new(TrackerConfig::default(), small_config());
         feed(&mut p, 0, std::iter::repeat_n(7, 10_000));
         let ev = p.events();
@@ -658,24 +578,6 @@ mod tests {
         assert!(ev.backoffs > 0, "constant stream must back off");
         assert!(ev.resumes > 0 && ev.resumes <= ev.backoffs);
         assert_eq!(p.tnv_events().observations(), ev.profiled);
-
-        let mut q = ConvergentProfiler::new(TrackerConfig::default(), small_config());
-        feed(&mut q, 1, std::iter::repeat_n(9, 1_000));
-        let mut expect = ev;
-        expect.merge(&q.events());
-        p.merge(q);
-        assert_eq!(p.events(), expect);
-    }
-
-    #[test]
-    #[should_panic(expected = "different sampler configs")]
-    fn merge_rejects_mismatched_config() {
-        let mut a = ConvergentProfiler::new(TrackerConfig::default(), small_config());
-        let b = ConvergentProfiler::new(
-            TrackerConfig::default(),
-            ConvergentConfig { burst: 11, ..small_config() },
-        );
-        a.merge(b);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use crate::instr_profile::InstructionProfiler;
 use crate::metrics::EntityMetrics;
 use crate::phase::{AdaptiveProfiler, PhaseBudget, PhaseStats};
 use crate::sampled::{SampleStrategy, SampledProfiler};
-use crate::shard::StreamProfiler;
 use crate::track::TrackerConfig;
 
 /// Which profiler a run attaches. Convergent and adaptive profiling use
@@ -114,6 +113,26 @@ pub enum Profiler {
 }
 
 impl Profiler {
+    /// Feeds one `(pc, value)` event.
+    pub fn observe(&mut self, pc: u32, value: u64) {
+        match self {
+            Profiler::Full(p) => p.observe(pc, value),
+            Profiler::Convergent(p) => p.observe(pc, value),
+            Profiler::Adaptive(p) => p.observe(pc, value),
+            Profiler::Sampled(p) => p.observe(pc, value),
+        }
+    }
+
+    /// Feeds a batch of events in stream order.
+    pub fn observe_batch(&mut self, events: &[(u32, u64)]) {
+        match self {
+            Profiler::Full(p) => p.observe_batch(events),
+            Profiler::Convergent(p) => p.observe_batch(events),
+            Profiler::Adaptive(p) => p.observe_batch(events),
+            Profiler::Sampled(p) => p.observe_batch(events),
+        }
+    }
+
     /// Runs `program` with this profiler attached live. The variant is
     /// matched once; the instrumentation loop itself is monomorphized
     /// over the concrete profiler.
@@ -203,40 +222,6 @@ impl Profiler {
     }
 }
 
-impl StreamProfiler for Profiler {
-    fn observe(&mut self, pc: u32, value: u64) {
-        match self {
-            Profiler::Full(p) => p.observe(pc, value),
-            Profiler::Convergent(p) => p.observe(pc, value),
-            Profiler::Adaptive(p) => p.observe(pc, value),
-            Profiler::Sampled(p) => p.observe(pc, value),
-        }
-    }
-
-    fn observe_batch(&mut self, events: &[(u32, u64)]) {
-        match self {
-            Profiler::Full(p) => p.observe_batch(events),
-            Profiler::Convergent(p) => p.observe_batch(events),
-            Profiler::Adaptive(p) => p.observe_batch(events),
-            Profiler::Sampled(p) => p.observe_batch(events),
-        }
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the two profilers are of different modes, or on any
-    /// mismatch the concrete profiler's `merge` rejects.
-    fn merge_shard(&mut self, later: Profiler) {
-        match (self, later) {
-            (Profiler::Full(p), Profiler::Full(q)) => p.merge(q),
-            (Profiler::Convergent(p), Profiler::Convergent(q)) => p.merge(q),
-            (Profiler::Adaptive(p), Profiler::Adaptive(q)) => p.merge(q),
-            (Profiler::Sampled(p), Profiler::Sampled(q)) => p.merge(q),
-            _ => panic!("cannot merge profilers of different modes"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,12 +281,5 @@ mod tests {
             assert_eq!(run.counts.instr_events, 100, "{mode:?}");
             assert_eq!(p.metrics()[0].executions, 100, "{mode:?}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "different modes")]
-    fn merging_different_modes_panics() {
-        let mut full = ProfileMode::Full.build(TrackerConfig::default(), None);
-        full.merge_shard(ProfileMode::Convergent.build(TrackerConfig::default(), None));
     }
 }

@@ -11,8 +11,8 @@
 //! 1. **degrade** — the largest entity still holding a [`FullProfile`]
 //!    drops it (`ValueTracker::degrade`), keeping the constant-space TNV
 //!    table and every scalar counter. Its `inv_top*`/LVP stay exact;
-//!    `inv_all*` becomes absent, exactly the shape shard merges already
-//!    produce and the aggregate path already tolerates.
+//!    `inv_all*` becomes absent, a shape the aggregate path already
+//!    tolerates.
 //! 2. **drop** — once no full profiles remain, the largest entity is
 //!    evicted entirely and its id blacklisted; later observations of it
 //!    are counted, not stored (like `MemoryProfiler`'s location cap).
@@ -63,18 +63,14 @@ impl MemBudget {
     }
 
     /// An equal slice of this budget for each of `shards` concurrent
-    /// profilers, so their combined resident footprint stays within the
-    /// whole. Summing the shards' post-enforcement peaks therefore bounds
-    /// the combined peak by the original budget.
+    /// profilers (the serve daemon's sessions), so their combined
+    /// resident footprint stays within the whole.
     pub fn split(&self, shards: usize) -> MemBudget {
         MemBudget { limit_bytes: (self.limit_bytes / shards.max(1)).max(1) }
     }
 }
 
-/// Exact counters of everything a [`Governor`] did. Merging (summing)
-/// shard stats gives the whole run's totals; `bytes_peak` sums to an
-/// upper bound of the combined resident peak (shards run under split
-/// budgets — see [`MemBudget::split`]).
+/// Exact counters of everything a [`Governor`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorStats {
     /// Highest resident governed footprint, in bytes, sampled after
@@ -90,14 +86,6 @@ pub struct GovernorStats {
 }
 
 impl GovernorStats {
-    /// Folds another shard's stats into this one (all counters sum).
-    pub fn merge(&mut self, other: &GovernorStats) {
-        self.bytes_peak += other.bytes_peak;
-        self.entities_degraded += other.entities_degraded;
-        self.entities_dropped += other.entities_dropped;
-        self.observations_dropped += other.observations_dropped;
-    }
-
     /// Whether the governor ever had to intervene (or shed observations).
     pub fn intervened(&self) -> bool {
         self.entities_degraded > 0 || self.entities_dropped > 0 || self.observations_dropped > 0
@@ -105,8 +93,9 @@ impl GovernorStats {
 }
 
 /// Enforces a [`MemBudget`] over one profiler's tracker map. Embedded as
-/// `Option<Governor>` in the profilers; `None` (the default) leaves every
-/// pre-existing code path untouched.
+/// `Option<Governor>` in the full
+/// [`InstructionProfiler`](crate::InstructionProfiler); `None` (the
+/// default) leaves every pre-existing code path untouched.
 #[derive(Debug, Clone)]
 pub struct Governor {
     budget: MemBudget,
@@ -137,9 +126,7 @@ impl Governor {
     }
 
     /// The arena meter behind the accounting. `bytes_peak` in
-    /// [`GovernorStats`] equals `arena().high_water_bytes()` exactly for
-    /// an unmerged governor (after shard absorption the stats carry the
-    /// summed per-shard peaks instead).
+    /// [`GovernorStats`] equals `arena().high_water_bytes()` exactly.
     pub fn arena(&self) -> &Arena {
         &self.arena
     }
@@ -147,12 +134,6 @@ impl Governor {
     /// The intervention counters so far.
     pub fn stats(&self) -> &GovernorStats {
         &self.stats
-    }
-
-    /// Whether `id` has been evicted (ladder rung 2); its observations
-    /// are counted via [`observe`](Governor::observe) but not stored.
-    pub fn is_dropped(&self, id: u64) -> bool {
-        self.dropped.contains(&id)
     }
 
     /// Feeds one `(id, value)` observation through the governed path:
@@ -230,20 +211,6 @@ impl Governor {
             self.stats.entities_dropped += 1;
             self.dropped.insert(victim.into());
         }
-    }
-
-    /// Folds another shard's governor into this one after the tracker
-    /// maps were merged: counters sum, the blacklists union, and the
-    /// resident accounting is reset to `resident_bytes` (the merged map's
-    /// total footprint — merging shard results may legitimately exceed a
-    /// per-shard budget; enforcement is an ingest-time property and
-    /// resumes if the merged profiler observes again). An id one shard
-    /// evicted but another kept stays resident and keeps observing;
-    /// entity-disjoint shards never produce one.
-    pub fn absorb(&mut self, other: &Governor, resident_bytes: usize) {
-        self.stats.merge(&other.stats);
-        self.dropped.extend(other.dropped.iter().copied());
-        self.arena.reset_live(resident_bytes);
     }
 }
 
@@ -342,7 +309,7 @@ mod tests {
         assert!(trackers.is_empty());
         assert_eq!(stats.entities_dropped, 3);
         assert!(stats.observations_dropped > 0);
-        assert!(governor.is_dropped(0) && governor.is_dropped(2));
+        assert!(governor.dropped.contains(&0) && governor.dropped.contains(&2));
         assert_eq!(governor.bytes_current(), 0);
     }
 
@@ -367,32 +334,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_sums_everything() {
-        let mut a = GovernorStats {
-            bytes_peak: 100,
-            entities_degraded: 2,
-            entities_dropped: 1,
-            observations_dropped: 7,
-        };
-        let b = GovernorStats {
-            bytes_peak: 50,
-            entities_degraded: 1,
-            entities_dropped: 0,
-            observations_dropped: 3,
-        };
-        a.merge(&b);
-        assert_eq!(a.bytes_peak, 150);
-        assert_eq!(a.entities_degraded, 3);
-        assert_eq!(a.entities_dropped, 1);
-        assert_eq!(a.observations_dropped, 10);
-        assert!(a.intervened());
-        assert!(!GovernorStats::default().intervened());
-    }
-
-    #[test]
     fn bytes_peak_is_the_arena_high_water_mark_exactly() {
-        // Under any budget — generous or degrading — an unmerged
-        // governor's reported peak is the arena's high-water mark, and
+        // Under any budget — generous or degrading — a governor's
+        // reported peak is the arena's high-water mark, and
         // the arena's live total is the exact summed tracker footprint.
         for budget in [MemBudget::mib(64), MemBudget::bytes(16 * 1024), MemBudget::bytes(64)] {
             let mut governor = Governor::new(budget);

@@ -181,32 +181,24 @@ impl InstructionProfiler {
     ///
     /// # Panics
     ///
-    /// Panics if the tracker configurations differ, or if one side is
-    /// governed and the other is not.
+    /// Panics if the tracker configurations differ, or if either side is
+    /// governed: a governor's byte accounting covers its own ingest only.
     pub fn merge(&mut self, other: InstructionProfiler) {
         assert_eq!(
             self.config, other.config,
             "cannot merge instruction profilers with different tracker configs"
         );
-        assert_eq!(
-            self.governor.is_some(),
-            other.governor.is_some(),
-            "cannot merge governed and ungoverned instruction profilers"
+        assert!(
+            self.governor.is_none() && other.governor.is_none(),
+            "cannot merge governed instruction profilers"
         );
-        let InstructionProfiler { trackers: other_trackers, governor: other_governor, .. } = other;
-        for (index, theirs) in other_trackers {
+        for (index, theirs) in other.trackers {
             match self.trackers.entry(index) {
                 Entry::Vacant(e) => {
                     e.insert(theirs);
                 }
                 Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
             }
-        }
-        if let (Some(governor), Some(theirs)) = (&mut self.governor, &other_governor) {
-            // Merged shard results may exceed a per-shard budget; the
-            // governor resumes enforcing only if ingest continues.
-            let resident = self.trackers.values().map(ValueTracker::footprint_bytes).sum();
-            governor.absorb(theirs, resident);
         }
     }
 
@@ -338,6 +330,18 @@ mod tests {
             assert_eq!(m.inv_top1, truth.inv_top1, "entity {}", truth.id);
             assert_eq!(m.lvp, truth.lvp, "entity {}", truth.id);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot merge governed")]
+    fn merging_governed_profilers_panics() {
+        use crate::govern::MemBudget;
+        let budget = MemBudget::mib(64);
+        let mut a = InstructionProfiler::with_budget(TrackerConfig::default(), budget);
+        a.observe(0, 1);
+        let mut b = InstructionProfiler::with_budget(TrackerConfig::default(), budget);
+        b.observe(1, 2);
+        a.merge(b);
     }
 
     #[test]

@@ -12,15 +12,14 @@ use vp_instrument::Analysis;
 use vp_sim::{Machine, MemAccess};
 
 use crate::arena::EntityMap;
-use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Profiles values written to memory locations.
 ///
-/// Locations are tracked at a configurable alignment granularity (default
-/// 8 bytes — one 64-bit word per tracker, the granularity the thesis
-/// profiles). The tracker population is capped so a pathological workload
+/// Locations are tracked at 8-byte alignment — one 64-bit word per
+/// tracker, the granularity the thesis profiles. Only stored values are
+/// observed. The tracker population is capped so a pathological workload
 /// cannot exhaust memory; overflowing stores are counted in
 /// [`MemoryProfiler::dropped`].
 ///
@@ -60,13 +59,14 @@ use crate::track::{TrackerConfig, ValueTracker};
 #[derive(Debug, Clone)]
 pub struct MemoryProfiler {
     config: TrackerConfig,
-    granularity: u64,
     max_locations: usize,
-    include_loads: bool,
     trackers: EntityMap<u64, ValueTracker>,
     dropped: u64,
-    governor: Option<Governor>,
 }
+
+/// Alignment of a tracked location, in bytes: sub-word stores fold into
+/// the word that contains them.
+const GRANULARITY: u64 = 8;
 
 impl MemoryProfiler {
     /// Default limit on tracked locations.
@@ -77,51 +77,15 @@ impl MemoryProfiler {
     pub fn new(config: TrackerConfig) -> MemoryProfiler {
         MemoryProfiler {
             config,
-            granularity: 8,
             max_locations: Self::DEFAULT_MAX_LOCATIONS,
-            include_loads: false,
             trackers: EntityMap::default(),
             dropped: 0,
-            governor: None,
         }
     }
 
-    /// Puts the resident tracker state under a byte budget with the
-    /// degradation ladder of [`crate::govern`]. The location *count* cap
-    /// ([`with_max_locations`](MemoryProfiler::with_max_locations)) still
-    /// applies independently; the budget governs *bytes*.
-    pub fn with_budget(mut self, budget: MemBudget) -> MemoryProfiler {
-        self.governor = Some(Governor::new(budget));
-        self
-    }
-
-    /// The governor's intervention counters, when a budget is in force.
-    pub fn governor_stats(&self) -> Option<&GovernorStats> {
-        self.governor.as_ref().map(Governor::stats)
-    }
-
-    /// Also observe values *read* from each location, so the profile
-    /// reflects the values a location supplies, not just those written to
-    /// it (the thesis's read-side variant; pair with
-    /// [`Selection::MemoryOps`](vp_instrument::Selection)).
-    pub fn including_loads(mut self, yes: bool) -> MemoryProfiler {
-        self.include_loads = yes;
-        self
-    }
-
-    /// Sets the alignment granularity in bytes (must be a power of two).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `granularity` is 0 or not a power of two.
-    pub fn with_granularity(mut self, granularity: u64) -> MemoryProfiler {
-        assert!(granularity.is_power_of_two(), "granularity must be a power of two");
-        self.granularity = granularity;
-        self
-    }
-
     /// Caps the number of tracked locations.
-    pub fn with_max_locations(mut self, max: usize) -> MemoryProfiler {
+    #[cfg(test)]
+    fn with_max_locations(mut self, max: usize) -> MemoryProfiler {
         self.max_locations = max;
         self
     }
@@ -138,7 +102,7 @@ impl MemoryProfiler {
 
     /// The tracker for the location containing `address`.
     pub fn tracker(&self, address: u64) -> Option<&ValueTracker> {
-        self.trackers.get(&(address & !(self.granularity - 1)))
+        self.trackers.get(&(address & !(GRANULARITY - 1)))
     }
 
     /// Metric snapshots per location, ordered by address.
@@ -155,55 +119,6 @@ impl MemoryProfiler {
     /// Execution-weighted aggregate over all locations.
     pub fn aggregate(&self) -> Aggregate {
         aggregate(&self.metrics())
-    }
-
-    /// Merges another memory profiler (a later shard of the workload) into
-    /// this one. Shared locations merge per [`ValueTracker::merge`];
-    /// locations only `other` saw move over while the tracked-location cap
-    /// still holds — overflowing locations are dropped with their
-    /// executions added to [`dropped`](MemoryProfiler::dropped).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profilers differ in tracker configuration,
-    /// granularity, or load inclusion.
-    pub fn merge(&mut self, other: MemoryProfiler) {
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge memory profilers with different tracker configs"
-        );
-        assert_eq!(
-            self.granularity, other.granularity,
-            "cannot merge memory profilers with different granularity"
-        );
-        assert_eq!(
-            self.include_loads, other.include_loads,
-            "cannot merge memory profilers with different load inclusion"
-        );
-        assert_eq!(
-            self.governor.is_some(),
-            other.governor.is_some(),
-            "cannot merge governed and ungoverned memory profilers"
-        );
-        self.dropped += other.dropped;
-        let other_governor = other.governor;
-        // Address order, not map order: which locations still fit under
-        // the cap must not depend on the other map's hash seed.
-        let mut incoming: Vec<(u64, ValueTracker)> = other.trackers.into_iter().collect();
-        incoming.sort_unstable_by_key(|&(address, _)| address);
-        for (address, theirs) in incoming {
-            if let Some(mine) = self.trackers.get_mut(&address) {
-                mine.merge(&theirs);
-            } else if self.trackers.len() < self.max_locations {
-                self.trackers.insert(address, theirs);
-            } else {
-                self.dropped += theirs.executions();
-            }
-        }
-        if let (Some(governor), Some(theirs)) = (&mut self.governor, &other_governor) {
-            let resident = self.trackers.values().map(ValueTracker::footprint_bytes).sum();
-            governor.absorb(theirs, resident);
-        }
     }
 
     /// The `n` most frequently written locations, hottest first.
@@ -226,21 +141,7 @@ impl MemoryProfiler {
 
 impl MemoryProfiler {
     fn observe_access(&mut self, access: &MemAccess) {
-        let key = access.address & !(self.granularity - 1);
-        if let Some(governor) = &mut self.governor {
-            // The location-count cap fires before the byte budget for new
-            // locations; it keeps its own counter, distinct from the
-            // governor's budget-driven drops.
-            if self.trackers.len() >= self.max_locations
-                && !self.trackers.contains_key(&key)
-                && !governor.is_dropped(key)
-            {
-                self.dropped += 1;
-                return;
-            }
-            governor.observe(&mut self.trackers, self.config, key, access.value);
-            return;
-        }
+        let key = access.address & !(GRANULARITY - 1);
         let full = self.trackers.len() >= self.max_locations;
         match self.trackers.entry(key) {
             Entry::Occupied(e) => e.into_mut().observe(access.value),
@@ -255,12 +156,6 @@ impl MemoryProfiler {
 impl Analysis for MemoryProfiler {
     fn on_store(&mut self, _machine: &Machine, _index: u32, access: &MemAccess) {
         self.observe_access(access);
-    }
-
-    fn on_load(&mut self, _machine: &Machine, _index: u32, access: &MemAccess) {
-        if self.include_loads {
-            self.observe_access(access);
-        }
     }
 }
 
@@ -309,7 +204,7 @@ mod tests {
 
     #[test]
     fn granularity_merges_subword_stores() {
-        let mut p = MemoryProfiler::new(TrackerConfig::default()).with_granularity(8);
+        let mut p = MemoryProfiler::new(TrackerConfig::default());
         run(
             r#"
             .data
@@ -351,39 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn capped_merge_keeps_the_lowest_addresses() {
-        // The survivors of a merge that overflows the cap are picked in
-        // address order, whatever the incoming map's seed.
-        const STORES: &str = r#"
-            .data
-            buf: .space 256
-            .text
-            main:
-                la r8, buf
-                li r9, 32
-            loop:
-                std r9, 0(r8)
-                addi r8, r8, 8
-                addi r9, r9, -1
-                bnz r9, loop
-                sys exit
-            "#;
-        let merged = || {
-            let mut mine = MemoryProfiler::new(TrackerConfig::default()).with_max_locations(4);
-            let mut theirs = MemoryProfiler::new(TrackerConfig::default());
-            run(STORES, &mut theirs);
-            mine.merge(theirs);
-            mine
-        };
-        let mut uncapped = MemoryProfiler::new(TrackerConfig::default());
-        run(STORES, &mut uncapped);
-        let (a, b) = (merged(), merged());
-        assert_eq!(a.dropped(), 28);
-        assert_eq!(a.metrics(), uncapped.metrics()[..4]);
-        assert_eq!(b.metrics(), a.metrics());
-    }
-
-    #[test]
     fn hottest_ordering() {
         let mut p = MemoryProfiler::new(TrackerConfig::default());
         run(
@@ -408,7 +270,7 @@ mod tests {
     }
 
     #[test]
-    fn including_loads_observes_reads() {
+    fn loads_are_not_observed() {
         let src = r#"
             .data
             x: .quad 5
@@ -420,69 +282,8 @@ mod tests {
                 std r2, 0(r8)
                 sys exit
         "#;
-        let mut stores_only = MemoryProfiler::new(TrackerConfig::default());
-        run(src, &mut stores_only);
-        assert_eq!(stores_only.metrics()[0].executions, 1);
-        let mut both = MemoryProfiler::new(TrackerConfig::default()).including_loads(true);
-        run(src, &mut both);
-        assert_eq!(both.metrics()[0].executions, 3);
-        assert!((both.metrics()[0].inv_top1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_granularity_panics() {
-        let _ = MemoryProfiler::new(TrackerConfig::default()).with_granularity(6);
-    }
-
-    const COUNTER_STORES: &str = r#"
-        .data
-        buf: .space 32
-        .text
-        main:
-            la r8, buf
-            li r9, 200
-        loop:
-            std r9, 0(r8)
-            std r9, 8(r8)
-            std r9, 16(r8)
-            std r9, 24(r8)
-            addi r9, r9, -1
-            bnz r9, loop
-            sys exit
-    "#;
-
-    #[test]
-    fn generous_budget_changes_nothing() {
-        use crate::govern::MemBudget;
-        let mut plain = MemoryProfiler::new(TrackerConfig::with_full());
-        run(COUNTER_STORES, &mut plain);
-        let mut governed =
-            MemoryProfiler::new(TrackerConfig::with_full()).with_budget(MemBudget::mib(64));
-        run(COUNTER_STORES, &mut governed);
-        assert_eq!(governed.metrics(), plain.metrics());
-        assert_eq!(governed.dropped(), 0);
-        assert!(!governed.governor_stats().unwrap().intervened());
-    }
-
-    #[test]
-    fn tight_budget_degrades_locations_but_keeps_scalars() {
-        use crate::govern::MemBudget;
-        let mut plain = MemoryProfiler::new(TrackerConfig::with_full());
-        run(COUNTER_STORES, &mut plain);
-        let budget = MemBudget::bytes(4 * 1024);
-        let mut governed = MemoryProfiler::new(TrackerConfig::with_full()).with_budget(budget);
-        run(COUNTER_STORES, &mut governed);
-        let stats = *governed.governor_stats().unwrap();
-        assert!(stats.entities_degraded > 0);
-        assert!(stats.bytes_peak <= budget.limit_bytes() as u64);
-        for truth in plain.metrics() {
-            let Some(m) = governed.metrics().into_iter().find(|m| m.id == truth.id) else {
-                continue; // location evicted (rung 2)
-            };
-            assert_eq!(m.executions, truth.executions, "location {:#x}", truth.id);
-            assert_eq!(m.inv_top1, truth.inv_top1, "location {:#x}", truth.id);
-            assert_eq!(m.lvp, truth.lvp, "location {:#x}", truth.id);
-        }
+        let mut p = MemoryProfiler::new(TrackerConfig::default());
+        run(src, &mut p);
+        assert_eq!(p.metrics()[0].executions, 1);
     }
 }

@@ -5,13 +5,11 @@
 //! always the same value can be cloned and specialized on that value
 //! behind a cheap guard.
 
-use std::collections::hash_map::Entry;
-
 use vp_instrument::Analysis;
 use vp_sim::Machine;
 
 use crate::arena::EntityMap;
-use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::metrics::EntityMetrics;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Identifies one profiled parameter slot.
@@ -36,10 +34,8 @@ pub struct ParamMetrics {
 
 /// Profiles procedure arguments and return values.
 ///
-/// By default the first `arity` argument registers of every procedure are
-/// profiled (VP64 has four); override per procedure with
-/// [`set_arity`](ParamProfiler::set_arity) when the true arity is known so
-/// dead argument registers don't pollute the profile.
+/// The first `arity` argument registers of every procedure are profiled
+/// (VP64 has four), plus every return value.
 ///
 /// ```
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,26 +77,15 @@ pub struct ParamMetrics {
 #[derive(Debug, Clone)]
 pub struct ParamProfiler {
     config: TrackerConfig,
-    default_arity: u8,
-    arity: EntityMap<usize, u8>,
+    arity: u8,
     trackers: EntityMap<(usize, ParamSlot), ValueTracker>,
 }
 
 impl ParamProfiler {
-    /// Creates a profiler that tracks `default_arity` argument registers
-    /// per procedure (clamped to 4) plus every return value.
-    pub fn new(config: TrackerConfig, default_arity: u8) -> ParamProfiler {
-        ParamProfiler {
-            config,
-            default_arity: default_arity.min(4),
-            arity: EntityMap::default(),
-            trackers: EntityMap::default(),
-        }
-    }
-
-    /// Overrides the profiled arity for one procedure.
-    pub fn set_arity(&mut self, proc_index: usize, arity: u8) {
-        self.arity.insert(proc_index, arity.min(4));
+    /// Creates a profiler that tracks `arity` argument registers per
+    /// procedure (clamped to 4) plus every return value.
+    pub fn new(config: TrackerConfig, arity: u8) -> ParamProfiler {
+        ParamProfiler { config, arity: arity.min(4), trackers: EntityMap::default() }
     }
 
     /// Tracker for one (procedure, slot) pair.
@@ -125,48 +110,6 @@ impl ParamProfiler {
             .collect()
     }
 
-    /// Merges another parameter profiler (a later shard of the workload)
-    /// into this one: shared (procedure, slot) trackers merge per
-    /// [`ValueTracker::merge`], others move over. Arity overrides combine
-    /// with this profiler's taking precedence on conflict.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tracker configurations or default arities differ.
-    pub fn merge(&mut self, other: ParamProfiler) {
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge param profilers with different tracker configs"
-        );
-        assert_eq!(
-            self.default_arity, other.default_arity,
-            "cannot merge param profilers with different default arity"
-        );
-        for (proc_index, arity) in other.arity {
-            self.arity.entry(proc_index).or_insert(arity);
-        }
-        for (key, theirs) in other.trackers {
-            match self.trackers.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
-            }
-        }
-    }
-
-    /// Execution-weighted aggregate over all argument slots (returns
-    /// excluded, matching the paper's parameter table).
-    pub fn aggregate_args(&self) -> Aggregate {
-        let ms: Vec<EntityMetrics> = self
-            .metrics()
-            .into_iter()
-            .filter(|p| matches!(p.slot, ParamSlot::Arg(_)))
-            .map(|p| p.metrics)
-            .collect();
-        aggregate(&ms)
-    }
-
     /// Summed TNV-table events across all parameter-slot trackers.
     pub fn tnv_events(&self) -> vp_obs::TnvEvents {
         let mut out = vp_obs::TnvEvents::default();
@@ -187,8 +130,7 @@ fn encode_id(proc_index: usize, slot: ParamSlot) -> u64 {
 
 impl Analysis for ParamProfiler {
     fn on_proc_entry(&mut self, _machine: &Machine, proc_index: usize, args: [u64; 4]) {
-        let arity = self.arity.get(&proc_index).copied().unwrap_or(self.default_arity);
-        for (i, &value) in args.iter().enumerate().take(usize::from(arity)) {
+        for (i, &value) in args.iter().enumerate().take(usize::from(self.arity)) {
             self.trackers
                 .entry((proc_index, ParamSlot::Arg(i as u8)))
                 .or_insert_with(|| ValueTracker::new(self.config))
@@ -259,31 +201,6 @@ mod tests {
         assert!((pair_arg.inv_top(1) - 1.0).abs() < 1e-12); // constant 42
         let pair_ret = p.tracker(1, ParamSlot::Ret).unwrap();
         assert!((pair_ret.inv_top(1) - 1.0).abs() < 1e-12); // always 51
-    }
-
-    #[test]
-    fn arity_override() {
-        let program = vp_asm::assemble(TWO_PROCS).unwrap();
-        let mut p = ParamProfiler::new(TrackerConfig::default(), 4);
-        p.set_arity(0, 1);
-        p.set_arity(1, 2);
-        Instrumenter::new()
-            .select(Selection::None)
-            .with_procedures(true)
-            .run(&program, MachineConfig::new(), 100_000, &mut p)
-            .unwrap();
-        assert!(p.tracker(0, ParamSlot::Arg(1)).is_none());
-        assert!(p.tracker(1, ParamSlot::Arg(1)).is_some());
-        assert!(p.tracker(1, ParamSlot::Arg(2)).is_none());
-    }
-
-    #[test]
-    fn aggregate_excludes_returns() {
-        let p = run(1);
-        let agg = p.aggregate_args();
-        // id's arg (6 distinct values) + pair's arg (constant): 12 executions.
-        assert_eq!(agg.executions, 12);
-        assert!(agg.inv_top1 > 0.4 && agg.inv_top1 < 0.8);
     }
 
     #[test]

@@ -22,9 +22,8 @@
 //! adversarially noisy stream cannot force unbounded re-profiling.
 //!
 //! Everything is deterministic: no clocks, no randomness, all state per
-//! instruction. Entity-sharded runs are therefore bit-identical to
-//! serial ones, and [`PhaseStats`] counters are exact sums of
-//! per-instruction events that merge across shards by addition.
+//! instruction, and [`PhaseStats`] counters are exact sums of
+//! per-instruction events.
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
@@ -89,9 +88,9 @@ impl Default for PhaseBudget {
 
 /// Exact counters of the phase detector, summed over all instructions.
 ///
-/// Like [`GovernorStats`](crate::govern::GovernorStats) these merge
-/// across shards by addition and flow into checkpoint, telemetry and
-/// `vprof stats` only when adaptive profiling is on.
+/// Like [`GovernorStats`](crate::govern::GovernorStats) these flow into
+/// checkpoint, telemetry and `vprof stats` only when adaptive profiling
+/// is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Signature windows completed.
@@ -105,7 +104,7 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// Sums another detector's counters into this one (shard merge).
+    /// Sums another detector's counters into this one.
     pub fn merge(&mut self, other: &PhaseStats) {
         self.windows += other.windows;
         self.shifts_detected += other.shifts_detected;
@@ -266,11 +265,6 @@ impl Detector {
         self.sketch.clear();
         Some(is_shift)
     }
-
-    /// Sums another shard's spent budget into this instruction's.
-    pub(crate) fn absorb(&mut self, other: &Detector) {
-        self.rearms += other.rearms;
-    }
 }
 
 /// The convergent profiler with phase detection armed: converged
@@ -280,8 +274,7 @@ impl Detector {
 /// A thin wrapper around [`ConvergentProfiler`] — on streams where the
 /// detector never flags a shift the two are *bit-identical* (the
 /// detector observes but never touches the sampling state machine), and
-/// like the inner profiler all state is per-instruction, so
-/// entity-sharded runs reproduce serial ones exactly.
+/// like the inner profiler all state is per-instruction.
 ///
 /// ```
 /// use vp_core::convergent::ConvergentConfig;
@@ -375,16 +368,6 @@ impl AdaptiveProfiler {
     /// Feeds a batch of `(instruction, value)` events in stream order.
     pub fn observe_batch(&mut self, events: &[(u32, u64)]) {
         self.inner.observe_batch(events);
-    }
-
-    /// Merges another adaptive profiler (the *later* shard) into this
-    /// one; detector counters sum exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tracker, sampler or budget configurations differ.
-    pub fn merge(&mut self, other: AdaptiveProfiler) {
-        self.inner.merge(other.inner);
     }
 
     /// View of the wrapped convergent profiler.
@@ -573,36 +556,6 @@ mod tests {
         assert_eq!(ps.rearms, 0);
         assert_eq!(ps.rearms_denied, 0);
         assert_eq!(p.stats()[0].profiled, p.stats()[0].total);
-    }
-
-    #[test]
-    fn merge_sums_phase_stats_and_budget_spend() {
-        let mut a = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
-        let mut b = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
-        for v in oscillating(&[7, 9], 2_048, 32_768) {
-            a.observe(0, v);
-        }
-        for v in oscillating(&[3, 5], 2_048, 32_768) {
-            b.observe(1, v);
-        }
-        let (sa, sb) = (a.phase_stats(), b.phase_stats());
-        let mut expect = sa;
-        expect.merge(&sb);
-        a.merge(b);
-        assert_eq!(a.phase_stats(), expect);
-        assert_eq!(a.stats().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different phase budgets")]
-    fn merge_rejects_mismatched_budget() {
-        let mut a = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
-        let b = AdaptiveProfiler::new(
-            TrackerConfig::default(),
-            small_config(),
-            PhaseBudget { max_rearms: 1, ..small_budget() },
-        );
-        a.merge(b);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //! ([`SampleStrategy::Random`]) — spending the *same* profiling budget on
 //! every instruction regardless of whether its profile has converged.
 
-use std::collections::hash_map::Entry;
-
 use vp_instrument::Analysis;
 use vp_obs::{SampleEvents, TnvEvents};
 
@@ -147,12 +145,10 @@ impl SampledProfiler {
     /// entry point; the [`Analysis`] callback delegates here.
     ///
     /// Under [`SampleStrategy::Periodic`] the sampling position is a
-    /// per-instruction countdown, so replay is insensitive to how
-    /// different instructions' subsequences interleave (entity-sharding
-    /// reproduces a live run exactly). [`SampleStrategy::Random`] draws
-    /// from a single profiler-wide generator whose sequence *does* depend
-    /// on the global interleaving — sharded replay of a random-sampled
-    /// profile is statistically equivalent but not bit-identical.
+    /// per-instruction countdown, so the result is insensitive to how
+    /// different instructions' subsequences interleave.
+    /// [`SampleStrategy::Random`] draws from a single profiler-wide
+    /// generator whose sequence *does* depend on the global interleaving.
     pub fn observe(&mut self, index: u32, value: u64) {
         let strategy = self.strategy;
         let config = self.tracker_config;
@@ -194,41 +190,6 @@ impl SampledProfiler {
         for &(index, value) in events {
             self.observe(index, value);
         }
-    }
-
-    /// Merges the state of another sampled profiler (a later shard of the
-    /// same workload) into this one: per-instruction trackers merge via
-    /// [`ValueTracker::merge`] and profiled/total counters sum. This
-    /// profiler keeps its own sampling position (periodic countdown /
-    /// random-generator state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profilers' tracker configurations or sampling
-    /// strategies differ.
-    pub fn merge(&mut self, other: SampledProfiler) {
-        assert_eq!(
-            self.tracker_config, other.tracker_config,
-            "cannot merge sampled profilers with different tracker configs"
-        );
-        assert_eq!(
-            self.strategy, other.strategy,
-            "cannot merge sampled profilers with different strategies"
-        );
-        for (index, theirs) in other.states {
-            match self.states.entry(index) {
-                Entry::Vacant(e) => {
-                    e.insert(theirs);
-                }
-                Entry::Occupied(mut e) => {
-                    let mine = e.get_mut();
-                    mine.tracker.merge(&theirs.tracker);
-                    mine.profiled += theirs.profiled;
-                    mine.total += theirs.total;
-                }
-            }
-        }
-        self.events.merge(&other.events);
     }
 
     fn next_random(&mut self) -> u64 {
@@ -327,12 +288,6 @@ mod tests {
         assert_eq!(ev.taken, 100);
         assert_eq!(ev.skipped, 900);
         assert_eq!(p.tnv_events().observations(), ev.taken);
-
-        let mut q =
-            SampledProfiler::new(TrackerConfig::default(), SampleStrategy::Periodic { period: 10 });
-        feed(&mut q, 0, std::iter::repeat_n(9, 100));
-        p.merge(q);
-        assert_eq!(p.events(), SampleEvents { taken: 110, skipped: 990 });
     }
 
     #[test]

@@ -1,30 +1,19 @@
 //! Entity-sharded profiling: split one recorded `(pc, value)` stream
-//! across workers, profile the shards in parallel, and `merge()` the
-//! results.
+//! across workers, profile the shards in parallel with full
+//! [`InstructionProfiler`]s, and `merge()` the results.
 //!
 //! This is a library path, not an execution path: no `vprof` subcommand
 //! shards a workload (the suite runner parallelizes *across* workloads
-//! with `--jobs`). It exists for the benchmark's shard layer
-//! and for the differential tests that pin the profilers' merge
-//! semantics. Events are routed by entity
-//! ([`partition_by_entity`], `pc % shards`), so each instruction's full
-//! value subsequence lands on exactly one shard, in order. Per-entity
-//! profiler state (TNV tables, LVP chains, the convergent state machine,
-//! periodic-sample countdowns) never observes a difference from a serial
-//! pass, and the merge is a disjoint union — the sharded result is
-//! **bit-identical** to serial for the full, convergent, and
-//! periodic-sampled profilers. The one exception is
-//! [`SampleStrategy::Random`], whose single profiler-wide generator
-//! depends on the global event interleaving.
-//!
-//! [`SampleStrategy::Random`]: crate::sampled::SampleStrategy::Random
+//! with `--jobs`). It exists for the benchmark's shard layer. Events are
+//! routed by entity ([`partition_by_entity`], `pc % shards`), so each
+//! instruction's full value subsequence lands on exactly one shard, in
+//! order. Per-instruction tracker state never observes a difference from
+//! a serial pass, and the merge is a disjoint union — the sharded full
+//! profile is **bit-identical** to serial.
 
 use vp_instrument::parallel_map;
 
-use crate::convergent::ConvergentProfiler;
 use crate::instr_profile::InstructionProfiler;
-use crate::phase::AdaptiveProfiler;
-use crate::sampled::SampledProfiler;
 
 /// A profiler that can consume a raw `(pc, value)` event stream and fold
 /// in shard results — what [`profile_sharded`] requires.
@@ -57,36 +46,6 @@ impl StreamProfiler for InstructionProfiler {
     }
 }
 
-impl StreamProfiler for ConvergentProfiler {
-    fn observe(&mut self, pc: u32, value: u64) {
-        ConvergentProfiler::observe(self, pc, value);
-    }
-
-    fn merge_shard(&mut self, later: ConvergentProfiler) {
-        self.merge(later);
-    }
-}
-
-impl StreamProfiler for AdaptiveProfiler {
-    fn observe(&mut self, pc: u32, value: u64) {
-        AdaptiveProfiler::observe(self, pc, value);
-    }
-
-    fn merge_shard(&mut self, later: AdaptiveProfiler) {
-        self.merge(later);
-    }
-}
-
-impl StreamProfiler for SampledProfiler {
-    fn observe(&mut self, pc: u32, value: u64) {
-        SampledProfiler::observe(self, pc, value);
-    }
-
-    fn merge_shard(&mut self, later: SampledProfiler) {
-        self.merge(later);
-    }
-}
-
 /// Routes each event to shard `pc % shards`, preserving per-entity order.
 /// Every entity's full subsequence lands on exactly one shard.
 ///
@@ -110,11 +69,6 @@ const STEAL_FACTOR: usize = 8;
 /// Number of entity partitions [`profile_sharded`] creates for a request
 /// of `shards` workers: 1 for a serial request, `shards` times the
 /// work-stealing over-decomposition factor (8) otherwise.
-///
-/// Budgeted callers must split their `MemBudget` by *this* count (not by
-/// `shards`): one partition profiler exists per partition, so splitting
-/// by the partition count keeps the per-profiler budgets summing to at
-/// most the whole.
 pub fn partition_count(shards: usize) -> usize {
     if shards <= 1 {
         1
@@ -125,7 +79,8 @@ pub fn partition_count(shards: usize) -> usize {
 
 /// Profiles `events` across `shards` workers and merges the partition
 /// profilers in partition order. `make` builds one identically-configured
-/// profiler per partition.
+/// profiler per partition; it must be ungoverned, since
+/// [`InstructionProfiler::merge`] rejects governed profilers.
 ///
 /// The scheduler is work-stealing in the claim-based sense: the stream
 /// is over-decomposed into [`partition_count`] entity partitions —

@@ -2,13 +2,10 @@
 //! observe path against the scalar loop.
 //!
 //! Over real workload traces and adversarial synthetic streams, entity
-//! sharding (`pc % shards`) is *bit-identical* to a serial pass for every
-//! profiler whose state is per-instruction — the full profiler, the
-//! convergent profiler, and periodic sampling. Metrics, per-instruction
-//! stats, and telemetry event counters must all be exactly equal for
-//! shards ∈ {1, 2, 7}. Random sampling is the one exclusion: its single
-//! profiler-wide generator consumes draws in global stream order, so any
-//! split reorders the sequence.
+//! sharding (`pc % shards`) of the full profiler is *bit-identical* to a
+//! serial pass: metrics and telemetry event counters must be exactly
+//! equal for shards ∈ {1, 2, 7}. The full profiler is the only one that
+//! merges.
 //!
 //! Separately, `observe_batch` must equal an `observe` loop *exactly* on
 //! every layer it short-circuits: the TNV table (all three replacement
@@ -17,8 +14,7 @@
 //!
 //! Finally, the engine oracle: for every `ProfileMode`, one workload's
 //! value stream profiles identically through live instrumentation, serial
-//! `observe_batch`, `profile_sharded(…, 7)`, and a streamed session of an
-//! in-process serve daemon; and every suite workload profiles identically
+//! `observe_batch`, and a streamed session of an in-process serve daemon; and every suite workload profiles identically
 //! live and from a replay of its VPC1 trace (`vprof replay`'s path). Live
 //! profiling hands the profilers program-order blocks of values; in every
 //! mode, governed full and random sampling included, that profiles
@@ -32,8 +28,7 @@ use value_profiling::core::{
     durable, profile_sharded,
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
-    AdaptiveProfiler, ConvergentConfig, ConvergentProfiler, InstructionProfiler, MemBudget,
-    PhaseBudget, ProfileMode, Profiler, SampleStrategy, SampledProfiler, StreamProfiler,
+    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, SampleStrategy,
     ValueTracker,
 };
 use value_profiling::instrument::frame::{self, FrameReader};
@@ -89,96 +84,6 @@ fn entity_sharded_full_profiler_is_bit_identical_to_serial() {
                 InstructionProfiler::new(TrackerConfig::with_full())
             });
             assert_eq!(sharded.metrics(), serial.metrics(), "{name} shards={shards}");
-            assert_eq!(sharded.tnv_events(), serial.tnv_events(), "{name} shards={shards}");
-        }
-    }
-}
-
-#[test]
-fn entity_sharded_convergent_profiler_is_bit_identical_to_serial() {
-    let config = ConvergentConfig::default();
-    for (name, events) in streams() {
-        let mut serial = ConvergentProfiler::new(TrackerConfig::default(), config);
-        for &(pc, value) in &events {
-            serial.observe(pc, value);
-        }
-        for shards in SHARD_COUNTS {
-            let sharded = profile_sharded(&events, shards, || {
-                ConvergentProfiler::new(TrackerConfig::default(), config)
-            });
-            assert_eq!(sharded.metrics(), serial.metrics(), "{name} shards={shards}");
-            assert_eq!(sharded.stats(), serial.stats(), "{name} shards={shards}");
-            assert_eq!(sharded.events(), serial.events(), "{name} shards={shards}");
-            assert_eq!(sharded.tnv_events(), serial.tnv_events(), "{name} shards={shards}");
-            assert_eq!(
-                sharded.overall_profile_fraction(),
-                serial.overall_profile_fraction(),
-                "{name} shards={shards}"
-            );
-        }
-    }
-}
-
-#[test]
-fn entity_sharded_adaptive_profiler_is_bit_identical_to_serial() {
-    // The phase detector is strictly per-entity state (window sketch,
-    // previous signature, spent budget), so entity sharding must
-    // reproduce a serial adaptive run exactly — including the exact
-    // PhaseStats counters, which merge across shards by addition. Runs
-    // over the real/synthetic streams above *and* the adversarial
-    // families, which actually fire shifts and re-arms.
-    let config = ConvergentConfig::default();
-    let budget = PhaseBudget { max_rearms: 8, window: 512 };
-    let mut all = streams();
-    all.extend(
-        value_profiling::workloads::adversarial::adversarial_streams()
-            .into_iter()
-            .map(|(name, events)| (name.to_string(), events)),
-    );
-    let mut any_adapted = false;
-    for (name, events) in all {
-        let mut serial = AdaptiveProfiler::new(TrackerConfig::default(), config, budget);
-        for &(pc, value) in &events {
-            serial.observe(pc, value);
-        }
-        any_adapted |= serial.phase_stats().adapted();
-        for shards in SHARD_COUNTS {
-            let sharded = profile_sharded(&events, shards, || {
-                AdaptiveProfiler::new(TrackerConfig::default(), config, budget)
-            });
-            assert_eq!(sharded.metrics(), serial.metrics(), "{name} shards={shards}");
-            assert_eq!(sharded.stats(), serial.stats(), "{name} shards={shards}");
-            assert_eq!(sharded.events(), serial.events(), "{name} shards={shards}");
-            assert_eq!(sharded.tnv_events(), serial.tnv_events(), "{name} shards={shards}");
-            assert_eq!(sharded.phase_stats(), serial.phase_stats(), "{name} shards={shards}");
-            assert_eq!(
-                sharded.overall_profile_fraction(),
-                serial.overall_profile_fraction(),
-                "{name} shards={shards}"
-            );
-        }
-    }
-    assert!(any_adapted, "at least one stream must exercise an actual re-arm");
-}
-
-#[test]
-fn entity_sharded_periodic_sampling_is_bit_identical_to_serial() {
-    // Periodic sampling keeps one countdown per instruction, so entity
-    // sharding preserves it exactly. `SampleStrategy::Random` is excluded
-    // by design: its profiler-global generator is consumed in stream
-    // order, which no split preserves (see `vp_core::shard`).
-    let strategy = SampleStrategy::Periodic { period: 13 };
-    for (name, events) in streams() {
-        let mut serial = SampledProfiler::new(TrackerConfig::default(), strategy);
-        for &(pc, value) in &events {
-            serial.observe(pc, value);
-        }
-        for shards in SHARD_COUNTS {
-            let sharded = profile_sharded(&events, shards, || {
-                SampledProfiler::new(TrackerConfig::default(), strategy)
-            });
-            assert_eq!(sharded.metrics(), serial.metrics(), "{name} shards={shards}");
-            assert_eq!(sharded.events(), serial.events(), "{name} shards={shards}");
             assert_eq!(sharded.tnv_events(), serial.tnv_events(), "{name} shards={shards}");
         }
     }
@@ -365,10 +270,7 @@ fn every_mode_profiles_identically_through_every_engine_path() {
         assert_eq!(run.counts.instr_events, events.len() as u64, "{mode:?}");
         let mut serial = build();
         serial.observe_batch(&events);
-        let sharded = profile_sharded(&events, 7, build);
-        for (path, p) in [("serial", &serial), ("sharded", &sharded)] {
-            assert_same_profile(p, &live, &format!("{mode:?} live vs {path}"));
-        }
+        assert_same_profile(&serial, &live, &format!("{mode:?} live vs serial"));
         assert_eq!(
             serve_session(mode, &trace),
             durable::render_profile_durable(&live.metrics()),

@@ -3,20 +3,20 @@
 //!
 //! * **Hostile keys.** Instruction ids `i << 16` share their low 16 bits,
 //!   the pattern that collapses an unkeyed multiplicative hash into one
-//!   bucket. Every `ProfileMode` must profile 65 536 of them exactly —
-//!   serial and sharded alike, with exact per-entity execution totals.
-//!   This is a correctness test, not a timing test.
+//!   bucket. Every `ProfileMode` must profile 65 536 of them exactly, with
+//!   exact per-entity execution totals, and the full profiler must also
+//!   profile them exactly when sharded. This is a correctness test, not a
+//!   timing test.
 //! * **Seed independence.** Every profiler seeds its own map, so the same
-//!   stream profiled twice, or as two merged entity shards, runs on three
-//!   different hash layouts. Rendered profiles, TNV event counters and
-//!   governor statistics must not move.
+//!   stream profiled twice runs on two different hash layouts, and a full
+//!   profile of two merged entity shards on a third. Rendered profiles,
+//!   TNV event counters and governor statistics must not move.
 
 use std::collections::BTreeMap;
 
 use value_profiling::core::{
     partition_by_entity, profile_sharded, render_profile, track::TrackerConfig,
     InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, SampleStrategy,
-    StreamProfiler,
 };
 use value_profiling::instrument::Selection;
 use value_profiling::obs::Counts;
@@ -24,8 +24,7 @@ use value_profiling::workloads::{suite, DataSet};
 use vp_bench::value_stream;
 
 /// Every mode family; periodic rather than random sampling, because a
-/// random sampler's draws depend on the global interleaving and so is not
-/// shard-exact.
+/// random sampler's draws depend on the global interleaving.
 fn modes() -> [ProfileMode; 4] {
     [
         ProfileMode::Full,
@@ -59,16 +58,22 @@ fn low_bit_colliding_pcs_profile_exactly_in_every_mode() {
         *totals.entry(u64::from(pc)).or_insert(0) += 1;
     }
     for mode in modes() {
-        let build = || mode.build(mode.tracker(), None);
-        let mut serial = build();
+        let mut serial = mode.build(mode.tracker(), None);
         serial.observe_batch(&events);
         let metrics = serial.metrics();
         let executions: BTreeMap<u64, u64> = metrics.iter().map(|m| (m.id, m.executions)).collect();
         assert_eq!(executions, totals, "{mode:?}: per-entity execution totals");
-        let sharded = profile_sharded(&events, 7, build);
-        assert_eq!(sharded.metrics(), metrics, "{mode:?}: sharded profile");
-        assert_eq!(events_of(&sharded), events_of(&serial), "{mode:?}: sharded events");
+        if mode == ProfileMode::Full {
+            let sharded = Profiler::Full(profile_sharded(&events, 7, full));
+            assert_eq!(sharded.metrics(), metrics, "sharded profile");
+            assert_eq!(events_of(&sharded), events_of(&serial), "sharded events");
+        }
     }
+}
+
+/// An ungoverned full profiler, the one mode whose shards merge.
+fn full() -> InstructionProfiler {
+    InstructionProfiler::new(ProfileMode::Full.tracker())
 }
 
 /// A real workload's load stream followed by a synthetic stream that
@@ -92,15 +97,19 @@ fn profiles_do_not_depend_on_the_map_seed() {
         first.observe_batch(&events);
         let mut second = build();
         second.observe_batch(&events);
-        let mut parts = partition_by_entity(&events, 2).into_iter();
-        let mut merged = build();
-        merged.observe_batch(&parts.next().expect("two parts"));
-        let mut later = build();
-        later.observe_batch(&parts.next().expect("two parts"));
-        merged.merge_shard(later);
+        let mut runs = vec![("second run", second)];
+        if mode == ProfileMode::Full {
+            let mut parts = partition_by_entity(&events, 2).into_iter();
+            let mut merged = full();
+            merged.observe_batch(&parts.next().expect("two parts"));
+            let mut later = full();
+            later.observe_batch(&parts.next().expect("two parts"));
+            merged.merge(later);
+            runs.push(("two merged shards", Profiler::Full(merged)));
+        }
 
         let reference = render_profile(&first.metrics());
-        for (path, p) in [("second run", &second), ("two merged shards", &merged)] {
+        for (path, p) in &runs {
             assert_eq!(render_profile(&p.metrics()), reference, "{mode:?}: {path}");
             assert_eq!(events_of(p), events_of(&first), "{mode:?}: {path}");
         }
