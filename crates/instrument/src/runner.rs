@@ -200,7 +200,6 @@ impl Instrumenter {
                 crate::cancel::checkpoint();
             }
             if selected.get(event.index as usize).copied().unwrap_or(false) {
-                counts.instr_events += 1;
                 if A::VALUE_STREAM {
                     if let Some((_, value)) = event.dest {
                         block.push((event.index, value));
@@ -211,16 +210,10 @@ impl Instrumenter {
                     }
                 } else {
                     analysis.after_instr(m, event);
-                }
-                if let Some(access) = &event.mem {
-                    if access.store {
-                        counts.store_events += 1;
-                        if !A::VALUE_STREAM {
+                    if let Some(access) = &event.mem {
+                        if access.store {
                             analysis.on_store(m, event.index, access);
-                        }
-                    } else {
-                        counts.load_events += 1;
-                        if !A::VALUE_STREAM {
+                        } else {
                             analysis.on_load(m, event.index, access);
                         }
                     }
@@ -238,7 +231,31 @@ impl Instrumenter {
         let outcome = outcome?;
 
         let stats = machine.stats().clone();
+        count_selected(program.code(), &selected, stats.per_instr(), &mut counts);
         Ok(InstrumentedRun { outcome, counts, stats })
+    }
+}
+
+/// Adds the selected instructions' executions, and the loads and stores
+/// among them, to `counts`. Each is a fixed function of the per-instruction
+/// execution counts and the static program, so it is summed once here
+/// rather than counted on every event.
+fn count_selected(
+    code: &[Instruction],
+    selected: &[bool],
+    per_instr: &[u64],
+    counts: &mut EventCounts,
+) {
+    for ((instr, &on), &n) in code.iter().zip(selected).zip(per_instr) {
+        if !on {
+            continue;
+        }
+        counts.instr_events += n;
+        if instr.is_load() {
+            counts.load_events += n;
+        } else if matches!(instr, Instruction::Store { .. }) {
+            counts.store_events += n;
+        }
     }
 }
 
@@ -383,6 +400,50 @@ mod tests {
         assert!(rec.instrs.is_empty());
         assert_eq!(run.outcome.exit_code, 9);
         assert_eq!(run.stats.total(), run.outcome.instructions);
+    }
+
+    /// Receives the value stream in blocks and nothing else.
+    struct Blocks;
+
+    impl Analysis for Blocks {
+        const VALUE_STREAM: bool = true;
+    }
+
+    #[test]
+    fn derived_counts_match_the_callbacks_on_the_suite() {
+        for w in vp_workloads::suite() {
+            let p = w.program();
+            let every_third = (0..p.len() as u32).step_by(3).collect();
+            let selections = [
+                Selection::All,
+                Selection::LoadsOnly,
+                Selection::RegisterDefining,
+                Selection::MemoryOps,
+                Selection::Custom(every_third),
+                Selection::None,
+            ];
+            for selection in selections {
+                for procedures in [false, true] {
+                    let at = format!("{} {selection:?} procedures={procedures}", w.name());
+                    let ins =
+                        Instrumenter::new().select(selection.clone()).with_procedures(procedures);
+                    let cfg = || w.machine_config(vp_workloads::DataSet::Test);
+                    let mut rec = Recorder::default();
+                    let run = ins.run(p, cfg(), 100_000_000, &mut rec).unwrap();
+                    let callbacks = EventCounts {
+                        instr_events: rec.instrs.len() as u64,
+                        load_events: rec.loads.len() as u64,
+                        store_events: rec.stores.len() as u64,
+                        entry_events: rec.entries.len() as u64,
+                        exit_events: rec.exits.len() as u64,
+                    };
+                    assert_eq!(run.counts, callbacks, "{at}");
+                    // A value-stream analysis is offered the same events.
+                    let blocks = ins.run(p, cfg(), 100_000_000, &mut Blocks).unwrap();
+                    assert_eq!(blocks.counts, callbacks, "{at}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl Machine {
         let mut regs = [0; Reg::COUNT];
         regs[Reg::SP.index()] = memory.size() & !0xf;
         let pc = program.entry();
-        let stats = ExecStats::new(program.len());
+        let stats = ExecStats::new(program.code());
         Ok(Machine {
             program,
             regs,
@@ -375,7 +375,7 @@ impl Machine {
             },
         }
 
-        self.stats.record(index, instr.class());
+        self.stats.record(index);
         self.pc = next;
         Ok(InstrEvent { index, instr, dest, mem, taken, next_index: next })
     }
@@ -404,6 +404,9 @@ impl Machine {
     /// instruction's event. This is the attachment point the
     /// instrumentation layer builds on.
     ///
+    /// The outcome takes the machine's output buffer rather than copying
+    /// it, so the output of a finished run is reported once.
+    ///
     /// # Errors
     ///
     /// Same as [`run`](Machine::run).
@@ -423,7 +426,7 @@ impl Machine {
         Ok(RunOutcome {
             exit_code: self.exited.unwrap_or(0),
             instructions: executed,
-            output: self.output.clone(),
+            output: std::mem::take(&mut self.output),
         })
     }
 }

@@ -3,32 +3,36 @@
 
 use std::collections::BTreeMap;
 
-use vp_isa::OpClass;
+use vp_isa::{Instruction, OpClass};
 
 /// Dynamic execution counts collected by a [`Machine`](crate::Machine).
+///
+/// The emulator counts executions per instruction and nothing else; the
+/// total and the per-class counts are derived from those counts and each
+/// instruction's static [`class`](Instruction::class) when read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExecStats {
     per_instr: Vec<u64>,
-    per_class: BTreeMap<OpClass, u64>,
-    total: u64,
+    classes: Vec<OpClass>,
 }
 
 impl ExecStats {
-    /// Creates zeroed statistics for a program with `code_len` instructions.
-    pub fn new(code_len: usize) -> ExecStats {
-        ExecStats { per_instr: vec![0; code_len], per_class: BTreeMap::new(), total: 0 }
+    /// Creates zeroed statistics for a program whose text is `code`.
+    pub fn new(code: &[Instruction]) -> ExecStats {
+        ExecStats {
+            per_instr: vec![0; code.len()],
+            classes: code.iter().map(|i| i.class()).collect(),
+        }
     }
 
     /// Records one execution of the instruction at `index`.
-    pub fn record(&mut self, index: u32, class: OpClass) {
+    pub fn record(&mut self, index: u32) {
         self.per_instr[index as usize] += 1;
-        *self.per_class.entry(class).or_insert(0) += 1;
-        self.total += 1;
     }
 
     /// Total dynamic instruction count.
     pub fn total(&self) -> u64 {
-        self.total
+        self.per_instr.iter().sum()
     }
 
     /// Execution count of the instruction at `index`.
@@ -41,14 +45,21 @@ impl ExecStats {
         &self.per_instr
     }
 
-    /// Dynamic count per opcode class.
-    pub fn per_class(&self) -> &BTreeMap<OpClass, u64> {
-        &self.per_class
+    /// Dynamic count per opcode class. Classes that never executed are
+    /// absent.
+    pub fn per_class(&self) -> BTreeMap<OpClass, u64> {
+        let mut per_class = BTreeMap::new();
+        for (&class, &count) in self.classes.iter().zip(&self.per_instr) {
+            if count > 0 {
+                *per_class.entry(class).or_insert(0) += count;
+            }
+        }
+        per_class
     }
 
     /// Dynamic count for one class (0 if never executed).
     pub fn class_count(&self, class: OpClass) -> u64 {
-        self.per_class.get(&class).copied().unwrap_or(0)
+        self.per_class().get(&class).copied().unwrap_or(0)
     }
 }
 
@@ -105,14 +116,21 @@ pub fn quantile_table(block_counts: &[u64], coverages: &[f64]) -> Vec<QuantileRo
 
 #[cfg(test)]
 mod tests {
+    use vp_isa::{MemWidth, Reg, Syscall};
+
     use super::*;
 
     #[test]
     fn record_and_query() {
-        let mut s = ExecStats::new(3);
-        s.record(0, OpClass::IntAlu);
-        s.record(0, OpClass::IntAlu);
-        s.record(2, OpClass::Load);
+        let code = [
+            Instruction::Nop,
+            Instruction::Sys { call: Syscall::Exit },
+            Instruction::Load { rd: Reg::R1, base: Reg::R2, offset: 0, width: MemWidth::D },
+        ];
+        let mut s = ExecStats::new(&code);
+        s.record(0);
+        s.record(0);
+        s.record(2);
         assert_eq!(s.total(), 3);
         assert_eq!(s.count(0), 2);
         assert_eq!(s.count(1), 0);
@@ -120,6 +138,10 @@ mod tests {
         assert_eq!(s.class_count(OpClass::IntAlu), 2);
         assert_eq!(s.class_count(OpClass::Load), 1);
         assert_eq!(s.class_count(OpClass::FpAlu), 0);
+        // The never-executed `sys` is absent, not a zero entry.
+        assert_eq!(s.class_count(OpClass::Sys), 0);
+        let expected = BTreeMap::from([(OpClass::IntAlu, 2), (OpClass::Load, 1)]);
+        assert_eq!(s.per_class(), expected);
         assert_eq!(s.per_instr(), &[2, 0, 1]);
     }
 

@@ -6,13 +6,16 @@
 //! (wall times and other volatile fields replaced by `"<volatile>"`, see
 //! [`vp_obs::telemetry::VOLATILE_KEYS`]) are compared against checked-in
 //! golden files under `tests/golden/`; so are an adaptive suite run and
-//! the optimize pipeline.
+//! the optimize pipeline, and so are the class tables `vprof run` prints
+//! for every suite program on both inputs.
 //!
 //! To regenerate after an intentional change:
 //!
 //! ```text
 //! VP_UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
+
+mod common;
 
 use std::fs;
 use std::path::PathBuf;
@@ -119,6 +122,22 @@ fn every_experiment_matches_golden() {
 fn experiment_jsonl_goldens() -> Vec<String> {
     let names = experiments::ALL.iter().map(|exp| format!("exp_{}.jsonl", exp.name));
     names.filter(|name| golden_dir().join(name).exists()).collect()
+}
+
+/// `vprof run <w>` and `vprof run <w> --train` for every suite program:
+/// the exit code, the instruction count and the per-class table.
+#[test]
+fn run_class_tables_match_golden() {
+    let mut text = String::new();
+    for w in suite() {
+        for args in [&[w.name()][..], &[w.name(), "--train"]] {
+            let out = common::vprof_command().arg("run").args(args).output().expect("spawn vprof");
+            assert!(out.status.success(), "vprof run {args:?} failed");
+            text.push_str(&format!("$ vprof run {}\n", args.join(" ")));
+            text.push_str(std::str::from_utf8(&out.stdout).expect("utf-8 stdout"));
+        }
+    }
+    check("run_classes.txt", &text);
 }
 
 #[test]

@@ -3,10 +3,14 @@
 //! layer's event counts and the profiler's metrics; determinism; and the
 //! convergent profiler's accuracy contract.
 
+use std::collections::BTreeMap;
+
 use value_profiling::core::{
     compare, track::TrackerConfig, ConvergentConfig, ConvergentProfiler, InstructionProfiler,
 };
 use value_profiling::instrument::{Instrumenter, Selection};
+use value_profiling::isa::OpClass;
+use value_profiling::sim::Machine;
 use value_profiling::workloads::{suite, DataSet};
 
 const BUDGET: u64 = 100_000_000;
@@ -26,12 +30,28 @@ fn event_counts_match_profiler_and_stats() {
         // The emulator's own statistics agree with the run outcome.
         assert_eq!(run.stats.total(), run.outcome.instructions, "{}", w.name());
         // Load class count equals load events.
-        assert_eq!(
-            run.stats.class_count(value_profiling::isa::OpClass::Load),
-            run.counts.load_events,
-            "{}",
-            w.name()
-        );
+        assert_eq!(run.stats.class_count(OpClass::Load), run.counts.load_events, "{}", w.name());
+    }
+}
+
+#[test]
+fn derived_class_counts_match_a_per_event_tally() {
+    for w in suite() {
+        for ds in [DataSet::Test, DataSet::Train] {
+            let at = format!("{} [{}]", w.name(), ds.name());
+            let mut machine = Machine::new(w.program().clone(), w.machine_config(ds)).unwrap();
+            let mut tally: BTreeMap<OpClass, u64> = BTreeMap::new();
+            let outcome = machine
+                .run_with(BUDGET, |_, event| *tally.entry(event.instr.class()).or_insert(0) += 1)
+                .unwrap();
+            let per_class = machine.stats().per_class();
+            assert_eq!(per_class, tally, "{at}");
+            assert!(per_class.values().all(|&n| n > 0), "{at}: zero entry in {per_class:?}");
+            assert_eq!(per_class.values().sum::<u64>(), outcome.instructions, "{at}");
+            for (&class, &n) in &per_class {
+                assert_eq!(machine.stats().class_count(class), n, "{at}: {class}");
+            }
+        }
     }
 }
 
