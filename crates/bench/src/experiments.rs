@@ -30,10 +30,7 @@ use vp_predict::{
 };
 use vp_sim::stats::quantile_table;
 use vp_sim::{Cfg, InputSet, Machine, MachineConfig};
-use vp_specialize::{
-    demo, find_candidates, specialize, specialize_all, specialize_multi, Candidate,
-    CandidateOptions, MultiCandidate,
-};
+use vp_specialize::{demo, optimize_program, specialize, Candidate, OptimizeOptions};
 use vp_workloads::{DataSet, Workload};
 
 use crate::{all_instr_profile, load_profile, value_stream, SuiteRunner, BUDGET};
@@ -963,6 +960,8 @@ pub fn specialize_study(workloads: &[Workload]) -> ExpReport {
         "{:>10} {:>10} {:>12} {:>12} {:>9} {:>6}",
         "perturb", "inv-top1%", "base", "special", "speedup", "exact"
     );
+    // One value per site: the planner offers no secondary guards.
+    let one_way = OptimizeOptions { max_ways: 1, ..OptimizeOptions::default() };
     let program = demo::program();
     for period in [0u64, 1000, 200, 50, 10, 3] {
         let input = demo::input(20_000, period);
@@ -973,10 +972,11 @@ pub fn specialize_study(workloads: &[Workload]) -> ExpReport {
             .expect("profile");
         let inv =
             profiler.metrics_for(demo::config_load_index(&program)).map_or(0.0, |m| m.inv_top1);
-        let candidates =
-            find_candidates(&program, &profiler.metrics(), CandidateOptions::default());
+        let out =
+            optimize_program(&program, &profiler.metrics(), &|_| Vec::new(), &input, &one_way)
+                .expect("optimize");
         let label = if period == 0 { "never".into() } else { format!("1/{period}") };
-        if candidates.is_empty() {
+        if out.sites.is_empty() {
             let _ = writeln!(
                 text,
                 "{label:>10} {:>10.1} {:>12} {:>12} {:>9} {:>6}",
@@ -988,9 +988,7 @@ pub fn specialize_study(workloads: &[Workload]) -> ExpReport {
             );
             continue;
         }
-        let specialized = specialize_all(&program, &candidates).expect("specialize");
-        let report =
-            vp_specialize::evaluate(&program, &specialized, &input, BUDGET).expect("evaluate");
+        let report = out.eval;
         let _ = writeln!(
             text,
             "{label:>10} {:>10.1} {:>12} {:>12} {:>8.3}x {:>6}",
@@ -1020,21 +1018,23 @@ pub fn specialize_study(workloads: &[Workload]) -> ExpReport {
                 .select(Selection::LoadsOnly)
                 .run(w.program(), w.machine_config(profile_ds), BUDGET, &mut profiler)
                 .expect("profile");
-            let candidates =
-                find_candidates(w.program(), &profiler.metrics(), CandidateOptions::default());
+            let out = optimize_program(
+                w.program(),
+                &profiler.metrics(),
+                &|_| Vec::new(),
+                w.input(DataSet::Test),
+                &one_way,
+            )
+            .expect("optimize");
             if profile_ds == DataSet::Test {
-                cands = candidates.len();
+                cands = out.sites.len();
             }
-            if candidates.is_empty() {
+            if out.sites.is_empty() {
                 speedups.push(None);
                 continue;
             }
-            let specialized = specialize_all(w.program(), &candidates).expect("specialize");
-            let report =
-                vp_specialize::evaluate(w.program(), &specialized, w.input(DataSet::Test), BUDGET)
-                    .expect("evaluate");
-            exact &= report.equivalent;
-            speedups.push(Some(report.speedup()));
+            exact &= out.eval.equivalent;
+            speedups.push(Some(out.eval.speedup()));
         }
         let cell = |v: &Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.3}x"));
         let _ = writeln!(
@@ -1263,47 +1263,6 @@ pub fn temporal(workloads: &[Workload]) -> ExpReport {
     ExpReport { text, records: Vec::new() }
 }
 
-/// The E17 kernel: a bimodal load (60% one value, 40% another) feeding a
-/// long pure chain — the distribution where multi-way wins.
-const MULTIWAY_KERNEL: &str = r#"
-    .data
-    which: .quad 0
-    vals:  .quad 80, 120
-    .text
-    main:
-        la  r10, which
-        la  r11, vals
-        li  r9, 20000
-        li  r18, 0
-    loop:
-        ldd  r12, 0(r10)
-        addi r12, r12, 1
-        remi r12, r12, 5
-        std  r12, 0(r10)
-        slti r13, r12, 3
-        xori r13, r13, 1
-        slli r13, r13, 3
-        add  r13, r13, r11
-        ldd  r2, 0(r13)      # bimodal load: 80 (60%) or 120 (40%)
-        srli r3, r2, 2
-        muli r3, r3, 7
-        addi r3, r3, 3
-        xori r3, r3, 44
-        slli r4, r3, 1
-        add  r5, r4, r3
-        srli r5, r5, 1
-        andi r5, r5, 2047
-        muli r5, r5, 13
-        addi r5, r5, 29
-        xori r5, r5, 333
-        srli r5, r5, 1
-        add  r18, r18, r5
-        addi r9, r9, -1
-        bnz  r9, loop
-        andi a0, r18, 255
-        sys  exit
-"#;
-
 /// E17 (extension) — multi-way specialization on the top-k TNV values:
 /// the payoff of keeping N values per entity instead of one. On a bimodal
 /// load (60/40 between two values), a one-way guard covers 60% of
@@ -1318,15 +1277,8 @@ pub fn multiway() -> ExpReport {
 
     let mut text = String::new();
     heading_line(&mut text, "E17", "multi-way specialization on top-k TNV values (extension)");
-    let program = vp_asm::assemble(MULTIWAY_KERNEL).expect("kernel assembles");
-    let load_index = program
-        .code()
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.is_load())
-        .map(|(i, _)| i as u32)
-        .nth(1)
-        .expect("bimodal load");
+    let program = demo::bimodal_program(20_000);
+    let load_index = demo::bimodal_load_index(&program);
 
     // Profile to recover the top values and their combined invariance.
     let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
@@ -1353,15 +1305,15 @@ pub fn multiway() -> ExpReport {
         &program,
         &Candidate {
             load_index,
-            value: top[0],
+            values: vec![top[0]],
             invariance: metrics.inv_top1,
             executions: metrics.executions,
         },
     )
     .expect("one-way");
-    let two = specialize_multi(
+    let two = specialize(
         &program,
-        &MultiCandidate {
+        &Candidate {
             load_index,
             values: top.clone(),
             invariance: tracker.inv_top(2),

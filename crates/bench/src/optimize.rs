@@ -29,8 +29,9 @@ use vp_workloads::{DataSet, Workload};
 use crate::suite::SuiteOutcome;
 use crate::{load_profile, BUDGET};
 
-/// How many TNV values the exact extraction pass offers the planner per
-/// site (the planner still caps the guard chain at its own `max_ways`).
+/// How many values the exact extraction pass offers the planner per site
+/// for secondary guards (the planner still caps the guard chain at its
+/// own `max_ways`).
 const TOP_VALUE_POOL: usize = 8;
 
 /// Configuration of one optimize run.
@@ -92,9 +93,11 @@ pub struct OptimizeReport {
 ///
 /// `outcome` must come from a [`SuiteRunner`](crate::SuiteRunner) run on
 /// `cfg.train`; quarantined workloads are simply absent from the report,
-/// like they are from the profile. Each workload gets one extra exact
-/// profiling pass on the train input to extract the top TNV values the
-/// multi-way planner considers.
+/// like they are from the profile. Each site's first guard value is the
+/// suite pass's `top_value` for it, so in a sampling mode (`--convergent`,
+/// `--adaptive`) it is a sampled value. Each workload also gets one extra
+/// exact profiling pass on the train input, which only offers the planner
+/// values for a site's second and later guards.
 ///
 /// # Errors
 ///
@@ -112,9 +115,9 @@ pub fn optimize_from_outcome(
             .iter()
             .find(|w| w.name() == wp.name)
             .ok_or_else(|| format!("{}: workload not in the suite", wp.name))?;
-        // Exact value extraction: the suite pass may have run a sampling
-        // profiler whose metrics drive *selection*; the guard chain wants
-        // the precise top values, so take one full pass on train.
+        // The suite pass's metrics (sampled in a sampling mode) select the
+        // sites and give each its first guard value; this exact pass on
+        // train only offers the values for further guards.
         let exact = load_profile(workload, cfg.train);
         let top = |index: u32| {
             exact.tracker(index).map(|t| tracker_top_values(t, TOP_VALUE_POOL)).unwrap_or_default()

@@ -55,7 +55,6 @@ const USAGE: &str = "usage:
                       [--min-invariance P] [--min-executions N] [--max-ways N]
                       [--report FILE] [--telemetry FILE] [--retries N]
                       [--checkpoint FILE [--resume]] [--deadline-ms N] [--mem-budget-mb N]
-  vprof optimize --demo [change-period]
 
 <target> is a built-in workload name or a path to a .s or .vpo file.";
 
@@ -79,10 +78,8 @@ struct Args<'a> {
 
 type Handler = fn(&Args<'_>) -> Result<(), String>;
 
-/// Every subcommand's declaration and implementation. `rest` is the
-/// command line after the subcommand's name; it only picks the form of
-/// `optimize`.
-fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
+/// Every subcommand's declaration and implementation.
+fn command(name: &str) -> Option<(Spec, Handler)> {
     Some(match name {
         "list" => (Spec { switches: "", options: "", positionals: 0 }, list),
         "run" => (Spec { switches: "--train", options: "", positionals: 1 }, run),
@@ -147,10 +144,6 @@ fn command(name: &str, rest: &[String]) -> Option<(Spec, Handler)> {
         "experiment" => {
             (Spec { switches: "", options: "--jobs --telemetry", positionals: 1 }, experiment_cmd)
         }
-        // `optimize --demo` is a form of its own, with its own arguments.
-        "optimize" if rest.iter().any(|a| a == "--demo") => {
-            (Spec { switches: "--demo", options: "", positionals: 1 }, optimize_demo)
-        }
         "optimize" => (
             Spec {
                 switches: "--convergent --adaptive --resume",
@@ -180,8 +173,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
             return Ok(());
         }
     };
-    let (spec, run) =
-        command(name, rest).ok_or_else(|| format!("unknown command `{name}`\n{USAGE}"))?;
+    let (spec, run) = command(name).ok_or_else(|| format!("unknown command `{name}`\n{USAGE}"))?;
     let args = spec.parse(rest).map_err(|e| format!("{name}: {e} (see `vprof --help`)"))?;
     run(&args)
 }
@@ -1163,9 +1155,10 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let report_path = args.value("--report").unwrap_or("optimize-report.txt");
 
-    // The profiling pass: loads only, on the train input. Selection
-    // *thresholds* read these metrics; the guard values themselves come
-    // from an exact per-workload pass inside `optimize_from_outcome`.
+    // The profiling pass: loads only, on the train input. These metrics
+    // select the sites and give each its first guard value (a sampled
+    // one in `--convergent`/`--adaptive`); an exact per-workload pass
+    // inside `optimize_from_outcome` only offers further guard values.
     let recorder = Arc::new(MemRecorder::new());
     let runner = runner.selection(Selection::LoadsOnly).recorder(recorder.clone());
     let mode = mode_name(mode);
@@ -1193,47 +1186,6 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
     println!("telemetry: {} ({} records)", telemetry_path.display(), records.len());
-    Ok(())
-}
-
-/// `vprof optimize --demo [change-period]`: the single-kernel
-/// specialization walkthrough on the hardcoded demo program, profiling
-/// and evaluating the same input.
-fn optimize_demo(args: &Args) -> Result<(), String> {
-    use vp_specialize::{demo, evaluate, find_candidates, specialize_all, CandidateOptions};
-    let period: u64 = args
-        .positionals
-        .first()
-        .map_or(Ok(0), |v| v.parse().map_err(|_| format!("bad change period `{v}`")))?;
-    let program = demo::program();
-    let input = demo::input(20_000, period);
-
-    let mut profiler = InstructionProfiler::new(TrackerConfig::with_full());
-    Instrumenter::new()
-        .select(Selection::LoadsOnly)
-        .run(&program, MachineConfig::new().input(input.clone()), BUDGET, &mut profiler)
-        .map_err(|e| e.to_string())?;
-    let candidates = find_candidates(&program, &profiler.metrics(), CandidateOptions::default());
-    println!("candidates: {}", candidates.len());
-    for c in &candidates {
-        println!(
-            "  load @{}  value {:#x}  invariance {:.1}%  execs {}",
-            c.load_index,
-            c.value,
-            c.invariance * 100.0,
-            c.executions
-        );
-    }
-    if candidates.is_empty() {
-        println!("nothing to specialize (invariance too low?)");
-        return Ok(());
-    }
-    let specialized = specialize_all(&program, &candidates).map_err(|e| e.to_string())?;
-    let report = evaluate(&program, &specialized, &input, BUDGET).map_err(|e| e.to_string())?;
-    println!("base instructions         {}", report.base_instructions);
-    println!("specialized instructions  {}", report.specialized_instructions);
-    println!("speedup                   {:.3}x", report.speedup());
-    println!("equivalent output         {}", report.equivalent);
     Ok(())
 }
 
@@ -1290,15 +1242,6 @@ mod tests {
             tel
         ]))
         .is_ok());
-    }
-
-    #[test]
-    fn optimize_demo_runs() {
-        assert!(dispatch(&args(&["optimize", "--demo"])).is_ok());
-        assert!(dispatch(&args(&["optimize", "--demo", "64"])).is_ok());
-        assert!(dispatch(&args(&["optimize", "--demo", "sometimes"]))
-            .unwrap_err()
-            .contains("bad change period"));
     }
 
     #[test]
@@ -1609,9 +1552,6 @@ mod tests {
         assert!(dispatch(&args(&["run", "nonesuch"])).unwrap_err().contains("neither"));
         assert!(dispatch(&args(&["run", "/nonexistent/x.s"])).unwrap_err().contains("cannot read"));
         assert!(dispatch(&args(&["compare", "nonesuch"])).is_err());
-        assert!(dispatch(&args(&["optimize", "--demo", "bogus"]))
-            .unwrap_err()
-            .contains("bad change period"));
         assert!(dispatch(&args(&["assemble", "notasm.txt"])).unwrap_err().contains("expects a .s"));
     }
 
@@ -1690,7 +1630,7 @@ mod tests {
 
     /// Splits a full command line the way [`dispatch`] does.
     fn split(argv: &[String]) -> Result<Args<'_>, String> {
-        let (spec, _) = command(&argv[0], &argv[1..]).expect("a known command");
+        let (spec, _) = command(&argv[0]).expect("a known command");
         spec.parse(&argv[1..])
     }
 
@@ -1720,22 +1660,19 @@ mod tests {
         for (name, flags) in &documented {
             let err = dispatch(&args(&[name, "--bogus"])).unwrap_err();
             assert!(err.contains("unknown flag `--bogus`"), "{name}: {err}");
-            for flag in flags.iter().map(Some).chain([None]) {
-                let rest = args(flag.map(String::as_str).as_slice());
-                let (spec, _) = command(name, &rest).unwrap();
-                // No undocumented flag, in any form of the command…
-                let declared = format!("{} {}", spec.switches, spec.options);
-                for declared in declared.split_whitespace() {
-                    assert!(flags.iter().any(|f| f == declared), "{name} {declared}");
+            let (spec, _) = command(name).unwrap();
+            // No undocumented flag…
+            let declared = format!("{} {}", spec.switches, spec.options);
+            for declared in declared.split_whitespace() {
+                assert!(flags.iter().any(|f| f == declared), "{name} {declared}");
+            }
+            // …and every documented one parses.
+            for flag in flags {
+                let mut argv = args(&[flag]);
+                if lists(spec.options, flag) {
+                    argv.push("1".to_string());
                 }
-                // …and every documented one parses.
-                if let Some(flag) = flag {
-                    let mut argv = rest.clone();
-                    if lists(spec.options, flag) {
-                        argv.push("1".to_string());
-                    }
-                    assert!(spec.parse(&argv).is_ok(), "{name} {argv:?}");
-                }
+                assert!(spec.parse(&argv).is_ok(), "{name} {argv:?}");
             }
         }
     }
@@ -1766,7 +1703,7 @@ mod tests {
             (&["stats", "t.jsonl", "--check"], "unknown flag `--check`"),
             (&["replay", "li.vpc", "extra.vpc"], "unexpected argument `extra.vpc`"),
             (&["optimize", "50"], "unexpected argument `50`"),
-            (&["optimize", "--demo", "50", "--jobs", "2"], "unknown flag `--jobs`"),
+            (&["optimize", "--demo"], "unknown flag `--demo`"),
             (&["replay", "li.vpc", "--deadline-ms"], "`--deadline-ms` needs a value"),
             (&["replay", "li.vpc", "--save", "--deadline-ms", "2"], "`--save` needs a value"),
             // No subcommand splits one workload across threads.

@@ -1,11 +1,15 @@
-//! The specialization demonstration kernel used by experiment E13 and the
-//! `specialize_dispatch` example.
+//! The specialization demonstration kernels used by experiments E13 and
+//! E17.
 //!
-//! Modelled on the paper's m88ksim case study: a simulator-style loop
-//! reloads a configuration word from memory on every iteration and decodes
-//! against it through a chain of pure ALU operations. The input stream can
-//! occasionally rewrite the configuration, making the load *semi*-invariant
-//! with a controllable invariance level.
+//! [`program`] is modelled on the paper's m88ksim case study: a
+//! simulator-style loop reloads a configuration word from memory on every
+//! iteration and decodes against it through a chain of pure ALU
+//! operations. The input stream can occasionally rewrite the
+//! configuration, making the load *semi*-invariant with a controllable
+//! invariance level.
+//!
+//! [`bimodal_program`] has a load that alternates between two values,
+//! the distribution where a guard chain of two values beats one.
 
 use vp_asm::Program;
 use vp_sim::InputSet;
@@ -83,6 +87,67 @@ pub fn input(iterations: u64, change_period: u64) -> InputSet {
 /// Panics if the kernel unexpectedly has no load (covered by tests).
 pub fn config_load_index(program: &Program) -> u32 {
     program.code().iter().position(|i| i.is_load()).expect("kernel has a load") as u32
+}
+
+/// The E17 kernel, run for `iterations` loop trips: a bimodal load (80
+/// on 60 % of executions, 120 on 40 %) feeding a long pure chain.
+///
+/// # Panics
+///
+/// Panics if the built-in source fails to assemble (covered by tests).
+pub fn bimodal_program(iterations: u64) -> Program {
+    vp_asm::assemble(&format!(
+        r#"
+    .data
+    which: .quad 0
+    vals:  .quad 80, 120
+    .text
+    main:
+        la  r10, which
+        la  r11, vals
+        li  r9, {iterations}
+        li  r18, 0
+    loop:
+        ldd  r12, 0(r10)     # flip `which` with duty cycle 3:2
+        addi r12, r12, 1
+        remi r12, r12, 5
+        std  r12, 0(r10)
+        slti r13, r12, 3
+        xori r13, r13, 1
+        slli r13, r13, 3
+        add  r13, r13, r11
+        ldd  r2, 0(r13)      # the bimodal load: 80 (60%) or 120 (40%)
+        srli r3, r2, 2
+        muli r3, r3, 7
+        addi r3, r3, 3
+        xori r3, r3, 44
+        slli r4, r3, 1
+        add  r5, r4, r3
+        srli r5, r5, 1
+        andi r5, r5, 2047
+        muli r5, r5, 13
+        addi r5, r5, 29
+        xori r5, r5, 333
+        srli r5, r5, 1
+        add  r18, r18, r5
+        addi r9, r9, -1
+        bnz  r9, loop
+        andi a0, r18, 255
+        sys  exit
+    "#
+    ))
+    .expect("bimodal kernel assembles")
+}
+
+/// Instruction index of the bimodal load in [`bimodal_program`] (the
+/// loop's second load, after the one that reads `which`).
+///
+/// # Panics
+///
+/// Panics if the kernel unexpectedly has fewer than two loads.
+pub fn bimodal_load_index(program: &Program) -> u32 {
+    program.code().iter().enumerate().filter(|(_, i)| i.is_load()).nth(1).expect("bimodal load").0
+        as u32
 }
 
 #[cfg(test)]

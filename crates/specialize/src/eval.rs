@@ -1,4 +1,4 @@
-//! Specialization speedup evaluation, with optional guard-hit accounting.
+//! Specialization speedup evaluation with guard hit/miss accounting.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -42,30 +42,6 @@ impl SpeedupReport {
     }
 }
 
-/// Runs `original` and `specialized` on `input` and reports the dynamic
-/// instruction counts plus an output-equivalence check.
-///
-/// # Errors
-///
-/// Propagates emulator faults from either run.
-pub fn evaluate(
-    original: &Program,
-    specialized: &Program,
-    input: &InputSet,
-    budget: u64,
-) -> Result<SpeedupReport, SimError> {
-    let cfg = MachineConfig::new().input(input.clone());
-    let mut base = Machine::new(original.clone(), cfg.clone())?;
-    let base_out = base.run(budget)?;
-    let mut fast = Machine::new(specialized.clone(), cfg)?;
-    let fast_out = fast.run(budget)?;
-    Ok(SpeedupReport {
-        base_instructions: base_out.instructions,
-        specialized_instructions: fast_out.instructions,
-        equivalent: base_out.exit_code == fast_out.exit_code && base_out.output == fast_out.output,
-    })
-}
-
 /// Guard hit/miss totals for one specialized load site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GuardStats {
@@ -88,7 +64,7 @@ impl GuardStats {
     }
 }
 
-/// [`SpeedupReport`] extended with per-site guard accounting.
+/// [`SpeedupReport`] with per-site guard accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GuardedReport {
     /// The side-by-side instruction counts and equivalence verdict.
@@ -118,16 +94,18 @@ impl Analysis for GuardWatcher {
     }
 }
 
-/// Like [`evaluate`], but runs the specialized program under
-/// instrumentation selecting exactly the guard branches of `sites`, so the
-/// report carries per-site hit/miss rates. Instrumentation observes the
-/// same execution the plain machine would run: instruction counts and
-/// outputs are unaffected.
+/// Runs `original` and `specialized` on `input` and reports the dynamic
+/// instruction counts, an output-equivalence check and per-site guard
+/// hit/miss totals. The specialized program runs under instrumentation
+/// that selects exactly the guard branches of `sites` (the sites
+/// [`specialize_all`](crate::specialize_all) returned); instrumentation
+/// observes the same execution the plain machine would run, so
+/// instruction counts and outputs are unaffected.
 ///
 /// # Errors
 ///
 /// Propagates emulator faults from either run.
-pub fn evaluate_guarded(
+pub fn evaluate(
     original: &Program,
     specialized: &Program,
     sites: &[GuardSite],
@@ -194,15 +172,16 @@ mod tests {
     #[test]
     fn evaluate_identical_programs() {
         let p = vp_asm::assemble(".text\nmain: li a0, 1\n sys exit\n").unwrap();
-        let r = evaluate(&p, &p, &InputSet::empty(), 1000).unwrap();
-        assert!(r.equivalent);
-        assert!((r.speedup() - 1.0).abs() < 1e-12);
+        let r = evaluate(&p, &p, &[], &InputSet::empty(), 1000).unwrap();
+        assert!(r.speedup.equivalent);
+        assert!((r.speedup.speedup() - 1.0).abs() < 1e-12);
+        assert!(r.guards.is_empty());
     }
 
     #[test]
     fn guarded_eval_counts_hits_and_misses_exactly() {
         use crate::demo;
-        use crate::transform::{specialize_all_sites, Candidate};
+        use crate::transform::{specialize_all, Candidate};
 
         let program = demo::program();
         let iterations = 1_000;
@@ -210,12 +189,12 @@ mod tests {
         let input = demo::input(iterations, period);
         let candidate = Candidate {
             load_index: demo::config_load_index(&program),
-            value: 0x1234, // the demo kernel's base configuration value
+            values: vec![0x1234], // the demo kernel's base configuration value
             invariance: 1.0,
             executions: iterations,
         };
-        let (specialized, sites) = specialize_all_sites(&program, &[candidate]).unwrap();
-        let report = evaluate_guarded(&program, &specialized, &sites, &input, 100_000_000).unwrap();
+        let (specialized, sites) = specialize_all(&program, &[candidate]).unwrap();
+        let report = evaluate(&program, &specialized, &sites, &input, 100_000_000).unwrap();
         assert!(report.speedup.equivalent);
         assert_eq!(report.guards.len(), 1);
         let g = report.guards[0];
@@ -227,7 +206,8 @@ mod tests {
         assert!(g.hit_rate() > 0.98);
 
         // Instrumentation must not change the measured execution.
-        let plain = evaluate(&program, &specialized, &input, 100_000_000).unwrap();
-        assert_eq!(plain, report.speedup);
+        let cfg = MachineConfig::new().input(input);
+        let plain = Machine::new(specialized, cfg).unwrap().run(100_000_000).unwrap();
+        assert_eq!(plain.instructions, report.speedup.specialized_instructions);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! This module closes the loop the paper builds toward (ch. VI): given a
 //! load-value profile gathered on a *train* input, pick the semi-invariant
-//! sites worth specializing, build guarded fast paths (multi-way where the
-//! profiled distribution justifies extra guards), and re-run original vs
-//! specialized on an unseen *test* input, accounting every guard hit and
-//! miss. Everything here is deterministic: same program + same profile +
-//! same input → identical plan, identical code, identical report.
+//! sites worth specializing, build guard chains in front of folded fast
+//! paths (more than one value where the profiled distribution justifies
+//! extra guards), and re-run original vs specialized on an unseen *test*
+//! input, accounting every guard hit and miss. Everything here is
+//! deterministic: same program + same profile + same input → identical
+//! plan, identical code, identical report.
 //!
 //! The driver that profiles whole suite workloads and renders reports
 //! lives in `vp-bench`; this module is pure program-level machinery.
@@ -16,16 +17,17 @@ use vp_core::{track::ValueTracker, EntityMetrics};
 use vp_isa::Instruction;
 use vp_sim::{InputSet, Machine, MachineConfig, SimError};
 
-use crate::eval::{evaluate_guarded, GuardStats, GuardedReport, SpeedupReport};
-use crate::multiway::{specialize_multi_all, MultiCandidate};
-use crate::transform::{estimate, CandidateOptions, GuardSite, SpecializeError};
+use crate::eval::{evaluate, GuardStats, GuardedReport, SpeedupReport};
+use crate::transform::{
+    estimate, specialize_all, Candidate, CandidateOptions, GuardSite, SpecializeError,
+};
 
 /// Options controlling the optimize pipeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizeOptions {
-    /// Thresholds for single-value candidate selection.
+    /// Thresholds a site must clear to be specialized at all.
     pub candidates: CandidateOptions,
-    /// Maximum guards per site (1 = single-way only).
+    /// Maximum guards per site (1 = one value per site).
     pub max_ways: usize,
     /// Minimum share of a site's executions a secondary TNV value must
     /// hold to earn its own guard (the guard chain taxes every miss, so
@@ -107,20 +109,23 @@ pub struct RejectedCandidate {
 pub struct CandidatePlan {
     /// Sites to specialize, hottest first. Values per site are ordered
     /// most frequent first.
-    pub selected: Vec<MultiCandidate>,
+    pub selected: Vec<Candidate>,
     /// Sites considered and rejected, in entity-id order.
     pub rejected: Vec<RejectedCandidate>,
 }
 
-/// Selects multi-way specialization candidates from a load-value profile,
-/// recording a reason for every site it passes on.
+/// Selects specialization candidates from a load-value profile, recording
+/// a reason for every site it passes on.
 ///
 /// `metrics` must come from an
 /// [`InstructionProfiler`](vp_core::InstructionProfiler) run (entity ids
-/// are instruction indices). `top_values` maps a load's instruction index
-/// to its profiled `(value, count)` pairs, most frequent first — the
-/// pipeline uses it to grant secondary guards only to values whose own
-/// fold is profitable and whose share clears `min_way_share`.
+/// are instruction indices). Each site's first guard value is its
+/// `metrics` entry's `top_value`. `top_values` maps a load's instruction
+/// index to profiled `(value, count)` pairs, most frequent first; it only
+/// offers the secondary guards, which go to values whose own fold is
+/// profitable and whose share clears `min_way_share`, up to `max_ways`
+/// values per site. A `top_values` that returns nothing plans one value
+/// per site.
 pub fn plan_candidates(
     program: &Program,
     metrics: &[EntityMetrics],
@@ -186,7 +191,7 @@ pub fn plan_candidates(
                 values.push(value);
             }
         }
-        selected.push(MultiCandidate {
+        selected.push(Candidate {
             load_index: index,
             values,
             invariance: m.inv_top1,
@@ -261,10 +266,10 @@ pub fn optimize_program(
         return Ok(ProgramOptimize { sites: Vec::new(), rejected: plan.rejected, eval });
     }
 
-    match specialize_multi_all(program, &plan.selected) {
+    match specialize_all(program, &plan.selected) {
         Ok((specialized, sites)) => {
             let GuardedReport { speedup, guards } =
-                evaluate_guarded(program, &specialized, &sites, input, options.budget)?;
+                evaluate(program, &specialized, &sites, input, options.budget)?;
             let outcomes = sites
                 .into_iter()
                 .zip(&plan.selected)

@@ -1,47 +1,57 @@
-//! The specialization transform: guarded fast paths for semi-invariant
-//! loads.
+//! The specialization transform: a chain of run-time guards in front of
+//! folded fast paths for a semi-invariant load.
 //!
-//! For a candidate load `ld rD, off(rB)` whose profiled top value is `V`:
+//! For a candidate load `ld rD, off(rB)` at index `i`, guarded on the
+//! values `V1 … Vk` (most frequent first):
 //!
 //! ```text
-//! original site:            i: j trampoline          (replaces the load)
-//!
-//! appended trampoline:      t+0: ld rD, off(rB)      (the original load)
-//!                           t+1: li r31, V           (guard constant)
-//!                           t+k: beq rD, r31, fast
-//!                                j  i+1               (slow path: resume)
-//!                           fast: <folded fast path>
-//!                                j  resume            (after the region)
+//! site i:   j  tramp                       (replaces the load)
+//! tramp:    ld rD, off(rB)                 (the original load)
+//!           li r31, V1 ; beq rD, r31, fast1
+//!           ...
+//!           li r31, Vk ; beq rD, r31, fastk
+//!           j  i+1                         (slow path: resume)
+//! fast1:    <region folded with rD = V1> ; j resume
+//! ...
+//! fastk:    <region folded with rD = Vk> ; j resume
 //! ```
 //!
+//! A chain of one value is the classic one-way guard: `ld`, the guard
+//! constant, `beq rD, r31, +1` over the slow-path jump, `j i+1`, the
+//! folded fast path and `j resume` (the instruction after the region).
+//!
 //! The fast path is the load's basic-block suffix constant-folded against
-//! `V` (see [`crate::fold`]), materializing only registers that are live
-//! at the resume point. Cold/slow executions pay the guard; hot executions
-//! skip the folded computation — the paper's specialization trade-off,
-//! measurable in dynamic instructions.
+//! its value (see [`crate::fold`]), materializing only registers that are
+//! live at the resume point. Executions whose value is in no guard pay the
+//! chain; hot executions skip the folded computation — the paper's
+//! specialization trade-off, measurable in dynamic instructions. The TNV
+//! table keeps the top *N* values of an entity so that the chain can cover
+//! more than the most frequent one: on a load that is 60 % one value and
+//! 40 % another, one guard covers 60 % of executions and two cover all of
+//! them (experiment E17).
 
 use std::fmt;
 
 use vp_asm::Program;
-use vp_core::EntityMetrics;
 use vp_isa::{BranchCond, Instruction, Reg};
 
 use crate::fold::{fold_region, materialize};
 use crate::liveness::Liveness;
 
-/// The register the generated guard uses for its comparison constant.
+/// The register the generated guards use for their comparison constants.
 /// Programs to be specialized must not use it (checked by
-/// [`specialize`]).
+/// [`specialize_all`]).
 pub const SCRATCH: Reg = Reg::R31;
 
-/// A specialization candidate: a load site and its dominant value.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A specialization candidate: a load site and the values to guard on.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Instruction index of the load.
     pub load_index: u32,
-    /// The profiled top value to specialize on.
-    pub value: u64,
-    /// Profiled `Inv-Top(1)` of the load.
+    /// Values to build fast paths for, most frequent first.
+    pub values: Vec<u64>,
+    /// Profiled invariance of the load (the planner records
+    /// `Inv-Top(1)`).
     pub invariance: f64,
     /// Profiled execution count of the load.
     pub executions: u64,
@@ -69,7 +79,8 @@ impl Default for CandidateOptions {
 /// Errors of the specialization transform.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecializeError {
-    /// The candidate index does not hold a load instruction.
+    /// The candidate index does not hold a load instruction, or the
+    /// candidate has no value to guard on.
     NotALoad {
         /// The offending instruction index.
         index: u32,
@@ -99,10 +110,10 @@ impl std::error::Error for SpecializeError {}
 /// Where a specialization transform placed its runtime guards.
 ///
 /// Guard indices are instruction indices of the conditional `beq`
-/// instructions in the appended trampoline, one per specialized value
-/// (single-way transforms have exactly one). Later transforms only append
-/// code and overwrite their own load site, so indices recorded by earlier
-/// transforms stay valid across a chained [`specialize_all_sites`] run.
+/// instructions in the appended trampoline, one per specialized value.
+/// Later transforms only append code and overwrite their own load site,
+/// so indices recorded by earlier transforms stay valid across a chained
+/// [`specialize_all`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GuardSite {
     /// Instruction index of the original (now redirected) load.
@@ -138,145 +149,116 @@ impl FoldEstimate {
 /// `value`, without transforming anything. Returns `None` if the index
 /// does not hold a load.
 pub fn estimate(program: &Program, load_index: u32, value: u64) -> Option<FoldEstimate> {
-    let instr = *program.code().get(load_index as usize)?;
-    let rd = match instr {
-        Instruction::Load { rd, .. } | Instruction::LoadSigned { rd, .. } => rd,
-        _ => return None,
-    };
+    let (_, rd, resume) = load_site(program, load_index)?;
     let liveness = Liveness::compute(program);
-    let resume = load_index + 1 + probe_region_len(program, load_index);
     let fold =
         fold_region(program.code(), load_index as usize + 1, rd, value, liveness.live_at(resume));
     Some(FoldEstimate { consumed: fold.consumed, emitted: fold.emitted.len(), folded: fold.folded })
 }
 
-/// Selects specialization candidates from a load-value profile.
-///
-/// `metrics` must come from an
-/// [`InstructionProfiler`](vp_core::InstructionProfiler) run (entity ids
-/// are instruction indices). Candidates are returned hottest-first.
-pub fn find_candidates(
-    program: &Program,
-    metrics: &[EntityMetrics],
-    options: CandidateOptions,
-) -> Vec<Candidate> {
-    let liveness = Liveness::compute(program);
-    let mut out: Vec<Candidate> = metrics
-        .iter()
-        .filter(|m| m.executions >= options.min_executions)
-        .filter(|m| m.inv_top1 >= options.min_invariance)
-        .filter_map(|m| {
-            let index = m.load_index()?;
-            let instr = *program.code().get(index as usize)?;
-            let rd = match instr {
-                Instruction::Load { rd, .. } | Instruction::LoadSigned { rd, .. } => rd,
-                _ => return None,
-            };
-            let value = m.top_value?;
-            // Dry-run the fold: it must remove enough instructions AND the
-            // fast path must be strictly shorter than the slow path (wide
-            // constants can make materialization outweigh the fold).
-            let resume_region_start = index as usize + 1;
-            let result = fold_region(
-                program.code(),
-                resume_region_start,
-                rd,
-                value,
-                liveness.live_at(index + 1 + probe_region_len(program, index)),
-            );
-            (result.folded >= options.min_folded && result.emitted.len() < result.consumed)
-                .then_some(Candidate {
-                    load_index: index,
-                    value,
-                    invariance: m.inv_top1,
-                    executions: m.executions,
-                })
-        })
-        .collect();
-    out.sort_by(|a, b| b.executions.cmp(&a.executions).then(a.load_index.cmp(&b.load_index)));
-    out
-}
-
-trait LoadIndex {
-    fn load_index(&self) -> Option<u32>;
-}
-
-impl LoadIndex for EntityMetrics {
-    fn load_index(&self) -> Option<u32> {
-        u32::try_from(self.id).ok()
-    }
-}
-
-/// Length of the foldable region following the load at `index`.
-fn probe_region_len(program: &Program, index: u32) -> u32 {
+/// The load at `index`, its destination register and the resume point
+/// (the first instruction after the foldable region that follows it), or
+/// `None` if `index` does not hold a load.
+fn load_site(program: &Program, index: u32) -> Option<(Instruction, Reg, u32)> {
     let code = program.code();
-    let mut len = 0u32;
-    for &instr in &code[(index as usize + 1)..] {
-        if instr.is_control_transfer() || matches!(instr, Instruction::Sys { .. }) {
-            break;
-        }
-        len += 1;
-    }
-    len
+    let load = *code.get(index as usize)?;
+    let rd = match load {
+        Instruction::Load { rd, .. } | Instruction::LoadSigned { rd, .. } => rd,
+        _ => return None,
+    };
+    let region = code[index as usize + 1..]
+        .iter()
+        .take_while(|i| !i.is_control_transfer() && !matches!(i, Instruction::Sys { .. }))
+        .count();
+    Some((load, rd, index + 1 + region as u32))
 }
 
 /// Applies one specialization, returning the transformed program.
 ///
 /// # Errors
 ///
-/// Fails when the candidate is not a load, the program uses the scratch
-/// register [`SCRATCH`], or jump targets would overflow.
+/// Same conditions as [`specialize_all`].
 pub fn specialize(program: &Program, candidate: &Candidate) -> Result<Program, SpecializeError> {
-    if uses_scratch(program) {
-        return Err(SpecializeError::ScratchInUse);
-    }
-    specialize_unchecked(program, candidate).map(|(p, _)| p)
+    specialize_all(program, std::slice::from_ref(candidate)).map(|(p, _)| p)
 }
 
-/// [`specialize`] without the scratch-register check — used internally by
-/// [`specialize_all`], whose own trampolines legitimately use the scratch
-/// register (each one writes it before its only read).
-fn specialize_unchecked(
+/// Applies a list of candidates in order (each on the result of the
+/// previous transform), reporting where each transform placed its guard
+/// chain. Candidates at the same load site are rejected by the `NotALoad`
+/// check, since the first transform replaces the load. The
+/// scratch-register check runs once against the input program: later
+/// transforms legitimately read the scratch writes of earlier trampolines
+/// (each writes it before its only read).
+///
+/// # Errors
+///
+/// Fails when a candidate is not a load or has no values, the program
+/// uses the scratch register [`SCRATCH`], or jump targets would overflow.
+pub fn specialize_all(
+    program: &Program,
+    candidates: &[Candidate],
+) -> Result<(Program, Vec<GuardSite>), SpecializeError> {
+    if !candidates.is_empty() && uses_scratch(program) {
+        return Err(SpecializeError::ScratchInUse);
+    }
+    let mut current = program.clone();
+    let mut sites = Vec::with_capacity(candidates.len());
+    for c in candidates {
+        let (next, site) = specialize_site(&current, c)?;
+        current = next;
+        sites.push(site);
+    }
+    Ok((current, sites))
+}
+
+/// Builds one guard chain (see the module docs for the layout), without
+/// the scratch-register check.
+fn specialize_site(
     program: &Program,
     candidate: &Candidate,
 ) -> Result<(Program, GuardSite), SpecializeError> {
+    let not_a_load = SpecializeError::NotALoad { index: candidate.load_index };
+    if candidate.values.is_empty() {
+        return Err(not_a_load);
+    }
+    let (load, rd, resume) = load_site(program, candidate.load_index).ok_or(not_a_load)?;
     let code = program.code();
     let index = candidate.load_index as usize;
-    let load = *code.get(index).ok_or(SpecializeError::NotALoad { index: candidate.load_index })?;
-    let rd = match load {
-        Instruction::Load { rd, .. } | Instruction::LoadSigned { rd, .. } => rd,
-        _ => return Err(SpecializeError::NotALoad { index: candidate.load_index }),
-    };
-
-    let liveness = Liveness::compute(program);
-    let region_len = probe_region_len(program, candidate.load_index);
-    let resume = candidate.load_index + 1 + region_len;
-    let fold = fold_region(code, index + 1, rd, candidate.value, liveness.live_at(resume));
+    let live = Liveness::compute(program).live_at(resume);
 
     let mut new_code = code.to_vec();
     let trampoline = new_code.len() as u32;
-
-    // Trampoline: original load, guard, slow jump, fast path, resume jump.
     new_code.push(load);
-    let mut guard = Vec::new();
-    materialize(SCRATCH, candidate.value, &mut guard);
-    new_code.extend_from_slice(&guard);
-    let guard_index = new_code.len() as u32;
-    new_code.push(Instruction::Branch { cond: BranchCond::Eq, rs: rd, rt: SCRATCH, disp: 1 });
+
+    // Guard chain. Branch displacements depend on downstream sizes, so lay
+    // out the guards with placeholder displacements and patch each one as
+    // its fast path is appended.
+    let mut guard_starts = Vec::new();
+    for &value in &candidate.values {
+        materialize(SCRATCH, value, &mut new_code);
+        guard_starts.push(new_code.len());
+        new_code.push(Instruction::Branch { cond: BranchCond::Eq, rs: rd, rt: SCRATCH, disp: 0 });
+    }
     new_code.push(Instruction::Jump { target: candidate.load_index + 1 }); // slow path
-    new_code.extend_from_slice(&fold.emitted); // fast path
-    new_code.push(Instruction::Jump { target: resume });
+
+    for (&value, &guard_at) in candidate.values.iter().zip(&guard_starts) {
+        let disp = new_code.len() as i64 - (guard_at as i64 + 1);
+        let disp = i16::try_from(disp).map_err(|_| SpecializeError::ProgramTooLarge)?;
+        new_code[guard_at] =
+            Instruction::Branch { cond: BranchCond::Eq, rs: rd, rt: SCRATCH, disp };
+        new_code.extend(fold_region(code, index + 1, rd, value, live).emitted);
+        new_code.push(Instruction::Jump { target: resume });
+    }
 
     if new_code.len() >= (1 << 26) {
         return Err(SpecializeError::ProgramTooLarge);
     }
-    // Redirect the load site into the trampoline.
     new_code[index] = Instruction::Jump { target: trampoline };
 
     let site = GuardSite {
         load_index: candidate.load_index,
-        values: vec![candidate.value],
-        guard_indices: vec![guard_index],
+        values: candidate.values.clone(),
+        guard_indices: guard_starts.iter().map(|&g| g as u32).collect(),
     };
     Ok((
         Program::from_parts(
@@ -290,44 +272,6 @@ fn specialize_unchecked(
     ))
 }
 
-/// Applies a list of candidates in order (each on the result of the
-/// previous transform). Candidates at the same load site are rejected by
-/// the `NotALoad` check, since the first transform replaces the load.
-///
-/// # Errors
-///
-/// Same conditions as [`specialize`].
-pub fn specialize_all(
-    program: &Program,
-    candidates: &[Candidate],
-) -> Result<Program, SpecializeError> {
-    specialize_all_sites(program, candidates).map(|(p, _)| p)
-}
-
-/// [`specialize_all`] that also reports where each transform placed its
-/// guard, so callers can instrument guard hit/miss rates (see
-/// [`crate::eval::evaluate_guarded`]).
-///
-/// # Errors
-///
-/// Same conditions as [`specialize`].
-pub fn specialize_all_sites(
-    program: &Program,
-    candidates: &[Candidate],
-) -> Result<(Program, Vec<GuardSite>), SpecializeError> {
-    if !candidates.is_empty() && uses_scratch(program) {
-        return Err(SpecializeError::ScratchInUse);
-    }
-    let mut current = program.clone();
-    let mut sites = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        let (next, site) = specialize_unchecked(&current, c)?;
-        current = next;
-        sites.push(site);
-    }
-    Ok((current, sites))
-}
-
 fn uses_scratch(program: &Program) -> bool {
     program
         .code()
@@ -338,7 +282,9 @@ fn uses_scratch(program: &Program) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_sim::{Machine, MachineConfig};
+    use crate::demo;
+    use vp_isa::AluOp;
+    use vp_sim::{InputSet, Machine, MachineConfig};
 
     /// A kernel with a semi-invariant load feeding a foldable chain.
     fn kernel() -> Program {
@@ -375,30 +321,68 @@ mod tests {
         p.code().iter().position(|i| i.is_load()).unwrap() as u32
     }
 
+    fn candidate(load_index: u32, values: &[u64]) -> Candidate {
+        Candidate { load_index, values: values.to_vec(), invariance: 1.0, executions: 1000 }
+    }
+
+    /// Exit code and dynamic instruction count of a run with no input.
+    fn run(p: &Program) -> (i64, u64) {
+        let mut m = Machine::new(p.clone(), MachineConfig::new().input(InputSet::empty())).unwrap();
+        let out = m.run(10_000_000).unwrap();
+        (out.exit_code, out.instructions)
+    }
+
+    #[test]
+    fn one_value_chain_has_the_documented_layout() {
+        let program = kernel();
+        let i = load_index(&program);
+        let (specialized, sites) = specialize_all(&program, &[candidate(i, &[80])]).unwrap();
+
+        let n = program.code().len();
+        let t = n as u32;
+        let (code, new) = specialized.code().split_at(n);
+        // The site jumps to the trampoline; nothing else in the original
+        // code changes.
+        assert_eq!(code[i as usize], Instruction::Jump { target: t });
+        for (k, (a, b)) in program.code().iter().zip(code).enumerate() {
+            if k != i as usize {
+                assert_eq!(a, b, "instruction {k}");
+            }
+        }
+        // r2 = 80 folds the chain to r8 = 780 (needed by the unknown
+        // accumulate); the loop counter update survives; the region ends
+        // at `bnz`, the resume point.
+        let addi = |rd, rs, imm| Instruction::AluImm { op: AluOp::Add, rd, rs, imm };
+        let resume = i + 11;
+        assert_eq!(
+            new,
+            [
+                program.code()[i as usize],
+                addi(SCRATCH, Reg::R0, 80),
+                Instruction::Branch { cond: BranchCond::Eq, rs: Reg::R2, rt: SCRATCH, disp: 1 },
+                Instruction::Jump { target: i + 1 },
+                addi(Reg::R8, Reg::R0, 780),
+                Instruction::Alu { op: AluOp::Add, rd: Reg::R18, rs: Reg::R18, rt: Reg::R8 },
+                addi(Reg::R9, Reg::R9, -1),
+                Instruction::Jump { target: resume },
+            ]
+        );
+        assert!(matches!(program.code()[resume as usize], Instruction::Branch { .. }));
+        assert_eq!(
+            sites,
+            [GuardSite { load_index: i, values: vec![80], guard_indices: vec![t + 2] }]
+        );
+        assert_eq!(specialized.data(), program.data());
+    }
+
     #[test]
     fn specialized_program_is_equivalent_and_faster() {
         let program = kernel();
-        let candidate = Candidate {
-            load_index: load_index(&program),
-            value: 80,
-            invariance: 1.0,
-            executions: 1000,
-        };
-        let specialized = specialize(&program, &candidate).unwrap();
-
-        let mut base = Machine::new(program, MachineConfig::new()).unwrap();
-        let base_out = base.run(10_000_000).unwrap();
-        let mut fast = Machine::new(specialized, MachineConfig::new()).unwrap();
-        let fast_out = fast.run(10_000_000).unwrap();
-
-        assert_eq!(base_out.exit_code, fast_out.exit_code);
-        assert_eq!(base_out.output, fast_out.output);
-        assert!(
-            fast_out.instructions < base_out.instructions,
-            "specialized {} should beat base {}",
-            fast_out.instructions,
-            base_out.instructions
-        );
+        let specialized = specialize(&program, &candidate(load_index(&program), &[80])).unwrap();
+        let (base_code, base_n) = run(&program);
+        let (fast_code, fast_n) = run(&specialized);
+        assert_eq!(base_code, fast_code);
+        assert!(fast_n < base_n, "specialized {fast_n} should beat base {base_n}");
     }
 
     #[test]
@@ -406,38 +390,37 @@ mod tests {
         // Specialize on the WRONG value: the guard must route every
         // iteration through the slow path, and results must still match.
         let program = kernel();
-        let candidate = Candidate {
-            load_index: load_index(&program),
-            value: 9999,
-            invariance: 1.0,
-            executions: 1000,
-        };
-        let specialized = specialize(&program, &candidate).unwrap();
-        let mut base = Machine::new(program, MachineConfig::new()).unwrap();
-        let base_out = base.run(10_000_000).unwrap();
-        let mut slow = Machine::new(specialized, MachineConfig::new()).unwrap();
-        let slow_out = slow.run(10_000_000).unwrap();
-        assert_eq!(base_out.exit_code, slow_out.exit_code);
-        assert!(slow_out.instructions > base_out.instructions, "guard adds overhead");
+        let specialized = specialize(&program, &candidate(load_index(&program), &[9999])).unwrap();
+        let (base_code, base_n) = run(&program);
+        let (slow_code, slow_n) = run(&specialized);
+        assert_eq!(base_code, slow_code);
+        assert!(slow_n > base_n, "guard adds overhead");
     }
 
     #[test]
-    fn rejects_non_loads_and_scratch_users() {
+    fn rejects_non_loads_empty_chains_and_scratch_users() {
         let program = kernel();
-        let c = Candidate { load_index: 0, value: 1, invariance: 1.0, executions: 1 };
-        assert_eq!(specialize(&program, &c).unwrap_err(), SpecializeError::NotALoad { index: 0 });
+        assert_eq!(
+            specialize(&program, &candidate(0, &[1])).unwrap_err(),
+            SpecializeError::NotALoad { index: 0 }
+        );
+        let i = load_index(&program);
+        assert_eq!(
+            specialize(&program, &candidate(i, &[])).unwrap_err(),
+            SpecializeError::NotALoad { index: i }
+        );
 
         let scratchy = vp_asm::assemble(
             ".data\nx: .quad 1\n.text\nmain: la r31, x\n ldd r2, 0(r31)\n sys exit\n",
         )
         .unwrap();
-        let idx = load_index(&scratchy);
-        let c = Candidate { load_index: idx, value: 1, invariance: 1.0, executions: 1 };
+        let c = candidate(load_index(&scratchy), &[1]);
         assert_eq!(specialize(&scratchy, &c).unwrap_err(), SpecializeError::ScratchInUse);
     }
 
     #[test]
-    fn find_candidates_filters() {
+    fn planner_selects_the_invariant_load() {
+        use crate::pipeline::{plan_candidates, OptimizeOptions};
         use vp_core::{track::TrackerConfig, InstructionProfiler};
         use vp_instrument::{Instrumenter, Selection};
         let program = kernel();
@@ -446,20 +429,49 @@ mod tests {
             .select(Selection::LoadsOnly)
             .run(&program, MachineConfig::new(), 10_000_000, &mut profiler)
             .unwrap();
-        let candidates =
-            find_candidates(&program, &profiler.metrics(), CandidateOptions::default());
-        assert_eq!(candidates.len(), 1);
-        assert_eq!(candidates[0].load_index, load_index(&program));
-        assert_eq!(candidates[0].value, 80);
-        assert!(candidates[0].invariance > 0.99);
+        let one_way = OptimizeOptions { max_ways: 1, ..OptimizeOptions::default() };
+        let plan = plan_candidates(&program, &profiler.metrics(), &|_| Vec::new(), &one_way);
+        assert_eq!(plan.selected.len(), 1);
+        assert_eq!(plan.selected[0].load_index, load_index(&program));
+        assert_eq!(plan.selected[0].values, vec![80]);
+        assert!(plan.selected[0].invariance > 0.99);
 
         // Raising the invariance bar above 1.0 rejects everything.
-        let none = find_candidates(
-            &program,
-            &profiler.metrics(),
-            CandidateOptions { min_invariance: 1.1, ..CandidateOptions::default() },
-        );
-        assert!(none.is_empty());
+        let strict = OptimizeOptions {
+            candidates: CandidateOptions { min_invariance: 1.1, ..CandidateOptions::default() },
+            ..one_way
+        };
+        let plan = plan_candidates(&program, &profiler.metrics(), &|_| Vec::new(), &strict);
+        assert!(plan.selected.is_empty());
+    }
+
+    #[test]
+    fn two_way_beats_one_way_on_bimodal_loads() {
+        let program = demo::bimodal_program(1_000);
+        let load = demo::bimodal_load_index(&program);
+        let (base_code, base_n) = run(&program);
+
+        let one_way = specialize(&program, &candidate(load, &[80])).unwrap();
+        let (one_code, one_n) = run(&one_way);
+        assert_eq!(base_code, one_code);
+
+        let two_way = specialize(&program, &candidate(load, &[80, 120])).unwrap();
+        let (two_code, two_n) = run(&two_way);
+        assert_eq!(base_code, two_code, "two-way must preserve behaviour");
+
+        assert!(one_n < base_n, "one-way should win: {one_n} vs {base_n}");
+        assert!(two_n < one_n, "two-way should beat one-way: {two_n} vs {one_n}");
+    }
+
+    #[test]
+    fn unmatched_values_fall_through_to_slow_path() {
+        let program = demo::bimodal_program(1_000);
+        let load = demo::bimodal_load_index(&program);
+        let (base_code, base_n) = run(&program);
+        let wrong = specialize(&program, &candidate(load, &[1, 2, 3])).unwrap();
+        let (code, n) = run(&wrong);
+        assert_eq!(base_code, code);
+        assert!(n > base_n, "three dead guards cost instructions");
     }
 
     #[test]

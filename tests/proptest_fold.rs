@@ -99,14 +99,14 @@ proptest! {
             .expect("has load") as u32;
         let (base_code, _) = run(&program);
 
-        let right = Candidate { load_index, value, invariance: 1.0, executions: 10 };
+        let right = Candidate { load_index, values: vec![value], invariance: 1.0, executions: 10 };
         let specialized = specialize(&program, &right).expect("specialize");
         let (spec_code, _) = run(&specialized);
         prop_assert_eq!(base_code, spec_code, "fast path changed the result");
 
         let wrong = Candidate {
             load_index,
-            value: value.wrapping_add(1),
+            values: vec![value.wrapping_add(1)],
             invariance: 1.0,
             executions: 10,
         };
@@ -116,7 +116,7 @@ proptest! {
     }
 
     /// Whenever the cost estimate predicts a net gain (the condition the
-    /// candidate finder enforces), the fast path really does run fewer
+    /// planner enforces), the fast path really does run fewer
     /// instructions than the guard-missing slow path.
     #[test]
     fn estimate_predicts_fast_path_cost(
@@ -128,10 +128,10 @@ proptest! {
             program.code().iter().position(|i| i.is_load()).expect("has load") as u32;
         let est = estimate(&program, load_index, value).expect("is a load");
         prop_assert!(est.consumed >= chain.len(), "region covers the chain");
-        let right = Candidate { load_index, value, invariance: 1.0, executions: 10 };
+        let right = Candidate { load_index, values: vec![value], invariance: 1.0, executions: 10 };
         let wrong = Candidate {
             load_index,
-            value: value.wrapping_add(1),
+            values: vec![value.wrapping_add(1)],
             invariance: 1.0,
             executions: 10,
         };

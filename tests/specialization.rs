@@ -2,11 +2,12 @@
 //! observable behaviour on every workload it is applied to, whether the
 //! specialized value is right, stale or plain wrong.
 
+use value_profiling::asm::Program;
 use value_profiling::core::{track::TrackerConfig, InstructionProfiler};
 use value_profiling::instrument::{Instrumenter, Selection};
 use value_profiling::sim::MachineConfig;
 use value_profiling::specialize::{
-    demo, evaluate, find_candidates, specialize, specialize_all, Candidate, CandidateOptions,
+    demo, evaluate, plan_candidates, specialize_all, Candidate, CandidateOptions, OptimizeOptions,
 };
 use value_profiling::workloads::{suite, DataSet, Workload};
 
@@ -21,19 +22,28 @@ fn load_metrics(w: &Workload, ds: DataSet) -> InstructionProfiler {
     p
 }
 
+/// The planner's one-value-per-site candidates under `thresholds`.
+fn plan(
+    program: &Program,
+    profiler: &InstructionProfiler,
+    thresholds: CandidateOptions,
+) -> Vec<Candidate> {
+    let options = OptimizeOptions { candidates: thresholds, ..OptimizeOptions::default() };
+    plan_candidates(program, &profiler.metrics(), &|_| Vec::new(), &options).selected
+}
+
 #[test]
 fn profile_guided_specialization_is_exact_suite_wide() {
     for w in suite() {
         let profiler = load_metrics(&w, DataSet::Test);
-        let candidates =
-            find_candidates(w.program(), &profiler.metrics(), CandidateOptions::default());
-        let Ok(specialized) = specialize_all(w.program(), &candidates) else {
+        let candidates = plan(w.program(), &profiler, CandidateOptions::default());
+        let Ok((specialized, sites)) = specialize_all(w.program(), &candidates) else {
             continue; // e.g. scratch register in use — allowed to refuse
         };
         for ds in [DataSet::Test, DataSet::Train] {
-            let report = evaluate(w.program(), &specialized, w.input(ds), BUDGET).unwrap();
+            let report = evaluate(w.program(), &specialized, &sites, w.input(ds), BUDGET).unwrap();
             assert!(
-                report.equivalent,
+                report.speedup.equivalent,
                 "{} [{}]: specialization changed behaviour",
                 w.name(),
                 ds.name()
@@ -49,17 +59,18 @@ fn wrong_value_specialization_is_still_exact() {
     for w in suite() {
         let profiler = load_metrics(&w, DataSet::Test);
         let loose = CandidateOptions { min_invariance: 0.0, min_executions: 1, min_folded: 1 };
-        let mut candidates = find_candidates(w.program(), &profiler.metrics(), loose);
+        let mut candidates = plan(w.program(), &profiler, loose);
         for c in &mut candidates {
-            c.value = 0xdead_beef_dead_beef;
+            c.values = vec![0xdead_beef_dead_beef];
         }
-        let Ok(specialized) = specialize_all(w.program(), &candidates) else {
+        let Ok((specialized, sites)) = specialize_all(w.program(), &candidates) else {
             continue;
         };
-        let report = evaluate(w.program(), &specialized, w.input(DataSet::Test), BUDGET).unwrap();
-        assert!(report.equivalent, "{}: wrong-value guard broke behaviour", w.name());
+        let report =
+            evaluate(w.program(), &specialized, &sites, w.input(DataSet::Test), BUDGET).unwrap();
+        assert!(report.speedup.equivalent, "{}: wrong-value guard broke behaviour", w.name());
         assert!(
-            report.specialized_instructions >= report.base_instructions,
+            report.speedup.specialized_instructions >= report.speedup.base_instructions,
             "{}: wrong-value specialization cannot be faster",
             w.name()
         );
@@ -77,11 +88,10 @@ fn demo_kernel_speedup_monotone_in_invariance() {
             .select(Selection::LoadsOnly)
             .run(&program, MachineConfig::new().input(input.clone()), BUDGET, &mut profiler)
             .unwrap();
-        let candidates =
-            find_candidates(&program, &profiler.metrics(), CandidateOptions::default());
+        let candidates = plan(&program, &profiler, CandidateOptions::default());
         assert_eq!(candidates.len(), 1, "period {period}");
-        let specialized = specialize(&program, &candidates[0]).unwrap();
-        let report = evaluate(&program, &specialized, &input, BUDGET).unwrap();
+        let (specialized, sites) = specialize_all(&program, &candidates).unwrap();
+        let report = evaluate(&program, &specialized, &sites, &input, BUDGET).unwrap().speedup;
         assert!(report.equivalent);
         assert!(
             report.speedup() <= last_speedup + 1e-9,
@@ -143,12 +153,15 @@ fn double_specialization_of_distinct_sites() {
         .collect();
     assert_eq!(loads.len(), 2);
     let candidates = vec![
-        Candidate { load_index: loads[0], value: 6, invariance: 1.0, executions: 500 },
-        Candidate { load_index: loads[1], value: 9, invariance: 1.0, executions: 500 },
+        Candidate { load_index: loads[0], values: vec![6], invariance: 1.0, executions: 500 },
+        Candidate { load_index: loads[1], values: vec![9], invariance: 1.0, executions: 500 },
     ];
-    let specialized = specialize_all(&program, &candidates).unwrap();
-    let report =
-        evaluate(&program, &specialized, &value_profiling::sim::InputSet::empty(), BUDGET).unwrap();
+    let (specialized, sites) = specialize_all(&program, &candidates).unwrap();
+    let input = value_profiling::sim::InputSet::empty();
+    let report = evaluate(&program, &specialized, &sites, &input, BUDGET).unwrap();
+    // The first site's guard index survives the second transform.
+    assert_eq!((report.guards[0].hits, report.guards[0].misses), (500, 0));
+    let report = report.speedup;
     assert!(report.equivalent);
     assert!(report.speedup() > 1.0, "speedup {}", report.speedup());
 }
