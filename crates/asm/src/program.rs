@@ -138,11 +138,6 @@ impl Program {
         p.code[index] = instr;
         p
     }
-
-    /// Encodes the code section to binary words (the on-disk object format).
-    pub fn encode_text(&self) -> Vec<u32> {
-        self.code.iter().map(|i| i.encode()).collect()
-    }
 }
 
 impl fmt::Display for Program {

@@ -2,8 +2,7 @@
 //!
 //! Builds the schema-versioned records defined in [`vp_obs::telemetry`]
 //! from a [`SuiteProfile`] (one `run` record, one `workload` record per
-//! workload, `phase` records when a [`MemRecorder`] captured any) and
-//! writes them as `telemetry.jsonl`.
+//! workload) and writes them as `telemetry.jsonl`.
 
 use std::path::{Path, PathBuf};
 
@@ -25,8 +24,7 @@ pub fn default_path() -> PathBuf {
 /// Builds the telemetry records of one suite run: a `run` record leading
 /// with the configuration and suite-wide event totals, then one
 /// `workload` record per workload (deterministic event counts, masked-out
-/// volatile wall times, the aggregate's headline metrics), then one
-/// `phase` record per phase the recorder captured.
+/// volatile wall times, the aggregate's headline metrics).
 pub fn suite_records(
     tool: &str,
     ds: DataSet,
@@ -106,12 +104,6 @@ pub fn suite_records(
             ));
         }
         records.push(record("workload", w.name, fields));
-    }
-
-    if let Some(rec) = rec {
-        for (name, nanos) in rec.phases() {
-            records.push(record("phase", &name, vec![("phase_ns", Json::U64(nanos))]));
-        }
     }
     records
 }

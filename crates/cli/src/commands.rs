@@ -11,7 +11,7 @@ use vp_core::{
     compare, render_metric_table, report::row, track::TrackerConfig, FaultPlan,
     InstructionProfiler, MemBudget, MemoryProfiler, ParamProfiler, PhaseBudget, ProfileMode,
 };
-use vp_instrument::{Instrumenter, Selection};
+use vp_instrument::{ChunkReader, Instrumenter, Selection};
 use vp_obs::Json;
 use vp_predict::{
     evaluate as eval_predictor, HybridPredictor, LastValuePredictor, Predictor, StridePredictor,
@@ -940,14 +940,12 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
     let target = args.target()?;
     let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
-    // Zero-copy input: the trace is mapped (or read, on the fallback
-    // paths) once, and every chunk decodes straight out of it.
-    let file = vp_instrument::TraceFile::open(std::path::Path::new(target))
-        .map_err(|e| format!("cannot read `{target}`: {e}"))?;
+    // The trace is read once, and every chunk decodes straight out of it.
+    let bytes = std::fs::read(target).map_err(|e| format!("cannot read `{target}`: {e}"))?;
     // The whole decode-and-profile pass runs under the optional deadline;
     // every chunk boundary is a cancellation checkpoint.
     let replay = || -> Result<(vp_core::Profiler, u64, u64), String> {
-        let mut reader = file.reader().map_err(|e| format!("{target}: {e}"))?;
+        let mut reader = ChunkReader::new(&bytes).map_err(|e| format!("{target}: {e}"))?;
         let profiler = mode
             .profile_trace(mode.tracker(), mem_budget, &mut reader)
             .map_err(|e| format!("{target}: {e}"))?;
@@ -1428,9 +1426,10 @@ mod tests {
         .is_ok());
         // The replay profiled with the overridden window, not the default.
         let mode = ProfileMode::Adaptive(PhaseBudget { window: 256, ..PhaseBudget::default() });
-        let file = vp_instrument::TraceFile::open(&out).unwrap();
-        let profiler =
-            mode.profile_trace(mode.tracker(), None, &mut file.reader().unwrap()).unwrap();
+        let bytes = std::fs::read(&out).unwrap();
+        let profiler = mode
+            .profile_trace(mode.tracker(), None, &mut ChunkReader::new(&bytes).unwrap())
+            .unwrap();
         vp_core::durable::write_profile(&expected, &profiler.metrics()).unwrap();
         assert_eq!(std::fs::read(&replayed).unwrap(), std::fs::read(&expected).unwrap());
         assert!(dispatch(&args(&["replay", out_s, "--adaptive", "--mem-budget-mb", "64"]))
@@ -1610,6 +1609,22 @@ mod tests {
         // The bare magic with no trailer is truncated, not empty.
         std::fs::write(&out, b"VPC1").unwrap();
         assert!(dispatch(&args(&["replay", out_s])).is_err());
+        // Each unreadable input is reported with its path and cause.
+        let [missing, zero, cut] = ["missing.vpc", "zero.vpc", "cut.vpc"].map(|n| dir.join(n));
+        std::fs::remove_file(&missing).ok();
+        std::fs::write(&zero, b"").unwrap();
+        let events: Vec<(u32, u64)> = (0..10_000u64).map(|i| ((i % 50) as u32, i)).collect();
+        let trace = vp_instrument::trace_codec::encode(&events, 8192);
+        std::fs::write(&cut, &trace[..5000]).unwrap();
+        let [missing, zero, dir, cut] = [&missing, &zero, &dir, &cut].map(|p| p.to_str().unwrap());
+        for (input, want) in [
+            (missing, format!("cannot read `{missing}`: No such file or directory (os error 2)")),
+            (zero, format!("{zero}: not a VPC1 value trace (bad magic)")),
+            (dir, format!("cannot read `{dir}`: Is a directory (os error 21)")),
+            (cut, format!("{cut}: trace truncated mid-chunk or missing trailer")),
+        ] {
+            assert_eq!(dispatch(&args(&["replay", input])).unwrap_err(), want);
+        }
     }
 
     #[test]

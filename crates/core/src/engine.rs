@@ -225,7 +225,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vp_instrument::{trace_codec, Selection, TraceFile};
+    use vp_instrument::{trace_codec, ChunkReader, Selection};
 
     const MODES: [ProfileMode; 4] = [
         ProfileMode::Full,
@@ -241,11 +241,11 @@ mod tests {
     #[test]
     fn trace_replay_matches_the_serial_batch_for_every_mode() {
         let events = stream();
-        let file = TraceFile::from_bytes(trace_codec::encode(&events, 1000));
+        let bytes = trace_codec::encode(&events, 1000);
         for mode in MODES {
             let mut serial = mode.build(mode.tracker(), None);
             serial.observe_batch(&events);
-            let mut reader = file.reader().unwrap();
+            let mut reader = ChunkReader::new(&bytes).unwrap();
             let replayed = mode.profile_trace(mode.tracker(), None, &mut reader).unwrap();
             assert_eq!(replayed.metrics(), serial.metrics(), "{mode:?}");
             assert_eq!(replayed.phase_stats(), serial.phase_stats(), "{mode:?}");

@@ -369,11 +369,6 @@ impl AdaptiveProfiler {
     pub fn observe_batch(&mut self, events: &[(u32, u64)]) {
         self.inner.observe_batch(events);
     }
-
-    /// View of the wrapped convergent profiler.
-    pub fn as_convergent(&self) -> &ConvergentProfiler {
-        &self.inner
-    }
 }
 
 impl Analysis for AdaptiveProfiler {

@@ -73,5 +73,5 @@ pub use net::{MsgError, NetListener, SessionMsg};
 pub use parallel::{parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions};
 pub use plan::Selection;
 pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter, VALUE_BLOCK};
-pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceFile, TraceStats};
+pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceStats};
 pub use view::{InstrRef, ProcView, ProgramView};

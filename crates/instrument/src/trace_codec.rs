@@ -35,18 +35,15 @@
 //! (`80 00` for 0, say) are rejected as corruption — without this rule
 //! two distinct CRC-valid payloads could decode to identical events.
 //!
-//! Replay reads the file *in place*: [`TraceFile`] owns the bytes (an
-//! `mmap` on Linux, an owned read elsewhere), [`ChunkReader`] borrows
-//! them, and [`ChunkReader::next_chunk_into`] decodes each chunk into a
-//! caller-reused scratch buffer — no chunk is ever copied into an
-//! intermediate `Vec` on the way to `observe_batch`. The varint decoder
-//! takes a SWAR (word-at-a-time) fast path for the 1- and 2-byte
-//! encodings that dominate real traces; see DESIGN.md §13 for the
-//! exactness argument.
+//! Replay reads the whole file into memory once; [`ChunkReader`]
+//! borrows those bytes, and [`ChunkReader::next_chunk_into`] decodes
+//! each chunk into a caller-reused scratch buffer — no chunk is ever
+//! copied into an intermediate `Vec` on the way to `observe_batch`. The
+//! varint decoder takes a SWAR (word-at-a-time) fast path for the 1- and
+//! 2-byte encodings that dominate real traces; see DESIGN.md §13 for
+//! the exactness argument.
 
 use std::fmt;
-use std::io;
-use std::path::Path;
 
 use vp_obs::{crc32, Crc32};
 
@@ -322,15 +319,7 @@ impl<'a> ChunkReader<'a> {
         Ok(ChunkReader { bytes, pos: MAGIC.len(), chunk_index: 0, decoded: 0, done: false })
     }
 
-    /// Decodes the next chunk, or returns `None` once the trailer has
-    /// been reached and verified. After `None`, further calls keep
-    /// returning `None`.
-    pub fn next_chunk(&mut self) -> Result<Option<Vec<(u32, u64)>>, CodecError> {
-        let mut events = Vec::new();
-        Ok(if self.decode_chunk_append(&mut events)? { Some(events) } else { None })
-    }
-
-    /// Zero-copy replay primitive: decodes the next chunk into `events`
+    /// The replay primitive: decodes the next chunk into `events`
     /// (cleared first), so a caller looping over chunks reuses one
     /// scratch allocation for the whole trace. Returns `Ok(true)` when a
     /// chunk was decoded and `Ok(false)` once the trailer has been
@@ -540,210 +529,6 @@ pub fn decode_chunk(
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Zero-copy trace input
-// ---------------------------------------------------------------------
-
-/// Read-only file mapping via raw syscalls, on the supported mmap
-/// targets: Linux on the two architectures whose syscall ABI the stub
-/// below encodes (everything else takes the owned-buffer fallback). The
-/// workspace carries no libc binding, and the two kernel calls a
-/// read-only mapping needs (`mmap`, `munmap`) are stable ABI, so they
-/// are inlined here rather than pulling in a dependency.
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-mod mmap {
-    use std::fs::File;
-    use std::io;
-    use std::os::fd::AsRawFd;
-
-    const PROT_READ: usize = 1;
-    const MAP_PRIVATE: usize = 2;
-
-    /// An owned read-only, private mapping; unmapped on drop.
-    #[derive(Debug)]
-    pub struct Mapping {
-        ptr: *const u8,
-        len: usize,
-    }
-
-    // The mapping is immutable for its whole lifetime and owned by
-    // exactly one `Mapping`, so sharing it across threads is sound.
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        /// Maps the first `len` bytes of `file`. `len` must be nonzero
-        /// (the kernel rejects zero-length mappings).
-        pub fn new(file: &File, len: usize) -> io::Result<Mapping> {
-            let ret = unsafe { sys_mmap(len, file.as_raw_fd()) };
-            if (-4095..0).contains(&ret) {
-                return Err(io::Error::from_raw_os_error(-ret as i32));
-            }
-            Ok(Mapping { ptr: ret as *const u8, len })
-        }
-
-        pub fn bytes(&self) -> &[u8] {
-            // Safety: `ptr` is a live PROT_READ mapping of `len` bytes
-            // until drop. MAP_PRIVATE means later writers of the file
-            // can at worst change the observed bytes, never the
-            // mapping's validity — and changed bytes fail the chunk
-            // CRCs.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            unsafe { sys_munmap(self.ptr, self.len) };
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 9isize => ret, // SYS_mmap
-            in("rdi") 0usize,               // addr: kernel chooses
-            in("rsi") len,
-            in("rdx") PROT_READ,
-            in("r10") MAP_PRIVATE,
-            in("r8") fd as isize,
-            in("r9") 0usize,                // offset
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "syscall",
-            inlateout("rax") 11isize => ret, // SYS_munmap
-            in("rdi") ptr as usize,
-            in("rsi") len,
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_mmap(len: usize, fd: i32) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "svc #0",
-            inlateout("x0") 0isize => ret, // addr in, result out
-            in("x1") len,
-            in("x2") PROT_READ,
-            in("x3") MAP_PRIVATE,
-            in("x4") fd as isize,
-            in("x5") 0usize, // offset
-            in("x8") 222usize, // SYS_mmap
-            options(nostack)
-        );
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    unsafe fn sys_munmap(ptr: *const u8, len: usize) -> isize {
-        let ret: isize;
-        std::arch::asm!(
-            "svc #0",
-            inlateout("x0") ptr as usize as isize => ret,
-            in("x1") len,
-            in("x8") 215usize, // SYS_munmap
-            options(nostack)
-        );
-        ret
-    }
-}
-
-/// Owner of a trace's bytes with zero-copy intent: on Linux the file is
-/// `mmap`'d read-only, so chunk decoding borrows straight out of the
-/// page cache and the trace is never copied onto the heap at all. The
-/// fallback — non-Linux platforms, empty files, a failed mapping
-/// syscall, or `VP_NO_MMAP=1` in the environment — reads the file into
-/// an owned buffer instead. Either way [`TraceFile::reader`] hands out
-/// the same borrowing [`ChunkReader`], so the two paths are
-/// bit-identical by construction (and checked differentially by
-/// `tests/zerocopy_replay.rs`).
-#[derive(Debug)]
-pub struct TraceFile {
-    data: TraceData,
-}
-
-#[derive(Debug)]
-enum TraceData {
-    Owned(Vec<u8>),
-    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-    Mapped(mmap::Mapping),
-}
-
-impl TraceFile {
-    /// Opens `path`, mapping it when the platform supports it and
-    /// falling back to a full read otherwise. Set `VP_NO_MMAP=1` to
-    /// force the fallback (differential testing, filesystems that
-    /// refuse mappings).
-    pub fn open(path: &Path) -> io::Result<TraceFile> {
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        if std::env::var_os("VP_NO_MMAP").is_none_or(|v| v != "1") {
-            let file = std::fs::File::open(path)?;
-            let len = file.metadata()?.len();
-            if len > 0 && len <= usize::MAX as u64 {
-                if let Ok(map) = mmap::Mapping::new(&file, len as usize) {
-                    return Ok(TraceFile { data: TraceData::Mapped(map) });
-                }
-            }
-            // Zero-length or unmappable: fall through to the read below.
-        }
-        Ok(TraceFile { data: TraceData::Owned(std::fs::read(path)?) })
-    }
-
-    /// Wraps bytes already in memory (a trace recorded this run rather
-    /// than loaded from disk) behind the same interface.
-    pub fn from_bytes(bytes: Vec<u8>) -> TraceFile {
-        TraceFile { data: TraceData::Owned(bytes) }
-    }
-
-    /// The raw encoded bytes, wherever they live.
-    pub fn bytes(&self) -> &[u8] {
-        match &self.data {
-            TraceData::Owned(bytes) => bytes,
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            TraceData::Mapped(map) => map.bytes(),
-        }
-    }
-
-    /// Encoded size in bytes.
-    pub fn len(&self) -> usize {
-        self.bytes().len()
-    }
-
-    /// Whether the trace is empty (zero bytes — not even a magic).
-    pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
-    }
-
-    /// True when the bytes are a kernel mapping rather than a heap copy.
-    pub fn is_mapped(&self) -> bool {
-        match &self.data {
-            TraceData::Owned(_) => false,
-            #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-            TraceData::Mapped(_) => true,
-        }
-    }
-
-    /// Starts decoding; fails immediately on a bad magic.
-    pub fn reader(&self) -> Result<ChunkReader<'_>, CodecError> {
-        ChunkReader::new(self.bytes())
-    }
-}
-
 /// Shape of a decoded trace, for `vprof record`/`replay` reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceStats {
@@ -924,30 +709,5 @@ mod tests {
         }
         assert_eq!(all, events);
         assert!(!reader.next_chunk_into(&mut scratch).unwrap(), "stays done");
-    }
-
-    #[test]
-    fn trace_file_round_trips_from_disk_and_memory() {
-        let events = sample();
-        let bytes = encode(&events, 128);
-
-        let mem = TraceFile::from_bytes(bytes.clone());
-        assert!(!mem.is_mapped());
-        let mut out = Vec::new();
-        mem.reader().unwrap().read_to_end_into(&mut out).unwrap();
-        assert_eq!(out, events);
-
-        let path = std::env::temp_dir().join(format!("vp-trace-file-{}.vpc", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let file = TraceFile::open(&path).unwrap();
-        assert_eq!(file.len(), bytes.len());
-        assert_eq!(decode(file.bytes()).unwrap(), events);
-        #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
-        assert!(
-            file.is_mapped() || std::env::var_os("VP_NO_MMAP").is_some(),
-            "linux opens traces as mappings"
-        );
-        drop(file);
-        std::fs::remove_file(&path).ok();
     }
 }

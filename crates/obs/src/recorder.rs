@@ -73,9 +73,6 @@ pub trait Recorder: Send + Sync {
 
     /// Records a sample into a timing histogram.
     fn observe(&self, _id: HistId, _value: u64) {}
-
-    /// Records a completed named phase and its duration.
-    fn phase(&self, _name: &str, _nanos: u64) {}
 }
 
 /// The default recorder: discards everything, reports `enabled() == false`.
@@ -84,14 +81,13 @@ pub struct NullRecorder;
 
 impl Recorder for NullRecorder {}
 
-/// An in-memory aggregating recorder: atomic counters, mutex-guarded
-/// histograms and phase log. Cheap enough for tests and telemetry runs;
-/// the hot paths flush into it only at workload boundaries.
+/// An in-memory aggregating recorder: atomic counters and mutex-guarded
+/// histograms. Cheap enough for tests and telemetry runs; the hot paths
+/// flush into it only at workload boundaries.
 #[derive(Debug)]
 pub struct MemRecorder {
     counters: [AtomicU64; CounterId::COUNT],
     hists: Mutex<[Log2Histogram; HistId::COUNT]>,
-    phases: Mutex<Vec<(String, u64)>>,
 }
 
 // Manual impl: arrays only derive `Default` up to 32 elements.
@@ -100,7 +96,6 @@ impl Default for MemRecorder {
         MemRecorder {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: Mutex::new(std::array::from_fn(|_| Log2Histogram::new())),
-            phases: Mutex::new(Vec::new()),
         }
     }
 }
@@ -125,12 +120,7 @@ impl MemRecorder {
         self.hists.lock().unwrap()[id.index()].clone()
     }
 
-    /// Completed phases in recording order.
-    pub fn phases(&self) -> Vec<(String, u64)> {
-        self.phases.lock().unwrap().clone()
-    }
-
-    /// Clears all counters, histograms and phases.
+    /// Clears all counters and histograms.
     pub fn reset(&self) {
         for counter in &self.counters {
             counter.store(0, Ordering::Relaxed);
@@ -138,7 +128,6 @@ impl MemRecorder {
         for hist in self.hists.lock().unwrap().iter_mut() {
             *hist = Log2Histogram::new();
         }
-        self.phases.lock().unwrap().clear();
     }
 }
 
@@ -154,13 +143,9 @@ impl Recorder for MemRecorder {
     fn observe(&self, id: HistId, value: u64) {
         self.hists.lock().unwrap()[id.index()].record(value);
     }
-
-    fn phase(&self, name: &str, nanos: u64) {
-        self.phases.lock().unwrap().push((name.to_string(), nanos));
-    }
 }
 
-/// Monotonic stopwatch for phase timing.
+/// Monotonic stopwatch for the timing histograms.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     start: Instant,
@@ -188,7 +173,6 @@ mod tests {
         assert!(!rec.enabled());
         rec.add(CounterId::TnvHits, 5);
         rec.observe(HistId::ItemNs, 100);
-        rec.phase("replay", 42);
     }
 
     #[test]
@@ -210,13 +194,9 @@ mod tests {
         assert_eq!(hist.count(), 2);
         assert_eq!(hist.sum(), 4000);
 
-        rec.phase("replay", 12);
-        assert_eq!(rec.phases(), vec![("replay".to_string(), 12)]);
-
         rec.reset();
         assert_eq!(rec.snapshot().total(), 0);
         assert_eq!(rec.hist(HistId::WorkloadWallNs).count(), 0);
-        assert!(rec.phases().is_empty());
     }
 
     #[test]

@@ -14,10 +14,10 @@ use crate::json::Json;
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Field names whose values vary run-to-run: the wall-clock fields that
-/// suite and phase records write. [`mask_volatile`] replaces these
+/// suite records write. [`mask_volatile`] replaces these
 /// everywhere in a record.
-pub const VOLATILE_KEYS: [&str; 6] =
-    ["wall_ns", "baseline_wall_ns", "busy_ns", "wait_ns", "phase_ns", "slowdown"];
+pub const VOLATILE_KEYS: [&str; 5] =
+    ["wall_ns", "baseline_wall_ns", "busy_ns", "wait_ns", "slowdown"];
 
 /// Builds a telemetry record: `schema`, `kind` and `name` first, then the
 /// caller's payload fields in the order given.

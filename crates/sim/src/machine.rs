@@ -261,11 +261,6 @@ impl Machine {
         &self.memory
     }
 
-    /// Mutable data memory (for test setup and program transformers).
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.memory
-    }
-
     /// Execution statistics accumulated so far.
     pub fn stats(&self) -> &ExecStats {
         &self.stats

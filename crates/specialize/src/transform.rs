@@ -182,9 +182,13 @@ pub fn specialize(program: &Program, candidate: &Candidate) -> Result<Program, S
     specialize_all(program, std::slice::from_ref(candidate)).map(|(p, _)| p)
 }
 
-/// Applies a list of candidates in order (each on the result of the
-/// previous transform), reporting where each transform placed its guard
-/// chain. Candidates at the same load site are rejected by the `NotALoad`
+/// Applies a list of candidates, each on the result of the previous
+/// transform, reporting where each transform placed its guard chain (in
+/// the order of `candidates`). Sites are transformed from the last load
+/// to the first: a later site's `j trampoline` then ends the foldable
+/// region of an earlier site in the same basic block, so no fast path
+/// copies a later selected load unspecialized and jumps past its guard.
+/// Candidates at the same load site are rejected by the `NotALoad`
 /// check, since the first transform replaces the load. The
 /// scratch-register check runs once against the input program: later
 /// transforms legitimately read the scratch writes of earlier trampolines
@@ -201,14 +205,17 @@ pub fn specialize_all(
     if !candidates.is_empty() && uses_scratch(program) {
         return Err(SpecializeError::ScratchInUse);
     }
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(candidates[i].load_index));
     let mut current = program.clone();
     let mut sites = Vec::with_capacity(candidates.len());
-    for c in candidates {
-        let (next, site) = specialize_site(&current, c)?;
+    for i in order {
+        let (next, site) = specialize_site(&current, &candidates[i])?;
         current = next;
-        sites.push(site);
+        sites.push((i, site));
     }
-    Ok((current, sites))
+    sites.sort_by_key(|&(i, _)| i);
+    Ok((current, sites.into_iter().map(|(_, site)| site).collect()))
 }
 
 /// Builds one guard chain (see the module docs for the layout), without

@@ -159,8 +159,11 @@ fn double_specialization_of_distinct_sites() {
     let (specialized, sites) = specialize_all(&program, &candidates).unwrap();
     let input = value_profiling::sim::InputSet::empty();
     let report = evaluate(&program, &specialized, &sites, &input, BUDGET).unwrap();
-    // The first site's guard index survives the second transform.
+    // Both guards run on every iteration: the loads share a basic block,
+    // and the first site's fast path must not copy the second load
+    // unspecialized and jump past its guard.
     assert_eq!((report.guards[0].hits, report.guards[0].misses), (500, 0));
+    assert_eq!((report.guards[1].hits, report.guards[1].misses), (500, 0));
     let report = report.speedup;
     assert!(report.equivalent);
     assert!(report.speedup() > 1.0, "speedup {}", report.speedup());
