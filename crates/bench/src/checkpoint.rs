@@ -374,9 +374,10 @@ mod tests {
     #[test]
     fn record_with_retired_trace_counters_still_resumes() {
         // Entity-sharded suite runs once added `trace_shards`,
-        // `trace_events` and `trace_chunks` to each record's events.
-        // Such a checkpoint must still resume, keeping every counter
-        // that still exists.
+        // `trace_events` and `trace_chunks` to each record's events, and
+        // the flat sampler's engine mode added `sample_taken` and
+        // `sample_skipped`. Such a checkpoint must still resume, keeping
+        // every counter that still exists.
         let path = tmp("retired_counters.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..1], DataSet::Test);
         let w = &profile.workloads[0];
@@ -385,7 +386,14 @@ mod tests {
         let Some((_, Json::Obj(events))) = fields.iter_mut().find(|(k, _)| k == "events") else {
             panic!("a record carries an events object")
         };
-        for (name, n) in [("trace_shards", 2), ("trace_events", 41_210), ("trace_chunks", 11)] {
+        let retired = [
+            ("trace_shards", 2),
+            ("trace_events", 41_210),
+            ("trace_chunks", 11),
+            ("sample_taken", 4_121),
+            ("sample_skipped", 37_089),
+        ];
+        for (name, n) in retired {
             events.push((name.to_string(), Json::U64(n)));
         }
         std::fs::write(&path, to_jsonl(&[rec])).unwrap();

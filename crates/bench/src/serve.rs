@@ -52,8 +52,8 @@ use vp_instrument::net::{
 use vp_instrument::{cancel, trace_codec};
 use vp_obs::{CounterId, Counts, Json};
 
-/// Which profiler each session runs: any engine mode, built with the
-/// mode's own tracker configuration ([`ProfileMode::tracker`]).
+/// Which profiler each session runs: any engine mode, built by
+/// [`ProfileMode::build`].
 pub type SessionMode = ProfileMode;
 
 /// Daemon configuration. `new` fills the defaults the CLI documents.
@@ -306,7 +306,7 @@ impl Session {
         let (log_path, meta_path) = session_paths(cfg, tenant, workload);
         std::fs::create_dir_all(log_path.parent().unwrap())?;
         let budget = cfg.mem_budget.map(|b| b.split(cfg.max_sessions));
-        let mut profiler = cfg.mode.build(cfg.mode.tracker(), budget);
+        let mut profiler = cfg.mode.build(budget);
         let mut logged = 0u64;
         let mut events = 0u64;
         if !cfg.resume {

@@ -20,9 +20,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use vp_core::{
-    aggregate, merge_entity_metrics, render_metric_table, report::row, track::TrackerConfig,
-    Aggregate, EntityMetrics, FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode,
-    ReportRow,
+    aggregate, merge_entity_metrics, render_metric_table, report::row, Aggregate, EntityMetrics,
+    FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode, ReportRow,
 };
 use vp_instrument::{
     try_parallel_map, FailureKind, Instrumenter, ItemFailure, MapOptions, Selection,
@@ -247,7 +246,6 @@ impl SuiteOutcome {
 pub struct SuiteRunner {
     jobs: usize,
     selection: Selection,
-    tracker: TrackerConfig,
     budget: u64,
     mode: ProfileMode,
     recorder: Arc<dyn Recorder>,
@@ -264,7 +262,6 @@ impl fmt::Debug for SuiteRunner {
         f.debug_struct("SuiteRunner")
             .field("jobs", &self.jobs)
             .field("selection", &self.selection)
-            .field("tracker", &self.tracker)
             .field("budget", &self.budget)
             .field("mode", &self.mode)
             .field("recorder_enabled", &self.recorder.enabled())
@@ -285,12 +282,12 @@ impl Default for SuiteRunner {
 }
 
 impl SuiteRunner {
-    /// A serial runner profiling loads with exact ground truth.
+    /// A serial runner profiling loads in full mode, with exact ground
+    /// truth.
     pub fn new() -> SuiteRunner {
         SuiteRunner {
             jobs: 1,
             selection: Selection::LoadsOnly,
-            tracker: TrackerConfig::with_full(),
             budget: BUDGET,
             mode: ProfileMode::Full,
             recorder: Arc::new(NullRecorder),
@@ -312,12 +309,6 @@ impl SuiteRunner {
     /// Sets which instructions are profiled.
     pub fn selection(mut self, selection: Selection) -> SuiteRunner {
         self.selection = selection;
-        self
-    }
-
-    /// Sets the per-entity tracker configuration.
-    pub fn tracker(mut self, tracker: TrackerConfig) -> SuiteRunner {
-        self.tracker = tracker;
         self
     }
 
@@ -531,7 +522,7 @@ impl SuiteRunner {
         let instrumenter = Instrumenter::new().select(self.selection.clone());
         let mut events = Counts::new();
         let clock = Stopwatch::start();
-        let mut profiler = self.mode.build(self.tracker, self.mem_budget);
+        let mut profiler = self.mode.build(self.mem_budget);
         let run = profiler
             .run_live(&instrumenter, w.program(), w.machine_config(ds), self.budget)
             .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
@@ -606,8 +597,7 @@ mod tests {
 
     #[test]
     fn convergent_mode_profiles_a_fraction() {
-        let runner =
-            SuiteRunner::new().tracker(TrackerConfig::default()).mode(ProfileMode::Convergent);
+        let runner = SuiteRunner::new().mode(ProfileMode::Convergent);
         let profile = runner.run_workloads(&suite()[..2], DataSet::Test);
         for w in &profile.workloads {
             assert!(w.profile_fraction <= 1.0);

@@ -320,7 +320,6 @@ fn mode_name(mode: ProfileMode) -> &'static str {
         ProfileMode::Full => "full",
         ProfileMode::Convergent => "convergent",
         ProfileMode::Adaptive(_) => "adaptive",
-        ProfileMode::Sampled(_) => "sampled",
     }
 }
 
@@ -354,7 +353,6 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
         .faults(Arc::new(FaultPlan::from_env()?))
         .deadline(deadline)
         .mem_budget(mem_budget)
-        .tracker(mode.tracker())
         .mode(mode);
     match (args.value("--checkpoint"), args.has("--resume")) {
         (Some(path), resume) => {
@@ -519,7 +517,11 @@ fn profile(args: &Args) -> Result<(), String> {
 
     let (selection, what) = selection(args);
     let mode = if args.has("--convergent") { ProfileMode::Convergent } else { ProfileMode::Full };
-    let mut profiler = mode.build(mode.tracker(), None);
+    // A convergent profile prints no hottest list for `--top` to cut.
+    if mode == ProfileMode::Convergent && args.value("--top").is_some() {
+        return Err("--top is not supported with --convergent".to_string());
+    }
+    let mut profiler = mode.build(None);
     profiler
         .run_live(&Instrumenter::new().select(selection), &program, cfg, BUDGET)
         .map_err(|e| e.to_string())?;
@@ -946,9 +948,8 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
     // every chunk boundary is a cancellation checkpoint.
     let replay = || -> Result<(vp_core::Profiler, u64, u64), String> {
         let mut reader = ChunkReader::new(&bytes).map_err(|e| format!("{target}: {e}"))?;
-        let profiler = mode
-            .profile_trace(mode.tracker(), mem_budget, &mut reader)
-            .map_err(|e| format!("{target}: {e}"))?;
+        let profiler =
+            mode.profile_trace(mem_budget, &mut reader).map_err(|e| format!("{target}: {e}"))?;
         Ok((profiler, reader.events_read(), reader.chunks_read() as u64))
     };
     let (profiler, events_read, chunks_read) = match deadline {
@@ -1427,9 +1428,7 @@ mod tests {
         // The replay profiled with the overridden window, not the default.
         let mode = ProfileMode::Adaptive(PhaseBudget { window: 256, ..PhaseBudget::default() });
         let bytes = std::fs::read(&out).unwrap();
-        let profiler = mode
-            .profile_trace(mode.tracker(), None, &mut ChunkReader::new(&bytes).unwrap())
-            .unwrap();
+        let profiler = mode.profile_trace(None, &mut ChunkReader::new(&bytes).unwrap()).unwrap();
         vp_core::durable::write_profile(&expected, &profiler.metrics()).unwrap();
         assert_eq!(std::fs::read(&replayed).unwrap(), std::fs::read(&expected).unwrap());
         assert!(dispatch(&args(&["replay", out_s, "--adaptive", "--mem-budget-mb", "64"]))
@@ -1732,6 +1731,10 @@ mod tests {
             (&["profile", "li", "--all", "--all"], "`--all` given twice"),
             (&["trace", "li"], "unknown command `trace`"),
             (&["profile", "vortex", "--top", "NaN"], "bad --top value `NaN`"),
+            (
+                &["profile", "li", "--convergent", "--top", "3"],
+                "--top is not supported with --convergent",
+            ),
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
             (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),

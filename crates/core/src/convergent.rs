@@ -11,6 +11,10 @@
 //! many occurred, which is the machine-independent overhead measure of
 //! experiment E7, and its trackers yield the same metrics as the full
 //! profiler so accuracy can be compared side by side.
+//!
+//! With a phase budget armed ([`ConvergentProfiler::adaptive`]) the same
+//! profiler is the engine's adaptive mode: a detected shift re-arms a
+//! backed-off instruction (see [`crate::phase`]).
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
@@ -172,8 +176,27 @@ impl ConvergentProfiler {
     /// instruction's value stream is cut into `budget.window`-execution
     /// windows, and a signature shift while the instruction is backed
     /// off re-arms its sampling state machine (at most
-    /// `budget.max_rearms` times per instruction). Used through the
-    /// [`AdaptiveProfiler`](crate::phase::AdaptiveProfiler) wrapper.
+    /// `budget.max_rearms` times per instruction). This is the profiler
+    /// behind [`ProfileMode::Adaptive`](crate::engine::ProfileMode::Adaptive).
+    ///
+    /// On streams where the detector never flags a shift it is
+    /// bit-identical to [`new`](Self::new): the detector observes but
+    /// never touches the sampling state machine.
+    ///
+    /// ```
+    /// use vp_core::convergent::{ConvergentConfig, ConvergentProfiler};
+    /// use vp_core::phase::PhaseBudget;
+    /// use vp_core::track::TrackerConfig;
+    ///
+    /// let budget = PhaseBudget { max_rearms: 8, window: 64 };
+    /// let mut p =
+    ///     ConvergentProfiler::adaptive(TrackerConfig::default(), ConvergentConfig::default(), budget);
+    /// for i in 0..10_000u64 {
+    ///     // Dominant value flips halfway through: a phase change.
+    ///     p.observe(0, if i < 5_000 { 7 } else { 9 });
+    /// }
+    /// assert!(p.phase_stats().shifts_detected > 0);
+    /// ```
     ///
     /// # Panics
     ///

@@ -1,12 +1,15 @@
 //! The profiling engine: every profiling mode is one [`Profiler`], built
 //! in one place ([`ProfileMode::build`]).
 //!
-//! The paper's profilers — full TNV tracking and convergent sampling —
-//! and this reproduction's adaptive and sampled variants all consume the
-//! same `(pc, value)` stream. Every execution path (the suite runner's
-//! live pass, `vprof replay`, the serve daemon's sessions)
-//! builds its profiler here and reads its results through the same
-//! accessors, so none of them dispatches on the mode itself.
+//! The paper has two profilers — full TNV tracking and convergent
+//! sampling — and so does the engine. Adaptive mode is the convergent
+//! profiler with its phase budget armed. Both consume the same
+//! `(pc, value)` stream. Every execution path (the suite runner's live
+//! pass, `vprof replay`, the serve daemon's sessions) builds its profiler
+//! here and reads its results through the same accessors, so none of
+//! them dispatches on the mode itself. The flat sampling baselines
+//! ([`SampledProfiler`](crate::sampled::SampledProfiler)) are not an
+//! engine mode: experiment E7 drives them directly.
 //!
 //! [`Profiler`] is a closed enum rather than a trait object: the live
 //! path ([`Profiler::run_live`]) matches the variant once and then runs
@@ -23,8 +26,7 @@ use crate::convergent::{ConvergentConfig, ConvergentProfiler};
 use crate::govern::{GovernorStats, MemBudget};
 use crate::instr_profile::InstructionProfiler;
 use crate::metrics::EntityMetrics;
-use crate::phase::{AdaptiveProfiler, PhaseBudget, PhaseStats};
-use crate::sampled::{SampleStrategy, SampledProfiler};
+use crate::phase::{PhaseBudget, PhaseStats};
 use crate::track::TrackerConfig;
 
 /// Which profiler a run attaches. Convergent and adaptive profiling use
@@ -38,27 +40,26 @@ pub enum ProfileMode {
     Convergent,
     /// The convergent profiler with phase detection armed: converged
     /// instructions re-arm when their value distribution shifts, under
-    /// the bounded [`PhaseBudget`] ([`AdaptiveProfiler`]).
+    /// the bounded [`PhaseBudget`] ([`ConvergentProfiler::adaptive`]).
     Adaptive(PhaseBudget),
-    /// The CPI-style sampling baseline.
-    Sampled(SampleStrategy),
 }
 
 impl ProfileMode {
-    /// The tracker configuration the mode profiles with by default: exact
-    /// histograms for full profiling, plain TNV tables for the sampling
-    /// modes (whose point is constant space per entity).
-    pub fn tracker(self) -> TrackerConfig {
+    /// The tracker configuration the mode profiles with: exact histograms
+    /// for full profiling, plain TNV tables for the sampling modes (whose
+    /// point is constant space per entity).
+    fn tracker(self) -> TrackerConfig {
         match self {
             ProfileMode::Full => TrackerConfig::with_full(),
-            _ => TrackerConfig::default(),
+            ProfileMode::Convergent | ProfileMode::Adaptive(_) => TrackerConfig::default(),
         }
     }
 
     /// Builds the mode's profiler. `mem_budget` governs the full
     /// profiler's resident state (see [`crate::govern`]); the sampling
     /// modes already run in constant space per entity and ignore it.
-    pub fn build(self, tracker: TrackerConfig, mem_budget: Option<MemBudget>) -> Profiler {
+    pub fn build(self, mem_budget: Option<MemBudget>) -> Profiler {
+        let tracker = self.tracker();
         let config = ConvergentConfig::default();
         match self {
             ProfileMode::Full => Profiler::Full(match mem_budget {
@@ -69,10 +70,7 @@ impl ProfileMode {
                 Profiler::Convergent(ConvergentProfiler::new(tracker, config))
             }
             ProfileMode::Adaptive(budget) => {
-                Profiler::Adaptive(AdaptiveProfiler::new(tracker, config, budget))
-            }
-            ProfileMode::Sampled(strategy) => {
-                Profiler::Sampled(SampledProfiler::new(tracker, strategy))
+                Profiler::Convergent(ConvergentProfiler::adaptive(tracker, config, budget))
             }
         }
     }
@@ -83,11 +81,10 @@ impl ProfileMode {
     /// checkpoint, so a deadline bounds the decode too.
     pub fn profile_trace(
         self,
-        tracker: TrackerConfig,
         mem_budget: Option<MemBudget>,
         reader: &mut ChunkReader<'_>,
     ) -> Result<Profiler, CodecError> {
-        let mut profiler = self.build(tracker, mem_budget);
+        let mut profiler = self.build(mem_budget);
         let mut chunk = Vec::new();
         loop {
             cancel::checkpoint();
@@ -99,17 +96,14 @@ impl ProfileMode {
     }
 }
 
-/// One profiler of any [`ProfileMode`].
+/// The profiler of a [`ProfileMode`].
 #[derive(Debug, Clone)]
 pub enum Profiler {
     /// [`ProfileMode::Full`].
     Full(InstructionProfiler),
-    /// [`ProfileMode::Convergent`].
+    /// [`ProfileMode::Convergent`], and [`ProfileMode::Adaptive`] with
+    /// its phase budget armed.
     Convergent(ConvergentProfiler),
-    /// [`ProfileMode::Adaptive`].
-    Adaptive(AdaptiveProfiler),
-    /// [`ProfileMode::Sampled`].
-    Sampled(SampledProfiler),
 }
 
 impl Profiler {
@@ -118,8 +112,6 @@ impl Profiler {
         match self {
             Profiler::Full(p) => p.observe(pc, value),
             Profiler::Convergent(p) => p.observe(pc, value),
-            Profiler::Adaptive(p) => p.observe(pc, value),
-            Profiler::Sampled(p) => p.observe(pc, value),
         }
     }
 
@@ -128,8 +120,6 @@ impl Profiler {
         match self {
             Profiler::Full(p) => p.observe_batch(events),
             Profiler::Convergent(p) => p.observe_batch(events),
-            Profiler::Adaptive(p) => p.observe_batch(events),
-            Profiler::Sampled(p) => p.observe_batch(events),
         }
     }
 
@@ -146,19 +136,15 @@ impl Profiler {
         match self {
             Profiler::Full(p) => instrumenter.run(program, config, budget, p),
             Profiler::Convergent(p) => instrumenter.run(program, config, budget, p),
-            Profiler::Adaptive(p) => instrumenter.run(program, config, budget, p),
-            Profiler::Sampled(p) => instrumenter.run(program, config, budget, p),
         }
     }
 
-    /// Per-entity metrics ordered by entity id; the sampling modes
-    /// reweight `executions` to the true totals.
+    /// Per-entity metrics ordered by entity id; the convergent profiler
+    /// reweights `executions` to the true totals.
     pub fn metrics(&self) -> Vec<EntityMetrics> {
         match self {
             Profiler::Full(p) => p.metrics(),
             Profiler::Convergent(p) => p.metrics(),
-            Profiler::Adaptive(p) => p.metrics(),
-            Profiler::Sampled(p) => p.metrics(),
         }
     }
 
@@ -168,8 +154,6 @@ impl Profiler {
         match self {
             Profiler::Full(_) => 1.0,
             Profiler::Convergent(p) => p.overall_profile_fraction(),
-            Profiler::Adaptive(p) => p.overall_profile_fraction(),
-            Profiler::Sampled(p) => p.overall_profile_fraction(),
         }
     }
 
@@ -178,33 +162,25 @@ impl Profiler {
     pub fn governor_stats(&self) -> Option<GovernorStats> {
         match self {
             Profiler::Full(p) => p.governor_stats().copied(),
-            _ => None,
+            Profiler::Convergent(_) => None,
         }
     }
 
     /// Phase-detector counters, present only on an adaptive profiler.
     pub fn phase_stats(&self) -> Option<PhaseStats> {
         match self {
-            Profiler::Adaptive(p) => Some(p.phase_stats()),
-            _ => None,
+            Profiler::Convergent(p) => p.phase_budget().map(|_| p.phase_stats()),
+            Profiler::Full(_) => None,
         }
     }
 
     /// Adds the profiler's self-profiling events to `counts`: TNV-table
-    /// work, sampler decisions, and the governor and phase-detector
-    /// counters where the mode has them.
+    /// work, convergent-sampler decisions, and the governor and
+    /// phase-detector counters where the mode has them.
     pub fn add_events_to(&self, counts: &mut Counts) {
         match self {
             Profiler::Full(p) => p.tnv_events().add_to(counts),
             Profiler::Convergent(p) => {
-                p.tnv_events().add_to(counts);
-                p.events().add_to(counts);
-            }
-            Profiler::Adaptive(p) => {
-                p.tnv_events().add_to(counts);
-                p.events().add_to(counts);
-            }
-            Profiler::Sampled(p) => {
                 p.tnv_events().add_to(counts);
                 p.events().add_to(counts);
             }
@@ -225,13 +201,15 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::AdaptiveProfiler;
     use vp_instrument::{trace_codec, ChunkReader, Selection};
+    use vp_workloads::adversarial::adversarial_streams;
+    use vp_workloads::{suite, DataSet};
 
-    const MODES: [ProfileMode; 4] = [
+    const MODES: [ProfileMode; 3] = [
         ProfileMode::Full,
         ProfileMode::Convergent,
         ProfileMode::Adaptive(PhaseBudget { max_rearms: 4, window: 64 }),
-        ProfileMode::Sampled(SampleStrategy::Periodic { period: 3 }),
     ];
 
     fn stream() -> Vec<(u32, u64)> {
@@ -243,10 +221,10 @@ mod tests {
         let events = stream();
         let bytes = trace_codec::encode(&events, 1000);
         for mode in MODES {
-            let mut serial = mode.build(mode.tracker(), None);
+            let mut serial = mode.build(None);
             serial.observe_batch(&events);
             let mut reader = ChunkReader::new(&bytes).unwrap();
-            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader).unwrap();
+            let replayed = mode.profile_trace(None, &mut reader).unwrap();
             assert_eq!(replayed.metrics(), serial.metrics(), "{mode:?}");
             assert_eq!(replayed.phase_stats(), serial.phase_stats(), "{mode:?}");
             let (mut a, mut b) = (Counts::new(), Counts::new());
@@ -260,12 +238,49 @@ mod tests {
     #[test]
     fn stats_are_present_exactly_in_their_modes() {
         for mode in MODES {
-            let p = mode.build(mode.tracker(), Some(MemBudget::mib(64)));
+            let p = mode.build(Some(MemBudget::mib(64)));
             assert_eq!(p.governor_stats().is_some(), mode == ProfileMode::Full, "{mode:?}");
             assert_eq!(p.phase_stats().is_some(), matches!(mode, ProfileMode::Adaptive(_)));
         }
-        assert!(ProfileMode::Full.build(TrackerConfig::default(), None).governor_stats().is_none());
-        assert_eq!(ProfileMode::Full.build(TrackerConfig::default(), None).profile_fraction(), 1.0);
+        assert!(ProfileMode::Full.build(None).governor_stats().is_none());
+        assert_eq!(ProfileMode::Full.build(None).profile_fraction(), 1.0);
+    }
+
+    fn assert_wrapper_matches(at: &str, wrapper: &AdaptiveProfiler, engine: &Profiler) {
+        let Profiler::Convergent(p) = engine else { panic!("{at}: adaptive is convergent") };
+        assert_eq!(wrapper.metrics(), p.metrics(), "{at}");
+        assert_eq!(wrapper.events(), p.events(), "{at}");
+        assert_eq!(wrapper.tnv_events(), p.tnv_events(), "{at}");
+        assert_eq!(Some(wrapper.phase_stats()), engine.phase_stats(), "{at}");
+    }
+
+    #[test]
+    fn adaptive_wrapper_matches_the_adaptive_mode() {
+        // The benchmark builds the wrapper, the product builds the
+        // engine's adaptive mode: unless the two agree bit for bit, the
+        // benchmark's adaptive digests stop describing the product path.
+        let b = PhaseBudget::default();
+        let wrapper =
+            || AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), b);
+        let engine = || ProfileMode::Adaptive(b).build(None);
+        for (name, events) in adversarial_streams() {
+            let (mut w, mut e) = (wrapper(), engine());
+            w.observe_batch(&events);
+            e.observe_batch(&events);
+            assert_wrapper_matches(name, &w, &e);
+        }
+        // A suite program's value stream, delivered live in value blocks.
+        let program = &suite()[0];
+        let instrumenter = Instrumenter::new().select(Selection::RegisterDefining);
+        let cfg = || program.machine_config(DataSet::Test);
+        let (mut w, mut e) = (wrapper(), engine());
+        instrumenter.run(program.program(), cfg(), 100_000_000, &mut w).unwrap();
+        e.run_live(&instrumenter, program.program(), cfg(), 100_000_000).unwrap();
+        assert_wrapper_matches(program.name(), &w, &e);
+        assert!(e.phase_stats().is_some_and(|ps| ps.windows > 0));
+        let mut convergent = ProfileMode::Convergent.build(None);
+        convergent.run_live(&instrumenter, program.program(), cfg(), 100_000_000).unwrap();
+        assert_eq!(convergent.phase_stats(), None);
     }
 
     #[test]
@@ -276,7 +291,7 @@ mod tests {
         .unwrap();
         let instrumenter = Instrumenter::new().select(Selection::LoadsOnly);
         for mode in MODES {
-            let mut p = mode.build(mode.tracker(), None);
+            let mut p = mode.build(None);
             let run = p.run_live(&instrumenter, &program, MachineConfig::new(), 10_000).unwrap();
             assert_eq!(run.counts.instr_events, 100, "{mode:?}");
             assert_eq!(p.metrics()[0].executions, 100, "{mode:?}");

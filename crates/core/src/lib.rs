@@ -19,7 +19,8 @@
 //!   pluggable [`vp_instrument::Analysis`] tools;
 //! * [`convergent::ConvergentProfiler`] — the paper's low-overhead
 //!   sampling profiler that backs off once an instruction's invariance has
-//!   converged, plus the CPI-style [`sampled::SampledProfiler`] baselines;
+//!   converged, plus the CPI-style [`sampled::SampledProfiler`] baselines
+//!   that experiment E7 compares it against;
 //! * [`engine`] — [`ProfileMode`] builds every mode's [`Profiler`] in one
 //!   place, for the live, replay and serve paths alike;
 //! * [`metrics`] — execution-weighted aggregates, invariance histograms

@@ -24,13 +24,19 @@
 //! Everything is deterministic: no clocks, no randomness, all state per
 //! instruction, and [`PhaseStats`] counters are exact sums of
 //! per-instruction events.
+//!
+//! The adaptive profiler itself is [`ConvergentProfiler::adaptive`]: the
+//! convergent profiler with a [`PhaseBudget`] armed. This module holds
+//! the detector it runs per instruction, the budget and the counters.
+//! [`AdaptiveProfiler`] is a forwarding wrapper kept only for the
+//! repository benchmark.
 
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
 
-use crate::convergent::{ConvergentConfig, ConvergentProfiler, ConvergentStats};
-use crate::metrics::{Aggregate, EntityMetrics};
-use crate::track::{TrackerConfig, ValueTracker};
+use crate::convergent::{ConvergentConfig, ConvergentProfiler};
+use crate::metrics::EntityMetrics;
+use crate::track::TrackerConfig;
 
 /// Number of distinct values the per-window sketch tracks.
 const SKETCH_K: usize = 4;
@@ -267,35 +273,21 @@ impl Detector {
     }
 }
 
-/// The convergent profiler with phase detection armed: converged
-/// instructions are re-armed when their value distribution shifts,
-/// under the bounded budget of a [`PhaseBudget`].
+/// A forwarding wrapper around [`ConvergentProfiler::adaptive`], the
+/// adaptive profiler every product path builds (through
+/// [`ProfileMode::Adaptive`](crate::engine::ProfileMode::Adaptive)).
 ///
-/// A thin wrapper around [`ConvergentProfiler`] — on streams where the
-/// detector never flags a shift the two are *bit-identical* (the
-/// detector observes but never touches the sampling state machine), and
-/// like the inner profiler all state is per-instruction.
-///
-/// ```
-/// use vp_core::convergent::ConvergentConfig;
-/// use vp_core::phase::{AdaptiveProfiler, PhaseBudget};
-/// use vp_core::track::TrackerConfig;
-///
-/// let budget = PhaseBudget { max_rearms: 8, window: 64 };
-/// let mut p = AdaptiveProfiler::new(TrackerConfig::default(), ConvergentConfig::default(), budget);
-/// for i in 0..10_000u64 {
-///     // Dominant value flips halfway through: a phase change.
-///     p.observe(0, if i < 5_000 { 7 } else { 9 });
-/// }
-/// assert!(p.phase_stats().shifts_detected > 0);
-/// ```
+/// Only the repository benchmark (`perfbench/`) still builds one, and it
+/// is kept to the surface that benchmark calls. It goes once the
+/// benchmark builds [`ConvergentProfiler::adaptive`] itself (ROADMAP
+/// item 1).
 #[derive(Debug, Clone)]
 pub struct AdaptiveProfiler {
     inner: ConvergentProfiler,
 }
 
 impl AdaptiveProfiler {
-    /// Creates an adaptive profiler.
+    /// Creates an adaptive profiler (see [`ConvergentProfiler::adaptive`]).
     ///
     /// # Panics
     ///
@@ -309,63 +301,27 @@ impl AdaptiveProfiler {
         AdaptiveProfiler { inner: ConvergentProfiler::adaptive(tracker_config, config, budget) }
     }
 
-    /// The inner sampler configuration.
-    pub fn config(&self) -> ConvergentConfig {
-        self.inner.config()
-    }
-
-    /// The re-profile budget.
-    pub fn budget(&self) -> PhaseBudget {
-        self.inner.phase_budget().expect("adaptive profiler always has a budget")
-    }
-
-    /// Exact detector counters, summed over all instructions.
+    /// See [`ConvergentProfiler::phase_stats`].
     pub fn phase_stats(&self) -> PhaseStats {
         self.inner.phase_stats()
     }
 
-    /// Sampling state-machine events (see [`ConvergentProfiler::events`]).
+    /// See [`ConvergentProfiler::events`].
     pub fn events(&self) -> ConvEvents {
         self.inner.events()
     }
 
-    /// Summed TNV-table events across all instruction trackers.
+    /// See [`ConvergentProfiler::tnv_events`].
     pub fn tnv_events(&self) -> TnvEvents {
         self.inner.tnv_events()
     }
 
-    /// Metric snapshots reweighted to true totals (see
-    /// [`ConvergentProfiler::metrics`]).
+    /// See [`ConvergentProfiler::metrics`].
     pub fn metrics(&self) -> Vec<EntityMetrics> {
         self.inner.metrics()
     }
 
-    /// Execution-weighted aggregate over the sampled trackers.
-    pub fn aggregate(&self) -> Aggregate {
-        self.inner.aggregate()
-    }
-
-    /// Per-instruction overhead statistics, ordered by index.
-    pub fn stats(&self) -> Vec<ConvergentStats> {
-        self.inner.stats()
-    }
-
-    /// Overall fraction of executions profiled.
-    pub fn overall_profile_fraction(&self) -> f64 {
-        self.inner.overall_profile_fraction()
-    }
-
-    /// The sampled tracker of one instruction.
-    pub fn tracker(&self, index: u32) -> Option<&ValueTracker> {
-        self.inner.tracker(index)
-    }
-
-    /// Feeds one `(instruction, value)` event (trace-replay entry point).
-    pub fn observe(&mut self, index: u32, value: u64) {
-        self.inner.observe(index, value);
-    }
-
-    /// Feeds a batch of `(instruction, value)` events in stream order.
+    /// See [`ConvergentProfiler::observe_batch`].
     pub fn observe_batch(&mut self, events: &[(u32, u64)]) {
         self.inner.observe_batch(events);
     }
@@ -477,7 +433,8 @@ mod tests {
         // window = 64 with stride 8: 8 samples at 0-based positions
         // 0, 8, …, 56 — the 8th sample (57th execution) completes the
         // window; the 56th does not.
-        let mut p = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
+        let mut p =
+            ConvergentProfiler::adaptive(TrackerConfig::default(), small_config(), small_budget());
         for _ in 0..56 {
             p.observe(0, 7);
         }
@@ -489,7 +446,7 @@ mod tests {
     #[test]
     fn phase_free_stream_is_bit_identical_to_convergent() {
         let mut adaptive =
-            AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
+            ConvergentProfiler::adaptive(TrackerConfig::default(), small_config(), small_budget());
         let mut plain = ConvergentProfiler::new(TrackerConfig::default(), small_config());
         // Stationary skewed stream: dominant value never changes.
         let stream: Vec<u64> =
@@ -511,7 +468,8 @@ mod tests {
 
     #[test]
     fn oscillating_stream_rearms_and_tracks_new_phase() {
-        let mut p = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), small_budget());
+        let mut p =
+            ConvergentProfiler::adaptive(TrackerConfig::default(), small_config(), small_budget());
         for v in oscillating(&[7, 9], 4_096, 65_536) {
             p.observe(0, v);
         }
@@ -527,7 +485,7 @@ mod tests {
     #[test]
     fn budget_bounds_rearms_and_counts_denials() {
         let budget = PhaseBudget { max_rearms: 2, window: 64 };
-        let mut p = AdaptiveProfiler::new(TrackerConfig::default(), small_config(), budget);
+        let mut p = ConvergentProfiler::adaptive(TrackerConfig::default(), small_config(), budget);
         for v in oscillating(&[1, 2, 3, 4], 1_024, 262_144) {
             p.observe(0, v);
         }
@@ -542,7 +500,7 @@ mod tests {
         // With a huge delta the stream never converges, so shifts are
         // detected but nothing needs re-arming.
         let cfg = ConvergentConfig { delta: -1.0, ..small_config() };
-        let mut p = AdaptiveProfiler::new(TrackerConfig::default(), cfg, small_budget());
+        let mut p = ConvergentProfiler::adaptive(TrackerConfig::default(), cfg, small_budget());
         for v in oscillating(&[7, 9], 1_024, 16_384) {
             p.observe(0, v);
         }
@@ -556,7 +514,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
-        let _ = AdaptiveProfiler::new(
+        let _ = ConvergentProfiler::adaptive(
             TrackerConfig::default(),
             small_config(),
             PhaseBudget { max_rearms: 1, window: 0 },

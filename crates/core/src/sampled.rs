@@ -9,9 +9,12 @@
 //! ([`SampleStrategy::Periodic`]) or with probability 1/k
 //! ([`SampleStrategy::Random`]) — spending the *same* profiling budget on
 //! every instruction regardless of whether its profile has converged.
+//!
+//! These baselines are not an engine mode
+//! ([`ProfileMode`](crate::engine::ProfileMode) has none): E7 drives
+//! [`SampledProfiler`] directly, live through the runner's value blocks.
 
 use vp_instrument::Analysis;
-use vp_obs::{SampleEvents, TnvEvents};
 
 use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
@@ -61,7 +64,6 @@ pub struct SampledProfiler {
     strategy: SampleStrategy,
     states: EntityMap<u32, SampleState>,
     rng: u64,
-    events: SampleEvents,
 }
 
 impl SampledProfiler {
@@ -80,28 +82,7 @@ impl SampledProfiler {
             strategy,
             states: EntityMap::default(),
             rng: 0x9e37_79b9_7f4a_7c15,
-            events: SampleEvents::default(),
         }
-    }
-
-    /// Self-profiling take/skip decision counts (`taken + skipped` equals
-    /// the total executions seen).
-    pub fn events(&self) -> SampleEvents {
-        self.events
-    }
-
-    /// Summed TNV-table events across all instruction trackers.
-    pub fn tnv_events(&self) -> TnvEvents {
-        let mut out = TnvEvents::default();
-        for state in self.states.values() {
-            out.merge(&state.tracker.tnv_events());
-        }
-        out
-    }
-
-    /// The sampling strategy in force.
-    pub fn strategy(&self) -> SampleStrategy {
-        self.strategy
     }
 
     /// Metric snapshots from the sampled trackers, ordered by index, with
@@ -179,9 +160,6 @@ impl SampledProfiler {
         if hit {
             state.tracker.observe(value);
             state.profiled += 1;
-            self.events.taken += 1;
-        } else {
-            self.events.skipped += 1;
         }
     }
 
@@ -277,17 +255,6 @@ mod tests {
             p.overall_profile_fraction()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn events_split_taken_and_skipped() {
-        let mut p =
-            SampledProfiler::new(TrackerConfig::default(), SampleStrategy::Periodic { period: 10 });
-        feed(&mut p, 0, std::iter::repeat_n(7, 1000));
-        let ev = p.events();
-        assert_eq!(ev.taken, 100);
-        assert_eq!(ev.skipped, 900);
-        assert_eq!(p.tnv_events().observations(), ev.taken);
     }
 
     #[test]

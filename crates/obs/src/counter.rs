@@ -44,10 +44,6 @@ pub enum CounterId {
     ConvProfiled,
     /// Executions the convergent profiler skipped.
     ConvSkipped,
-    /// Executions the flat sampler profiled.
-    SampleTaken,
-    /// Executions the flat sampler skipped.
-    SampleSkipped,
     /// Workloads profiled by a suite run.
     WorkloadsProfiled,
     /// Items executed by parallel-map workers.
@@ -98,7 +94,7 @@ impl CounterId {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Every counter, in canonical (rendering) order.
-    pub const ALL: [CounterId; 37] = [
+    pub const ALL: [CounterId; 35] = [
         CounterId::InstrEvents,
         CounterId::LoadEvents,
         CounterId::StoreEvents,
@@ -113,8 +109,6 @@ impl CounterId {
         CounterId::ConvResumes,
         CounterId::ConvProfiled,
         CounterId::ConvSkipped,
-        CounterId::SampleTaken,
-        CounterId::SampleSkipped,
         CounterId::WorkloadsProfiled,
         CounterId::WorkerItems,
         CounterId::WorkloadPanic,
@@ -155,8 +149,6 @@ impl CounterId {
             CounterId::ConvResumes => "conv_resumes",
             CounterId::ConvProfiled => "conv_profiled",
             CounterId::ConvSkipped => "conv_skipped",
-            CounterId::SampleTaken => "sample_taken",
-            CounterId::SampleSkipped => "sample_skipped",
             CounterId::WorkloadsProfiled => "workloads_profiled",
             CounterId::WorkerItems => "worker_items",
             CounterId::WorkloadPanic => "workload_panics",
@@ -345,29 +337,6 @@ impl ConvEvents {
     }
 }
 
-/// Flat-sampler take/skip decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SampleEvents {
-    /// Executions profiled.
-    pub taken: u64,
-    /// Executions skipped.
-    pub skipped: u64,
-}
-
-impl SampleEvents {
-    /// Sums another event set into this one (shard merge).
-    pub fn merge(&mut self, other: &SampleEvents) {
-        self.taken += other.taken;
-        self.skipped += other.skipped;
-    }
-
-    /// Flushes into a count vector.
-    pub fn add_to(&self, counts: &mut Counts) {
-        counts.add(CounterId::SampleTaken, self.taken);
-        counts.add(CounterId::SampleSkipped, self.skipped);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,10 +389,8 @@ mod tests {
         let mut c = Counts::new();
         tnv.add_to(&mut c);
         ConvEvents { backoffs: 1, resumes: 1, profiled: 10, skipped: 90 }.add_to(&mut c);
-        SampleEvents { taken: 4, skipped: 6 }.add_to(&mut c);
         assert_eq!(c.get(CounterId::TnvHits), 6);
         assert_eq!(c.get(CounterId::ConvSkipped), 90);
-        assert_eq!(c.get(CounterId::SampleTaken), 4);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! * [`counter`] — the event taxonomy ([`CounterId`]), fixed-size count
 //!   vectors ([`Counts`]) and the per-subsystem event structs
-//!   ([`TnvEvents`], [`ConvEvents`], [`SampleEvents`]) that the profilers
+//!   ([`TnvEvents`], [`ConvEvents`]) that the profilers
 //!   in `vp-core` maintain as plain `u64` increments on their hot paths —
 //!   deterministic, mergeable, and practically free;
 //! * [`crc`] — the table-driven CRC32 behind every integrity footer in
@@ -45,7 +45,7 @@ pub mod recorder;
 pub mod stats;
 pub mod telemetry;
 
-pub use counter::{ConvEvents, CounterId, Counts, SampleEvents, TnvEvents};
+pub use counter::{ConvEvents, CounterId, Counts, TnvEvents};
 pub use crc::{crc32, Crc32};
 pub use hist::Log2Histogram;
 pub use json::Json;

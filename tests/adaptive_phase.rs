@@ -23,8 +23,7 @@
 use std::collections::HashMap;
 
 use value_profiling::core::{
-    track::TrackerConfig, AdaptiveProfiler, ConvergentConfig, ConvergentProfiler,
-    InstructionProfiler, PhaseBudget,
+    track::TrackerConfig, ConvergentConfig, ConvergentProfiler, InstructionProfiler, PhaseBudget,
 };
 use value_profiling::workloads::adversarial::{
     diurnal, heavy_tailed, phase_oscillating, tnv_churn,
@@ -78,11 +77,11 @@ fn assert_adaptive_closes_divergence(
     events: &[(u32, u64)],
     config: ConvergentConfig,
     budget: PhaseBudget,
-) -> (usize, AdaptiveProfiler) {
+) -> (usize, ConvergentProfiler) {
     let exact = truth(events);
     let mut conv = ConvergentProfiler::new(TrackerConfig::with_full(), config);
     conv.observe_batch(events);
-    let mut adaptive = AdaptiveProfiler::new(TrackerConfig::with_full(), config, budget);
+    let mut adaptive = ConvergentProfiler::adaptive(TrackerConfig::with_full(), config, budget);
     adaptive.observe_batch(events);
     let conv_share = profiled_share(&conv.metrics());
     let adaptive_share = profiled_share(&adaptive.metrics());
@@ -179,7 +178,7 @@ fn stationary_streams_are_bit_identical_to_convergent() {
     for (name, events) in streams {
         let mut conv = ConvergentProfiler::new(TrackerConfig::default(), config);
         conv.observe_batch(&events);
-        let mut adaptive = AdaptiveProfiler::new(TrackerConfig::default(), config, budget);
+        let mut adaptive = ConvergentProfiler::adaptive(TrackerConfig::default(), config, budget);
         adaptive.observe_batch(&events);
         let ps = adaptive.phase_stats();
         assert_eq!(ps.rearms, 0, "{name} is stationary; nothing may re-arm: {ps:?}");

@@ -17,8 +17,8 @@
 //! `observe_batch`, and a streamed session of an in-process serve daemon; and every suite workload profiles identically
 //! live and from a replay of its VPC1 trace (`vprof replay`'s path). Live
 //! profiling hands the profilers program-order blocks of values; in every
-//! mode, governed full and random sampling included, that profiles
-//! exactly like one `observe` per executed instruction.
+//! mode, governed full profiling included, and for E7's flat samplers,
+//! that profiles exactly like one `observe` per executed instruction.
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -29,7 +29,7 @@ use value_profiling::core::{
     tnv::{Policy, TnvTable},
     track::TrackerConfig,
     InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, SampleStrategy,
-    ValueTracker,
+    SampledProfiler, ValueTracker,
 };
 use value_profiling::instrument::frame::{self, FrameReader};
 use value_profiling::instrument::net::{self, SessionMsg};
@@ -232,14 +232,13 @@ fn serve_session(mode: ProfileMode, trace: &[u8]) -> String {
     profile
 }
 
-/// One of each `ProfileMode` family, with parameters small enough that
-/// every workload exercises re-arming and sampling.
-fn modes() -> [ProfileMode; 4] {
+/// Every `ProfileMode`, with parameters small enough that every
+/// workload exercises re-arming.
+fn modes() -> [ProfileMode; 3] {
     [
         ProfileMode::Full,
         ProfileMode::Convergent,
         ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
-        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
     ]
 }
 
@@ -262,7 +261,7 @@ fn every_mode_profiles_identically_through_every_engine_path() {
     let events = value_stream(w, DataSet::Test, Selection::LoadsOnly);
     let trace = trace_codec::encode(&events, 500);
     for mode in modes() {
-        let build = || mode.build(mode.tracker(), None);
+        let build = || mode.build(None);
         let mut live = build();
         let run = live
             .run_live(&instrumenter, w.program(), w.machine_config(DataSet::Test), BUDGET)
@@ -280,40 +279,60 @@ fn every_mode_profiles_identically_through_every_engine_path() {
 }
 
 /// The per-event reference for live profiling: every `after_instr`
-/// forwarded to `observe`, one instruction at a time.
-struct PerEvent(Profiler);
+/// forwarded to an `observe` call, one instruction at a time.
+struct PerEvent<F: FnMut(u32, u64)>(F);
 
-impl Analysis for PerEvent {
+impl<F: FnMut(u32, u64)> Analysis for PerEvent<F> {
     fn after_instr(&mut self, _m: &Machine, ev: &InstrEvent) {
         if let Some((_, value)) = ev.dest {
-            self.0.observe(ev.index, value);
+            (self.0)(ev.index, value);
         }
     }
 }
 
 #[test]
 fn live_value_blocks_profile_identically_to_per_event_delivery() {
-    // Every mode plus the two whose state depends on the global event
-    // order: governed full profiling under a budget tight enough to
-    // degrade entities, and random sampling.
+    // Every mode plus governed full profiling under a budget tight
+    // enough to degrade entities, whose state depends on the global
+    // event order.
     let mut cases: Vec<(ProfileMode, Option<MemBudget>)> =
         modes().into_iter().map(|mode| (mode, None)).collect();
     cases.push((ProfileMode::Full, Some(MemBudget::bytes(48 * 1024))));
-    cases.push((ProfileMode::Sampled(SampleStrategy::Random { period: 7 }), None));
     let instrumenter = Instrumenter::new().select(Selection::RegisterDefining);
     let mut degraded = 0;
     for w in &suite() {
         let cfg = || w.machine_config(DataSet::Test);
         for &(mode, budget) in &cases {
-            let mut live = mode.build(mode.tracker(), budget);
+            let mut live = mode.build(budget);
             let run = live.run_live(&instrumenter, w.program(), cfg(), BUDGET).unwrap();
-            let mut reference = PerEvent(mode.build(mode.tracker(), budget));
-            let ref_run = instrumenter.run(w.program(), cfg(), BUDGET, &mut reference).unwrap();
+            let mut reference = mode.build(budget);
+            let mut per_event = PerEvent(|pc, value| reference.observe(pc, value));
+            let ref_run = instrumenter.run(w.program(), cfg(), BUDGET, &mut per_event).unwrap();
             assert_eq!(run.counts, ref_run.counts, "{} {mode:?}", w.name());
             let at = format!("{} {mode:?} budget={budget:?} blocks vs per-event", w.name());
-            assert_same_profile(&reference.0, &live, &at);
-            assert_eq!(reference.0.governor_stats(), live.governor_stats(), "{at}");
+            assert_same_profile(&reference, &live, &at);
+            assert_eq!(reference.governor_stats(), live.governor_stats(), "{at}");
             degraded += live.governor_stats().map_or(0, |g| g.entities_degraded);
+        }
+        // E7 runs the flat samplers live outside the engine. A random
+        // sampler's draws follow the global event order.
+        for strategy in
+            [SampleStrategy::Periodic { period: 13 }, SampleStrategy::Random { period: 7 }]
+        {
+            let sampler = || SampledProfiler::new(TrackerConfig::default(), strategy);
+            let mut live = sampler();
+            let run = instrumenter.run(w.program(), cfg(), BUDGET, &mut live).unwrap();
+            let mut reference = sampler();
+            let mut per_event = PerEvent(|pc, value| reference.observe(pc, value));
+            let ref_run = instrumenter.run(w.program(), cfg(), BUDGET, &mut per_event).unwrap();
+            let at = format!("{} {strategy:?} blocks vs per-event", w.name());
+            assert_eq!(run.counts, ref_run.counts, "{at}");
+            assert_eq!(reference.metrics(), live.metrics(), "{at}");
+            assert_eq!(
+                reference.overall_profile_fraction(),
+                live.overall_profile_fraction(),
+                "{at}"
+            );
         }
     }
     assert!(degraded > 0, "the tight budget must degrade entities");
@@ -328,11 +347,11 @@ fn replayed_instruction_profiles_match_live() {
         // crosses many chunk boundaries.
         let trace = trace_codec::encode(&events, 500);
         for mode in modes() {
-            let mut live = mode.build(mode.tracker(), None);
+            let mut live = mode.build(None);
             live.run_live(&instrumenter, w.program(), w.machine_config(DataSet::Test), BUDGET)
                 .unwrap();
             let mut reader = ChunkReader::new(&trace).unwrap();
-            let replayed = mode.profile_trace(mode.tracker(), None, &mut reader).unwrap();
+            let replayed = mode.profile_trace(None, &mut reader).unwrap();
             let at = format!("{} {mode:?} live vs replay", w.name());
             assert_same_profile(&replayed, &live, &at);
         }

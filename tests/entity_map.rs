@@ -16,21 +16,19 @@ use std::collections::BTreeMap;
 
 use value_profiling::core::{
     partition_by_entity, profile_sharded, render_profile, track::TrackerConfig,
-    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, SampleStrategy,
+    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler,
 };
 use value_profiling::instrument::Selection;
 use value_profiling::obs::Counts;
 use value_profiling::workloads::{suite, DataSet};
 use vp_bench::value_stream;
 
-/// Every mode family; periodic rather than random sampling, because a
-/// random sampler's draws depend on the global interleaving.
-fn modes() -> [ProfileMode; 4] {
+/// Every engine mode.
+fn modes() -> [ProfileMode; 3] {
     [
         ProfileMode::Full,
         ProfileMode::Convergent,
         ProfileMode::Adaptive(PhaseBudget { max_rearms: 8, window: 512 }),
-        ProfileMode::Sampled(SampleStrategy::Periodic { period: 13 }),
     ]
 }
 
@@ -58,7 +56,7 @@ fn low_bit_colliding_pcs_profile_exactly_in_every_mode() {
         *totals.entry(u64::from(pc)).or_insert(0) += 1;
     }
     for mode in modes() {
-        let mut serial = mode.build(mode.tracker(), None);
+        let mut serial = mode.build(None);
         serial.observe_batch(&events);
         let metrics = serial.metrics();
         let executions: BTreeMap<u64, u64> = metrics.iter().map(|m| (m.id, m.executions)).collect();
@@ -73,7 +71,7 @@ fn low_bit_colliding_pcs_profile_exactly_in_every_mode() {
 
 /// An ungoverned full profiler, the one mode whose shards merge.
 fn full() -> InstructionProfiler {
-    InstructionProfiler::new(ProfileMode::Full.tracker())
+    InstructionProfiler::new(TrackerConfig::with_full())
 }
 
 /// A real workload's load stream followed by a synthetic stream that
@@ -92,7 +90,7 @@ fn mixed_stream() -> Vec<(u32, u64)> {
 fn profiles_do_not_depend_on_the_map_seed() {
     let events = mixed_stream();
     for mode in modes() {
-        let build = || mode.build(mode.tracker(), None);
+        let build = || mode.build(None);
         let mut first = build();
         first.observe_batch(&events);
         let mut second = build();

@@ -3,7 +3,6 @@
 //! per-workload profiles and reports as a serial run, on both data sets
 //! and in every profiling mode.
 
-use value_profiling::core::SampleStrategy;
 use value_profiling::workloads::DataSet;
 use vp_bench::{ProfileMode, SuiteRunner};
 
@@ -32,19 +31,10 @@ fn full_mode_jobs4_matches_serial() {
 }
 
 #[test]
-fn convergent_and_sampled_modes_are_parallel_deterministic() {
-    for mode in
-        [ProfileMode::Convergent, ProfileMode::Sampled(SampleStrategy::Random { period: 10 })]
-    {
-        let runner = |jobs| {
-            SuiteRunner::new()
-                .tracker(value_profiling::core::track::TrackerConfig::default())
-                .mode(mode)
-                .jobs(jobs)
-                .run(DataSet::Test)
-        };
-        assert_identical(&runner(1), &runner(4));
-    }
+fn convergent_mode_is_parallel_deterministic() {
+    let runner =
+        |jobs| SuiteRunner::new().mode(ProfileMode::Convergent).jobs(jobs).run(DataSet::Test);
+    assert_identical(&runner(1), &runner(4));
 }
 
 #[test]
