@@ -1,5 +1,7 @@
 //! `vprof` subcommand implementations.
 
+use std::fmt;
+use std::io::{self, Write};
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +78,38 @@ struct Args<'a> {
     positionals: Vec<&'a str>,
 }
 
-type Handler = fn(&Args<'_>) -> Result<(), String>;
+type Handler = fn(&Args<'_>, &mut dyn Write) -> Result<(), Failure>;
+
+/// Why a command failed.
+#[derive(Debug)]
+pub enum Failure {
+    /// A message for the user.
+    Message(String),
+    /// Writing the command's output failed, as when its reader has
+    /// closed the pipe.
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Message(message)
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Output(e)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Message(message) => f.write_str(message),
+            Failure::Output(e) => write!(f, "cannot write output: {e}"),
+        }
+    }
+}
 
 /// Every subcommand's declaration and implementation.
 fn command(name: &str) -> Option<(Spec, Handler)> {
@@ -163,19 +196,18 @@ fn lists(list: &str, flag: &str) -> bool {
     list.split_whitespace().any(|f| f == flag)
 }
 
-/// Dispatches a command line. Returns a user-facing error string on
-/// failure.
-pub fn dispatch(argv: &[String]) -> Result<(), String> {
+/// Dispatches a command line, writing the command's output to `out`.
+pub fn dispatch(argv: &[String], out: &mut dyn Write) -> Result<(), Failure> {
     let (name, rest) = match argv.split_first() {
         Some((name, rest)) if name != "--help" && name != "-h" => (name, rest),
         _ => {
-            println!("{USAGE}");
+            writeln!(out, "{USAGE}")?;
             return Ok(());
         }
     };
     let (spec, run) = command(name).ok_or_else(|| format!("unknown command `{name}`\n{USAGE}"))?;
     let args = spec.parse(rest).map_err(|e| format!("{name}: {e} (see `vprof --help`)"))?;
-    run(&args)
+    run(&args, out)
 }
 
 impl Spec {
@@ -402,34 +434,34 @@ fn resolve(target: &str, ds: DataSet) -> Result<(Program, InputSet), String> {
     Err(format!("`{target}` is neither a workload (try `vprof list`) nor a .s/.vpo file"))
 }
 
-fn list(_: &Args) -> Result<(), String> {
-    println!("{:<10} {:>8} description", "name", "instrs");
+fn list(_: &Args, out: &mut dyn Write) -> Result<(), Failure> {
+    writeln!(out, "{:<10} {:>8} description", "name", "instrs")?;
     for w in suite() {
-        println!("{:<10} {:>8} {}", w.name(), w.program().len(), w.description());
+        writeln!(out, "{:<10} {:>8} {}", w.name(), w.program().len(), w.description())?;
     }
     Ok(())
 }
 
-fn run(args: &Args) -> Result<(), String> {
+fn run(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let (program, input) = resolve(args.target()?, dataset(args))?;
     let mut machine =
         Machine::new(program, MachineConfig::new().input(input)).map_err(|e| e.to_string())?;
-    let out = machine.run(BUDGET).map_err(|e| e.to_string())?;
-    if !out.output.is_empty() {
-        print!("{}", out.output_text());
+    let outcome = machine.run(BUDGET).map_err(|e| e.to_string())?;
+    if !outcome.output.is_empty() {
+        write!(out, "{}", outcome.output_text())?;
     }
-    println!("exit code    {}", out.exit_code);
-    println!("instructions {}", out.instructions);
+    writeln!(out, "exit code    {}", outcome.exit_code)?;
+    writeln!(out, "instructions {}", outcome.instructions)?;
     for (class, count) in machine.stats().per_class() {
-        println!("  {class:<9} {count}");
+        writeln!(out, "  {class:<9} {count}")?;
     }
     Ok(())
 }
 
-fn assemble_cmd(args: &Args) -> Result<(), String> {
+fn assemble_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     if !target.ends_with(".s") {
-        return Err(format!("assemble expects a .s file, got `{target}`"));
+        return Err(format!("assemble expects a .s file, got `{target}`").into());
     }
     let out_path = args
         .value("-o")
@@ -440,31 +472,38 @@ fn assemble_cmd(args: &Args) -> Result<(), String> {
     let program = vp_asm::assemble(&src).map_err(|e| e.to_string())?;
     vp_core::durable::write_atomic(std::path::Path::new(&out_path), &program.to_bytes())
         .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    println!(
+    writeln!(
+        out,
         "wrote {out_path}: {} instructions, {} data bytes, {} procedures",
         program.len(),
         program.data().len(),
         program.procedures().len()
-    );
+    )?;
     Ok(())
 }
 
-fn disasm(args: &Args) -> Result<(), String> {
+fn disasm(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let (program, _) = resolve(args.target()?, DataSet::Test)?;
-    print!("{program}");
+    write!(out, "{program}")?;
     Ok(())
 }
 
-fn profile(args: &Args) -> Result<(), String> {
+fn profile(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let (program, input) = resolve(target, dataset(args))?;
     let cfg = MachineConfig::new().input(input);
     let top = args.get("--top")?.unwrap_or(10);
-    // Only the value profiles have a TSV form; refuse a save that would
-    // otherwise be silently skipped.
-    if args.value("--save").is_some() {
-        if let Some(flag) = ["--memory", "--params"].into_iter().find(|f| args.has(f)) {
-            return Err(format!("--save is not supported with {flag}"));
+    // The memory and parameter profiles are full profiles of their own
+    // entities with no TSV form: refuse every flag they would otherwise
+    // silently ignore.
+    if let Some(kind) = ["--memory", "--params"].into_iter().find(|f| args.has(f)) {
+        let ignored = ["--params", "--convergent", "--all", "--loads"]
+            .into_iter()
+            .filter(|&flag| flag != kind && args.has(flag))
+            .chain(args.value("--save").map(|_| "--save"))
+            .next();
+        if let Some(flag) = ignored {
+            return Err(format!("{flag} is not supported with {kind}").into());
         }
     }
 
@@ -481,16 +520,17 @@ fn profile(args: &Args) -> Result<(), String> {
             );
         }
         let rows = [row(target, &profiler.metrics())];
-        println!("{}", render_metric_table("memory locations (stored values)", &rows));
-        println!("hottest locations:");
+        writeln!(out, "{}", render_metric_table("memory locations (stored values)", &rows))?;
+        writeln!(out, "hottest locations:")?;
         for m in profiler.hottest(top) {
-            println!(
+            writeln!(
+                out,
                 "  {:#010x}  execs {:>8}  inv-top1 {:5.1}%  top value {:?}",
                 m.id,
                 m.executions,
                 m.inv_top1 * 100.0,
                 m.top_value
-            );
+            )?;
         }
         return Ok(());
     }
@@ -502,15 +542,16 @@ fn profile(args: &Args) -> Result<(), String> {
             .with_procedures(true)
             .run(&program, cfg, BUDGET, &mut profiler)
             .map_err(|e| e.to_string())?;
-        println!("procedure parameters:");
+        writeln!(out, "procedure parameters:")?;
         for p in profiler.metrics().into_iter().take(top) {
-            println!(
+            writeln!(
+                out,
                 "  proc {:<3} {:?}  execs {:>8}  inv-top1 {:5.1}%",
                 p.proc_index,
                 p.slot,
                 p.metrics.executions,
                 p.metrics.inv_top1 * 100.0
-            );
+            )?;
         }
         return Ok(());
     }
@@ -519,7 +560,7 @@ fn profile(args: &Args) -> Result<(), String> {
     let mode = if args.has("--convergent") { ProfileMode::Convergent } else { ProfileMode::Full };
     // A convergent profile prints no hottest list for `--top` to cut.
     if mode == ProfileMode::Convergent && args.value("--top").is_some() {
-        return Err("--top is not supported with --convergent".to_string());
+        return Err("--top is not supported with --convergent".to_string().into());
     }
     let mut profiler = mode.build(None);
     profiler
@@ -529,22 +570,23 @@ fn profile(args: &Args) -> Result<(), String> {
     if let Some(path) = args.value("--save") {
         vp_core::durable::write_profile(std::path::Path::new(path), &metrics)
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        println!("saved {} entities to {path}", metrics.len());
+        writeln!(out, "saved {} entities to {path}", metrics.len())?;
     }
     let rows = [row(target, &metrics)];
 
     if mode == ProfileMode::Convergent {
-        println!("{}", render_metric_table(&format!("convergent profile: {what}"), &rows));
-        println!("profiled {:.2}% of executions", profiler.profile_fraction() * 100.0);
+        writeln!(out, "{}", render_metric_table(&format!("convergent profile: {what}"), &rows))?;
+        writeln!(out, "profiled {:.2}% of executions", profiler.profile_fraction() * 100.0)?;
         return Ok(());
     }
 
-    println!("{}", render_metric_table(&format!("value profile: {what}"), &rows));
+    writeln!(out, "{}", render_metric_table(&format!("value profile: {what}"), &rows))?;
     let mut ms = metrics;
     ms.sort_by_key(|m| std::cmp::Reverse(m.executions));
-    println!("hottest instructions:");
+    writeln!(out, "hottest instructions:")?;
     for m in ms.into_iter().take(top) {
-        println!(
+        writeln!(
+            out,
             "  [{:>5}] {:<24} execs {:>9}  inv-top1 {:5.1}%  lvp {:5.1}%  top {:?}",
             m.id,
             program.code()[m.id as usize].to_string(),
@@ -552,7 +594,7 @@ fn profile(args: &Args) -> Result<(), String> {
             m.inv_top1 * 100.0,
             m.lvp * 100.0,
             m.top_value
-        );
+        )?;
     }
     Ok(())
 }
@@ -579,7 +621,7 @@ fn profile(args: &Args) -> Result<(), String> {
 /// profiler memory: over budget, entities degrade full-profile →
 /// TNV-only → dropped (see `vp_core::govern`), and the governor counters
 /// land in the output and telemetry.
-fn profile_suite(args: &Args) -> Result<(), String> {
+fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use vp_obs::MemRecorder;
 
     let ds = dataset(args);
@@ -594,69 +636,78 @@ fn profile_suite(args: &Args) -> Result<(), String> {
         .measure_baseline(args.has("--baseline"));
     let outcome = runner.try_run(ds);
     let profile = &outcome.profile;
-    println!(
+    writeln!(
+        out,
         "{}",
         profile.render(&format!("suite value profile: {what} [{} data set]", ds.name()))
-    );
+    )?;
     if mode != ProfileMode::Full {
-        println!("profiled fraction per workload:");
+        writeln!(out, "profiled fraction per workload:")?;
         for w in &profile.workloads {
-            println!("  {:<10} {:6.2}%", w.name, w.profile_fraction * 100.0);
+            writeln!(out, "  {:<10} {:6.2}%", w.name, w.profile_fraction * 100.0)?;
         }
     }
     if let ProfileMode::Adaptive(budget) = mode {
-        println!(
+        writeln!(
+            out,
             "adaptive phase detection (window {}, max {} re-arms/instruction):",
             budget.window, budget.max_rearms
-        );
+        )?;
         for w in &profile.workloads {
             let ph = w.phase.unwrap_or_default();
-            println!(
+            writeln!(
+                out,
                 "  {:<10} windows {:>8}  shifts {:>6}  rearms {:>5}  denied {:>5}",
                 w.name, ph.windows, ph.shifts_detected, ph.rearms, ph.rearms_denied
-            );
+            )?;
         }
     }
     if args.has("--baseline") {
-        println!("slowdown vs uninstrumented replay:");
+        writeln!(out, "slowdown vs uninstrumented replay:")?;
         for w in &profile.workloads {
             match w.slowdown() {
-                Some(s) => println!("  {:<10} {s:6.2}x", w.name),
-                None => println!("  {:<10}      -", w.name),
+                Some(s) => writeln!(out, "  {:<10} {s:6.2}x", w.name)?,
+                None => writeln!(out, "  {:<10}      -", w.name)?,
             }
         }
     }
     let (pool, agg) = profile.pooled();
-    println!(
+    writeln!(
+        out,
         "pooled: {} sites, {} executions, inv-top1 {:.1}%, lvp {:.1}%",
         pool.len(),
         agg.executions,
         agg.inv_top1 * 100.0,
         agg.lvp * 100.0
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{} workloads, {} dynamic instructions total",
         profile.workloads.len(),
         profile.total_instructions()
-    );
+    )?;
     let governed: Vec<_> =
         profile.workloads.iter().filter_map(|w| w.governor.map(|g| (w.name, g))).collect();
     if let Some(budget) = mem_budget {
-        println!("governor (budget {} bytes/workload):", budget.limit_bytes());
+        writeln!(out, "governor (budget {} bytes/workload):", budget.limit_bytes())?;
         for (name, g) in &governed {
-            println!(
+            writeln!(
+                out,
                 "  {:<10} peak {:>12}  degraded {:>6}  dropped {:>6}  obs dropped {:>9}",
                 name, g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
-            );
+            )?;
         }
         let dropped: u64 = governed.iter().map(|(_, g)| g.entities_dropped).sum();
         if dropped > 0 {
-            println!("warning: {dropped} entities dropped — raise --mem-budget-mb to recover them");
+            writeln!(
+                out,
+                "warning: {dropped} entities dropped — raise --mem-budget-mb to recover them"
+            )?;
         }
     }
     if !outcome.is_clean() {
-        println!();
-        print!("{}", outcome.render_failures());
+        writeln!(out)?;
+        write!(out, "{}", outcome.render_failures())?;
     }
 
     let mode = format!("{}-{}", mode_name(mode), if args.has("--all") { "all" } else { "loads" });
@@ -665,7 +716,7 @@ fn profile_suite(args: &Args) -> Result<(), String> {
     records.extend(vp_bench::fault_records("profile-suite", &outcome));
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
-    println!("telemetry: {} ({} records)", telemetry_path.display(), records.len());
+    writeln!(out, "telemetry: {} ({} records)", telemetry_path.display(), records.len())?;
     Ok(())
 }
 
@@ -675,22 +726,22 @@ fn profile_suite(args: &Args) -> Result<(), String> {
 /// (e.g. a serve daemon that never admitted a session) is not an error:
 /// it prints a clean "no records" line and exits 0. Corruption anywhere
 /// else is an error.
-fn stats_cmd(args: &Args) -> Result<(), String> {
+fn stats_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let text = match std::fs::read_to_string(target) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("{target}: no telemetry records");
+            writeln!(out, "{target}: no telemetry records")?;
             return Ok(());
         }
-        Err(e) => return Err(format!("cannot read `{target}`: {e}")),
+        Err(e) => return Err(format!("cannot read `{target}`: {e}").into()),
     };
     let parsed = vp_obs::telemetry::parse_jsonl_lenient(&text)?;
     if let Some(reason) = &parsed.dropped_tail {
         // A torn tail with nothing before it recovered zero records —
         // that is corruption, not a clean empty file.
         if parsed.records.is_empty() {
-            return Err(format!("{target}: no records recovered ({reason})"));
+            return Err(format!("{target}: no records recovered ({reason})").into());
         }
         eprintln!(
             "warning: {target}: dropped torn final line ({reason}); recovered {} record(s)",
@@ -698,10 +749,10 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
         );
     }
     if parsed.records.is_empty() {
-        println!("{target}: no telemetry records");
+        writeln!(out, "{target}: no telemetry records")?;
         return Ok(());
     }
-    print!("{}", vp_obs::stats::summarize_records(&parsed.records)?);
+    write!(out, "{}", vp_obs::stats::summarize_records(&parsed.records)?)?;
     Ok(())
 }
 
@@ -710,7 +761,7 @@ fn stats_cmd(args: &Args) -> Result<(), String> {
 /// drains it. Every session checkpoints through the durable layer, so a
 /// `kill -9` + restart with `--resume` loses nothing a client cannot
 /// retransmit.
-fn serve_cmd(args: &Args) -> Result<(), String> {
+fn serve_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use vp_bench::serve::{serve, ServeConfig};
     let socket =
         args.value("--socket").ok_or_else(|| format!("serve needs --socket PATH\n{USAGE}"))?;
@@ -733,15 +784,16 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     });
     let telemetry = cfg.telemetry.clone();
     let report = serve(cfg)?;
-    println!(
+    writeln!(
+        out,
         "serve: {} completed, {} killed, {} rejected, {} chunks acked",
         report.counts.get(vp_obs::CounterId::SessionCompleted),
         report.counts.get(vp_obs::CounterId::SessionKilled),
         report.counts.get(vp_obs::CounterId::SessionRejected),
         report.counts.get(vp_obs::CounterId::ChunksAcked),
-    );
+    )?;
     if let Some(path) = telemetry {
-        println!("telemetry: {} ({} records)", path.display(), report.records().len());
+        writeln!(out, "telemetry: {} ({} records)", path.display(), report.records().len())?;
     }
     Ok(())
 }
@@ -751,7 +803,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 /// profile. Reconnecting after a server crash resumes from the durable
 /// cursor in `HELLO_OK` — already-acknowledged chunks are skipped, the
 /// rest retransmitted.
-fn client_cmd(args: &Args) -> Result<(), String> {
+fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use std::os::unix::net::UnixStream;
     use vp_instrument::net::{self, MsgError, SessionMsg};
     let sock =
@@ -763,7 +815,7 @@ fn client_cmd(args: &Args) -> Result<(), String> {
         vp_instrument::frame::write_magic(&mut stream)
             .and_then(|()| net::write_msg(&mut stream, &SessionMsg::Shutdown))
             .map_err(|e| format!("cannot send shutdown: {e}"))?;
-        println!("shutdown requested");
+        writeln!(out, "shutdown requested")?;
         return Ok(());
     }
     let target = args.target()?;
@@ -801,9 +853,9 @@ fn client_cmd(args: &Args) -> Result<(), String> {
     };
     let start = match recv(&mut reader)? {
         SessionMsg::HelloOk { acked } => acked,
-        SessionMsg::Busy { reason } => return Err(format!("server busy: {reason}")),
-        SessionMsg::Err { reason } => return Err(format!("session refused: {reason}")),
-        other => return Err(format!("unexpected reply to HELLO: {other:?}")),
+        SessionMsg::Busy { reason } => return Err(format!("server busy: {reason}").into()),
+        SessionMsg::Err { reason } => return Err(format!("session refused: {reason}").into()),
+        other => return Err(format!("unexpected reply to HELLO: {other:?}").into()),
     };
     let mut acked = start;
     let mut throttles = 0u64;
@@ -817,8 +869,10 @@ fn client_cmd(args: &Args) -> Result<(), String> {
                     throttles += 1;
                     acked = acked.max(a);
                 }
-                SessionMsg::Err { reason } => return Err(format!("session killed: {reason}")),
-                other => return Err(format!("unexpected reply mid-stream: {other:?}")),
+                SessionMsg::Err { reason } => {
+                    return Err(format!("session killed: {reason}").into())
+                }
+                other => return Err(format!("unexpected reply mid-stream: {other:?}").into()),
             }
         }
         let chunk = &chunks[seq as usize];
@@ -830,14 +884,16 @@ fn client_cmd(args: &Args) -> Result<(), String> {
         loop {
             match recv(&mut reader)? {
                 SessionMsg::Stats { json } => {
-                    println!("stats: {json}");
+                    writeln!(out, "stats: {json}")?;
                     break;
                 }
                 // END_OK carries the final cursor; interim acks are noise.
                 SessionMsg::Ack { .. } => {}
                 SessionMsg::Throttle { .. } => throttles += 1,
-                SessionMsg::Err { reason } => return Err(format!("session killed: {reason}")),
-                other => return Err(format!("unexpected reply to QUERY: {other:?}")),
+                SessionMsg::Err { reason } => {
+                    return Err(format!("session killed: {reason}").into())
+                }
+                other => return Err(format!("unexpected reply to QUERY: {other:?}").into()),
             }
         }
     }
@@ -850,19 +906,20 @@ fn client_cmd(args: &Args) -> Result<(), String> {
             }
             SessionMsg::Ack { .. } => {}
             SessionMsg::Throttle { .. } => throttles += 1,
-            SessionMsg::Err { reason } => return Err(format!("session killed: {reason}")),
-            other => return Err(format!("unexpected reply to END: {other:?}")),
+            SessionMsg::Err { reason } => return Err(format!("session killed: {reason}").into()),
+            other => return Err(format!("unexpected reply to END: {other:?}").into()),
         }
     };
-    if let Some(out) = args.value("--save") {
-        vp_core::durable::write_atomic(std::path::Path::new(out), profile.as_bytes())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    if let Some(path) = args.value("--save") {
+        vp_core::durable::write_atomic(std::path::Path::new(path), profile.as_bytes())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
-    println!(
+    writeln!(
+        out,
         "client {tenant}/{workload}: {total} chunks ({events} events), {acked} acked, resumed at {start}"
-    );
+    )?;
     if throttles > 0 {
-        println!("throttled: {throttles}");
+        writeln!(out, "throttled: {throttles}")?;
     }
     Ok(())
 }
@@ -870,13 +927,13 @@ fn client_cmd(args: &Args) -> Result<(), String> {
 /// Integrity-checks a profile file written by `profile --save`: verifies
 /// the trailing CRC32 footer against the content. `--lenient` instead
 /// salvages every row that parses and reports what was recovered.
-fn verify_cmd(args: &Args) -> Result<(), String> {
+fn verify_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use vp_core::IntegrityMode;
     let target = args.target()?;
     let mode = if args.has("--lenient") { IntegrityMode::Lenient } else { IntegrityMode::Strict };
     let checked = vp_core::load_profile(std::path::Path::new(target), mode)
         .map_err(|e| format!("{target}: {e}"))?;
-    println!("{target}: {}", checked.integrity);
+    writeln!(out, "{target}: {}", checked.integrity)?;
     Ok(())
 }
 
@@ -886,12 +943,12 @@ fn verify_cmd(args: &Args) -> Result<(), String> {
 /// any number of times, in any mode, without re-running it.
 /// `--deadline-ms N` bounds the recording run's wall clock: a run past
 /// its deadline is cancelled cooperatively and no trace file is written.
-fn record_cmd(args: &Args) -> Result<(), String> {
+fn record_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let (program, input) = resolve(target, dataset(args))?;
     let selection = selection(args).0;
     let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
-    let out = args.value("-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
+    let path = args.value("-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
     // Small traces fit one default-sized chunk; `--chunk-events` forces
     // more chunk boundaries so checkpoint/ACK paths can be exercised.
     let chunk_events = args
@@ -920,12 +977,13 @@ fn record_cmd(args: &Args) -> Result<(), String> {
     }
     let bytes = rec.0.finish();
     let stats = vp_instrument::trace_codec::stats(&bytes).map_err(|e| e.to_string())?;
-    vp_core::durable::write_atomic(std::path::Path::new(&out), &bytes)
-        .map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
-        "wrote {out}: {} events, {} chunks, {} bytes",
+    vp_core::durable::write_atomic(std::path::Path::new(&path), &bytes)
+        .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    writeln!(
+        out,
+        "wrote {path}: {} events, {} chunks, {} bytes",
         stats.events, stats.chunks, stats.bytes
-    );
+    )?;
     Ok(())
 }
 
@@ -938,7 +996,7 @@ fn record_cmd(args: &Args) -> Result<(), String> {
 /// replay's wall clock (checked at every chunk boundary);
 /// `--mem-budget-mb N` caps the full profiler's memory via the
 /// degradation ladder (`vp_core::govern`).
-fn replay_cmd(args: &Args) -> Result<(), String> {
+fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
@@ -957,33 +1015,36 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
             .map_err(|_| format!("replay {target}: deadline exceeded"))??,
         None => replay()?,
     };
-    if let Some(out) = args.value("--save") {
-        vp_core::durable::write_profile(std::path::Path::new(out), &profiler.metrics())
-            .map_err(|e| format!("cannot write `{out}`: {e}"))?;
+    if let Some(path) = args.value("--save") {
+        vp_core::durable::write_profile(std::path::Path::new(path), &profiler.metrics())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
     let rows = [row(target, &profiler.metrics())];
     let title = match mode {
         ProfileMode::Full => "value profile".to_string(),
         _ => format!("{} value profile", mode_name(mode)),
     };
-    println!(
+    writeln!(
+        out,
         "{}",
         render_metric_table(
             &format!("{title} replayed from {target} ({events_read} events, {chunks_read} chunks)"),
             &rows
         )
-    );
+    )?;
     if let Some(g) = profiler.governor_stats() {
-        println!(
+        writeln!(
+            out,
             "governor: peak {} bytes, degraded {}, dropped {}, obs dropped {}",
             g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
-        );
+        )?;
     }
     if mode != ProfileMode::Full {
-        println!("profiled fraction: {:6.2}%", profiler.profile_fraction() * 100.0);
+        writeln!(out, "profiled fraction: {:6.2}%", profiler.profile_fraction() * 100.0)?;
     }
     if let (ProfileMode::Adaptive(budget), Some(ph)) = (mode, profiler.phase_stats()) {
-        println!(
+        writeln!(
+            out,
             "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
             ph.windows,
             ph.shifts_detected,
@@ -991,12 +1052,12 @@ fn replay_cmd(args: &Args) -> Result<(), String> {
             ph.rearms_denied,
             budget.window,
             budget.max_rearms
-        );
+        )?;
     }
     Ok(())
 }
 
-fn histogram(args: &Args) -> Result<(), String> {
+fn histogram(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let (program, input) = resolve(target, dataset(args))?;
     let mut profiler = InstructionProfiler::new(TrackerConfig::default());
@@ -1005,20 +1066,21 @@ fn histogram(args: &Args) -> Result<(), String> {
         .run(&program, MachineConfig::new().input(input), BUDGET, &mut profiler)
         .map_err(|e| e.to_string())?;
     let buckets = vp_core::invariance_histogram(&profiler.metrics(), |m| m.inv_top1);
-    println!("{target}: execution-weighted Inv-Top(1) distribution");
+    writeln!(out, "{target}: execution-weighted Inv-Top(1) distribution")?;
     for (i, weight) in buckets.iter().enumerate() {
         let bar = "#".repeat((weight * 50.0).round() as usize);
-        println!(
+        writeln!(
+            out,
             "  {:>3}-{:<4} {:>6.1}% {bar}",
             i * 10,
             format!("{}%", (i + 1) * 10),
             weight * 100.0
-        );
+        )?;
     }
     Ok(())
 }
 
-fn compare_cmd(args: &Args) -> Result<(), String> {
+fn compare_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let w = Workload::by_name(target)
         .ok_or_else(|| format!("`{target}` is not a built-in workload"))?;
@@ -1032,17 +1094,21 @@ fn compare_cmd(args: &Args) -> Result<(), String> {
         profiles.push(profiler.metrics());
     }
     let rows = [row("train", &profiles[0]), row("test", &profiles[1])];
-    println!("{}", render_metric_table(&format!("{target}: load profile by data set"), &rows));
+    writeln!(
+        out,
+        "{}",
+        render_metric_table(&format!("{target}: load profile by data set"), &rows)
+    )?;
     let c = compare(&profiles[0], &profiles[1]);
-    println!("common load sites        {}", c.common);
-    println!("inv-top1 correlation     {:.3}", c.inv_correlation);
-    println!("lvp correlation          {:.3}", c.lvp_correlation);
-    println!("mean |inv diff|          {:.3}", c.mean_abs_inv_diff);
-    println!("top-value agreement      {:.1}%", c.top_value_agreement * 100.0);
+    writeln!(out, "common load sites        {}", c.common)?;
+    writeln!(out, "inv-top1 correlation     {:.3}", c.inv_correlation)?;
+    writeln!(out, "lvp correlation          {:.3}", c.lvp_correlation)?;
+    writeln!(out, "mean |inv diff|          {:.3}", c.mean_abs_inv_diff)?;
+    writeln!(out, "top-value agreement      {:.1}%", c.top_value_agreement * 100.0)?;
     Ok(())
 }
 
-fn predict(args: &Args) -> Result<(), String> {
+fn predict(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let (program, input) = resolve(args.target()?, dataset(args))?;
 
     // Collect the load value stream once.
@@ -1060,28 +1126,34 @@ fn predict(args: &Args) -> Result<(), String> {
         .run(&program, MachineConfig::new().input(input), BUDGET, &mut Collector(&mut stream))
         .map_err(|e| e.to_string())?;
 
-    println!("{:<14} {:>8} {:>8} {:>8}", "predictor", "hit%", "cover%", "prec%");
-    let report = |name: &str, p: &mut dyn Predictor| {
-        let s = eval_predictor(p, stream.iter().copied());
-        println!(
+    writeln!(out, "{:<14} {:>8} {:>8} {:>8}", "predictor", "hit%", "cover%", "prec%")?;
+    let predictors: [(&str, Box<dyn Predictor>); 5] = [
+        ("lvp", Box::new(LastValuePredictor::new(1024))),
+        ("stride", Box::new(StridePredictor::new(1024))),
+        ("two-level", Box::new(TwoLevelPredictor::new())),
+        (
+            "hybrid(l,s)",
+            Box::new(HybridPredictor::new(
+                LastValuePredictor::new(1024),
+                StridePredictor::new(1024),
+            )),
+        ),
+        (
+            "hybrid(s,2l)",
+            Box::new(HybridPredictor::new(StridePredictor::new(1024), TwoLevelPredictor::new())),
+        ),
+    ];
+    for (name, mut p) in predictors {
+        let s = eval_predictor(p.as_mut(), stream.iter().copied());
+        writeln!(
+            out,
             "{:<14} {:>8.1} {:>8.1} {:>8.1}",
             name,
             s.hit_rate() * 100.0,
             s.coverage() * 100.0,
             s.precision() * 100.0
-        );
-    };
-    report("lvp", &mut LastValuePredictor::new(1024));
-    report("stride", &mut StridePredictor::new(1024));
-    report("two-level", &mut TwoLevelPredictor::new());
-    report(
-        "hybrid(l,s)",
-        &mut HybridPredictor::new(LastValuePredictor::new(1024), StridePredictor::new(1024)),
-    );
-    report(
-        "hybrid(s,2l)",
-        &mut HybridPredictor::new(StridePredictor::new(1024), TwoLevelPredictor::new()),
-    );
+        )?;
+    }
     Ok(())
 }
 
@@ -1091,10 +1163,10 @@ fn predict(args: &Args) -> Result<(), String> {
 /// are written once, atomically, to `--telemetry` (default
 /// `$VP_TELEMETRY`, else `telemetry.jsonl`) — and only when there are
 /// any, so a text-only experiment leaves an existing file untouched.
-fn experiment_cmd(args: &Args) -> Result<(), String> {
+fn experiment_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let records = run_experiments(args, |text| println!("{text}"))?;
+    let records = run_experiments(args, out)?;
     if !records.is_empty() {
         vp_bench::write_jsonl(&path, &records)
             .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
@@ -1103,9 +1175,9 @@ fn experiment_cmd(args: &Args) -> Result<(), String> {
 }
 
 /// Runs the experiments `experiment`'s target selects, in E-order, on
-/// `--jobs` threads. Hands each report's text to `out` as soon as it is
+/// `--jobs` threads. Writes each report's text to `out` as soon as it is
 /// rendered and returns every report's records.
-fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, String> {
+fn run_experiments(args: &Args, out: &mut dyn Write) -> Result<Vec<Json>, Failure> {
     let target = args.target()?;
     let selected: Vec<&Experiment> = if target == "all" {
         experiments::ALL.iter().collect()
@@ -1121,7 +1193,7 @@ fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, 
     let mut records = Vec::new();
     for exp in selected {
         let report = (exp.run)(&workloads, jobs);
-        out(&report.text);
+        writeln!(out, "{}", report.text)?;
         records.extend(report.records);
     }
     Ok(records)
@@ -1136,7 +1208,7 @@ fn run_experiments(args: &Args, mut out: impl FnMut(&str)) -> Result<Vec<Json>, 
 /// table, a durable CRC-footered artifact (`--report FILE`), and
 /// parallelism-invariant telemetry records (`vprof stats` renders them as
 /// an `optimize` section).
-fn optimize_cmd(args: &Args) -> Result<(), String> {
+fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use vp_bench::OptimizeConfig;
     use vp_obs::MemRecorder;
 
@@ -1165,26 +1237,27 @@ fn optimize_cmd(args: &Args) -> Result<(), String> {
     let outcome = runner.try_run_workloads(&workloads, cfg.train);
 
     let report = vp_bench::optimize_from_outcome(&outcome, &workloads, mode, &cfg)?;
-    print!("{}", report.render());
+    write!(out, "{}", report.render())?;
     if !outcome.is_clean() {
-        println!();
-        print!("{}", outcome.render_failures());
+        writeln!(out)?;
+        write!(out, "{}", outcome.render_failures())?;
     }
     if !report.all_equivalent() {
-        println!(
+        writeln!(
+            out,
             "warning: specialized output diverged from the original — guards failed to preserve behaviour"
-        );
+        )?;
     }
     report
         .write_report(std::path::Path::new(report_path))
         .map_err(|e| format!("cannot write `{report_path}`: {e}"))?;
-    println!("report: {report_path} ({} workloads)", report.workloads.len());
+    writeln!(out, "report: {report_path} ({} workloads)", report.workloads.len())?;
 
     let mut records = report.optimize_records("optimize");
     records.extend(vp_bench::fault_records("optimize", &outcome));
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
-    println!("telemetry: {} ({} records)", telemetry_path.display(), records.len());
+    writeln!(out, "telemetry: {} ({} records)", telemetry_path.display(), records.len())?;
     Ok(())
 }
 
@@ -1196,29 +1269,35 @@ mod tests {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Runs a command line, discarding its output; a failure is its
+    /// message.
+    fn vprof(list: &[&str]) -> Result<(), String> {
+        dispatch(&args(list), &mut io::sink()).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn help_and_unknown_commands() {
-        assert!(dispatch(&args(&["--help"])).is_ok());
-        assert!(dispatch(&args(&[])).is_ok());
-        let err = dispatch(&args(&["frobnicate"])).unwrap_err();
+        assert!(vprof(&["--help"]).is_ok());
+        assert!(vprof(&[]).is_ok());
+        let err = vprof(&["frobnicate"]).unwrap_err();
         assert!(err.contains("unknown command"));
     }
 
     #[test]
     fn list_runs() {
-        assert!(dispatch(&args(&["list"])).is_ok());
+        assert!(vprof(&["list"]).is_ok());
     }
 
     #[test]
     fn run_and_profile_workloads() {
-        assert!(dispatch(&args(&["run", "vortex"])).is_ok());
-        assert!(dispatch(&args(&["run", "vortex", "--train"])).is_ok());
-        assert!(dispatch(&args(&["profile", "vortex", "--top", "3"])).is_ok());
-        assert!(dispatch(&args(&["profile", "vortex", "--all"])).is_ok());
-        assert!(dispatch(&args(&["profile", "vortex", "--memory"])).is_ok());
-        assert!(dispatch(&args(&["profile", "vortex", "--params"])).is_ok());
-        assert!(dispatch(&args(&["profile", "vortex", "--convergent"])).is_ok());
-        assert!(dispatch(&args(&["disasm", "vortex"])).is_ok());
+        assert!(vprof(&["run", "vortex"]).is_ok());
+        assert!(vprof(&["run", "vortex", "--train"]).is_ok());
+        assert!(vprof(&["profile", "vortex", "--top", "3"]).is_ok());
+        assert!(vprof(&["profile", "vortex", "--all"]).is_ok());
+        assert!(vprof(&["profile", "vortex", "--memory"]).is_ok());
+        assert!(vprof(&["profile", "vortex", "--params"]).is_ok());
+        assert!(vprof(&["profile", "vortex", "--convergent"]).is_ok());
+        assert!(vprof(&["disasm", "vortex"]).is_ok());
     }
 
     #[test]
@@ -1227,10 +1306,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let tel = dir.join("suite.jsonl");
         let tel = tel.to_str().unwrap();
-        assert!(dispatch(&args(&["profile-suite", "--telemetry", tel])).is_ok());
-        assert!(dispatch(&args(&["profile-suite", "--jobs", "4", "--train", "--telemetry", tel]))
-            .is_ok());
-        assert!(dispatch(&args(&[
+        assert!(vprof(&["profile-suite", "--telemetry", tel]).is_ok());
+        assert!(vprof(&["profile-suite", "--jobs", "4", "--train", "--telemetry", tel]).is_ok());
+        assert!(vprof(&[
             "profile-suite",
             "--all",
             "--convergent",
@@ -1239,18 +1317,16 @@ mod tests {
             "--baseline",
             "--telemetry",
             tel
-        ]))
+        ])
         .is_ok());
     }
 
     #[test]
     fn optimize_rejects_bad_flags() {
-        assert!(dispatch(&args(&["optimize", "--convergent", "--adaptive"]))
+        assert!(vprof(&["optimize", "--convergent", "--adaptive"])
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(dispatch(&args(&["optimize", "--resume"]))
-            .unwrap_err()
-            .contains("--resume requires"));
+        assert!(vprof(&["optimize", "--resume"]).unwrap_err().contains("--resume requires"));
     }
 
     #[test]
@@ -1259,22 +1335,20 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let tel = dir.join("stats.jsonl");
         let tel_s = tel.to_str().unwrap();
-        assert!(dispatch(&args(&["profile-suite", "--telemetry", tel_s])).is_ok());
+        assert!(vprof(&["profile-suite", "--telemetry", tel_s]).is_ok());
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(text.lines().next().unwrap().contains("\"kind\":\"run\""));
-        assert!(dispatch(&args(&["stats", tel_s])).is_ok());
+        assert!(vprof(&["stats", tel_s]).is_ok());
         // Absent and empty telemetry are clean no-record runs, exit 0 —
         // the shape a serve daemon that admitted no session leaves.
-        assert!(dispatch(&args(&["stats", "/nonexistent/telemetry.jsonl"])).is_ok());
+        assert!(vprof(&["stats", "/nonexistent/telemetry.jsonl"]).is_ok());
         std::fs::write(&tel, "").unwrap();
-        assert!(dispatch(&args(&["stats", tel_s])).is_ok());
+        assert!(vprof(&["stats", tel_s]).is_ok());
         // A present-but-corrupt file is still an error.
         std::fs::write(&tel, "not json\n").unwrap();
-        assert!(dispatch(&args(&["stats", tel_s])).is_err());
+        assert!(vprof(&["stats", tel_s]).is_err());
         // A directory is unreadable for a reason other than absence.
-        assert!(dispatch(&args(&["stats", dir.to_str().unwrap()]))
-            .unwrap_err()
-            .contains("cannot read"));
+        assert!(vprof(&["stats", dir.to_str().unwrap()]).unwrap_err().contains("cannot read"));
     }
 
     #[test]
@@ -1283,9 +1357,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("profile.tsv");
         let out_s = out.to_str().unwrap();
-        assert!(dispatch(&args(&["profile", "vortex", "--save", out_s])).is_ok());
-        assert!(dispatch(&args(&["verify", out_s])).is_ok());
-        assert!(dispatch(&args(&["verify", out_s, "--lenient"])).is_ok());
+        assert!(vprof(&["profile", "vortex", "--save", out_s]).is_ok());
+        assert!(vprof(&["verify", out_s]).is_ok());
+        assert!(vprof(&["verify", out_s, "--lenient"]).is_ok());
         // Flip one digit in a data row (not the header): strict
         // verification fails, lenient recovers.
         let text = std::fs::read_to_string(&out).unwrap();
@@ -1293,10 +1367,10 @@ mod tests {
         let corrupted = format!("{header}\n{}", body.replacen('1', "2", 1));
         assert_ne!(text, corrupted);
         std::fs::write(&out, corrupted).unwrap();
-        let err = dispatch(&args(&["verify", out_s])).unwrap_err();
+        let err = vprof(&["verify", out_s]).unwrap_err();
         assert!(err.contains("crc32 mismatch"), "{err}");
-        assert!(dispatch(&args(&["verify", out_s, "--lenient"])).is_ok());
-        assert!(dispatch(&args(&["verify", "/nonexistent.tsv"])).is_err());
+        assert!(vprof(&["verify", out_s, "--lenient"]).is_ok());
+        assert!(vprof(&["verify", "/nonexistent.tsv"]).is_err());
     }
 
     #[test]
@@ -1306,22 +1380,19 @@ mod tests {
         let tel = dir.join("t.jsonl");
         let ckpt = dir.join("c.jsonl");
         let (tel_s, ckpt_s) = (tel.to_str().unwrap(), ckpt.to_str().unwrap());
-        assert!(dispatch(&args(&["profile-suite", "--telemetry", tel_s, "--checkpoint", ckpt_s]))
-            .is_ok());
+        assert!(vprof(&["profile-suite", "--telemetry", tel_s, "--checkpoint", ckpt_s]).is_ok());
         assert!(ckpt.exists());
         // Resuming a complete checkpoint re-runs nothing and still works.
-        assert!(dispatch(&args(&[
+        assert!(vprof(&[
             "profile-suite",
             "--telemetry",
             tel_s,
             "--checkpoint",
             ckpt_s,
             "--resume"
-        ]))
+        ])
         .is_ok());
-        assert!(dispatch(&args(&["profile-suite", "--resume"]))
-            .unwrap_err()
-            .contains("--resume requires"));
+        assert!(vprof(&["profile-suite", "--resume"]).unwrap_err().contains("--resume requires"));
     }
 
     #[test]
@@ -1332,7 +1403,7 @@ mod tests {
         let tel_s = tel.to_str().unwrap();
         // A generous budget and deadline leave the suite clean, emit the
         // governor section, and land governor objects in telemetry.
-        assert!(dispatch(&args(&[
+        assert!(vprof(&[
             "profile-suite",
             "--telemetry",
             tel_s,
@@ -1340,11 +1411,11 @@ mod tests {
             "64",
             "--deadline-ms",
             "60000"
-        ]))
+        ])
         .is_ok());
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(text.contains("\"governor\""), "{text}");
-        assert!(dispatch(&args(&["stats", tel_s])).is_ok());
+        assert!(vprof(&["stats", tel_s]).is_ok());
     }
 
     #[test]
@@ -1353,13 +1424,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
-        assert!(dispatch(&args(&["record", "li", "-o", out_s, "--deadline-ms", "60000"])).is_ok());
+        assert!(vprof(&["record", "li", "-o", out_s, "--deadline-ms", "60000"]).is_ok());
         // A generous budget replays to the same profile as an ungoverned
         // replay.
         let plain = dir.join("plain.tsv");
         let governed = dir.join("governed.tsv");
-        assert!(dispatch(&args(&["replay", out_s, "--save", plain.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&[
+        assert!(vprof(&["replay", out_s, "--save", plain.to_str().unwrap()]).is_ok());
+        assert!(vprof(&[
             "replay",
             out_s,
             "--mem-budget-mb",
@@ -1368,7 +1439,7 @@ mod tests {
             "60000",
             "--save",
             governed.to_str().unwrap()
-        ]))
+        ])
         .is_ok());
         assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&governed).unwrap());
     }
@@ -1379,7 +1450,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let tel = dir.join("a.jsonl");
         let tel_s = tel.to_str().unwrap();
-        assert!(dispatch(&args(&[
+        assert!(vprof(&[
             "profile-suite",
             "--adaptive",
             "--phase-window",
@@ -1388,21 +1459,21 @@ mod tests {
             "4",
             "--telemetry",
             tel_s
-        ]))
+        ])
         .is_ok());
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(text.contains("\"phase\""), "{text}");
         assert!(text.contains("\"mode\":\"adaptive-loads\""), "{text}");
-        assert!(dispatch(&args(&["stats", tel_s])).is_ok());
+        assert!(vprof(&["stats", tel_s]).is_ok());
         // Non-adaptive telemetry carries no phase objects.
-        assert!(dispatch(&args(&["profile-suite", "--telemetry", tel_s])).is_ok());
+        assert!(vprof(&["profile-suite", "--telemetry", tel_s]).is_ok());
         let text = std::fs::read_to_string(&tel).unwrap();
         assert!(!text.contains("\"phase\""), "{text}");
         // Flag validation.
-        assert!(dispatch(&args(&["profile-suite", "--adaptive", "--convergent"]))
+        assert!(vprof(&["profile-suite", "--adaptive", "--convergent"])
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(dispatch(&args(&["profile-suite", "--phase-window", "64"]))
+        assert!(vprof(&["profile-suite", "--phase-window", "64"])
             .unwrap_err()
             .contains("require --adaptive"));
     }
@@ -1413,9 +1484,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
-        assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
+        assert!(vprof(&["record", "li", "-o", out_s]).is_ok());
         let [replayed, expected] = ["replayed.tsv", "expected.tsv"].map(|n| dir.join(n));
-        assert!(dispatch(&args(&[
+        assert!(vprof(&[
             "replay",
             out_s,
             "--adaptive",
@@ -1423,7 +1494,7 @@ mod tests {
             "256",
             "--save",
             replayed.to_str().unwrap()
-        ]))
+        ])
         .is_ok());
         // The replay profiled with the overridden window, not the default.
         let mode = ProfileMode::Adaptive(PhaseBudget { window: 256, ..PhaseBudget::default() });
@@ -1431,10 +1502,10 @@ mod tests {
         let profiler = mode.profile_trace(None, &mut ChunkReader::new(&bytes).unwrap()).unwrap();
         vp_core::durable::write_profile(&expected, &profiler.metrics()).unwrap();
         assert_eq!(std::fs::read(&replayed).unwrap(), std::fs::read(&expected).unwrap());
-        assert!(dispatch(&args(&["replay", out_s, "--adaptive", "--mem-budget-mb", "64"]))
+        assert!(vprof(&["replay", out_s, "--adaptive", "--mem-budget-mb", "64"])
             .unwrap_err()
             .contains("not supported with --adaptive"));
-        assert!(dispatch(&args(&["replay", out_s, "--max-rearms", "4"]))
+        assert!(vprof(&["replay", out_s, "--max-rearms", "4"])
             .unwrap_err()
             .contains("require --adaptive"));
     }
@@ -1445,9 +1516,9 @@ mod tests {
         // mode used to be silently ignored by profile-suite and optimize.
         for cmd in [&["profile-suite"][..], &["optimize"], &["serve", "--socket", "unused.sock"]] {
             for (mode, name) in [("--convergent", "convergent"), ("--adaptive", "adaptive")] {
-                let mut argv = args(cmd);
-                argv.extend(args(&[mode, "--mem-budget-mb", "8"]));
-                let err = dispatch(&argv).unwrap_err();
+                let argv: Vec<&str> =
+                    cmd.iter().copied().chain([mode, "--mem-budget-mb", "8"]).collect();
+                let err = vprof(&argv).unwrap_err();
                 assert!(err.contains(&format!("not supported with --{name}")), "{argv:?}: {err}");
             }
         }
@@ -1459,13 +1530,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
-        assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
+        assert!(vprof(&["record", "li", "-o", out_s]).is_ok());
         let [full, convergent] = ["full", "convergent"].map(|n| dir.join(n));
-        assert!(dispatch(&args(&["replay", out_s, "--save", full.to_str().unwrap()])).is_ok());
+        assert!(vprof(&["replay", out_s, "--save", full.to_str().unwrap()]).is_ok());
         let convergent_s = convergent.to_str().unwrap();
-        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--save", convergent_s])).is_ok());
+        assert!(vprof(&["replay", out_s, "--convergent", "--save", convergent_s]).is_ok());
         assert_ne!(std::fs::read(&convergent).unwrap(), std::fs::read(&full).unwrap());
-        assert!(dispatch(&args(&["replay", out_s, "--convergent", "--mem-budget-mb", "64"]))
+        assert!(vprof(&["replay", out_s, "--convergent", "--mem-budget-mb", "64"])
             .unwrap_err()
             .contains("not supported with --convergent"));
     }
@@ -1476,7 +1547,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("li.vpc");
         let trace_s = trace.to_str().unwrap();
-        assert!(dispatch(&args(&["record", "li", "--all", "-o", trace_s])).is_ok());
+        assert!(vprof(&["record", "li", "--all", "-o", trace_s]).is_ok());
         for mode in [None, Some("--convergent")] {
             let [live, replayed] = ["live", "replayed"].map(|n| dir.join(n));
             let _ = std::fs::remove_file(&live);
@@ -1484,11 +1555,11 @@ mod tests {
             let mut replay = vec!["replay", trace_s, "--save", replayed.to_str().unwrap()];
             profile.extend(mode);
             replay.extend(mode);
-            assert!(dispatch(&args(&profile)).is_ok(), "{mode:?}");
-            assert!(dispatch(&args(&replay)).is_ok(), "{mode:?}");
+            assert!(vprof(&profile).is_ok(), "{mode:?}");
+            assert!(vprof(&replay).is_ok(), "{mode:?}");
             let saved = std::fs::read(&live).unwrap();
             assert_eq!(saved, std::fs::read(&replayed).unwrap(), "{mode:?}");
-            assert!(dispatch(&args(&["verify", live.to_str().unwrap()])).is_ok());
+            assert!(vprof(&["verify", live.to_str().unwrap()]).is_ok());
         }
     }
 
@@ -1497,8 +1568,7 @@ mod tests {
         let out = std::env::temp_dir().join("vprof-cli-test-profile-save-rejected.tsv");
         let _ = std::fs::remove_file(&out);
         for flag in ["--memory", "--params"] {
-            let err = dispatch(&args(&["profile", "li", flag, "--save", out.to_str().unwrap()]))
-                .unwrap_err();
+            let err = vprof(&["profile", "li", flag, "--save", out.to_str().unwrap()]).unwrap_err();
             assert!(err.contains(flag) && err.contains("--save"), "{err}");
         }
         assert!(!out.exists());
@@ -1506,13 +1576,13 @@ mod tests {
 
     #[test]
     fn compare_and_predict() {
-        assert!(dispatch(&args(&["compare", "vortex"])).is_ok());
-        assert!(dispatch(&args(&["predict", "vortex"])).is_ok());
+        assert!(vprof(&["compare", "vortex"]).is_ok());
+        assert!(vprof(&["predict", "vortex"]).is_ok());
     }
 
     #[test]
     fn experiment_rejects_an_unknown_id() {
-        let err = dispatch(&args(&["experiment", "E99"])).unwrap_err();
+        let err = vprof(&["experiment", "E99"]).unwrap_err();
         assert!(err.contains("`E99`"), "{err}");
         assert!(err.contains("E1, E2, E3") && err.contains("E17 or all"), "{err}");
     }
@@ -1521,8 +1591,8 @@ mod tests {
     fn experiment_output_is_independent_of_jobs() {
         let stdout = |jobs: &str| {
             let argv = args(&["experiment", "E8", "--jobs", jobs]);
-            let mut text = String::new();
-            run_experiments(&split(&argv).unwrap(), |t| text.push_str(&format!("{t}\n"))).unwrap();
+            let mut text = Vec::new();
+            run_experiments(&split(&argv).unwrap(), &mut text).unwrap();
             text
         };
         assert_eq!(stdout("4"), stdout("1"));
@@ -1534,33 +1604,33 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let tel = dir.join("experiment.jsonl");
         let tel_s = tel.to_str().unwrap();
-        assert!(dispatch(&args(&["experiment", "E1", "--telemetry", tel_s])).is_ok());
+        assert!(vprof(&["experiment", "E1", "--telemetry", tel_s]).is_ok());
         let written = vp_obs::telemetry::parse_jsonl(&std::fs::read_to_string(&tel).unwrap());
         assert_eq!(written.unwrap(), experiments::benchmarks(&suite(), 1).records);
         // E2 has no records, so it must not clobber the existing file.
         std::fs::write(&tel, "kept\n").unwrap();
-        assert!(dispatch(&args(&["experiment", "E2", "--telemetry", tel_s])).is_ok());
+        assert!(vprof(&["experiment", "E2", "--telemetry", tel_s]).is_ok());
         assert_eq!(std::fs::read_to_string(&tel).unwrap(), "kept\n");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn error_paths() {
-        assert!(dispatch(&args(&["run"])).unwrap_err().contains("missing target"));
-        assert!(dispatch(&args(&["run", "nonesuch"])).unwrap_err().contains("neither"));
-        assert!(dispatch(&args(&["run", "/nonexistent/x.s"])).unwrap_err().contains("cannot read"));
-        assert!(dispatch(&args(&["compare", "nonesuch"])).is_err());
-        assert!(dispatch(&args(&["assemble", "notasm.txt"])).unwrap_err().contains("expects a .s"));
+        assert!(vprof(&["run"]).unwrap_err().contains("missing target"));
+        assert!(vprof(&["run", "nonesuch"]).unwrap_err().contains("neither"));
+        assert!(vprof(&["run", "/nonexistent/x.s"]).unwrap_err().contains("cannot read"));
+        assert!(vprof(&["compare", "nonesuch"]).is_err());
+        assert!(vprof(&["assemble", "notasm.txt"]).unwrap_err().contains("expects a .s"));
     }
 
     #[test]
     fn histogram_and_profile_save() {
-        assert!(dispatch(&args(&["histogram", "vortex"])).is_ok());
-        assert!(dispatch(&args(&["histogram", "vortex", "--all", "--train"])).is_ok());
+        assert!(vprof(&["histogram", "vortex"]).is_ok());
+        assert!(vprof(&["histogram", "vortex", "--all", "--train"]).is_ok());
         let dir = std::env::temp_dir().join("vprof-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("profile.tsv");
-        assert!(dispatch(&args(&["profile", "vortex", "--save", out.to_str().unwrap()])).is_ok());
+        assert!(vprof(&["profile", "vortex", "--save", out.to_str().unwrap()]).is_ok());
         let text = std::fs::read_to_string(&out).unwrap();
         let parsed = vp_core::parse_profile(&text).unwrap();
         assert!(!parsed.is_empty());
@@ -1572,22 +1642,22 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("li.vpc");
         let out_s = out.to_str().unwrap();
-        assert!(dispatch(&args(&["record", "li", "-o", out_s])).is_ok());
-        assert!(dispatch(&args(&["replay", out_s])).is_ok());
+        assert!(vprof(&["record", "li", "-o", out_s]).is_ok());
+        assert!(vprof(&["replay", out_s]).is_ok());
         // A replay with its flags given before the trace writes the same
         // profile as one with them after it.
         let [last, first] = ["flags-last.tsv", "flags-first.tsv"].map(|n| dir.join(n));
-        assert!(dispatch(&args(&["replay", out_s, "--save", last.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["replay", "--save", first.to_str().unwrap(), out_s])).is_ok());
+        assert!(vprof(&["replay", out_s, "--save", last.to_str().unwrap()]).is_ok());
+        assert!(vprof(&["replay", "--save", first.to_str().unwrap(), out_s]).is_ok());
         assert_eq!(std::fs::read(&last).unwrap(), std::fs::read(&first).unwrap());
         // Corruption anywhere in the file is rejected, never mis-decoded.
         let mut bytes = std::fs::read(&out).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&out, &bytes).unwrap();
-        assert!(dispatch(&args(&["replay", out_s])).is_err());
+        assert!(vprof(&["replay", out_s]).is_err());
         std::fs::write(&out, b"junk").unwrap();
-        assert!(dispatch(&args(&["replay", out_s])).is_err());
+        assert!(vprof(&["replay", out_s]).is_err());
     }
 
     #[test]
@@ -1600,14 +1670,14 @@ mod tests {
         // zero-row profile without panicking, in every mode.
         std::fs::write(&out, vp_instrument::TraceEncoder::new().finish()).unwrap();
         let saved = dir.join("empty.tsv");
-        assert!(dispatch(&args(&["replay", out_s, "--save", saved.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["replay", out_s, "--convergent"])).is_ok());
-        assert!(dispatch(&args(&["replay", out_s, "--adaptive"])).is_ok());
+        assert!(vprof(&["replay", out_s, "--save", saved.to_str().unwrap()]).is_ok());
+        assert!(vprof(&["replay", out_s, "--convergent"]).is_ok());
+        assert!(vprof(&["replay", out_s, "--adaptive"]).is_ok());
         let text = std::fs::read_to_string(&saved).unwrap();
         assert!(vp_core::parse_profile(&text).unwrap().is_empty());
         // The bare magic with no trailer is truncated, not empty.
         std::fs::write(&out, b"VPC1").unwrap();
-        assert!(dispatch(&args(&["replay", out_s])).is_err());
+        assert!(vprof(&["replay", out_s]).is_err());
         // Each unreadable input is reported with its path and cause.
         let [missing, zero, cut] = ["missing.vpc", "zero.vpc", "cut.vpc"].map(|n| dir.join(n));
         std::fs::remove_file(&missing).ok();
@@ -1622,7 +1692,7 @@ mod tests {
             (dir, format!("cannot read `{dir}`: Is a directory (os error 21)")),
             (cut, format!("{cut}: trace truncated mid-chunk or missing trailer")),
         ] {
-            assert_eq!(dispatch(&args(&["replay", input])).unwrap_err(), want);
+            assert_eq!(vprof(&["replay", input]).unwrap_err(), want);
         }
     }
 
@@ -1633,13 +1703,12 @@ mod tests {
         let src = dir.join("prog.s");
         let obj = dir.join("prog.vpo");
         std::fs::write(&src, ".text\nmain: li a0, 9\n sys exit\n").unwrap();
-        assert!(dispatch(&args(&["assemble", src.to_str().unwrap(), "-o", obj.to_str().unwrap()]))
-            .is_ok());
-        assert!(dispatch(&args(&["run", obj.to_str().unwrap()])).is_ok());
-        assert!(dispatch(&args(&["disasm", obj.to_str().unwrap()])).is_ok());
+        assert!(vprof(&["assemble", src.to_str().unwrap(), "-o", obj.to_str().unwrap()]).is_ok());
+        assert!(vprof(&["run", obj.to_str().unwrap()]).is_ok());
+        assert!(vprof(&["disasm", obj.to_str().unwrap()]).is_ok());
         // Corrupt object is rejected cleanly.
         std::fs::write(&obj, b"garbage").unwrap();
-        assert!(dispatch(&args(&["run", obj.to_str().unwrap()])).is_err());
+        assert!(vprof(&["run", obj.to_str().unwrap()]).is_err());
     }
 
     /// Splits a full command line the way [`dispatch`] does.
@@ -1672,7 +1741,7 @@ mod tests {
         let documented = documented_flags();
         assert!(documented.len() > 15, "{documented:?}");
         for (name, flags) in &documented {
-            let err = dispatch(&args(&[name, "--bogus"])).unwrap_err();
+            let err = vprof(&[name, "--bogus"]).unwrap_err();
             assert!(err.contains("unknown flag `--bogus`"), "{name}: {err}");
             let (spec, _) = command(name).unwrap();
             // No undocumented flag…
@@ -1735,6 +1804,20 @@ mod tests {
                 &["profile", "li", "--convergent", "--top", "3"],
                 "--top is not supported with --convergent",
             ),
+            // The memory and parameter profiles take no value-profile flag.
+            (
+                &["profile", "li", "--memory", "--convergent", "--top", "2"],
+                "--convergent is not supported with --memory",
+            ),
+            (&["profile", "li", "--memory", "--all"], "--all is not supported with --memory"),
+            (&["profile", "li", "--loads", "--memory"], "--loads is not supported with --memory"),
+            (
+                &["profile", "li", "--params", "--convergent"],
+                "--convergent is not supported with --params",
+            ),
+            (&["profile", "li", "--params", "--all"], "--all is not supported with --params"),
+            (&["profile", "li", "--params", "--loads"], "--loads is not supported with --params"),
+            (&["profile", "li", "--params", "--memory"], "--params is not supported with --memory"),
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
             (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
@@ -1755,7 +1838,7 @@ mod tests {
             (&["serve", "--socket", "S", "--window", "none"], "bad --window value `none`"),
         ];
         for (argv, expected) in rejected {
-            let err = dispatch(&args(argv)).unwrap_err();
+            let err = vprof(argv).unwrap_err();
             assert!(err.contains(expected), "{argv:?}: {err}");
         }
     }

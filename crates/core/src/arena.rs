@@ -1,5 +1,5 @@
 //! Per-workload arena accounting, the slab-style value-count table
-//! behind [`crate::track::FullProfile`], and the keyed per-entity map
+//! behind [`crate::track::FullProfile`], and the per-entity containers
 //! every profiler finds its trackers in.
 //!
 //! PR 5's governor could only *estimate* resident bytes, because
@@ -22,12 +22,25 @@
 //! observation sequence, so governed runs — and their reported peaks —
 //! reproduce bit-for-bit.
 //!
-//! [`EntityMap`] is the third piece: the `pc`/address/slot → state map of
-//! every profiler, on the keyed [`EntityHash`] instead of SipHash. Its
-//! seeds are random per map, so its iteration order is not reproducible;
-//! every output path sorts by entity id instead.
+//! The per-entity state lives in two containers:
+//!
+//! * [`EntityTable`] — the instruction (`u32` pc) → state table of the
+//!   full, convergent, sampled and temporal profilers and the governor's
+//!   blacklist. A pc below [`DENSE_CAP`] finds its slot through a direct
+//!   index, as ATOM binds each instrumented instruction to its own data:
+//!   no hash on the per-event path. Larger pcs, which only a hostile or
+//!   synthetic trace carries, go to an [`EntityMap`] overflow.
+//! * [`EntityMap`] — the keyed hash map of the memory-location (`u64`)
+//!   and parameter-slot profilers, and the table's overflow, on the keyed
+//!   [`EntityHash`] instead of SipHash.
+//!
+//! An `EntityMap`'s seeds are random per map, so neither container's
+//! iteration order is reproducible; every output path sorts by entity id
+//! instead. Neither container's own bookkeeping (the hash buckets, the
+//! dense index) is charged to the [`Arena`]: the governor meters tracker
+//! state only.
 
-use std::collections::hash_map::RandomState;
+use std::collections::hash_map::{self, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 
@@ -201,15 +214,190 @@ impl ValueMap {
     }
 }
 
-/// The per-entity state map of every profiler: instruction, memory
-/// location or parameter slot → tracker state.
+/// The keyed per-entity map: memory location or parameter slot →
+/// tracker state, and the overflow of an [`EntityTable`].
 pub type EntityMap<K, V> = HashMap<K, V, EntityHash>;
+
+/// Keys below this are dense in an [`EntityTable`]: their slot is found
+/// through a direct index that grows only as far as the largest dense key
+/// seen needs, so it costs at most `DENSE_CAP × 4` bytes (256 KiB). Every
+/// suite program and adversarial stream keeps its pcs far below it.
+pub const DENSE_CAP: u32 = 1 << 16;
+
+/// Entries the dense index starts with (1 KiB): the pcs of every suite
+/// program and adversarial stream fit, so their index is allocated once.
+const MIN_INDEX: usize = 256;
+
+/// The per-instruction state table: `u32` entity → `V`.
+///
+/// A key below [`DENSE_CAP`] costs one index load and one slot load, with
+/// no hashing; the slots are one contiguous `Vec` of `(key, state)`
+/// pairs, so iteration walks them directly. A key at or above the cap
+/// goes to a keyed [`EntityMap`] overflow: untrusted VPC1 and serve
+/// traces can carry any `u32`, and a hostile pc must not size the index.
+/// Removal swaps the last slot into the hole, so iteration order is
+/// unspecified, as an `EntityMap`'s is.
+///
+/// ```
+/// use vp_core::arena::{EntityTable, DENSE_CAP};
+///
+/// let mut table = EntityTable::new();
+/// *table.get_or_insert_with(7, || 0u64) += 1;
+/// *table.get_or_insert_with(DENSE_CAP, || 0) += 2; // overflow
+/// assert_eq!(table.get(7), Some(&1));
+/// assert_eq!(table.remove(DENSE_CAP), Some(2));
+/// assert_eq!(table.len(), 1);
+/// ```
+#[derive(Debug, Clone)]
+pub struct EntityTable<V> {
+    /// `index[key]` is one more than a dense key's slot, 0 when absent.
+    index: Vec<u32>,
+    slots: Vec<(u32, V)>,
+    overflow: EntityMap<u32, V>,
+}
+
+impl<V> Default for EntityTable<V> {
+    fn default() -> EntityTable<V> {
+        EntityTable { index: Vec::new(), slots: Vec::new(), overflow: EntityMap::default() }
+    }
+}
+
+impl<V> EntityTable<V> {
+    /// An empty table.
+    pub fn new() -> EntityTable<V> {
+        EntityTable::default()
+    }
+
+    /// Number of entities held.
+    pub fn len(&self) -> usize {
+        self.slots.len() + self.overflow.len()
+    }
+
+    /// True when no entity is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The slot of a dense key. The index holds at most [`DENSE_CAP`]
+    /// entries, so an overflow key misses here without a separate compare.
+    #[inline]
+    fn slot(&self, key: u32) -> Option<usize> {
+        match self.index.get(key as usize) {
+            Some(&s) if s != 0 => Some(s as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// The state of `key`, if present.
+    #[inline]
+    pub fn get(&self, key: u32) -> Option<&V> {
+        match self.slot(key) {
+            Some(s) => Some(&self.slots[s].1),
+            None if key < DENSE_CAP => None,
+            None => self.overflow.get(&key),
+        }
+    }
+
+    /// The mutable state of `key`, if present.
+    #[inline]
+    pub fn get_mut(&mut self, key: u32) -> Option<&mut V> {
+        match self.slot(key) {
+            Some(s) => Some(&mut self.slots[s].1),
+            None if key < DENSE_CAP => None,
+            None => self.overflow.get_mut(&key),
+        }
+    }
+
+    /// Whether `key` is present.
+    pub fn contains_key(&self, key: u32) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// The state of `key`, inserting `make()` first if it is absent.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, key: u32, make: impl FnOnce() -> V) -> &mut V {
+        if let Some(s) = self.slot(key) {
+            return &mut self.slots[s].1;
+        }
+        if key >= DENSE_CAP {
+            return self.overflow.entry(key).or_insert_with(make);
+        }
+        self.push_dense(key, make())
+    }
+
+    /// Sets `key`'s state, returning the one it replaces.
+    pub fn insert(&mut self, key: u32, value: V) -> Option<V> {
+        if let Some(old) = self.get_mut(key) {
+            return Some(std::mem::replace(old, value));
+        }
+        if key >= DENSE_CAP {
+            return self.overflow.insert(key, value);
+        }
+        self.push_dense(key, value);
+        None
+    }
+
+    /// Appends an absent dense key's slot.
+    fn push_dense(&mut self, key: u32, value: V) -> &mut V {
+        let at = key as usize;
+        if at >= self.index.len() {
+            // Powers of two from MIN_INDEX up to DENSE_CAP, so a small
+            // program's index is allocated once: every reallocation leaves
+            // a freed scrap between the profilers' large buffers, and
+            // enough of them raise peak RSS by megabytes.
+            self.index.resize((at + 1).next_power_of_two().max(MIN_INDEX), 0);
+        }
+        self.slots.push((key, value));
+        // At most DENSE_CAP slots, so the count fits the index's `u32`.
+        self.index[at] = self.slots.len() as u32;
+        &mut self.slots.last_mut().expect("just pushed").1
+    }
+
+    /// Removes `key`, returning its state. A dense removal moves the last
+    /// slot into the freed one.
+    pub fn remove(&mut self, key: u32) -> Option<V> {
+        let Some(s) = self.slot(key) else {
+            return if key < DENSE_CAP { None } else { self.overflow.remove(&key) };
+        };
+        self.index[key as usize] = 0;
+        let (_, value) = self.slots.swap_remove(s);
+        if let Some(&(moved, _)) = self.slots.get(s) {
+            self.index[moved as usize] = s as u32 + 1;
+        }
+        Some(value)
+    }
+
+    /// Every `(key, state)` pair, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (u32, &V)> + '_ {
+        let dense = self.slots.iter().map(|(key, value)| (*key, value));
+        dense.chain(self.overflow.iter().map(|(&key, value)| (key, value)))
+    }
+
+    /// Every key, in unspecified order.
+    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter().map(|(key, _)| key)
+    }
+
+    /// Every state, in unspecified order.
+    pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.iter().map(|(_, value)| value)
+    }
+}
+
+impl<V> IntoIterator for EntityTable<V> {
+    type Item = (u32, V);
+    type IntoIter = std::iter::Chain<std::vec::IntoIter<(u32, V)>, hash_map::IntoIter<u32, V>>;
+
+    /// Every `(key, state)` pair, in unspecified order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.slots.into_iter().chain(self.overflow)
+    }
+}
 
 /// Keyed multiply-fold hashing for [`EntityMap`].
 ///
-/// A profiler pays one entity lookup per observed event — and per
-/// *skipped* event, since the sampling state lives in the map — so the
-/// hash must cost a multiply, not SipHash's rounds. Entity keys arrive
+/// A profiler pays one entity lookup per observed event, so the hash
+/// must cost a multiply, not SipHash's rounds. Entity keys arrive
 /// from untrusted VPC1 traces (`vprof serve`), so it must also be keyed:
 /// each hash is the folded 128-bit product of `key ^ k0` and an odd
 /// `k1`, with both seeds drawn once per map from

@@ -19,7 +19,7 @@
 use vp_instrument::Analysis;
 use vp_obs::{ConvEvents, TnvEvents};
 
-use crate::arena::EntityMap;
+use crate::arena::EntityTable;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::phase::{Detector, PhaseBudget, PhaseStats, SKETCH_STRIDE};
 use crate::track::{TrackerConfig, ValueTracker};
@@ -148,7 +148,7 @@ pub struct ConvergentProfiler {
     /// detector's window bookkeeping never divides (0 when unarmed).
     samples_per_window: u64,
     phase_stats: PhaseStats,
-    states: EntityMap<u32, ConvState>,
+    states: EntityTable<ConvState>,
     events: ConvEvents,
 }
 
@@ -167,7 +167,7 @@ impl ConvergentProfiler {
             budget: None,
             samples_per_window: 0,
             phase_stats: PhaseStats::default(),
-            states: EntityMap::default(),
+            states: EntityTable::new(),
             events: ConvEvents::default(),
         }
     }
@@ -226,7 +226,7 @@ impl ConvergentProfiler {
 
     /// Whether one instruction is currently backed off (skipping).
     pub fn is_backed_off(&self, index: u32) -> bool {
-        self.states.get(&index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
+        self.states.get(index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
     }
 
     /// Re-arms one instruction's sampling state machine: back to burst
@@ -237,7 +237,7 @@ impl ConvergentProfiler {
     /// true totals across the re-arm. Returns whether the instruction
     /// existed and was backed off (a resume is recorded only then).
     pub fn rearm(&mut self, index: u32) -> bool {
-        let Some(state) = self.states.get_mut(&index) else { return false };
+        let Some(state) = self.states.get_mut(index) else { return false };
         let was_backed_off = matches!(state.phase, Phase::Skipping { .. });
         state.phase = Phase::Profiling { in_burst: 0 };
         state.prev_inv = None;
@@ -281,7 +281,7 @@ impl ConvergentProfiler {
         let mut out: Vec<EntityMetrics> = self
             .states
             .iter()
-            .map(|(&i, s)| {
+            .map(|(i, s)| {
                 let mut m = EntityMetrics::from_tracker(
                     u64::from(i),
                     &s.tracker,
@@ -307,7 +307,7 @@ impl ConvergentProfiler {
         let mut out: Vec<ConvergentStats> = self
             .states
             .iter()
-            .map(|(&index, s)| ConvergentStats { index, total: s.total, profiled: s.profiled })
+            .map(|(index, s)| ConvergentStats { index, total: s.total, profiled: s.profiled })
             .collect();
         out.sort_by_key(|s| s.index);
         out
@@ -327,7 +327,7 @@ impl ConvergentProfiler {
 
     /// The sampled tracker of one instruction.
     pub fn tracker(&self, index: u32) -> Option<&ValueTracker> {
-        self.states.get(&index).map(|s| &s.tracker)
+        self.states.get(index).map(|s| &s.tracker)
     }
 
     /// Feeds one `(instruction, value)` event directly — the trace-replay
@@ -337,7 +337,7 @@ impl ConvergentProfiler {
     /// of *different* instructions interleave.
     pub fn observe(&mut self, index: u32, value: u64) {
         let config = self.config;
-        let state = self.states.entry(index).or_insert_with(|| {
+        let state = self.states.get_or_insert_with(index, || {
             ConvState::new(self.tracker_config, config.initial_skip, self.budget.is_some())
         });
         let total = state.total + 1;
@@ -496,7 +496,7 @@ mod tests {
         let cfg = ConvergentConfig { max_skip: 100, ..small_config() };
         let mut p = ConvergentProfiler::new(TrackerConfig::default(), cfg);
         feed(&mut p, 0, std::iter::repeat_n(1, 50_000));
-        let s = &p.states[&0];
+        let s = p.states.get(0).unwrap();
         assert_eq!(s.skip, 100, "skip should cap at max_skip");
     }
 

@@ -33,11 +33,7 @@
 //!
 //! [`FullProfile`]: crate::track::FullProfile
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, Hash};
-
-use crate::arena::{Arena, EntityHash};
+use crate::arena::{Arena, EntityTable};
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// A byte budget for one profiler's resident tracker state.
@@ -92,8 +88,8 @@ impl GovernorStats {
     }
 }
 
-/// Enforces a [`MemBudget`] over one profiler's tracker map. Embedded as
-/// `Option<Governor>` in the full
+/// Enforces a [`MemBudget`] over one profiler's tracker table. Embedded
+/// as `Option<Governor>` in the full
 /// [`InstructionProfiler`](crate::InstructionProfiler); `None` (the
 /// default) leaves every pre-existing code path untouched.
 #[derive(Debug, Clone)]
@@ -101,7 +97,8 @@ pub struct Governor {
     budget: MemBudget,
     arena: Arena,
     stats: GovernorStats,
-    dropped: HashSet<u64, EntityHash>,
+    /// Evicted ids: never re-admitted, only counted.
+    dropped: EntityTable<()>,
 }
 
 impl Governor {
@@ -111,7 +108,7 @@ impl Governor {
             budget,
             arena: Arena::new(),
             stats: GovernorStats::default(),
-            dropped: HashSet::default(),
+            dropped: EntityTable::new(),
         }
     }
 
@@ -141,30 +138,26 @@ impl Governor {
     /// observes, the byte delta is charged, and the ladder runs until the
     /// budget holds again.
     ///
-    /// A resident entity costs one map lookup. Ingest never leaves an
+    /// A resident entity costs one table lookup. Ingest never leaves an
     /// evicted id resident, so the blacklist is consulted only for ids
-    /// the map does not hold.
-    pub fn observe<K, S>(
+    /// the table does not hold.
+    pub fn observe(
         &mut self,
-        trackers: &mut HashMap<K, ValueTracker, S>,
+        trackers: &mut EntityTable<ValueTracker>,
         config: TrackerConfig,
-        id: K,
+        id: u32,
         value: u64,
-    ) where
-        K: Copy + Eq + Ord + Hash + Into<u64>,
-        S: BuildHasher,
-    {
-        let (tracker, before) = match trackers.entry(id) {
-            Entry::Occupied(e) => {
-                let tracker = e.into_mut();
+    ) {
+        let (tracker, before) = match trackers.get_mut(id) {
+            Some(tracker) => {
                 let before = tracker.footprint_bytes();
                 (tracker, before)
             }
-            Entry::Vacant(_) if self.dropped.contains(&id.into()) => {
+            None if self.dropped.contains_key(id) => {
                 self.stats.observations_dropped += 1;
                 return;
             }
-            Entry::Vacant(e) => (e.insert(ValueTracker::new(config)), 0),
+            None => (trackers.get_or_insert_with(id, || ValueTracker::new(config)), 0),
         };
         tracker.observe(value);
         let after = tracker.footprint_bytes();
@@ -184,32 +177,26 @@ impl Governor {
     /// largest full-profile holder first (rung 1), evict the largest
     /// remaining entity once no full profiles are left (rung 2). Ties go
     /// to the smallest id, so victim selection is deterministic.
-    fn enforce<K, S>(&mut self, trackers: &mut HashMap<K, ValueTracker, S>)
-    where
-        K: Copy + Eq + Ord + Hash + Into<u64>,
-        S: BuildHasher,
-    {
+    fn enforce(&mut self, trackers: &mut EntityTable<ValueTracker>) {
+        let rank = |&(id, t): &(u32, &ValueTracker)| (t.footprint_bytes(), std::cmp::Reverse(id));
         while self.arena.live_bytes() > self.budget.limit_bytes && !trackers.is_empty() {
-            let degradable = trackers
-                .iter()
-                .filter(|(_, t)| t.has_full())
-                .max_by_key(|(&id, t)| (t.footprint_bytes(), std::cmp::Reverse(id)))
-                .map(|(&id, _)| id);
+            let degradable =
+                trackers.iter().filter(|(_, t)| t.has_full()).max_by_key(rank).map(|(id, _)| id);
             if let Some(id) = degradable {
-                let freed = trackers.get_mut(&id).expect("victim exists").degrade();
+                let freed = trackers.get_mut(id).expect("victim exists").degrade();
                 self.arena.release(freed);
                 self.stats.entities_degraded += 1;
                 continue;
             }
             let victim = trackers
                 .iter()
-                .max_by_key(|(&id, t)| (t.footprint_bytes(), std::cmp::Reverse(id)))
-                .map(|(&id, _)| id)
-                .expect("non-empty map has a largest entity");
-            let tracker = trackers.remove(&victim).expect("victim exists");
+                .max_by_key(rank)
+                .map(|(id, _)| id)
+                .expect("non-empty table has a largest entity");
+            let tracker = trackers.remove(victim).expect("victim exists");
             self.arena.release(tracker.footprint_bytes());
             self.stats.entities_dropped += 1;
-            self.dropped.insert(victim.into());
+            self.dropped.insert(victim, ());
         }
     }
 }
@@ -217,10 +204,11 @@ impl Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet, HashMap};
 
     fn feed(
         governor: &mut Governor,
-        trackers: &mut HashMap<u32, ValueTracker>,
+        trackers: &mut EntityTable<ValueTracker>,
         events: &[(u32, u64)],
     ) {
         for &(id, value) in events {
@@ -241,7 +229,7 @@ mod tests {
     #[test]
     fn generous_budget_never_intervenes() {
         let mut governor = Governor::new(MemBudget::mib(64));
-        let mut governed: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut governed = EntityTable::new();
         let mut reference: HashMap<u32, ValueTracker> = HashMap::new();
         for (id, value) in spread(8, 500) {
             governor.observe(&mut governed, TrackerConfig::with_full(), id, value);
@@ -253,8 +241,9 @@ mod tests {
         assert!(!governor.stats().intervened());
         assert_eq!(governed.len(), reference.len());
         for (id, tracker) in &reference {
-            assert_eq!(governed[id].full(), tracker.full(), "entity {id}");
-            assert_eq!(governed[id].inv_top(1), tracker.inv_top(1), "entity {id}");
+            let governed = governed.get(*id).expect("resident");
+            assert_eq!(governed.full(), tracker.full(), "entity {id}");
+            assert_eq!(governed.inv_top(1), tracker.inv_top(1), "entity {id}");
         }
         let total: usize = governed.values().map(ValueTracker::footprint_bytes).sum();
         assert_eq!(governor.bytes_current(), total, "accounting matches reality");
@@ -265,7 +254,7 @@ mod tests {
     fn tight_budget_degrades_before_dropping_and_peak_holds() {
         let budget = MemBudget::bytes(16 * 1024);
         let mut governor = Governor::new(budget);
-        let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut trackers = EntityTable::new();
         feed(&mut governor, &mut trackers, &spread(6, 2000));
         let stats = *governor.stats();
         assert!(stats.intervened());
@@ -280,7 +269,7 @@ mod tests {
     fn degraded_entities_keep_exact_scalar_metrics() {
         let events = spread(6, 2000);
         let mut governor = Governor::new(MemBudget::bytes(16 * 1024));
-        let mut governed: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut governed = EntityTable::new();
         feed(&mut governor, &mut governed, &events);
         let mut reference: HashMap<u32, ValueTracker> = HashMap::new();
         for &(id, value) in &events {
@@ -289,8 +278,8 @@ mod tests {
                 .or_insert_with(|| ValueTracker::new(TrackerConfig::with_full()))
                 .observe(value);
         }
-        for (id, tracker) in &governed {
-            let truth = &reference[id];
+        for (id, tracker) in governed.iter() {
+            let truth = &reference[&id];
             assert_eq!(tracker.executions(), truth.executions(), "entity {id}");
             assert_eq!(tracker.lvp(), truth.lvp(), "entity {id}");
             assert_eq!(tracker.inv_top(3), truth.inv_top(3), "entity {id}");
@@ -303,13 +292,13 @@ mod tests {
         // Smaller than a single tracker: every entity is eventually
         // created, degraded, and evicted; later observations are shed.
         let mut governor = Governor::new(MemBudget::bytes(64));
-        let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+        let mut trackers = EntityTable::new();
         feed(&mut governor, &mut trackers, &spread(3, 50));
         let stats = *governor.stats();
         assert!(trackers.is_empty());
         assert_eq!(stats.entities_dropped, 3);
         assert!(stats.observations_dropped > 0);
-        assert!(governor.dropped.contains(&0) && governor.dropped.contains(&2));
+        assert!(governor.dropped.contains_key(0) && governor.dropped.contains_key(2));
         assert_eq!(governor.bytes_current(), 0);
     }
 
@@ -318,19 +307,102 @@ mod tests {
         let events = spread(5, 800);
         let run = || {
             let mut governor = Governor::new(MemBudget::bytes(8 * 1024));
-            let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+            let mut trackers = EntityTable::new();
             feed(&mut governor, &mut trackers, &events);
-            let mut surviving: Vec<u32> = trackers.keys().copied().collect();
+            let mut surviving: Vec<u32> = trackers.keys().collect();
             surviving.sort_unstable();
             let degraded: Vec<u32> = {
                 let mut d: Vec<u32> =
-                    trackers.iter().filter(|(_, t)| !t.has_full()).map(|(&id, _)| id).collect();
+                    trackers.iter().filter(|(_, t)| !t.has_full()).map(|(id, _)| id).collect();
                 d.sort_unstable();
                 d
             };
             (*governor.stats(), surviving, degraded)
         };
         assert_eq!(run(), run());
+    }
+
+    /// The ladder on ordered std containers: the oracle for victim
+    /// choice, slot removal and the blacklist.
+    #[derive(Default)]
+    struct NaiveGovernor {
+        trackers: BTreeMap<u32, ValueTracker>,
+        dropped: BTreeSet<u32>,
+        live: usize,
+        stats: GovernorStats,
+    }
+
+    impl NaiveGovernor {
+        fn observe(&mut self, limit: usize, id: u32, value: u64) {
+            if !self.trackers.contains_key(&id) && self.dropped.contains(&id) {
+                self.stats.observations_dropped += 1;
+                return;
+            }
+            // A new tracker is charged whole, its empty table included.
+            let before = self.trackers.get(&id).map_or(0, ValueTracker::footprint_bytes);
+            let tracker = self
+                .trackers
+                .entry(id)
+                .or_insert_with(|| ValueTracker::new(TrackerConfig::with_full()));
+            tracker.observe(value);
+            self.live = self.live - before + tracker.footprint_bytes();
+            while self.live > limit && !self.trackers.is_empty() {
+                // Largest footprint; among equals the smallest id, which
+                // ascending iteration meets first.
+                let pick = |full_only: bool| {
+                    let mut best: Option<(u32, usize)> = None;
+                    for (&id, t) in &self.trackers {
+                        if (!full_only || t.has_full())
+                            && best.is_none_or(|(_, size)| t.footprint_bytes() > size)
+                        {
+                            best = Some((id, t.footprint_bytes()));
+                        }
+                    }
+                    best.map(|(id, _)| id)
+                };
+                if let Some(id) = pick(true) {
+                    self.live -= self.trackers.get_mut(&id).expect("resident").degrade();
+                    self.stats.entities_degraded += 1;
+                } else {
+                    let id = pick(false).expect("non-empty");
+                    self.live -= self.trackers.remove(&id).expect("resident").footprint_bytes();
+                    self.stats.entities_dropped += 1;
+                    self.dropped.insert(id);
+                }
+            }
+            self.stats.bytes_peak = self.stats.bytes_peak.max(self.live as u64);
+        }
+    }
+
+    #[test]
+    fn ladder_matches_a_naive_ordered_reference_at_every_step() {
+        // Dense and overflow ids side by side, under budgets that degrade
+        // and evict: after every observation the governed table holds
+        // exactly the reference's entities in the same states, so each
+        // victim was the same and no evicted id came back.
+        let ids =
+            [3u32, 0, crate::arena::DENSE_CAP, 9, u32::MAX, 1, 2, crate::arena::DENSE_CAP - 1];
+        let events: Vec<(u32, u64)> = (0..2400u64)
+            .map(|n| (ids[(n * 5 % 8) as usize], n.wrapping_mul(0x9E37_79B9) % (n % 23 + 1)))
+            .collect();
+        for limit in [64, 2 * 1024, 6 * 1024, 64 * 1024] {
+            let mut governor = Governor::new(MemBudget::bytes(limit));
+            let mut trackers = EntityTable::new();
+            let mut naive = NaiveGovernor::default();
+            for (step, &(id, value)) in events.iter().enumerate() {
+                governor.observe(&mut trackers, TrackerConfig::with_full(), id, value);
+                naive.observe(limit, id, value);
+                assert_eq!(*governor.stats(), naive.stats, "limit {limit}, step {step}");
+                let state = |t: &ValueTracker| (t.executions(), t.has_full(), t.footprint_bytes());
+                let mut held: Vec<_> = trackers.iter().map(|(id, t)| (id, state(t))).collect();
+                held.sort_unstable_by_key(|&(id, _)| id);
+                let want: Vec<_> = naive.trackers.iter().map(|(&id, t)| (id, state(t))).collect();
+                assert_eq!(held, want, "limit {limit}, step {step}");
+            }
+            if limit == 64 {
+                assert!(naive.stats.entities_dropped > 0 && naive.stats.observations_dropped > 0);
+            }
+        }
     }
 
     #[test]
@@ -340,7 +412,7 @@ mod tests {
         // the arena's live total is the exact summed tracker footprint.
         for budget in [MemBudget::mib(64), MemBudget::bytes(16 * 1024), MemBudget::bytes(64)] {
             let mut governor = Governor::new(budget);
-            let mut trackers: HashMap<u32, ValueTracker> = HashMap::new();
+            let mut trackers = EntityTable::new();
             feed(&mut governor, &mut trackers, &spread(6, 1200));
             let total: usize = trackers.values().map(ValueTracker::footprint_bytes).sum();
             assert_eq!(governor.arena().live_bytes(), total, "live is exact");

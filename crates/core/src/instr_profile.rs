@@ -7,11 +7,9 @@
 //! [`Selection::RegisterDefining`](vp_instrument::Selection) for the
 //! all-instructions profile (E3).
 
-use std::collections::hash_map::Entry;
-
 use vp_instrument::Analysis;
 
-use crate::arena::{Arena, EntityMap};
+use crate::arena::{Arena, EntityTable};
 use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
@@ -51,7 +49,7 @@ use crate::track::{TrackerConfig, ValueTracker};
 #[derive(Debug, Clone)]
 pub struct InstructionProfiler {
     config: TrackerConfig,
-    trackers: EntityMap<u32, ValueTracker>,
+    trackers: EntityTable<ValueTracker>,
     governor: Option<Governor>,
     /// Reused run buffer of [`observe_batch`](Self::observe_batch).
     scratch: Vec<u64>,
@@ -63,7 +61,7 @@ impl InstructionProfiler {
     pub fn new(config: TrackerConfig) -> InstructionProfiler {
         InstructionProfiler {
             config,
-            trackers: EntityMap::default(),
+            trackers: EntityTable::new(),
             governor: None,
             scratch: Vec::new(),
         }
@@ -78,7 +76,7 @@ impl InstructionProfiler {
     pub fn with_budget(config: TrackerConfig, budget: MemBudget) -> InstructionProfiler {
         InstructionProfiler {
             config,
-            trackers: EntityMap::default(),
+            trackers: EntityTable::new(),
             governor: Some(Governor::new(budget)),
             scratch: Vec::new(),
         }
@@ -97,13 +95,13 @@ impl InstructionProfiler {
 
     /// The tracker of one instruction, if it ever executed.
     pub fn tracker(&self, index: u32) -> Option<&ValueTracker> {
-        self.trackers.get(&index)
+        self.trackers.get(index)
     }
 
     /// Metric snapshot of one instruction.
     pub fn metrics_for(&self, index: u32) -> Option<EntityMetrics> {
         self.trackers
-            .get(&index)
+            .get(index)
             .map(|t| EntityMetrics::from_tracker(u64::from(index), t, self.config.capacity))
     }
 
@@ -112,7 +110,7 @@ impl InstructionProfiler {
         let mut out: Vec<EntityMetrics> = self
             .trackers
             .iter()
-            .map(|(&i, t)| EntityMetrics::from_tracker(u64::from(i), t, self.config.capacity))
+            .map(|(i, t)| EntityMetrics::from_tracker(u64::from(i), t, self.config.capacity))
             .collect();
         out.sort_by_key(|m| m.id);
         out
@@ -131,14 +129,14 @@ impl InstructionProfiler {
             governor.observe(&mut self.trackers, config, index, value);
             return;
         }
-        self.trackers.entry(index).or_insert_with(|| ValueTracker::new(config)).observe(value);
+        self.trackers.get_or_insert_with(index, || ValueTracker::new(config)).observe(value);
     }
 
     /// Feeds a batch of `(instruction, value)` events — semantically
     /// identical to calling [`observe`](InstructionProfiler::observe) once
     /// per event, but consecutive events of the same instruction (the
-    /// common shape of a loop's hot load) resolve one hash-map lookup for
-    /// the whole run and take the tracker's batched fast path.
+    /// common shape of a loop's hot load) resolve one table lookup for the
+    /// whole run and take the tracker's batched fast path.
     ///
     /// Under a governor the batch degenerates to the per-event path, so
     /// budget enforcement happens at exactly the same points as a scalar
@@ -159,7 +157,7 @@ impl InstructionProfiler {
             while j < events.len() && events[j].0 == index {
                 j += 1;
             }
-            let tracker = self.trackers.entry(index).or_insert_with(|| ValueTracker::new(config));
+            let tracker = self.trackers.get_or_insert_with(index, || ValueTracker::new(config));
             if j == i + 1 {
                 tracker.observe(events[i].1);
             } else {
@@ -193,11 +191,11 @@ impl InstructionProfiler {
             "cannot merge governed instruction profilers"
         );
         for (index, theirs) in other.trackers {
-            match self.trackers.entry(index) {
-                Entry::Vacant(e) => {
-                    e.insert(theirs);
+            match self.trackers.get_mut(index) {
+                Some(ours) => ours.merge(&theirs),
+                None => {
+                    self.trackers.insert(index, theirs);
                 }
-                Entry::Occupied(mut e) => e.get_mut().merge(&theirs),
             }
         }
     }

@@ -16,7 +16,7 @@
 
 use vp_instrument::Analysis;
 
-use crate::arena::EntityMap;
+use crate::arena::EntityTable;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -62,7 +62,7 @@ struct SampleState {
 pub struct SampledProfiler {
     tracker_config: TrackerConfig,
     strategy: SampleStrategy,
-    states: EntityMap<u32, SampleState>,
+    states: EntityTable<SampleState>,
     rng: u64,
 }
 
@@ -80,7 +80,7 @@ impl SampledProfiler {
         SampledProfiler {
             tracker_config,
             strategy,
-            states: EntityMap::default(),
+            states: EntityTable::new(),
             rng: 0x9e37_79b9_7f4a_7c15,
         }
     }
@@ -92,7 +92,7 @@ impl SampledProfiler {
         let mut out: Vec<EntityMetrics> = self
             .states
             .iter()
-            .map(|(&i, s)| {
+            .map(|(i, s)| {
                 let mut m = EntityMetrics::from_tracker(
                     u64::from(i),
                     &s.tracker,
@@ -138,7 +138,7 @@ impl SampledProfiler {
             SampleStrategy::Random { period } => self.next_random().is_multiple_of(period),
             SampleStrategy::Periodic { .. } => false,
         };
-        let state = self.states.entry(index).or_insert_with(|| SampleState {
+        let state = self.states.get_or_insert_with(index, || SampleState {
             tracker: ValueTracker::new(config),
             countdown: 0,
             profiled: 0,

@@ -9,7 +9,7 @@
 
 use vp_instrument::Analysis;
 
-use crate::arena::EntityMap;
+use crate::arena::EntityTable;
 use crate::phase::{self, WindowSig};
 use crate::track::{TrackerConfig, ValueTracker};
 
@@ -43,7 +43,7 @@ struct TemporalState {
 pub struct TemporalProfiler {
     config: TrackerConfig,
     window: u64,
-    states: EntityMap<u32, TemporalState>,
+    states: EntityTable<TemporalState>,
 }
 
 impl TemporalProfiler {
@@ -54,7 +54,7 @@ impl TemporalProfiler {
     /// Panics if `window` is 0.
     pub fn new(config: TrackerConfig, window: u64) -> TemporalProfiler {
         assert!(window > 0, "window length must be positive");
-        TemporalProfiler { config, window, states: EntityMap::default() }
+        TemporalProfiler { config, window, states: EntityTable::new() }
     }
 
     /// The configured window length.
@@ -73,7 +73,7 @@ impl TemporalProfiler {
     /// Completed (and the trailing partial) windows of one instruction, in
     /// execution order. Empty if the instruction never executed.
     pub fn windows(&self, index: u32) -> Vec<WindowMetrics> {
-        let Some(state) = self.states.get(&index) else { return Vec::new() };
+        let Some(state) = self.states.get(index) else { return Vec::new() };
         let mut out = state.windows.clone();
         if state.current.executions() > 0 {
             out.push(Self::snapshot(&state.current));
@@ -83,7 +83,7 @@ impl TemporalProfiler {
 
     /// Instructions profiled, ordered by index.
     pub fn instructions(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.states.keys().copied().collect();
+        let mut v: Vec<u32> = self.states.keys().collect();
         v.sort_unstable();
         v
     }
@@ -157,7 +157,7 @@ impl Analysis for TemporalProfiler {
         let config = self.config;
         let window = self.window;
         for &(index, value) in events {
-            let state = self.states.entry(index).or_insert_with(|| TemporalState {
+            let state = self.states.get_or_insert_with(index, || TemporalState {
                 current: ValueTracker::new(config),
                 windows: Vec::new(),
             });

@@ -1,25 +1,35 @@
-//! The per-entity map is keyed and randomly seeded, so nothing may
-//! depend on its layout or iteration order.
+//! An instruction profiler finds its per-pc state in an entity table: a
+//! dense index below `DENSE_CAP`, a keyed and randomly seeded map above
+//! it. Nothing may depend on which half holds a pc, on the map's layout,
+//! or on either half's iteration order.
 //!
 //! * **Hostile keys.** Instruction ids `i << 16` share their low 16 bits,
 //!   the pattern that collapses an unkeyed multiplicative hash into one
-//!   bucket. Every `ProfileMode` must profile 65 536 of them exactly, with
+//!   bucket, and all but `0` lie past the dense index, in the keyed
+//!   overflow. Every `ProfileMode` must profile 65 536 of them exactly, with
 //!   exact per-entity execution totals, and the full profiler must also
 //!   profile them exactly when sharded. This is a correctness test, not a
 //!   timing test.
-//! * **Seed independence.** Every profiler seeds its own map, so the same
+//! * **Relabelling.** A stream whose pcs move past `DENSE_CAP`, into the
+//!   entity table's keyed overflow, profiles exactly like the original on
+//!   the dense index, apart from the ids: metrics, TNV and sampler event
+//!   counters, phase counters and `GovernorStats`, in every mode and
+//!   under a budget tight enough to degrade and drop entities.
+//! * **Seed independence.** Every overflow map has its own seeds, so the same
 //!   stream profiled twice runs on two different hash layouts, and a full
 //!   profile of two merged entity shards on a third. Rendered profiles,
 //!   TNV event counters and governor statistics must not move.
 
 use std::collections::BTreeMap;
 
+use value_profiling::core::arena::DENSE_CAP;
 use value_profiling::core::{
-    partition_by_entity, profile_sharded, render_profile, track::TrackerConfig,
-    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler,
+    partition_by_entity, profile_sharded, render_profile, track::TrackerConfig, GovernorStats,
+    InstructionProfiler, MemBudget, PhaseBudget, PhaseStats, ProfileMode, Profiler,
 };
 use value_profiling::instrument::Selection;
 use value_profiling::obs::Counts;
+use value_profiling::workloads::adversarial::adversarial_streams;
 use value_profiling::workloads::{suite, DataSet};
 use vp_bench::value_stream;
 
@@ -130,4 +140,58 @@ fn governed_runs_do_not_depend_on_the_map_seed() {
     assert_eq!(b.governor_stats(), Some(&stats));
     assert_eq!(render_profile(&b.metrics()), render_profile(&a.metrics()));
     assert_eq!(b.tnv_events(), a.tnv_events());
+}
+
+/// Moves every pc at or above `from` past `DENSE_CAP`. The move keeps pc
+/// order, so the governor's smallest-id tie-break picks the same victims.
+fn relabel(events: &[(u32, u64)], from: u32) -> Vec<(u32, u64)> {
+    events
+        .iter()
+        .map(|&(pc, value)| (if pc >= from { pc + DENSE_CAP } else { pc }, value))
+        .collect()
+}
+
+/// Everything a profiler reports, with relabelled ids mapped back.
+fn report(p: &Profiler, from: u32) -> (String, Counts, Option<GovernorStats>, Option<PhaseStats>) {
+    let mut metrics = p.metrics();
+    for m in &mut metrics {
+        if m.id >= u64::from(from + DENSE_CAP) {
+            m.id -= u64::from(DENSE_CAP);
+        }
+    }
+    (render_profile(&metrics), events_of(p), p.governor_stats(), p.phase_stats())
+}
+
+#[test]
+fn overflow_pcs_profile_exactly_like_dense_ones() {
+    let mut streams: Vec<(&str, Vec<(u32, u64)>)> = adversarial_streams();
+    for w in &suite()[..3] {
+        streams.push((w.name(), value_stream(w, DataSet::Test, Selection::RegisterDefining)));
+    }
+    let mut builds: Vec<(ProfileMode, Option<MemBudget>)> =
+        modes().into_iter().map(|mode| (mode, None)).collect();
+    builds.push((ProfileMode::Full, Some(MemBudget::bytes(4 * 1024))));
+    let mut governor_acted = false;
+    for (name, events) in &streams {
+        let top = events.iter().map(|&(pc, _)| pc).max().expect("non-empty stream");
+        assert!(top < DENSE_CAP, "{name}: the original stream is dense");
+        for &(mode, budget) in &builds {
+            let mut dense = mode.build(budget);
+            dense.observe_batch(events);
+            // No id reaches `2 * DENSE_CAP`: nothing to map back.
+            let want = report(&dense, DENSE_CAP);
+            governor_acted |=
+                want.2.is_some_and(|g| g.entities_dropped > 0 && g.observations_dropped > 0);
+            // Everything in the overflow, then the upper half of the pcs.
+            for from in [0, top / 2 + 1] {
+                let mut moved = mode.build(budget);
+                moved.observe_batch(&relabel(events, from));
+                assert!(
+                    report(&moved, from) == want,
+                    "{name}, {mode:?} under {budget:?}, pcs from {from} moved"
+                );
+            }
+        }
+    }
+    assert!(governor_acted, "the tight budget drops entities and their observations");
 }
