@@ -10,7 +10,7 @@
 //!
 //! Every accepted chunk is appended verbatim to a per-session chunk log
 //! (`VPW1` magic + `CHUNK` frames). A *checkpoint* — every
-//! `checkpoint_every` chunks and on `END` — flushes and syncs the log,
+//! [`CHECKPOINT_EVERY`] chunks and on `END` — flushes and syncs the log,
 //! appends a session-meta JSONL record through the durable layer, and
 //! only then acknowledges: `ACK{n}` promises chunks `0..n` survive
 //! `kill -9`. On restart with `--resume`, `HELLO` finds the log, drops a
@@ -56,6 +56,17 @@ use vp_obs::{CounterId, Counts, Json};
 /// [`ProfileMode::build`].
 pub type SessionMode = ProfileMode;
 
+/// Chunks between durable checkpoints; each checkpoint acknowledges.
+pub const CHECKPOINT_EVERY: u64 = 8;
+
+/// Most chunks a client keeps unacknowledged before it waits for an
+/// `ACK`, as `vprof client` streams.
+pub const WINDOW: u64 = 16;
+
+// A window smaller than the ack cadence would wait for an `ACK` the
+// daemon only sends after more chunks than the window lets through.
+const _: () = assert!(WINDOW >= CHECKPOINT_EVERY);
+
 /// Daemon configuration. `new` fills the defaults the CLI documents.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -69,11 +80,6 @@ pub struct ServeConfig {
     pub max_tenants: usize,
     /// Concurrent-session ceiling per tenant.
     pub tenant_sessions: usize,
-    /// Advertised inflight-chunk window; a client sending beyond it sees
-    /// `THROTTLE` frames.
-    pub window: u64,
-    /// Chunks between durable checkpoints (each one acknowledges).
-    pub checkpoint_every: u64,
     /// Reap a session after this long without a frame.
     pub idle: Option<Duration>,
     /// Whole-session deadline, enforced by the cancellation watchdog.
@@ -96,8 +102,6 @@ impl ServeConfig {
             max_sessions: 8,
             max_tenants: 8,
             tenant_sessions: 4,
-            window: 16,
-            checkpoint_every: 8,
             idle: None,
             deadline: None,
             mem_budget: None,
@@ -525,19 +529,13 @@ fn session_loop<R: Read, W: Write>(
                 if let Err(end) = session.ingest(seq, count, crc, &payload) {
                     return end;
                 }
-                if session.logged - session.acked >= daemon.cfg.checkpoint_every {
+                if session.logged - session.acked >= CHECKPOINT_EVERY {
                     if let Err(e) = session.checkpoint(&daemon.plan) {
                         return SessionEnd::Killed(format!("checkpoint failed: {e}"));
                     }
                     if net::write_msg(w, &SessionMsg::Ack { acked: session.acked }).is_err() {
                         return SessionEnd::Disconnected;
                     }
-                // A client ignoring the advertised window gets typed
-                // backpressure rather than silent buffering.
-                } else if session.logged - session.acked > daemon.cfg.window
-                    && net::write_msg(w, &SessionMsg::Throttle { acked: session.acked }).is_err()
-                {
-                    return SessionEnd::Disconnected;
                 }
             }
             SessionMsg::Query => {
@@ -940,7 +938,7 @@ mod tests {
         msgs.extend(chunk_frames.clone());
         msgs.push(SessionMsg::End);
         let replies = converse(&daemon, &msgs);
-        // checkpoint_every = 8: ACK{8}, ACK{16}, ACK{24}, then END_OK{25}.
+        // CHECKPOINT_EVERY = 8: ACK{8}, ACK{16}, ACK{24}, then END_OK{25}.
         let acks: Vec<u64> = replies
             .iter()
             .filter_map(|m| match m {
@@ -950,6 +948,8 @@ mod tests {
             .collect();
         assert_eq!(acks, vec![8, 16, 24]);
         assert!(matches!(replies.last(), Some(SessionMsg::EndOk { acked: 25, .. })));
+        // The burst ignored any window, and still no reply throttles it.
+        assert!(!replies.iter().any(|m| matches!(m, SessionMsg::Throttle { .. })), "{replies:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1120,25 +1120,6 @@ mod tests {
             assert!(matches!(replies[0], SessionMsg::HelloOk { acked: 0 }));
             assert!(matches!(replies.last(), Some(SessionMsg::EndOk { acked: 4, .. })));
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn throttle_fires_when_a_client_overruns_the_window() {
-        let dir = tmp_dir("throttle");
-        let mut daemon = test_daemon(&dir, FaultPlan::empty());
-        daemon.cfg.window = 2;
-        daemon.cfg.checkpoint_every = 8;
-        let events = sample_events(128);
-        let mut msgs = vec![hello("acme", "li")];
-        msgs.extend(chunk_msgs(&events, 16)); // 8 chunks, acked only at 8
-        msgs.push(SessionMsg::End);
-        let replies = converse(&daemon, &msgs);
-        let throttles = replies.iter().filter(|m| matches!(m, SessionMsg::Throttle { .. })).count();
-        // Chunks land with 3..=7 unacked before the checkpoint at 8
-        // clears the window: five throttles.
-        assert_eq!(throttles, 5, "{replies:?}");
-        assert!(matches!(replies.last(), Some(SessionMsg::EndOk { acked: 8, .. })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -52,6 +52,8 @@ pub const K_SHUTDOWN: u32 = 24;
 pub const K_HELLO_OK: u32 = 30;
 pub const K_ACK: u32 = 31;
 pub const K_BUSY: u32 = 32;
+/// The kind of [`SessionMsg::Throttle`]. No daemon here sends it; it
+/// stays a wire kind while the benchmark's serve client matches it.
 pub const K_THROTTLE: u32 = 33;
 pub const K_STATS: u32 = 34;
 pub const K_END_OK: u32 = 35;
@@ -78,8 +80,10 @@ pub enum SessionMsg {
     Ack { acked: u64 },
     /// Session refused by admission control.
     Busy { reason: String },
-    /// The client has overrun the inflight window; wait for `acked` to
-    /// advance before sending more.
+    /// Wait for `acked` to advance before sending more. No daemon here
+    /// sends it: `vp_bench::serve` acks at a fixed cadence that the
+    /// client's window covers. It stays decodable while the benchmark's
+    /// serve client matches it.
     Throttle { acked: u64 },
     /// Deterministic per-session statistics as a JSON object.
     Stats { json: String },

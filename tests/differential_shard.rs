@@ -220,7 +220,7 @@ fn serve_session(mode: ProfileMode, trace: &[u8]) -> String {
     let profile = loop {
         match net::read_msg(&mut reader).unwrap() {
             SessionMsg::EndOk { profile, .. } => break profile,
-            SessionMsg::Ack { .. } | SessionMsg::Throttle { .. } => {}
+            SessionMsg::Ack { .. } => {}
             other => panic!("{mode:?}: unexpected reply {other:?}"),
         }
     };
