@@ -931,8 +931,10 @@ pub fn overhead(workloads: &[Workload]) -> ExpReport {
 
     let _ =
         writeln!(text, "\nev/i = analysis events per executed instruction (exact overhead cause).");
-    let _ =
-        writeln!(text, "The convergent profiler still *sees* each event but skips the TNV work;");
+    let _ = writeln!(
+        text,
+        "Skipped executions are dropped in the runner; ev/i counts the events offered;"
+    );
     let _ = writeln!(text, "`conv prof%` is the fraction of executions fully profiled.");
     let _ = writeln!(
         text,

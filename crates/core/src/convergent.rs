@@ -77,6 +77,8 @@ struct ConvState {
     total: u64,
     /// Phase detector, armed only on adaptive profilers.
     detect: Option<Detector>,
+    /// Whether the instruction is on the profiler's hand-off list.
+    queued: bool,
 }
 
 impl ConvState {
@@ -90,6 +92,7 @@ impl ConvState {
             profiled: 0,
             total: 0,
             detect: adaptive.then(Detector::default),
+            queued: false,
         }
     }
 }
@@ -150,6 +153,10 @@ pub struct ConvergentProfiler {
     phase_stats: PhaseStats,
     states: EntityTable<ConvState>,
     events: ConvEvents,
+    /// Live runs only: the instructions that were left skipping by an
+    /// execution of the current block, to hand to the runner's skip gate
+    /// at the block's end (each listed once, see `ConvState::queued`).
+    handoff: Vec<u32>,
 }
 
 impl ConvergentProfiler {
@@ -169,6 +176,7 @@ impl ConvergentProfiler {
             phase_stats: PhaseStats::default(),
             states: EntityTable::new(),
             events: ConvEvents::default(),
+            handoff: Vec::new(),
         }
     }
 
@@ -336,6 +344,14 @@ impl ConvergentProfiler {
     /// depends only on its own value subsequence, not on how subsequences
     /// of *different* instructions interleave.
     pub fn observe(&mut self, index: u32, value: u64) {
+        self.step::<false>(index, value);
+    }
+
+    /// One execution through the state machine. `GATED` is the live
+    /// runner's path: an execution that leaves the instruction skipping
+    /// also lists it for [`request_skips`](Analysis::request_skips).
+    #[inline(always)]
+    fn step<const GATED: bool>(&mut self, index: u32, value: u64) {
         let config = self.config;
         let state = self.states.get_or_insert_with(index, || {
             ConvState::new(self.tracker_config, config.initial_skip, self.budget.is_some())
@@ -367,6 +383,10 @@ impl ConvergentProfiler {
                                 let next = (state.skip as f64 * config.backoff) as u64;
                                 state.skip = next.min(config.max_skip);
                                 self.events.backoffs += 1;
+                                if GATED && !state.queued {
+                                    state.queued = true;
+                                    self.handoff.push(index);
+                                }
                             }
                         }
                     } else {
@@ -380,6 +400,9 @@ impl ConvergentProfiler {
                 if *remaining == 0 {
                     state.phase = Phase::Profiling { in_burst: 0 };
                     self.events.resumes += 1;
+                } else if GATED && !state.queued {
+                    state.queued = true;
+                    self.handoff.push(index);
                 }
             }
         }
@@ -425,17 +448,86 @@ impl ConvergentProfiler {
     }
 }
 
+/// Live runs gate the stream: at each block end, every instruction still
+/// skipping hands its remaining skips to the runner, which then never
+/// delivers those executions. The state machine counts per instruction,
+/// so the skips are accounted when they are handed over (`total`,
+/// `events.skipped`, `remaining`, and the resume when `remaining` reaches
+/// 0), and whatever the run leaves unconsumed is undone at its end. No
+/// execution of an instruction arrives while its skips are pending, so
+/// every result is bit-identical to an [`observe`](ConvergentProfiler::observe)
+/// per execution. Replay and serve feed every event through `observe`.
 impl Analysis for ConvergentProfiler {
     const VALUE_STREAM: bool = true;
+    const SKIP_GATE: bool = true;
 
     fn observe_values(&mut self, events: &[(u32, u64)]) {
-        self.observe_batch(events);
+        for &(index, value) in events {
+            self.step::<true>(index, value);
+        }
+    }
+
+    fn request_skips(&mut self, skip: &mut [u32]) {
+        // With a phase budget armed, the detector must see every
+        // SKETCH_STRIDE-th execution, so a hand-over stops short of the
+        // next one (execution `n` is sampled when `n % SKETCH_STRIDE == 1`).
+        let stride_capped = self.budget.is_some();
+        for index in self.handoff.drain(..) {
+            let Some(state) = self.states.get_mut(index) else { continue };
+            state.queued = false;
+            let (Phase::Skipping { remaining }, Some(slot)) =
+                (&mut state.phase, skip.get_mut(index as usize))
+            else {
+                continue;
+            };
+            let mut n = (*remaining).min(u64::from(u32::MAX));
+            if stride_capped {
+                n = n.min(state.total.wrapping_neg() & (SKETCH_STRIDE - 1));
+            }
+            if n == 0 {
+                continue;
+            }
+            *slot = n as u32;
+            *remaining -= n;
+            state.total += n;
+            self.events.skipped += n;
+            if *remaining == 0 {
+                state.phase = Phase::Profiling { in_burst: 0 };
+                self.events.resumes += 1;
+            }
+        }
+    }
+
+    fn return_skips(&mut self, unconsumed: &[u32]) {
+        for (index, &n) in (0u32..).zip(unconsumed) {
+            if n == 0 {
+                continue;
+            }
+            let state = self.states.get_mut(index).expect("only profiled instructions skip");
+            let n = u64::from(n);
+            state.total -= n;
+            self.events.skipped -= n;
+            match &mut state.phase {
+                Phase::Skipping { remaining } => *remaining += n,
+                // The hand-over drained `remaining` and resumed early.
+                Phase::Profiling { .. } => {
+                    state.phase = Phase::Skipping { remaining: n };
+                    self.events.resumes -= 1;
+                }
+            }
+        }
+        for index in self.handoff.drain(..) {
+            if let Some(state) = self.states.get_mut(index) {
+                state.queued = false;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::phase::PhaseBudget;
 
     fn feed(profiler: &mut ConvergentProfiler, index: u32, values: impl Iterator<Item = u64>) {
         // Drive the state machine through the runner's value-stream entry.
@@ -601,6 +693,155 @@ mod tests {
         assert!(ev.backoffs > 0, "constant stream must back off");
         assert!(ev.resumes > 0 && ev.resumes <= ev.backoffs);
         assert_eq!(p.tnv_events().observations(), ev.profiled);
+    }
+
+    /// Drives `p` the way the live runner does over the first `stop`
+    /// events of `stream`: blocks whose lengths cycle through `blocks`, a
+    /// skip request after each, an event dropped while its instruction
+    /// has a count pending, and the unconsumed counts handed back at the
+    /// end. Returns how many events it dropped.
+    fn run_gated(
+        p: &mut ConvergentProfiler,
+        stream: &[(u32, u64)],
+        blocks: &[usize],
+        stop: usize,
+    ) -> usize {
+        let code_len = stream.iter().map(|&(pc, _)| pc as usize + 1).max().unwrap_or(0);
+        let mut skip = vec![0u32; code_len];
+        let mut lens = blocks.iter().cycle();
+        let mut len = *lens.next().expect("at least one block length");
+        let (mut block, mut dropped) = (Vec::new(), 0);
+        for &(pc, value) in &stream[..stop] {
+            if skip[pc as usize] > 0 {
+                skip[pc as usize] -= 1;
+                dropped += 1;
+                continue;
+            }
+            block.push((pc, value));
+            if block.len() == len {
+                p.observe_values(&block);
+                block.clear();
+                p.request_skips(&mut skip);
+                len = *lens.next().expect("cycled");
+            }
+        }
+        if !block.is_empty() {
+            p.observe_values(&block);
+        }
+        p.return_skips(&skip);
+        dropped
+    }
+
+    fn assert_identical(reference: &ConvergentProfiler, gated: &ConvergentProfiler, at: &str) {
+        assert_eq!(reference.metrics(), gated.metrics(), "{at}");
+        assert_eq!(reference.stats(), gated.stats(), "{at}");
+        assert_eq!(reference.events(), gated.events(), "{at}");
+        assert_eq!(reference.tnv_events(), gated.tnv_events(), "{at}");
+        assert_eq!(reference.phase_stats(), gated.phase_stats(), "{at}");
+        for (pc, _) in reference.states.iter() {
+            assert_eq!(reference.is_backed_off(pc), gated.is_backed_off(pc), "{at} pc {pc}");
+        }
+    }
+
+    /// The gated live path against one `observe` per event, stopped at
+    /// `stop` with counts pending. Then both profilers take the rest of
+    /// the stream per event: the hand-back must also have restored every
+    /// instruction's place in its skip interval. Returns the events the
+    /// gate dropped.
+    fn check_gated(
+        make: &dyn Fn() -> ConvergentProfiler,
+        stream: &[(u32, u64)],
+        blocks: &[usize],
+        stop: usize,
+        at: &str,
+    ) -> usize {
+        let (mut reference, mut gated) = (make(), make());
+        stream[..stop].iter().for_each(|&(pc, value)| reference.observe(pc, value));
+        let dropped = run_gated(&mut gated, stream, blocks, stop);
+        assert_identical(&reference, &gated, &format!("{at} stop {stop}"));
+        let ev = gated.events();
+        assert_eq!(ev.profiled + ev.skipped, stop as u64, "{at}: every offered execution counts");
+        assert!(gated.handoff.is_empty() && gated.states.values().all(|s| !s.queued), "{at}");
+        reference.observe_batch(&stream[stop..]);
+        gated.observe_batch(&stream[stop..]);
+        assert_identical(&reference, &gated, &format!("{at} after stop {stop}"));
+        dropped
+    }
+
+    /// The configurations the gate must keep exact: the experiments'
+    /// default, a small one that backs off often, one that never backs
+    /// off, and one whose skip intervals exceed a `u32` count.
+    fn gate_configs() -> [(&'static str, ConvergentConfig); 4] {
+        [
+            ("default", ConvergentConfig::default()),
+            ("small", small_config()),
+            ("no-backoff", ConvergentConfig { initial_skip: 0, ..small_config() }),
+            (
+                "huge-skip",
+                ConvergentConfig {
+                    initial_skip: u64::from(u32::MAX) + 3,
+                    max_skip: u64::MAX,
+                    ..small_config()
+                },
+            ),
+        ]
+    }
+
+    fn make_profiler(config: ConvergentConfig, adaptive: bool) -> ConvergentProfiler {
+        let budget = PhaseBudget { max_rearms: 4, window: 64 };
+        if adaptive {
+            ConvergentProfiler::adaptive(TrackerConfig::default(), config, budget)
+        } else {
+            ConvergentProfiler::new(TrackerConfig::default(), config)
+        }
+    }
+
+    #[test]
+    fn gated_delivery_matches_per_event_observe_on_adversarial_streams() {
+        let mut seed = 0x243F_6A88_85A3_08D3u64;
+        let mut draw = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        let mut dropped = [[0; 2]; 4];
+        for (family, stream) in vp_workloads::adversarial::adversarial_streams() {
+            for (ci, (name, config)) in gate_configs().into_iter().enumerate() {
+                for adaptive in [false, true] {
+                    let blocks: Vec<usize> = (0..5).map(|_| 1 + draw(2 * 1024)).collect();
+                    let stop = draw(stream.len() + 1);
+                    let at = format!("{family} {name} adaptive={adaptive} blocks {blocks:?}");
+                    let make = || make_profiler(config, adaptive);
+                    dropped[ci][adaptive as usize] +=
+                        check_gated(&make, &stream, &blocks, stop, &at);
+                }
+            }
+        }
+        // Only the configuration that never backs off drops nothing.
+        assert_eq!(dropped[2], [0, 0]);
+        for ci in [0, 1, 3] {
+            assert!(dropped[ci].iter().all(|&d| d > 0), "{dropped:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn gated_delivery_matches_per_event_observe_on_random_streams(
+            stream in proptest::collection::vec(
+                (0u32..5, proptest::prop_oneof![6 => 0u64..2, 1 => 0u64..50]),
+                0..3_000,
+            ),
+            blocks in proptest::collection::vec(1usize..300, 1..6),
+            stop in 0usize..=3_000,
+            config in 0usize..4,
+            adaptive in proptest::prelude::any::<bool>(),
+        ) {
+            let (name, config) = gate_configs()[config];
+            let stop = stop.min(stream.len());
+            let at = format!("{name} adaptive={adaptive} blocks {blocks:?}");
+            check_gated(&|| make_profiler(config, adaptive), &stream, &blocks, stop, &at);
+        }
     }
 
     #[test]

@@ -329,9 +329,18 @@ impl AdaptiveProfiler {
 
 impl Analysis for AdaptiveProfiler {
     const VALUE_STREAM: bool = true;
+    const SKIP_GATE: bool = <ConvergentProfiler as Analysis>::SKIP_GATE;
 
     fn observe_values(&mut self, events: &[(u32, u64)]) {
-        self.observe_batch(events);
+        self.inner.observe_values(events);
+    }
+
+    fn request_skips(&mut self, skip: &mut [u32]) {
+        self.inner.request_skips(skip);
+    }
+
+    fn return_skips(&mut self, unconsumed: &[u32]) {
+        self.inner.return_skips(unconsumed);
     }
 }
 

@@ -14,6 +14,7 @@
 //!   receive the executing [`vp_sim::Machine`] plus the event data, or,
 //!   for an analysis that reads only destination values, program-order
 //!   blocks of `(index, value)` pairs ([`Analysis::VALUE_STREAM`]),
+//!   optionally skip-gated per instruction ([`Analysis::SKIP_GATE`]),
 //! * [`Instrumenter`] — selects instrumentation points
 //!   ([`Selection`]) and runs a program with the analysis attached,
 //!   counting every analysis invocation so profiling *overhead* can be

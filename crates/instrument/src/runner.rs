@@ -27,14 +27,32 @@ pub const VALUE_BLOCK: usize = 1024;
 /// hands the buffer to [`observe_values`](Analysis::observe_values) in
 /// blocks of [`VALUE_BLOCK`] events, so emulation and analysis no longer
 /// alternate on every instruction. The stream is never reordered,
-/// partitioned or deduplicated: the concatenated blocks are exactly the
-/// sequence a per-instruction `after_instr` would have seen. The last,
-/// partial block is delivered before [`Instrumenter::run`] returns, on
-/// success and on every error, so a run that faults leaves the analysis
-/// holding exactly the values of the instructions before the fault. Such
-/// an analysis receives no `after_instr`, `on_load` or `on_store` calls;
-/// [`EventCounts`] are unchanged. Procedure callbacks still fire as the
-/// calls happen, so they are not ordered against the buffered values.
+/// partitioned or deduplicated: for an ungated analysis the concatenated
+/// blocks are exactly the sequence a per-instruction `after_instr` would
+/// have seen. The last, partial block is delivered before
+/// [`Instrumenter::run`] returns, on success and on every error, so a run
+/// that faults leaves the analysis holding exactly the values of the
+/// instructions before the fault. Such an analysis receives no
+/// `after_instr`, `on_load` or `on_store` calls; [`EventCounts`] are
+/// unchanged. Procedure callbacks still fire as the calls happen, so they
+/// are not ordered against the buffered values.
+///
+/// # Skip-gated value streams
+///
+/// A value-stream analysis that also sets [`SKIP_GATE`](Analysis::SKIP_GATE)
+/// can switch its probe off per instruction. The runner keeps one skip
+/// count per static instruction, all 0 at the start of a run. After each
+/// full block, [`request_skips`](Analysis::request_skips) may raise the
+/// counts; while an instruction's count is above 0, the runner drops that
+/// instruction's register-writing executions without buffering them,
+/// one per decrement. After the last block, on success and on every
+/// error, [`return_skips`](Analysis::return_skips) hands back the counts
+/// the run did not consume. The blocks are then the per-event sequence
+/// minus exactly the dropped executions: an analysis that counts a drop
+/// when it asks for it and uncounts the returned ones ends the run as if
+/// it had seen every execution. No execution of an instruction arrives
+/// while its count is above 0. Procedure callbacks and [`EventCounts`]
+/// do not depend on the gate.
 pub trait Analysis {
     /// Whether the analysis consumes the value stream in blocks through
     /// [`observe_values`](Analysis::observe_values) instead of the
@@ -48,6 +66,29 @@ pub trait Analysis {
     /// [`VALUE_STREAM`](Analysis::VALUE_STREAM) is set.
     fn observe_values(&mut self, events: &[(u32, Value)]) {
         let _ = events;
+    }
+
+    /// Whether the analysis gates its value stream with per-instruction
+    /// skip counts (see [the trait docs](Analysis#skip-gated-value-streams)).
+    /// Read only when [`VALUE_STREAM`](Analysis::VALUE_STREAM) is set. Like
+    /// `VALUE_STREAM` it is a constant, so an ungated analysis's loop
+    /// carries no trace of the gate.
+    const SKIP_GATE: bool = false;
+
+    /// Called after each full block of a gated value stream. `skip` holds
+    /// one count per static instruction; the runner drops as many of an
+    /// instruction's next register-writing executions as its count says.
+    /// An instruction that had an execution in the block just delivered
+    /// has a count of 0.
+    fn request_skips(&mut self, skip: &mut [u32]) {
+        let _ = skip;
+    }
+
+    /// Called once at the end of a gated run, after the last block, with
+    /// the counts the run did not consume: the executions that were
+    /// requested but never happened.
+    fn return_skips(&mut self, unconsumed: &[u32]) {
+        let _ = unconsumed;
     }
 
     /// Called after every *selected* instruction executes (not for a
@@ -193,6 +234,9 @@ impl Instrumenter {
         // others, where `A::VALUE_STREAM` folds every use of it away.
         let mut block: Vec<(u32, Value)> =
             Vec::with_capacity(if A::VALUE_STREAM { VALUE_BLOCK } else { 0 });
+        // A gated analysis's per-instruction skip counts, beside `selected`.
+        let gated = A::VALUE_STREAM && A::SKIP_GATE;
+        let mut skip: Vec<u32> = vec![0; if gated { selected.len() } else { 0 }];
 
         let outcome = machine.run_with(budget, |m, event| {
             tick += 1;
@@ -202,10 +246,18 @@ impl Instrumenter {
             if selected.get(event.index as usize).copied().unwrap_or(false) {
                 if A::VALUE_STREAM {
                     if let Some((_, value)) = event.dest {
-                        block.push((event.index, value));
-                        if block.len() == VALUE_BLOCK {
-                            analysis.observe_values(&block);
-                            block.clear();
+                        // `skip` covers the code, as `selected` does.
+                        if gated && skip[event.index as usize] > 0 {
+                            skip[event.index as usize] -= 1;
+                        } else {
+                            block.push((event.index, value));
+                            if block.len() == VALUE_BLOCK {
+                                analysis.observe_values(&block);
+                                block.clear();
+                                if gated {
+                                    analysis.request_skips(&mut skip);
+                                }
+                            }
                         }
                     }
                 } else {
@@ -224,9 +276,13 @@ impl Instrumenter {
             }
         });
         // The partial block goes out on every return path, faults and
-        // budget exhaustion included, before the error propagates.
+        // budget exhaustion included, before the error propagates; then a
+        // gated analysis takes back the skips the run did not consume.
         if !block.is_empty() {
             analysis.observe_values(&block);
+        }
+        if gated {
+            analysis.return_skips(&skip);
         }
         let outcome = outcome?;
 

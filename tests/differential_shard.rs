@@ -18,7 +18,10 @@
 //! live and from a replay of its VPC1 trace (`vprof replay`'s path). Live
 //! profiling hands the profilers program-order blocks of values; in every
 //! mode, governed full profiling included, and for E7's flat samplers,
-//! that profiles exactly like one `observe` per executed instruction.
+//! that profiles exactly like one `observe` per executed instruction,
+//! also when the instruction budget cuts the run short. The convergent
+//! profilers gate live runs (the runner drops their skipped executions),
+//! and still count every offered execution as profiled or skipped.
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -35,7 +38,7 @@ use value_profiling::instrument::frame::{self, FrameReader};
 use value_profiling::instrument::net::{self, SessionMsg};
 use value_profiling::instrument::{trace_codec, Analysis, ChunkReader, Instrumenter, Selection};
 use value_profiling::obs::Counts;
-use value_profiling::sim::{InstrEvent, Machine};
+use value_profiling::sim::{InstrEvent, Machine, SimError};
 use value_profiling::workloads::{suite, DataSet};
 use vp_bench::serve::{serve, ServeConfig};
 use vp_bench::{value_stream, BUDGET};
@@ -290,6 +293,16 @@ impl<F: FnMut(u32, u64)> Analysis for PerEvent<F> {
     }
 }
 
+/// A convergent profiler counts each offered register-writing execution
+/// once, as profiled or as skipped, whether or not the runner delivered
+/// it.
+fn assert_every_offer_counted(live: &Profiler, offered: u64, at: &str) {
+    if let Profiler::Convergent(p) = live {
+        let ev = p.events();
+        assert_eq!(ev.profiled + ev.skipped, offered, "{at}");
+    }
+}
+
 #[test]
 fn live_value_blocks_profile_identically_to_per_event_delivery() {
     // Every mode plus governed full profiling under a budget tight
@@ -306,13 +319,38 @@ fn live_value_blocks_profile_identically_to_per_event_delivery() {
             let mut live = mode.build(budget);
             let run = live.run_live(&instrumenter, w.program(), cfg(), BUDGET).unwrap();
             let mut reference = mode.build(budget);
-            let mut per_event = PerEvent(|pc, value| reference.observe(pc, value));
+            let mut offered = 0;
+            let mut per_event = PerEvent(|pc, value| {
+                offered += 1;
+                reference.observe(pc, value);
+            });
             let ref_run = instrumenter.run(w.program(), cfg(), BUDGET, &mut per_event).unwrap();
             assert_eq!(run.counts, ref_run.counts, "{} {mode:?}", w.name());
             let at = format!("{} {mode:?} budget={budget:?} blocks vs per-event", w.name());
             assert_same_profile(&reference, &live, &at);
             assert_eq!(reference.governor_stats(), live.governor_stats(), "{at}");
+            assert_every_offer_counted(&live, offered, &at);
             degraded += live.governor_stats().map_or(0, |g| g.entities_degraded);
+
+            // Cut short by the instruction budget, mid-run: the convergent
+            // profilers' skip counts are still pending in the runner, and
+            // handing them back must leave the per-event profile.
+            let cut = run.outcome.instructions * 5 / 8 + 3;
+            let mut live = mode.build(budget);
+            let err = live.run_live(&instrumenter, w.program(), cfg(), cut).unwrap_err();
+            let mut reference = mode.build(budget);
+            let mut offered = 0;
+            let mut per_event = PerEvent(|pc, value| {
+                offered += 1;
+                reference.observe(pc, value);
+            });
+            let ref_err = instrumenter.run(w.program(), cfg(), cut, &mut per_event).unwrap_err();
+            assert_eq!(err, SimError::BudgetExhausted { budget: cut });
+            assert_eq!(err, ref_err);
+            let at = format!("{at}, cut at {cut} instructions");
+            assert_same_profile(&reference, &live, &at);
+            assert_eq!(reference.governor_stats(), live.governor_stats(), "{at}");
+            assert_every_offer_counted(&live, offered, &at);
         }
         // E7 runs the flat samplers live outside the engine. A random
         // sampler's draws follow the global event order.
