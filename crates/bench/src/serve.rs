@@ -9,17 +9,20 @@
 //! ## Durability and recovery
 //!
 //! Every accepted chunk is appended verbatim to a per-session chunk log
-//! (`VPW1` magic + `CHUNK` frames). A *checkpoint* — every
-//! [`CHECKPOINT_EVERY`] chunks and on `END` — flushes and syncs the log,
-//! appends a session-meta JSONL record through the durable layer, and
-//! only then acknowledges: `ACK{n}` promises chunks `0..n` survive
-//! `kill -9`. On restart with `--resume`, `HELLO` finds the log, drops a
-//! torn tail (a crash mid-append), replays the durable chunks through a
-//! fresh profiler, and answers `HELLO_OK{n}` so the client retransmits
-//! from the last acknowledged chunk. The profiler is a pure function of
-//! the chunk stream, so a killed-and-resumed session produces the same
-//! profile, byte for byte, as an undisturbed one; duplicate retransmits
-//! are dropped by sequence number, never observed twice.
+//! (`VPW1` magic + `CHUNK` frames): the frame's header and payload go
+//! in exactly as they arrived, with no re-encode. A *checkpoint* —
+//! every [`CHECKPOINT_EVERY`] chunks and on `END` — flushes the log,
+//! syncs it with one `sync_data`, passes the `session/checkpoint` fault
+//! point, and only then acknowledges: `ACK{n}` promises chunks `0..n`
+//! survive `kill -9`. The log is the session's only durable state;
+//! there is no separate meta record. On restart with `--resume`,
+//! `HELLO` finds the log, drops a torn tail (a crash mid-append),
+//! replays the durable chunks through a fresh profiler, and answers
+//! `HELLO_OK{n}` so the client retransmits from the last acknowledged
+//! chunk. The profiler is a pure function of the chunk stream, so a
+//! killed-and-resumed session produces the same profile, byte for byte,
+//! as an undisturbed one; duplicate retransmits are dropped by sequence
+//! number, never observed twice.
 //!
 //! ## Fault domains
 //!
@@ -45,9 +48,9 @@ use vp_core::fault::{
     FaultAction, FaultPlan, SERVE_ACCEPT_POINT, SESSION_CHECKPOINT_POINT, SESSION_FRAME_POINT,
 };
 use vp_core::{durable, MemBudget, ProfileMode, Profiler};
-use vp_instrument::frame::{self, FrameError, FrameReader};
+use vp_instrument::frame::{self, FrameError, FrameHeader, FrameReader};
 use vp_instrument::net::{
-    self, classify_chunk, ChunkDisposition, MsgError, NetListener, SessionMsg,
+    self, classify_chunk, ChunkDisposition, ChunkView, MsgError, MsgView, NetListener, SessionMsg,
 };
 use vp_instrument::{cancel, trace_codec};
 use vp_obs::{CounterId, Counts, Json};
@@ -72,7 +75,7 @@ const _: () = assert!(WINDOW >= CHECKPOINT_EVERY);
 pub struct ServeConfig {
     /// Unix-domain socket path to listen on.
     pub socket: PathBuf,
-    /// Directory for per-session chunk logs and meta checkpoints.
+    /// Directory for per-session chunk logs.
     pub state_dir: PathBuf,
     /// Concurrent-session ceiling; further `HELLO`s get a typed `BUSY`.
     pub max_sessions: usize,
@@ -275,7 +278,6 @@ struct Session {
     /// Decode buffer reused by every chunk the session ingests.
     scratch: Vec<(u32, u64)>,
     log: BufWriter<std::fs::File>,
-    meta_path: PathBuf,
     /// Chunks appended to the log (possibly still buffered).
     logged: u64,
     /// Chunks durably checkpointed and acknowledged.
@@ -296,9 +298,9 @@ enum SessionEnd {
     Drained,
 }
 
-fn session_paths(cfg: &ServeConfig, tenant: &str, workload: &str) -> (PathBuf, PathBuf) {
-    let dir = cfg.state_dir.join("sessions");
-    (dir.join(format!("{tenant}__{workload}.log")), dir.join(format!("{tenant}__{workload}.ckpt")))
+/// The session's chunk log.
+fn log_path(cfg: &ServeConfig, tenant: &str, workload: &str) -> PathBuf {
+    cfg.state_dir.join("sessions").join(format!("{tenant}__{workload}.log"))
 }
 
 impl Session {
@@ -307,7 +309,7 @@ impl Session {
     /// chunk log's well-formed prefix is replayed through a fresh
     /// profiler and a torn tail from a mid-append crash is dropped.
     fn open(cfg: &ServeConfig, tenant: &str, workload: &str) -> io::Result<Session> {
-        let (log_path, meta_path) = session_paths(cfg, tenant, workload);
+        let log_path = log_path(cfg, tenant, workload);
         std::fs::create_dir_all(log_path.parent().unwrap())?;
         let budget = cfg.mem_budget.map(|b| b.split(cfg.max_sessions));
         let mut profiler = cfg.mode.build(budget);
@@ -315,7 +317,8 @@ impl Session {
         let mut events = 0u64;
         if !cfg.resume {
             let _ = std::fs::remove_file(&log_path);
-            let _ = std::fs::remove_file(&meta_path);
+            // Older builds also kept a write-only `.ckpt` meta log.
+            let _ = std::fs::remove_file(log_path.with_extension("ckpt"));
         }
         let existing = if cfg.resume {
             match std::fs::read(&log_path) {
@@ -334,9 +337,9 @@ impl Session {
                     io::Error::other(format!("session log {}: {e}", log_path.display()))
                 })?;
                 for f in &scan.frames {
-                    let msg = SessionMsg::decode(f)
+                    let msg = MsgView::decode(f.kind, &f.payload)
                         .map_err(|e| io::Error::other(format!("session log: {e}")))?;
-                    let SessionMsg::Chunk { seq, count, crc, payload } = msg else {
+                    let MsgView::Chunk(ChunkView { seq, count, crc, payload }) = msg else {
                         return Err(io::Error::other(format!(
                             "session log: unexpected {} frame",
                             f.kind
@@ -348,7 +351,7 @@ impl Session {
                         )));
                     }
                     scratch.clear();
-                    trace_codec::decode_chunk(seq as usize, count, crc, &payload, &mut scratch)
+                    trace_codec::decode_chunk(seq as usize, count, crc, payload, &mut scratch)
                         .map_err(|e| io::Error::other(format!("session log: {e}")))?;
                     profiler.observe_batch(&scratch);
                     logged += 1;
@@ -377,45 +380,44 @@ impl Session {
             profiler,
             scratch,
             log: BufWriter::new(file),
-            meta_path,
             logged,
             acked: logged,
             events,
         })
     }
 
-    /// Ingests one accepted chunk: verify, observe, append to the log.
-    fn ingest(&mut self, seq: u64, count: u32, crc: u32, payload: &[u8]) -> Result<(), SessionEnd> {
+    /// Ingests one accepted chunk: verify, observe, then append its frame
+    /// to the log as it arrived. `header` and `body` are the frame that
+    /// carried `chunk`, so the log holds the client's bytes, and their
+    /// frame CRC, unchanged.
+    fn ingest(
+        &mut self,
+        chunk: ChunkView<'_>,
+        header: FrameHeader,
+        body: &[u8],
+    ) -> Result<(), SessionEnd> {
+        let ChunkView { seq, count, crc, payload } = chunk;
         self.scratch.clear();
         trace_codec::decode_chunk(seq as usize, count, crc, payload, &mut self.scratch)
             .map_err(|e| SessionEnd::Killed(format!("chunk {seq}: {e}")))?;
         self.profiler.observe_batch(&self.scratch);
-        net::write_msg(
-            &mut self.log,
-            &SessionMsg::Chunk { seq, count, crc, payload: payload.to_vec() },
-        )
-        .map_err(|e| SessionEnd::Killed(format!("chunk {seq}: log append failed: {e}")))?;
+        self.log
+            .write_all(&header.to_bytes())
+            .and_then(|()| self.log.write_all(body))
+            .map_err(|e| SessionEnd::Killed(format!("chunk {seq}: log append failed: {e}")))?;
         self.logged += 1;
         self.events += u64::from(count);
         Ok(())
     }
 
     /// Makes every logged chunk durable and advances the ack cursor:
-    /// flush + sync the log, fire the checkpoint fault point, append the
-    /// meta record through the durable layer.
+    /// flush the log, sync it (the checkpoint's one fsync), then fire
+    /// the checkpoint fault point. A fault or a kill there leaves the
+    /// chunks durable but unacknowledged, which `--resume` recovers.
     fn checkpoint(&mut self, plan: &FaultPlan) -> io::Result<()> {
         self.log.flush()?;
         self.log.get_ref().sync_data()?;
         plan.fire(SESSION_CHECKPOINT_POINT)?;
-        let line = Json::obj(vec![
-            ("kind", Json::Str("session-checkpoint".to_string())),
-            ("tenant", Json::Str(self.tenant.clone())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("acked", Json::U64(self.logged)),
-            ("events", Json::U64(self.events)),
-        ])
-        .render();
-        durable::append_jsonl_with(plan, &self.meta_path, &line)?;
         self.acked = self.logged;
         Ok(())
     }
@@ -480,6 +482,9 @@ fn session_loop<R: Read, W: Write>(
     wait: &mut dyn FnMut() -> Wait,
 ) -> SessionEnd {
     let tenant_point = format!("session/{}/frame", session.tenant);
+    // One frame buffer for the whole session: CHUNKs are parsed, checked
+    // and logged in place.
+    let mut body = Vec::new();
     loop {
         cancel::checkpoint();
         match wait() {
@@ -487,20 +492,24 @@ fn session_loop<R: Read, W: Write>(
             Wait::Drain => return SessionEnd::Drained,
             Wait::Idle => return SessionEnd::Killed("session idle".to_string()),
         }
-        let msg = match net::read_msg(reader) {
-            Ok(msg) => msg,
-            Err(MsgError::Frame(FrameError::PeerClosed)) => return SessionEnd::Disconnected,
-            Err(MsgError::Frame(FrameError::Torn(_))) => return SessionEnd::Disconnected,
-            Err(MsgError::Frame(FrameError::Corrupt(m))) => {
+        let header = match reader.read_frame_into(&mut body) {
+            Ok(header) => header,
+            Err(FrameError::PeerClosed) => return SessionEnd::Disconnected,
+            Err(FrameError::Torn(_)) => return SessionEnd::Disconnected,
+            Err(FrameError::Corrupt(m)) => {
                 return SessionEnd::Killed(format!("corrupt frame: {m}"))
             }
-            Err(MsgError::Frame(FrameError::Io(e)))
+            Err(FrameError::Io(e))
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return SessionEnd::Killed("session idle mid-frame".to_string())
             }
-            Err(MsgError::Frame(FrameError::Io(_))) => return SessionEnd::Disconnected,
+            Err(FrameError::Io(_)) => return SessionEnd::Disconnected,
+        };
+        let msg = match MsgView::decode(header.kind, &body) {
+            Ok(msg) => msg,
             Err(MsgError::Malformed(m)) => return SessionEnd::Killed(m),
+            Err(e @ MsgError::Frame(_)) => return SessionEnd::Killed(e.to_string()),
         };
         // Every frame inside a session crosses the generic fault point
         // and a tenant-qualified one, so tests can fault exactly one
@@ -513,20 +522,20 @@ fn session_loop<R: Read, W: Write>(
             }
         }
         match msg {
-            SessionMsg::Chunk { seq, count, crc, payload } => {
-                match classify_chunk(seq, session.logged) {
+            MsgView::Chunk(chunk) => {
+                match classify_chunk(chunk.seq, session.logged) {
                     // A retransmit of a durable chunk after a lost ACK:
                     // drop it, never observe it twice.
                     ChunkDisposition::Duplicate => continue,
                     ChunkDisposition::Gap => {
                         return SessionEnd::Killed(format!(
-                            "chunk {seq} skips ahead of {}",
-                            session.logged
+                            "chunk {} skips ahead of {}",
+                            chunk.seq, session.logged
                         ))
                     }
                     ChunkDisposition::Accept => {}
                 }
-                if let Err(end) = session.ingest(seq, count, crc, &payload) {
+                if let Err(end) = session.ingest(chunk, header, &body) {
                     return end;
                 }
                 if session.logged - session.acked >= CHECKPOINT_EVERY {
@@ -538,13 +547,13 @@ fn session_loop<R: Read, W: Write>(
                     }
                 }
             }
-            SessionMsg::Query => {
+            MsgView::Msg(SessionMsg::Query) => {
                 let reply = SessionMsg::Stats { json: session.stats_json() };
                 if net::write_msg(w, &reply).is_err() {
                     return SessionEnd::Disconnected;
                 }
             }
-            SessionMsg::End => {
+            MsgView::Msg(SessionMsg::End) => {
                 if let Err(e) = session.checkpoint(&daemon.plan) {
                     return SessionEnd::Killed(format!("checkpoint failed: {e}"));
                 }
@@ -555,7 +564,7 @@ fn session_loop<R: Read, W: Write>(
                 }
                 return SessionEnd::Completed;
             }
-            other => {
+            MsgView::Msg(other) => {
                 return SessionEnd::Killed(format!(
                     "unexpected {} frame inside a session",
                     match other {
@@ -929,6 +938,35 @@ mod tests {
     }
 
     #[test]
+    fn the_log_holds_the_client_chunk_frames_verbatim_and_no_meta_file() {
+        let dir = tmp_dir("verbatim");
+        let daemon = test_daemon(&dir, FaultPlan::empty());
+        let sessions = dir.join("sessions");
+        // A stale meta log from an older build is removed by a fresh open.
+        std::fs::create_dir_all(&sessions).unwrap();
+        std::fs::write(sessions.join("acme__li.ckpt"), "{}\n").unwrap();
+        let chunks = chunk_msgs(&sample_events(300), 32); // 10 chunks
+        let mut msgs = vec![hello("acme", "li")];
+        msgs.extend(chunks.clone());
+        msgs.push(SessionMsg::End);
+        let replies = converse(&daemon, &msgs);
+        assert!(matches!(replies.last(), Some(SessionMsg::EndOk { acked: 10, .. })), "{replies:?}");
+        let mut expect = frame::FRAME_MAGIC.to_vec();
+        for m in &chunks {
+            net::write_msg(&mut expect, m).unwrap();
+        }
+        let log = std::fs::read(log_path(&daemon.cfg, "acme", "li")).unwrap();
+        assert!(log == expect, "the log is not magic ‖ the client's CHUNK frames");
+        let mut files: Vec<_> = std::fs::read_dir(&sessions)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["acme__li.log"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn acks_are_cumulative_and_checkpoint_gated() {
         let dir = tmp_dir("acks");
         let daemon = test_daemon(&dir, FaultPlan::empty());
@@ -1072,10 +1110,7 @@ mod tests {
             assert!(replies.iter().any(|m| matches!(m, SessionMsg::Ack { acked: 8 })));
         }
         // Simulate a torn append from a crash mid-chunk: garbage tail.
-        let (log_path, _) = {
-            let daemon = test_daemon(&dir, FaultPlan::empty());
-            session_paths(&daemon.cfg, "acme", "li")
-        };
+        let log_path = log_path(&test_daemon(&dir, FaultPlan::empty()).cfg, "acme", "li");
         {
             use std::io::Write as _;
             let mut f = OpenOptions::new().append(true).open(&log_path).unwrap();

@@ -731,7 +731,7 @@ fn serve_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use std::os::unix::net::UnixStream;
     use vp_bench::serve;
-    use vp_instrument::net::{self, MsgError, SessionMsg};
+    use vp_instrument::net::{self, ChunkView, MsgError, SessionMsg};
     let sock =
         args.value("--connect").ok_or_else(|| format!("client needs --connect SOCK\n{USAGE}"))?;
     let connect =
@@ -795,9 +795,11 @@ fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
                 other => return Err(format!("unexpected reply mid-stream: {other:?}").into()),
             }
         }
+        // Framed straight from the trace bytes: one copy, one CRC pass.
         let chunk = &chunks[seq as usize];
-        let (count, crc, payload) = (chunk.count, chunk.crc, chunk.payload.to_vec());
-        send(&mut stream, &SessionMsg::Chunk { seq, count, crc, payload })?;
+        ChunkView { seq, count: chunk.count, crc: chunk.crc, payload: chunk.payload }
+            .write(&mut stream)
+            .map_err(|e| format!("connection lost: {e}"))?;
     }
     if args.has("--query") {
         send(&mut stream, &SessionMsg::Query)?;

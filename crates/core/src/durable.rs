@@ -17,7 +17,8 @@
 //! * **Recovering appends** ([`append_jsonl`]) — before appending, a
 //!   final partial line (the signature of a crash mid-append) is
 //!   truncated away, so the log converges back to "every line is a
-//!   complete record" instead of poisoning all future reads.
+//!   complete record" instead of poisoning all future reads. Only the
+//!   file's tail is read to find it.
 //!
 //! Each operation consults a [`crate::fault::FaultPlan`] at
 //! named fault points (`durable/tmp-written`, `durable/append`), which is
@@ -340,7 +341,9 @@ pub fn load_profile(path: &Path, mode: IntegrityMode) -> Result<CheckedProfile, 
 /// Appends `text` (pre-rendered JSONL, newline-terminated) to `path`,
 /// first truncating away a torn final line left by an earlier crash.
 /// Returns the number of recovered (dropped) bytes. Durable: the append
-/// is fsynced before returning. Uses the global `$VP_FAULTS` plan.
+/// is fsynced before returning. Only the file's tail is read, so an
+/// append costs the same however long the log has grown. Uses the global
+/// `$VP_FAULTS` plan.
 pub fn append_jsonl(path: &Path, text: &str) -> io::Result<u64> {
     append_jsonl_with(fault::global(), path, text)
 }
@@ -351,15 +354,11 @@ pub fn append_jsonl_with(plan: &FaultPlan, path: &Path, text: &str) -> io::Resul
     plan.fire("durable/append")?;
     let mut file =
         OpenOptions::new().read(true).write(true).create(true).truncate(false).open(path)?;
-    let mut existing = Vec::new();
-    file.read_to_end(&mut existing)?;
+    let len = file.metadata()?.len();
     // A complete log ends in a newline; anything after the last newline
     // is a partial record from a torn write.
-    let keep = match existing.iter().rposition(|&b| b == b'\n') {
-        Some(last_newline) => last_newline as u64 + 1,
-        None => 0,
-    };
-    let dropped = existing.len() as u64 - keep;
+    let keep = complete_lines_len(&mut file, len)?;
+    let dropped = len - keep;
     if dropped > 0 {
         file.set_len(keep)?;
     }
@@ -367,6 +366,29 @@ pub fn append_jsonl_with(plan: &FaultPlan, path: &Path, text: &str) -> io::Resul
     file.write_all(text.as_bytes())?;
     file.sync_all()?;
     Ok(dropped)
+}
+
+/// Bytes per read of the backwards scan in [`complete_lines_len`].
+const TAIL_BLOCK: u64 = 4096;
+
+/// The length of the longest prefix of `file` (`len` bytes) that ends in
+/// a newline, 0 if there is none. Reads backwards from EOF one
+/// [`TAIL_BLOCK`] at a time, so a log whose last line is whole costs one
+/// small read.
+fn complete_lines_len(file: &mut File, len: u64) -> io::Result<u64> {
+    let mut block = [0u8; TAIL_BLOCK as usize];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(TAIL_BLOCK);
+        let buf = &mut block[..(end - start) as usize];
+        file.seek(io::SeekFrom::Start(start))?;
+        file.read_exact(buf)?;
+        if let Some(last_newline) = buf.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + last_newline as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
 }
 
 #[cfg(test)]
@@ -496,6 +518,39 @@ mod tests {
         let checked = load_profile(&path, IntegrityMode::Strict).unwrap();
         assert!(checked.integrity.is_verified());
         assert!(load_profile(&dir.join("missing.tsv"), IntegrityMode::Strict).is_err());
+    }
+
+    #[test]
+    fn append_after_a_long_log_drops_exactly_the_torn_tail() {
+        let dir = tmp_dir("append-tail");
+        let path = dir.join("log.jsonl");
+        let mut prefix = Vec::new();
+        for i in 0.. {
+            if prefix.len() >= 1 << 20 {
+                break;
+            }
+            prefix.extend_from_slice(format!("{{\"record\":{i}}}\n").as_bytes());
+        }
+        // Torn tails shorter than, equal to and longer than one scan
+        // block, and a log with no newline at all.
+        let cases: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 4095, 4096, 4097, 10_000]
+            .into_iter()
+            .map(|torn| (prefix.clone(), vec![b'x'; torn]))
+            .chain([(Vec::new(), vec![b'y'; 9000])])
+            .collect();
+        for (head, torn) in cases {
+            let mut raw = head.clone();
+            raw.extend_from_slice(&torn);
+            std::fs::write(&path, &raw).unwrap();
+            // The whole-file rule the tail scan must reproduce.
+            let keep = raw.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+            let dropped = append_jsonl_with(&FaultPlan::empty(), &path, "{\"z\":1}\n").unwrap();
+            assert_eq!(dropped, (raw.len() - keep) as u64, "torn tail of {}", torn.len());
+            assert_eq!(dropped, torn.len() as u64);
+            let mut want = head;
+            want.extend_from_slice(b"{\"z\":1}\n");
+            assert!(std::fs::read(&path).unwrap() == want, "torn tail of {}", torn.len());
+        }
     }
 
     #[test]

@@ -39,6 +39,48 @@ pub const FRAME_MAGIC: [u8; 4] = *b"VPW1";
 /// gigabytes.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
+/// Bytes in a frame header: `len`, `kind` and `crc`, each a `u32le`.
+const HEADER_LEN: usize = 12;
+
+/// Payload capacity a reused frame buffer keeps between frames
+/// ([`FrameReader::read_frame_into`]): one left larger by an unusually
+/// long frame is shrunk back to this at the next read.
+const FRAME_BUF_KEEP: usize = 1 << 20;
+
+/// Payload bytes a read reserves before any of them arrive. Beyond this
+/// the buffer grows only as bytes come in, so a header that claims a
+/// long frame and then stops costs what was actually sent.
+const FIRST_RESERVE: usize = 64 * 1024;
+
+/// A frame header as it crossed the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    /// Payload length in bytes.
+    pub len: u32,
+    /// Message discriminant, protocol-defined.
+    pub kind: u32,
+    /// CRC32 of `kind‖payload`.
+    pub crc: u32,
+}
+
+impl FrameHeader {
+    fn parse(bytes: &[u8; HEADER_LEN]) -> FrameHeader {
+        let word =
+            |i: usize| u32::from_le_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+        FrameHeader { len: word(0), kind: word(4), crc: word(8) }
+    }
+
+    /// The header's wire bytes: for a header that was read, exactly the
+    /// bytes it was read from.
+    pub fn to_bytes(self) -> [u8; HEADER_LEN] {
+        let mut out = [0u8; HEADER_LEN];
+        out[0..4].copy_from_slice(&self.len.to_le_bytes());
+        out[4..8].copy_from_slice(&self.kind.to_le_bytes());
+        out[8..12].copy_from_slice(&self.crc.to_le_bytes());
+        out
+    }
+}
+
 /// One decoded frame: a small `kind` discriminant and an opaque payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -93,14 +135,24 @@ fn frame_crc(kind: u32, payload: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// Encodes one frame in a single buffer: the header's bytes are reserved
+/// first, `body` appends the payload after them and returns the frame
+/// kind, and the header is then filled in place.
+fn encode_frame_with(body: impl FnOnce(&mut Vec<u8>) -> u32) -> Vec<u8> {
+    let mut out = vec![0u8; HEADER_LEN];
+    let kind = body(&mut out);
+    let payload = &out[HEADER_LEN..];
+    let header = FrameHeader { len: payload.len() as u32, kind, crc: frame_crc(kind, payload) };
+    out[..HEADER_LEN].copy_from_slice(&header.to_bytes());
+    out
+}
+
 /// Encodes one frame (header + payload) into a byte vector.
 pub fn encode_frame(kind: u32, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&kind.to_le_bytes());
-    out.extend_from_slice(&frame_crc(kind, payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    encode_frame_with(|out| {
+        out.extend_from_slice(payload);
+        kind
+    })
 }
 
 /// Writes the stream magic.
@@ -112,6 +164,16 @@ pub fn write_magic<W: Write>(w: &mut W) -> io::Result<()> {
 /// tears it.
 pub fn write_frame<W: Write>(w: &mut W, kind: u32, payload: &[u8]) -> io::Result<()> {
     w.write_all(&encode_frame(kind, payload))?;
+    w.flush()
+}
+
+/// [`write_frame`] of a frame built by [`encode_frame_with`]: the payload
+/// is written into the frame buffer once, with no staging copy.
+pub(crate) fn write_frame_with<W: Write>(
+    w: &mut W,
+    body: impl FnOnce(&mut Vec<u8>) -> u32,
+) -> io::Result<()> {
+    w.write_all(&encode_frame_with(body))?;
     w.flush()
 }
 
@@ -129,21 +191,16 @@ impl<R: Read> FrameReader<R> {
         FrameReader { inner }
     }
 
-    // Reads exactly `buf.len()` bytes. EOF mid-read is Torn; EOF before
-    // the first byte is PeerClosed only when `at_boundary` — i.e. the
-    // bytes being read are the start of a frame (or the magic), where a
-    // clean close is a legal end of stream. Zero bytes of a *payload*
-    // after a complete header is still mid-frame, still Torn.
-    fn read_exact_or_torn(
-        &mut self,
-        buf: &mut [u8],
-        what: &str,
-        at_boundary: bool,
-    ) -> Result<(), FrameError> {
+    // Reads exactly `buf.len()` bytes at a frame boundary: the magic or a
+    // header. EOF before the first byte is PeerClosed, a clean close
+    // being a legal end of stream there; EOF after it is Torn. (Zero
+    // bytes of a *payload* after a complete header is still mid-frame,
+    // still Torn: `read_frame_into` checks that itself.)
+    fn read_boundary(&mut self, buf: &mut [u8], what: &str) -> Result<(), FrameError> {
         let mut have = 0;
         while have < buf.len() {
             match self.inner.read(&mut buf[have..]) {
-                Ok(0) if have == 0 && at_boundary => return Err(FrameError::PeerClosed),
+                Ok(0) if have == 0 => return Err(FrameError::PeerClosed),
                 Ok(0) => {
                     return Err(FrameError::Torn(format!(
                         "eof after {have} of {} {what} bytes",
@@ -163,7 +220,7 @@ impl<R: Read> FrameReader<R> {
     /// mid-magic is [`FrameError::Torn`].
     pub fn expect_magic(&mut self) -> Result<(), FrameError> {
         let mut magic = [0u8; 4];
-        self.read_exact_or_torn(&mut magic, "magic", true)?;
+        self.read_boundary(&mut magic, "magic")?;
         if magic != FRAME_MAGIC {
             return Err(FrameError::Corrupt(format!(
                 "bad magic {magic:02x?}, want {FRAME_MAGIC:02x?}"
@@ -177,25 +234,46 @@ impl<R: Read> FrameReader<R> {
     /// disconnect; EOF anywhere inside the header or payload is
     /// [`FrameError::Torn`] — a peer that died mid-write.
     pub fn read_frame(&mut self) -> Result<Frame, FrameError> {
-        let mut header = [0u8; 12];
-        self.read_exact_or_torn(&mut header, "header", true)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let kind = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        let mut payload = Vec::new();
+        let header = self.read_frame_into(&mut payload)?;
+        Ok(Frame { kind: header.kind, payload })
+    }
+
+    /// [`read_frame`](Self::read_frame) into a caller-owned buffer, which
+    /// holds exactly the verified payload on success; the header comes
+    /// back as read. A buffer reused across frames allocates once per
+    /// high-water mark, and one left above 1 MiB by an earlier frame is
+    /// shrunk back first. Past its first 64 KiB the
+    /// buffer grows only as payload bytes arrive, so a header claiming
+    /// up to [`MAX_FRAME_LEN`] that is followed by a few bytes and EOF
+    /// leaves a small buffer and a [`FrameError::Torn`].
+    pub fn read_frame_into(&mut self, payload: &mut Vec<u8>) -> Result<FrameHeader, FrameError> {
+        payload.clear();
+        payload.shrink_to(FRAME_BUF_KEEP);
+        let mut bytes = [0u8; HEADER_LEN];
+        self.read_boundary(&mut bytes, "header")?;
+        let header = FrameHeader::parse(&bytes);
+        let FrameHeader { len, kind, crc } = header;
         if len > MAX_FRAME_LEN {
             return Err(FrameError::Corrupt(format!(
                 "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
             )));
         }
-        let mut payload = vec![0u8; len as usize];
-        self.read_exact_or_torn(&mut payload, "payload", false)?;
-        let want = frame_crc(kind, &payload);
+        let len = len as usize;
+        payload.reserve(len.min(FIRST_RESERVE));
+        // `read_to_end` retries interrupted reads and, past the first
+        // reserve, grows the buffer as bytes come in.
+        let have = (&mut self.inner).take(len as u64).read_to_end(payload)?;
+        if have < len {
+            return Err(FrameError::Torn(format!("eof after {have} of {len} payload bytes")));
+        }
+        let want = frame_crc(kind, payload);
         if crc != want {
             return Err(FrameError::Corrupt(format!(
                 "crc mismatch: stored {crc:#010x}, computed {want:#010x}"
             )));
         }
-        Ok(Frame { kind, payload })
+        Ok(header)
     }
 }
 
@@ -318,6 +396,55 @@ mod tests {
             Err(FrameError::Corrupt(msg)) => assert!(msg.contains("cap"), "{msg}"),
             other => panic!("want Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn read_frame_into_reuses_one_buffer_and_returns_the_wire_header() {
+        let big = [9u8; 3000];
+        let frames: [(u32, &[u8]); 3] = [(1, b"hello"), (2, &big), (3, b"")];
+        let bytes = stream(&frames);
+        let mut r = FrameReader::new(bytes.as_slice());
+        r.expect_magic().unwrap();
+        let mut buf = Vec::new();
+        let mut at = FRAME_MAGIC.len();
+        for (kind, payload) in frames {
+            let header = r.read_frame_into(&mut buf).unwrap();
+            assert_eq!((header.kind, buf.as_slice()), (kind, payload));
+            // Header and payload are the frame's bytes as they were sent.
+            let end = at + HEADER_LEN + payload.len();
+            assert_eq!([&header.to_bytes()[..], &buf].concat(), &bytes[at..end]);
+            at = end;
+        }
+        assert!(matches!(r.read_frame_into(&mut buf), Err(FrameError::PeerClosed)));
+    }
+
+    #[test]
+    fn a_header_claiming_the_cap_then_eof_is_torn_and_allocates_little() {
+        let mut bytes = FRAME_MAGIC.to_vec();
+        bytes.extend_from_slice(&FrameHeader { len: MAX_FRAME_LEN, kind: 21, crc: 0 }.to_bytes());
+        bytes.extend_from_slice(&[7u8; 16]);
+        let mut r = FrameReader::new(bytes.as_slice());
+        r.expect_magic().unwrap();
+        let mut buf = Vec::new();
+        match r.read_frame_into(&mut buf) {
+            Err(FrameError::Torn(msg)) => assert!(msg.contains("eof after 16 of"), "{msg}"),
+            other => panic!("want Torn, got {other:?}"),
+        }
+        assert!(buf.capacity() <= 64 * 1024, "capacity {}", buf.capacity());
+    }
+
+    #[test]
+    fn a_buffer_grown_past_the_keep_size_is_shrunk_at_the_next_read() {
+        let big = vec![1u8; 2 * FRAME_BUF_KEEP];
+        let bytes = stream(&[(1, &big), (2, b"small")]);
+        let mut r = FrameReader::new(bytes.as_slice());
+        r.expect_magic().unwrap();
+        let mut buf = Vec::new();
+        r.read_frame_into(&mut buf).unwrap();
+        assert!(buf.capacity() >= 2 * FRAME_BUF_KEEP);
+        r.read_frame_into(&mut buf).unwrap();
+        assert_eq!(buf, b"small");
+        assert!(buf.capacity() <= FRAME_BUF_KEEP, "capacity {}", buf.capacity());
     }
 
     #[test]

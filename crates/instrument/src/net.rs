@@ -30,7 +30,10 @@
 //!
 //! `CHUNK` payloads carry one `VPC1` trace chunk verbatim: the canonical
 //! varint event payload plus its event count and payload CRC, verified
-//! again on ingest by `trace_codec::decode_chunk`.
+//! again on ingest by `trace_codec::decode_chunk`. [`ChunkView`] reads
+//! and writes them without copying the payload: the daemon parses each
+//! one in place in its frame buffer, and `vprof client` frames each one
+//! straight from the trace bytes.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -176,59 +179,77 @@ impl<'a> Cursor<'a> {
     }
 }
 
-impl SessionMsg {
-    /// Encodes into `(frame kind, frame payload)`.
-    pub fn encode(&self) -> (u32, Vec<u8>) {
-        match self {
-            SessionMsg::Hello { tenant, workload } => {
-                let mut buf = Vec::new();
-                push_str(&mut buf, tenant);
-                push_str(&mut buf, workload);
-                (K_HELLO, buf)
-            }
-            SessionMsg::Chunk { seq, count, crc, payload } => {
-                let mut buf = Vec::with_capacity(16 + payload.len());
-                buf.extend_from_slice(&seq.to_le_bytes());
-                buf.extend_from_slice(&count.to_le_bytes());
-                buf.extend_from_slice(&crc.to_le_bytes());
-                buf.extend_from_slice(payload);
-                (K_CHUNK, buf)
-            }
-            SessionMsg::Query => (K_QUERY, Vec::new()),
-            SessionMsg::End => (K_END, Vec::new()),
-            SessionMsg::Shutdown => (K_SHUTDOWN, Vec::new()),
-            SessionMsg::HelloOk { acked } => (K_HELLO_OK, acked.to_le_bytes().to_vec()),
-            SessionMsg::Ack { acked } => (K_ACK, acked.to_le_bytes().to_vec()),
-            SessionMsg::Busy { reason } => (K_BUSY, reason.as_bytes().to_vec()),
-            SessionMsg::Throttle { acked } => (K_THROTTLE, acked.to_le_bytes().to_vec()),
-            SessionMsg::Stats { json } => (K_STATS, json.as_bytes().to_vec()),
-            SessionMsg::EndOk { acked, profile } => {
-                let mut buf = Vec::with_capacity(8 + profile.len());
-                buf.extend_from_slice(&acked.to_le_bytes());
-                buf.extend_from_slice(profile.as_bytes());
-                (K_END_OK, buf)
-            }
-            SessionMsg::Err { reason } => (K_ERR, reason.as_bytes().to_vec()),
-        }
+/// A `CHUNK` message that borrows its event payload: from the frame
+/// buffer it was decoded in ([`MsgView::decode`]) or from the trace
+/// bytes it is sent from ([`ChunkView::write`]). The daemon checks,
+/// observes and logs chunks through it without copying them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkView<'a> {
+    /// Cumulative chunk index.
+    pub seq: u64,
+    /// The chunk's event count, from the trace codec.
+    pub count: u32,
+    /// The chunk's payload CRC, from the trace codec.
+    pub crc: u32,
+    /// The canonical varint event bytes.
+    pub payload: &'a [u8],
+}
+
+impl<'a> ChunkView<'a> {
+    /// Parses a `CHUNK` frame payload in place.
+    fn parse(body: &'a [u8]) -> Result<ChunkView<'a>, MsgError> {
+        let mut c = Cursor { bytes: body, pos: 0 };
+        let seq = c.u64("CHUNK seq")?;
+        let count = c.u32("CHUNK count")?;
+        let crc = c.u32("CHUNK crc")?;
+        Ok(ChunkView { seq, count, crc, payload: &body[c.pos..] })
     }
 
-    /// Decodes a frame into a message. A well-formed frame with an
+    fn encode_into(&self, buf: &mut Vec<u8>) -> u32 {
+        buf.reserve(16 + self.payload.len());
+        buf.extend_from_slice(&self.seq.to_le_bytes());
+        buf.extend_from_slice(&self.count.to_le_bytes());
+        buf.extend_from_slice(&self.crc.to_le_bytes());
+        buf.extend_from_slice(self.payload);
+        K_CHUNK
+    }
+
+    /// Writes the chunk as one `CHUNK` frame, built in one buffer with
+    /// one copy of the payload: the same bytes as [`write_msg`] of the
+    /// owned [`SessionMsg::Chunk`].
+    pub fn write<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        frame::write_frame_with(w, |buf| self.encode_into(buf))
+    }
+
+    fn to_msg(self) -> SessionMsg {
+        let ChunkView { seq, count, crc, payload } = self;
+        SessionMsg::Chunk { seq, count, crc, payload: payload.to_vec() }
+    }
+}
+
+/// A session message decoded from a frame payload in place: a `CHUNK`
+/// borrows the payload, every other kind is owned.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MsgView<'a> {
+    /// A `CHUNK`, borrowing its payload.
+    Chunk(ChunkView<'a>),
+    /// Any message but `CHUNK`.
+    Msg(SessionMsg),
+}
+
+impl<'a> MsgView<'a> {
+    /// Decodes a frame's `kind` and payload. A well-formed frame with an
     /// unknown kind or a payload that does not parse is `Malformed`.
-    pub fn decode(frame: &Frame) -> Result<SessionMsg, MsgError> {
-        let mut c = Cursor { bytes: &frame.payload, pos: 0 };
-        let msg = match frame.kind {
+    pub fn decode(kind: u32, body: &'a [u8]) -> Result<MsgView<'a>, MsgError> {
+        if kind == K_CHUNK {
+            return ChunkView::parse(body).map(MsgView::Chunk);
+        }
+        let mut c = Cursor { bytes: body, pos: 0 };
+        let msg = match kind {
             K_HELLO => SessionMsg::Hello {
                 tenant: c.str("HELLO tenant")?,
                 workload: c.str("HELLO workload")?,
             },
-            K_CHUNK => {
-                let seq = c.u64("CHUNK seq")?;
-                let count = c.u32("CHUNK count")?;
-                let crc = c.u32("CHUNK crc")?;
-                let payload = c.bytes[c.pos..].to_vec();
-                c.pos = c.bytes.len();
-                SessionMsg::Chunk { seq, count, crc, payload }
-            }
             K_QUERY => SessionMsg::Query,
             K_END => SessionMsg::End,
             K_SHUTDOWN => SessionMsg::Shutdown,
@@ -246,8 +267,73 @@ impl SessionMsg {
                 return Err(MsgError::Malformed(format!("unknown session frame kind {other}")))
             }
         };
-        c.finish(kind_name(frame.kind))?;
-        Ok(msg)
+        c.finish(kind_name(kind))?;
+        Ok(MsgView::Msg(msg))
+    }
+}
+
+impl SessionMsg {
+    /// Appends the frame payload to `buf` and returns the frame kind.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> u32 {
+        match self {
+            SessionMsg::Hello { tenant, workload } => {
+                push_str(buf, tenant);
+                push_str(buf, workload);
+                K_HELLO
+            }
+            SessionMsg::Chunk { seq, count, crc, payload } => {
+                ChunkView { seq: *seq, count: *count, crc: *crc, payload }.encode_into(buf)
+            }
+            SessionMsg::Query => K_QUERY,
+            SessionMsg::End => K_END,
+            SessionMsg::Shutdown => K_SHUTDOWN,
+            SessionMsg::HelloOk { acked } => {
+                buf.extend_from_slice(&acked.to_le_bytes());
+                K_HELLO_OK
+            }
+            SessionMsg::Ack { acked } => {
+                buf.extend_from_slice(&acked.to_le_bytes());
+                K_ACK
+            }
+            SessionMsg::Busy { reason } => {
+                buf.extend_from_slice(reason.as_bytes());
+                K_BUSY
+            }
+            SessionMsg::Throttle { acked } => {
+                buf.extend_from_slice(&acked.to_le_bytes());
+                K_THROTTLE
+            }
+            SessionMsg::Stats { json } => {
+                buf.extend_from_slice(json.as_bytes());
+                K_STATS
+            }
+            SessionMsg::EndOk { acked, profile } => {
+                buf.reserve(8 + profile.len());
+                buf.extend_from_slice(&acked.to_le_bytes());
+                buf.extend_from_slice(profile.as_bytes());
+                K_END_OK
+            }
+            SessionMsg::Err { reason } => {
+                buf.extend_from_slice(reason.as_bytes());
+                K_ERR
+            }
+        }
+    }
+
+    /// Encodes into `(frame kind, frame payload)`.
+    pub fn encode(&self) -> (u32, Vec<u8>) {
+        let mut buf = Vec::new();
+        let kind = self.encode_into(&mut buf);
+        (kind, buf)
+    }
+
+    /// Decodes a frame into a message. A well-formed frame with an
+    /// unknown kind or a payload that does not parse is `Malformed`.
+    pub fn decode(frame: &Frame) -> Result<SessionMsg, MsgError> {
+        Ok(match MsgView::decode(frame.kind, &frame.payload)? {
+            MsgView::Chunk(chunk) => chunk.to_msg(),
+            MsgView::Msg(msg) => msg,
+        })
     }
 }
 
@@ -270,10 +356,10 @@ fn kind_name(kind: u32) -> &'static str {
 }
 
 /// Writes one session message as a frame (no magic; send
-/// [`frame::write_magic`] once per direction first).
+/// [`frame::write_magic`] once per direction first). The frame is built
+/// in one buffer: one copy of the payload, one CRC pass.
 pub fn write_msg<W: Write>(w: &mut W, msg: &SessionMsg) -> io::Result<()> {
-    let (kind, payload) = msg.encode();
-    frame::write_frame(w, kind, &payload)
+    frame::write_frame_with(w, |buf| msg.encode_into(buf))
 }
 
 /// Reads and decodes one session message.
@@ -755,6 +841,26 @@ mod tests {
             assert_eq!(&got, want);
         }
         assert!(matches!(read_msg(&mut r), Err(MsgError::Frame(FrameError::PeerClosed))));
+    }
+
+    #[test]
+    fn chunk_view_writes_and_parses_the_owned_chunk_bytes() {
+        let payload = [5u8, 0x81, 0x01, 9];
+        let view = ChunkView { seq: 3, count: 2, crc: 0xfeed_f00d, payload: &payload };
+        let (mut borrowed, mut owned) = (Vec::new(), Vec::new());
+        view.write(&mut borrowed).unwrap();
+        write_msg(&mut owned, &view.to_msg()).unwrap();
+        assert_eq!(borrowed, owned);
+        let mut r = FrameReader::new(&borrowed[..]);
+        let frame = r.read_frame().unwrap();
+        assert_eq!(frame.kind, K_CHUNK);
+        assert_eq!(ChunkView::parse(&frame.payload).unwrap(), view);
+        assert_eq!(MsgView::decode(K_CHUNK, &frame.payload).unwrap(), MsgView::Chunk(view));
+        // A body too short for the three fixed fields is malformed.
+        match ChunkView::parse(&frame.payload[..15]) {
+            Err(MsgError::Malformed(m)) => assert!(m.contains("truncated CHUNK crc"), "{m}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]

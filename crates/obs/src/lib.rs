@@ -12,8 +12,9 @@
 //!   ([`TnvEvents`], [`ConvEvents`]) that the profilers
 //!   in `vp-core` maintain as plain `u64` increments on their hot paths —
 //!   deterministic, mergeable, and practically free;
-//! * [`crc`] — the table-driven CRC32 behind every integrity footer in
-//!   the workspace (durable profile files, binary trace chunks);
+//! * [`crc`] — the CRC32 behind every integrity footer in the workspace
+//!   (durable profile files, binary trace chunks, session frames): a
+//!   carry-less-multiply kernel where the CPU has one, tables otherwise;
 //! * [`hist`] — [`Log2Histogram`], a 65-bucket power-of-two histogram for
 //!   timing distributions (queue waits, per-workload wall times);
 //! * [`recorder`] — the [`Recorder`] sink trait. The default
