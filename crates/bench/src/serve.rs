@@ -41,7 +41,7 @@ use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use vp_core::fault::{
@@ -743,13 +743,18 @@ fn serve_conn_on<R: Read, W: Write>(
 /// Runs the daemon until it drains (SIGTERM or a `SHUTDOWN` frame),
 /// then reports everything it did. Blocking; `vprof serve` calls this.
 pub fn serve(cfg: ServeConfig) -> Result<ServeReport, String> {
-    let plan = Arc::new(FaultPlan::from_env()?);
+    serve_with(cfg, Arc::new(FaultPlan::from_env()?))
+}
+
+/// [`serve`] under an explicit fault plan.
+fn serve_with(cfg: ServeConfig, plan: Arc<FaultPlan>) -> Result<ServeReport, String> {
     let listener = NetListener::bind(&cfg.socket)
         .map_err(|e| format!("cannot bind `{}`: {e}", cfg.socket.display()))?;
     let sigterm = net::watch_sigterm();
-    let idle = cfg.idle;
     let daemon = Arc::new(Daemon::new(cfg, plan));
+    let pool = Arc::new(Pool::default());
     let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
+    let mut failure = None;
     while !daemon.drain.load(Ordering::SeqCst) && !sigterm.load(Ordering::SeqCst) {
         let stream = match listener.accept_timeout(Duration::from_millis(50)) {
             Ok(None) => {
@@ -757,23 +762,46 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, String> {
                 continue;
             }
             Ok(Some(stream)) => stream,
-            Err(e) => return Err(format!("accept failed: {e}")),
+            Err(e) => {
+                failure = Some(format!("accept failed: {e}"));
+                break;
+            }
         };
         if daemon.plan.fire(SERVE_ACCEPT_POINT).is_err() {
             // An injected accept failure refuses this connection; the
             // daemon itself stays up.
             continue;
         }
-        let daemon = Arc::clone(&daemon);
-        let handle = std::thread::Builder::new()
+        // A parked thread takes the connection; only when none is parked
+        // does a new one start, so every connection is served at once.
+        let stream = match pool.parked.lock().expect(POOL_LOCK).pop() {
+            Some(thread) => match thread.send(stream) {
+                Ok(()) => continue,
+                Err(mpsc::SendError(stream)) => stream,
+            },
+            None => stream,
+        };
+        let (daemon, pool) = (Arc::clone(&daemon), Arc::clone(&pool));
+        match std::thread::Builder::new()
             .name("vp-session".to_string())
-            .spawn(move || handle_stream(&daemon, stream, idle))
-            .map_err(|e| format!("cannot spawn session thread: {e}"))?;
-        handles.push(handle);
+            .spawn(move || session_thread(&daemon, &pool, stream))
+        {
+            Ok(handle) => handles.push(handle),
+            Err(e) => {
+                failure = Some(format!("cannot spawn session thread: {e}"));
+                break;
+            }
+        }
     }
     daemon.drain.store(true, Ordering::SeqCst);
+    // Dropping the parked threads' senders ends their wait; the drain
+    // flag, set first, stops any thread from parking again.
+    pool.parked.lock().expect(POOL_LOCK).clear();
     for h in handles {
         let _ = h.join();
+    }
+    if let Some(failure) = failure {
+        return Err(failure);
     }
     let mut st = daemon.state.lock().unwrap();
     let report = ServeReport {
@@ -788,31 +816,61 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, String> {
     Ok(report)
 }
 
+/// Session threads parked between connections, each waiting on its own
+/// channel for the next one. Reusing them keeps the daemon's thread
+/// count, and the allocator arenas each thread holds, at its peak
+/// concurrency instead of growing with the number of connections.
+#[derive(Default)]
+struct Pool {
+    parked: Mutex<Vec<mpsc::Sender<UnixStream>>>,
+}
+
+/// Only `Vec` push, pop and clear run under the pool lock, and none of
+/// them panics, so the lock is never poisoned.
+const POOL_LOCK: &str = "session pool lock poisoned";
+
+/// A session thread: serves `stream`, then parks for the next
+/// connection. It exits when the daemon drains, or when `max_sessions`
+/// threads are already parked.
+fn session_thread(daemon: &Daemon, pool: &Pool, mut stream: UnixStream) {
+    loop {
+        handle_stream(daemon, &stream);
+        let (tx, rx) = mpsc::channel();
+        {
+            let mut parked = pool.parked.lock().expect(POOL_LOCK);
+            if daemon.drain.load(Ordering::SeqCst) || parked.len() >= daemon.cfg.max_sessions {
+                return;
+            }
+            parked.push(tx);
+        }
+        // The connection closes only once this thread is parked, so a
+        // client that waits for EOF before reconnecting finds it there.
+        drop(stream);
+        match rx.recv() {
+            Ok(next) => stream = next,
+            Err(_) => return,
+        }
+    }
+}
+
 /// Longest a session blocks waiting for its next frame before it
 /// re-checks the drain flag and the idle budget.
 const WAIT_SLICE: Duration = Duration::from_millis(10);
 
-/// Wires a real socket into the generic handler: a cloned read side, and
-/// a readiness wait that returns as soon as a frame arrives and re-checks
-/// the drain flag and the idle budget every [`WAIT_SLICE`] between
-/// frames, without ever consuming mid-frame bytes.
-fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
-    let read_side = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
+/// Wires a real socket into the generic handler: the one socket reads
+/// and writes, and a readiness wait returns as soon as a frame arrives
+/// and re-checks the drain flag and the idle budget every
+/// [`WAIT_SLICE`] between frames, without ever consuming mid-frame bytes.
+fn handle_stream(daemon: &Daemon, stream: &UnixStream) {
+    let idle = daemon.cfg.idle;
     // Bound any mid-frame stall by the idle budget.
-    let _ = read_side.set_read_timeout(idle);
-    let probe = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
+    let _ = stream.set_read_timeout(idle);
     let mut last_frame = Instant::now();
     let mut wait = move || loop {
         if daemon.drain.load(Ordering::SeqCst) {
             return Wait::Drain;
         }
-        match net::wait_readable(&probe, WAIT_SLICE) {
+        match net::wait_readable(stream, WAIT_SLICE) {
             // Bytes or EOF: either way the frame reader should run and
             // classify what it finds.
             Ok(true) => {
@@ -830,7 +888,7 @@ fn handle_stream(daemon: &Daemon, stream: UnixStream, idle: Option<Duration>) {
             Err(_) => return Wait::Ready,
         }
     };
-    serve_conn_on(daemon, read_side, stream, &mut wait);
+    serve_conn_on(daemon, stream, stream, &mut wait);
 }
 
 #[cfg(test)]
@@ -1314,5 +1372,219 @@ mod tests {
         assert_eq!(records[1].get("error").unwrap().as_str(), Some("boom"));
         assert_eq!(records[2].get("name").unwrap().as_str(), Some("zeta/w"));
         assert!(records[2].get("error").is_none());
+    }
+
+    /// Tests that run a real daemon through [`serve_with`]. They hold
+    /// this lock because they count the process's `vp-session` threads.
+    #[cfg(target_os = "linux")]
+    mod threads {
+        use super::*;
+
+        static DAEMONS: Mutex<()> = Mutex::new(());
+
+        /// Live `vp-session` threads in this process.
+        fn session_threads() -> usize {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .filter_map(Result::ok)
+                .filter(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|comm| comm.trim_end() == "vp-session")
+                })
+                .count()
+        }
+
+        /// Polls until `want` session threads are live, or 10 s pass.
+        fn await_session_threads(want: usize) -> usize {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let live = session_threads();
+                if live == want || Instant::now() > deadline {
+                    return live;
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+
+        type Handle = std::thread::JoinHandle<Result<ServeReport, String>>;
+
+        fn start(cfg: ServeConfig, plan: FaultPlan) -> Handle {
+            let socket = cfg.socket.clone();
+            let handle = std::thread::spawn(move || serve_with(cfg, Arc::new(plan)));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !socket.exists() {
+                assert!(Instant::now() < deadline && !handle.is_finished(), "daemon did not start");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            handle
+        }
+
+        /// A client connection with its greeting sent and read.
+        struct Client {
+            stream: UnixStream,
+            reader: FrameReader<UnixStream>,
+        }
+
+        impl Client {
+            /// Connects and sends the magic, then `first` if given.
+            fn connect(socket: &Path, first: Option<&SessionMsg>) -> Client {
+                let mut stream = UnixStream::connect(socket).unwrap();
+                frame::write_magic(&mut stream).unwrap();
+                if let Some(msg) = first {
+                    net::write_msg(&mut stream, msg).unwrap();
+                }
+                let reader = FrameReader::new(stream.try_clone().unwrap());
+                Client { stream, reader }
+            }
+
+            /// Opens a session and returns the daemon's first reply.
+            fn hello(socket: &Path, tenant: &str) -> (Client, SessionMsg) {
+                let mut client = Client::connect(socket, Some(&hello(tenant, "li")));
+                client.reader.expect_magic().unwrap();
+                let reply = net::read_msg(&mut client.reader).unwrap();
+                (client, reply)
+            }
+
+            /// Sends `msgs`, then reads every reply until the daemon
+            /// closes the connection — which it does only once the
+            /// session's thread is parked again.
+            fn finish(mut self, msgs: &[SessionMsg]) -> Vec<SessionMsg> {
+                for m in msgs {
+                    net::write_msg(&mut self.stream, m).unwrap();
+                }
+                let mut replies = Vec::new();
+                loop {
+                    match net::read_msg(&mut self.reader) {
+                        Ok(msg) => replies.push(msg),
+                        Err(MsgError::Frame(FrameError::PeerClosed)) => return replies,
+                        Err(e) => panic!("after {replies:?}: {e}"),
+                    }
+                }
+            }
+        }
+
+        /// Runs a whole session and returns the END_OK profile.
+        fn profile_of(socket: &Path, tenant: &str, chunks: &[SessionMsg]) -> String {
+            let (client, reply) = Client::hello(socket, tenant);
+            assert_eq!(reply, SessionMsg::HelloOk { acked: 0 });
+            let mut msgs = chunks.to_vec();
+            msgs.push(SessionMsg::End);
+            match client.finish(&msgs).pop() {
+                Some(SessionMsg::EndOk { profile, .. }) => profile,
+                other => panic!("expected END_OK, got {other:?}"),
+            }
+        }
+
+        fn shutdown(socket: &Path, daemon: Handle) -> ServeReport {
+            drop(Client::connect(socket, Some(&SessionMsg::Shutdown)));
+            daemon.join().unwrap().unwrap()
+        }
+
+        #[test]
+        fn a_reused_thread_serves_clean_sessions_after_a_panic_and_a_deadline_kill() {
+            let _serial = DAEMONS.lock().unwrap_or_else(|e| e.into_inner());
+            let dir = tmp_dir("reuse-faults");
+            let mut cfg = ServeConfig::new(dir.join("serve.sock"), dir.clone());
+            cfg.deadline = Some(Duration::from_secs(1));
+            let plan = FaultPlan::parse("panic:session/boom/frame").unwrap();
+            let daemon = start(cfg.clone(), plan);
+            let chunks = chunk_msgs(&sample_events(200), 16);
+            let before = profile_of(&cfg.socket, "fresh", &chunks);
+
+            // A panicking session: the injected fault fires on its first
+            // CHUNK, inside the deadline's token scope.
+            let (client, reply) = Client::hello(&cfg.socket, "boom");
+            assert_eq!(reply, SessionMsg::HelloOk { acked: 0 });
+            let replies = client.finish(&chunks[..1]);
+            assert!(
+                matches!(replies.last(), Some(SessionMsg::Err { reason })
+                    if reason.contains("session panicked")),
+                "{replies:?}"
+            );
+            // A session that sends nothing after HELLO until its
+            // deadline cancels it.
+            let (client, _) = Client::hello(&cfg.socket, "slow");
+            let replies = client.finish(&[]);
+            assert!(
+                matches!(replies.last(), Some(SessionMsg::Err { reason })
+                    if reason.contains("deadline exceeded")),
+                "{replies:?}"
+            );
+            // Every session ran on one thread, so the clean one after
+            // the kills saw the thread's cancel token restored.
+            let after = profile_of(&cfg.socket, "later", &chunks);
+            assert_eq!(after, before, "a reused thread changed the profile");
+            assert_eq!(session_threads(), 1, "every session should reuse the first thread");
+            let report = shutdown(&cfg.socket, daemon);
+            assert_eq!(report.counts.get(CounterId::SessionCompleted), 2);
+            assert_eq!(report.counts.get(CounterId::SessionKilled), 2);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn sequential_sessions_reuse_threads_and_drain_joins_them() {
+            let _serial = DAEMONS.lock().unwrap_or_else(|e| e.into_inner());
+            let dir = tmp_dir("reuse-seq");
+            let cfg = ServeConfig::new(dir.join("serve.sock"), dir.clone());
+            let daemon = start(cfg.clone(), FaultPlan::empty());
+            let chunks = chunk_msgs(&sample_events(64), 16);
+            let first = profile_of(&cfg.socket, "t0", &chunks);
+            for i in 1..20 {
+                assert_eq!(profile_of(&cfg.socket, &format!("t{i}"), &chunks), first);
+            }
+            let live = session_threads();
+            assert!(live <= 2, "20 sequential sessions left {live} session threads");
+            let report = shutdown(&cfg.socket, daemon);
+            assert_eq!(report.counts.get(CounterId::SessionCompleted), 20);
+            assert_eq!(session_threads(), 0, "drain must join the parked threads");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+
+        #[test]
+        fn busy_cap_holds_and_at_most_max_sessions_threads_park() {
+            let _serial = DAEMONS.lock().unwrap_or_else(|e| e.into_inner());
+            let dir = tmp_dir("reuse-busy");
+            let mut cfg = ServeConfig::new(dir.join("serve.sock"), dir.clone());
+            cfg.max_sessions = 2;
+            let daemon = start(cfg.clone(), FaultPlan::empty());
+            let socket = cfg.socket.as_path();
+            // Five threads at once: two silent connections, two live
+            // sessions, and a third session the cap turns away.
+            let silent: Vec<UnixStream> =
+                (0..2).map(|_| UnixStream::connect(socket).unwrap()).collect();
+            let (a, reply_a) = Client::hello(socket, "a");
+            let (b, reply_b) = Client::hello(socket, "b");
+            assert_eq!(
+                (reply_a, reply_b),
+                (SessionMsg::HelloOk { acked: 0 }, SessionMsg::HelloOk { acked: 0 })
+            );
+            let (c, reply_c) = Client::hello(socket, "c");
+            assert!(matches!(reply_c, SessionMsg::Busy { .. }), "{reply_c:?}");
+            assert!(c.finish(&[]).is_empty());
+            assert_eq!(await_session_threads(5), 5);
+            // All five finish; only `max_sessions` of them may park.
+            drop(silent);
+            a.finish(&[SessionMsg::End]);
+            b.finish(&[SessionMsg::End]);
+            assert_eq!(await_session_threads(2), 2, "extra threads must exit");
+            // The parked threads take the next sessions, and the cap
+            // still answers BUSY beyond them.
+            let (a, reply_a) = Client::hello(socket, "a");
+            let (b, reply_b) = Client::hello(socket, "b");
+            assert_eq!(
+                (reply_a, reply_b),
+                (SessionMsg::HelloOk { acked: 0 }, SessionMsg::HelloOk { acked: 0 })
+            );
+            let (c, reply_c) = Client::hello(socket, "c");
+            assert!(matches!(reply_c, SessionMsg::Busy { .. }), "{reply_c:?}");
+            c.finish(&[]);
+            a.finish(&[SessionMsg::End]);
+            b.finish(&[SessionMsg::End]);
+            let report = shutdown(socket, daemon);
+            assert_eq!(report.counts.get(CounterId::SessionCompleted), 4);
+            assert_eq!(report.counts.get(CounterId::SessionRejected), 2);
+            assert_eq!(session_threads(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }

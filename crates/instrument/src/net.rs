@@ -465,7 +465,8 @@ pub struct NetListener {
 
 impl NetListener {
     /// Binds `path`, replacing any stale socket file at that path (a
-    /// `kill -9`'d daemon cannot unlink its own socket).
+    /// `kill -9`'d daemon cannot unlink its own socket). The listener is
+    /// non-blocking: [`NetListener::accept_timeout`] does the waiting.
     pub fn bind(path: &Path) -> io::Result<NetListener> {
         match std::fs::remove_file(path) {
             Ok(()) => {}
@@ -473,6 +474,7 @@ impl NetListener {
             Err(e) => return Err(e),
         }
         let inner = UnixListener::bind(path)?;
+        inner.set_nonblocking(true)?;
         Ok(NetListener { inner, path: path.to_path_buf() })
     }
 
@@ -483,8 +485,11 @@ impl NetListener {
     /// Accepts one connection, waiting at most `timeout`. `Ok(None)` on
     /// timeout — the accept loop uses short slices so it can notice the
     /// drain flag between them without a dedicated wakeup connection.
+    ///
+    /// On Linux x86_64/aarch64 the wait is a `ppoll` on the listener, so
+    /// a connect wakes it at once. Elsewhere it sleeps 2 ms between
+    /// accept attempts.
     pub fn accept_timeout(&self, timeout: Duration) -> io::Result<Option<UnixStream>> {
-        self.inner.set_nonblocking(true)?;
         let deadline = Instant::now() + timeout;
         loop {
             match self.inner.accept() {
@@ -493,10 +498,23 @@ impl NetListener {
                     return Ok(Some(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         return Ok(None);
                     }
-                    std::thread::sleep(Duration::from_millis(2));
+                    #[cfg(all(
+                        target_os = "linux",
+                        any(target_arch = "x86_64", target_arch = "aarch64")
+                    ))]
+                    {
+                        use std::os::fd::AsRawFd;
+                        poll::readable(self.inner.as_raw_fd(), left)?;
+                    }
+                    #[cfg(not(all(
+                        target_os = "linux",
+                        any(target_arch = "x86_64", target_arch = "aarch64")
+                    )))]
+                    std::thread::sleep(left.min(Duration::from_millis(2)));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -528,17 +546,7 @@ pub fn wait_readable(stream: &UnixStream, timeout: Duration) -> io::Result<bool>
     #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
         use std::os::fd::AsRawFd;
-        const EINTR: isize = -4;
-        let mut fd = poll::PollFd { fd: stream.as_raw_fd(), events: poll::POLLIN, revents: 0 };
-        let mut ts = poll::Timespec {
-            sec: timeout.as_secs() as i64,
-            nsec: i64::from(timeout.subsec_nanos()),
-        };
-        match unsafe { poll::sys_ppoll(&mut fd, &mut ts) } {
-            EINTR | 0 => Ok(false),
-            n if n > 0 => Ok(true),
-            e => Err(io::Error::from_raw_os_error(-e as i32)),
-        }
+        poll::readable(stream.as_raw_fd(), timeout)
     }
     #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
     {
@@ -549,28 +557,53 @@ pub fn wait_readable(stream: &UnixStream, timeout: Duration) -> io::Result<bool>
 
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod poll {
+    use std::io;
+    use std::time::Duration;
+
     /// Data to read (EOF, hang-up and errors are reported regardless).
-    pub const POLLIN: i16 = 0x1;
+    const POLLIN: i16 = 0x1;
     /// Kernel sigset size; the mask itself is null (keep the thread's).
     const SIGSET_SIZE: usize = 8;
 
     /// `struct pollfd`.
     #[repr(C)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
     }
 
     /// `struct timespec` on 64-bit targets.
     #[repr(C)]
-    pub struct Timespec {
-        pub sec: i64,
-        pub nsec: i64,
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
     }
 
+    /// Waits until `fd` is readable — for a listener, until a connection
+    /// is pending — or `timeout` passes: `Ok(true)` when readable,
+    /// `Ok(false)` on timeout or when a signal cut the wait short.
+    pub fn readable(fd: i32, timeout: Duration) -> io::Result<bool> {
+        const EINTR: isize = -4;
+        let mut pollfd = PollFd { fd, events: POLLIN, revents: 0 };
+        let mut ts =
+            Timespec { sec: timeout.as_secs() as i64, nsec: i64::from(timeout.subsec_nanos()) };
+        // SAFETY: both pointers are to live locals with the kernel's
+        // `pollfd` and `timespec` layouts, and `nfds` is 1.
+        match unsafe { sys_ppoll(&mut pollfd, &mut ts) } {
+            EINTR | 0 => Ok(false),
+            n if n > 0 => Ok(true),
+            e => Err(io::Error::from_raw_os_error(-e as i32)),
+        }
+    }
+
+    /// Raw `ppoll` on one descriptor with no signal mask.
+    ///
+    /// # Safety
+    ///
+    /// `fd` and `timeout` must point to a live `PollFd` and `Timespec`.
     #[cfg(target_arch = "x86_64")]
-    pub unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
+    unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
         let ret: isize;
         std::arch::asm!(
             "syscall",
@@ -587,8 +620,13 @@ mod poll {
         ret
     }
 
+    /// Raw `ppoll` on one descriptor with no signal mask.
+    ///
+    /// # Safety
+    ///
+    /// `fd` and `timeout` must point to a live `PollFd` and `Timespec`.
     #[cfg(target_arch = "aarch64")]
-    pub unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
+    unsafe fn sys_ppoll(fd: *mut PollFd, timeout: *mut Timespec) -> isize {
         let ret: isize;
         std::arch::asm!(
             "svc #0",
@@ -989,6 +1027,29 @@ mod tests {
         let mut buf = [0u8; 4];
         server_side.read_exact(&mut buf).unwrap();
         assert_eq!(buf, FRAME_MAGIC);
+        drop(listener);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn accept_timeout_wakes_on_a_connect_mid_wait() {
+        let dir = std::env::temp_dir().join(format!("vp-net-wake-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let sock = dir.join("serve.sock");
+        let listener = NetListener::bind(&sock).unwrap();
+        let path = sock.clone();
+        let connector = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            UnixStream::connect(&path).unwrap()
+        });
+        // The connect lands 20 ms into a 5 s wait and must end it then,
+        // not at the timeout. The bound is loose: the machine is shared.
+        let t = Instant::now();
+        let accepted = listener.accept_timeout(Duration::from_secs(5)).unwrap();
+        let waited = t.elapsed();
+        assert!(accepted.is_some(), "no connection after {waited:?}");
+        assert!(waited < Duration::from_secs(1), "accept waited {waited:?}");
+        drop(connector.join().unwrap());
         drop(listener);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -38,10 +38,29 @@
 //! Replay reads the whole file into memory once; [`ChunkReader`]
 //! borrows those bytes, and [`ChunkReader::next_chunk_into`] decodes
 //! each chunk into a caller-reused scratch buffer — no chunk is ever
-//! copied into an intermediate `Vec` on the way to `observe_batch`. The
-//! varint decoder takes a SWAR (word-at-a-time) fast path for the 1- and
-//! 2-byte encodings that dominate real traces; see DESIGN.md §13 for
-//! the exactness argument.
+//! copied into an intermediate `Vec` on the way to `observe_batch`.
+//!
+//! ## Decoding varints a word at a time
+//!
+//! [`decode_payload`] reads each event from a 20-byte window (two
+//! varints of at most ten bytes), so one bounds check covers the event.
+//! Each varint loads the 8-byte word at its start. The 1- and 2-byte
+//! forms are settled by a branch on their continuation bits; for longer
+//! ones the terminator is the lowest set bit of `!word &
+//! 0x8080_8080_8080_8080`, the canonical last byte is checked once, and
+//! three shift/mask steps gather the 7-bit groups. A 9- or 10-byte
+//! varint is the word plus a tail byte or two, and the tenth byte must
+//! be exactly `1`. Fewer than 20 bytes from the payload end the byte
+//! loop takes over; it is also the reference
+//! ([`decode_payload_bytewise`]).
+//!
+//! The two decoders agree exactly: inside the window the byte loop
+//! cannot run out of bytes, for lengths 1–9 its only rule is that a
+//! multi-byte varint's last byte is nonzero (the word decoder's one
+//! test), and at ten bytes its overflow and canonical rules together
+//! admit a tenth byte of exactly 1. Both check the pc bound after the
+//! value, so on an error they leave the same events behind. DESIGN.md
+//! §13 gives the case analysis and the measurements.
 
 use std::fmt;
 
@@ -109,36 +128,79 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Decodes one canonical varint. The SWAR fast path loads eight bytes at
-/// once and settles the 1- and 2-byte encodings (pcs and small values —
-/// the overwhelming majority of a real trace) branch-lean; anything
-/// longer, or too close to the end of `bytes` for a full word, takes the
-/// scalar loop. Both paths reject overlong encodings, so they accept
-/// exactly the same byte strings.
-#[inline]
-fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let p = *pos;
-    if let Some(window) = bytes.get(p..p.saturating_add(8)) {
-        let word = u64::from_le_bytes(window.try_into().expect("8-byte window"));
-        if word & 0x80 == 0 {
-            *pos = p + 1;
-            return Ok(word & 0x7F);
-        }
-        if word & 0x8000 == 0 {
-            // Two bytes: the terminating byte must be nonzero, or the
-            // value fit in one byte and the encoding is overlong.
-            let hi = (word >> 8) & 0x7F;
-            if hi == 0 {
-                return Err(CodecError::BadVarint);
-            }
-            *pos = p + 2;
-            return Ok((word & 0x7F) | (hi << 7));
-        }
-    }
-    read_varint_slow(bytes, pos)
+/// Payload bytes one event can occupy at most: two varints of up to ten
+/// bytes each. While at least this many remain, the word decoder reads
+/// both of an event's varints from one fixed-size window, checked
+/// against the payload once.
+const EVENT_WINDOW: usize = 20;
+
+/// The continuation bit of every byte of a little-endian word.
+const CONTINUATION: u64 = 0x8080_8080_8080_8080;
+
+/// Packs the seven low bits of each byte of `w` (continuation bits
+/// already clear) into one 56-bit value, byte 0 lowest: three shift/mask
+/// steps merge 7-bit groups into 14-, 28- and then 56-bit ones.
+#[inline(always)]
+fn gather7(w: u64) -> u64 {
+    let w = (w & 0x007F_007F_007F_007F) | ((w & 0x7F00_7F00_7F00_7F00) >> 1);
+    let w = (w & 0x0000_3FFF_0000_3FFF) | ((w & 0x3FFF_0000_3FFF_0000) >> 2);
+    (w & 0x0000_0000_0FFF_FFFF) | ((w & 0x0FFF_FFFF_0000_0000) >> 4)
 }
 
-fn read_varint_slow(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
+/// Decodes the canonical varint at `window[at..]` a word at a time and
+/// returns it with its length; `at` is at most ten, so the varint cannot
+/// run off the window. Accepts exactly the byte strings [`read_varint`]
+/// accepts (DESIGN.md §13).
+///
+/// The one- and two-byte forms (most pcs and small values) are settled
+/// by a branch on their first continuation bits before the terminator
+/// search: the branch predictor then runs ahead to the next varint
+/// instead of waiting on the `trailing_zeros` chain.
+#[inline(always)]
+fn word_varint(window: &[u8; EVENT_WINDOW], at: usize) -> Result<(u64, usize), CodecError> {
+    let word = u64::from_le_bytes(window[at..at + 8].try_into().expect("8-byte window"));
+    if word & 0x80 == 0 {
+        return Ok((word & 0x7F, 1));
+    }
+    if word & 0x8000 == 0 {
+        let hi = (word >> 8) & 0x7F;
+        if hi == 0 {
+            return Err(CodecError::BadVarint);
+        }
+        return Ok((word & 0x7F | hi << 7, 2));
+    }
+    let stops = !word & CONTINUATION;
+    if stops != 0 {
+        // Three to eight bytes: the lowest clear continuation bit ends the
+        // varint, and `stops ^ (stops - 1)` keeps bytes 0..=last.
+        let last = stops.trailing_zeros() as usize / 8;
+        let bits = word & (stops ^ (stops - 1));
+        // Canonical form: a multi-byte varint never ends in a zero byte.
+        if bits >> (8 * last) == 0 {
+            return Err(CodecError::BadVarint);
+        }
+        return Ok((gather7(bits & !CONTINUATION), last + 1));
+    }
+    // Nine or ten bytes: the word holds the low 56 bits.
+    let low = gather7(word & !CONTINUATION);
+    let ninth = u64::from(window[at + 8]);
+    if ninth & 0x80 == 0 {
+        if ninth == 0 {
+            return Err(CodecError::BadVarint);
+        }
+        return Ok((low | ninth << 56, 9));
+    }
+    // The tenth byte carries only bit 63: it must be exactly 1 (0 is
+    // overlong, more overflows or continues past ten bytes).
+    if window[at + 9] != 1 {
+        return Err(CodecError::BadVarint);
+    }
+    Ok((low | (ninth & 0x7F) << 56 | 1 << 63, 10))
+}
+
+/// Decodes one canonical varint a byte at a time: the reference decoder,
+/// and the one the payload tail uses.
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -163,6 +225,54 @@ fn read_varint_slow(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
             return Err(CodecError::BadVarint);
         }
     }
+}
+
+/// Decodes one `(pc, value)` pair a byte at a time from `bytes[*pos..]`.
+#[inline]
+fn read_event(bytes: &[u8], pos: &mut usize) -> Result<(u32, u64), CodecError> {
+    let pc = read_varint(bytes, pos)?;
+    let value = read_varint(bytes, pos)?;
+    let pc = u32::try_from(pc).map_err(|_| CodecError::BadVarint)?;
+    Ok((pc, value))
+}
+
+/// Decodes a whole chunk payload — `(pc, value)` varint pairs — appending
+/// the events to `out`. While 20 bytes (two ten-byte varints) remain,
+/// each event takes one bounds check and two word decodes; the last few
+/// events go through the byte loop.
+///
+/// Fails with `BadVarint` on an overlong, over-long or overflowing
+/// varint or a pc above `u32::MAX`, and with `Truncated` when the
+/// payload ends inside a varint; `out` then holds the events before the
+/// bad one. Agrees with [`decode_payload_bytewise`] on every input,
+/// result and appended events alike.
+pub fn decode_payload(payload: &[u8], out: &mut Vec<(u32, u64)>) -> Result<(), CodecError> {
+    let mut pos = 0;
+    while payload.len() - pos >= EVENT_WINDOW {
+        let window = payload[pos..pos + EVENT_WINDOW].try_into().expect("event window");
+        let (pc, pc_len) = word_varint(window, 0)?;
+        let (value, value_len) = word_varint(window, pc_len)?;
+        let pc = u32::try_from(pc).map_err(|_| CodecError::BadVarint)?;
+        out.push((pc, value));
+        pos += pc_len + value_len;
+    }
+    while pos < payload.len() {
+        out.push(read_event(payload, &mut pos)?);
+    }
+    Ok(())
+}
+
+/// The reference for [`decode_payload`]: the same contract, decoded one
+/// byte at a time.
+pub fn decode_payload_bytewise(
+    payload: &[u8],
+    out: &mut Vec<(u32, u64)>,
+) -> Result<(), CodecError> {
+    let mut pos = 0;
+    while pos < payload.len() {
+        out.push(read_event(payload, &mut pos)?);
+    }
+    Ok(())
 }
 
 fn read_u32(bytes: &[u8], pos: &mut usize) -> Result<u32, CodecError> {
@@ -359,47 +469,19 @@ impl<'a> ChunkReader<'a> {
             self.done = true;
             return Ok(false);
         }
-        let count = read_u32(self.bytes, &mut self.pos)? as usize;
+        let count = read_u32(self.bytes, &mut self.pos)?;
         let stored_crc = read_u32(self.bytes, &mut self.pos)?;
         let payload_end = self
             .pos
             .checked_add(len)
             .filter(|&e| e <= self.bytes.len())
             .ok_or(CodecError::Truncated)?;
-        let corrupt = CodecError::CorruptChunk { index: self.chunk_index };
-        // Every event is at least two payload bytes (pc varint + value
-        // varint), so a count above `len` is corrupt no matter what the
-        // payload holds. Reject it *before* trusting it with an
-        // allocation: the header is length-prefixed, not authenticated,
-        // so an adversarial file can pair a CRC-valid `count` of
-        // u32::MAX with a tiny payload.
-        if count > len {
-            return Err(corrupt);
-        }
-        let mut crc = Crc32::new();
-        crc.update(&self.bytes[header_start..header_start + 8]);
-        crc.update(&self.bytes[self.pos..payload_end]);
-        if crc.finish() != stored_crc {
-            return Err(corrupt);
-        }
-        // The two-bytes-per-event floor also bounds the preallocation.
-        out.reserve(count.min(len / 2));
-        let before = out.len();
-        let payload = &self.bytes[..payload_end];
-        while self.pos < payload_end {
-            // Any malformed varint here is chunk corruption: the bytes
-            // passed the checksum but do not parse as `count` pairs.
-            let pc = read_varint(payload, &mut self.pos).map_err(|_| corrupt.clone())?;
-            let value = read_varint(payload, &mut self.pos).map_err(|_| corrupt.clone())?;
-            if pc > u64::from(u32::MAX) {
-                return Err(corrupt);
-            }
-            out.push((pc as u32, value));
-        }
-        if out.len() - before != count {
-            return Err(corrupt);
-        }
-        self.decoded += count as u64;
+        // The header's len‖count bytes are exactly what `decode_chunk`
+        // checksums, so a file chunk and a framed one verify alike.
+        let payload = &self.bytes[self.pos..payload_end];
+        decode_chunk(self.chunk_index, count, stored_crc, payload, out)?;
+        self.pos = payload_end;
+        self.decoded += u64::from(count);
         self.chunk_index += 1;
         Ok(true)
     }
@@ -472,28 +554,42 @@ pub fn raw_chunks(bytes: &[u8]) -> Result<Vec<RawChunk<'_>>, CodecError> {
         let stored_crc = read_u32(bytes, &mut pos)?;
         let payload_end =
             pos.checked_add(len).filter(|&e| e <= bytes.len()).ok_or(CodecError::Truncated)?;
-        let corrupt = CodecError::CorruptChunk { index: chunks.len() };
-        if count as usize > len {
-            return Err(corrupt);
+        let payload = &bytes[pos..payload_end];
+        if !chunk_is_intact(count, stored_crc, payload) {
+            return Err(CodecError::CorruptChunk { index: chunks.len() });
         }
-        let mut crc = Crc32::new();
-        crc.update(&bytes[header_start..header_start + 8]);
-        crc.update(&bytes[pos..payload_end]);
-        if crc.finish() != stored_crc {
-            return Err(corrupt);
-        }
-        chunks.push(RawChunk { count, crc: stored_crc, payload: &bytes[pos..payload_end] });
+        chunks.push(RawChunk { count, crc: stored_crc, payload });
         total += u64::from(count);
         pos = payload_end;
     }
 }
 
-/// Verifies and decodes one standalone chunk — the daemon's ingest path
-/// for a chunk that arrived framed rather than in a file. Identical
-/// verification to [`ChunkReader`]: the stored CRC must match the
-/// len/count header plus payload, the payload must parse as exactly
-/// `count` canonical varint pairs, and nothing may remain. Decoded
-/// events are *appended* to `out`; `index` only labels the error.
+/// Whether a chunk's header fits its payload and its stored CRC matches
+/// the len/count header plus payload.
+///
+/// Every event is at least two payload bytes (pc varint + value varint),
+/// so a count above the payload length is corrupt no matter what the
+/// payload holds. That screen runs first, before anything trusts `count`
+/// with an allocation: the header is length-prefixed, not authenticated,
+/// so an adversarial file can pair a CRC-valid `count` of `u32::MAX`
+/// with a tiny payload.
+fn chunk_is_intact(count: u32, stored_crc: u32, payload: &[u8]) -> bool {
+    if count as usize > payload.len() {
+        return false;
+    }
+    let mut crc = Crc32::new();
+    crc.update(&(payload.len() as u32).to_le_bytes());
+    crc.update(&count.to_le_bytes());
+    crc.update(payload);
+    crc.finish() == stored_crc
+}
+
+/// Verifies and decodes one chunk — the one decoder behind
+/// [`ChunkReader`] and the daemon's ingest of a chunk that arrived
+/// framed. The stored CRC must match the len/count header plus payload,
+/// the payload must parse as exactly `count` canonical varint pairs, and
+/// nothing may remain; any failure is `CorruptChunk { index }`. Decoded
+/// events are *appended* to `out`.
 pub fn decode_chunk(
     index: usize,
     count: u32,
@@ -502,28 +598,15 @@ pub fn decode_chunk(
     out: &mut Vec<(u32, u64)>,
 ) -> Result<(), CodecError> {
     let corrupt = CodecError::CorruptChunk { index };
-    if count as usize > payload.len() {
+    if !chunk_is_intact(count, stored_crc, payload) {
         return Err(corrupt);
     }
-    let mut crc = Crc32::new();
-    crc.update(&(payload.len() as u32).to_le_bytes());
-    crc.update(&count.to_le_bytes());
-    crc.update(payload);
-    if crc.finish() != stored_crc {
-        return Err(corrupt);
-    }
+    // The two-bytes-per-event floor also bounds the preallocation.
     out.reserve((count as usize).min(payload.len() / 2));
     let before = out.len();
-    let mut pos = 0usize;
-    while pos < payload.len() {
-        let pc = read_varint(payload, &mut pos).map_err(|_| corrupt.clone())?;
-        let value = read_varint(payload, &mut pos).map_err(|_| corrupt.clone())?;
-        if pc > u64::from(u32::MAX) {
-            return Err(corrupt);
-        }
-        out.push((pc as u32, value));
-    }
-    if out.len() - before != count as usize {
+    // Any malformed varint here is chunk corruption: the bytes passed
+    // the checksum but do not parse as `count` pairs.
+    if decode_payload(payload, out).is_err() || out.len() - before != count as usize {
         return Err(corrupt);
     }
     Ok(())
@@ -685,9 +768,11 @@ mod tests {
         let good = craft_chunk(1, &[0x00, 0x07]);
         assert_eq!(decode(&good).unwrap(), vec![(0, 7)]);
 
-        // Same overlong form with ≥ 8 payload bytes remaining, so the
-        // SWAR fast path (not the scalar tail loop) must reject it.
-        let bad = craft_chunk(4, &[0x80, 0x00, 0x07, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03]);
+        // Same overlong form with ≥ 20 payload bytes remaining, so the
+        // word decoder (not the byte loop at the tail) must reject it.
+        let mut payload = vec![0x80, 0x00, 0x07];
+        payload.extend([0x01; 20]);
+        let bad = craft_chunk(11, &payload);
         assert_eq!(decode(&bad), Err(CodecError::CorruptChunk { index: 0 }));
 
         // Ten-byte zero-extension: the maximal-length overlong form.
