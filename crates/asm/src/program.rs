@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
-use vp_isa::{Instruction, INSTR_BYTES};
+use vp_isa::Instruction;
 
 /// Byte address where the data segment is loaded in the emulator's memory.
 /// Text addresses (as produced by `jal`/`jr` link values and `la` on code
@@ -48,11 +48,6 @@ impl Procedure {
     /// Whether the given instruction index belongs to this procedure.
     pub fn contains(&self, index: u32) -> bool {
         self.range.contains(&index)
-    }
-
-    /// Entry byte address of the procedure.
-    pub fn entry_address(&self) -> u64 {
-        u64::from(self.range.start) * INSTR_BYTES
     }
 }
 
@@ -106,11 +101,6 @@ impl Program {
         &self.procedures
     }
 
-    /// Finds the procedure containing an instruction index.
-    pub fn procedure_at(&self, index: u32) -> Option<&Procedure> {
-        self.procedures.iter().find(|p| p.contains(index))
-    }
-
     /// Finds a procedure by name.
     pub fn procedure(&self, name: &str) -> Option<&Procedure> {
         self.procedures.iter().find(|p| p.name == name)
@@ -129,14 +119,6 @@ impl Program {
     /// Whether the program has no instructions.
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
-    }
-
-    /// Returns a copy with one instruction replaced (used by program
-    /// transformers). Panics if `index` is out of range.
-    pub fn with_replaced(&self, index: usize, instr: Instruction) -> Program {
-        let mut p = self.clone();
-        p.code[index] = instr;
-        p
     }
 }
 
@@ -175,25 +157,14 @@ mod tests {
         assert_eq!(p.data(), &[1, 2, 3]);
         assert_eq!(p.entry(), 0);
         assert_eq!(p.procedure("main").unwrap().range, 0..2);
-        assert_eq!(p.procedure_at(1).unwrap().name, "main");
-        assert!(p.procedure_at(2).is_none());
     }
 
     #[test]
-    fn procedure_entry_address() {
+    fn procedure_contains_its_range() {
         let p = Procedure { name: "f".into(), range: 5..9 };
-        assert_eq!(p.entry_address(), 20);
         assert!(p.contains(5));
         assert!(p.contains(8));
         assert!(!p.contains(9));
-    }
-
-    #[test]
-    fn with_replaced() {
-        let p = tiny();
-        let q = p.with_replaced(0, Instruction::Nop);
-        assert_eq!(q.code()[0], Instruction::Nop);
-        assert_eq!(p.code()[0], tiny().code()[0]);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use vp_core::{aggregate, durable, EntityMetrics, FaultPlan, GovernorStats, PhaseStats};
+use vp_core::{aggregate, durable, EntityMetrics, FaultPlan, ProfilerStats};
 use vp_obs::telemetry::{parse_jsonl_lenient, record, to_jsonl};
 use vp_obs::{Counts, Json};
 
@@ -100,9 +100,10 @@ fn metric_from_json(j: &Json) -> Result<EntityMetrics, String> {
     })
 }
 
-/// Serializes one finished workload as a checkpoint record. The governor
-/// field is emitted only on governed runs, so ungoverned checkpoint files
-/// stay byte-identical to the pre-governor format.
+/// Serializes one finished workload as a checkpoint record. The stats
+/// section (an array of its four values under its name) is emitted only
+/// when the profiler has one, so checkpoint files of the other modes stay
+/// byte-identical to the format from before either section existed.
 fn checkpoint_record(profile: &WorkloadProfile) -> Json {
     let mut fields = vec![
         ("profile_fraction", bits(profile.profile_fraction)),
@@ -112,70 +113,34 @@ fn checkpoint_record(profile: &WorkloadProfile) -> Json {
         ("events", profile.events.to_json()),
         ("metrics", Json::Arr(profile.metrics.iter().map(metric_to_json).collect())),
     ];
-    if let Some(gov) = &profile.governor {
-        fields.push((
-            "governor",
-            Json::Arr(vec![
-                Json::U64(gov.bytes_peak),
-                Json::U64(gov.entities_degraded),
-                Json::U64(gov.entities_dropped),
-                Json::U64(gov.observations_dropped),
-            ]),
-        ));
-    }
-    if let Some(ph) = &profile.phase {
-        fields.push((
-            "phase",
-            Json::Arr(vec![
-                Json::U64(ph.windows),
-                Json::U64(ph.shifts_detected),
-                Json::U64(ph.rearms),
-                Json::U64(ph.rearms_denied),
-            ]),
-        ));
+    if let Some(stats) = &profile.stats {
+        fields.push((stats.name(), Json::Arr(stats.fields().map(|(_, v)| Json::U64(v)).to_vec())));
     }
     record(KIND, profile.name, fields)
 }
 
-/// Everything a checkpoint record stores about one workload — the name is
-/// re-attached from the live [`Workload`](vp_workloads::Workload) at
-/// restore time (profiles carry `&'static str` names).
-#[derive(Debug, Clone)]
-struct Restored {
-    metrics: Vec<EntityMetrics>,
-    profile_fraction: f64,
-    instructions: u64,
-    events: Counts,
-    wall_ns: u64,
-    baseline_wall_ns: Option<u64>,
-    governor: Option<GovernorStats>,
-    phase: Option<PhaseStats>,
-}
-
-fn governor_from_json(j: &Json) -> Result<GovernorStats, String> {
-    let Json::Arr(v) = j else { return Err("governor is not an array".to_string()) };
-    if v.len() != 4 {
-        return Err(format!("governor has {} fields, expected 4", v.len()));
+/// Reads the stats section of a checkpoint record, if it has one.
+fn stats_from_json(rec: &Json) -> Result<Option<ProfilerStats>, String> {
+    for name in ProfilerStats::NAMES {
+        let Some(j) = rec.get(name) else { continue };
+        let Json::Arr(v) = j else { return Err(format!("{name} is not an array")) };
+        if v.len() != 4 {
+            return Err(format!("{name} has {} fields, expected 4", v.len()));
+        }
+        let mut values = [0; 4];
+        for (i, (slot, j)) in values.iter_mut().zip(v).enumerate() {
+            *slot = j.as_u64().ok_or_else(|| format!("bad integer in {name} field {i}"))?;
+        }
+        return Ok(ProfilerStats::from_values(name, values));
     }
-    let u = |i: usize| v[i].as_u64().ok_or_else(|| format!("bad integer in governor field {i}"));
-    Ok(GovernorStats {
-        bytes_peak: u(0)?,
-        entities_degraded: u(1)?,
-        entities_dropped: u(2)?,
-        observations_dropped: u(3)?,
-    })
+    Ok(None)
 }
 
-fn phase_from_json(j: &Json) -> Result<PhaseStats, String> {
-    let Json::Arr(v) = j else { return Err("phase is not an array".to_string()) };
-    if v.len() != 4 {
-        return Err(format!("phase has {} fields, expected 4", v.len()));
-    }
-    let u = |i: usize| v[i].as_u64().ok_or_else(|| format!("bad integer in phase field {i}"));
-    Ok(PhaseStats { windows: u(0)?, shifts_detected: u(1)?, rearms: u(2)?, rearms_denied: u(3)? })
-}
-
-fn parse_checkpoint(rec: &Json) -> Result<(String, Restored), String> {
+/// Parses one checkpoint record into its workload's name and profile.
+/// The profile's own name stays empty: profiles carry `&'static str`
+/// names, so [`Checkpoint::restored`] re-attaches the live workload's.
+/// The aggregate is recomputed from the restored metrics.
+fn parse_checkpoint(rec: &Json) -> Result<(String, WorkloadProfile), String> {
     let name = rec
         .get("name")
         .and_then(Json::as_str)
@@ -190,7 +155,9 @@ fn parse_checkpoint(rec: &Json) -> Result<(String, Restored), String> {
             .map_err(|e| format!("{name}: {e}"))?,
         _ => return Err(format!("{name}: metrics is not an array")),
     };
-    let restored = Restored {
+    let restored = WorkloadProfile {
+        name: "",
+        aggregate: aggregate(&metrics),
         metrics,
         profile_fraction: from_bits(field("profile_fraction")?)
             .ok_or_else(|| format!("{name}: bad profile_fraction"))?,
@@ -201,16 +168,7 @@ fn parse_checkpoint(rec: &Json) -> Result<(String, Restored), String> {
         wall_ns: field("wall_ns")?.as_u64().ok_or_else(|| format!("{name}: bad wall_ns"))?,
         baseline_wall_ns: opt_from_u64(field("baseline_wall_ns")?)
             .map_err(|e| format!("{name}: {e}"))?,
-        governor: rec
-            .get("governor")
-            .map(governor_from_json)
-            .transpose()
-            .map_err(|e| format!("{name}: {e}"))?,
-        phase: rec
-            .get("phase")
-            .map(phase_from_json)
-            .transpose()
-            .map_err(|e| format!("{name}: {e}"))?,
+        stats: stats_from_json(rec).map_err(|e| format!("{name}: {e}"))?,
     };
     Ok((name, restored))
 }
@@ -222,7 +180,7 @@ fn parse_checkpoint(rec: &Json) -> Result<(String, Restored), String> {
 #[derive(Debug)]
 pub struct Checkpoint {
     path: PathBuf,
-    restored: HashMap<String, Restored>,
+    restored: HashMap<String, WorkloadProfile>,
     append: Mutex<()>,
 }
 
@@ -285,21 +243,9 @@ impl Checkpoint {
     }
 
     /// The restored profile for `name`, if the interrupted run completed
-    /// it. The aggregate is recomputed from the restored metrics.
+    /// it.
     pub fn restored(&self, name: &'static str) -> Option<WorkloadProfile> {
-        let r = self.restored.get(name)?;
-        Some(WorkloadProfile {
-            name,
-            aggregate: aggregate(&r.metrics),
-            metrics: r.metrics.clone(),
-            profile_fraction: r.profile_fraction,
-            instructions: r.instructions,
-            events: r.events,
-            wall_ns: r.wall_ns,
-            baseline_wall_ns: r.baseline_wall_ns,
-            governor: r.governor,
-            phase: r.phase,
-        })
+        Some(WorkloadProfile { name, ..self.restored.get(name)?.clone() })
     }
 
     /// Durably appends one finished workload, then fires the
@@ -360,15 +306,43 @@ mod tests {
         let checkpoint = Checkpoint::create(&path).unwrap();
         let plan = FaultPlan::empty();
         for w in &profile.workloads {
-            assert!(w.phase.is_some());
+            assert!(matches!(w.stats, Some(ProfilerStats::Phase(_))), "{}", w.name);
             checkpoint.record(&plan, w).unwrap();
         }
         let (resumed, _) = Checkpoint::resume(&path).unwrap();
         for w in &profile.workloads {
             let r = resumed.restored(w.name).unwrap();
-            assert_eq!(r.phase, w.phase, "{}", w.name);
+            assert_eq!(r.stats, w.stats, "{}", w.name);
             assert_eq!(r.metrics, w.metrics, "{}", w.name);
         }
+    }
+
+    /// A governed record (`profile-suite --mem-budget-mb 1`) and an
+    /// adaptive one (`--adaptive --phase-window 256 --max-rearms 8`), as
+    /// written before the two stats sections became one value.
+    const OLD_STATS_RECORDS: &str = concat!(
+        r#"{"schema":1,"kind":"checkpoint","name":"hydro2d","profile_fraction":4607182418800017408,"instructions":231125,"wall_ns":6200691,"baseline_wall_ns":null,"events":{"instr_events":67501,"load_events":67501,"tnv_hits":17049,"tnv_inserts":130,"tnv_evictions":50322,"tnv_clears":30,"tnv_cleared_entries":96,"workloads_profiled":1,"entities_degraded":1},"metrics":[[28,13500,4552330576938479154,4584964660638322961,4585071412629490262,null,null,4584964660638322961,null,0],[29,13500,4589489610663926917,4591710052080206771,4591774103274907151,4591710052080206771,4591779440874465516,4591710052080206771,12175,0],[30,13500,4584857908647155660,4584964660638322961,4585092763027723722,4584964660638322961,4585124788625073912,0,13043,4633922541587529728],[31,13500,4591635325686389660,4591710052080206771,4591752752876673691,4591710052080206771,4591768765675348786,4591710052080206771,12177,0],[35,13500,4607181751600072612,4607182418800017408,4607182418800017408,4607182418800017408,4607182418800017408,0,1,4598175219545276416],[48,1,0,4607182418800017408,4607182418800017408,4607182418800017408,4607182418800017408,0,1,4587085148429294606]],"governor":[919352,1,0,0]}"#,
+        "\n",
+        r#"{"schema":1,"kind":"checkpoint","name":"gcc","profile_fraction":4605308063526530830,"instructions":81019,"wall_ns":956614,"baseline_wall_ns":null,"events":{"instr_events":10500,"load_events":10500,"tnv_hits":6629,"tnv_inserts":35,"tnv_evictions":1651,"tnv_clears":1,"conv_backoffs":3,"conv_resumes":1,"conv_profiled":8315,"conv_skipped":2185,"workloads_profiled":1,"phase_windows":37,"phase_shifts":4,"phase_rearms":1},"metrics":[[19,4500,4607174267488474656,4601822931460657949,4607182418800017408,null,null,4595689069524737047,null,2],[26,1500,4603027097543830230,4604594350214155163,4605176815765961747,null,null,0,null,91],[36,1500,4586543065079153763,4586234246818991215,4598200954400289962,null,null,4586234246818991215,null,0],[43,1500,4604450235026079307,4599820534609142437,4605957439701372633,null,null,4599820534609142437,null,0],[48,1500,4603009083145320748,4605095750972669078,4605726254920500948,null,null,4605095750972669078,null,0]],"phase":[37,4,1,0]}"#,
+        "\n",
+    );
+
+    #[test]
+    fn records_from_before_the_stats_value_resume_and_rerecord_identically() {
+        let path = tmp("old_stats_records.jsonl");
+        std::fs::write(&path, OLD_STATS_RECORDS).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        assert_eq!(summary, ResumeSummary { restored: 2, dropped_tail: None });
+        let hydro2d = resumed.restored("hydro2d").unwrap();
+        let gcc = resumed.restored("gcc").unwrap();
+        assert_eq!(hydro2d.stats, ProfilerStats::from_values("governor", [919_352, 1, 0, 0]));
+        assert_eq!(gcc.stats, ProfilerStats::from_values("phase", [37, 4, 1, 0]));
+        let again = tmp("old_stats_records_rerecorded.jsonl");
+        let checkpoint = Checkpoint::create(&again).unwrap();
+        for w in [&hydro2d, &gcc] {
+            checkpoint.record(&FaultPlan::empty(), w).unwrap();
+        }
+        assert_eq!(std::fs::read_to_string(&again).unwrap(), OLD_STATS_RECORDS);
     }
 
     #[test]

@@ -589,7 +589,10 @@ fn serve_conn_on<R: Read, W: Write>(
     wait: &mut dyn FnMut() -> Wait,
 ) {
     let mut reader = FrameReader::new(r);
-    if reader.expect_magic().is_err() {
+    // The greeting is read only once its bytes (or EOF) arrive, so a peer
+    // that connects and stays silent cannot hold the daemon past a drain
+    // or the idle budget: either ends the connection without a word.
+    if wait() != Wait::Ready || reader.expect_magic().is_err() || wait() != Wait::Ready {
         return;
     }
     let first = net::read_msg(&mut reader);
@@ -1300,12 +1303,13 @@ mod tests {
             net::write_msg(&mut input, m).unwrap();
         }
         let mut output = Vec::new();
-        // The session loop waits once per frame; HELLO is read before
-        // it starts, so the fifth wait lands after the four chunks.
+        // The magic and HELLO each wait once before the session loop
+        // starts, and the loop waits once per frame, so the seventh wait
+        // lands after the four chunks.
         let mut seen = 0;
         let mut wait = || {
             seen += 1;
-            if seen > 4 {
+            if seen > 6 {
                 Wait::Drain
             } else {
                 Wait::Ready
@@ -1478,6 +1482,34 @@ mod tests {
         fn shutdown(socket: &Path, daemon: Handle) -> ServeReport {
             drop(Client::connect(socket, Some(&SessionMsg::Shutdown)));
             daemon.join().unwrap().unwrap()
+        }
+
+        #[test]
+        fn silent_connections_do_not_hold_the_daemon_past_a_shutdown() {
+            let _serial = DAEMONS.lock().unwrap_or_else(|e| e.into_inner());
+            let dir = tmp_dir("silent");
+            let cfg = ServeConfig::new(dir.join("serve.sock"), dir.clone());
+            let daemon = start(cfg.clone(), FaultPlan::empty());
+            // One peer sends nothing at all, one only the magic; the
+            // default config has no idle budget to cut either loose.
+            let silent = UnixStream::connect(&cfg.socket).unwrap();
+            let mut magic_only = UnixStream::connect(&cfg.socket).unwrap();
+            frame::write_magic(&mut magic_only).unwrap();
+            assert_eq!(await_session_threads(2), 2);
+            drop(Client::connect(&cfg.socket, Some(&SessionMsg::Shutdown)));
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while !daemon.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let stopped = daemon.is_finished();
+            // Closing the peers frees a daemon that did not stop, so a
+            // failure reports instead of hanging.
+            drop((silent, magic_only));
+            let report = daemon.join().unwrap().unwrap();
+            assert!(stopped, "the daemon outlived the shutdown by over 1 s");
+            assert_eq!(report.counts.get(CounterId::SessionKilled), 0);
+            assert_eq!(session_threads(), 0);
+            let _ = std::fs::remove_dir_all(&dir);
         }
 
         #[test]

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use vp_core::{
     aggregate, merge_entity_metrics, render_metric_table, report::row, Aggregate, EntityMetrics,
-    FaultPlan, GovernorStats, MemBudget, PhaseStats, ProfileMode, ReportRow,
+    FaultPlan, MemBudget, ProfileMode, ProfilerStats, ReportRow,
 };
 use vp_instrument::{
     try_parallel_map, FailureKind, Instrumenter, ItemFailure, MapOptions, Selection,
@@ -58,16 +58,12 @@ pub struct WorkloadProfile {
     /// baseline measurement was requested — the denominator of the
     /// profiling-slowdown figure.
     pub baseline_wall_ns: Option<u64>,
-    /// Memory-governor counters of this workload's run, present only when
-    /// a budget was armed ([`SuiteRunner::mem_budget`]). `None` on
-    /// ungoverned runs, keeping their profiles byte-identical to before
-    /// the governor existed.
-    pub governor: Option<GovernorStats>,
-    /// Phase-detector counters of this workload's run, present only in
-    /// [`ProfileMode::Adaptive`]. `None` otherwise, keeping
-    /// non-adaptive profiles byte-identical to before the detector
-    /// existed.
-    pub phase: Option<PhaseStats>,
+    /// The profiler's stats section ([`vp_core::Profiler::stats`]): the
+    /// governor's when a budget was armed ([`SuiteRunner::mem_budget`]),
+    /// the phase detector's in [`ProfileMode::Adaptive`]. `None`
+    /// otherwise, keeping those profiles byte-identical to before either
+    /// section existed.
+    pub stats: Option<ProfilerStats>,
 }
 
 impl WorkloadProfile {
@@ -560,8 +556,7 @@ impl SuiteRunner {
             events,
             wall_ns,
             baseline_wall_ns,
-            governor: profiler.governor_stats(),
-            phase: profiler.phase_stats(),
+            stats: profiler.stats(),
         }
     }
 }
@@ -612,7 +607,9 @@ mod tests {
             .mode(ProfileMode::Adaptive(budget))
             .run_workloads(&suite()[..2], DataSet::Test);
         for w in &profile.workloads {
-            let ps = w.phase.expect("adaptive run reports phase stats");
+            let Some(ProfilerStats::Phase(ps)) = w.stats else {
+                panic!("{}: adaptive run reports phase stats, got {:?}", w.name, w.stats)
+            };
             assert!(ps.windows > 0, "{} completed no windows", w.name);
             assert_eq!(w.events.get(CounterId::PhaseWindows), ps.windows, "{}", w.name);
             assert_eq!(w.events.get(CounterId::PhaseShifts), ps.shifts_detected, "{}", w.name);
@@ -620,11 +617,11 @@ mod tests {
             assert_eq!(w.events.get(CounterId::PhaseRearmsDenied), ps.rearms_denied, "{}", w.name);
         }
         let full = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
-        assert!(full.workloads.iter().all(|w| w.phase.is_none()));
+        assert!(full.workloads.iter().all(|w| w.stats.is_none()));
         let conv = SuiteRunner::new()
             .mode(ProfileMode::Convergent)
             .run_workloads(&suite()[..1], DataSet::Test);
-        assert!(conv.workloads.iter().all(|w| w.phase.is_none()));
+        assert!(conv.workloads.iter().all(|w| w.stats.is_none()));
     }
 
     #[test]
@@ -743,8 +740,10 @@ mod tests {
         for (p, g) in plain.workloads.iter().zip(&governed.workloads) {
             assert_eq!(p.metrics, g.metrics, "{}", p.name);
             assert_eq!(p.events, g.events, "{}", p.name);
-            assert!(p.governor.is_none());
-            let gov = g.governor.expect("governed run reports stats");
+            assert!(p.stats.is_none());
+            let Some(ProfilerStats::Governor(gov)) = g.stats else {
+                panic!("{}: governed run reports governor stats, got {:?}", g.name, g.stats)
+            };
             assert!(!gov.intervened(), "{}: {gov:?}", g.name);
             assert!(gov.bytes_peak > 0);
         }
@@ -759,7 +758,7 @@ mod tests {
             SuiteRunner::new().mem_budget(budget).jobs(4).run_workloads(workloads, DataSet::Test);
         for (s, p) in serial.workloads.iter().zip(&parallel.workloads) {
             assert_eq!(s.metrics, p.metrics, "{}", s.name);
-            assert_eq!(s.governor, p.governor, "{}", s.name);
+            assert_eq!(s.stats, p.stats, "{}", s.name);
         }
     }
 

@@ -81,27 +81,9 @@ pub fn suite_records(
         if let Some(slowdown) = w.slowdown() {
             fields.push(("slowdown", Json::F64(slowdown)));
         }
-        if let Some(gov) = &w.governor {
-            fields.push((
-                "governor",
-                Json::obj(vec![
-                    ("bytes_peak", Json::U64(gov.bytes_peak)),
-                    ("entities_degraded", Json::U64(gov.entities_degraded)),
-                    ("entities_dropped", Json::U64(gov.entities_dropped)),
-                    ("observations_dropped", Json::U64(gov.observations_dropped)),
-                ]),
-            ));
-        }
-        if let Some(ph) = &w.phase {
-            fields.push((
-                "phase",
-                Json::obj(vec![
-                    ("windows", Json::U64(ph.windows)),
-                    ("shifts_detected", Json::U64(ph.shifts_detected)),
-                    ("rearms", Json::U64(ph.rearms)),
-                    ("rearms_denied", Json::U64(ph.rearms_denied)),
-                ]),
-            ));
+        if let Some(stats) = &w.stats {
+            let values = stats.fields().map(|(key, v)| (key, Json::U64(v)));
+            fields.push((stats.name(), Json::obj(values.to_vec())));
         }
         records.push(record("workload", w.name, fields));
     }

@@ -8,8 +8,10 @@ use std::time::Duration;
 
 use vp_asm::Program;
 use vp_bench::experiments::{self, Experiment};
-use vp_bench::SuiteRunner;
-use vp_core::{render_metric_table, report::row, FaultPlan, MemBudget, PhaseBudget, ProfileMode};
+use vp_bench::{SuiteProfile, SuiteRunner};
+use vp_core::{
+    render_metric_table, report::row, FaultPlan, MemBudget, PhaseBudget, ProfileMode, ProfilerStats,
+};
 use vp_instrument::{ChunkReader, Instrumenter, Selection};
 use vp_obs::Json;
 use vp_sim::{InputSet, Machine, MachineConfig};
@@ -580,14 +582,7 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
             "adaptive phase detection (window {}, max {} re-arms/instruction):",
             budget.window, budget.max_rearms
         )?;
-        for w in &profile.workloads {
-            let ph = w.phase.unwrap_or_default();
-            writeln!(
-                out,
-                "  {:<10} windows {:>8}  shifts {:>6}  rearms {:>5}  denied {:>5}",
-                w.name, ph.windows, ph.shifts_detected, ph.rearms, ph.rearms_denied
-            )?;
-        }
+        write_stats_rows(out, profile)?;
     }
     if args.has("--baseline") {
         writeln!(out, "slowdown vs uninstrumented replay:")?;
@@ -613,24 +608,9 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         profile.workloads.len(),
         profile.total_instructions()
     )?;
-    let governed: Vec<_> =
-        profile.workloads.iter().filter_map(|w| w.governor.map(|g| (w.name, g))).collect();
     if let Some(budget) = mem_budget {
         writeln!(out, "governor (budget {} bytes/workload):", budget.limit_bytes())?;
-        for (name, g) in &governed {
-            writeln!(
-                out,
-                "  {:<10} peak {:>12}  degraded {:>6}  dropped {:>6}  obs dropped {:>9}",
-                name, g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
-            )?;
-        }
-        let dropped: u64 = governed.iter().map(|(_, g)| g.entities_dropped).sum();
-        if dropped > 0 {
-            writeln!(
-                out,
-                "warning: {dropped} entities dropped — raise --mem-budget-mb to recover them"
-            )?;
-        }
+        write_stats_rows(out, profile)?;
     }
     if !outcome.is_clean() {
         writeln!(out)?;
@@ -644,6 +624,41 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
     writeln!(out, "telemetry: {} ({} records)", telemetry_path.display(), records.len())?;
+    Ok(())
+}
+
+/// Writes `profile-suite`'s row for each workload's stats section, and a
+/// warning when the memory governor dropped any entity outright.
+fn write_stats_rows(out: &mut dyn Write, profile: &SuiteProfile) -> io::Result<()> {
+    let mut dropped = 0;
+    for w in &profile.workloads {
+        match w.stats {
+            Some(ProfilerStats::Governor(g)) => {
+                dropped += g.entities_dropped;
+                writeln!(
+                    out,
+                    "  {:<10} peak {:>12}  degraded {:>6}  dropped {:>6}  obs dropped {:>9}",
+                    w.name,
+                    g.bytes_peak,
+                    g.entities_degraded,
+                    g.entities_dropped,
+                    g.observations_dropped
+                )?;
+            }
+            Some(ProfilerStats::Phase(ph)) => writeln!(
+                out,
+                "  {:<10} windows {:>8}  shifts {:>6}  rearms {:>5}  denied {:>5}",
+                w.name, ph.windows, ph.shifts_detected, ph.rearms, ph.rearms_denied
+            )?,
+            None => {}
+        }
+    }
+    if dropped > 0 {
+        writeln!(
+            out,
+            "warning: {dropped} entities dropped — raise --mem-budget-mb to recover them"
+        )?;
+    }
     Ok(())
 }
 
@@ -949,18 +964,16 @@ fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
             &rows
         )
     )?;
-    if let Some(g) = profiler.governor_stats() {
-        writeln!(
-            out,
-            "governor: peak {} bytes, degraded {}, dropped {}, obs dropped {}",
-            g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
-        )?;
-    }
     if mode != ProfileMode::Full {
         writeln!(out, "profiled fraction: {:6.2}%", profiler.profile_fraction() * 100.0)?;
     }
-    if let (ProfileMode::Adaptive(budget), Some(ph)) = (mode, profiler.phase_stats()) {
-        writeln!(
+    match (profiler.stats(), mode) {
+        (Some(ProfilerStats::Governor(g)), _) => writeln!(
+            out,
+            "governor: peak {} bytes, degraded {}, dropped {}, obs dropped {}",
+            g.bytes_peak, g.entities_degraded, g.entities_dropped, g.observations_dropped
+        )?,
+        (Some(ProfilerStats::Phase(ph)), ProfileMode::Adaptive(budget)) => writeln!(
             out,
             "adaptive: windows {}, shifts {}, rearms {}, denied {} (window {}, max {} re-arms)",
             ph.windows,
@@ -969,7 +982,8 @@ fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
             ph.rearms_denied,
             budget.window,
             budget.max_rearms
-        )?;
+        )?,
+        _ => {}
     }
     Ok(())
 }

@@ -15,6 +15,12 @@
 //! path ([`Profiler::run_live`]) matches the variant once and then runs
 //! the monomorphized instrumentation loop, so no event pays a dynamic
 //! dispatch, and the stream paths dispatch once per batch.
+//!
+//! A profiler's account of its own interventions is one value,
+//! [`Profiler::stats`]: a [`ProfilerStats`] section (the memory
+//! governor's on a governed full profiler, the phase detector's on an
+//! adaptive one) or `None`. Checkpoint records, telemetry and
+//! `vprof stats` each encode it through one function.
 
 use vp_asm::Program;
 use vp_instrument::trace_codec::{ChunkReader, CodecError};
@@ -157,26 +163,21 @@ impl Profiler {
         }
     }
 
-    /// Memory-governor counters, present only on a governed full
-    /// profiler.
-    pub fn governor_stats(&self) -> Option<GovernorStats> {
+    /// The profiler's account of its own interventions: the memory
+    /// governor's counters on a governed full profiler, the phase
+    /// detector's on an adaptive one, `None` in every other mode.
+    pub fn stats(&self) -> Option<ProfilerStats> {
         match self {
-            Profiler::Full(p) => p.governor_stats().copied(),
-            Profiler::Convergent(_) => None,
-        }
-    }
-
-    /// Phase-detector counters, present only on an adaptive profiler.
-    pub fn phase_stats(&self) -> Option<PhaseStats> {
-        match self {
-            Profiler::Convergent(p) => p.phase_budget().map(|_| p.phase_stats()),
-            Profiler::Full(_) => None,
+            Profiler::Full(p) => p.governor_stats().copied().map(ProfilerStats::Governor),
+            Profiler::Convergent(p) => {
+                p.phase_budget().map(|_| ProfilerStats::Phase(p.phase_stats()))
+            }
         }
     }
 
     /// Adds the profiler's self-profiling events to `counts`: TNV-table
-    /// work, convergent-sampler decisions, and the governor and
-    /// phase-detector counters where the mode has them.
+    /// work, convergent-sampler decisions, and the summable counters of
+    /// its [`stats`](Self::stats).
     pub fn add_events_to(&self, counts: &mut Counts) {
         match self {
             Profiler::Full(p) => p.tnv_events().add_to(counts),
@@ -185,15 +186,90 @@ impl Profiler {
                 p.events().add_to(counts);
             }
         }
-        if let Some(gov) = self.governor_stats() {
-            counts.add(CounterId::EntitiesDegraded, gov.entities_degraded);
-            counts.add(CounterId::EntitiesDropped, gov.entities_dropped);
+        if let Some(stats) = self.stats() {
+            stats.add_events_to(counts);
         }
-        if let Some(ph) = self.phase_stats() {
-            counts.add(CounterId::PhaseWindows, ph.windows);
-            counts.add(CounterId::PhaseShifts, ph.shifts_detected);
-            counts.add(CounterId::PhaseRearms, ph.rearms);
-            counts.add(CounterId::PhaseRearmsDenied, ph.rearms_denied);
+    }
+}
+
+/// The one stats section a [`Profiler`] carries: the governor's on a
+/// governed full profiler, the phase detector's on an adaptive one. No
+/// mode has both. Each section is four `u64` fields under one name, and
+/// [`name`](Self::name) with [`fields`](Self::fields) drive every
+/// encoding of it (checkpoint records, telemetry, `vprof stats`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProfilerStats {
+    /// A governed full profiler's [`GovernorStats`].
+    Governor(GovernorStats),
+    /// An adaptive profiler's [`PhaseStats`].
+    Phase(PhaseStats),
+}
+
+impl ProfilerStats {
+    /// Every section name, in the order encodings look for them.
+    pub const NAMES: [&'static str; 2] = ["governor", "phase"];
+
+    /// The section's name: its key in checkpoint and telemetry records.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ProfilerStats::Governor(_) => "governor",
+            ProfilerStats::Phase(_) => "phase",
+        }
+    }
+
+    /// The section's fields as `(name, value)`, in encoding order.
+    pub fn fields(&self) -> [(&'static str, u64); 4] {
+        match *self {
+            ProfilerStats::Governor(g) => [
+                ("bytes_peak", g.bytes_peak),
+                ("entities_degraded", g.entities_degraded),
+                ("entities_dropped", g.entities_dropped),
+                ("observations_dropped", g.observations_dropped),
+            ],
+            ProfilerStats::Phase(p) => [
+                ("windows", p.windows),
+                ("shifts_detected", p.shifts_detected),
+                ("rearms", p.rearms),
+                ("rearms_denied", p.rearms_denied),
+            ],
+        }
+    }
+
+    /// Rebuilds the section called `name` from its field values in
+    /// [`fields`](Self::fields) order; `None` for an unknown name.
+    pub fn from_values(name: &str, [a, b, c, d]: [u64; 4]) -> Option<ProfilerStats> {
+        match name {
+            "governor" => Some(ProfilerStats::Governor(GovernorStats {
+                bytes_peak: a,
+                entities_degraded: b,
+                entities_dropped: c,
+                observations_dropped: d,
+            })),
+            "phase" => Some(ProfilerStats::Phase(PhaseStats {
+                windows: a,
+                shifts_detected: b,
+                rearms: c,
+                rearms_denied: d,
+            })),
+            _ => None,
+        }
+    }
+
+    /// Adds the section's event counts to `counts`. The governor's
+    /// `bytes_peak` is a gauge, not an event count, so it is left out, as
+    /// are its dropped observations, which have no counter.
+    fn add_events_to(&self, counts: &mut Counts) {
+        match *self {
+            ProfilerStats::Governor(g) => {
+                counts.add(CounterId::EntitiesDegraded, g.entities_degraded);
+                counts.add(CounterId::EntitiesDropped, g.entities_dropped);
+            }
+            ProfilerStats::Phase(p) => {
+                counts.add(CounterId::PhaseWindows, p.windows);
+                counts.add(CounterId::PhaseShifts, p.shifts_detected);
+                counts.add(CounterId::PhaseRearms, p.rearms);
+                counts.add(CounterId::PhaseRearmsDenied, p.rearms_denied);
+            }
         }
     }
 }
@@ -226,7 +302,7 @@ mod tests {
             let mut reader = ChunkReader::new(&bytes).unwrap();
             let replayed = mode.profile_trace(None, &mut reader).unwrap();
             assert_eq!(replayed.metrics(), serial.metrics(), "{mode:?}");
-            assert_eq!(replayed.phase_stats(), serial.phase_stats(), "{mode:?}");
+            assert_eq!(replayed.stats(), serial.stats(), "{mode:?}");
             let (mut a, mut b) = (Counts::new(), Counts::new());
             replayed.add_events_to(&mut a);
             serial.add_events_to(&mut b);
@@ -238,12 +314,24 @@ mod tests {
     #[test]
     fn stats_are_present_exactly_in_their_modes() {
         for mode in MODES {
-            let p = mode.build(Some(MemBudget::mib(64)));
-            assert_eq!(p.governor_stats().is_some(), mode == ProfileMode::Full, "{mode:?}");
-            assert_eq!(p.phase_stats().is_some(), matches!(mode, ProfileMode::Adaptive(_)));
+            let governed = mode.build(Some(MemBudget::mib(64))).stats().map(|s| s.name());
+            let plain = mode.build(None).stats().map(|s| s.name());
+            let want = match mode {
+                ProfileMode::Full => (Some("governor"), None),
+                ProfileMode::Convergent => (None, None),
+                ProfileMode::Adaptive(_) => (Some("phase"), Some("phase")),
+            };
+            assert_eq!((governed, plain), want, "{mode:?}");
         }
-        assert!(ProfileMode::Full.build(None).governor_stats().is_none());
         assert_eq!(ProfileMode::Full.build(None).profile_fraction(), 1.0);
+    }
+
+    #[test]
+    fn the_governor_peak_is_no_event_count() {
+        let stats = ProfilerStats::from_values("governor", [919_352, 1, 2, 4]).unwrap();
+        let mut counts = Counts::new();
+        stats.add_events_to(&mut counts);
+        assert_eq!(counts.total(), 3, "only the entity counts are events: {counts:?}");
     }
 
     fn assert_wrapper_matches(at: &str, wrapper: &AdaptiveProfiler, engine: &Profiler) {
@@ -251,7 +339,7 @@ mod tests {
         assert_eq!(wrapper.metrics(), p.metrics(), "{at}");
         assert_eq!(wrapper.events(), p.events(), "{at}");
         assert_eq!(wrapper.tnv_events(), p.tnv_events(), "{at}");
-        assert_eq!(Some(wrapper.phase_stats()), engine.phase_stats(), "{at}");
+        assert_eq!(Some(ProfilerStats::Phase(wrapper.phase_stats())), engine.stats(), "{at}");
     }
 
     #[test]
@@ -277,10 +365,10 @@ mod tests {
         instrumenter.run(program.program(), cfg(), 100_000_000, &mut w).unwrap();
         e.run_live(&instrumenter, program.program(), cfg(), 100_000_000).unwrap();
         assert_wrapper_matches(program.name(), &w, &e);
-        assert!(e.phase_stats().is_some_and(|ps| ps.windows > 0));
+        assert!(matches!(e.stats(), Some(ProfilerStats::Phase(ps)) if ps.windows > 0));
         let mut convergent = ProfileMode::Convergent.build(None);
         convergent.run_live(&instrumenter, program.program(), cfg(), 100_000_000).unwrap();
-        assert_eq!(convergent.phase_stats(), None);
+        assert_eq!(convergent.stats(), None);
     }
 
     #[test]

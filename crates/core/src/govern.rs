@@ -117,8 +117,10 @@ impl Governor {
         self.budget
     }
 
-    /// Current resident governed footprint in bytes.
-    pub fn bytes_current(&self) -> usize {
+    /// Current resident governed footprint in bytes; the tests check
+    /// the byte accounting against it.
+    #[cfg(test)]
+    fn bytes_current(&self) -> usize {
         self.arena.live_bytes()
     }
 

@@ -86,7 +86,7 @@ pub use durable::{
     append_jsonl, crc32, load_profile, parse_profile_checked, write_atomic, write_profile,
     CheckedProfile, Integrity, IntegrityMode, LoadProfileError,
 };
-pub use engine::{ProfileMode, Profiler};
+pub use engine::{ProfileMode, Profiler, ProfilerStats};
 pub use fault::{FaultAction, FaultPlan};
 pub use govern::{Governor, GovernorStats, MemBudget};
 pub use instr_profile::InstructionProfiler;

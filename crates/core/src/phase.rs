@@ -94,9 +94,9 @@ impl Default for PhaseBudget {
 
 /// Exact counters of the phase detector, summed over all instructions.
 ///
-/// Like [`GovernorStats`](crate::govern::GovernorStats) these flow into
-/// checkpoint, telemetry and `vprof stats` only when adaptive profiling
-/// is on.
+/// They travel as [`ProfilerStats::Phase`](crate::ProfilerStats::Phase)
+/// into checkpoint, telemetry and `vprof stats`, only when adaptive
+/// profiling is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {
     /// Signature windows completed.
@@ -116,11 +116,6 @@ impl PhaseStats {
         self.shifts_detected += other.shifts_detected;
         self.rearms += other.rearms;
         self.rearms_denied += other.rearms_denied;
-    }
-
-    /// Whether the detector ever intervened in the sampling schedule.
-    pub fn adapted(&self) -> bool {
-        self.rearms > 0 || self.rearms_denied > 0
     }
 }
 
@@ -472,7 +467,7 @@ mod tests {
         assert!(ps.windows > 0);
         assert_eq!(ps.shifts_detected, 0);
         assert_eq!(ps.rearms, 0);
-        assert!(!ps.adapted());
+        assert_eq!(ps.rearms_denied, 0);
     }
 
     #[test]
@@ -501,7 +496,6 @@ mod tests {
         let ps = p.phase_stats();
         assert_eq!(ps.rearms, 2, "budget caps re-arms: {ps:?}");
         assert!(ps.rearms_denied > 0, "further shifts are denied: {ps:?}");
-        assert!(ps.adapted());
     }
 
     #[test]

@@ -125,17 +125,6 @@ impl TemporalProfiler {
             .collect()
     }
 
-    /// Offline shift points per the adaptive detector's rule
-    /// ([`phase::shifted`]): indices `i` such that window `i-1 → i`
-    /// constitutes a distribution shift.
-    pub fn shift_points(&self, index: u32) -> Vec<usize> {
-        let sigs = self.signatures(index);
-        sigs.windows(2)
-            .enumerate()
-            .filter_map(|(i, pair)| phase::shifted(&pair[0], &pair[1]).then_some(i + 1))
-            .collect()
-    }
-
     /// Mean within-window invariance, weighted by window executions. When
     /// this is much higher than the whole-run `Inv-Top(1)`, the
     /// instruction is *phase-wise invariant* — the prime case for the TNV
@@ -221,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn signatures_and_shift_points_follow_the_detector_rule() {
+    fn signatures_follow_the_detector_rule() {
         let mut p = TemporalProfiler::new(TrackerConfig::default(), 100);
         let stream = std::iter::repeat_n(1, 300).chain(std::iter::repeat_n(2, 300));
         feed(&mut p, 0, stream);
@@ -229,16 +218,19 @@ mod tests {
         assert_eq!(sigs.len(), 6);
         assert!(sigs[..3].iter().all(|s| s.top_value == 1 && s.share16 == 16));
         assert!(sigs[3..].iter().all(|s| s.top_value == 2 && s.share16 == 16));
-        assert_eq!(p.shift_points(0), vec![3], "exactly one shift, at the phase boundary");
-        assert_eq!(p.shift_points(99), Vec::<usize>::new());
+        let shifts: Vec<usize> =
+            (1..sigs.len()).filter(|&i| phase::shifted(&sigs[i - 1], &sigs[i])).collect();
+        assert_eq!(shifts, vec![3], "exactly one shift, at the phase boundary");
+        assert!(p.signatures(99).is_empty());
     }
 
     #[test]
-    fn stationary_stream_has_no_shift_points() {
+    fn stationary_stream_has_no_shifts() {
         let mut p = TemporalProfiler::new(TrackerConfig::default(), 50);
         feed(&mut p, 4, std::iter::repeat_n(9, 500));
-        assert!(p.shift_points(4).is_empty());
-        assert!(p.signatures(4).iter().all(|s| s.top_value == 9));
+        let sigs = p.signatures(4);
+        assert!(sigs.windows(2).all(|pair| !phase::shifted(&pair[0], &pair[1])));
+        assert!(sigs.iter().all(|s| s.top_value == 9));
     }
 
     #[test]

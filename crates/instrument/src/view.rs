@@ -3,7 +3,7 @@
 
 use vp_asm::{Procedure, Program};
 use vp_isa::Instruction;
-use vp_sim::{BasicBlock, Cfg};
+use vp_sim::Cfg;
 
 /// A reference to one static instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,11 +14,10 @@ pub struct InstrRef {
     pub instr: Instruction,
 }
 
-/// A procedure together with its basic blocks.
+/// A procedure of a [`ProgramView`]'s program.
 #[derive(Debug, Clone)]
 pub struct ProcView<'p> {
     proc: &'p Procedure,
-    blocks: Vec<BasicBlock>,
     program: &'p Program,
 }
 
@@ -31,11 +30,6 @@ impl<'p> ProcView<'p> {
     /// The underlying procedure record.
     pub fn procedure(&self) -> &Procedure {
         self.proc
-    }
-
-    /// Basic blocks fully contained in this procedure.
-    pub fn basic_blocks(&self) -> &[BasicBlock] {
-        &self.blocks
     }
 
     /// Instructions of the procedure, in order.
@@ -86,17 +80,7 @@ impl<'p> ProgramView<'p> {
 
     /// Iterates over declared procedures.
     pub fn procedures(&self) -> impl Iterator<Item = ProcView<'p>> + '_ {
-        self.program.procedures().iter().map(move |proc| ProcView {
-            proc,
-            blocks: self
-                .cfg
-                .blocks()
-                .iter()
-                .filter(|b| proc.range.contains(&b.range.start))
-                .cloned()
-                .collect(),
-            program: self.program,
-        })
+        self.program.procedures().iter().map(move |proc| ProcView { proc, program: self.program })
     }
 
     /// Iterates over every static instruction.
@@ -106,17 +90,6 @@ impl<'p> ProgramView<'p> {
             .iter()
             .enumerate()
             .map(|(i, &instr)| InstrRef { index: i as u32, instr })
-    }
-
-    /// Indices of all load instructions.
-    pub fn load_indices(&self) -> Vec<u32> {
-        self.instructions().filter(|r| r.instr.is_load()).map(|r| r.index).collect()
-    }
-
-    /// Indices of all register-defining instructions (the paper's "all
-    /// instructions" profiling universe).
-    pub fn register_defining_indices(&self) -> Vec<u32> {
-        self.instructions().filter(|r| r.instr.is_register_defining()).map(|r| r.index).collect()
     }
 }
 
@@ -153,7 +126,6 @@ mod tests {
         assert_eq!(procs.len(), 1);
         assert_eq!(procs[0].name(), "f");
         assert_eq!(procs[0].instructions().count(), 2);
-        assert!(!procs[0].basic_blocks().is_empty());
         assert_eq!(procs[0].procedure().name, "f");
     }
 
@@ -161,9 +133,6 @@ mod tests {
     fn instruction_filters() {
         let p = sample();
         let view = ProgramView::new(&p);
-        assert_eq!(view.load_indices().len(), 1);
-        // la expands to lui+ori (2) + ldd (1) + add (1) = 4 defining instrs.
-        assert_eq!(view.register_defining_indices().len(), 4);
         assert_eq!(view.instructions().count(), p.len());
         assert_eq!(view.program().len(), p.len());
         assert!(!view.cfg().blocks().is_empty());

@@ -226,18 +226,6 @@ impl Instruction {
                 | Instruction::Jalr { .. }
         ) || matches!(self, Instruction::Sys { call: Syscall::Exit })
     }
-
-    /// Whether the instruction *unconditionally* leaves the fall-through
-    /// path (used by basic-block discovery).
-    pub fn is_unconditional_transfer(self) -> bool {
-        matches!(
-            self,
-            Instruction::Jump { .. }
-                | Instruction::Jal { .. }
-                | Instruction::Jr { .. }
-                | Instruction::Jalr { .. }
-        ) || matches!(self, Instruction::Sys { call: Syscall::Exit })
-    }
 }
 
 #[cfg(test)]
@@ -292,10 +280,8 @@ mod tests {
     fn control_transfer_flags() {
         assert!(Instruction::Branch { cond: BranchCond::Eq, rs: Reg::R1, rt: Reg::R2, disp: -1 }
             .is_control_transfer());
-        assert!(!Instruction::Branch { cond: BranchCond::Eq, rs: Reg::R1, rt: Reg::R2, disp: -1 }
-            .is_unconditional_transfer());
-        assert!(Instruction::Jump { target: 4 }.is_unconditional_transfer());
-        assert!(Instruction::Sys { call: Syscall::Exit }.is_unconditional_transfer());
+        assert!(Instruction::Jump { target: 4 }.is_control_transfer());
+        assert!(Instruction::Sys { call: Syscall::Exit }.is_control_transfer());
         assert!(!Instruction::Sys { call: Syscall::PutInt }.is_control_transfer());
     }
 

@@ -7,16 +7,11 @@
 
 use crate::counter::{CounterId, Counts};
 use crate::json::Json;
-use crate::telemetry::parse_jsonl;
 
-/// Summarizes a `telemetry.jsonl` document into a table for humans.
-pub fn summarize(jsonl: &str) -> Result<String, String> {
-    summarize_records(&parse_jsonl(jsonl)?)
-}
-
-/// Summarizes already-parsed telemetry records — the entry point for
-/// callers that parsed leniently (see
-/// [`parse_jsonl_lenient`](crate::telemetry::parse_jsonl_lenient)).
+/// Summarizes parsed telemetry records into tables for humans. Callers
+/// parse with [`parse_jsonl`](crate::telemetry::parse_jsonl) or, to
+/// survive a torn tail,
+/// [`parse_jsonl_lenient`](crate::telemetry::parse_jsonl_lenient).
 pub fn summarize_records(records: &[Json]) -> Result<String, String> {
     if records.is_empty() {
         return Err("no telemetry records".to_string());
@@ -54,17 +49,12 @@ pub fn summarize_records(records: &[Json]) -> Result<String, String> {
         out.push('\n');
         out.push_str(&workload_table(&workloads));
     }
-    let governed: Vec<&Json> =
-        workloads.iter().copied().filter(|r| r.get("governor").is_some()).collect();
-    if !governed.is_empty() {
-        out.push('\n');
-        out.push_str(&governor_table(&governed));
-    }
-    let adaptive: Vec<&Json> =
-        workloads.iter().copied().filter(|r| r.get("phase").is_some()).collect();
-    if !adaptive.is_empty() {
-        out.push('\n');
-        out.push_str(&adaptive_table(&adaptive));
+    for section in &STATS_SECTIONS {
+        let table = stats_table(section, &workloads);
+        if !table.is_empty() {
+            out.push('\n');
+            out.push_str(&table);
+        }
     }
     if !optimized.is_empty() {
         out.push('\n');
@@ -109,69 +99,76 @@ fn failure_table(failures: &[&Json]) -> String {
     out
 }
 
-/// Renders the memory-governor section: one row per governed workload,
-/// plus a warning when any entity was dropped outright (its metrics are
-/// missing from the profile, not just degraded).
-fn governor_table(workloads: &[&Json]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<16} {:>14} {:>10} {:>9} {:>12}\n",
-        "governor", "peak bytes", "degraded", "dropped", "obs dropped"
-    ));
-    let mut entities_dropped = 0u64;
-    for rec in workloads {
-        let name = rec.get("name").and_then(Json::as_str).unwrap_or("?");
-        let gov = rec.get("governor").expect("caller filtered on governor presence");
-        let field = |key: &str| gov.get(key).and_then(Json::as_u64).unwrap_or(0);
-        out.push_str(&format!(
-            "{:<16} {:>14} {:>10} {:>9} {:>12}\n",
-            name,
-            group_digits(field("bytes_peak")),
-            group_digits(field("entities_degraded")),
-            group_digits(field("entities_dropped")),
-            group_digits(field("observations_dropped")),
-        ));
-        entities_dropped += field("entities_dropped");
-    }
-    if entities_dropped > 0 {
-        out.push_str(&format!(
-            "warning: {} entities dropped by the memory governor — their metrics are missing; raise the budget to recover them\n",
-            group_digits(entities_dropped)
-        ));
-    }
-    out
+/// A per-profiler stats section of `workload` records (see
+/// `vp_core::ProfilerStats`): its record key, the table's first header,
+/// its columns as `(header, field, width)`, and an alert printed when one
+/// field sums above zero over the section's rows.
+struct StatsSection {
+    key: &'static str,
+    title: &'static str,
+    columns: [(&'static str, &'static str, usize); 4],
+    /// `(field, message)`: `{}` in the message stands for the sum.
+    alert: (&'static str, &'static str),
 }
 
-/// Renders the adaptive phase-detector section: one row per workload
-/// profiled with phase detection armed, plus a note when any re-arm was
-/// denied by an exhausted budget (later shifts of that instruction went
-/// unprofiled).
-fn adaptive_table(workloads: &[&Json]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<16} {:>10} {:>8} {:>8} {:>8}\n",
-        "adaptive", "windows", "shifts", "rearms", "denied"
-    ));
-    let mut denied = 0u64;
-    for rec in workloads {
-        let name = rec.get("name").and_then(Json::as_str).unwrap_or("?");
-        let ph = rec.get("phase").expect("caller filtered on phase presence");
-        let field = |key: &str| ph.get(key).and_then(Json::as_u64).unwrap_or(0);
-        out.push_str(&format!(
-            "{:<16} {:>10} {:>8} {:>8} {:>8}\n",
-            name,
-            group_digits(field("windows")),
-            group_digits(field("shifts_detected")),
-            group_digits(field("rearms")),
-            group_digits(field("rearms_denied")),
-        ));
-        denied += field("rearms_denied");
+/// The memory governor's and the adaptive phase detector's sections.
+const STATS_SECTIONS: [StatsSection; 2] = [
+    StatsSection {
+        key: "governor",
+        title: "governor",
+        columns: [
+            ("peak bytes", "bytes_peak", 14),
+            ("degraded", "entities_degraded", 10),
+            ("dropped", "entities_dropped", 9),
+            ("obs dropped", "observations_dropped", 12),
+        ],
+        alert: (
+            "entities_dropped",
+            "warning: {} entities dropped by the memory governor — their metrics are missing; raise the budget to recover them",
+        ),
+    },
+    StatsSection {
+        key: "phase",
+        title: "adaptive",
+        columns: [
+            ("windows", "windows", 10),
+            ("shifts", "shifts_detected", 8),
+            ("rearms", "rearms", 8),
+            ("denied", "rearms_denied", 8),
+        ],
+        alert: (
+            "rearms_denied",
+            "note: {} re-arm(s) denied by an exhausted phase budget — later shifts of those instructions were not re-profiled",
+        ),
+    },
+];
+
+/// Renders one stats section: a row per workload record that carries
+/// it, then its alert if due. Empty when no record carries it.
+fn stats_table(section: &StatsSection, workloads: &[&Json]) -> String {
+    let rows: Vec<(&Json, &Json)> =
+        workloads.iter().filter_map(|&rec| Some((rec, rec.get(section.key)?))).collect();
+    if rows.is_empty() {
+        return String::new();
     }
-    if denied > 0 {
-        out.push_str(&format!(
-            "note: {} re-arm(s) denied by an exhausted phase budget — later shifts of those instructions were not re-profiled\n",
-            group_digits(denied)
-        ));
+    let mut out = format!("{:<16}", section.title);
+    for (header, _, width) in section.columns {
+        out.push_str(&format!(" {header:>width$}"));
+    }
+    let (alert_field, message) = section.alert;
+    let mut alert = 0u64;
+    for (rec, stats) in rows {
+        let field = |key: &str| stats.get(key).and_then(Json::as_u64).unwrap_or(0);
+        out.push_str(&format!("\n{:<16}", rec.get("name").and_then(Json::as_str).unwrap_or("?")));
+        for (_, key, width) in section.columns {
+            out.push_str(&format!(" {:>width$}", group_digits(field(key))));
+        }
+        alert += field(alert_field);
+    }
+    out.push('\n');
+    if alert > 0 {
+        out.push_str(&message.replacen("{}", &group_digits(alert), 1));
+        out.push('\n');
     }
     out
 }
@@ -365,7 +362,11 @@ fn group_digits(n: u64) -> String {
 mod tests {
     use super::*;
     use crate::counter::CounterId;
-    use crate::telemetry::{record, to_jsonl};
+    use crate::telemetry::{parse_jsonl, record, to_jsonl};
+
+    fn summarize(jsonl: &str) -> Result<String, String> {
+        summarize_records(&parse_jsonl(jsonl)?)
+    }
 
     fn sample_jsonl() -> String {
         let mut counts = Counts::new();

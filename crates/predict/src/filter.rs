@@ -52,11 +52,6 @@ impl<P: Predictor> FilteredPredictor<P> {
         FilteredPredictor { inner, allowed }
     }
 
-    /// Number of allowed PCs.
-    pub fn allowed_len(&self) -> usize {
-        self.allowed.len()
-    }
-
     /// The wrapped predictor.
     pub fn inner(&self) -> &P {
         &self.inner
@@ -103,9 +98,16 @@ mod tests {
     #[test]
     fn from_profile_selects_by_lvp() {
         let profile = vec![metrics(0, 0.95), metrics(1, 0.2), metrics(2, 0.8)];
-        let f = FilteredPredictor::from_profile(LastValuePredictor::new(8), &profile, 0.5);
-        assert_eq!(f.allowed_len(), 2);
+        let mut f = FilteredPredictor::from_profile(LastValuePredictor::new(8), &profile, 0.5);
         assert_eq!(f.inner().len(), 8);
+        // Confidence builds over repeated values; only allowed PCs train.
+        for _ in 0..3 {
+            for pc in 0..3 {
+                f.update(pc, 5);
+            }
+        }
+        let predicted: Vec<_> = (0..3).map(|pc| f.predict(pc)).collect();
+        assert_eq!(predicted, [Some(5), None, Some(5)]);
     }
 
     #[test]

@@ -85,11 +85,6 @@ impl TwoLevelPredictor {
     pub fn new() -> TwoLevelPredictor {
         TwoLevelPredictor::default()
     }
-
-    /// Number of PCs with any state.
-    pub fn tracked_pcs(&self) -> usize {
-        self.states.len()
-    }
 }
 
 impl Predictor for TwoLevelPredictor {
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(p.predict(7), None);
         p.update(7, 1);
         assert_eq!(p.predict(7), None, "history not yet full");
-        assert_eq!(p.tracked_pcs(), 1);
     }
 
     #[test]

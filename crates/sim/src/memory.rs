@@ -122,19 +122,6 @@ impl Memory {
             None => Err(MemFault { address, size: bytes.len() as u64, store: true }),
         }
     }
-
-    /// Reads a byte slice out of memory.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MemFault`] if the range is out of bounds.
-    pub fn read_bytes(&self, address: u64, len: usize) -> Result<&[u8], MemFault> {
-        let end = address.checked_add(len as u64).filter(|&e| e <= self.size());
-        match end {
-            Some(_) => Ok(&self.bytes[address as usize..address as usize + len]),
-            None => Err(MemFault { address, size: len as u64, store: false }),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -194,8 +181,7 @@ mod tests {
     fn byte_slices() {
         let mut mem = Memory::new(16);
         mem.write_bytes(4, b"abcd").unwrap();
-        assert_eq!(mem.read_bytes(4, 4).unwrap(), b"abcd");
+        assert_eq!(mem.read(4, MemWidth::W).unwrap(), u64::from(u32::from_le_bytes(*b"abcd")));
         assert!(mem.write_bytes(14, b"xyz").is_err());
-        assert!(mem.read_bytes(15, 2).is_err());
     }
 }

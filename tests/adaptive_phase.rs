@@ -203,7 +203,7 @@ fn suite_output_is_independent_of_jobs() {
             assert_eq!(b.aggregate, r.aggregate, "{at}");
             assert_eq!(b.profile_fraction, r.profile_fraction, "{at}");
             assert_eq!(b.instructions, r.instructions, "{at}");
-            assert_eq!(b.phase, r.phase, "{at}");
+            assert_eq!(b.stats, r.stats, "{at}");
         }
     }
 }

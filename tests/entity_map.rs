@@ -13,7 +13,7 @@
 //! * **Relabelling.** A stream whose pcs move past `DENSE_CAP`, into the
 //!   entity table's keyed overflow, profiles exactly like the original on
 //!   the dense index, apart from the ids: metrics, TNV and sampler event
-//!   counters, phase counters and `GovernorStats`, in every mode and
+//!   counters and the profiler's stats section, in every mode and
 //!   under a budget tight enough to degrade and drop entities.
 //! * **Seed independence.** Every overflow map has its own seeds, so the same
 //!   stream profiled twice runs on two different hash layouts, and a full
@@ -24,8 +24,8 @@ use std::collections::BTreeMap;
 
 use value_profiling::core::arena::DENSE_CAP;
 use value_profiling::core::{
-    partition_by_entity, profile_sharded, render_profile, track::TrackerConfig, GovernorStats,
-    InstructionProfiler, MemBudget, PhaseBudget, PhaseStats, ProfileMode, Profiler,
+    partition_by_entity, profile_sharded, render_profile, track::TrackerConfig,
+    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, ProfilerStats,
 };
 use value_profiling::instrument::Selection;
 use value_profiling::obs::Counts;
@@ -152,14 +152,14 @@ fn relabel(events: &[(u32, u64)], from: u32) -> Vec<(u32, u64)> {
 }
 
 /// Everything a profiler reports, with relabelled ids mapped back.
-fn report(p: &Profiler, from: u32) -> (String, Counts, Option<GovernorStats>, Option<PhaseStats>) {
+fn report(p: &Profiler, from: u32) -> (String, Counts, Option<ProfilerStats>) {
     let mut metrics = p.metrics();
     for m in &mut metrics {
         if m.id >= u64::from(from + DENSE_CAP) {
             m.id -= u64::from(DENSE_CAP);
         }
     }
-    (render_profile(&metrics), events_of(p), p.governor_stats(), p.phase_stats())
+    (render_profile(&metrics), events_of(p), p.stats())
 }
 
 #[test]
@@ -180,8 +180,8 @@ fn overflow_pcs_profile_exactly_like_dense_ones() {
             dense.observe_batch(events);
             // No id reaches `2 * DENSE_CAP`: nothing to map back.
             let want = report(&dense, DENSE_CAP);
-            governor_acted |=
-                want.2.is_some_and(|g| g.entities_dropped > 0 && g.observations_dropped > 0);
+            governor_acted |= matches!(want.2, Some(ProfilerStats::Governor(g))
+                if g.entities_dropped > 0 && g.observations_dropped > 0);
             // Everything in the overflow, then the upper half of the pcs.
             for from in [0, top / 2 + 1] {
                 let mut moved = mode.build(budget);

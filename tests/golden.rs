@@ -20,7 +20,7 @@ mod common;
 use std::fs;
 use std::path::PathBuf;
 
-use value_profiling::core::PhaseBudget;
+use value_profiling::core::{PhaseBudget, ProfilerStats};
 use value_profiling::obs::telemetry::{mask_volatile, parse_jsonl, to_jsonl};
 use value_profiling::obs::Json;
 use value_profiling::workloads::{suite, DataSet, Workload};
@@ -153,7 +153,10 @@ fn adaptive_phase_shift_run_matches_golden() {
     let shifts: u64 = profile
         .workloads
         .iter()
-        .map(|w| w.phase.expect("adaptive run reports phase stats").shifts_detected)
+        .map(|w| match w.stats {
+            Some(ProfilerStats::Phase(ps)) => ps.shifts_detected,
+            other => panic!("{}: an adaptive run reports phase stats, got {other:?}", w.name),
+        })
         .sum();
     assert!(shifts > 0, "the golden run must actually contain a phase shift");
     let records = telemetry::suite_records(

@@ -8,11 +8,19 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use value_profiling::core::{FaultPlan, MemBudget};
+use value_profiling::core::{FaultPlan, GovernorStats, MemBudget, ProfilerStats};
 use value_profiling::instrument::FailureKind;
 use value_profiling::obs::CounterId;
 use value_profiling::workloads::{suite, DataSet};
-use vp_bench::{RetryPolicy, SuiteRunner};
+use vp_bench::{RetryPolicy, SuiteRunner, WorkloadProfile};
+
+/// The governor section of a governed workload's stats.
+fn governor(w: &WorkloadProfile) -> GovernorStats {
+    match w.stats {
+        Some(ProfilerStats::Governor(g)) => g,
+        other => panic!("{}: a governed run reports governor stats, got {other:?}", w.name),
+    }
+}
 
 #[test]
 fn degraded_run_keeps_tnv_metrics_exact_and_loses_only_full_histograms() {
@@ -27,17 +35,17 @@ fn degraded_run_keeps_tnv_metrics_exact_and_loses_only_full_histograms() {
         .run_workloads(workloads, DataSet::Test);
     for (g, u) in generous.workloads.iter().zip(&ungoverned.workloads) {
         assert_eq!(g.metrics, u.metrics, "generous budget is invisible: {}", g.name);
-        assert!(!g.governor.unwrap().intervened(), "{}", g.name);
+        assert!(!governor(g).intervened(), "{}", g.name);
     }
 
-    let peak = generous.workloads.iter().map(|w| w.governor.unwrap().bytes_peak).max().unwrap();
+    let peak = generous.workloads.iter().map(|w| governor(w).bytes_peak).max().unwrap();
     let tight = MemBudget::bytes(peak as usize / 2);
     let governed =
         SuiteRunner::new().mem_budget(Some(tight)).run_workloads(workloads, DataSet::Test);
 
     let mut total_degraded = 0;
     for (g, u) in governed.workloads.iter().zip(&ungoverned.workloads) {
-        let gov = g.governor.expect("governed run reports stats");
+        let gov = governor(g);
         assert!(gov.bytes_peak <= tight.limit_bytes() as u64, "{}: {gov:?}", g.name);
         assert_eq!(gov.entities_dropped, 0, "{}: budget only forces rung 1", g.name);
         total_degraded += gov.entities_degraded;
@@ -143,7 +151,7 @@ fn governed_run_is_independent_of_worker_count() {
         assert_eq!(s.name, p.name, "canonical order preserved");
         assert_eq!(s.metrics, p.metrics, "{}", s.name);
         assert_eq!(s.events, p.events, "{}", s.name);
-        assert_eq!(s.governor, p.governor, "{}", s.name);
+        assert_eq!(governor(s), governor(p), "{}", s.name);
     }
 }
 
