@@ -15,20 +15,65 @@
 //! use the lenient JSONL parser, so a record torn by a crash mid-append
 //! is dropped (that workload simply re-runs) instead of poisoning the
 //! checkpoint.
+//!
+//! The first append also writes the [`RunConfig`] the run profiles
+//! under, as one `run_config` record, and a resume under any other
+//! configuration is refused. Files written before that record existed
+//! resume as they always did.
 
 use std::collections::HashMap;
-use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
+use std::{fmt, io};
 
-use vp_core::{aggregate, durable, EntityMetrics, FaultPlan, ProfilerStats};
+use vp_core::{
+    aggregate, durable, EntityMetrics, FaultPlan, MemBudget, ProfileMode, ProfilerStats,
+};
+use vp_instrument::Selection;
 use vp_obs::telemetry::{parse_jsonl_lenient, record, to_jsonl};
 use vp_obs::{Counts, Json};
+use vp_workloads::DataSet;
 
 use crate::suite::WorkloadProfile;
 
 /// Record kind used for checkpoint entries.
 const KIND: &str = "checkpoint";
+
+/// Record kind of the run configuration a checkpoint was written under.
+const CONFIG_KIND: &str = "run_config";
+
+/// The configuration a suite run's profiles depend on: mode (with the
+/// phase budget), selection, data set and memory budget. A checkpoint
+/// records it, and a resume under another configuration is refused,
+/// since it would mix profiles of two different runs into one output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunConfig {
+    /// The profiling mode.
+    pub mode: ProfileMode,
+    /// The instructions profiled.
+    pub selection: Selection,
+    /// The input data set.
+    pub data_set: DataSet,
+    /// The full profiler's memory budget.
+    pub mem_budget: Option<MemBudget>,
+}
+
+impl fmt::Display for RunConfig {
+    /// The form stored in the checkpoint and named in a refusal, e.g.
+    /// `mode=adaptive phase-window=256 max-rearms=8 selection=LoadsOnly
+    /// data=test mem-budget=none`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "mode={}", self.mode.name())?;
+        if let ProfileMode::Adaptive(budget) = self.mode {
+            write!(f, " phase-window={} max-rearms={}", budget.window, budget.max_rearms)?;
+        }
+        write!(f, " selection={:?} data={}", self.selection, self.data_set.name())?;
+        match self.mem_budget {
+            Some(budget) => write!(f, " mem-budget-bytes={}", budget.limit_bytes()),
+            None => write!(f, " mem-budget=none"),
+        }
+    }
+}
 
 /// Fault point fired after each durably appended checkpoint record — the
 /// hook the kill-and-resume tests use to die at an exact point.
@@ -181,7 +226,11 @@ fn parse_checkpoint(rec: &Json) -> Result<(String, WorkloadProfile), String> {
 pub struct Checkpoint {
     path: PathBuf,
     restored: HashMap<String, WorkloadProfile>,
-    append: Mutex<()>,
+    /// The `run_config` record, as one JSONL line.
+    config_line: String,
+    /// Held across each append: whether the file carries a `run_config`
+    /// record yet. The first append writes one ahead of its record.
+    append: Mutex<bool>,
 }
 
 /// What [`Checkpoint::resume`] recovered from an existing file.
@@ -194,42 +243,71 @@ pub struct ResumeSummary {
 }
 
 impl Checkpoint {
-    /// Starts a fresh checkpoint at `path`, discarding any existing file.
-    pub fn create(path: &Path) -> io::Result<Checkpoint> {
+    fn open(
+        path: &Path,
+        config: &RunConfig,
+        restored: HashMap<String, WorkloadProfile>,
+        has_config: bool,
+    ) -> Checkpoint {
+        let config = record(CONFIG_KIND, "suite", vec![("config", Json::Str(config.to_string()))]);
+        Checkpoint {
+            path: path.to_path_buf(),
+            restored,
+            config_line: to_jsonl(&[config]),
+            append: Mutex::new(has_config),
+        }
+    }
+
+    /// Starts a fresh checkpoint at `path` for a run under `config`,
+    /// discarding any existing file.
+    pub fn create(path: &Path, config: &RunConfig) -> io::Result<Checkpoint> {
         match std::fs::remove_file(path) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        Ok(Checkpoint {
-            path: path.to_path_buf(),
-            restored: HashMap::new(),
-            append: Mutex::new(()),
-        })
+        Ok(Checkpoint::open(path, config, HashMap::new(), false))
     }
 
-    /// Opens `path` for resuming: already-checkpointed workloads are
-    /// restored and skipped by the runner; new completions keep appending
-    /// to the same file. A missing file resumes from nothing. A torn
-    /// final record (crash mid-append) is dropped, not an error.
-    pub fn resume(path: &Path) -> io::Result<(Checkpoint, ResumeSummary)> {
+    /// Opens `path` for resuming a run under `config`: already-checkpointed
+    /// workloads are restored and skipped by the runner; new completions
+    /// keep appending to the same file. A missing file resumes from
+    /// nothing. A torn final record (crash mid-append) is dropped, not an
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// Besides I/O and parse errors, a file written under another
+    /// [`RunConfig`] is an error naming both configurations. A file with
+    /// no configuration record (from an older build) resumes.
+    pub fn resume(path: &Path, config: &RunConfig) -> io::Result<(Checkpoint, ResumeSummary)> {
         let text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e),
         };
         let parsed = parse_jsonl_lenient(&text).map_err(io::Error::other)?;
-        let mut restored = HashMap::new();
+        let (mut restored, mut has_config) = (HashMap::new(), false);
         for rec in &parsed.records {
-            if rec.get("kind").and_then(Json::as_str) != Some(KIND) {
-                continue;
+            match rec.get("kind").and_then(Json::as_str) {
+                Some(KIND) => {
+                    let (name, data) = parse_checkpoint(rec).map_err(io::Error::other)?;
+                    restored.insert(name, data);
+                }
+                Some(CONFIG_KIND) => {
+                    let written = rec.get("config").and_then(Json::as_str).unwrap_or_default();
+                    if written != config.to_string() {
+                        return Err(io::Error::other(format!(
+                            "written under `{written}`, but this run is `{config}`"
+                        )));
+                    }
+                    has_config = true;
+                }
+                _ => {}
             }
-            let (name, data) = parse_checkpoint(rec).map_err(io::Error::other)?;
-            restored.insert(name, data);
         }
         let summary = ResumeSummary { restored: restored.len(), dropped_tail: parsed.dropped_tail };
-        let checkpoint = Checkpoint { path: path.to_path_buf(), restored, append: Mutex::new(()) };
-        Ok((checkpoint, summary))
+        Ok((Checkpoint::open(path, config, restored, has_config), summary))
     }
 
     /// The checkpoint file path.
@@ -248,13 +326,17 @@ impl Checkpoint {
         Some(WorkloadProfile { name, ..self.restored.get(name)?.clone() })
     }
 
-    /// Durably appends one finished workload, then fires the
+    /// Durably appends one finished workload (the first append puts the
+    /// `run_config` record ahead of it), then fires the
     /// [`APPENDED_FAULT_POINT`] hook (where the kill-and-resume tests
     /// abort the process).
     pub fn record(&self, plan: &FaultPlan, profile: &WorkloadProfile) -> io::Result<()> {
         let line = to_jsonl(&[checkpoint_record(profile)]);
-        let _guard = self.append.lock().unwrap();
-        durable::append_jsonl_with(plan, &self.path, &line)?;
+        let mut has_config =
+            self.append.lock().expect("checkpoint lock poisoned by a panicked append");
+        let lines = if *has_config { line } else { format!("{}{line}", self.config_line) };
+        durable::append_jsonl_with(plan, &self.path, &lines)?;
+        *has_config = true;
         plan.fire(APPENDED_FAULT_POINT)?;
         Ok(())
     }
@@ -266,6 +348,11 @@ mod tests {
     use crate::suite::SuiteRunner;
     use vp_workloads::{suite, DataSet};
 
+    /// The configuration of a default [`SuiteRunner`] on the test input.
+    fn full() -> RunConfig {
+        SuiteRunner::new().run_config(DataSet::Test)
+    }
+
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("vp_checkpoint_tests");
         std::fs::create_dir_all(&dir).unwrap();
@@ -276,12 +363,12 @@ mod tests {
     fn profile_round_trips_bit_exactly() {
         let path = tmp("round_trip.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
-        let checkpoint = Checkpoint::create(&path).unwrap();
+        let checkpoint = Checkpoint::create(&path, &full()).unwrap();
         let plan = FaultPlan::empty();
         for w in &profile.workloads {
             checkpoint.record(&plan, w).unwrap();
         }
-        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary, ResumeSummary { restored: 2, dropped_tail: None });
         for w in &profile.workloads {
             let r = resumed.restored(w.name).unwrap();
@@ -300,16 +387,16 @@ mod tests {
         use vp_core::{PhaseBudget, ProfileMode};
         let path = tmp("adaptive_round_trip.jsonl");
         let budget = PhaseBudget { max_rearms: 4, window: 256 };
-        let profile = SuiteRunner::new()
-            .mode(ProfileMode::Adaptive(budget))
-            .run_workloads(&suite()[..2], DataSet::Test);
-        let checkpoint = Checkpoint::create(&path).unwrap();
+        let runner = SuiteRunner::new().mode(ProfileMode::Adaptive(budget));
+        let config = runner.run_config(DataSet::Test);
+        let profile = runner.run_workloads(&suite()[..2], DataSet::Test);
+        let checkpoint = Checkpoint::create(&path, &config).unwrap();
         let plan = FaultPlan::empty();
         for w in &profile.workloads {
             assert!(matches!(w.stats, Some(ProfilerStats::Phase(_))), "{}", w.name);
             checkpoint.record(&plan, w).unwrap();
         }
-        let (resumed, _) = Checkpoint::resume(&path).unwrap();
+        let (resumed, _) = Checkpoint::resume(&path, &config).unwrap();
         for w in &profile.workloads {
             let r = resumed.restored(w.name).unwrap();
             assert_eq!(r.stats, w.stats, "{}", w.name);
@@ -327,22 +414,62 @@ mod tests {
         "\n",
     );
 
+    /// A file's `run_config` line, then its checkpoint records.
+    fn split_config(text: &str) -> (&str, &str) {
+        let (first, records) = text.split_once('\n').unwrap();
+        assert!(first.contains(r#""kind":"run_config""#), "{first}");
+        (first, records)
+    }
+
     #[test]
     fn records_from_before_the_stats_value_resume_and_rerecord_identically() {
+        // Written by a build that recorded no run configuration either,
+        // so it resumes under any configuration.
         let path = tmp("old_stats_records.jsonl");
         std::fs::write(&path, OLD_STATS_RECORDS).unwrap();
-        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary, ResumeSummary { restored: 2, dropped_tail: None });
         let hydro2d = resumed.restored("hydro2d").unwrap();
         let gcc = resumed.restored("gcc").unwrap();
         assert_eq!(hydro2d.stats, ProfilerStats::from_values("governor", [919_352, 1, 0, 0]));
         assert_eq!(gcc.stats, ProfilerStats::from_values("phase", [37, 4, 1, 0]));
         let again = tmp("old_stats_records_rerecorded.jsonl");
-        let checkpoint = Checkpoint::create(&again).unwrap();
+        let checkpoint = Checkpoint::create(&again, &full()).unwrap();
         for w in [&hydro2d, &gcc] {
             checkpoint.record(&FaultPlan::empty(), w).unwrap();
         }
-        assert_eq!(std::fs::read_to_string(&again).unwrap(), OLD_STATS_RECORDS);
+        let text = std::fs::read_to_string(&again).unwrap();
+        assert_eq!(split_config(&text).1, OLD_STATS_RECORDS);
+    }
+
+    #[test]
+    fn resume_under_another_configuration_is_refused() {
+        let path = tmp("config_mismatch.jsonl");
+        let profile = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
+        let checkpoint = Checkpoint::create(&path, &full()).unwrap();
+        checkpoint.record(&FaultPlan::empty(), &profile.workloads[0]).unwrap();
+        let adaptive = ProfileMode::Adaptive(vp_core::PhaseBudget::default());
+        let others = [
+            SuiteRunner::new().mode(adaptive).run_config(DataSet::Test),
+            SuiteRunner::new().mem_budget(Some(MemBudget::mib(1))).run_config(DataSet::Test),
+            SuiteRunner::new().run_config(DataSet::Train),
+            SuiteRunner::new().selection(Selection::RegisterDefining).run_config(DataSet::Test),
+        ];
+        for other in &others {
+            let err = Checkpoint::resume(&path, other).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{}`", full())), "{err}");
+            assert!(err.contains(&format!("`{other}`")), "{err}");
+        }
+        // The same configuration resumes, and its appends add no second
+        // configuration line.
+        let (resumed, summary) = Checkpoint::resume(&path, &full()).unwrap();
+        assert_eq!(summary.restored, 1);
+        resumed.record(&FaultPlan::empty(), &profile.workloads[1]).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (config, records) = split_config(&text);
+        assert!(config.contains(&format!(r#""config":"{}""#, full())), "{config}");
+        assert_eq!(records.lines().count(), 2);
+        assert!(records.lines().all(|l| l.contains(r#""kind":"checkpoint""#)));
     }
 
     #[test]
@@ -371,7 +498,7 @@ mod tests {
             events.push((name.to_string(), Json::U64(n)));
         }
         std::fs::write(&path, to_jsonl(&[rec])).unwrap();
-        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary, ResumeSummary { restored: 1, dropped_tail: None });
         let r = resumed.restored(w.name).unwrap();
         assert!(w.events.total() > 0);
@@ -383,23 +510,24 @@ mod tests {
     fn torn_final_record_is_dropped_on_resume() {
         let path = tmp("torn.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
-        let checkpoint = Checkpoint::create(&path).unwrap();
+        let checkpoint = Checkpoint::create(&path, &full()).unwrap();
         let plan = FaultPlan::empty();
         checkpoint.record(&plan, &profile.workloads[0]).unwrap();
         checkpoint.record(&plan, &profile.workloads[1]).unwrap();
-        // Tear the second record: keep the first line plus a partial tail.
+        // Tear the second record: keep the configuration line and the
+        // first record, plus a partial tail.
         let text = std::fs::read_to_string(&path).unwrap();
-        let first_end = text.find('\n').unwrap() + 1;
+        let first_end = text.match_indices('\n').nth(1).unwrap().0 + 1;
         let torn = format!("{}{}", &text[..first_end], &text[first_end..first_end + 30]);
         std::fs::write(&path, torn).unwrap();
-        let (resumed, summary) = Checkpoint::resume(&path).unwrap();
+        let (resumed, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary.restored, 1);
-        assert!(summary.dropped_tail.unwrap().contains("line 2"));
+        assert!(summary.dropped_tail.unwrap().contains("line 3"));
         assert!(resumed.restored(profile.workloads[0].name).is_some());
         assert!(resumed.restored(profile.workloads[1].name).is_none());
         // Appending after recovery truncates the torn tail first.
         resumed.record(&plan, &profile.workloads[1]).unwrap();
-        let (again, summary) = Checkpoint::resume(&path).unwrap();
+        let (again, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary, ResumeSummary { restored: 2, dropped_tail: None });
         assert!(again.restored(profile.workloads[1].name).is_some());
     }
@@ -408,7 +536,7 @@ mod tests {
     fn resume_from_missing_file_is_empty() {
         let path = tmp("never_written.jsonl");
         let _ = std::fs::remove_file(&path);
-        let (checkpoint, summary) = Checkpoint::resume(&path).unwrap();
+        let (checkpoint, summary) = Checkpoint::resume(&path, &full()).unwrap();
         assert_eq!(summary, ResumeSummary { restored: 0, dropped_tail: None });
         assert_eq!(checkpoint.restored_count(), 0);
     }
@@ -417,9 +545,9 @@ mod tests {
     fn create_discards_previous_checkpoint() {
         let path = tmp("discard.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..1], DataSet::Test);
-        let checkpoint = Checkpoint::create(&path).unwrap();
+        let checkpoint = Checkpoint::create(&path, &full()).unwrap();
         checkpoint.record(&FaultPlan::empty(), &profile.workloads[0]).unwrap();
-        let fresh = Checkpoint::create(&path).unwrap();
+        let fresh = Checkpoint::create(&path, &full()).unwrap();
         assert_eq!(fresh.restored_count(), 0);
         assert!(!path.exists());
     }

@@ -20,7 +20,7 @@ use vp_core::{track::TrackerConfig, InstructionProfiler};
 use vp_instrument::{Instrumenter, Selection};
 use vp_workloads::{DataSet, Workload};
 
-pub use checkpoint::{Checkpoint, ResumeSummary};
+pub use checkpoint::{Checkpoint, ResumeSummary, RunConfig};
 pub use experiments::ExpReport;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
 pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};

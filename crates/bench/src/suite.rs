@@ -31,7 +31,7 @@ use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
 use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, RunConfig};
 use crate::BUDGET;
 
 /// One workload's profiling result.
@@ -378,6 +378,17 @@ impl SuiteRunner {
     pub fn mem_budget(mut self, budget: Option<MemBudget>) -> SuiteRunner {
         self.mem_budget = budget;
         self
+    }
+
+    /// The configuration this runner profiles `data_set` under, as a
+    /// checkpoint of the run records it.
+    pub fn run_config(&self, data_set: DataSet) -> RunConfig {
+        RunConfig {
+            mode: self.mode,
+            selection: self.selection.clone(),
+            data_set,
+            mem_budget: self.mem_budget,
+        }
     }
 
     /// Attaches a [`Checkpoint`]: each workload completed by

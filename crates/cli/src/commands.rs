@@ -328,26 +328,17 @@ fn mode_arg(args: &Args) -> Result<(ProfileMode, Option<MemBudget>), String> {
     if mem_budget.is_some() && mode != ProfileMode::Full {
         return Err(format!(
             "--mem-budget-mb is not supported with --{} (the convergent trackers are already constant-space)",
-            mode_name(mode)
+            mode.name()
         ));
     }
     Ok((mode, mem_budget))
 }
 
-/// The mode's name, as its flag and in telemetry.
-fn mode_name(mode: ProfileMode) -> &'static str {
-    match mode {
-        ProfileMode::Full => "full",
-        ProfileMode::Convergent => "convergent",
-        ProfileMode::Adaptive(_) => "adaptive",
-    }
-}
-
 /// The suite-runner configuration `profile-suite` and `optimize` share,
 /// parsed once by [`suite_args`].
 struct SuiteArgs {
-    /// Jobs, retries, faults, deadline, memory budget, mode and
-    /// checkpoint applied; each command adds its selection, recorder and
+    /// Jobs, retries, faults, deadline, memory budget, mode, selection
+    /// and checkpoint applied; each command adds its recorder and
     /// baseline.
     runner: SuiteRunner,
     jobs: usize,
@@ -357,9 +348,11 @@ struct SuiteArgs {
 
 /// Parses `--jobs N`, `--retries N`, `--deadline-ms N`,
 /// `--mem-budget-mb N`, the mode flags, and `--checkpoint FILE
-/// [--resume]` into a configured [`SuiteRunner`].
-/// `$VP_FAULTS` arms the fault plan.
-fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
+/// [--resume]` into a [`SuiteRunner`] profiling `selection` of the
+/// `data_set` input. `$VP_FAULTS` arms the fault plan. A checkpoint
+/// records the run's [`RunConfig`](vp_bench::RunConfig), and a resume
+/// under another one is an error.
+fn suite_args(args: &Args, selection: Selection, data_set: DataSet) -> Result<SuiteArgs, String> {
     use vp_bench::{Checkpoint, RetryPolicy};
 
     let jobs = args.get("--jobs")?.unwrap_or(1);
@@ -373,12 +366,14 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
         .faults(Arc::new(FaultPlan::from_env()?))
         .deadline(deadline)
         .mem_budget(mem_budget)
-        .mode(mode);
+        .mode(mode)
+        .selection(selection);
     match (args.value("--checkpoint"), args.has("--resume")) {
         (Some(path), resume) => {
             let path = std::path::Path::new(path);
+            let config = runner.run_config(data_set);
             let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path)
+                let (checkpoint, summary) = Checkpoint::resume(path, &config)
                     .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
                 // Progress notices go to stderr: stdout must stay
                 // byte-identical to an uninterrupted run's.
@@ -392,7 +387,7 @@ fn suite_args(args: &Args) -> Result<SuiteArgs, String> {
                 );
                 checkpoint
             } else {
-                Checkpoint::create(path)
+                Checkpoint::create(path, &config)
                     .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
             };
             runner = runner.checkpoint(Arc::new(checkpoint));
@@ -555,14 +550,11 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 
     let ds = dataset(args);
     let (selection, what) = selection(args);
-    let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args)?;
+    let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args, selection, ds)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let recorder = Arc::new(MemRecorder::new());
-    let runner = runner
-        .selection(selection)
-        .recorder(recorder.clone())
-        .measure_baseline(args.has("--baseline"));
+    let runner = runner.recorder(recorder.clone()).measure_baseline(args.has("--baseline"));
     let outcome = runner.try_run(ds);
     let profile = &outcome.profile;
     writeln!(
@@ -617,7 +609,7 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         write!(out, "{}", outcome.render_failures())?;
     }
 
-    let mode = format!("{}-{}", mode_name(mode), if args.has("--all") { "all" } else { "loads" });
+    let mode = format!("{}-{}", mode.name(), if args.has("--all") { "all" } else { "loads" });
     let mut records =
         vp_bench::suite_records("profile-suite", ds, jobs, &mode, profile, Some(&recorder));
     records.extend(vp_bench::fault_records("profile-suite", &outcome));
@@ -954,7 +946,7 @@ fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let rows = [row(target, &profiler.metrics())];
     let title = match mode {
         ProfileMode::Full => "value profile".to_string(),
-        _ => format!("{} value profile", mode_name(mode)),
+        _ => format!("{} value profile", mode.name()),
     };
     writeln!(
         out,
@@ -1052,7 +1044,7 @@ fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     candidates.min_executions = args.get("--min-executions")?.unwrap_or(candidates.min_executions);
     cfg.options.max_ways = args.at_least("--max-ways", 1)?.unwrap_or(cfg.options.max_ways);
     // Parsed after the optimizer options: it creates the checkpoint file.
-    let SuiteArgs { runner, mode, .. } = suite_args(args)?;
+    let SuiteArgs { runner, mode, .. } = suite_args(args, Selection::LoadsOnly, cfg.train)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let report_path = args.value("--report").unwrap_or("optimize-report.txt");
@@ -1062,8 +1054,8 @@ fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     // one in `--convergent`/`--adaptive`); an exact per-workload pass
     // inside `optimize_from_outcome` only offers further guard values.
     let recorder = Arc::new(MemRecorder::new());
-    let runner = runner.selection(Selection::LoadsOnly).recorder(recorder.clone());
-    let mode = mode_name(mode);
+    let runner = runner.recorder(recorder.clone());
+    let mode = mode.name();
     let workloads = vp_workloads::suite();
     let outcome = runner.try_run_workloads(&workloads, cfg.train);
 
@@ -1221,6 +1213,17 @@ mod tests {
             "--resume"
         ])
         .is_ok());
+        // Other flags than the checkpoint's, and `optimize` (train
+        // input), are refused before anything runs.
+        let resume = ["--telemetry", tel_s, "--checkpoint", ckpt_s, "--resume"];
+        for other in [&["profile-suite", "--all"][..], &["profile-suite", "--train"], &["optimize"]]
+        {
+            let err = vprof(&[other, &resume[..]].concat()).unwrap_err();
+            assert!(
+                err.contains("written under `mode=full selection=LoadsOnly data=test"),
+                "{err}"
+            );
+        }
         assert!(vprof(&["profile-suite", "--resume"]).unwrap_err().contains("--resume requires"));
     }
 

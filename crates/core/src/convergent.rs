@@ -232,11 +232,6 @@ impl ConvergentProfiler {
         self.phase_stats
     }
 
-    /// Whether one instruction is currently backed off (skipping).
-    pub fn is_backed_off(&self, index: u32) -> bool {
-        self.states.get(index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
-    }
-
     /// Re-arms one instruction's sampling state machine: back to burst
     /// profiling with a fresh convergence history and the skip ladder
     /// reset to `initial_skip`, as if the instruction were new — except
@@ -535,6 +530,11 @@ mod tests {
         profiler.observe_values(&events);
     }
 
+    /// Whether one instruction is currently backed off (skipping).
+    fn backed_off(p: &ConvergentProfiler, index: u32) -> bool {
+        p.states.get(index).is_some_and(|s| matches!(s.phase, Phase::Skipping { .. }))
+    }
+
     fn small_config() -> ConvergentConfig {
         ConvergentConfig {
             burst: 10,
@@ -667,10 +667,10 @@ mod tests {
         // and the re-armed burst must profile the new phase.
         let mut p = ConvergentProfiler::new(TrackerConfig::default(), small_config());
         feed(&mut p, 0, std::iter::repeat_n(7, 5_000));
-        assert!(p.is_backed_off(0), "constant stream must back off");
+        assert!(backed_off(&p, 0), "constant stream must back off");
         let profiled_before = p.stats()[0].profiled;
         assert!(p.rearm(0), "re-arming a backed-off instruction reports true");
-        assert!(!p.is_backed_off(0));
+        assert!(!backed_off(&p, 0));
         feed(&mut p, 0, std::iter::repeat_n(9, 5_000));
         let m = &p.metrics()[0];
         let s = &p.stats()[0];
@@ -739,7 +739,7 @@ mod tests {
         assert_eq!(reference.tnv_events(), gated.tnv_events(), "{at}");
         assert_eq!(reference.phase_stats(), gated.phase_stats(), "{at}");
         for (pc, _) in reference.states.iter() {
-            assert_eq!(reference.is_backed_off(pc), gated.is_backed_off(pc), "{at} pc {pc}");
+            assert_eq!(backed_off(reference, pc), backed_off(gated, pc), "{at} pc {pc}");
         }
     }
 

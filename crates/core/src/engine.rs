@@ -51,6 +51,15 @@ pub enum ProfileMode {
 }
 
 impl ProfileMode {
+    /// The mode's name, as its CLI flag and in telemetry.
+    pub fn name(self) -> &'static str {
+        match self {
+            ProfileMode::Full => "full",
+            ProfileMode::Convergent => "convergent",
+            ProfileMode::Adaptive(_) => "adaptive",
+        }
+    }
+
     /// The tracker configuration the mode profiles with: exact histograms
     /// for full profiling, plain TNV tables for the sampling modes (whose
     /// point is constant space per entity).

@@ -713,6 +713,32 @@ mod tests {
     }
 
     #[test]
+    fn stack_top_stores_and_unwritten_gap_reads_zero() {
+        let program = vp_asm::assemble(
+            r#"
+            .text
+            main:
+                ldd  r3, -4096(sp)     # past the highest byte written
+                li   r1, 77
+                std  r1, -8(sp)        # the top word of memory
+                ldd  r2, -8(sp)
+                ldd  r4, -4096(sp)     # in the gap the store zero-filled
+                ldd  r5, 0(sp)         # exactly at memory_size
+                sys exit
+            "#,
+        )
+        .unwrap();
+        let mut m = Machine::new(program, MachineConfig::new()).unwrap();
+        let size = m.memory().size();
+        assert_eq!(m.reg(Reg::SP), size);
+        let fault = MemFault { address: size, size: 8, store: false };
+        assert_eq!(m.run(100), Err(SimError::Mem(fault)));
+        assert_eq!((m.reg(Reg::R2), m.reg(Reg::R3), m.reg(Reg::R4)), (77, 0, 0));
+        assert_eq!(m.memory().read(size - 8, MemWidth::D), Ok(77));
+        assert_eq!(m.memory().read(DATA_BASE + (1 << 20), MemWidth::D), Ok(0));
+    }
+
+    #[test]
     fn run_with_hook_sees_every_event() {
         let program =
             vp_asm::assemble(".text\nmain: li r1, 2\n add r2, r1, r1\n sys exit\n").unwrap();

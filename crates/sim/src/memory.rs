@@ -31,6 +31,14 @@ impl std::error::Error for MemFault {}
 
 /// Byte-addressable little-endian memory of fixed size.
 ///
+/// Unwritten bytes read as zero. The full size is reserved up front (one
+/// allocation per memory), but no byte is zeroed or made resident until
+/// it, or a byte above it, is written: memory is zero-filled up to the
+/// highest byte written so far, and reads past that written end return 0.
+/// A fresh machine therefore costs its data image, not a memset of its
+/// whole address space; a write near the top of memory zero-fills
+/// everything below it, as the memset did.
+///
 /// ```
 /// use vp_sim::Memory;
 /// use vp_isa::MemWidth;
@@ -39,30 +47,45 @@ impl std::error::Error for MemFault {}
 /// mem.write(16, MemWidth::D, 0xdead_beef_cafe_f00d).unwrap();
 /// assert_eq!(mem.read(16, MemWidth::D).unwrap(), 0xdead_beef_cafe_f00d);
 /// assert_eq!(mem.read(16, MemWidth::B).unwrap(), 0x0d);
+/// assert_eq!(mem.read(1016, MemWidth::D).unwrap(), 0); // never written
 /// assert!(mem.read(1024, MemWidth::B).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory {
+    /// Bytes `[0, written end)`. [`Memory::new`] reserves all `size`
+    /// of them, so growing never reallocates.
     bytes: Vec<u8>,
+    size: usize,
 }
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed memory.
+    /// Reserves `size` bytes of memory that read as zero.
     pub fn new(size: usize) -> Memory {
-        Memory { bytes: vec![0; size] }
+        Memory { bytes: Vec::with_capacity(size), size }
     }
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes.len() as u64
+        self.size as u64
     }
 
-    fn check(&self, address: u64, width: MemWidth, store: bool) -> Result<usize, MemFault> {
-        let size = width.bytes();
-        let end = address.checked_add(size).filter(|&e| e <= self.size());
+    fn check(&self, address: u64, len: u64, store: bool) -> Result<usize, MemFault> {
+        let end = address.checked_add(len).filter(|&e| e <= self.size());
         match end {
             Some(_) => Ok(address as usize),
-            None => Err(MemFault { address, size, store }),
+            None => Err(MemFault { address, size: len, store }),
+        }
+    }
+
+    /// Zero-fills up to `end`, so that `[0, end)` is backed by `bytes`.
+    /// `end` is at most `size`, within the reserved capacity. Copying
+    /// from a zero block stays a `memcpy` in unoptimised builds too,
+    /// where `Vec::resize` would store byte by byte.
+    fn fill_to(&mut self, end: usize) {
+        const ZEROS: [u8; 4096] = [0; 4096];
+        while self.bytes.len() < end {
+            let k = (end - self.bytes.len()).min(ZEROS.len());
+            self.bytes.extend_from_slice(&ZEROS[..k]);
         }
     }
 
@@ -72,10 +95,17 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if the access runs past the end of memory.
     pub fn read(&self, address: u64, width: MemWidth) -> Result<u64, MemFault> {
-        let at = self.check(address, width, false)?;
+        let at = self.check(address, width.bytes(), false)?;
         let n = width.bytes() as usize;
         let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(&self.bytes[at..at + n]);
+        match self.bytes.get(at..at + n) {
+            Some(src) => buf[..n].copy_from_slice(src),
+            // At or across the written end: the bytes past it are zero.
+            None => {
+                let tail = self.bytes.get(at..).unwrap_or_default();
+                buf[..tail.len()].copy_from_slice(tail);
+            }
+        }
         Ok(u64::from_le_bytes(buf))
     }
 
@@ -100,8 +130,9 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if the access runs past the end of memory.
     pub fn write(&mut self, address: u64, width: MemWidth, value: u64) -> Result<(), MemFault> {
-        let at = self.check(address, width, true)?;
+        let at = self.check(address, width.bytes(), true)?;
         let n = width.bytes() as usize;
+        self.fill_to(at + n);
         self.bytes[at..at + n].copy_from_slice(&value.to_le_bytes()[..n]);
         Ok(())
     }
@@ -112,15 +143,10 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if the image does not fit.
     pub fn write_bytes(&mut self, address: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        let end = address.checked_add(bytes.len() as u64).filter(|&e| e <= self.size());
-        match end {
-            Some(_) => {
-                let at = address as usize;
-                self.bytes[at..at + bytes.len()].copy_from_slice(bytes);
-                Ok(())
-            }
-            None => Err(MemFault { address, size: bytes.len() as u64, store: true }),
-        }
+        let at = self.check(address, bytes.len() as u64, true)?;
+        self.fill_to(at + bytes.len());
+        self.bytes[at..at + bytes.len()].copy_from_slice(bytes);
+        Ok(())
     }
 }
 

@@ -2,8 +2,11 @@
 //! quarantine a workload without losing the rest of the suite, the retry
 //! counters are exact, an interrupted checkpointed run resumes to output
 //! identical to an uninterrupted one, and corruption of persisted
-//! profiles is detected at load. Everything is driven by deterministic
+//! profiles is detected at load, and a resume under other flags than the
+//! interrupted run's is refused. Everything is driven by deterministic
 //! [`FaultPlan`]s — no timing, no signals, no flakes.
+
+mod common;
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,12 +16,19 @@ use value_profiling::instrument::FailureKind;
 use value_profiling::obs::telemetry::mask_volatile;
 use value_profiling::obs::{CounterId, Json, MemRecorder};
 use value_profiling::workloads::{suite, DataSet, Workload};
-use vp_bench::{fault_records, suite_records, Checkpoint, RetryPolicy, SuiteOutcome, SuiteRunner};
+use vp_bench::{
+    fault_records, suite_records, Checkpoint, RetryPolicy, RunConfig, SuiteOutcome, SuiteRunner,
+};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vp_fault_injection_tests");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// The configuration of a default [`SuiteRunner`] on the test input.
+fn full_loads() -> RunConfig {
+    SuiteRunner::new().run_config(DataSet::Test)
 }
 
 fn no_backoff(max_retries: u64) -> RetryPolicy {
@@ -169,7 +179,7 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
 
     // Interrupted run: dies after completing 3 of 5 workloads, mid-append
     // of a fourth record (the torn tail a SIGKILL during write leaves).
-    let checkpoint = Arc::new(Checkpoint::create(&path).unwrap());
+    let checkpoint = Arc::new(Checkpoint::create(&path, &full_loads()).unwrap());
     let partial =
         SuiteRunner::new().checkpoint(checkpoint).try_run_workloads(&workloads[..3], DataSet::Test);
     assert!(partial.is_clean());
@@ -180,7 +190,7 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
     }
 
     // Resume: the 3 complete records are restored, the torn tail dropped.
-    let (resumed_checkpoint, summary) = Checkpoint::resume(&path).unwrap();
+    let (resumed_checkpoint, summary) = Checkpoint::resume(&path, &full_loads()).unwrap();
     assert_eq!(summary.restored, 3);
     assert!(summary.dropped_tail.is_some(), "torn tail reported");
     let resumed_rec = Arc::new(MemRecorder::new());
@@ -220,11 +230,55 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
     );
 
     // The checkpoint file was repaired in place: all 5 records, no tail.
-    let (final_checkpoint, summary) = Checkpoint::resume(&path).unwrap();
+    let (final_checkpoint, summary) = Checkpoint::resume(&path, &full_loads()).unwrap();
     assert_eq!(summary.restored, 5);
     assert_eq!(summary.dropped_tail, None);
     assert_eq!(final_checkpoint.restored_count(), 5);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// A full-mode `profile-suite` killed after its fourth checkpoint record
+/// cannot be resumed with `--adaptive`: the resume exits non-zero, prints
+/// nothing on stdout, and names both configurations. The same flags
+/// still resume to the uninterrupted run's output.
+#[test]
+fn resume_under_other_flags_is_refused() {
+    let dir = tmp("flag_mismatch");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (checkpoint, telemetry) = (dir.join("checkpoint.jsonl"), dir.join("telemetry.jsonl"));
+    let suite_run = |extra: &[&str], faults: Option<&str>| {
+        let mut cmd = common::vprof_command();
+        cmd.arg("profile-suite").args(extra).arg("--telemetry").arg(&telemetry);
+        if let Some(plan) = faults {
+            cmd.env("VP_FAULTS", plan);
+        }
+        cmd.output().expect("spawn vprof")
+    };
+    let with_checkpoint = |resume: &[&'static str]| {
+        let mut args = vec!["--checkpoint", checkpoint.to_str().unwrap()];
+        args.extend(resume);
+        args
+    };
+
+    let reference = suite_run(&[], None);
+    assert!(reference.status.success());
+    let killed = suite_run(&with_checkpoint(&[]), Some("kill:checkpoint/appended@4"));
+    assert!(!killed.status.success(), "the run dies at its fourth checkpoint record");
+    let text = std::fs::read_to_string(&checkpoint).unwrap();
+    assert_eq!(text.matches(r#""kind":"checkpoint""#).count(), 4);
+
+    let refused = suite_run(&with_checkpoint(&["--resume", "--adaptive"]), None);
+    assert!(!refused.status.success());
+    assert!(refused.stdout.is_empty(), "{}", String::from_utf8_lossy(&refused.stdout));
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("`mode=full "), "{stderr}");
+    assert!(stderr.contains("`mode=adaptive "), "{stderr}");
+    assert_eq!(std::fs::read_to_string(&checkpoint).unwrap(), text, "the refusal wrote nothing");
+
+    let resumed = suite_run(&with_checkpoint(&["--resume"]), None);
+    assert!(resumed.status.success());
+    assert_eq!(resumed.stdout, reference.stdout);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -235,7 +289,7 @@ fn checkpoint_append_io_error_is_absorbed_by_retry() {
     // workload it belonged to is retried and re-checkpointed.
     let plan = Arc::new(FaultPlan::parse("err:durable/append@1x1").unwrap());
     let outcome = SuiteRunner::new()
-        .checkpoint(Arc::new(Checkpoint::create(&path).unwrap()))
+        .checkpoint(Arc::new(Checkpoint::create(&path, &full_loads()).unwrap()))
         .faults(plan)
         .retry(no_backoff(1))
         .try_run_workloads(workloads, DataSet::Test);
@@ -243,7 +297,7 @@ fn checkpoint_append_io_error_is_absorbed_by_retry() {
     assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 1);
     assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 1);
     assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 0);
-    let (_, summary) = Checkpoint::resume(&path).unwrap();
+    let (_, summary) = Checkpoint::resume(&path, &full_loads()).unwrap();
     assert_eq!(summary.restored, 2, "both workloads checkpointed despite the fault");
     assert_eq!(summary.dropped_tail, None);
     std::fs::remove_file(&path).unwrap();
