@@ -24,9 +24,7 @@ pub use checkpoint::{Checkpoint, ResumeSummary, RunConfig};
 pub use experiments::ExpReport;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
 pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};
-pub use suite::{
-    RetryPolicy, SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure, WorkloadProfile,
-};
+pub use suite::{SuiteOutcome, SuiteProfile, SuiteRunner, WorkloadFailure, WorkloadProfile};
 pub use telemetry::{default_path, fault_records, suite_records, write_jsonl};
 pub use vp_core::ProfileMode;
 

@@ -9,25 +9,24 @@
 //!
 //! Every run goes through one fault-tolerant loop,
 //! [`SuiteRunner::try_run_workloads`]: rounds of [`try_parallel_map`]
-//! that retry failed workloads, quarantine the ones that exhaust the
-//! [`RetryPolicy`], and checkpoint each completion. Workloads run in
-//! process: a panic unwinds and is caught, a hang is cut loose by the
-//! cooperative deadline, and a runaway workload stops at the instruction
-//! budget with an error.
+//! that retry failed workloads ([`SuiteRunner::retries`]), quarantine the
+//! ones that exhaust their retries, and checkpoint each completion.
+//! Workloads run in process: a panic unwinds and is caught, a hang is cut
+//! loose by [`cancel::run_with_deadline`] around each attempt, and a
+//! runaway workload stops at the instruction budget with an error. Each
+//! workload's event counts and wall time travel in its
+//! [`WorkloadProfile`]; the run's fault counters in
+//! [`SuiteOutcome::faults`].
 
-use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vp_core::{
     aggregate, merge_entity_metrics, render_metric_table, report::row, Aggregate, EntityMetrics,
     FaultPlan, MemBudget, ProfileMode, ProfilerStats, ReportRow,
 };
-use vp_instrument::{
-    try_parallel_map, FailureKind, Instrumenter, ItemFailure, MapOptions, Selection,
-};
-use vp_obs::recorder::Stopwatch;
-use vp_obs::{CounterId, Counts, HistId, NullRecorder, Recorder};
+use vp_instrument::{cancel, try_parallel_map, FailureKind, Instrumenter, ItemFailure, Selection};
+use vp_obs::{CounterId, Counts};
 use vp_sim::Machine;
 use vp_workloads::{suite, DataSet, Workload};
 
@@ -124,39 +123,22 @@ impl SuiteProfile {
     }
 }
 
-/// How [`SuiteRunner::try_run`] retries workloads that panicked.
+/// Retry rounds after the first attempt unless
+/// [`SuiteRunner::retries`] says otherwise.
+const DEFAULT_RETRIES: u64 = 2;
+/// Backoff before the first retry round, milliseconds.
+const BACKOFF_BASE_MS: u64 = 25;
+/// Upper bound on any single backoff, milliseconds.
+const BACKOFF_CAP_MS: u64 = 250;
+
+/// Backoff before retry round `round` (1-based), milliseconds.
 ///
-/// Backoff is deterministic (no jitter, no clock reads): retry round `k`
-/// sleeps `min(base · 2^(k-1), cap)` milliseconds. The defaults keep total
-/// added latency under a second even with every workload failing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retry *rounds* after the first attempt, so a workload is tried at
-    /// most `max_retries + 1` times.
-    pub max_retries: u64,
-    /// Backoff before the first retry round, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Upper bound on any single backoff, milliseconds.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_retries: 2, backoff_base_ms: 25, backoff_cap_ms: 250 }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries: one attempt, straight to quarantine on failure.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_retries: 0, backoff_base_ms: 0, backoff_cap_ms: 0 }
-    }
-
-    /// Backoff before retry round `round` (1-based), milliseconds.
-    pub fn backoff_ms(&self, round: u64) -> u64 {
-        let factor = 2u64.saturating_pow(round.saturating_sub(1).min(u32::MAX as u64) as u32);
-        self.backoff_base_ms.saturating_mul(factor).min(self.backoff_cap_ms)
-    }
+/// Deterministic (no jitter, no clock reads): `min(base · 2^(round-1),
+/// cap)`. Even with every workload failing, the default two retries add
+/// 75 ms.
+fn backoff_ms(round: u64) -> u64 {
+    let factor = 2u64.saturating_pow(round.saturating_sub(1).min(u32::MAX as u64) as u32);
+    BACKOFF_BASE_MS.saturating_mul(factor).min(BACKOFF_CAP_MS)
 }
 
 /// One workload that exhausted its retry budget and was quarantined.
@@ -238,37 +220,18 @@ impl SuiteOutcome {
 /// let profile = SuiteRunner::new().jobs(2).run(DataSet::Test);
 /// assert_eq!(profile.workloads.len(), vp_workloads::suite().len());
 /// ```
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct SuiteRunner {
     jobs: usize,
     selection: Selection,
     budget: u64,
     mode: ProfileMode,
-    recorder: Arc<dyn Recorder>,
     measure_baseline: bool,
-    retry: RetryPolicy,
+    retries: u64,
     faults: Arc<FaultPlan>,
     checkpoint: Option<Arc<Checkpoint>>,
     deadline: Option<Duration>,
     mem_budget: Option<MemBudget>,
-}
-
-impl fmt::Debug for SuiteRunner {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SuiteRunner")
-            .field("jobs", &self.jobs)
-            .field("selection", &self.selection)
-            .field("budget", &self.budget)
-            .field("mode", &self.mode)
-            .field("recorder_enabled", &self.recorder.enabled())
-            .field("measure_baseline", &self.measure_baseline)
-            .field("retry", &self.retry)
-            .field("faults", &!self.faults.is_empty())
-            .field("checkpoint", &self.checkpoint.as_ref().map(|c| c.path().to_path_buf()))
-            .field("deadline", &self.deadline)
-            .field("mem_budget", &self.mem_budget)
-            .finish()
-    }
 }
 
 impl Default for SuiteRunner {
@@ -286,9 +249,8 @@ impl SuiteRunner {
             selection: Selection::LoadsOnly,
             budget: BUDGET,
             mode: ProfileMode::Full,
-            recorder: Arc::new(NullRecorder),
             measure_baseline: false,
-            retry: RetryPolicy::default(),
+            retries: DEFAULT_RETRIES,
             faults: Arc::new(FaultPlan::empty()),
             checkpoint: None,
             deadline: None,
@@ -320,16 +282,6 @@ impl SuiteRunner {
         self
     }
 
-    /// Attaches a [`Recorder`] sink for self-profiling telemetry: each
-    /// workload's event counts and wall time are flushed into it, and the
-    /// parallel driver reports per-worker busy/queue-wait times. The
-    /// default [`NullRecorder`] keeps every instrumented site at a single
-    /// branch.
-    pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> SuiteRunner {
-        self.recorder = recorder;
-        self
-    }
-
     /// Also replays every workload *uninstrumented* and records the
     /// baseline wall time, enabling [`WorkloadProfile::slowdown`]. Doubles
     /// the emulation work, so off by default.
@@ -338,10 +290,12 @@ impl SuiteRunner {
         self
     }
 
-    /// Sets the retry budget and backoff used by
-    /// [`try_run`](SuiteRunner::try_run).
-    pub fn retry(mut self, policy: RetryPolicy) -> SuiteRunner {
-        self.retry = policy;
+    /// Sets the retry rounds after the first attempt (default 2), so a
+    /// workload is tried at most `retries + 1` times by
+    /// [`try_run`](SuiteRunner::try_run). Retry round `k` first sleeps
+    /// `min(25 · 2^(k-1), 250)` milliseconds.
+    pub fn retries(mut self, retries: u64) -> SuiteRunner {
+        self.retries = retries;
         self
     }
 
@@ -355,14 +309,14 @@ impl SuiteRunner {
     }
 
     /// Arms a per-workload wall-clock deadline for
-    /// [`try_run`](SuiteRunner::try_run): an attempt still running when
-    /// the deadline fires is cancelled cooperatively (at the next
-    /// instruction-chunk or claim boundary), counted as a
-    /// `WorkloadTimeout`, retried per the [`RetryPolicy`], and
-    /// quarantined when the budget is exhausted — the rest of the suite
-    /// always completes. Workloads that finish before the deadline are
-    /// byte-identical to an undeadlined run. `None` (the default)
-    /// disables the watchdog entirely.
+    /// [`try_run`](SuiteRunner::try_run): each attempt runs under
+    /// [`cancel::run_with_deadline`], and one still running when the
+    /// deadline fires is cancelled cooperatively (at the next
+    /// instruction-chunk boundary), counted as a `WorkloadTimeout`,
+    /// retried, and quarantined when its retries are exhausted — the
+    /// rest of the suite always completes. Workloads that finish before
+    /// the deadline are byte-identical to an undeadlined run. `None` (the
+    /// default) starts no watchdog.
     pub fn deadline(mut self, deadline: Option<Duration>) -> SuiteRunner {
         self.deadline = deadline;
         self
@@ -394,8 +348,8 @@ impl SuiteRunner {
     /// Attaches a [`Checkpoint`]: each workload completed by
     /// [`try_run`](SuiteRunner::try_run) is durably appended the moment it
     /// finishes, and workloads the checkpoint already holds are restored
-    /// instead of re-profiled (their events still flow to the recorder, so
-    /// a resumed run's telemetry matches an uninterrupted one).
+    /// instead of re-profiled (with their events and wall time, so a
+    /// resumed run's telemetry matches an uninterrupted one).
     pub fn checkpoint(mut self, checkpoint: Arc<Checkpoint>) -> SuiteRunner {
         self.checkpoint = Some(checkpoint);
         self
@@ -427,9 +381,9 @@ impl SuiteRunner {
     }
 
     /// Fault-tolerant [`run`](SuiteRunner::run): a workload that panics is
-    /// caught, retried per the [`RetryPolicy`], and quarantined when the
-    /// budget is exhausted — the rest of the suite still completes and the
-    /// outcome reports exactly what happened.
+    /// caught, retried ([`retries`](SuiteRunner::retries)), and
+    /// quarantined when its retries are exhausted — the rest of the suite
+    /// still completes and the outcome reports exactly what happened.
     pub fn try_run(&self, ds: DataSet) -> SuiteOutcome {
         self.try_run_workloads(&suite(), ds)
     }
@@ -437,19 +391,16 @@ impl SuiteRunner {
     /// [`try_run`](SuiteRunner::try_run) over an explicit workload list.
     ///
     /// Each round maps the pending workloads through [`try_parallel_map`].
-    /// A workload the checkpoint holds is restored (its events still
-    /// reach the recorder, so resumed telemetry matches an uninterrupted
-    /// run's); any other fires the fault point `workload/<name>`, is
-    /// profiled, and is durably checkpointed. A panic or timeout becomes
-    /// an [`ItemFailure`] and the workload is retried in the next round.
+    /// A workload the checkpoint holds is restored; any other fires the
+    /// fault point `workload/<name>`, is profiled, and is durably
+    /// checkpointed. An armed deadline wraps each attempt in
+    /// [`cancel::run_with_deadline`] and re-raises a cancellation with
+    /// [`cancel::unwind`], so a panic or timeout alike becomes an
+    /// [`ItemFailure`] and the workload is retried in the next round.
     pub fn try_run_workloads(&self, workloads: &[Workload], ds: DataSet) -> SuiteOutcome {
         let checkpoint = self.checkpoint.as_deref();
-        let run_one = |w: &&Workload| {
+        let attempt = |w: &Workload| {
             if let Some(restored) = checkpoint.and_then(|c| c.restored(w.name())) {
-                if self.recorder.enabled() {
-                    self.recorder.add_counts(&restored.events);
-                    self.recorder.observe(HistId::WorkloadWallNs, restored.wall_ns);
-                }
                 return restored;
             }
             if let Err(e) = self.faults.fire(&format!("workload/{}", w.name())) {
@@ -462,7 +413,11 @@ impl SuiteRunner {
             }
             profile
         };
-        let options = MapOptions { recorder: &*self.recorder, deadline: self.deadline };
+        let run_one = |w: &&Workload| match self.deadline {
+            Some(deadline) => cancel::run_with_deadline(deadline, || attempt(w))
+                .unwrap_or_else(|_| cancel::unwind()),
+            None => attempt(w),
+        };
 
         let mut results: Vec<Option<WorkloadProfile>> =
             (0..workloads.len()).map(|_| None).collect();
@@ -473,7 +428,7 @@ impl SuiteRunner {
         let mut round = 0u64;
         loop {
             let subset: Vec<&Workload> = pending.iter().map(|&i| &workloads[i]).collect();
-            let outs = try_parallel_map(self.jobs, &subset, run_one, options);
+            let outs = try_parallel_map(self.jobs, &subset, run_one);
             let mut still = Vec::new();
             for (slot, i) in outs.into_iter().zip(pending) {
                 attempts[i] += 1;
@@ -491,20 +446,14 @@ impl SuiteRunner {
                 }
             }
             pending = still;
-            if pending.is_empty() || round >= self.retry.max_retries {
+            if pending.is_empty() || round >= self.retries {
                 break;
             }
             round += 1;
             faults.add(CounterId::WorkloadRetry, pending.len() as u64);
-            let backoff = self.retry.backoff_ms(round);
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
+            std::thread::sleep(Duration::from_millis(backoff_ms(round)));
         }
         faults.add(CounterId::WorkloadQuarantined, pending.len() as u64);
-        if self.recorder.enabled() && faults.total() > 0 {
-            self.recorder.add_counts(&faults);
-        }
         let failures = pending
             .iter()
             .map(|&i| {
@@ -528,13 +477,13 @@ impl SuiteRunner {
     fn profile_one(&self, w: &Workload, ds: DataSet) -> WorkloadProfile {
         let instrumenter = Instrumenter::new().select(self.selection.clone());
         let mut events = Counts::new();
-        let clock = Stopwatch::start();
+        let clock = Instant::now();
         let mut profiler = self.mode.build(self.mem_budget);
         let run = profiler
             .run_live(&instrumenter, w.program(), w.machine_config(ds), self.budget)
             .unwrap_or_else(|e| panic!("{} [{}]: {e}", w.name(), ds.name()));
         let metrics = profiler.metrics();
-        let wall_ns = clock.elapsed_ns();
+        let wall_ns = clock.elapsed().as_nanos() as u64;
         profiler.add_events_to(&mut events);
         events.add(CounterId::InstrEvents, run.counts.instr_events);
         events.add(CounterId::LoadEvents, run.counts.load_events);
@@ -544,19 +493,14 @@ impl SuiteRunner {
         events.add(CounterId::WorkloadsProfiled, 1);
 
         let baseline_wall_ns = self.measure_baseline.then(|| {
-            let clock = Stopwatch::start();
+            let clock = Instant::now();
             let mut machine = Machine::new(w.program().clone(), w.machine_config(ds))
                 .unwrap_or_else(|e| panic!("{} [{}] baseline: {e}", w.name(), ds.name()));
             machine
                 .run(self.budget)
                 .unwrap_or_else(|e| panic!("{} [{}] baseline: {e}", w.name(), ds.name()));
-            clock.elapsed_ns()
+            clock.elapsed().as_nanos() as u64
         });
-
-        if self.recorder.enabled() {
-            self.recorder.add_counts(&events);
-            self.recorder.observe(HistId::WorkloadWallNs, wall_ns);
-        }
 
         WorkloadProfile {
             name: w.name(),
@@ -636,12 +580,8 @@ mod tests {
     }
 
     #[test]
-    fn workload_events_and_recorder_agree() {
-        use vp_obs::MemRecorder;
-        let rec = Arc::new(MemRecorder::new());
-        let profile =
-            SuiteRunner::new().recorder(rec.clone()).run_workloads(&suite()[..3], DataSet::Test);
-        let mut summed = Counts::new();
+    fn workload_events_count_every_tnv_observation() {
+        let profile = SuiteRunner::new().run_workloads(&suite()[..3], DataSet::Test);
         for w in &profile.workloads {
             assert!(w.events.get(CounterId::InstrEvents) > 0, "{}", w.name);
             assert_eq!(w.events.get(CounterId::WorkloadsProfiled), 1);
@@ -656,14 +596,7 @@ mod tests {
                 "{}",
                 w.name
             );
-            summed.merge(&w.events);
         }
-        // The recorder aggregates exactly the per-workload counts (plus
-        // the parallel driver's WorkerItems, one per workload here).
-        let mut expected = summed;
-        expected.add(CounterId::WorkerItems, profile.workloads.len() as u64);
-        assert_eq!(rec.snapshot(), expected);
-        assert_eq!(rec.hist(vp_obs::HistId::WorkloadWallNs).count(), 3);
     }
 
     #[test]
@@ -696,10 +629,9 @@ mod tests {
     #[test]
     fn persistent_panic_exhausts_retries_and_quarantines() {
         let plan = Arc::new(FaultPlan::parse("panic:workload/gcc").unwrap());
-        let policy = RetryPolicy { max_retries: 2, backoff_base_ms: 0, backoff_cap_ms: 0 };
         let outcome = SuiteRunner::new()
             .faults(plan)
-            .retry(policy)
+            .retries(2)
             .try_run_workloads(&suite()[..3], DataSet::Test);
         assert_eq!(outcome.profile.workloads.len(), 2, "other workloads completed");
         assert!(outcome.profile.workloads.iter().all(|w| w.name != "gcc"));
@@ -716,15 +648,11 @@ mod tests {
 
     #[test]
     fn transient_panic_is_absorbed_by_a_retry() {
-        use vp_obs::MemRecorder;
-        let rec = Arc::new(MemRecorder::new());
         let plan = Arc::new(FaultPlan::parse("panic:workload/li@1x1").unwrap());
-        let policy = RetryPolicy { max_retries: 2, backoff_base_ms: 0, backoff_cap_ms: 0 };
         let clean = SuiteRunner::new().run_workloads(&suite()[..3], DataSet::Test);
         let outcome = SuiteRunner::new()
             .faults(plan)
-            .retry(policy)
-            .recorder(rec.clone())
+            .retries(2)
             .try_run_workloads(&suite()[..3], DataSet::Test);
         assert!(outcome.is_clean());
         assert_eq!(outcome.profile.workloads.len(), 3);
@@ -735,10 +663,6 @@ mod tests {
         assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 1);
         assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 1);
         assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 0);
-        // The fault counters also reached the recorder.
-        let counts = rec.snapshot();
-        assert_eq!(counts.get(CounterId::WorkloadPanic), 1);
-        assert_eq!(counts.get(CounterId::WorkloadRetry), 1);
     }
 
     #[test]
@@ -779,7 +703,7 @@ mod tests {
         let clean = SuiteRunner::new().run_workloads(&suite()[..3], DataSet::Test);
         let outcome = SuiteRunner::new()
             .faults(plan)
-            .retry(RetryPolicy::none())
+            .retries(0)
             .deadline(Some(Duration::from_millis(150)))
             .try_run_workloads(&suite()[..3], DataSet::Test);
         assert_eq!(outcome.failures.len(), 1);
@@ -805,13 +729,13 @@ mod tests {
 
     #[test]
     fn backoff_is_bounded_and_deterministic() {
-        let policy = RetryPolicy { max_retries: 10, backoff_base_ms: 25, backoff_cap_ms: 250 };
-        assert_eq!(policy.backoff_ms(1), 25);
-        assert_eq!(policy.backoff_ms(2), 50);
-        assert_eq!(policy.backoff_ms(4), 200);
-        assert_eq!(policy.backoff_ms(5), 250, "capped");
-        assert_eq!(policy.backoff_ms(60), 250, "no overflow at large rounds");
-        assert_eq!(RetryPolicy::none().max_retries, 0);
+        assert_eq!(backoff_ms(1), 25);
+        assert_eq!(backoff_ms(2), 50);
+        assert_eq!(backoff_ms(4), 200);
+        assert_eq!(backoff_ms(5), 250, "capped");
+        assert_eq!(backoff_ms(60), 250, "no overflow at large rounds");
+        let default_total: u64 = (1..=DEFAULT_RETRIES).map(backoff_ms).sum();
+        assert_eq!(default_total, 75, "the default retries add 75 ms at most");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 
 use vp_obs::telemetry::{record, to_jsonl};
-use vp_obs::{Counts, HistId, Json, MemRecorder};
+use vp_obs::{Counts, Json};
 use vp_workloads::DataSet;
 
 use crate::suite::{SuiteOutcome, SuiteProfile};
@@ -31,14 +31,13 @@ pub fn suite_records(
     jobs: usize,
     mode: &str,
     profile: &SuiteProfile,
-    rec: Option<&MemRecorder>,
 ) -> Vec<Json> {
     let mut total_events = Counts::new();
     for w in &profile.workloads {
         total_events.merge(&w.events);
     }
 
-    let mut run_fields = vec![
+    let run_fields = vec![
         ("tool", Json::Str(tool.to_string())),
         ("dataset", Json::Str(ds.name().to_string())),
         ("mode", Json::Str(mode.to_string())),
@@ -47,20 +46,6 @@ pub fn suite_records(
         ("instructions", Json::U64(profile.total_instructions())),
         ("events", total_events.to_json()),
     ];
-    if let Some(rec) = rec {
-        let busy = rec.hist(HistId::WorkerBusyNs);
-        let wait = rec.hist(HistId::WorkerQueueWaitNs);
-        if busy.count() > 0 {
-            run_fields.push((
-                "workers",
-                Json::obj(vec![
-                    ("count", Json::U64(busy.count())),
-                    ("busy_ns", Json::U64(busy.sum())),
-                    ("wait_ns", Json::U64(wait.sum())),
-                ]),
-            ));
-        }
-    }
     let mut records = vec![record("run", tool, run_fields)];
 
     for w in &profile.workloads {
@@ -123,22 +108,17 @@ pub fn write_jsonl(path: &Path, records: &[Json]) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use crate::suite::SuiteRunner;
-    use std::sync::Arc;
     use vp_obs::telemetry::parse_jsonl;
     use vp_obs::SCHEMA_VERSION;
     use vp_workloads::suite;
 
     #[test]
     fn records_cover_run_and_workloads() {
-        let rec = Arc::new(MemRecorder::new());
-        let profile =
-            SuiteRunner::new().recorder(rec.clone()).run_workloads(&suite()[..2], DataSet::Test);
-        let records =
-            suite_records("profile-suite", DataSet::Test, 1, "full", &profile, Some(&rec));
+        let profile = SuiteRunner::new().run_workloads(&suite()[..2], DataSet::Test);
+        let records = suite_records("profile-suite", DataSet::Test, 1, "full", &profile);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].get("kind").unwrap().as_str(), Some("run"));
         assert_eq!(records[0].get("schema").unwrap().as_u64(), Some(SCHEMA_VERSION));
-        assert!(records[0].get("workers").is_some(), "worker summary present with a recorder");
         for (rec, w) in records[1..].iter().zip(&profile.workloads) {
             assert_eq!(rec.get("kind").unwrap().as_str(), Some("workload"));
             assert_eq!(rec.get("name").unwrap().as_str(), Some(w.name));
@@ -155,7 +135,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.jsonl");
         let profile = SuiteRunner::new().run_workloads(&suite()[..1], DataSet::Test);
-        let records = suite_records("t", DataSet::Test, 1, "full", &profile, None);
+        let records = suite_records("t", DataSet::Test, 1, "full", &profile);
         write_jsonl(&path, &records).unwrap();
         write_jsonl(&path, &records).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();

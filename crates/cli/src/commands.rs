@@ -338,8 +338,7 @@ fn mode_arg(args: &Args) -> Result<(ProfileMode, Option<MemBudget>), String> {
 /// parsed once by [`suite_args`].
 struct SuiteArgs {
     /// Jobs, retries, faults, deadline, memory budget, mode, selection
-    /// and checkpoint applied; each command adds its recorder and
-    /// baseline.
+    /// and checkpoint applied; `profile-suite` adds its baseline.
     runner: SuiteRunner,
     jobs: usize,
     mode: ProfileMode,
@@ -353,21 +352,22 @@ struct SuiteArgs {
 /// records the run's [`RunConfig`](vp_bench::RunConfig), and a resume
 /// under another one is an error.
 fn suite_args(args: &Args, selection: Selection, data_set: DataSet) -> Result<SuiteArgs, String> {
-    use vp_bench::{Checkpoint, RetryPolicy};
+    use vp_bench::Checkpoint;
 
     let jobs = args.get("--jobs")?.unwrap_or(1);
-    let mut policy = RetryPolicy::default();
-    policy.max_retries = args.get("--retries")?.unwrap_or(policy.max_retries);
-    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let retries = args.get("--retries")?;
+    let deadline = args.at_least("--deadline-ms", 1)?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
     let mut runner = SuiteRunner::new()
         .jobs(jobs)
-        .retry(policy)
         .faults(Arc::new(FaultPlan::from_env()?))
         .deadline(deadline)
         .mem_budget(mem_budget)
         .mode(mode)
         .selection(selection);
+    if let Some(retries) = retries {
+        runner = runner.retries(retries);
+    }
     match (args.value("--checkpoint"), args.has("--resume")) {
         (Some(path), resume) => {
             let path = std::path::Path::new(path);
@@ -546,16 +546,12 @@ fn profile(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 /// TNV-only → dropped (see `vp_core::govern`), and the governor counters
 /// land in the output and telemetry.
 fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
-    use vp_obs::MemRecorder;
-
     let ds = dataset(args);
     let (selection, what) = selection(args);
     let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args, selection, ds)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
-    let recorder = Arc::new(MemRecorder::new());
-    let runner = runner.recorder(recorder.clone()).measure_baseline(args.has("--baseline"));
-    let outcome = runner.try_run(ds);
+    let outcome = runner.measure_baseline(args.has("--baseline")).try_run(ds);
     let profile = &outcome.profile;
     writeln!(
         out,
@@ -610,8 +606,7 @@ fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     }
 
     let mode = format!("{}-{}", mode.name(), if args.has("--all") { "all" } else { "loads" });
-    let mut records =
-        vp_bench::suite_records("profile-suite", ds, jobs, &mode, profile, Some(&recorder));
+    let mut records = vp_bench::suite_records("profile-suite", ds, jobs, &mode, profile);
     records.extend(vp_bench::fault_records("profile-suite", &outcome));
     vp_bench::write_jsonl(&telemetry_path, &records)
         .map_err(|e| format!("cannot write `{}`: {e}", telemetry_path.display()))?;
@@ -706,8 +701,8 @@ fn serve_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     cfg.max_sessions = args.at_least("--max-sessions", 1)?.unwrap_or(cfg.max_sessions);
     cfg.max_tenants = args.at_least("--max-tenants", 1)?.unwrap_or(cfg.max_tenants);
     cfg.tenant_sessions = args.at_least("--tenant-sessions", 1)?.unwrap_or(cfg.tenant_sessions);
-    cfg.idle = args.get("--idle-ms")?.map(Duration::from_millis);
-    cfg.deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    cfg.idle = args.at_least("--idle-ms", 1)?.map(Duration::from_millis);
+    cfg.deadline = args.at_least("--deadline-ms", 1)?.map(Duration::from_millis);
     (cfg.mode, cfg.mem_budget) = mode_arg(args)?;
     cfg.resume = args.has("--resume");
     // Telemetry is opt-in: a flag or the environment, never by default.
@@ -871,7 +866,7 @@ fn record_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
     let (program, input) = resolve(target, dataset(args))?;
     let selection = selection(args).0;
-    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let deadline = args.at_least("--deadline-ms", 1)?.map(Duration::from_millis);
     let path = args.value("-o").map(str::to_owned).unwrap_or_else(|| format!("{target}.vpc"));
     // Small traces fit one default-sized chunk; `--chunk-events` forces
     // more chunk boundaries so checkpoint/ACK paths can be exercised.
@@ -922,7 +917,7 @@ fn record_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 /// degradation ladder (`vp_core::govern`).
 fn replay_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let target = args.target()?;
-    let deadline = args.get("--deadline-ms")?.map(Duration::from_millis);
+    let deadline = args.at_least("--deadline-ms", 1)?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
     // The trace is read once, and every chunk decodes straight out of it.
     let bytes = std::fs::read(target).map_err(|e| format!("cannot read `{target}`: {e}"))?;
@@ -1033,7 +1028,6 @@ fn run_experiments(args: &Args, out: &mut dyn Write) -> Result<Vec<Json>, Failur
 /// an `optimize` section).
 fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     use vp_bench::OptimizeConfig;
-    use vp_obs::MemRecorder;
 
     let mut cfg = OptimizeConfig::default();
     let candidates = &mut cfg.options.candidates;
@@ -1053,8 +1047,6 @@ fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     // select the sites and give each its first guard value (a sampled
     // one in `--convergent`/`--adaptive`); an exact per-workload pass
     // inside `optimize_from_outcome` only offers further guard values.
-    let recorder = Arc::new(MemRecorder::new());
-    let runner = runner.recorder(recorder.clone());
     let mode = mode.name();
     let workloads = vp_workloads::suite();
     let outcome = runner.try_run_workloads(&workloads, cfg.train);
@@ -1627,6 +1619,15 @@ mod tests {
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
             (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
+            // A zero limit would race its own watchdog.
+            (&["profile-suite", "--deadline-ms", "0"], "bad --deadline-ms value `0`"),
+            (&["optimize", "--deadline-ms", "0"], "bad --deadline-ms value `0`"),
+            (&["record", "li", "--deadline-ms", "0"], "bad --deadline-ms value `0`"),
+            (&["replay", "li.vpc", "--deadline-ms", "0"], "bad --deadline-ms value `0`"),
+            // An unbindable socket keeps a wrongly accepted limit from
+            // starting a daemon.
+            (&["serve", "--socket", "/dev/null/S", "--deadline-ms", "0"], "bad --deadline-ms"),
+            (&["serve", "--socket", "/dev/null/S", "--idle-ms", "0"], "bad --idle-ms value `0`"),
             (&["profile-suite", "--mem-budget-mb", "lots"], "bad --mem-budget-mb value `lots`"),
             (
                 &["profile-suite", "--adaptive", "--phase-window", "0"],

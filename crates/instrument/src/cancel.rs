@@ -2,20 +2,20 @@
 //!
 //! A [`CancelToken`] is a shared flag a controller sets and a worker
 //! polls. Nothing is ever killed: the instrumentation runner, trace
-//! replay and the parallel drivers call [`checkpoint`] at chunk
+//! replay and the serve sessions call [`checkpoint`] at chunk
 //! boundaries, and a checkpoint on a cancelled token unwinds with the
 //! dedicated [`Cancelled`] payload — which the catching layer
-//! ([`try_parallel_map`](crate::parallel::try_parallel_map),
-//! [`run_with_deadline`]) classifies as a *timeout*, distinct from a
-//! genuine panic.
+//! ([`run_with_deadline`], and
+//! [`try_parallel_map`](crate::parallel::try_parallel_map) for an item
+//! that re-raises it with [`unwind`]) classifies as a *timeout*, distinct
+//! from a genuine panic.
 //!
-//! Tokens chain: a [`child`](CancelToken::child) token is cancelled when
-//! either it or any ancestor is, so cancelling a whole run cancels every
-//! per-workload token derived from it. The token a piece of code should
-//! poll is carried in a thread-local installed by [`with_token`]; code
-//! that never runs under a token (every pre-existing call path) sees
-//! [`cancelled`] return `false` from one thread-local read, so the
-//! checkpoints cost nothing when no deadline is armed.
+//! [`run_with_deadline`] is the one deadline watchdog: `record`,
+//! `replay`, each serve session and each suite-runner attempt run under
+//! it. The token a piece of code should poll is carried in a
+//! thread-local installed by [`with_token`]; code that never runs under
+//! a token sees [`cancelled`] return `false` from one thread-local read,
+//! so the checkpoints cost nothing when no deadline is armed.
 //!
 //! Everything here affects only *whether* work completes, never *what*
 //! completed work computes: a workload that finishes before its deadline
@@ -38,49 +38,24 @@ impl std::fmt::Display for Cancelled {
     }
 }
 
-#[derive(Debug, Default)]
-struct Inner {
-    flag: AtomicBool,
-    parent: Option<CancelToken>,
-}
-
 /// A shared cancellation flag, cheap to clone and poll.
 #[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    inner: Arc<Inner>,
-}
+pub struct CancelToken(Arc<AtomicBool>);
 
 impl CancelToken {
-    /// A fresh, un-cancelled token with no parent.
+    /// A fresh, un-cancelled token.
     pub fn new() -> CancelToken {
         CancelToken::default()
     }
 
-    /// A child token: cancelled when it *or any ancestor* is cancelled.
-    /// Cancelling the child does not affect the parent.
-    pub fn child(&self) -> CancelToken {
-        CancelToken {
-            inner: Arc::new(Inner { flag: AtomicBool::new(false), parent: Some(self.clone()) }),
-        }
-    }
-
     /// Requests cancellation. Idempotent; never blocks.
     pub fn cancel(&self) {
-        self.inner.flag.store(true, Ordering::Release);
+        self.0.store(true, Ordering::Release);
     }
 
-    /// Whether this token or any ancestor has been cancelled.
+    /// Whether this token has been cancelled.
     pub fn is_cancelled(&self) -> bool {
-        let mut token = self;
-        loop {
-            if token.inner.flag.load(Ordering::Acquire) {
-                return true;
-            }
-            match &token.inner.parent {
-                Some(parent) => token = parent,
-                None => return false,
-            }
-        }
+        self.0.load(Ordering::Acquire)
     }
 }
 
@@ -104,12 +79,6 @@ pub fn with_token<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The token currently installed on this thread, if any — what a worker
-/// captures before spawning threads so children can re-install it.
-pub fn current() -> Option<CancelToken> {
-    CURRENT.with(|c| c.borrow().clone())
-}
-
 /// Whether the current thread's token (if any) has been cancelled.
 /// Without an installed token this is a single thread-local read.
 pub fn cancelled() -> bool {
@@ -117,8 +86,9 @@ pub fn cancelled() -> bool {
 }
 
 /// Unwinds with the [`Cancelled`] payload. Call only from code running
-/// under a catch site that understands cancellation (the try-map drivers
-/// and [`run_with_deadline`]).
+/// under a catch site that understands cancellation
+/// ([`try_parallel_map`](crate::parallel::try_parallel_map) and
+/// [`run_with_deadline`]).
 pub fn unwind() -> ! {
     panic::panic_any(Cancelled)
 }
@@ -146,10 +116,7 @@ pub fn is_cancel_payload(payload: &(dyn std::any::Any + Send)) -> bool {
 /// output before its deadline produces exactly the output an un-deadlined
 /// run would.
 pub fn run_with_deadline<R>(deadline: Duration, f: impl FnOnce() -> R) -> Result<R, Cancelled> {
-    let token = match current() {
-        Some(parent) => parent.child(),
-        None => CancelToken::new(),
-    };
+    let token = CancelToken::new();
     // done = (finished flag, wake signal): the watchdog sleeps on the
     // condvar until the deadline or completion, whichever comes first.
     let done = Arc::new((Mutex::new(false), Condvar::new()));
@@ -204,25 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn child_sees_parent_cancellation_but_not_vice_versa() {
-        let parent = CancelToken::new();
-        let child = parent.child();
-        let grandchild = child.child();
-        assert!(!grandchild.is_cancelled());
-        parent.cancel();
-        assert!(child.is_cancelled());
-        assert!(grandchild.is_cancelled());
-
-        let parent = CancelToken::new();
-        let child = parent.child();
-        child.cancel();
-        assert!(child.is_cancelled());
-        assert!(!parent.is_cancelled());
-    }
-
-    #[test]
     fn no_token_means_never_cancelled() {
-        assert!(current().is_none());
         assert!(!cancelled());
         checkpoint(); // must not unwind
     }
@@ -231,18 +180,17 @@ mod tests {
     fn with_token_installs_and_restores() {
         let t = CancelToken::new();
         with_token(&t, || {
-            assert!(current().is_some());
             assert!(!cancelled());
             t.cancel();
             assert!(cancelled());
         });
-        assert!(current().is_none());
+        assert!(!cancelled(), "the previous (absent) token is back");
         // Restoration survives an unwind.
         let t2 = CancelToken::new();
         t2.cancel();
         let caught = panic::catch_unwind(AssertUnwindSafe(|| with_token(&t2, checkpoint)));
         assert!(is_cancel_payload(caught.unwrap_err().as_ref()));
-        assert!(current().is_none());
+        assert!(!cancelled());
     }
 
     #[test]

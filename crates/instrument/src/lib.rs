@@ -25,10 +25,11 @@
 //!   records exactly what the value profilers read, so a workload runs
 //!   once and replays into any number of profiles offline (the paper
 //!   era's trace-driven methodology),
-//! * [`cancel`] — cooperative cancellation tokens and deadlines; the
-//!   runner, replay, and the parallel maps check them at chunk
-//!   boundaries so a hung workload can be cut loose without killing
-//!   anything.
+//! * [`cancel`] — cooperative cancellation tokens and the one deadline
+//!   watchdog; the runner and replay check them at chunk boundaries so a
+//!   hung workload can be cut loose without killing anything,
+//! * [`parallel`] — the one parallel map: claims items in input order
+//!   and catches each item's unwind.
 //!
 //! ## Example: counting load instructions
 //!
@@ -71,7 +72,7 @@ pub mod view;
 pub use cancel::{CancelToken, Cancelled};
 pub use frame::{Frame, FrameError, FrameReader};
 pub use net::{MsgError, NetListener, SessionMsg};
-pub use parallel::{parallel_map, try_parallel_map, FailureKind, ItemFailure, MapOptions};
+pub use parallel::{parallel_map, try_parallel_map, FailureKind, ItemFailure};
 pub use plan::Selection;
 pub use runner::{Analysis, EventCounts, InstrumentedRun, Instrumenter, VALUE_BLOCK};
 pub use trace_codec::{ChunkReader, CodecError, TraceEncoder, TraceStats};

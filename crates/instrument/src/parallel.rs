@@ -4,20 +4,17 @@
 //! Items are claimed from a shared atomic index and each result is
 //! written into a dedicated output slot, so results come back in input
 //! order regardless of which worker ran which item or in what order
-//! they finished. One private claim loop serves every caller:
-//! [`parallel_map`] for plain fan-out (profile shards, experiment rows)
-//! and [`try_parallel_map`] for isolated items with optional telemetry
-//! and a per-item deadline ([`MapOptions`]) — the suite runner's
-//! `--jobs` threads, its retry rounds and the optimize driver alike.
+//! they finished. The one claim loop does two jobs: claim items in input
+//! order, and catch each item's unwind. [`parallel_map`] re-raises the
+//! first caught panic once every item has been tried (profile shards,
+//! experiment rows); [`try_parallel_map`] returns each failure in its
+//! item's slot (the suite runner's `--jobs` threads and retry rounds).
 //!
-//! The map cooperates with [`crate::cancel`]: the token
-//! installed on the calling thread (if any) is re-installed in every
-//! worker, workers stop claiming items once it is cancelled, and the map
-//! re-raises the cancellation on the calling thread before returning —
-//! so a cancelled map never fabricates partial results. An armed
-//! deadline adds a watchdog thread that cancels any single item running
-//! longer than the per-item wall-clock limit; such items come back as
-//! [`FailureKind::Timeout`] failures, distinct from caught panics.
+//! The map arms no deadline of its own. A caller that bounds an item
+//! wraps it in [`cancel::run_with_deadline`] and re-raises the
+//! cancellation with [`cancel::unwind`]; [`try_parallel_map`] reports
+//! that unwind as a [`FailureKind::Timeout`], distinct from a caught
+//! panic.
 
 use std::any::Any;
 use std::fmt;
@@ -25,16 +22,8 @@ use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
-use std::time::{Duration, Instant};
 
-use vp_obs::recorder::Stopwatch;
-use vp_obs::{CounterId, HistId, NullRecorder, Recorder};
-
-use crate::cancel::{self, CancelToken};
-
-/// How often the deadline watchdog samples in-flight items. The deadline
-/// is enforced with this granularity; results never depend on it.
-const WATCHDOG_POLL: Duration = Duration::from_millis(2);
+use crate::cancel;
 
 /// Resolves a `--jobs` argument: `0` means "use the machine's available
 /// parallelism" (falling back to 1 when that cannot be determined).
@@ -51,119 +40,43 @@ type Payload = Box<dyn Any + Send>;
 
 /// The one claim loop. Applies `f` to every item on up to `jobs` workers
 /// (`0` = available parallelism) and returns each item's result or
-/// caught unwind, in input order.
-///
-/// With one worker and no deadline everything runs on the calling
-/// thread, whose cancel token is already installed; otherwise scoped
-/// workers re-install the caller's token. An armed deadline runs each
-/// item under a child token of its own, registered for the watchdog —
-/// which needs worker threads to observe, so it forces the threaded path
-/// even for `jobs == 1`.
-///
-/// With `rec` enabled, each item's wall time and a `WorkerItems` count
-/// (failed items included: the work was done) and each worker's busy
-/// and queue-wait times go to `rec`; disabled, no clock is ever read.
-fn map_core<T, O, F>(
-    jobs: usize,
-    items: &[T],
-    f: F,
-    rec: &dyn Recorder,
-    deadline: Option<Duration>,
-) -> Vec<Result<O, Payload>>
+/// caught unwind, in input order. With one worker everything runs on the
+/// calling thread.
+fn map_core<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<O, Payload>>
 where
     T: Sync,
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let parent = cancel::current();
     let workers = effective_jobs(jobs).min(items.len());
     let next = AtomicUsize::new(0);
-    let running = AtomicUsize::new(workers);
     let slots: Vec<Mutex<Option<Result<O, Payload>>>> =
         items.iter().map(|_| Mutex::new(None)).collect();
-    let inflight: Vec<Mutex<Option<(Instant, CancelToken)>>> =
-        (0..workers).map(|_| Mutex::new(None)).collect();
-    let work = |worker: usize| {
-        let enabled = rec.enabled();
-        let wall = enabled.then(Stopwatch::start);
-        let mut busy = 0u64;
-        loop {
-            if parent.as_ref().is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() {
-                break;
-            }
-            let item_clock = enabled.then(Stopwatch::start);
-            let out = match deadline {
-                None => panic::catch_unwind(AssertUnwindSafe(|| f(&items[i]))),
-                Some(_) => {
-                    let token = parent.as_ref().map_or_else(CancelToken::new, CancelToken::child);
-                    *inflight[worker].lock().unwrap() = Some((Instant::now(), token.clone()));
-                    let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                        cancel::with_token(&token, || f(&items[i]))
-                    }));
-                    *inflight[worker].lock().unwrap() = None;
-                    out
-                }
-            };
-            if let Some(clock) = item_clock {
-                let item_ns = clock.elapsed_ns();
-                busy += item_ns;
-                rec.observe(HistId::ItemNs, item_ns);
-                rec.add(CounterId::WorkerItems, 1);
-            }
-            *slots[i].lock().unwrap() = Some(out);
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= items.len() {
+            break;
         }
-        if let Some(wall) = wall {
-            // Everything a worker spends outside `f` is time waiting on
-            // (or contending for) the shared queue.
-            rec.observe(HistId::WorkerBusyNs, busy);
-            rec.observe(HistId::WorkerQueueWaitNs, wall.elapsed_ns().saturating_sub(busy));
-        }
-        running.fetch_sub(1, Ordering::Release);
+        let out = panic::catch_unwind(AssertUnwindSafe(|| f(&items[i])));
+        // Nothing panics while a slot is locked: the item's unwind was
+        // caught above.
+        *slots[i].lock().expect("slot lock held only for a store") = Some(out);
     };
-    if workers == 1 && deadline.is_none() {
-        work(0);
+    if workers <= 1 {
+        work();
     } else {
         std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let (work, parent) = (&work, &parent);
-                scope.spawn(move || match (parent, deadline) {
-                    (Some(token), None) => cancel::with_token(token, || work(worker)),
-                    _ => work(worker),
-                });
-            }
-            if let Some(deadline) = deadline {
-                // The watchdog: cancel any in-flight item past its
-                // deadline, exit once every worker has stopped.
-                let (running, inflight) = (&running, &inflight);
-                scope.spawn(move || {
-                    while running.load(Ordering::Acquire) > 0 {
-                        for slot in inflight {
-                            if let Some((started, token)) = &*slot.lock().unwrap() {
-                                if started.elapsed() >= deadline {
-                                    token.cancel();
-                                }
-                            }
-                        }
-                        std::thread::sleep(WATCHDOG_POLL);
-                    }
-                });
+            for _ in 0..workers {
+                scope.spawn(work);
             }
         });
     }
-    // Re-raise a cancellation on the calling thread *before* touching the
-    // slots: a cancelled map may have unfilled slots, and must never
-    // return partial results.
-    cancel::checkpoint();
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled every claimed slot"))
+        .map(|slot| {
+            let slot = slot.into_inner().expect("slot lock held only for a store");
+            slot.expect("worker filled every claimed slot")
+        })
         .collect()
 }
 
@@ -184,34 +97,10 @@ where
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
-    map_core(jobs, items, f, &NullRecorder, None)
+    map_core(jobs, items, f)
         .into_iter()
         .map(|slot| slot.unwrap_or_else(|payload| panic::resume_unwind(payload)))
         .collect()
-}
-
-/// Options of [`try_parallel_map`].
-#[derive(Clone, Copy)]
-pub struct MapOptions<'a> {
-    /// Self-profiling sink: per-item wall times, per-worker busy and
-    /// queue-wait times, and an item counter. A disabled recorder (the
-    /// default [`NullRecorder`]) never reads a clock and costs one
-    /// branch per site.
-    pub recorder: &'a dyn Recorder,
-    /// Per-item wall-clock deadline. An item still running when it fires
-    /// is cancelled cooperatively and comes back as a
-    /// [`FailureKind::Timeout`]; every other item still runs to
-    /// completion, so one hung item can never stall the map. It bounds
-    /// items that *cooperate* (reach checkpoints — the instrumentation
-    /// runner and trace replay do); it cannot interrupt a closure that
-    /// never checks, and never corrupts one mid-operation.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for MapOptions<'_> {
-    fn default() -> Self {
-        MapOptions { recorder: &NullRecorder, deadline: None }
-    }
 }
 
 /// How one item of a [`try_parallel_map`] run failed.
@@ -220,8 +109,8 @@ pub enum FailureKind {
     /// The closure panicked; the payload is in
     /// [`message`](ItemFailure::message).
     Panic,
-    /// The closure was cancelled cooperatively after exceeding its
-    /// wall-clock deadline (see [`MapOptions::deadline`]).
+    /// The closure unwound with [`cancel::Cancelled`]: it ran past a
+    /// deadline armed by [`cancel::run_with_deadline`].
     Timeout,
 }
 
@@ -306,27 +195,22 @@ pub(crate) fn quiet_panics() -> QuietPanics {
 
 /// [`parallel_map`] with per-item isolation: a panic in `f` is caught
 /// and returned as `Err(`[`ItemFailure`]`)` in that item's slot instead
-/// of taking down the whole map, and an item cut loose by the
-/// [`MapOptions::deadline`] comes back as a timeout. Every other item
-/// still runs and returns its result; slots stay in input order.
+/// of taking down the whole map, and an item that unwinds with
+/// [`cancel::Cancelled`] comes back as a timeout. Every other item still
+/// runs and returns its result; slots stay in input order.
 ///
 /// The closure is wrapped in [`AssertUnwindSafe`]: each item is processed
 /// independently and a panicked item's partial state is discarded with its
 /// slot, but a closure that mutates caller-visible shared state is itself
 /// responsible for keeping that state coherent across a panic.
-pub fn try_parallel_map<T, O, F>(
-    jobs: usize,
-    items: &[T],
-    f: F,
-    options: MapOptions<'_>,
-) -> Vec<Result<O, ItemFailure>>
+pub fn try_parallel_map<T, O, F>(jobs: usize, items: &[T], f: F) -> Vec<Result<O, ItemFailure>>
 where
     T: Sync,
     O: Send,
     F: Fn(&T) -> O + Sync,
 {
     let _quiet = QuietPanics::engage();
-    map_core(jobs, items, f, options.recorder, options.deadline)
+    map_core(jobs, items, f)
         .into_iter()
         .enumerate()
         .map(|(index, slot)| slot.map_err(|payload| classify(index, payload)))
@@ -336,6 +220,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn preserves_input_order() {
@@ -368,38 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn observed_map_records_items_and_worker_times() {
-        use vp_obs::MemRecorder;
-        for jobs in [1, 4] {
-            let rec = MemRecorder::new();
-            let items: Vec<u64> = (0..30).collect();
-            let options = MapOptions { recorder: &rec, deadline: None };
-            let out = try_parallel_map(jobs, &items, |&x| x + 1, options);
-            assert_eq!(out.len(), 30);
-            let counts = rec.snapshot();
-            assert_eq!(counts.get(CounterId::WorkerItems), 30, "jobs={jobs}");
-            assert_eq!(rec.hist(HistId::ItemNs).count(), 30, "jobs={jobs}");
-            let workers = if jobs == 1 { 1 } else { 4 };
-            assert_eq!(rec.hist(HistId::WorkerBusyNs).count(), workers, "jobs={jobs}");
-            assert_eq!(rec.hist(HistId::WorkerQueueWaitNs).count(), workers, "jobs={jobs}");
-        }
-    }
-
-    #[test]
     fn try_map_isolates_panics_per_item() {
         let items: Vec<u64> = (0..40).collect();
         for jobs in [1, 4] {
-            let out = try_parallel_map(
-                jobs,
-                &items,
-                |&x| {
-                    if x % 13 == 5 {
-                        panic!("boom at {x}");
-                    }
-                    x * 2
-                },
-                MapOptions::default(),
-            );
+            let out = try_parallel_map(jobs, &items, |&x| {
+                if x % 13 == 5 {
+                    panic!("boom at {x}");
+                }
+                x * 2
+            });
             assert_eq!(out.len(), 40, "jobs={jobs}");
             for (i, slot) in out.iter().enumerate() {
                 if i % 13 == 5 {
@@ -419,29 +281,9 @@ mod tests {
     fn try_map_without_panics_matches_parallel_map() {
         let items: Vec<u64> = (0..23).collect();
         let plain = parallel_map(4, &items, |&x| x + 7);
-        let tried: Vec<u64> = try_parallel_map(4, &items, |&x| x + 7, MapOptions::default())
-            .into_iter()
-            .map(Result::unwrap)
-            .collect();
+        let tried: Vec<u64> =
+            try_parallel_map(4, &items, |&x| x + 7).into_iter().map(Result::unwrap).collect();
         assert_eq!(plain, tried);
-    }
-
-    #[test]
-    fn try_map_counts_panicked_items_too() {
-        use vp_obs::MemRecorder;
-        for jobs in [1, 4] {
-            let rec = MemRecorder::new();
-            let items: Vec<u64> = (0..10).collect();
-            let out = try_parallel_map(
-                jobs,
-                &items,
-                |&x| if x == 3 { panic!("nope") } else { x },
-                MapOptions { recorder: &rec, deadline: None },
-            );
-            assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1, "jobs={jobs}");
-            assert_eq!(rec.snapshot().get(CounterId::WorkerItems), 10, "jobs={jobs}");
-            assert_eq!(rec.hist(HistId::ItemNs).count(), 10, "jobs={jobs}");
-        }
     }
 
     #[test]
@@ -461,14 +303,18 @@ mod tests {
         }
     }
 
+    /// Runs `f` under a per-item deadline the way the suite runner does:
+    /// a cancellation is re-raised for the map to classify.
+    fn with_deadline<R>(deadline: Duration, f: impl FnOnce() -> R) -> R {
+        cancel::run_with_deadline(deadline, f).unwrap_or_else(|_| cancel::unwind())
+    }
+
     #[test]
     fn deadline_map_times_out_only_the_hung_item() {
         let items: Vec<u64> = (0..8).collect();
         for jobs in [1, 4] {
-            let out = try_parallel_map(
-                jobs,
-                &items,
-                |&x| {
+            let out = try_parallel_map(jobs, &items, |&x| {
+                with_deadline(Duration::from_millis(30), || {
                     if x == 3 {
                         loop {
                             cancel::checkpoint();
@@ -476,14 +322,13 @@ mod tests {
                         }
                     }
                     x * 10
-                },
-                MapOptions { deadline: Some(Duration::from_millis(30)), ..MapOptions::default() },
-            );
+                })
+            });
             assert_eq!(out.len(), 8, "jobs={jobs}");
             for (i, slot) in out.iter().enumerate() {
                 if i == 3 {
                     let failure = slot.as_ref().unwrap_err();
-                    assert_eq!(failure.kind, FailureKind::Timeout);
+                    assert_eq!(failure.kind, FailureKind::Timeout, "jobs={jobs}");
                     assert_eq!(failure.message, "deadline exceeded");
                     assert!(failure.to_string().contains("timed out"));
                 } else {
@@ -496,47 +341,31 @@ mod tests {
     #[test]
     fn generous_deadline_changes_nothing() {
         let items: Vec<u64> = (0..12).collect();
-        let plain = try_parallel_map(4, &items, |&x| x + 1, MapOptions::default());
-        let generous = MapOptions { deadline: Some(Duration::from_secs(60)), ..Default::default() };
-        let dead = try_parallel_map(4, &items, |&x| x + 1, generous);
-        assert_eq!(plain, dead);
+        for jobs in [1, 4] {
+            let plain = try_parallel_map(jobs, &items, |&x| x + 1);
+            let dead = try_parallel_map(jobs, &items, |&x| {
+                with_deadline(Duration::from_secs(60), || x + 1)
+            });
+            assert_eq!(plain, dead, "jobs={jobs}");
+        }
     }
 
     #[test]
     fn deadline_map_still_classifies_real_panics() {
         let items: Vec<u64> = (0..4).collect();
-        let out = try_parallel_map(
-            2,
-            &items,
-            |&x| {
-                if x == 1 {
-                    panic!("genuine failure");
-                }
-                x
-            },
-            MapOptions { deadline: Some(Duration::from_secs(60)), ..MapOptions::default() },
-        );
-        let failure = out[1].as_ref().unwrap_err();
-        assert_eq!(failure.kind, FailureKind::Panic);
-        assert_eq!(failure.message, "genuine failure");
-    }
-
-    #[test]
-    fn cancelled_parent_aborts_the_map() {
-        let token = CancelToken::new();
-        let items: Vec<u64> = (0..64).collect();
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            cancel::with_token(&token, || {
-                parallel_map(4, &items, |&x| {
-                    if x == 0 {
-                        token.cancel();
+        for jobs in [1, 4] {
+            let out = try_parallel_map(jobs, &items, |&x| {
+                with_deadline(Duration::from_secs(60), || {
+                    if x == 1 {
+                        panic!("genuine failure");
                     }
-                    cancel::checkpoint();
                     x
                 })
-            })
-        }));
-        assert!(cancel::is_cancel_payload(caught.unwrap_err().as_ref()));
+            });
+            let failure = out[1].as_ref().unwrap_err();
+            assert_eq!(failure.kind, FailureKind::Panic, "jobs={jobs}");
+            assert_eq!(failure.message, "genuine failure");
+        }
     }
 
     #[test]

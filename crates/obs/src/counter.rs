@@ -4,7 +4,8 @@
 //! machine) keep plain `u64` event counters — deterministic and mergeable,
 //! so parallel suite runs produce byte-identical counts to serial ones.
 //! [`Counts`] is the fixed-size vector those counters flush into at phase
-//! boundaries, and what a [`Recorder`](crate::Recorder) aggregates.
+//! boundaries, and what a suite workload's profile, a checkpoint record
+//! and a telemetry record carry.
 
 use crate::json::Json;
 
@@ -46,8 +47,6 @@ pub enum CounterId {
     ConvSkipped,
     /// Workloads profiled by a suite run.
     WorkloadsProfiled,
-    /// Items executed by parallel-map workers.
-    WorkerItems,
     /// Workload attempts that panicked and were caught by the runner.
     WorkloadPanic,
     /// Workload re-attempts after a caught panic.
@@ -94,7 +93,7 @@ impl CounterId {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Every counter, in canonical (rendering) order.
-    pub const ALL: [CounterId; 35] = [
+    pub const ALL: [CounterId; 34] = [
         CounterId::InstrEvents,
         CounterId::LoadEvents,
         CounterId::StoreEvents,
@@ -110,7 +109,6 @@ impl CounterId {
         CounterId::ConvProfiled,
         CounterId::ConvSkipped,
         CounterId::WorkloadsProfiled,
-        CounterId::WorkerItems,
         CounterId::WorkloadPanic,
         CounterId::WorkloadRetry,
         CounterId::WorkloadQuarantined,
@@ -150,7 +148,6 @@ impl CounterId {
             CounterId::ConvProfiled => "conv_profiled",
             CounterId::ConvSkipped => "conv_skipped",
             CounterId::WorkloadsProfiled => "workloads_profiled",
-            CounterId::WorkerItems => "worker_items",
             CounterId::WorkloadPanic => "workload_panics",
             CounterId::WorkloadRetry => "workload_retries",
             CounterId::WorkloadQuarantined => "workload_quarantined",
@@ -362,7 +359,7 @@ mod tests {
     fn counts_round_trip_through_json() {
         let mut c = Counts::new();
         c.add(CounterId::TnvHits, 7);
-        c.add(CounterId::WorkerItems, 3);
+        c.add(CounterId::WorkloadRetry, 3);
         let back = Counts::from_json(&c.to_json());
         assert_eq!(back, c);
     }

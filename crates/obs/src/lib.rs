@@ -15,40 +15,35 @@
 //! * [`crc`] — the CRC32 behind every integrity footer in the workspace
 //!   (durable profile files, binary trace chunks, session frames): a
 //!   carry-less-multiply kernel where the CPU has one, tables otherwise;
-//! * [`hist`] — [`Log2Histogram`], a 65-bucket power-of-two histogram for
-//!   timing distributions (queue waits, per-workload wall times);
-//! * [`recorder`] — the [`Recorder`] sink trait. The default
-//!   [`NullRecorder`] makes every instrumented site cost a single
-//!   predictable branch; [`MemRecorder`] aggregates counters atomically
-//!   for tests and telemetry emission;
 //! * [`json`] / [`telemetry`] — a dependency-free ordered JSON value and
 //!   the schema-versioned `telemetry.jsonl` record format (one record per
 //!   run/phase/workload), including volatile-field masking so records can
 //!   be golden-tested;
 //! * [`stats`] — the human summary table behind `vprof stats <file>`.
 //!
-//! ```
-//! use vp_obs::{CounterId, Counts, MemRecorder, Recorder};
+//! Counts travel with the result they describe: a suite workload's
+//! profile carries its own events and wall time into checkpoints and
+//! telemetry. Per-layer cost is measured in one place, the `perfbench`
+//! harness.
 //!
-//! let rec = MemRecorder::new();
-//! rec.add(CounterId::TnvHits, 3);
-//! let mut counts = Counts::new();
-//! counts.add(CounterId::TnvHits, 4);
-//! rec.add_counts(&counts);
-//! assert_eq!(rec.snapshot().get(CounterId::TnvHits), 7);
+//! ```
+//! use vp_obs::{CounterId, Counts};
+//!
+//! let mut a = Counts::new();
+//! a.add(CounterId::TnvHits, 3);
+//! let mut b = Counts::new();
+//! b.add(CounterId::TnvHits, 4);
+//! a.merge(&b);
+//! assert_eq!(a.get(CounterId::TnvHits), 7);
 //! ```
 
 pub mod counter;
 pub mod crc;
-pub mod hist;
 pub mod json;
-pub mod recorder;
 pub mod stats;
 pub mod telemetry;
 
 pub use counter::{ConvEvents, CounterId, Counts, TnvEvents};
 pub use crc::{crc32, Crc32};
-pub use hist::Log2Histogram;
 pub use json::Json;
-pub use recorder::{HistId, MemRecorder, NullRecorder, Recorder, Stopwatch};
 pub use telemetry::SCHEMA_VERSION;

@@ -16,8 +16,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Field names whose values vary run-to-run: the wall-clock fields that
 /// suite records write. [`mask_volatile`] replaces these
 /// everywhere in a record.
-pub const VOLATILE_KEYS: [&str; 5] =
-    ["wall_ns", "baseline_wall_ns", "busy_ns", "wait_ns", "slowdown"];
+pub const VOLATILE_KEYS: [&str; 3] = ["wall_ns", "baseline_wall_ns", "slowdown"];
 
 /// Builds a telemetry record: `schema`, `kind` and `name` first, then the
 /// caller's payload fields in the order given.
@@ -182,17 +181,17 @@ mod tests {
             vec![
                 ("wall_ns", Json::U64(5)),
                 ("instructions", Json::U64(10)),
-                ("workers", Json::Arr(vec![Json::obj(vec![("busy_ns", Json::U64(3))])])),
+                ("runs", Json::Arr(vec![Json::obj(vec![("baseline_wall_ns", Json::U64(3))])])),
             ],
         );
         let masked = mask_volatile(&rec);
         assert_eq!(masked.get("wall_ns").unwrap().as_str(), Some("<volatile>"));
         assert_eq!(masked.get("instructions").unwrap().as_u64(), Some(10));
-        let workers = match masked.get("workers").unwrap() {
+        let runs = match masked.get("runs").unwrap() {
             Json::Arr(items) => items,
             other => panic!("expected array, got {other:?}"),
         };
-        assert_eq!(workers[0].get("busy_ns").unwrap().as_str(), Some("<volatile>"));
+        assert_eq!(runs[0].get("baseline_wall_ns").unwrap().as_str(), Some("<volatile>"));
         // Masking is idempotent.
         assert_eq!(mask_volatile(&masked), masked);
     }

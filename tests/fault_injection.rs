@@ -14,11 +14,9 @@ use std::sync::Arc;
 use value_profiling::core::{FaultPlan, Integrity, IntegrityMode, LoadProfileError};
 use value_profiling::instrument::FailureKind;
 use value_profiling::obs::telemetry::mask_volatile;
-use value_profiling::obs::{CounterId, Json, MemRecorder};
+use value_profiling::obs::{CounterId, Json};
 use value_profiling::workloads::{suite, DataSet, Workload};
-use vp_bench::{
-    fault_records, suite_records, Checkpoint, RetryPolicy, RunConfig, SuiteOutcome, SuiteRunner,
-};
+use vp_bench::{fault_records, suite_records, Checkpoint, RunConfig, SuiteOutcome, SuiteRunner};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("vp_fault_injection_tests");
@@ -31,15 +29,10 @@ fn full_loads() -> RunConfig {
     SuiteRunner::new().run_config(DataSet::Test)
 }
 
-fn no_backoff(max_retries: u64) -> RetryPolicy {
-    RetryPolicy { max_retries, backoff_base_ms: 0, backoff_cap_ms: 0 }
-}
-
 /// Telemetry records of an outcome with run-to-run volatile fields
 /// masked, rendered to strings for byte comparison.
-fn masked_records(outcome: &SuiteOutcome, rec: &MemRecorder) -> Vec<String> {
-    let mut records =
-        suite_records("fault-test", DataSet::Test, 1, "full-loads", &outcome.profile, Some(rec));
+fn masked_records(outcome: &SuiteOutcome) -> Vec<String> {
+    let mut records = suite_records("fault-test", DataSet::Test, 1, "full-loads", &outcome.profile);
     records.extend(fault_records("fault-test", outcome));
     records.iter().map(|r: &Json| mask_volatile(r).render()).collect()
 }
@@ -49,10 +42,8 @@ fn injected_panic_quarantines_one_workload_and_keeps_the_rest() {
     let workloads = &suite()[..4]; // compress, gcc, li, ijpeg
     let clean = SuiteRunner::new().run_workloads(workloads, DataSet::Test);
     let plan = Arc::new(FaultPlan::parse("panic:workload/gcc").unwrap());
-    let outcome = SuiteRunner::new()
-        .faults(plan)
-        .retry(no_backoff(1))
-        .try_run_workloads(workloads, DataSet::Test);
+    let outcome =
+        SuiteRunner::new().faults(plan).retries(1).try_run_workloads(workloads, DataSet::Test);
 
     // Every other workload completed with metrics identical to a clean run.
     assert_eq!(outcome.profile.workloads.len(), 3);
@@ -93,10 +84,8 @@ fn retry_counters_are_exact_across_multiple_transient_faults() {
     // compress panics on its first two attempts, li on its first one.
     let plan =
         Arc::new(FaultPlan::parse("panic:workload/compress@1x2,panic:workload/li@1x1").unwrap());
-    let outcome = SuiteRunner::new()
-        .faults(plan)
-        .retry(no_backoff(3))
-        .try_run_workloads(workloads, DataSet::Test);
+    let outcome =
+        SuiteRunner::new().faults(plan).retries(3).try_run_workloads(workloads, DataSet::Test);
 
     assert!(outcome.is_clean(), "{:?}", outcome.failures);
     assert_eq!(outcome.profile.workloads.len(), 3);
@@ -124,13 +113,7 @@ fn runaway_workloads_stop_at_the_budget_and_are_quarantined() {
         clean.workloads.iter().filter(|w| w.instructions > BUDGET).map(|w| w.name).collect();
     assert!(!runaway.is_empty() && runaway.len() < clean.workloads.len(), "{runaway:?}");
 
-    let run = |jobs| {
-        SuiteRunner::new()
-            .jobs(jobs)
-            .budget(BUDGET)
-            .retry(RetryPolicy::none())
-            .try_run(DataSet::Test)
-    };
+    let run = |jobs| SuiteRunner::new().jobs(jobs).budget(BUDGET).retries(0).try_run(DataSet::Test);
     let outcome = run(1);
     let quarantined: Vec<&str> = outcome.failures.iter().map(|f| f.name).collect();
     assert_eq!(quarantined, runaway);
@@ -171,10 +154,7 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
     let path = tmp("kill_resume.jsonl");
 
     // Reference: the uninterrupted run, telemetry and all.
-    let reference_rec = Arc::new(MemRecorder::new());
-    let reference = SuiteRunner::new()
-        .recorder(reference_rec.clone())
-        .try_run_workloads(workloads, DataSet::Test);
+    let reference = SuiteRunner::new().try_run_workloads(workloads, DataSet::Test);
     assert!(reference.is_clean());
 
     // Interrupted run: dies after completing 3 of 5 workloads, mid-append
@@ -193,17 +173,15 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
     let (resumed_checkpoint, summary) = Checkpoint::resume(&path, &full_loads()).unwrap();
     assert_eq!(summary.restored, 3);
     assert!(summary.dropped_tail.is_some(), "torn tail reported");
-    let resumed_rec = Arc::new(MemRecorder::new());
     let resumed = SuiteRunner::new()
-        .recorder(resumed_rec.clone())
         .checkpoint(Arc::new(resumed_checkpoint))
         .try_run_workloads(workloads, DataSet::Test);
     assert!(resumed.is_clean());
 
     // The resumed run's output is identical to the uninterrupted one:
-    // bit-exact metrics, byte-identical rendered table, byte-identical
-    // telemetry once volatile wall times are masked, and identical
-    // recorder counter totals.
+    // bit-exact metrics, byte-identical rendered table, and byte-identical
+    // telemetry once volatile wall times are masked: the `run` record's
+    // event totals and the `faults` record included.
     assert_eq!(resumed.profile.workloads.len(), reference.profile.workloads.len());
     for (a, b) in resumed.profile.workloads.iter().zip(&reference.profile.workloads) {
         assert_eq!(a.name, b.name);
@@ -219,14 +197,9 @@ fn interrupted_checkpoint_resume_matches_uninterrupted_run() {
     }
     assert_eq!(resumed.profile.render("suite"), reference.profile.render("suite"));
     assert_eq!(
-        masked_records(&resumed, &resumed_rec),
-        masked_records(&reference, &reference_rec),
+        masked_records(&resumed),
+        masked_records(&reference),
         "telemetry record sets differ"
-    );
-    assert_eq!(
-        resumed_rec.snapshot().to_json().render(),
-        reference_rec.snapshot().to_json().render(),
-        "recorder counter totals differ"
     );
 
     // The checkpoint file was repaired in place: all 5 records, no tail.
@@ -291,7 +264,7 @@ fn checkpoint_append_io_error_is_absorbed_by_retry() {
     let outcome = SuiteRunner::new()
         .checkpoint(Arc::new(Checkpoint::create(&path, &full_loads()).unwrap()))
         .faults(plan)
-        .retry(no_backoff(1))
+        .retries(1)
         .try_run_workloads(workloads, DataSet::Test);
     assert!(outcome.is_clean(), "{:?}", outcome.failures);
     assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 1);

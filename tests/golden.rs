@@ -159,14 +159,8 @@ fn adaptive_phase_shift_run_matches_golden() {
         })
         .sum();
     assert!(shifts > 0, "the golden run must actually contain a phase shift");
-    let records = telemetry::suite_records(
-        "profile-suite",
-        DataSet::Test,
-        1,
-        "adaptive-loads",
-        &profile,
-        None,
-    );
+    let records =
+        telemetry::suite_records("profile-suite", DataSet::Test, 1, "adaptive-loads", &profile);
     check("adaptive_suite.jsonl", &masked_jsonl(&records));
     // Render stats from the *masked* records, exactly what `vprof stats`
     // would show on the checked-in telemetry — wall times degrade to

@@ -12,7 +12,7 @@ use value_profiling::core::{FaultPlan, GovernorStats, MemBudget, ProfilerStats};
 use value_profiling::instrument::FailureKind;
 use value_profiling::obs::CounterId;
 use value_profiling::workloads::{suite, DataSet};
-use vp_bench::{RetryPolicy, SuiteRunner, WorkloadProfile};
+use vp_bench::{SuiteRunner, WorkloadProfile};
 
 /// The governor section of a governed workload's stats.
 fn governor(w: &WorkloadProfile) -> GovernorStats {
@@ -78,51 +78,56 @@ fn degraded_run_keeps_tnv_metrics_exact_and_loses_only_full_histograms() {
     assert!(total_degraded > 0, "the tight budget actually degraded something");
 }
 
+/// The deadline runs on the calling thread at one job and on the map's
+/// workers at four; either way exactly the hung workload times out.
 #[test]
 fn hung_workload_times_out_and_the_rest_of_the_suite_completes() {
     let workloads = &suite()[..4]; // compress, gcc, li, ijpeg
     let clean = SuiteRunner::new().run_workloads(workloads, DataSet::Test);
-    let plan = Arc::new(FaultPlan::parse("hang:workload/gcc").unwrap());
-    let outcome = SuiteRunner::new()
-        .faults(plan)
-        .retry(RetryPolicy::none())
-        .deadline(Some(Duration::from_millis(200)))
-        .try_run_workloads(workloads, DataSet::Test);
+    for jobs in [1, 4] {
+        let plan = Arc::new(FaultPlan::parse("hang:workload/gcc").unwrap());
+        let outcome = SuiteRunner::new()
+            .jobs(jobs)
+            .faults(plan)
+            .retries(0)
+            .deadline(Some(Duration::from_millis(200)))
+            .try_run_workloads(workloads, DataSet::Test);
 
-    // Exactly the hung workload is quarantined, as a timeout, not a panic.
-    assert_eq!(outcome.failures.len(), 1);
-    let f = &outcome.failures[0];
-    assert_eq!((f.name, f.kind, f.attempts), ("gcc", FailureKind::Timeout, 1));
-    assert_eq!(f.error, "deadline exceeded", "timeout message is deterministic");
-    assert_eq!(outcome.faults.get(CounterId::WorkloadTimeout), 1);
-    assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 0);
-    assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 0);
-    assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 1);
+        // Exactly the hung workload is quarantined, as a timeout, not a
+        // panic.
+        assert_eq!(outcome.failures.len(), 1, "jobs={jobs}");
+        let f = &outcome.failures[0];
+        assert_eq!((f.name, f.kind, f.attempts), ("gcc", FailureKind::Timeout, 1), "jobs={jobs}");
+        assert_eq!(f.error, "deadline exceeded", "timeout message is deterministic");
+        assert_eq!(outcome.faults.get(CounterId::WorkloadTimeout), 1, "jobs={jobs}");
+        assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 0, "jobs={jobs}");
+        assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 0, "jobs={jobs}");
+        assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 1, "jobs={jobs}");
 
-    // Everything else completed identically to a clean run.
-    let surviving: Vec<&str> = outcome.profile.workloads.iter().map(|w| w.name).collect();
-    assert_eq!(surviving, ["compress", "li", "ijpeg"]);
-    for w in &outcome.profile.workloads {
-        let reference = clean.workloads.iter().find(|c| c.name == w.name).unwrap();
-        assert_eq!(w.metrics, reference.metrics, "{}", w.name);
-        assert_eq!(w.events, reference.events, "{}", w.name);
-        assert_eq!(w.instructions, reference.instructions, "{}", w.name);
+        // Everything else completed identically to a clean run.
+        let surviving: Vec<&str> = outcome.profile.workloads.iter().map(|w| w.name).collect();
+        assert_eq!(surviving, ["compress", "li", "ijpeg"], "jobs={jobs}");
+        for w in &outcome.profile.workloads {
+            let reference = clean.workloads.iter().find(|c| c.name == w.name).unwrap();
+            assert_eq!(w.metrics, reference.metrics, "{} jobs={jobs}", w.name);
+            assert_eq!(w.events, reference.events, "{} jobs={jobs}", w.name);
+            assert_eq!(w.instructions, reference.instructions, "{} jobs={jobs}", w.name);
+        }
+
+        // The failure table carries the kind and the fixed message.
+        let table = outcome.render_failures();
+        assert!(table.starts_with("failed"), "{table}");
+        assert!(table.contains("timeout") && table.contains("deadline exceeded"), "{table}");
     }
-
-    // The failure table carries the kind and the fixed message.
-    let table = outcome.render_failures();
-    assert!(table.starts_with("failed"), "{table}");
-    assert!(table.contains("timeout") && table.contains("deadline exceeded"), "{table}");
 }
 
 #[test]
 fn hang_retries_then_quarantines_with_exact_counters() {
     let workloads = &suite()[..3];
     let plan = Arc::new(FaultPlan::parse("hang:workload/gcc").unwrap());
-    let policy = RetryPolicy { max_retries: 1, backoff_base_ms: 0, backoff_cap_ms: 0 };
     let outcome = SuiteRunner::new()
         .faults(plan)
-        .retry(policy)
+        .retries(1)
         .deadline(Some(Duration::from_millis(150)))
         .try_run_workloads(workloads, DataSet::Test);
     assert_eq!(outcome.failures.len(), 1);
