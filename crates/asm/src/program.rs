@@ -77,6 +77,7 @@ impl Program {
     }
 
     /// The instruction sequence (index = word address / 4).
+    #[inline]
     pub fn code(&self) -> &[Instruction] {
         &self.code
     }

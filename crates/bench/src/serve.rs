@@ -751,6 +751,13 @@ pub fn serve(cfg: ServeConfig) -> Result<ServeReport, String> {
 
 /// [`serve`] under an explicit fault plan.
 fn serve_with(cfg: ServeConfig, plan: Arc<FaultPlan>) -> Result<ServeReport, String> {
+    // A zero budget would cut every session loose at once (and a zero
+    // read timeout is an error on a socket): refuse it before binding.
+    for (name, budget) in [("idle", cfg.idle), ("deadline", cfg.deadline)] {
+        if budget == Some(Duration::ZERO) {
+            return Err(format!("the {name} budget must be above zero"));
+        }
+    }
     let listener = NetListener::bind(&cfg.socket)
         .map_err(|e| format!("cannot bind `{}`: {e}", cfg.socket.display()))?;
     let sigterm = net::watch_sigterm();
@@ -866,8 +873,12 @@ const WAIT_SLICE: Duration = Duration::from_millis(10);
 /// [`WAIT_SLICE`] between frames, without ever consuming mid-frame bytes.
 fn handle_stream(daemon: &Daemon, stream: &UnixStream) {
     let idle = daemon.cfg.idle;
-    // Bound any mid-frame stall by the idle budget.
-    let _ = stream.set_read_timeout(idle);
+    // Bound any mid-frame stall by the idle budget. A connection whose
+    // stall cannot be bounded ends as a killed session.
+    if stream.set_read_timeout(idle).is_err() {
+        daemon.count(CounterId::SessionKilled, 1);
+        return;
+    }
     let mut last_frame = Instant::now();
     let mut wait = move || loop {
         if daemon.drain.load(Ordering::SeqCst) {
@@ -1482,6 +1493,36 @@ mod tests {
         fn shutdown(socket: &Path, daemon: Handle) -> ServeReport {
             drop(Client::connect(socket, Some(&SessionMsg::Shutdown)));
             daemon.join().unwrap().unwrap()
+        }
+
+        #[test]
+        fn zero_budgets_are_refused_before_binding() {
+            let _serial = DAEMONS.lock().unwrap_or_else(|e| e.into_inner());
+            for name in ["idle", "deadline"] {
+                let dir = tmp_dir(&format!("zero-{name}"));
+                let mut cfg = ServeConfig::new(dir.join("serve.sock"), dir.clone());
+                match name {
+                    "idle" => cfg.idle = Some(Duration::ZERO),
+                    _ => cfg.deadline = Some(Duration::ZERO),
+                }
+                let socket = cfg.socket.clone();
+                let daemon =
+                    std::thread::spawn(move || serve_with(cfg, Arc::new(FaultPlan::empty())));
+                let deadline = Instant::now() + Duration::from_secs(2);
+                while !daemon.is_finished() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                // A daemon that did start serves until it drains, and a
+                // zero idle budget can cut even a SHUTDOWN loose: it is
+                // left running, so the failure reports instead of hanging.
+                assert!(daemon.is_finished(), "a zero {name} budget was served");
+                match daemon.join().unwrap() {
+                    Err(e) => assert!(e.contains(name), "{name}: {e}"),
+                    Ok(_) => panic!("a zero {name} budget was served"),
+                }
+                assert!(!socket.exists(), "{name}: the socket was bound");
+                let _ = std::fs::remove_dir_all(&dir);
+            }
         }
 
         #[test]

@@ -11,6 +11,11 @@ use crate::plan::Selection;
 /// block stays in L1 while the analysis consumes it.
 pub const VALUE_BLOCK: usize = 1024;
 
+/// Instructions between two cooperative cancellation points of a run:
+/// frequent enough that a hung (e.g. fault-injected) workload is cut
+/// loose within milliseconds, rare enough to vanish from the run.
+const CANCEL_EVERY: u64 = 4096;
+
 /// An analysis tool: the instrumentation-time code of an ATOM tool.
 ///
 /// All callbacks have empty default bodies, so an analysis implements only
@@ -225,11 +230,6 @@ impl Instrumenter {
         // Shadow call stack: (procedure index, expected return instruction).
         let mut call_stack: Vec<(usize, u32)> = Vec::new();
         let procs = self.procedures;
-        // Cooperative cancellation point every 4096 executed instructions
-        // — frequent enough that a hung (e.g. fault-injected) workload is
-        // cut loose within milliseconds, cheap enough to vanish in the
-        // uninstrumented path (one counter increment and branch).
-        let mut tick = 0u64;
         // A value-stream analysis's pending block; never allocated for the
         // others, where `A::VALUE_STREAM` folds every use of it away.
         let mut block: Vec<(u32, Value)> =
@@ -238,43 +238,68 @@ impl Instrumenter {
         let gated = A::VALUE_STREAM && A::SKIP_GATE;
         let mut skip: Vec<u32> = vec![0; if gated { selected.len() } else { 0 }];
 
-        let outcome = machine.run_with(budget, |m, event| {
-            tick += 1;
-            if tick & 0xFFF == 0 {
-                crate::cancel::checkpoint();
-            }
-            if selected.get(event.index as usize).copied().unwrap_or(false) {
-                if A::VALUE_STREAM {
-                    if let Some((_, value)) = event.dest {
-                        // `skip` covers the code, as `selected` does.
-                        if gated && skip[event.index as usize] > 0 {
-                            skip[event.index as usize] -= 1;
-                        } else {
-                            block.push((event.index, value));
-                            if block.len() == VALUE_BLOCK {
-                                analysis.observe_values(&block);
-                                block.clear();
-                                if gated {
-                                    analysis.request_skips(&mut skip);
+        // The step is compiled into the hook's loop, so the hook must stay
+        // cheap. The run goes in slices of `CANCEL_EVERY` instructions with
+        // a cancellation point between them, so the hook counts nothing.
+        // It holds copies of the slices and flags it reads, so they stay
+        // in the loop's registers. Its rare work (a full block, a call or
+        // return under procedure instrumentation) is out of line and
+        // takes the event's fields by value, so no event is stored to
+        // memory unless the analysis reads it through a callback.
+        let mut left = budget;
+        let outcome = loop {
+            let slice = left.min(CANCEL_EVERY);
+            let (selected, block, skip) = (&selected[..], &mut block, &mut skip[..]);
+            let (call_stack, counts, analysis) = (&mut call_stack, &mut counts, &mut *analysis);
+            let hook = move |m: &Machine, event: &InstrEvent| {
+                if selected.get(event.index as usize).copied().unwrap_or(false) {
+                    if A::VALUE_STREAM {
+                        if let Some((_, value)) = event.dest {
+                            // `skip` covers the code, as `selected` does.
+                            if gated && skip[event.index as usize] > 0 {
+                                skip[event.index as usize] -= 1;
+                            } else {
+                                block.push((event.index, value));
+                                if block.len() == VALUE_BLOCK {
+                                    flush_block(analysis, block, skip);
                                 }
                             }
                         }
-                    }
-                } else {
-                    analysis.after_instr(m, event);
-                    if let Some(access) = &event.mem {
-                        if access.store {
-                            analysis.on_store(m, event.index, access);
-                        } else {
-                            analysis.on_load(m, event.index, access);
+                    } else {
+                        analysis.after_instr(m, event);
+                        if let Some(access) = &event.mem {
+                            if access.store {
+                                analysis.on_store(m, event.index, access);
+                            } else {
+                                analysis.on_load(m, event.index, access);
+                            }
                         }
                     }
                 }
+                let call_or_return = matches!(
+                    event.instr,
+                    Instruction::Jal { .. } | Instruction::Jalr { .. } | Instruction::Jr { .. }
+                );
+                if procs && call_or_return {
+                    let (instr, index, next) = (event.instr, event.index, event.next_index);
+                    track_procedures(m, instr, index, next, call_stack, counts, analysis);
+                }
+            };
+            match machine.run_with(slice, hook) {
+                Ok(mut outcome) => {
+                    outcome.instructions += budget - left;
+                    break Ok(outcome);
+                }
+                Err(SimError::BudgetExhausted { .. }) if left > slice => {
+                    left -= slice;
+                    crate::cancel::checkpoint();
+                }
+                Err(SimError::BudgetExhausted { .. }) => {
+                    break Err(SimError::BudgetExhausted { budget })
+                }
+                Err(e) => break Err(e),
             }
-            if procs {
-                track_procedures(m, event, &mut call_stack, &mut counts, analysis);
-            }
-        });
+        };
         // The partial block goes out on every return path, faults and
         // budget exhaustion included, before the error propagates; then a
         // gated analysis takes back the skips the run did not consume.
@@ -289,6 +314,19 @@ impl Instrumenter {
         let stats = machine.stats().clone();
         count_selected(program.code(), &selected, stats.per_instr(), &mut counts);
         Ok(InstrumentedRun { outcome, counts, stats })
+    }
+}
+
+/// Hands a full value block to the analysis, then lets a gated analysis
+/// raise its skip counts. Out of line: it runs once per [`VALUE_BLOCK`]
+/// events.
+#[cold]
+#[inline(never)]
+fn flush_block<A: Analysis>(analysis: &mut A, block: &mut Vec<(u32, Value)>, skip: &mut [u32]) {
+    analysis.observe_values(block);
+    block.clear();
+    if A::SKIP_GATE {
+        analysis.request_skips(skip);
     }
 }
 
@@ -315,32 +353,38 @@ fn count_selected(
     }
 }
 
+/// Fires the procedure callbacks of the call or return `instr` at
+/// `index`, which continued at `next`. Out of line and given the event's
+/// fields by value, so that the run loop neither carries this code nor
+/// stores each event to memory for it.
+#[inline(never)]
 fn track_procedures<A: Analysis>(
     machine: &Machine,
-    event: &InstrEvent,
+    instr: Instruction,
+    index: u32,
+    next: u32,
     call_stack: &mut Vec<(usize, u32)>,
     counts: &mut EventCounts,
     analysis: &mut A,
 ) {
     let program = machine.program();
-    match event.instr {
+    match instr {
         Instruction::Jal { .. } | Instruction::Jalr { .. } => {
-            let target = event.next_index;
-            if let Some(pos) = program.procedures().iter().position(|p| p.range.start == target) {
+            if let Some(pos) = program.procedures().iter().position(|p| p.range.start == next) {
                 let args = [
                     machine.reg(Reg::A0),
                     machine.reg(Reg::A1),
                     machine.reg(Reg::A2),
                     machine.reg(Reg::A3),
                 ];
-                call_stack.push((pos, event.index + 1));
+                call_stack.push((pos, index + 1));
                 counts.entry_events += 1;
                 analysis.on_proc_entry(machine, pos, args);
             }
         }
         Instruction::Jr { .. } => {
             if let Some(&(proc, ret_to)) = call_stack.last() {
-                if ret_to == event.next_index {
+                if ret_to == next {
                     call_stack.pop();
                     counts.exit_events += 1;
                     analysis.on_proc_exit(machine, proc, machine.reg(Reg::V0));

@@ -202,6 +202,7 @@ impl BranchCond {
     /// assert!(BranchCond::Lt.eval(u64::MAX, 0)); // -1 < 0 signed
     /// assert!(!BranchCond::Ltu.eval(u64::MAX, 0));
     /// ```
+    #[inline]
     pub fn eval(self, a: u64, b: u64) -> bool {
         match self {
             BranchCond::Eq => a == b,

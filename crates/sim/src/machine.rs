@@ -240,11 +240,13 @@ impl Machine {
     }
 
     /// Current value of a register.
+    #[inline]
     pub fn reg(&self, r: Reg) -> Value {
         self.regs[r.index()]
     }
 
     /// Sets a register (writes to `r0` are ignored, as in hardware).
+    #[inline]
     pub fn set_reg(&mut self, r: Reg, value: Value) {
         if !r.is_zero() {
             self.regs[r.index()] = value;
@@ -273,9 +275,15 @@ impl Machine {
 
     /// Executes a single instruction and reports what it did.
     ///
+    /// This is the one step body: it is compiled into every
+    /// [`run_with`](Machine::run_with) loop, the bare run's and each
+    /// instrumented run's alike, so that the event it returns never
+    /// leaves registers and the hook reads what the step just computed.
+    ///
     /// # Errors
     ///
     /// Propagates memory faults, control-flow violations and PC escapes.
+    #[inline(always)]
     pub fn step(&mut self) -> Result<InstrEvent, SimError> {
         let index = self.pc;
         let instr =
@@ -351,23 +359,12 @@ impl Machine {
                 self.set_reg(rd, u64::from(index + 1) * INSTR_BYTES);
                 next = target;
             }
-            Instruction::Sys { call } => match call {
-                Syscall::Exit => {
-                    self.exited = Some(self.reg(Reg::A0) as i64);
+            Instruction::Sys { call } => {
+                dest = self.sys(call);
+                if self.exited.is_some() {
                     next = index; // park the pc
                 }
-                Syscall::PutInt => {
-                    let text = format!("{}", self.reg(Reg::A0) as i64);
-                    self.output.extend_from_slice(text.as_bytes());
-                    self.output.push(b'\n');
-                }
-                Syscall::PutChar => self.output.push(self.reg(Reg::A0) as u8),
-                Syscall::GetInput => {
-                    let v = self.input.next_value();
-                    self.set_reg(Reg::V0, v);
-                    dest = Some((Reg::V0, v));
-                }
-            },
+            }
         }
 
         self.stats.record(index);
@@ -375,6 +372,28 @@ impl Machine {
         Ok(InstrEvent { index, instr, dest, mem, taken, next_index: next })
     }
 
+    /// Executes a system call and returns the register it wrote, if any.
+    /// Out of line: it is rare, and `putint` formats text.
+    #[inline(never)]
+    fn sys(&mut self, call: Syscall) -> Option<(Reg, Value)> {
+        match call {
+            Syscall::Exit => self.exited = Some(self.reg(Reg::A0) as i64),
+            Syscall::PutInt => {
+                let text = format!("{}", self.reg(Reg::A0) as i64);
+                self.output.extend_from_slice(text.as_bytes());
+                self.output.push(b'\n');
+            }
+            Syscall::PutChar => self.output.push(self.reg(Reg::A0) as u8),
+            Syscall::GetInput => {
+                let v = self.input.next_value();
+                self.set_reg(Reg::V0, v);
+                return Some((Reg::V0, v));
+            }
+        }
+        None
+    }
+
+    #[inline]
     fn indirect_target(&self, address: u64) -> Result<u32, SimError> {
         if !address.is_multiple_of(INSTR_BYTES)
             || address / INSTR_BYTES >= self.program.len() as u64
@@ -429,6 +448,7 @@ impl Machine {
 /// Evaluates an integer ALU operation exactly as the emulator does.
 /// Exposed so program transformers (the specializer's constant folder) can
 /// fold instructions with bit-identical semantics.
+#[inline]
 pub fn alu_eval(op: AluOp, a: u64, b: u64) -> u64 {
     match op {
         AluOp::Add => a.wrapping_add(b),
@@ -464,6 +484,7 @@ pub fn alu_eval(op: AluOp, a: u64, b: u64) -> u64 {
 
 /// Evaluates a floating-point operation exactly as the emulator does.
 /// See [`alu_eval`].
+#[inline]
 pub fn fp_eval(op: FpOp, a: u64, b: u64) -> u64 {
     let x = f64::from_bits(a);
     let y = f64::from_bits(b);

@@ -33,11 +33,17 @@ impl std::error::Error for MemFault {}
 ///
 /// Unwritten bytes read as zero. The full size is reserved up front (one
 /// allocation per memory), but no byte is zeroed or made resident until
-/// it, or a byte above it, is written: memory is zero-filled up to the
-/// highest byte written so far, and reads past that written end return 0.
-/// A fresh machine therefore costs its data image, not a memset of its
-/// whole address space; a write near the top of memory zero-fills
-/// everything below it, as the memset did.
+/// it is written or lies between two written bytes: memory is backed
+/// from a low-water mark (the lowest written address, rounded down to a
+/// 4 KiB page) up to the highest byte written so far, and reads outside
+/// that range return 0. A fresh machine therefore costs its data image,
+/// not a memset of its whole address space; a write near the top of
+/// memory zero-fills everything between it and the data image.
+///
+/// Each access is one bound check against the backed range, then a
+/// fixed-width little-endian load or store. Everything else (a fault, an
+/// access at or across either end of the backed range, a write that
+/// extends it) takes a cold path.
 ///
 /// ```
 /// use vp_sim::Memory;
@@ -52,16 +58,28 @@ impl std::error::Error for MemFault {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Memory {
-    /// Bytes `[0, written end)`. [`Memory::new`] reserves all `size`
+    /// Bytes `[base, written end)`. [`Memory::new`] reserves all `size`
     /// of them, so growing never reallocates.
     bytes: Vec<u8>,
+    /// The low-water mark: the address of `bytes[0]`. Bytes below it
+    /// read as 0. It starts at `size`, with nothing backed.
+    base: u64,
     size: usize,
 }
+
+/// Granule the low-water mark moves down by, so that a run of writes
+/// walking down through memory shifts the backed bytes once per page.
+const PAGE: u64 = 4096;
+
+/// A block of zeros to copy from: copying stays a `memcpy` in
+/// unoptimised builds too, where `Vec::resize` or `fill` would store
+/// byte by byte.
+const ZEROS: [u8; 4096] = [0; 4096];
 
 impl Memory {
     /// Reserves `size` bytes of memory that read as zero.
     pub fn new(size: usize) -> Memory {
-        Memory { bytes: Vec::with_capacity(size), size }
+        Memory { bytes: Vec::with_capacity(size), base: size as u64, size }
     }
 
     /// Total size in bytes.
@@ -69,23 +87,32 @@ impl Memory {
         self.size as u64
     }
 
-    fn check(&self, address: u64, len: u64, store: bool) -> Result<usize, MemFault> {
-        let end = address.checked_add(len).filter(|&e| e <= self.size());
-        match end {
-            Some(_) => Ok(address as usize),
-            None => Err(MemFault { address, size: len, store }),
+    fn check(&self, address: u64, len: u64, store: bool) -> Result<(), MemFault> {
+        match address.checked_add(len) {
+            Some(end) if end <= self.size() => Ok(()),
+            _ => Err(MemFault { address, size: len, store }),
         }
     }
 
-    /// Zero-fills up to `end`, so that `[0, end)` is backed by `bytes`.
-    /// `end` is at most `size`, within the reserved capacity. Copying
-    /// from a zero block stays a `memcpy` in unoptimised builds too,
-    /// where `Vec::resize` would store byte by byte.
-    fn fill_to(&mut self, end: usize) {
-        const ZEROS: [u8; 4096] = [0; 4096];
-        while self.bytes.len() < end {
-            let k = (end - self.bytes.len()).min(ZEROS.len());
-            self.bytes.extend_from_slice(&ZEROS[..k]);
+    /// The `N` backed bytes at `address`, if all of them are backed.
+    /// An address below `base` wraps to an offset past any backed byte,
+    /// so this one bound covers both ends of the backed range.
+    #[inline]
+    fn get<const N: usize>(&self, address: u64) -> Option<[u8; N]> {
+        let at = address.wrapping_sub(self.base) as usize;
+        self.bytes.get(at..at.wrapping_add(N))?.try_into().ok()
+    }
+
+    /// Stores `N` bytes at `address` if all of them are backed.
+    #[inline]
+    fn put<const N: usize>(&mut self, address: u64, bytes: [u8; N]) -> bool {
+        let at = address.wrapping_sub(self.base) as usize;
+        match self.bytes.get_mut(at..at.wrapping_add(N)) {
+            Some(dst) => {
+                dst.copy_from_slice(&bytes);
+                true
+            }
+            None => false,
         }
     }
 
@@ -94,17 +121,30 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a [`MemFault`] if the access runs past the end of memory.
+    #[inline(always)]
     pub fn read(&self, address: u64, width: MemWidth) -> Result<u64, MemFault> {
-        let at = self.check(address, width.bytes(), false)?;
-        let n = width.bytes() as usize;
+        let value = match width {
+            MemWidth::B => self.get::<1>(address).map(|b| u64::from(b[0])),
+            MemWidth::H => self.get(address).map(|b| u64::from(u16::from_le_bytes(b))),
+            MemWidth::W => self.get(address).map(|b| u64::from(u32::from_le_bytes(b))),
+            MemWidth::D => self.get(address).map(u64::from_le_bytes),
+        };
+        match value {
+            Some(value) => Ok(value),
+            None => self.read_cold(address, width),
+        }
+    }
+
+    /// A read that is not wholly backed: it faults, or reads each byte
+    /// outside `[base, written end)` as 0.
+    #[cold]
+    #[inline(never)]
+    fn read_cold(&self, address: u64, width: MemWidth) -> Result<u64, MemFault> {
+        self.check(address, width.bytes(), false)?;
         let mut buf = [0u8; 8];
-        match self.bytes.get(at..at + n) {
-            Some(src) => buf[..n].copy_from_slice(src),
-            // At or across the written end: the bytes past it are zero.
-            None => {
-                let tail = self.bytes.get(at..).unwrap_or_default();
-                buf[..tail.len()].copy_from_slice(tail);
-            }
+        for (a, byte) in (address..).zip(&mut buf[..width.bytes() as usize]) {
+            let at = a.wrapping_sub(self.base) as usize;
+            *byte = self.bytes.get(at).copied().unwrap_or(0);
         }
         Ok(u64::from_le_bytes(buf))
     }
@@ -114,14 +154,23 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a [`MemFault`] if the access runs past the end of memory.
+    #[inline(always)]
     pub fn read_signed(&self, address: u64, width: MemWidth) -> Result<u64, MemFault> {
-        let raw = self.read(address, width)?;
-        let bits = width.bytes() * 8;
-        if bits == 64 {
-            return Ok(raw);
+        // Extending in the load's own arm dispatches on the width once.
+        let value = match width {
+            MemWidth::B => self.get::<1>(address).map(|b| b[0] as i8 as u64),
+            MemWidth::H => self.get(address).map(|b| i16::from_le_bytes(b) as u64),
+            MemWidth::W => self.get(address).map(|b| i32::from_le_bytes(b) as u64),
+            MemWidth::D => self.get(address).map(u64::from_le_bytes),
+        };
+        match value {
+            Some(value) => Ok(value),
+            None => {
+                let raw = self.read_cold(address, width)?;
+                let unused = 64 - 8 * width.bytes();
+                Ok((((raw << unused) as i64) >> unused) as u64)
+            }
         }
-        let shift = 64 - bits;
-        Ok((((raw << shift) as i64) >> shift) as u64)
     }
 
     /// Writes the low `width` bytes of `value` at `address`.
@@ -129,12 +178,19 @@ impl Memory {
     /// # Errors
     ///
     /// Returns a [`MemFault`] if the access runs past the end of memory.
+    #[inline(always)]
     pub fn write(&mut self, address: u64, width: MemWidth, value: u64) -> Result<(), MemFault> {
-        let at = self.check(address, width.bytes(), true)?;
-        let n = width.bytes() as usize;
-        self.fill_to(at + n);
-        self.bytes[at..at + n].copy_from_slice(&value.to_le_bytes()[..n]);
-        Ok(())
+        let le = value.to_le_bytes();
+        let done = match width {
+            MemWidth::B => self.put(address, [le[0]]),
+            MemWidth::H => self.put(address, [le[0], le[1]]),
+            MemWidth::W => self.put(address, [le[0], le[1], le[2], le[3]]),
+            MemWidth::D => self.put(address, le),
+        };
+        if done {
+            return Ok(());
+        }
+        self.write_cold(address, &le[..width.bytes() as usize])
     }
 
     /// Copies a byte slice into memory at `address` (used by the loader).
@@ -143,10 +199,50 @@ impl Memory {
     ///
     /// Returns a [`MemFault`] if the image does not fit.
     pub fn write_bytes(&mut self, address: u64, bytes: &[u8]) -> Result<(), MemFault> {
-        let at = self.check(address, bytes.len() as u64, true)?;
+        self.write_cold(address, bytes)
+    }
+
+    /// A write that is not wholly backed: it faults, or first extends
+    /// the backed range to cover `[address, address + bytes.len())`.
+    #[cold]
+    #[inline(never)]
+    fn write_cold(&mut self, address: u64, bytes: &[u8]) -> Result<(), MemFault> {
+        self.check(address, bytes.len() as u64, true)?;
+        if bytes.is_empty() {
+            return Ok(());
+        }
+        if address < self.base {
+            self.lower_base(address - address % PAGE);
+        }
+        let at = (address - self.base) as usize;
         self.fill_to(at + bytes.len());
         self.bytes[at..at + bytes.len()].copy_from_slice(bytes);
         Ok(())
+    }
+
+    /// Moves the low-water mark down to `base`, shifting the backed
+    /// bytes up within the reserved capacity and zeroing the gap.
+    fn lower_base(&mut self, base: u64) {
+        let shift = (self.base - base) as usize;
+        let backed = self.bytes.len();
+        self.base = base;
+        if backed == 0 {
+            return;
+        }
+        self.fill_to(backed + shift);
+        self.bytes.copy_within(..backed, shift);
+        for chunk in self.bytes[..shift].chunks_mut(ZEROS.len()) {
+            chunk.copy_from_slice(&ZEROS[..chunk.len()]);
+        }
+    }
+
+    /// Zero-fills the backed range up to offset `end` from `base`. It
+    /// stays within `size`, so within the reserved capacity.
+    fn fill_to(&mut self, end: usize) {
+        while self.bytes.len() < end {
+            let k = (end - self.bytes.len()).min(ZEROS.len());
+            self.bytes.extend_from_slice(&ZEROS[..k]);
+        }
     }
 }
 

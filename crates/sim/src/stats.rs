@@ -26,6 +26,7 @@ impl ExecStats {
     }
 
     /// Records one execution of the instruction at `index`.
+    #[inline]
     pub fn record(&mut self, index: u32) {
         self.per_instr[index as usize] += 1;
     }

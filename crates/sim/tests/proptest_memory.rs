@@ -1,7 +1,7 @@
 //! Property tests: the emulator's memory against a sparse reference
 //! model, for arbitrary access sequences — on a small memory, and on the
-//! machine's own 8 MiB layout around its data image, its written end and
-//! the top of memory.
+//! machine's own 8 MiB layout around its data image (below and across
+//! `DATA_BASE` too), its written end and the top of memory.
 
 use std::collections::HashMap;
 
@@ -54,12 +54,14 @@ fn small_addr() -> impl Strategy<Value = Addr> + Clone {
     prop_oneof![4 => (0..SMALL + 8).prop_map(Addr::At), 1 => any::<u64>().prop_map(Addr::At)]
 }
 
-/// Addresses in the machine's memory: at the data image, within 8 bytes
-/// of the written end (so reads straddle it), in the top 64 bytes, and
-/// out of range.
+/// Addresses in the machine's memory: at the data image, just below and
+/// straddling `DATA_BASE` (below the lowest byte written so far), within
+/// 8 bytes of the written end (so reads straddle it), in the top 64
+/// bytes, and out of range.
 fn layout_addr(size: u64) -> impl Strategy<Value = Addr> + Clone {
     prop_oneof![
         3 => (DATA_BASE..DATA_BASE + 4096).prop_map(Addr::At),
+        2 => (DATA_BASE - 16..DATA_BASE + 8).prop_map(Addr::At),
         3 => (-8i64..=8).prop_map(Addr::FromEnd),
         2 => (size - 64..size).prop_map(Addr::At),
         1 => (size - 8..size + 16).prop_map(Addr::At),
