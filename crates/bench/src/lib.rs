@@ -9,7 +9,6 @@
 //! Run an experiment with e.g. `vprof experiment E2`, or every one in
 //! E-order with `vprof experiment all`.
 
-pub mod checkpoint;
 pub mod experiments;
 pub mod optimize;
 pub mod serve;
@@ -20,7 +19,6 @@ use vp_core::{track::TrackerConfig, InstructionProfiler};
 use vp_instrument::{Instrumenter, Selection};
 use vp_workloads::{DataSet, Workload};
 
-pub use checkpoint::{Checkpoint, ResumeSummary, RunConfig};
 pub use experiments::ExpReport;
 pub use optimize::{optimize_from_outcome, OptimizeConfig, OptimizeReport, WorkloadOptimize};
 pub use serve::{ServeConfig, ServeReport, SessionMode, SessionSummary};

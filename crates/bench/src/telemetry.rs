@@ -76,7 +76,7 @@ pub fn suite_records(
 }
 
 /// Builds the fault records of a [`SuiteOutcome`]: one `faults` record
-/// carrying the panic/retry/quarantine counters (only when any is
+/// carrying the panic/timeout/quarantine counters (only when any is
 /// nonzero) and one `failure` record per quarantined workload. A clean
 /// run contributes nothing, so existing telemetry stays byte-identical.
 pub fn fault_records(tool: &str, outcome: &SuiteOutcome) -> Vec<Json> {
@@ -86,7 +86,6 @@ pub fn fault_records(tool: &str, outcome: &SuiteOutcome) -> Vec<Json> {
     }
     for f in &outcome.failures {
         let fields = vec![
-            ("attempts", Json::U64(f.attempts)),
             // `kind` is taken by the record type; the failure's own
             // classification gets its own key.
             ("failure_kind", Json::Str(f.kind_str().to_string())),

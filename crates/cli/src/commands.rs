@@ -27,8 +27,7 @@ const USAGE: &str = "usage:
   vprof profile <target> [--train] [--all] [--convergent] [--top N] [--save FILE]
   vprof profile-suite [--train] [--all] [--convergent] [--jobs N] [--baseline]
                       [--adaptive [--phase-window N] [--max-rearms N]]
-                      [--telemetry FILE] [--retries N] [--checkpoint FILE [--resume]]
-                      [--deadline-ms N] [--mem-budget-mb N]
+                      [--telemetry FILE] [--deadline-ms N] [--mem-budget-mb N]
   vprof record <target> [-o <file.vpc>] [--train] [--all] [--deadline-ms N]
                       [--chunk-events N]
   vprof replay <file.vpc> [--save FILE] [--deadline-ms N] [--mem-budget-mb N]
@@ -46,8 +45,8 @@ const USAGE: &str = "usage:
   vprof optimize [--jobs N]
                       [--convergent|--adaptive [--phase-window N] [--max-rearms N]]
                       [--min-invariance P] [--min-executions N] [--max-ways N]
-                      [--report FILE] [--telemetry FILE] [--retries N]
-                      [--checkpoint FILE [--resume]] [--deadline-ms N] [--mem-budget-mb N]
+                      [--report FILE] [--telemetry FILE] [--deadline-ms N]
+                      [--mem-budget-mb N]
 
 <target> is a built-in workload name or a path to a .s or .vpo file.";
 
@@ -119,9 +118,9 @@ fn command(name: &str) -> Option<(Spec, Handler)> {
         ),
         "profile-suite" => (
             Spec {
-                switches: "--train --all --convergent --adaptive --baseline --resume",
+                switches: "--train --all --convergent --adaptive --baseline",
                 options: "--jobs --phase-window --max-rearms --telemetry \
-                          --retries --checkpoint --deadline-ms --mem-budget-mb",
+                          --deadline-ms --mem-budget-mb",
                 positionals: 0,
             },
             profile_suite,
@@ -167,10 +166,10 @@ fn command(name: &str) -> Option<(Spec, Handler)> {
         }
         "optimize" => (
             Spec {
-                switches: "--convergent --adaptive --resume",
+                switches: "--convergent --adaptive",
                 options: "--jobs --phase-window --max-rearms \
                           --min-invariance --min-executions --max-ways --report --telemetry \
-                          --retries --checkpoint --deadline-ms --mem-budget-mb",
+                          --deadline-ms --mem-budget-mb",
                 positionals: 0,
             },
             optimize_cmd,
@@ -337,64 +336,28 @@ fn mode_arg(args: &Args) -> Result<(ProfileMode, Option<MemBudget>), String> {
 /// The suite-runner configuration `profile-suite` and `optimize` share,
 /// parsed once by [`suite_args`].
 struct SuiteArgs {
-    /// Jobs, retries, faults, deadline, memory budget, mode, selection
-    /// and checkpoint applied; `profile-suite` adds its baseline.
+    /// Jobs, faults, deadline, memory budget, mode and selection applied;
+    /// `profile-suite` adds its baseline.
     runner: SuiteRunner,
     jobs: usize,
     mode: ProfileMode,
     mem_budget: Option<MemBudget>,
 }
 
-/// Parses `--jobs N`, `--retries N`, `--deadline-ms N`,
-/// `--mem-budget-mb N`, the mode flags, and `--checkpoint FILE
-/// [--resume]` into a [`SuiteRunner`] profiling `selection` of the
-/// `data_set` input. `$VP_FAULTS` arms the fault plan. A checkpoint
-/// records the run's [`RunConfig`](vp_bench::RunConfig), and a resume
-/// under another one is an error.
-fn suite_args(args: &Args, selection: Selection, data_set: DataSet) -> Result<SuiteArgs, String> {
-    use vp_bench::Checkpoint;
-
+/// Parses `--jobs N`, `--deadline-ms N`, `--mem-budget-mb N` and the mode
+/// flags into a [`SuiteRunner`] profiling `selection`. `$VP_FAULTS` arms
+/// the fault plan.
+fn suite_args(args: &Args, selection: Selection) -> Result<SuiteArgs, String> {
     let jobs = args.get("--jobs")?.unwrap_or(1);
-    let retries = args.get("--retries")?;
     let deadline = args.at_least("--deadline-ms", 1)?.map(Duration::from_millis);
     let (mode, mem_budget) = mode_arg(args)?;
-    let mut runner = SuiteRunner::new()
+    let runner = SuiteRunner::new()
         .jobs(jobs)
         .faults(Arc::new(FaultPlan::from_env()?))
         .deadline(deadline)
         .mem_budget(mem_budget)
         .mode(mode)
         .selection(selection);
-    if let Some(retries) = retries {
-        runner = runner.retries(retries);
-    }
-    match (args.value("--checkpoint"), args.has("--resume")) {
-        (Some(path), resume) => {
-            let path = std::path::Path::new(path);
-            let config = runner.run_config(data_set);
-            let checkpoint = if resume {
-                let (checkpoint, summary) = Checkpoint::resume(path, &config)
-                    .map_err(|e| format!("cannot resume `{}`: {e}", path.display()))?;
-                // Progress notices go to stderr: stdout must stay
-                // byte-identical to an uninterrupted run's.
-                if let Some(reason) = &summary.dropped_tail {
-                    eprintln!("checkpoint: dropped torn final record ({reason})");
-                }
-                eprintln!(
-                    "resuming from {}: {} workload(s) restored",
-                    path.display(),
-                    summary.restored
-                );
-                checkpoint
-            } else {
-                Checkpoint::create(path, &config)
-                    .map_err(|e| format!("cannot create `{}`: {e}", path.display()))?
-            };
-            runner = runner.checkpoint(Arc::new(checkpoint));
-        }
-        (None, true) => return Err("--resume requires --checkpoint FILE".to_string()),
-        (None, false) => {}
-    }
     Ok(SuiteArgs { runner, jobs, mode, mem_budget })
 }
 
@@ -528,27 +491,23 @@ fn profile(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
 /// Run telemetry lands in `--telemetry FILE` (default: `$VP_TELEMETRY`,
 /// else `telemetry.jsonl`); inspect it with `vprof stats <file>`.
 ///
-/// The run is fault-tolerant: a workload that panics is retried
-/// (`--retries N` rounds, default 2) and quarantined when the budget is
-/// exhausted — the rest of the suite still completes, quarantined
-/// workloads are listed in a failure table, and the fault counters land
-/// in telemetry. With `--checkpoint FILE` each finished workload is
-/// durably persisted as it completes; `--resume` restores those instead
-/// of re-profiling them, producing output identical to an uninterrupted
-/// run. `$VP_FAULTS` arms deterministic fault injection (see
+/// The run is fault-tolerant: each workload gets one attempt, and one
+/// that panics is quarantined — the rest of the suite still completes,
+/// quarantined workloads are listed in a failure table, and the fault
+/// counters land in telemetry. A run that dies is simply rerun.
+/// `$VP_FAULTS` arms deterministic fault injection (see
 /// `vp_core::fault`).
 ///
 /// `--deadline-ms N` arms a per-workload wall-clock deadline: an attempt
 /// still running when it fires is cancelled cooperatively, counted as a
-/// timeout (distinct from a panic), retried, and quarantined when the
-/// retry budget runs out. `--mem-budget-mb N` caps each workload's
-/// profiler memory: over budget, entities degrade full-profile →
-/// TNV-only → dropped (see `vp_core::govern`), and the governor counters
-/// land in the output and telemetry.
+/// timeout (distinct from a panic) and quarantined. `--mem-budget-mb N`
+/// caps each workload's profiler memory: over budget, entities degrade
+/// full-profile → TNV-only → dropped (see `vp_core::govern`), and the
+/// governor counters land in the output and telemetry.
 fn profile_suite(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let ds = dataset(args);
     let (selection, what) = selection(args);
-    let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args, selection, ds)?;
+    let SuiteArgs { runner, jobs, mode, mem_budget } = suite_args(args, selection)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let outcome = runner.measure_baseline(args.has("--baseline")).try_run(ds);
@@ -1018,8 +977,8 @@ fn run_experiments(args: &Args, out: &mut dyn Write) -> Result<Vec<Json>, Failur
 }
 
 /// `vprof optimize`: the end-to-end PGO loop. Profiles the suite on the
-/// *train* input (through `SuiteRunner`, so `--jobs`, the governor,
-/// checkpointing and fault injection all apply), plans
+/// *train* input (through `SuiteRunner`, so `--jobs`, the deadline, the
+/// governor and fault injection all apply), plans
 /// semi-invariant candidates from the per-load metrics, specializes each
 /// program behind runtime guards, and re-runs original vs specialized on
 /// the *test* input. Emits the cross-input report as a deterministic
@@ -1037,8 +996,7 @@ fn optimize_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         .unwrap_or(candidates.min_invariance);
     candidates.min_executions = args.get("--min-executions")?.unwrap_or(candidates.min_executions);
     cfg.options.max_ways = args.at_least("--max-ways", 1)?.unwrap_or(cfg.options.max_ways);
-    // Parsed after the optimizer options: it creates the checkpoint file.
-    let SuiteArgs { runner, mode, .. } = suite_args(args, Selection::LoadsOnly, cfg.train)?;
+    let SuiteArgs { runner, mode, .. } = suite_args(args, Selection::LoadsOnly)?;
     let telemetry_path =
         args.value("--telemetry").map_or_else(vp_bench::default_path, std::path::PathBuf::from);
     let report_path = args.value("--report").unwrap_or("optimize-report.txt");
@@ -1139,7 +1097,6 @@ mod tests {
         assert!(vprof(&["optimize", "--convergent", "--adaptive"])
             .unwrap_err()
             .contains("mutually exclusive"));
-        assert!(vprof(&["optimize", "--resume"]).unwrap_err().contains("--resume requires"));
     }
 
     #[test]
@@ -1184,39 +1141,6 @@ mod tests {
         assert!(err.contains("crc32 mismatch"), "{err}");
         assert!(vprof(&["verify", out_s, "--lenient"]).is_ok());
         assert!(vprof(&["verify", "/nonexistent.tsv"]).is_err());
-    }
-
-    #[test]
-    fn checkpointed_suite_runs_and_resumes() {
-        let dir = std::env::temp_dir().join("vprof-cli-test-checkpoint");
-        std::fs::create_dir_all(&dir).unwrap();
-        let tel = dir.join("t.jsonl");
-        let ckpt = dir.join("c.jsonl");
-        let (tel_s, ckpt_s) = (tel.to_str().unwrap(), ckpt.to_str().unwrap());
-        assert!(vprof(&["profile-suite", "--telemetry", tel_s, "--checkpoint", ckpt_s]).is_ok());
-        assert!(ckpt.exists());
-        // Resuming a complete checkpoint re-runs nothing and still works.
-        assert!(vprof(&[
-            "profile-suite",
-            "--telemetry",
-            tel_s,
-            "--checkpoint",
-            ckpt_s,
-            "--resume"
-        ])
-        .is_ok());
-        // Other flags than the checkpoint's, and `optimize` (train
-        // input), are refused before anything runs.
-        let resume = ["--telemetry", tel_s, "--checkpoint", ckpt_s, "--resume"];
-        for other in [&["profile-suite", "--all"][..], &["profile-suite", "--train"], &["optimize"]]
-        {
-            let err = vprof(&[other, &resume[..]].concat()).unwrap_err();
-            assert!(
-                err.contains("written under `mode=full selection=LoadsOnly data=test"),
-                "{err}"
-            );
-        }
-        assert!(vprof(&["profile-suite", "--resume"]).unwrap_err().contains("--resume requires"));
     }
 
     #[test]
@@ -1617,7 +1541,14 @@ mod tests {
             // Loads are the default selection; there is no switch naming it.
             (&["profile", "li", "--all", "--loads"], "unknown flag `--loads`"),
             (&["profile-suite", "--jobs", "many"], "bad --jobs value `many`"),
-            (&["profile-suite", "--retries", "many"], "bad --retries value `many`"),
+            // One attempt per workload, and a suite run that dies is
+            // rerun: no retries, no checkpoint, no resume.
+            (&["profile-suite", "--retries", "1"], "unknown flag `--retries`"),
+            (&["profile-suite", "--checkpoint", "c.jsonl"], "unknown flag `--checkpoint`"),
+            (&["profile-suite", "--resume"], "unknown flag `--resume`"),
+            (&["optimize", "--checkpoint", "c.jsonl"], "unknown flag `--checkpoint`"),
+            (&["optimize", "--retries", "0"], "unknown flag `--retries`"),
+            (&["optimize", "--resume"], "unknown flag `--resume`"),
             (&["profile-suite", "--deadline-ms", "soon"], "bad --deadline-ms value `soon`"),
             // A zero limit would race its own watchdog.
             (&["profile-suite", "--deadline-ms", "0"], "bad --deadline-ms value `0`"),

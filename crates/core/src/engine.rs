@@ -19,8 +19,8 @@
 //! A profiler's account of its own interventions is one value,
 //! [`Profiler::stats`]: a [`ProfilerStats`] section (the memory
 //! governor's on a governed full profiler, the phase detector's on an
-//! adaptive one) or `None`. Checkpoint records, telemetry and
-//! `vprof stats` each encode it through one function.
+//! adaptive one) or `None`. Telemetry and `vprof stats` each encode it
+//! through one function.
 
 use vp_asm::Program;
 use vp_instrument::trace_codec::{ChunkReader, CodecError};
@@ -205,7 +205,7 @@ impl Profiler {
 /// governed full profiler, the phase detector's on an adaptive one. No
 /// mode has both. Each section is four `u64` fields under one name, and
 /// [`name`](Self::name) with [`fields`](Self::fields) drive every
-/// encoding of it (checkpoint records, telemetry, `vprof stats`).
+/// encoding of it (telemetry, `vprof stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfilerStats {
     /// A governed full profiler's [`GovernorStats`].
@@ -215,10 +215,7 @@ pub enum ProfilerStats {
 }
 
 impl ProfilerStats {
-    /// Every section name, in the order encodings look for them.
-    pub const NAMES: [&'static str; 2] = ["governor", "phase"];
-
-    /// The section's name: its key in checkpoint and telemetry records.
+    /// The section's name: its key in telemetry records.
     pub fn name(&self) -> &'static str {
         match self {
             ProfilerStats::Governor(_) => "governor",
@@ -241,26 +238,6 @@ impl ProfilerStats {
                 ("rearms", p.rearms),
                 ("rearms_denied", p.rearms_denied),
             ],
-        }
-    }
-
-    /// Rebuilds the section called `name` from its field values in
-    /// [`fields`](Self::fields) order; `None` for an unknown name.
-    pub fn from_values(name: &str, [a, b, c, d]: [u64; 4]) -> Option<ProfilerStats> {
-        match name {
-            "governor" => Some(ProfilerStats::Governor(GovernorStats {
-                bytes_peak: a,
-                entities_degraded: b,
-                entities_dropped: c,
-                observations_dropped: d,
-            })),
-            "phase" => Some(ProfilerStats::Phase(PhaseStats {
-                windows: a,
-                shifts_detected: b,
-                rearms: c,
-                rearms_denied: d,
-            })),
-            _ => None,
         }
     }
 
@@ -337,7 +314,12 @@ mod tests {
 
     #[test]
     fn the_governor_peak_is_no_event_count() {
-        let stats = ProfilerStats::from_values("governor", [919_352, 1, 2, 4]).unwrap();
+        let stats = ProfilerStats::Governor(GovernorStats {
+            bytes_peak: 919_352,
+            entities_degraded: 1,
+            entities_dropped: 2,
+            observations_dropped: 4,
+        });
         let mut counts = Counts::new();
         stats.add_events_to(&mut counts);
         assert_eq!(counts.total(), 3, "only the entity counts are events: {counts:?}");

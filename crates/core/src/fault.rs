@@ -10,7 +10,7 @@
 //! `VP_FAULTS` environment variable (CLI smoke tests, CI):
 //!
 //! ```text
-//! VP_FAULTS=panic:workload/gcc,err:durable/append@2,kill:checkpoint/appended@4
+//! VP_FAULTS=panic:workload/gcc,err:durable/append@2,kill:session/checkpoint@1
 //! ```
 //!
 //! Each comma-separated entry is `ACTION:POINT[@START][xCOUNT]`:
@@ -25,8 +25,8 @@
 //! * `POINT` — the fault-point name, matched exactly;
 //! * `@START` — first hit (1-based) on which the fault fires (default 1);
 //! * `xCOUNT` — number of consecutive hits that fire (default unlimited),
-//!   so `panic:workload/li@1x2` panics twice and then succeeds — the shape
-//!   a retry budget must absorb.
+//!   so `panic:workload/li@1x2` panics on the first two hits and then
+//!   lets the point pass.
 //!
 //! Everything is counter-driven: no clocks, no randomness, so injected
 //! failures are reproducible byte-for-byte.

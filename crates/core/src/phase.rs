@@ -95,7 +95,7 @@ impl Default for PhaseBudget {
 /// Exact counters of the phase detector, summed over all instructions.
 ///
 /// They travel as [`ProfilerStats::Phase`](crate::ProfilerStats::Phase)
-/// into checkpoint, telemetry and `vprof stats`, only when adaptive
+/// into telemetry and `vprof stats`, only when adaptive
 /// profiling is on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseStats {

@@ -8,7 +8,8 @@
 //! order, and catch each item's unwind. [`parallel_map`] re-raises the
 //! first caught panic once every item has been tried (profile shards,
 //! experiment rows); [`try_parallel_map`] returns each failure in its
-//! item's slot (the suite runner's `--jobs` threads and retry rounds).
+//! item's slot (the suite runner's `--jobs` threads, one attempt per
+//! workload).
 //!
 //! The map arms no deadline of its own. A caller that bounds an item
 //! wraps it in [`cancel::run_with_deadline`] and re-raises the

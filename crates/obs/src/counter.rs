@@ -4,8 +4,8 @@
 //! machine) keep plain `u64` event counters — deterministic and mergeable,
 //! so parallel suite runs produce byte-identical counts to serial ones.
 //! [`Counts`] is the fixed-size vector those counters flush into at phase
-//! boundaries, and what a suite workload's profile, a checkpoint record
-//! and a telemetry record carry.
+//! boundaries, and what a suite workload's profile and a telemetry
+//! record carry.
 
 use crate::json::Json;
 
@@ -49,9 +49,7 @@ pub enum CounterId {
     WorkloadsProfiled,
     /// Workload attempts that panicked and were caught by the runner.
     WorkloadPanic,
-    /// Workload re-attempts after a caught panic.
-    WorkloadRetry,
-    /// Workloads given up on after the retry budget was exhausted.
+    /// Workloads quarantined after their attempt panicked or timed out.
     WorkloadQuarantined,
     /// Workload attempts cancelled for exceeding the wall-clock deadline.
     WorkloadTimeout,
@@ -93,7 +91,7 @@ impl CounterId {
     pub const COUNT: usize = Self::ALL.len();
 
     /// Every counter, in canonical (rendering) order.
-    pub const ALL: [CounterId; 34] = [
+    pub const ALL: [CounterId; 33] = [
         CounterId::InstrEvents,
         CounterId::LoadEvents,
         CounterId::StoreEvents,
@@ -110,7 +108,6 @@ impl CounterId {
         CounterId::ConvSkipped,
         CounterId::WorkloadsProfiled,
         CounterId::WorkloadPanic,
-        CounterId::WorkloadRetry,
         CounterId::WorkloadQuarantined,
         CounterId::WorkloadTimeout,
         CounterId::EntitiesDegraded,
@@ -149,7 +146,6 @@ impl CounterId {
             CounterId::ConvSkipped => "conv_skipped",
             CounterId::WorkloadsProfiled => "workloads_profiled",
             CounterId::WorkloadPanic => "workload_panics",
-            CounterId::WorkloadRetry => "workload_retries",
             CounterId::WorkloadQuarantined => "workload_quarantined",
             CounterId::WorkloadTimeout => "workload_timeouts",
             CounterId::EntitiesDegraded => "entities_degraded",
@@ -359,7 +355,7 @@ mod tests {
     fn counts_round_trip_through_json() {
         let mut c = Counts::new();
         c.add(CounterId::TnvHits, 7);
-        c.add(CounterId::WorkloadRetry, 3);
+        c.add(CounterId::WorkloadQuarantined, 3);
         let back = Counts::from_json(&c.to_json());
         assert_eq!(back, c);
     }

@@ -22,9 +22,8 @@
 //! * [`stats`] — the human summary table behind `vprof stats <file>`.
 //!
 //! Counts travel with the result they describe: a suite workload's
-//! profile carries its own events and wall time into checkpoints and
-//! telemetry. Per-layer cost is measured in one place, the `perfbench`
-//! harness.
+//! profile carries its own events and wall time into telemetry.
+//! Per-layer cost is measured in one place, the `perfbench` harness.
 //!
 //! ```
 //! use vp_obs::{CounterId, Counts};

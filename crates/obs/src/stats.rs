@@ -86,15 +86,14 @@ fn faults_line(rec: &Json) -> String {
 
 fn failure_table(failures: &[&Json]) -> String {
     let mut out = String::new();
-    out.push_str(&format!("{:<16} {:>8}  {:<12}  error\n", "failed", "attempts", "kind"));
+    out.push_str(&format!("{:<16} {:<12}  error\n", "failed", "kind"));
     for rec in failures {
         let name = rec.get("name").and_then(Json::as_str).unwrap_or("?");
-        let attempts = rec.get("attempts").and_then(Json::as_u64).unwrap_or(0);
         // Records from producers predating the deadline watchdog carry no
         // failure_kind — everything they quarantined was a panic.
         let kind = rec.get("failure_kind").and_then(Json::as_str).unwrap_or("panic");
         let error = rec.get("error").and_then(Json::as_str).unwrap_or("?");
-        out.push_str(&format!("{name:<16} {attempts:>8}  {kind:<12}  {error}\n"));
+        out.push_str(&format!("{name:<16} {kind:<12}  {error}\n"));
     }
     out
 }
@@ -418,30 +417,29 @@ mod tests {
         assert!(text.contains(" -"), "{text}");
     }
 
+    /// Telemetry as older builds wrote it for a retried, quarantined
+    /// workload: a `workload_retries` counter and an `attempts` field.
+    /// Both are read past, not rendered.
     #[test]
     fn faults_and_failures_render() {
-        let mut counts = Counts::new();
-        counts.add(CounterId::WorkloadPanic, 3);
-        counts.add(CounterId::WorkloadRetry, 2);
-        counts.add(CounterId::WorkloadQuarantined, 1);
-        let records = vec![
-            record("run", "profile-suite", vec![("jobs", Json::U64(1))]),
-            record("faults", "profile-suite", vec![("events", counts.to_json())]),
-            record(
-                "failure",
-                "gcc",
-                vec![
-                    ("attempts", Json::U64(3)),
-                    ("error", Json::Str("fault injected: workload/gcc".to_string())),
-                ],
-            ),
-        ];
-        let text = summarize_records(&records).unwrap();
-        assert!(text.contains("workload_panics=3"), "{text}");
-        assert!(text.contains("workload_retries=2"), "{text}");
-        assert!(text.contains("gcc"), "{text}");
-        assert!(text.contains("fault injected: workload/gcc"), "{text}");
+        let text = summarize(concat!(
+            r#"{"schema":1,"kind":"run","name":"profile-suite","jobs":1}"#,
+            "\n",
+            r#"{"schema":1,"kind":"faults","name":"profile-suite","events":{"workload_panics":2,"workload_retries":1,"workload_quarantined":1}}"#,
+            "\n",
+            r#"{"schema":1,"kind":"failure","name":"gcc","attempts":2,"failure_kind":"panic","error":"fault injected: workload/gcc"}"#,
+            "\n",
+        ))
+        .unwrap();
         assert!(!text.contains("unknown kind"), "{text}");
+        assert!(text.contains("faults:  workload_panics=2  workload_quarantined=1\n"), "{text}");
+        assert!(!text.contains("workload_retries"), "{text}");
+        assert!(text.contains("failed           kind          error\n"), "{text}");
+        assert!(!text.contains("attempts"), "{text}");
+        assert!(
+            text.contains("gcc              panic         fault injected: workload/gcc\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -476,7 +474,6 @@ mod tests {
                 "failure",
                 "li",
                 vec![
-                    ("attempts", Json::U64(1)),
                     ("failure_kind", Json::Str("timeout".to_string())),
                     ("error", Json::Str("deadline exceeded".to_string())),
                 ],

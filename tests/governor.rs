@@ -89,7 +89,6 @@ fn hung_workload_times_out_and_the_rest_of_the_suite_completes() {
         let outcome = SuiteRunner::new()
             .jobs(jobs)
             .faults(plan)
-            .retries(0)
             .deadline(Some(Duration::from_millis(200)))
             .try_run_workloads(workloads, DataSet::Test);
 
@@ -97,12 +96,16 @@ fn hung_workload_times_out_and_the_rest_of_the_suite_completes() {
         // panic.
         assert_eq!(outcome.failures.len(), 1, "jobs={jobs}");
         let f = &outcome.failures[0];
-        assert_eq!((f.name, f.kind, f.attempts), ("gcc", FailureKind::Timeout, 1), "jobs={jobs}");
+        assert_eq!((f.name, f.kind), ("gcc", FailureKind::Timeout), "jobs={jobs}");
         assert_eq!(f.error, "deadline exceeded", "timeout message is deterministic");
         assert_eq!(outcome.faults.get(CounterId::WorkloadTimeout), 1, "jobs={jobs}");
         assert_eq!(outcome.faults.get(CounterId::WorkloadPanic), 0, "jobs={jobs}");
-        assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 0, "jobs={jobs}");
         assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 1, "jobs={jobs}");
+        // One quarantine per failure, each a panic or a timeout.
+        let failed = outcome.faults.get(CounterId::WorkloadPanic)
+            + outcome.faults.get(CounterId::WorkloadTimeout);
+        assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), failed, "jobs={jobs}");
+        assert_eq!(outcome.failures.len() as u64, failed, "jobs={jobs}");
 
         // Everything else completed identically to a clean run.
         let surviving: Vec<&str> = outcome.profile.workloads.iter().map(|w| w.name).collect();
@@ -119,22 +122,6 @@ fn hung_workload_times_out_and_the_rest_of_the_suite_completes() {
         assert!(table.starts_with("failed"), "{table}");
         assert!(table.contains("timeout") && table.contains("deadline exceeded"), "{table}");
     }
-}
-
-#[test]
-fn hang_retries_then_quarantines_with_exact_counters() {
-    let workloads = &suite()[..3];
-    let plan = Arc::new(FaultPlan::parse("hang:workload/gcc").unwrap());
-    let outcome = SuiteRunner::new()
-        .faults(plan)
-        .retries(1)
-        .deadline(Some(Duration::from_millis(150)))
-        .try_run_workloads(workloads, DataSet::Test);
-    assert_eq!(outcome.failures.len(), 1);
-    assert_eq!(outcome.failures[0].attempts, 2, "first try + one retry");
-    assert_eq!(outcome.faults.get(CounterId::WorkloadTimeout), 2, "each attempt timed out");
-    assert_eq!(outcome.faults.get(CounterId::WorkloadRetry), 1);
-    assert_eq!(outcome.faults.get(CounterId::WorkloadQuarantined), 1);
 }
 
 #[test]
