@@ -1289,7 +1289,7 @@ pub fn multiway() -> ExpReport {
         .run(&program, MachineConfig::new(), BUDGET, &mut profiler)
         .expect("profile");
     let tracker = profiler.tracker(load_index).expect("profiled");
-    let top: Vec<u64> = tracker.tnv().top(2).iter().map(|e| e.value).collect();
+    let top: Vec<u64> = tracker.tnv().entries().take(2).map(|(value, _)| value).collect();
     let metrics = profiler.metrics_for(load_index).expect("metrics");
     let _ = writeln!(
         text,

@@ -48,7 +48,7 @@ use std::hash::{BuildHasher, Hasher};
 ///
 /// The arena does not own allocations; it owns the *accounting*. Every
 /// tracker block in a governed profiler has a capacity-determined exact
-/// size ([`ValueMap::footprint_bytes`], `TnvTable::footprint_bytes`), so
+/// size ([`ValueMap::footprint_bytes`], `FixedTnv::footprint_bytes`), so
 /// charging those sizes here makes `live_bytes` the true resident total
 /// and `high_water_bytes` the true peak — which is what
 /// `GovernorStats::bytes_peak` now reports.

@@ -22,6 +22,7 @@ use vp_obs::{ConvEvents, TnvEvents};
 use crate::arena::EntityTable;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
 use crate::phase::{Detector, PhaseBudget, PhaseStats, SKETCH_STRIDE};
+use crate::tnv::TNV_CAPACITY;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Tuning of the convergent profiler.
@@ -285,11 +286,7 @@ impl ConvergentProfiler {
             .states
             .iter()
             .map(|(i, s)| {
-                let mut m = EntityMetrics::from_tracker(
-                    u64::from(i),
-                    &s.tracker,
-                    self.tracker_config.capacity,
-                );
+                let mut m = EntityMetrics::from_tracker(u64::from(i), &s.tracker, TNV_CAPACITY);
                 m.executions = s.total;
                 m
             })
@@ -678,7 +675,7 @@ mod tests {
         assert!(s.profiled > profiled_before, "re-armed instruction profiles again");
         assert!(s.profiled < s.total, "and still backs off afterwards");
         let tnv = p.tracker(0).unwrap().tnv();
-        assert!(tnv.entries().iter().any(|e| e.value == 9), "new phase surfaces: {tnv}");
+        assert!(tnv.entries().any(|(value, _)| value == 9), "new phase surfaces: {tnv}");
         assert!(!p.rearm(42), "unknown instruction is a no-op");
     }
 

@@ -26,8 +26,8 @@
 //! exceeds the budget.
 //!
 //! The byte accounting runs on a per-workload [`Arena`] meter, and since
-//! every tracker block now has a capacity-determined exact size
-//! (`TnvTable`'s entry array, [`FullProfile`]'s `ValueMap` slab),
+//! every tracker block now has a capacity-determined exact size (the
+//! inline `FixedTnv`'s own size, [`FullProfile`]'s `ValueMap` slab),
 //! `bytes_peak` *is* the arena high-water mark: ground truth, not an
 //! estimate of allocator internals.
 //!

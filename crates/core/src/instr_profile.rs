@@ -12,6 +12,7 @@ use vp_instrument::Analysis;
 use crate::arena::{Arena, EntityTable};
 use crate::govern::{Governor, GovernorStats, MemBudget};
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::tnv::TNV_CAPACITY;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Profiles destination-register values of instrumented instructions.
@@ -102,7 +103,7 @@ impl InstructionProfiler {
     pub fn metrics_for(&self, index: u32) -> Option<EntityMetrics> {
         self.trackers
             .get(index)
-            .map(|t| EntityMetrics::from_tracker(u64::from(index), t, self.config.capacity))
+            .map(|t| EntityMetrics::from_tracker(u64::from(index), t, TNV_CAPACITY))
     }
 
     /// Metric snapshots of every profiled instruction, ordered by index.
@@ -110,7 +111,7 @@ impl InstructionProfiler {
         let mut out: Vec<EntityMetrics> = self
             .trackers
             .iter()
-            .map(|(i, t)| EntityMetrics::from_tracker(u64::from(i), t, self.config.capacity))
+            .map(|(i, t)| EntityMetrics::from_tracker(u64::from(i), t, TNV_CAPACITY))
             .collect();
         out.sort_by_key(|m| m.id);
         out

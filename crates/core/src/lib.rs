@@ -9,9 +9,10 @@
 //! at run time are. Its outputs drive code specialization, value
 //! prediction and speculation:
 //!
-//! * [`tnv::TnvTable`] — the Top-N-Value table, a constant-space sketch of
+//! * [`tnv::FixedTnv`] — the Top-N-Value table, a constant-space sketch of
 //!   an entity's most frequent values, maintained with LFU replacement and
-//!   periodic lower-part clearing;
+//!   periodic lower-part clearing ([`tnv::TnvTable`] is its configurable
+//!   reference, with E6's LFU and LRU baselines);
 //! * [`track::ValueTracker`] — TNV table plus the paper's scalar metrics
 //!   (LVP, %zero) and an optional exact histogram ([`track::FullProfile`]);
 //! * [`InstructionProfiler`] / [`MemoryProfiler`] /
@@ -101,5 +102,5 @@ pub use report::{compare, group_by_class, render_metric_table, ProfileComparison
 pub use sampled::{SampleStrategy, SampledProfiler};
 pub use shard::{partition_by_entity, partition_count, profile_sharded, StreamProfiler};
 pub use temporal::{TemporalProfiler, WindowMetrics};
-pub use tnv::{Policy, TnvEntry, TnvTable};
+pub use tnv::{FixedTnv, Policy, TnvEntry, TnvTable, TNV_CAPACITY};
 pub use track::{FullProfile, TrackerConfig, ValueTracker};

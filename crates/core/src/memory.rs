@@ -13,6 +13,7 @@ use vp_sim::{Machine, MemAccess};
 
 use crate::arena::EntityMap;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::tnv::TNV_CAPACITY;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Profiles values written to memory locations.
@@ -110,7 +111,7 @@ impl MemoryProfiler {
         let mut out: Vec<EntityMetrics> = self
             .trackers
             .iter()
-            .map(|(&a, t)| EntityMetrics::from_tracker(a, t, self.config.capacity))
+            .map(|(&a, t)| EntityMetrics::from_tracker(a, t, TNV_CAPACITY))
             .collect();
         out.sort_by_key(|m| m.id);
         out

@@ -10,6 +10,7 @@ use vp_sim::Machine;
 
 use crate::arena::EntityMap;
 use crate::metrics::EntityMetrics;
+use crate::tnv::TNV_CAPACITY;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// Identifies one profiled parameter slot.
@@ -104,7 +105,7 @@ impl ParamProfiler {
                 metrics: EntityMetrics::from_tracker(
                     encode_id(proc_index, slot),
                     &self.trackers[&(proc_index, slot)],
-                    self.config.capacity,
+                    TNV_CAPACITY,
                 ),
             })
             .collect()

@@ -482,7 +482,7 @@ mod tests {
         assert!(ps.rearms > 0, "backed-off entity must re-arm: {ps:?}");
         // Both phases surface in the sampled tracker.
         let tnv = p.tracker(0).unwrap().tnv();
-        let values: Vec<u64> = tnv.entries().iter().map(|e| e.value).collect();
+        let values: Vec<u64> = tnv.entries().map(|(value, _)| value).collect();
         assert!(values.contains(&7) && values.contains(&9), "tnv: {tnv}");
     }
 

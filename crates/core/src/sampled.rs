@@ -18,6 +18,7 @@ use vp_instrument::Analysis;
 
 use crate::arena::EntityTable;
 use crate::metrics::{aggregate, Aggregate, EntityMetrics};
+use crate::tnv::TNV_CAPACITY;
 use crate::track::{TrackerConfig, ValueTracker};
 
 /// How executions are picked for profiling.
@@ -93,11 +94,7 @@ impl SampledProfiler {
             .states
             .iter()
             .map(|(i, s)| {
-                let mut m = EntityMetrics::from_tracker(
-                    u64::from(i),
-                    &s.tracker,
-                    self.tracker_config.capacity,
-                );
+                let mut m = EntityMetrics::from_tracker(u64::from(i), &s.tracker, TNV_CAPACITY);
                 m.executions = s.total;
                 m
             })

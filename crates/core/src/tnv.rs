@@ -9,12 +9,229 @@
 //! compete for a steady slot, while values that were only briefly hot
 //! during one program phase cannot permanently squat in the table.
 //!
-//! Plain LFU and LRU variants are provided as baselines for the
-//! replacement-policy accuracy experiment (E6).
+//! Two tables implement it:
+//!
+//! * [`FixedTnv`] is the product's table: the paper's configuration (8
+//!   entries, steady 4, cleared every 2000 observations) with values and
+//!   counts in inline arrays. Every [`ValueTracker`](crate::ValueTracker)
+//!   holds one.
+//! * [`TnvTable`] is the configurable table: any capacity and any
+//!   [`Policy`], including the plain LFU and LRU baselines of the
+//!   replacement-policy experiment (E6). It is also the naive reference
+//!   that `FixedTnv` must match bit for bit
+//!   ([`TnvTable::with_default_policy`]).
 
 use std::fmt;
 
 use vp_obs::TnvEvents;
+
+/// Entries of the product's TNV table (the paper's table size); the
+/// `N` of every `Inv-Top(N)` a profiler reports.
+pub const TNV_CAPACITY: usize = 8;
+
+/// Top entries of a [`FixedTnv`] that a clear keeps.
+const STEADY: usize = 4;
+
+/// Observations between two clears of a [`FixedTnv`]'s bottom half.
+const CLEAR_INTERVAL: u32 = 2000;
+
+/// The paper's TNV table, inline: [`TNV_CAPACITY`] entries under LFU
+/// replacement, whose bottom half is cleared every 2000 observations.
+///
+/// Values and counts live in two fixed arrays, so the hit scan reads one
+/// cache line and nothing sits behind a pointer. It keeps no recency
+/// stamp and dispatches on no policy: it is exactly
+/// [`TnvTable::with_default_policy`], observation for observation.
+///
+/// ```
+/// use vp_core::tnv::FixedTnv;
+///
+/// let mut tnv = FixedTnv::new();
+/// for v in [7, 7, 7, 3, 3, 9] {
+///     tnv.observe(v);
+/// }
+/// assert_eq!(tnv.top_value(), Some(7));
+/// assert_eq!(tnv.entries().collect::<Vec<_>>(), [(7, 3), (3, 2), (9, 1)]);
+/// assert_eq!(tnv.observations(), 6);
+/// ```
+#[derive(Debug, Clone)]
+pub struct FixedTnv {
+    /// Resident values, best first; only `..len` is live.
+    values: [u64; TNV_CAPACITY],
+    /// Their counts, non-increasing over `..len`.
+    counts: [u64; TNV_CAPACITY],
+    len: u32,
+    /// Observations since the last clear, below [`CLEAR_INTERVAL`].
+    since_clear: u32,
+    events: TnvEvents,
+}
+
+impl Default for FixedTnv {
+    fn default() -> Self {
+        FixedTnv::new()
+    }
+}
+
+impl FixedTnv {
+    /// An empty table.
+    pub fn new() -> FixedTnv {
+        FixedTnv {
+            values: [0; TNV_CAPACITY],
+            counts: [0; TNV_CAPACITY],
+            len: 0,
+            since_clear: 0,
+            events: TnvEvents::default(),
+        }
+    }
+
+    /// Number of values profiled into this table.
+    pub fn observations(&self) -> u64 {
+        self.events.observations()
+    }
+
+    /// Self-profiling event counts, as [`TnvTable::events`] keeps them.
+    pub fn events(&self) -> TnvEvents {
+        self.events
+    }
+
+    /// Records one occurrence of `value`.
+    #[inline]
+    pub fn observe(&mut self, value: u64) {
+        let len = self.len as usize;
+        if let Some(pos) = self.values[..len].iter().position(|&v| v == value) {
+            self.events.hits += 1;
+            // Restore count order: entries the bumped count now exceeds
+            // move down one slot.
+            let count = self.counts[pos] + 1;
+            let mut i = pos;
+            while i > 0 && self.counts[i - 1] < count {
+                self.values[i] = self.values[i - 1];
+                self.counts[i] = self.counts[i - 1];
+                i -= 1;
+            }
+            self.values[i] = value;
+            self.counts[i] = count;
+        } else if len < TNV_CAPACITY {
+            self.events.inserts += 1;
+            self.values[len] = value;
+            self.counts[len] = 1;
+            self.len += 1;
+        } else {
+            // The last entry has the lowest count, and lies in the bottom
+            // half.
+            self.events.evictions += 1;
+            self.values[TNV_CAPACITY - 1] = value;
+            self.counts[TNV_CAPACITY - 1] = 1;
+        }
+        self.since_clear += 1;
+        if self.since_clear >= CLEAR_INTERVAL {
+            self.clear();
+        }
+    }
+
+    /// Empties the bottom half (every [`CLEAR_INTERVAL`] observations).
+    #[cold]
+    #[inline(never)]
+    fn clear(&mut self) {
+        self.since_clear = 0;
+        let keep = self.len.min(STEADY as u32);
+        self.events.clears += 1;
+        self.events.cleared_entries += u64::from(self.len - keep);
+        self.len = keep;
+    }
+
+    /// Records a batch of occurrences, exactly as one
+    /// [`observe`](FixedTnv::observe) per value. Another occurrence of
+    /// the top value with no clear due needs no re-ordering and no
+    /// replacement, so it is one compare and two increments.
+    pub fn observe_batch(&mut self, values: &[u64]) {
+        for &value in values {
+            if self.len > 0 && self.values[0] == value && self.since_clear + 1 < CLEAR_INTERVAL {
+                self.events.hits += 1;
+                self.counts[0] += 1;
+                self.since_clear += 1;
+            } else {
+                self.observe(value);
+            }
+        }
+    }
+
+    /// Merges another table, as [`TnvTable::merge`] does: `other` is the
+    /// later shard, resident pairs combine, re-rank by count (ties by
+    /// value) and the top [`TNV_CAPACITY`] survive. The clear countdowns
+    /// combine; merging itself never clears.
+    pub fn merge(&mut self, other: &FixedTnv) {
+        let mut pairs = [(0u64, 0u64); 2 * TNV_CAPACITY];
+        let mut n = 0;
+        for pair in self.entries().chain(other.entries()) {
+            match pairs[..n].iter_mut().find(|p| p.0 == pair.0) {
+                Some(p) => p.1 += pair.1,
+                None => {
+                    pairs[n] = pair;
+                    n += 1;
+                }
+            }
+        }
+        let pairs = &mut pairs[..n];
+        pairs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let keep = n.min(TNV_CAPACITY);
+        for (i, &(value, count)) in pairs[..keep].iter().enumerate() {
+            self.values[i] = value;
+            self.counts[i] = count;
+        }
+        self.len = keep as u32;
+        self.events.merge(&other.events);
+        self.since_clear = (self.since_clear + other.since_clear) % CLEAR_INTERVAL;
+    }
+
+    /// The resident `(value, count)` pairs, best first.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let len = self.len as usize;
+        self.values[..len].iter().copied().zip(self.counts[..len].iter().copied())
+    }
+
+    /// The most frequent resident value, if any value has been profiled.
+    pub fn top_value(&self) -> Option<u64> {
+        (self.len > 0).then_some(self.values[0])
+    }
+
+    /// Estimated invariance over the top `n` values (`Inv-Top(n)`), as
+    /// [`TnvTable::inv_top`] computes it.
+    pub fn inv_top(&self, n: usize) -> f64 {
+        let observations = self.observations();
+        if observations == 0 {
+            return 0.0;
+        }
+        let covered: u64 = self.counts[..n.min(self.len as usize)].iter().sum();
+        covered as f64 / observations as f64
+    }
+
+    /// Memory footprint in bytes: the table itself, which holds no heap
+    /// block.
+    pub fn footprint_bytes(&self) -> usize {
+        std::mem::size_of::<FixedTnv>()
+    }
+}
+
+impl PartialEq for FixedTnv {
+    /// Equal when the live entries, the clear countdown and the events
+    /// are; slots past the live prefix are stale and do not count.
+    fn eq(&self, other: &FixedTnv) -> bool {
+        self.entries().eq(other.entries())
+            && self.since_clear == other.since_clear
+            && self.events == other.events
+    }
+}
+
+impl fmt::Display for FixedTnv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "TNV[{}/{}]", self.len, TNV_CAPACITY)?;
+        for (value, count) in self.entries() {
+            write!(f, " {value}:{count}")?;
+        }
+        Ok(())
+    }
+}
 
 /// Replacement policy of a [`TnvTable`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -187,41 +404,6 @@ impl TnvTable {
         }
     }
 
-    /// Records a batch of occurrences. Semantically identical to calling
-    /// [`observe`](TnvTable::observe) once per value (the differential
-    /// oracle asserts this), but the dominant case of an invariant stream
-    /// — another occurrence of the current top value with no clear due —
-    /// is inlined, so batched replay skips the position scan and policy
-    /// dispatch that `observe` pays per event.
-    pub fn observe_batch(&mut self, values: &[u64]) {
-        // Hoist the policy so the fast-path guard is one compare. A
-        // top-slot hit needs no re-ordering (the top count only grows)
-        // and no replacement, so the only side effect left to rule out
-        // is the periodic clear.
-        let (clearing, clear_interval) = match self.policy {
-            Policy::LfuClear { clear_interval, .. } => (true, clear_interval),
-            Policy::Lfu | Policy::Lru => (false, u64::MAX),
-        };
-        for &value in values {
-            match self.entries.first_mut() {
-                Some(top)
-                    if top.value == value
-                        && (!clearing || self.since_clear + 1 < clear_interval) =>
-                {
-                    self.observations += 1;
-                    self.clock += 1;
-                    self.events.hits += 1;
-                    top.count += 1;
-                    top.last_seen = self.clock;
-                    if clearing {
-                        self.since_clear += 1;
-                    }
-                }
-                _ => self.observe(value),
-            }
-        }
-    }
-
     /// Merges another table (e.g. collected over a different shard of the
     /// same entity's value stream) into this one: resident `(value, count)`
     /// pairs are combined, re-ranked by count, and the top `capacity`
@@ -263,11 +445,6 @@ impl TnvTable {
         // regardless of residency order.
         self.entries.sort_by(|a, b| b.count.cmp(&a.count).then(a.value.cmp(&b.value)));
         self.entries.truncate(self.capacity);
-        // The pushes above may have grown the allocation past `capacity`;
-        // give the excess back so `footprint_bytes` (capacity-based, and
-        // now ground truth for the arena-backed budget) stays exact after
-        // shard merges too.
-        self.entries.shrink_to(self.capacity);
         self.observations += other.observations;
         self.clock += other.clock;
         self.events.merge(&other.events);
@@ -296,13 +473,6 @@ impl TnvTable {
         self.entries.first().map(|e| e.value)
     }
 
-    /// Memory footprint of the table in bytes: fixed at construction,
-    /// independent of how many distinct values the entity produces — the
-    /// paper's space argument for TNV tables over full histograms.
-    pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<TnvTable>() + self.capacity * std::mem::size_of::<TnvEntry>()
-    }
-
     /// Estimated invariance over the top `n` values: the fraction of all
     /// profiled occurrences covered by the top `n` resident counts. This is
     /// the paper's `Inv-Top` metric (an *estimate*, since counts of evicted
@@ -328,6 +498,57 @@ impl fmt::Display for TnvTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The live `(value, count)` pairs of a reference table.
+    fn pairs(t: &TnvTable) -> Vec<(u64, u64)> {
+        t.entries().iter().map(|e| (e.value, e.count)).collect()
+    }
+
+    #[test]
+    fn fixed_table_follows_the_reference_through_a_clear() {
+        let mut fixed = FixedTnv::new();
+        let mut reference = TnvTable::with_default_policy();
+        // Ten values, the low ones hottest: the table fills, evicts, and
+        // the 2000th observation clears its bottom half.
+        for i in 0..2_500u64 {
+            let v = (i * i) % 10;
+            fixed.observe(v);
+            reference.observe(v);
+            if i == 1_998 || i == 1_999 {
+                assert_eq!(fixed.entries().collect::<Vec<_>>(), pairs(&reference), "at {i}");
+            }
+        }
+        assert_eq!(fixed.entries().collect::<Vec<_>>(), pairs(&reference));
+        assert_eq!(fixed.events(), reference.events());
+        assert_eq!(fixed.events().clears, 1);
+        assert_eq!(fixed.inv_top(3).to_bits(), reference.inv_top(3).to_bits());
+    }
+
+    #[test]
+    fn equality_ignores_stale_slots() {
+        let mut cleared = FixedTnv::new();
+        for i in 0..2_000u64 {
+            cleared.observe(i % 8);
+        }
+        // The clear left 4 live entries and 4 stale slots; a merge into
+        // an empty table copies the live ones only.
+        assert_eq!(cleared.entries().count(), 4);
+        let mut copy = FixedTnv::new();
+        copy.merge(&cleared);
+        assert_eq!(copy, cleared);
+        assert_eq!(copy.to_string(), cleared.to_string());
+        copy.observe(99);
+        assert_ne!(copy, cleared);
+    }
+
+    #[test]
+    fn fixed_table_is_its_own_footprint() {
+        let t = FixedTnv::new();
+        assert_eq!(t.footprint_bytes(), 176, "8 values, 8 counts, 2 u32s, 5 event counters");
+        assert_eq!(t.top_value(), None);
+        assert_eq!(t.inv_top(8), 0.0);
+        assert_eq!(t.to_string(), "TNV[0/8]");
+    }
 
     #[test]
     fn fills_free_slots_first() {

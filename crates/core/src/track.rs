@@ -1,12 +1,12 @@
-//! Per-entity value tracking: a TNV table plus the scalar counters behind
-//! the paper's metrics (LVP, % zero, execution count, last value), and the
-//! exact [`FullProfile`] used as ground truth.
+//! Per-entity value tracking: the paper's TNV table plus the scalar
+//! counters behind the paper's metrics (LVP, % zero, execution count, last
+//! value), and the exact [`FullProfile`] used as ground truth.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::arena::ValueMap;
-use crate::tnv::{Policy, TnvTable};
+use crate::tnv::FixedTnv;
 
 /// Exact value histogram — the "full profile" the paper uses as ground
 /// truth when evaluating TNV-table accuracy (`Inv-All`, `Diff`). Space is
@@ -126,30 +126,21 @@ impl FullProfile {
     }
 }
 
-/// How much state a tracker keeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// How much state a tracker keeps beyond its TNV table, which is always
+/// the paper's ([`FixedTnv`]).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrackerConfig {
-    /// TNV table capacity.
-    pub capacity: usize,
-    /// TNV replacement policy.
-    pub policy: Policy,
     /// Also keep the exact histogram (ground truth; costs memory
     /// proportional to distinct values). Enable for accuracy experiments,
     /// disable for realistic profiling overhead.
     pub keep_full: bool,
 }
 
-impl Default for TrackerConfig {
-    /// The paper's defaults: an 8-entry `LfuClear` table, no full profile.
-    fn default() -> Self {
-        TrackerConfig { capacity: 8, policy: Policy::default(), keep_full: false }
-    }
-}
-
 impl TrackerConfig {
-    /// Default table with the exact histogram enabled.
+    /// The TNV table with the exact histogram kept too. The default keeps
+    /// the table alone.
     pub fn with_full() -> TrackerConfig {
-        TrackerConfig { keep_full: true, ..TrackerConfig::default() }
+        TrackerConfig { keep_full: true }
     }
 }
 
@@ -170,7 +161,7 @@ impl TrackerConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ValueTracker {
-    tnv: TnvTable,
+    tnv: FixedTnv,
     full: Option<FullProfile>,
     executions: u64,
     zeros: u64,
@@ -183,7 +174,7 @@ impl ValueTracker {
     /// Creates a tracker with the given configuration.
     pub fn new(config: TrackerConfig) -> ValueTracker {
         ValueTracker {
-            tnv: TnvTable::new(config.capacity, config.policy),
+            tnv: FixedTnv::new(),
             full: config.keep_full.then(FullProfile::new),
             executions: 0,
             zeros: 0,
@@ -251,13 +242,9 @@ impl ValueTracker {
     /// histogram are exact: they match a single tracker fed the
     /// concatenated stream, including the LVP hit on the shard boundary
     /// (credited when this shard's last value equals the other's first).
-    /// The TNV table merges per [`TnvTable::merge`], so `inv_top` remains
+    /// The TNV table merges per [`FixedTnv::merge`], so `inv_top` remains
     /// an under-estimate. The exact histogram survives only if both shards
     /// kept one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the TNV configurations differ.
     pub fn merge(&mut self, other: &ValueTracker) {
         self.executions += other.executions;
         self.zeros += other.zeros;
@@ -319,7 +306,7 @@ impl ValueTracker {
     }
 
     /// The TNV table.
-    pub fn tnv(&self) -> &TnvTable {
+    pub fn tnv(&self) -> &FixedTnv {
         &self.tnv
     }
 
@@ -338,8 +325,8 @@ impl ValueTracker {
         self.last
     }
 
-    /// Estimated memory footprint in bytes (TNV table plus the exact
-    /// histogram when kept).
+    /// Memory footprint in bytes: the TNV table's size plus the exact
+    /// histogram's, when kept.
     pub fn footprint_bytes(&self) -> usize {
         self.tnv.footprint_bytes() + self.full.as_ref().map_or(0, FullProfile::footprint_bytes)
     }

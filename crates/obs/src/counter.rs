@@ -253,13 +253,12 @@ impl Counts {
     }
 }
 
-/// TNV-table maintenance events, kept by every [`TnvTable`] as plain
-/// increments on paths that already touch the entry array.
+/// TNV-table maintenance events, kept by every TNV table (vp-core's
+/// `FixedTnv` and `TnvTable`) as plain increments on paths that already
+/// touch the entries.
 ///
 /// Invariant: `hits + inserts + evictions` equals the table's observation
 /// count — every observation takes exactly one of the three paths.
-///
-/// [`TnvTable`]: https://docs.rs/vp-core
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TnvEvents {
     /// Observations of a value already resident.

@@ -56,7 +56,7 @@ pub fn tracker_top_values(tracker: &ValueTracker, n: usize) -> Vec<(u64, u64)> {
     if let Some(full) = tracker.full() {
         return full.top(n);
     }
-    tracker.tnv().top(n).iter().map(|e| (e.value, e.count)).collect()
+    tracker.tnv().entries().take(n).collect()
 }
 
 /// Why the planner passed on a profiled load site.

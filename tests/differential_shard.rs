@@ -8,9 +8,9 @@
 //! merges.
 //!
 //! Separately, `observe_batch` must equal an `observe` loop *exactly* on
-//! every layer it short-circuits: the TNV table (all three replacement
-//! policies, including streams that straddle clear boundaries), the value
-//! tracker, and the instruction profiler.
+//! every layer it short-circuits: the product's TNV table (on streams
+//! that straddle clear boundaries), the value tracker, and the
+//! instruction profiler.
 //!
 //! Finally, the engine oracle: for every `ProfileMode`, one workload's
 //! value stream profiles identically through live instrumentation, serial
@@ -28,11 +28,9 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use value_profiling::core::{
-    durable, profile_sharded,
-    tnv::{Policy, TnvTable},
-    track::TrackerConfig,
-    InstructionProfiler, MemBudget, PhaseBudget, ProfileMode, Profiler, ProfilerStats,
-    SampleStrategy, SampledProfiler, ValueTracker,
+    durable, profile_sharded, tnv::FixedTnv, track::TrackerConfig, InstructionProfiler, MemBudget,
+    PhaseBudget, ProfileMode, Profiler, ProfilerStats, SampleStrategy, SampledProfiler,
+    ValueTracker,
 };
 use value_profiling::instrument::frame::{self, FrameReader};
 use value_profiling::instrument::net::{self, SessionMsg};
@@ -115,27 +113,22 @@ fn value_streams() -> Vec<(String, Vec<u64>)> {
 
 #[test]
 fn tnv_observe_batch_equals_observe_loop_exactly() {
-    // `clear_interval: 5` forces many clear boundaries inside a single
-    // batch; the fast path must take none of the boundary observations.
-    let policies = [
-        Policy::default(),
-        Policy::LfuClear { steady: 2, clear_interval: 5 },
-        Policy::Lfu,
-        Policy::Lru,
-    ];
-    for policy in policies {
-        for (name, values) in value_streams() {
-            let mut scalar = TnvTable::new(8, policy);
-            for &v in &values {
-                scalar.observe(v);
+    // The streams run 5000 values, so they cross two clears (every 2000
+    // observations); batches of 1999, 2000 and 2001 put a clear at, just
+    // inside and just past a batch end. The fast path must take none of
+    // the boundary observations.
+    for (name, values) in value_streams() {
+        let mut scalar = FixedTnv::new();
+        for &v in &values {
+            scalar.observe(v);
+        }
+        for batch in [1usize, 3, 64, 1999, 2000, 2001, values.len().max(1)] {
+            let mut batched = FixedTnv::new();
+            for chunk in values.chunks(batch) {
+                batched.observe_batch(chunk);
             }
-            for batch in [1usize, 3, 64, values.len().max(1)] {
-                let mut batched = TnvTable::new(8, policy);
-                for chunk in values.chunks(batch) {
-                    batched.observe_batch(chunk);
-                }
-                assert_eq!(batched, scalar, "{name} policy={policy:?} batch={batch}");
-            }
+            assert_eq!(batched, scalar, "{name} batch={batch}");
+            assert_eq!(batched.observations(), scalar.observations(), "{name} batch={batch}");
         }
     }
 }

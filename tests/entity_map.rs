@@ -127,7 +127,7 @@ fn profiles_do_not_depend_on_the_map_seed() {
 #[test]
 fn governed_runs_do_not_depend_on_the_map_seed() {
     // Small enough that the governor degrades and drops entities.
-    let budget = MemBudget::bytes(24 * 1024);
+    let budget = MemBudget::bytes(16 * 1024);
     let events = mixed_stream();
     let run = || {
         let mut p = InstructionProfiler::with_budget(TrackerConfig::with_full(), budget);
