@@ -723,11 +723,26 @@ fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
     let mut reader = vp_instrument::FrameReader::new(
         stream.try_clone().map_err(|e| format!("cannot clone socket: {e}"))?,
     );
-    let send = |stream: &mut UnixStream, msg: &SessionMsg| {
-        net::write_msg(stream, msg).map_err(|e| format!("connection lost: {e}"))
+    // A write fails once the daemon has killed the session and closed
+    // the socket. Its ERR reply was sent first and is still readable, so
+    // report that reason rather than the broken pipe.
+    let lost = |stream: &UnixStream, reader: &mut vp_instrument::FrameReader<UnixStream>, e| {
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+        loop {
+            match net::read_msg(reader) {
+                Ok(SessionMsg::Err { reason }) => return format!("session killed: {reason}"),
+                Ok(SessionMsg::Ack { .. }) => {}
+                _ => return format!("connection lost: {e}"),
+            }
+        }
+    };
+    let send = |stream: &mut UnixStream, reader: &mut _, msg: &SessionMsg| {
+        net::write_msg(stream, msg).map_err(|e| lost(stream, reader, e))
     };
     vp_instrument::frame::write_magic(&mut stream).map_err(|e| format!("connection lost: {e}"))?;
-    send(&mut stream, &SessionMsg::Hello { tenant: tenant.clone(), workload: workload.clone() })?;
+    // The server's magic is not read yet, so no ERR can be told apart here.
+    let hello = SessionMsg::Hello { tenant: tenant.clone(), workload: workload.clone() };
+    net::write_msg(&mut stream, &hello).map_err(|e| format!("connection lost: {e}"))?;
     reader.expect_magic().map_err(|e| format!("bad server greeting: {e}"))?;
     let recv = |reader: &mut vp_instrument::FrameReader<UnixStream>| match net::read_msg(reader) {
         Ok(msg) => Ok(msg),
@@ -760,10 +775,10 @@ fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
         let chunk = &chunks[seq as usize];
         ChunkView { seq, count: chunk.count, crc: chunk.crc, payload: chunk.payload }
             .write(&mut stream)
-            .map_err(|e| format!("connection lost: {e}"))?;
+            .map_err(|e| lost(&stream, &mut reader, e))?;
     }
     if args.has("--query") {
-        send(&mut stream, &SessionMsg::Query)?;
+        send(&mut stream, &mut reader, &SessionMsg::Query)?;
         loop {
             match recv(&mut reader)? {
                 SessionMsg::Stats { json } => {
@@ -779,7 +794,7 @@ fn client_cmd(args: &Args, out: &mut dyn Write) -> Result<(), Failure> {
             }
         }
     }
-    send(&mut stream, &SessionMsg::End)?;
+    send(&mut stream, &mut reader, &SessionMsg::End)?;
     let profile = loop {
         match recv(&mut reader)? {
             SessionMsg::EndOk { acked: a, profile } => {

@@ -8,10 +8,12 @@
 //! module removes the estimate in two moves:
 //!
 //! * [`ValueMap`] — an open-addressed `u64 → u64` count table whose
-//!   entire storage is one `Box<[Slot]>` of power-of-two length. Its
-//!   footprint is `capacity × 16` bytes *by construction*: there is
-//!   nothing else to account for, so `footprint_bytes()` is ground
-//!   truth, not a model.
+//!   entire storage is one `Box<[Slot]>` of power-of-two length, capped
+//!   at [`ValueMap::MAX_SLOTS`]. Its footprint is `capacity × 16` bytes
+//!   *by construction*: there is nothing else to account for, so
+//!   `footprint_bytes()` is ground truth, not a model. It is the exact
+//!   histogram's first stage; a profile whose values outgrow the cap
+//!   counts them in a sorted run instead (see [`crate::track`]).
 //! * [`Arena`] — the bump-style byte meter a governed workload charges
 //!   every tracker allocation against. `live_bytes` tracks the exact
 //!   resident total; [`Arena::mark`] records the high-water mark of
@@ -101,14 +103,19 @@ struct Slot {
 }
 
 /// Open-addressed `u64 → u64` count map with linear probing over a
-/// single power-of-two slab.
+/// single power-of-two slab of at most [`ValueMap::MAX_SLOTS`] slots.
 ///
-/// Replaces `HashMap<u64, u64>` in the exact histogram for two reasons:
-/// the slab makes the footprint exact (see module docs), and the
-/// fixed mixer below replaces SipHash — value counting needs speed and
-/// determinism, not DoS keying. Grows by doubling at 7/8 load, so
-/// capacity — and therefore footprint — is a deterministic, monotone
-/// function of the observation sequence.
+/// The hashed stage of the exact histogram. The slab makes the footprint
+/// exact (see module docs), and the fixed mixer below replaces SipHash —
+/// value counting needs speed and determinism, not DoS keying. No key
+/// sits [`ValueMap::MAX_PROBE`] or more slots past its home slot, so a
+/// lookup reads at most that many slots. The slab doubles when an insert
+/// would pass 7/8 load or would land that far from home (checked only
+/// when a key is inserted), so capacity — and therefore footprint — is
+/// a deterministic, monotone function of the keys inserted. It never
+/// grows past the cap: a bump that would is refused. Keys a hostile
+/// stream builds by inverting the mixer all probe from one home slot, so
+/// the slab refuses the 65th of them, and no hit walks a longer chain.
 #[derive(Debug, Clone, Default)]
 pub struct ValueMap {
     slots: Box<[Slot]>,
@@ -117,7 +124,7 @@ pub struct ValueMap {
 
 /// SplitMix64 finalizer: full-avalanche mixing so clustered values
 /// (small integers, aligned pointers) spread across the slab.
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -125,7 +132,34 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The inverse of [`mix`]: `mix(unmix(x)) == x`, so tests can choose the
+/// home slot of every key they insert.
+#[cfg(test)]
+pub(crate) fn unmix(mut x: u64) -> u64 {
+    // The inverse of an odd multiplier mod 2^64, by Newton's method:
+    // each step doubles the correct low bits, from 3 to 96.
+    let inverse =
+        |c: u64| (0..5).fold(c, |i, _| i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i))));
+    x ^= (x >> 31) ^ (x >> 62);
+    x = x.wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+    x ^= (x >> 27) ^ (x >> 54);
+    x = x.wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+    x ^ (x >> 30) ^ (x >> 60)
+}
+
 impl ValueMap {
+    /// The largest slab, in slots (16 KiB).
+    pub const MAX_SLOTS: usize = 1024;
+
+    /// The most keys the map holds: the capped slab at 7/8 load.
+    pub const MAX_LEN: usize = ValueMap::MAX_SLOTS / 8 * 7;
+
+    /// Every key sits less than this many slots past its home slot. At
+    /// 7/8 load a random stream's longest probe usually passes it, so
+    /// most instructions with 700–896 distinct values leave the slab a
+    /// little before it is full; few with fewer do.
+    pub const MAX_PROBE: usize = 64;
+
     /// An empty map (no slab until the first insertion).
     pub fn new() -> ValueMap {
         ValueMap::default()
@@ -148,44 +182,50 @@ impl ValueMap {
 
     /// The count for `key`, or `None` if it was never bumped.
     pub fn get(&self, key: u64) -> Option<u64> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        loop {
-            let slot = &self.slots[i];
+        let mask = self.slots.len().wrapping_sub(1);
+        let home = mix(key) as usize;
+        for d in 0..ValueMap::MAX_PROBE {
+            let slot = self.slots.get(home.wrapping_add(d) & mask)?;
             if slot.count == 0 {
                 return None;
             }
             if slot.key == key {
                 return Some(slot.count);
             }
-            i = (i + 1) & mask;
         }
+        None
     }
 
     /// Adds `by` (> 0) to `key`'s count, inserting it at zero first.
-    pub fn bump(&mut self, key: u64, by: u64) {
+    /// Returns false, and changes nothing, when `key` is absent and no
+    /// slab of at most [`ValueMap::MAX_SLOTS`] slots holds it within 7/8
+    /// load and [`ValueMap::MAX_PROBE`] slots of its home.
+    #[inline]
+    #[must_use]
+    pub fn try_bump(&mut self, key: u64, by: u64) -> bool {
         debug_assert!(by > 0, "a zero bump would plant an empty-looking live slot");
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (mix(key) as usize) & mask;
-        loop {
-            let slot = &mut self.slots[i];
+        let capacity = self.slots.len();
+        let mask = capacity.wrapping_sub(1);
+        let home = mix(key) as usize;
+        for d in 0..ValueMap::MAX_PROBE {
+            // Only the empty map has no slot to probe.
+            let Some(slot) = self.slots.get_mut(home.wrapping_add(d) & mask) else { break };
             if slot.count == 0 {
+                // The load factor is checked on insert only, so a hit
+                // never grows the slab.
+                if (self.len + 1) * 8 > capacity * 7 {
+                    break;
+                }
                 *slot = Slot { key, count: by };
                 self.len += 1;
-                return;
+                return true;
             }
             if slot.key == key {
                 slot.count += by;
-                return;
+                return true;
             }
-            i = (i + 1) & mask;
         }
+        self.grow_and_insert(key, by)
     }
 
     /// Iterates `(key, count)` pairs in slab order (an arbitrary but
@@ -200,18 +240,36 @@ impl ValueMap {
         self.slots.len() * std::mem::size_of::<Slot>()
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(8);
-        let old = std::mem::replace(&mut self.slots, vec![Slot::default(); new_cap].into());
-        let mask = new_cap - 1;
-        for slot in old.iter().filter(|s| s.count != 0) {
-            let mut i = (mix(slot.key) as usize) & mask;
-            while self.slots[i].count != 0 {
-                i = (i + 1) & mask;
+    /// Inserts the absent `key` into the smallest larger slab that holds
+    /// every key within [`ValueMap::MAX_PROBE`] slots of its home, or
+    /// returns false, changing nothing, when none up to the cap does.
+    #[cold]
+    fn grow_and_insert(&mut self, key: u64, by: u64) -> bool {
+        let mut capacity = self.slots.len();
+        while capacity < ValueMap::MAX_SLOTS {
+            capacity = (capacity * 2).max(8);
+            let live = self.slots.iter().filter(|s| s.count != 0);
+            if let Some(slots) = place(live.chain([&Slot { key, count: by }]), capacity) {
+                self.slots = slots;
+                self.len += 1;
+                return true;
             }
-            self.slots[i] = *slot;
         }
+        false
     }
+}
+
+/// A slab of `capacity` slots holding `slots`, or `None` when one of them
+/// would sit [`ValueMap::MAX_PROBE`] or more slots past its home.
+fn place<'a>(slots: impl Iterator<Item = &'a Slot>, capacity: usize) -> Option<Box<[Slot]>> {
+    let mut slab = vec![Slot::default(); capacity].into_boxed_slice();
+    let mask = capacity - 1;
+    for slot in slots {
+        let home = mix(slot.key) as usize;
+        let d = (0..ValueMap::MAX_PROBE).find(|&d| slab[home.wrapping_add(d) & mask].count == 0)?;
+        slab[home.wrapping_add(d) & mask] = *slot;
+    }
+    Some(slab)
 }
 
 /// The keyed per-entity map: memory location or parameter slot →
@@ -500,12 +558,13 @@ mod tests {
     fn value_map_matches_hash_map_reference() {
         let mut map = ValueMap::new();
         let mut reference: HashMap<u64, u64> = HashMap::new();
-        // Clustered, colliding, and wide keys; repeated bumps.
+        // Clustered, colliding, and wide keys; repeated bumps. The 351
+        // quadratic residues mod 701 and 64 wide keys fit under the cap.
         let keys: Vec<u64> =
             (0..5000u64).map(|i| (i * i) % 701).chain((0..64).map(|i| i << 56)).collect();
         for (n, &k) in keys.iter().enumerate() {
             let by = (n as u64 % 3) + 1;
-            map.bump(k, by);
+            assert!(map.try_bump(k, by), "key {k} refused");
             *reference.entry(k).or_insert(0) += by;
         }
         assert_eq!(map.len(), reference.len());
@@ -526,16 +585,68 @@ mod tests {
         let mut b = ValueMap::new();
         let mut last_cap = 0;
         for i in 0..10_000u64 {
-            a.bump(i % 3001, 1);
-            b.bump(i % 3001, 1);
+            assert!(a.try_bump(i % 877, 1) && b.try_bump(i % 877, 1));
             assert!(a.capacity() >= last_cap, "slab shrank at {i}");
             last_cap = a.capacity();
             assert_eq!(a.capacity(), b.capacity(), "same stream, same slab at {i}");
         }
-        assert!(last_cap.is_power_of_two());
+        assert_eq!(last_cap, ValueMap::MAX_SLOTS);
         assert_eq!(a.footprint_bytes(), last_cap * 16);
         // 7/8 load ceiling actually holds.
         assert!(a.len() * 8 <= a.capacity() * 7);
+    }
+
+    #[test]
+    fn growth_is_checked_on_insert_only_and_stops_at_the_cap() {
+        // Key `unmix(k)` has home slot `k mod capacity`: no probe is long.
+        let key = |k: usize| unmix(k as u64);
+        let mut map = ValueMap::new();
+        // 7 keys fill 8 slots to the 7/8 limit; hits there do not grow it.
+        for k in 0..7 {
+            assert!(map.try_bump(key(k), 1));
+        }
+        assert_eq!(map.capacity(), 8);
+        for k in 0..7 {
+            assert!(map.try_bump(key(k), 1));
+        }
+        assert_eq!(map.capacity(), 8, "a hit at the load limit grew the slab");
+        assert!(map.try_bump(key(7), 1));
+        assert_eq!(map.capacity(), 16);
+        // Fill the capped slab to its limit: 896 keys in 1024 slots.
+        let limit = ValueMap::MAX_LEN;
+        for k in 8..limit {
+            assert!(map.try_bump(key(k), 1));
+        }
+        assert_eq!((map.len(), map.capacity()), (limit, ValueMap::MAX_SLOTS));
+        // Hits still count; a new key is refused and changes nothing.
+        assert!(map.try_bump(key(3), 5));
+        assert_eq!(map.get(key(3)), Some(7));
+        assert!(!map.try_bump(key(limit), 1));
+        assert_eq!((map.len(), map.get(key(limit))), (limit, None));
+    }
+
+    #[test]
+    fn no_key_sits_max_probe_slots_from_home() {
+        // Keys whose mixed images share their low 20 bits all probe from
+        // one home slot at every slab size. A long probe grows the slab
+        // first, so the small slab is outgrown at once.
+        let collide = |i: u64| unmix(i << 20 | 0x5_A5A5);
+        let mut map = ValueMap::new();
+        for i in 0..ValueMap::MAX_PROBE as u64 {
+            assert!(map.try_bump(collide(i), 1), "colliding key {i} refused");
+        }
+        assert_eq!(map.capacity(), 128, "grown past the 7/8 load of 64 keys only");
+        // The next one would sit MAX_PROBE slots from home in every slab:
+        // refused, and nothing changes.
+        let full = map.clone();
+        assert!(!map.try_bump(collide(ValueMap::MAX_PROBE as u64), 1));
+        assert_eq!((map.capacity(), map.len()), (128, ValueMap::MAX_PROBE));
+        assert_eq!(map, full);
+        // Hits on the chain still count, and a key with another home fits.
+        assert!(map.try_bump(collide(ValueMap::MAX_PROBE as u64 - 1), 2));
+        assert_eq!(map.get(collide(ValueMap::MAX_PROBE as u64 - 1)), Some(3));
+        assert!(map.try_bump(unmix(0), 1));
+        assert_eq!(map.get(collide(ValueMap::MAX_PROBE as u64)), None);
     }
 
     #[test]
@@ -545,13 +656,13 @@ mod tests {
         let mut fwd = ValueMap::new();
         let mut rev = ValueMap::new();
         for k in 0..100u64 {
-            fwd.bump(k, k + 1);
+            assert!(fwd.try_bump(k, k + 1));
         }
         for k in (0..100u64).rev() {
-            rev.bump(k, k + 1);
+            assert!(rev.try_bump(k, k + 1));
         }
         assert_eq!(fwd, rev);
-        rev.bump(7, 1);
+        assert!(rev.try_bump(7, 1));
         assert_ne!(fwd, rev);
     }
 

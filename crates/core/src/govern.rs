@@ -27,7 +27,8 @@
 //!
 //! The byte accounting runs on a per-workload [`Arena`] meter, and since
 //! every tracker block now has a capacity-determined exact size (the
-//! inline `FixedTnv`'s own size, [`FullProfile`]'s `ValueMap` slab),
+//! inline `FixedTnv`'s own size, [`FullProfile`]'s capped `ValueMap`
+//! slab or, once it outgrows that, its sorted run and buffer),
 //! `bytes_peak` *is* the arena high-water mark: ground truth, not an
 //! estimate of allocator internals.
 //!

@@ -1,23 +1,113 @@
 //! Per-entity value tracking: the paper's TNV table plus the scalar
 //! counters behind the paper's metrics (LVP, % zero, execution count, last
 //! value), and the exact [`FullProfile`] used as ground truth.
+//!
+//! The exact histogram counts in two stages, chosen by a property of the
+//! stream the profile can see: its distinct-value count. An instruction
+//! with few distinct values counts them in a capped hash slab
+//! ([`ValueMap`], at most 1024 slots), one bump per event. An instruction
+//! whose values outgrow the slab (more than 896 of them, or a value that
+//! would sit 64 slots or more from its home slot) is mostly distinct, or
+//! built to collide; there a hash bump costs a cache miss or a long probe
+//! per event. It moves, once and for good, to a sorted
+//! `(value, count)` run plus an append buffer of raw values that is
+//! sorted, counted and merged into the run when it fills. That work is
+//! sequential, so it runs at memory bandwidth rather than latency.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::arena::ValueMap;
 use crate::tnv::FixedTnv;
 
+/// The fewest raw values the sorted stage's buffer holds before it is
+/// merged into the run; a larger run waits for a buffer as long as itself.
+const MIN_FLUSH: usize = 1024;
+
 /// Exact value histogram — the "full profile" the paper uses as ground
 /// truth when evaluating TNV-table accuracy (`Inv-All`, `Diff`). Space is
 /// proportional to the number of *distinct* values, which is exactly the
-/// cost the TNV table avoids. Counts live in an arena-style
-/// [`ValueMap`] slab, so [`FullProfile::footprint_bytes`] is exact, not
-/// an estimate.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// cost the TNV table avoids.
+///
+/// Counts start in a capped [`ValueMap`] slab; the first value the slab
+/// refuses moves them to a sorted run (module docs). Either way the
+/// profile's heap blocks have capacity-determined sizes, so
+/// [`FullProfile::footprint_bytes`] is exact, not an estimate. Equality
+/// compares content: the same counts are equal in either stage.
+///
+/// The profile is as small as the slab's handle (24 bytes): the sorted
+/// stage sits behind a box, and the observation count is the sum of the
+/// counts, not a field. Every tracker embeds an `Option<FullProfile>`,
+/// kept or not, so this size is paid by the TNV-only trackers too.
+#[derive(Debug, Clone, Default)]
 pub struct FullProfile {
-    counts: ValueMap,
-    observations: u64,
+    counts: Counts,
+}
+
+/// The two counting stages of a [`FullProfile`].
+#[derive(Debug, Clone)]
+enum Counts {
+    /// At most [`ValueMap::MAX_SLOTS`] slots of `(value, count)`.
+    Hashed(ValueMap),
+    Sorted(Box<SortedCounts>),
+}
+
+impl Default for Counts {
+    fn default() -> Counts {
+        Counts::Hashed(ValueMap::new())
+    }
+}
+
+/// The sorted stage: `run` holds `(value, count)` in ascending value
+/// order; `pending` holds raw values not yet counted into it, in arrival
+/// order.
+#[derive(Debug, Clone)]
+struct SortedCounts {
+    run: Vec<(u64, u64)>,
+    pending: Vec<u64>,
+}
+
+impl SortedCounts {
+    /// The counts of `map`. The run is reserved as many 16-byte entries as
+    /// the largest slab has 16-byte slots, so the footprint never shrinks
+    /// at the move.
+    fn from_map(map: &ValueMap) -> SortedCounts {
+        let mut run = Vec::with_capacity(ValueMap::MAX_SLOTS);
+        run.extend(map.iter());
+        run.sort_unstable_by_key(|&(value, _)| value);
+        SortedCounts { run, pending: Vec::with_capacity(MIN_FLUSH) }
+    }
+
+    /// Appends `value` to the buffer, merging the buffer once it is as
+    /// long as the run. The buffer grows straight to that length.
+    fn push(&mut self, value: u64) {
+        let threshold = self.run.len().max(MIN_FLUSH);
+        if self.pending.len() == self.pending.capacity() {
+            self.pending.reserve_exact(threshold - self.pending.len());
+        }
+        self.pending.push(value);
+        if self.pending.len() >= threshold {
+            self.flush();
+        }
+    }
+
+    /// Sorts and counts the buffer into the run, then empties the buffer
+    /// (keeping its allocation).
+    fn flush(&mut self) {
+        self.pending.sort_unstable();
+        let groups = counted(&self.pending).count();
+        merge_into(&mut self.run, counted(&self.pending), groups);
+        self.pending.clear();
+    }
+
+    /// Every `(value, count)` pair in ascending value order, the buffer
+    /// counted in from a sorted copy.
+    fn for_each(&self, mut f: impl FnMut(u64, u64)) {
+        let mut pending = self.pending.clone();
+        pending.sort_unstable();
+        merge_join(self.run.iter().copied(), counted(&pending))
+            .for_each(|(value, count)| f(value, count));
+    }
 }
 
 impl FullProfile {
@@ -26,34 +116,104 @@ impl FullProfile {
         FullProfile::default()
     }
 
-    /// Records one occurrence of `value`.
+    /// Records one occurrence of `value`: the stage test and the capped
+    /// bump, inlined into the tracker; the sorted stage is out of line.
+    #[inline]
     pub fn observe(&mut self, value: u64) {
-        self.counts.bump(value, 1);
-        self.observations += 1;
+        if let Counts::Hashed(map) = &mut self.counts {
+            if map.try_bump(value, 1) {
+                return;
+            }
+        }
+        self.count_sorted(value);
+    }
+
+    /// The out-of-line half of [`observe`](FullProfile::observe): moves
+    /// a full slab to the sorted stage, then buffers `value`.
+    #[inline(never)]
+    fn count_sorted(&mut self, value: u64) {
+        self.sorted_mut().push(value);
+    }
+
+    /// The sorted stage, moving the counts out of the slab first if they
+    /// are still hashed.
+    fn sorted_mut(&mut self) -> &mut SortedCounts {
+        if let Counts::Hashed(map) = &self.counts {
+            self.counts = Counts::Sorted(Box::new(SortedCounts::from_map(map)));
+        }
+        match &mut self.counts {
+            Counts::Sorted(sorted) => sorted,
+            Counts::Hashed(_) => unreachable!("moved to the sorted stage above"),
+        }
     }
 
     /// Merges another profile into this one by summing per-value counts.
     ///
     /// Exact: the result equals the profile of the concatenated value
     /// streams, so all derived metrics (`inv_all`, `distinct`, `top`) match
-    /// an unsharded run bit for bit.
+    /// an unsharded run bit for bit. Two hashed profiles stay hashed when
+    /// this slab takes every one of the other's counts; otherwise this
+    /// profile moves to the sorted stage and the counts the slab refused
+    /// (or, from a sorted profile, all of them) are merged into its run.
     pub fn merge(&mut self, other: &FullProfile) {
-        for (value, count) in other.counts.iter() {
-            self.counts.bump(value, count);
+        let mut theirs: Vec<(u64, u64)> = match (&mut self.counts, &other.counts) {
+            (Counts::Hashed(mine), Counts::Hashed(theirs)) => {
+                theirs.iter().filter(|&(value, count)| !mine.try_bump(value, count)).collect()
+            }
+            _ => other.sorted_counts(),
+        };
+        if theirs.is_empty() {
+            return;
         }
-        self.observations += other.observations;
+        theirs.sort_unstable_by_key(|&(value, _)| value);
+        let sorted = self.sorted_mut();
+        sorted.flush();
+        merge_into(&mut sorted.run, theirs.iter().copied(), theirs.len());
     }
 
-    /// Total observations.
+    /// Calls `f` with every `(value, count)` pair, the buffered values
+    /// counted in: in slab order while hashed, ascending value order once
+    /// sorted.
+    fn for_each_count(&self, mut f: impl FnMut(u64, u64)) {
+        match &self.counts {
+            Counts::Hashed(map) => map.iter().for_each(|(value, count)| f(value, count)),
+            Counts::Sorted(sorted) => sorted.for_each(f),
+        }
+    }
+
+    /// Every `(value, count)` pair in ascending value order.
+    fn sorted_counts(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.for_each_count(|value, count| out.push((value, count)));
+        if let Counts::Hashed(_) = self.counts {
+            out.sort_unstable_by_key(|&(value, _)| value);
+        }
+        out
+    }
+
+    /// Total observations: the sum of the counts.
     pub fn observations(&self) -> u64 {
-        self.observations
+        match &self.counts {
+            Counts::Hashed(map) => map.iter().map(|(_, count)| count).sum(),
+            Counts::Sorted(sorted) => {
+                sorted.run.iter().map(|&(_, count)| count).sum::<u64>()
+                    + sorted.pending.len() as u64
+            }
+        }
     }
 
     /// Number of distinct values seen — the paper's `Diff` numerator.
     pub fn distinct(&self) -> u64 {
-        self.counts.len() as u64
+        match &self.counts {
+            Counts::Hashed(map) => map.len() as u64,
+            Counts::Sorted(sorted) if sorted.pending.is_empty() => sorted.run.len() as u64,
+            Counts::Sorted(_) => {
+                let mut distinct = 0;
+                self.for_each_count(|_, _| distinct += 1);
+                distinct
+            }
+        }
     }
-
     /// The `n` most frequent `(value, count)` pairs, most frequent first.
     ///
     /// The order is part of the definition: count descending, then value
@@ -61,16 +221,17 @@ impl FullProfile {
     /// result is exactly the first `n` entries of the fully sorted
     /// histogram; `top(0)` is empty.
     ///
-    /// A bounded selection: one pass over the slab keeps the `n` best
+    /// A bounded selection: one pass over the counts keeps the `n` best
     /// entries in a heap whose root is the worst of them, so most entries
     /// are rejected by one compare against that root. That is
     /// O(distinct · log n) time — linear for a fixed width such as the
-    /// TNV capacity — and O(min(n, distinct)) memory, for every `n`.
+    /// TNV capacity — and O(min(n, distinct)) memory beyond a sorted copy
+    /// of the sorted stage's buffer, for every `n`.
     pub fn top(&self, n: usize) -> Vec<(u64, u64)> {
         // Keyed so that a greater key ranks lower: the heap's root is the
         // worst kept entry, and `into_sorted_vec` lists the best first.
-        let mut best = BinaryHeap::with_capacity(n.min(self.counts.len()));
-        for (value, count) in self.counts.iter() {
+        let mut best = BinaryHeap::new();
+        self.for_each_count(|value, count| {
             let key = (Reverse(count), value);
             if best.len() < n {
                 best.push(key);
@@ -79,13 +240,13 @@ impl FullProfile {
                     *worst = key;
                 }
             }
-        }
+        });
         best.into_sorted_vec().into_iter().map(|(Reverse(count), value)| (value, count)).collect()
     }
 
     /// Exact invariance over the top `n` values (`Inv-All(n)`).
     pub fn inv_all(&self, n: usize) -> f64 {
-        self.share(self.top(n).iter().map(|&(_, c)| c).sum())
+        share(self.top(n).iter().map(|&(_, c)| c).sum(), self.observations())
     }
 
     /// `(Inv-All(1), Inv-All(n))` from one top-`n` selection, each equal
@@ -95,35 +256,120 @@ impl FullProfile {
         let top = self.top(n.max(1));
         let first = top.first().map_or(0, |&(_, c)| c);
         let covered = top.iter().take(n).map(|&(_, c)| c).sum();
-        (self.share(first), self.share(covered))
-    }
-
-    /// `covered` as a fraction of all observations (0 when empty).
-    fn share(&self, covered: u64) -> f64 {
-        if self.observations == 0 {
-            return 0.0;
-        }
-        covered as f64 / self.observations as f64
+        let observations = self.observations();
+        (share(first, observations), share(covered, observations))
     }
 
     /// Exact count for a specific value.
     pub fn count_of(&self, value: u64) -> u64 {
-        self.counts.get(value).unwrap_or(0)
+        match &self.counts {
+            Counts::Hashed(map) => map.get(value).unwrap_or(0),
+            Counts::Sorted(sorted) => {
+                let run = &sorted.run;
+                let counted = run.binary_search_by_key(&value, |&(v, _)| v).map_or(0, |i| run[i].1);
+                counted + sorted.pending.iter().filter(|&&v| v == value).count() as u64
+            }
+        }
     }
 
-    /// Exact memory footprint in bytes: the struct itself plus the
-    /// [`ValueMap`] slab, whose size is its allocated *capacity* — what
-    /// is actually resident, not just occupied.
+    /// Exact memory footprint in bytes: the struct itself, plus the slab
+    /// while hashed, or once sorted the boxed stage, the run's capacity ×
+    /// 16 and the buffer's capacity × 8 — what is allocated, not just
+    /// occupied.
     ///
-    /// Exact by construction: the slab is the profile's only heap block
-    /// and its byte size is `capacity × 16` with no hidden metadata, so
-    /// the governor's `bytes_peak` is ground truth rather than a model
-    /// of `HashMap` internals. Capacity is a deterministic, monotone
-    /// function of the observation history, so the footprint reproduces
-    /// across runs and never shrinks under `observe`.
+    /// Exact by construction: those are the profile's only heap blocks,
+    /// with no hidden metadata, so the governor's `bytes_peak` is ground
+    /// truth rather than a model of allocator internals. Capacities are a
+    /// deterministic function of the observation history and never shrink
+    /// under `observe` (the move to the sorted stage reserves at least the
+    /// slab it frees, and merges reuse the run in place), so the footprint
+    /// reproduces across runs and is monotone.
     pub fn footprint_bytes(&self) -> usize {
-        std::mem::size_of::<FullProfile>() + self.counts.footprint_bytes()
+        let heap = match &self.counts {
+            Counts::Hashed(map) => map.footprint_bytes(),
+            Counts::Sorted(sorted) => {
+                std::mem::size_of::<SortedCounts>()
+                    + sorted.run.capacity() * std::mem::size_of::<(u64, u64)>()
+                    + sorted.pending.capacity() * std::mem::size_of::<u64>()
+            }
+        };
+        std::mem::size_of::<FullProfile>() + heap
     }
+}
+
+impl PartialEq for FullProfile {
+    /// Content equality: the same per-value counts, whichever stage
+    /// either side is in.
+    fn eq(&self, other: &FullProfile) -> bool {
+        self.sorted_counts() == other.sorted_counts()
+    }
+}
+
+impl Eq for FullProfile {}
+
+/// `covered` as a fraction of `observations` (0 when there are none).
+fn share(covered: u64, observations: u64) -> f64 {
+    if observations == 0 {
+        return 0.0;
+    }
+    covered as f64 / observations as f64
+}
+
+/// `(value, count)` for each run of equal values in a sorted slice.
+fn counted(sorted: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    sorted.chunk_by(|a, b| a == b).map(|same| (same[0], same.len() as u64))
+}
+
+/// The union of two ascending `(value, count)` streams, each with
+/// distinct values, summing the counts of a value found in both.
+fn merge_join(
+    a: impl Iterator<Item = (u64, u64)>,
+    b: impl Iterator<Item = (u64, u64)>,
+) -> impl Iterator<Item = (u64, u64)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || match (a.peek().copied(), b.peek().copied()) {
+        (Some((x, m)), Some((y, n))) => Some(match x.cmp(&y) {
+            Ordering::Less => a.next().expect("peeked"),
+            Ordering::Greater => b.next().expect("peeked"),
+            Ordering::Equal => {
+                a.next();
+                b.next();
+                (x, m + n)
+            }
+        }),
+        _ => a.next().or_else(|| b.next()),
+    })
+}
+
+/// Merges `incoming` — `len` pairs in ascending value order, values
+/// distinct — into the ascending `run`, summing the counts of equal
+/// values. In place: the run moves up by `len` entries and the merge
+/// writes from the front, never past the next unread run entry, so it
+/// needs no second buffer. The run's allocation grows by at most `len`
+/// entries and never shrinks.
+fn merge_into(run: &mut Vec<(u64, u64)>, incoming: impl Iterator<Item = (u64, u64)>, len: usize) {
+    let old = run.len();
+    run.reserve_exact(len);
+    run.resize(old + len, (0, 0));
+    run.copy_within(..old, len);
+    let end = old + len;
+    let (mut write, mut read) = (0, len);
+    for (value, count) in incoming {
+        while read < end && run[read].0 < value {
+            run[write] = run[read];
+            write += 1;
+            read += 1;
+        }
+        run[write] = if read < end && run[read].0 == value {
+            read += 1;
+            (value, run[read - 1].1 + count)
+        } else {
+            (value, count)
+        };
+        write += 1;
+    }
+    run.copy_within(read..end, write);
+    run.truncate(write + (end - read));
 }
 
 /// How much state a tracker keeps beyond its TNV table, which is always
@@ -357,6 +603,7 @@ impl ValueTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::unmix;
 
     #[test]
     fn full_profile_exactness() {
@@ -492,6 +739,115 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_is_as_small_as_its_slab_handle() {
+        // Every tracker embeds an `Option<FullProfile>`, kept or not, so a
+        // larger profile would spread every TNV-only tracker too.
+        assert_eq!(std::mem::size_of::<FullProfile>(), std::mem::size_of::<ValueMap>());
+        assert_eq!(std::mem::size_of::<Option<FullProfile>>(), 32);
+    }
+
+    #[test]
+    fn the_slab_refusing_a_new_value_moves_the_profile_to_sorted_runs() {
+        // Values whose home slots differ, so the slab fills to its load
+        // limit before it refuses one.
+        let limit = ValueMap::MAX_LEN as u64;
+        let mut f = FullProfile::new();
+        for v in 0..limit {
+            f.observe(unmix(v));
+        }
+        // Hits on a full slab stay hashed.
+        for v in 0..limit {
+            f.observe(unmix(v));
+        }
+        assert!(matches!(f.counts, Counts::Hashed(_)));
+        let hashed = f.footprint_bytes();
+        f.observe(unmix(limit));
+        assert!(matches!(f.counts, Counts::Sorted(_)));
+        assert!(f.footprint_bytes() >= hashed, "the move shrank the footprint");
+        let counts = (f.count_of(unmix(3)), f.count_of(unmix(limit)));
+        assert_eq!((f.distinct(), counts), (limit + 1, (2, 1)));
+        assert_eq!(f.top(limit as usize + 1).last(), Some(&(unmix(limit), 1)));
+    }
+
+    #[test]
+    fn the_buffer_merges_into_the_run_when_it_is_as_long_as_the_run() {
+        let stage = |f: &FullProfile| match &f.counts {
+            Counts::Sorted(sorted) => (sorted.run.len(), sorted.pending.len()),
+            Counts::Hashed(_) => panic!("still hashed"),
+        };
+        let limit = ValueMap::MAX_LEN;
+        let mut f = FullProfile::new();
+        (0..=limit as u64).for_each(|v| f.observe(unmix(v)));
+        assert_eq!(stage(&f), (limit, 1));
+        // The first flush waits for MIN_FLUSH values, the run being shorter.
+        (0..MIN_FLUSH as u64 - 2).for_each(|v| f.observe(unmix(v % limit as u64)));
+        assert_eq!(stage(&f), (limit, MIN_FLUSH - 1));
+        f.observe(u64::MAX);
+        assert_eq!(stage(&f), (limit + 2, 0), "two new values, the rest repeats");
+        (0..MIN_FLUSH as u64).for_each(|v| f.observe(1 << 32 | v));
+        let run = limit + 2 + MIN_FLUSH;
+        assert_eq!(stage(&f), (run, 0));
+        // Now the run is longer: the buffer waits for as many values.
+        (1..run).for_each(|_| f.observe(unmix(0)));
+        assert_eq!(stage(&f), (run, run - 1));
+        f.observe(unmix(0));
+        assert_eq!(stage(&f), (run, 0));
+        let values = [unmix(0), unmix(1), unmix(limit as u64), u64::MAX, 1 << 32];
+        assert_eq!(values.map(|v| f.count_of(v)), [3 + run as u64, 3, 1, 1, 1]);
+    }
+
+    /// Values whose mixed images share their low 20 bits, so every one
+    /// probes from the same home slot at any slab size up to 2^20.
+    fn colliding(n: u64) -> Vec<u64> {
+        let values: Vec<u64> = (0..n).map(|i| unmix(i << 20 | 0x5_A5A5)).collect();
+        for &v in &values {
+            assert_eq!(crate::arena::mix(v) & 0xF_FFFF, 0x5_A5A5);
+        }
+        values
+    }
+
+    #[test]
+    fn values_built_to_collide_in_the_slab_count_exactly_and_leave_the_hash() {
+        // No key sits MAX_PROBE or more slots from home, so the slab
+        // refuses the first colliding value past that many; the profile
+        // counts the rest in sorted runs, where collisions cost nothing.
+        let values = colliding(2000);
+        let mut f = FullProfile::new();
+        values.iter().for_each(|&v| f.observe(v));
+        values.iter().step_by(3).for_each(|&v| f.observe(v));
+        assert!(matches!(f.counts, Counts::Sorted(_)), "the colliding values stayed hashed");
+        assert_eq!(f.distinct(), 2000);
+        assert_eq!(f.observations(), 2000 + 667);
+        for (i, &v) in values.iter().enumerate() {
+            assert_eq!(f.count_of(v), if i % 3 == 0 { 2 } else { 1 }, "value {i}");
+        }
+        assert_eq!(f.top(usize::MAX).iter().map(|&(_, c)| c).sum::<u64>(), f.observations());
+    }
+
+    #[test]
+    fn repeating_few_colliding_values_cannot_keep_the_profile_hashed() {
+        // As many colliding values as the slab holds keys, repeated: they
+        // never pass the 897th distinct value, but a hashed profile would
+        // walk a chain of hundreds of slots per event. The profile leaves
+        // the hash at the first value past MAX_PROBE instead.
+        let values = colliding(ValueMap::MAX_LEN as u64);
+        let mut f = FullProfile::new();
+        let (fits, rest) = values.split_at(ValueMap::MAX_PROBE);
+        fits.iter().for_each(|&v| f.observe(v));
+        assert!(matches!(f.counts, Counts::Hashed(_)), "{} colliding values", fits.len());
+        f.observe(rest[0]);
+        assert!(matches!(f.counts, Counts::Sorted(_)), "the chain grew past MAX_PROBE");
+        for _ in 1..50 {
+            values.iter().for_each(|&v| f.observe(v));
+        }
+        assert_eq!(f.observations(), 49 * values.len() as u64 + fits.len() as u64 + 1);
+        assert_eq!(f.count_of(fits[0]), 50);
+        assert_eq!(f.count_of(rest[0]), 50);
+        assert_eq!(f.count_of(rest[1]), 49);
+        assert_eq!(f.distinct(), values.len() as u64);
+    }
+
+    #[test]
     fn degrade_drops_only_the_full_profile() {
         let mut governed = ValueTracker::new(TrackerConfig::with_full());
         let mut reference = ValueTracker::new(TrackerConfig::with_full());
@@ -529,6 +885,28 @@ mod tests {
         right.iter().for_each(|&v| b.observe(v));
         a.merge(&b);
         assert_eq!(a, whole);
+    }
+
+    #[test]
+    fn merging_hashed_profiles_stays_exact_at_the_slab_limit() {
+        // Disjoint halves whose union fills the slab exactly stay hashed;
+        // one more value moves the merge to sorted runs. Both are exact.
+        let limit = ValueMap::MAX_LEN as u64;
+        for union in [limit, limit + 1] {
+            let values: Vec<u64> = (0..union).map(unmix).collect();
+            let (left, right) = values.split_at(union as usize / 2);
+            let mut merged = FullProfile::new();
+            left.iter().chain(right).for_each(|&v| merged.observe(v));
+            let whole = merged.clone();
+            let mut merged = FullProfile::new();
+            left.iter().for_each(|&v| merged.observe(v));
+            let mut later = FullProfile::new();
+            right.iter().for_each(|&v| later.observe(v));
+            merged.merge(&later);
+            assert_eq!(merged, whole, "union of {union}");
+            assert_eq!((merged.distinct(), merged.count_of(unmix(union - 1))), (union, 1));
+            assert_eq!(matches!(merged.counts, Counts::Hashed(_)), union == limit);
+        }
     }
 
     #[test]

@@ -106,6 +106,41 @@ fn record_trace(dir: &Path) {
 }
 
 #[test]
+fn a_session_killed_before_the_client_writes_reports_the_typed_reason() {
+    use std::io::Write;
+    use std::os::unix::net::UnixListener;
+    use vp_instrument::net::{self, SessionMsg};
+    use vp_instrument::{frame, FrameReader};
+
+    // A stand-in daemon admits the session, kills it at once and closes
+    // the socket, as `serve` does after a session panic. The client's
+    // next chunk write then fails; the reason it must report is the ERR
+    // already waiting in its receive queue, not the broken pipe.
+    let dir = fresh_dir("killed-early");
+    record_trace(&dir);
+    let listener = UnixListener::bind(dir.join("fake.sock")).expect("bind");
+    let daemon = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = FrameReader::new(stream.try_clone().expect("clone"));
+        reader.expect_magic().expect("client magic");
+        assert!(matches!(net::read_msg(&mut reader), Ok(SessionMsg::Hello { .. })));
+        let mut reply = frame::FRAME_MAGIC.to_vec();
+        net::write_msg(&mut reply, &SessionMsg::HelloOk { acked: 0 }).expect("encode");
+        let kill = SessionMsg::Err { reason: "session panicked: injected".to_string() };
+        net::write_msg(&mut reply, &kill).expect("encode");
+        stream.write_all(&reply).expect("reply");
+    });
+    let client = run_in(&dir, &["client", "li.vpc", "--connect", "fake.sock"], &[]);
+    daemon.join().expect("stand-in daemon");
+    assert!(!client.ok, "a killed session exited 0");
+    assert!(
+        client.stderr.contains("session killed: session panicked: injected"),
+        "expected a typed kill, got: {}",
+        client.stderr
+    );
+}
+
+#[test]
 fn streamed_profile_matches_replay_byte_for_byte() {
     let dir = fresh_dir("roundtrip");
     record_trace(&dir);
